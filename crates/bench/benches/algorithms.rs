@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use cloudmedia_cloud::broker::SlaTerms;
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters, PAPER_VM_BANDWIDTH};
 use cloudmedia_cloud::scheduler::ChunkKey;
 use cloudmedia_core::analysis::p2p::{p2p_capacity_hetero, UploadClass};
@@ -13,11 +14,14 @@ use cloudmedia_core::analysis::{
     capacity_demand, p2p_capacity_with, pooled_capacity_demand, DemandPooling, PsiEstimator,
 };
 use cloudmedia_core::channel::ChannelModel;
+use cloudmedia_core::controller::{Controller, ControllerConfig};
+use cloudmedia_core::predictor::{ChannelObservation, PredictorKind};
 use cloudmedia_core::provisioning::storage::{ChunkDemand, StorageProblem};
 use cloudmedia_core::provisioning::vm::VmProblem;
 use cloudmedia_queueing::erlang::erlang_c;
 use cloudmedia_queueing::mmm::{min_servers_for_sojourn, min_servers_for_sojourn_quantile};
 use cloudmedia_queueing::mmmk::MmmkQueue;
+use cloudmedia_sim::config::{SimConfig, SimMode};
 
 fn bench_erlang(c: &mut Criterion) {
     c.bench_function("erlang_c_m100", |b| {
@@ -164,10 +168,77 @@ fn bench_optimizers(c: &mut Criterion) {
     });
 }
 
+/// The hourly tracker reports of the paper week's first day: each
+/// channel's base rate times the diurnal multiplier averaged over the
+/// past hour, with the viewing model's start split and routing.
+fn paper_day_observations(cfg: &SimConfig) -> Vec<Vec<(usize, ChannelObservation)>> {
+    (0..24)
+        .map(|hour| {
+            let multiplier = if hour == 0 {
+                cfg.trace.diurnal.multiplier(0.0)
+            } else {
+                (0..60)
+                    .map(|minute| {
+                        let t = (hour - 1) as f64 * 3600.0 + (minute as f64 + 0.5) * 60.0;
+                        cfg.trace.diurnal.multiplier(t)
+                    })
+                    .sum::<f64>()
+                    / 60.0
+            };
+            cfg.catalog
+                .channels()
+                .iter()
+                .map(|spec| {
+                    let rate = spec.base_arrival_rate * multiplier;
+                    let split = spec.viewing.arrival_split(rate).unwrap();
+                    let obs = ChannelObservation {
+                        arrival_rate: rate,
+                        alpha: split[0] / rate,
+                        routing: spec.viewing.routing_rows().unwrap(),
+                    };
+                    (spec.id, obs)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// One `Controller::plan_interval` per iteration on the paper catalog
+/// (20 channels × 20 chunks), cycling through the day's hourly reports
+/// so placement refreshes and budget pressure occur as in a run.
+fn bench_controller(c: &mut Criterion) {
+    let sla = SlaTerms {
+        virtual_clusters: paper_virtual_clusters(),
+        nfs_clusters: paper_nfs_clusters(),
+    };
+    for (name, mode) in [
+        ("controller_plan_interval_paper_p2p", SimMode::P2p),
+        ("controller_plan_interval_paper_cs", SimMode::ClientServer),
+    ] {
+        let cfg = SimConfig::paper_default(mode);
+        let hours = paper_day_observations(&cfg);
+        let config = ControllerConfig {
+            safety_factor: cfg.safety_factor,
+            target: cfg.provisioning_target,
+            ..ControllerConfig::paper_default(cfg.streaming_mode())
+        };
+        let mut controller = Controller::new(config, PredictorKind::LastInterval).unwrap();
+        let mut hour = 0;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let stats = &hours[hour % hours.len()];
+                hour += 1;
+                controller.plan_interval(black_box(stats), &sla).unwrap()
+            })
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_erlang,
     bench_capacity_analysis,
+    bench_controller,
     bench_optimizers
 );
 criterion_main!(benches);

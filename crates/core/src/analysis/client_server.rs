@@ -12,6 +12,7 @@ use cloudmedia_queueing::mmm::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::analysis::pass::ChannelPass;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 
@@ -105,31 +106,7 @@ pub fn capacity_demand_with_target(
     channel: &ChannelModel,
     target: ProvisioningTarget,
 ) -> Result<CapacityDemand, CoreError> {
-    channel.validate()?;
-    let lambdas = channel.chunk_arrival_rates()?;
-    let mu = channel.service_rate();
-    let t0 = channel.chunk_seconds;
-    let mut servers = Vec::with_capacity(lambdas.len());
-    let mut expected = Vec::with_capacity(lambdas.len());
-    let mut upload = Vec::with_capacity(lambdas.len());
-    for &lambda in &lambdas {
-        let m = target.min_servers(lambda, mu, t0)?;
-        let e_n = if m == 0 {
-            0.0
-        } else {
-            MmmQueue::new(lambda, mu, m)?.expected_in_system()
-        };
-        servers.push(m);
-        expected.push(e_n);
-        upload.push(m as f64 * channel.vm_bandwidth);
-    }
-    Ok(CapacityDemand {
-        channel: channel.id,
-        arrival_rates: lambdas,
-        servers,
-        expected_in_queue: expected,
-        upload_demand: upload,
-    })
+    ChannelPass::new(channel, false)?.per_chunk(target)
 }
 
 /// Channel-pooled capacity demand: the paper allows a fractional VM to
@@ -160,36 +137,85 @@ pub fn pooled_capacity_demand_with_target(
     channel: &ChannelModel,
     target: ProvisioningTarget,
 ) -> Result<CapacityDemand, CoreError> {
-    channel.validate()?;
-    let lambdas = channel.chunk_arrival_rates()?;
-    let mu = channel.service_rate();
-    let t0 = channel.chunk_seconds;
-    let total_lambda: f64 = lambdas.iter().sum();
-    let pool_servers = target.min_servers(total_lambda, mu, t0)?;
-    let pool_bandwidth = pool_servers as f64 * channel.vm_bandwidth;
+    ChannelPass::new(channel, false)?.pooled(target)
+}
 
-    let mut servers = vec![0usize; lambdas.len()];
-    let mut expected = vec![0.0; lambdas.len()];
-    let mut upload = vec![0.0; lambdas.len()];
-    if total_lambda > 0.0 {
-        let pool = MmmQueue::new(total_lambda, mu, pool_servers)?;
-        let total_expected = pool.expected_in_system();
-        for (i, &lambda) in lambdas.iter().enumerate() {
-            let share = lambda / total_lambda;
-            upload[i] = pool_bandwidth * share;
-            expected[i] = total_expected * share;
-            // Integer bookkeeping: ceil of the fractional share, reported
-            // for diagnostics only.
-            servers[i] = (pool_servers as f64 * share).ceil() as usize;
+impl ChannelPass<'_> {
+    /// Paper-literal sizing: the minimal `m_i` per chunk queue for the
+    /// retrieval-time guarantee, and `s_i = R m_i`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates queueing failures.
+    pub(crate) fn per_chunk(
+        &self,
+        target: ProvisioningTarget,
+    ) -> Result<CapacityDemand, CoreError> {
+        let channel = self.channel;
+        let lambdas = &self.traffic.arrival_rates;
+        let mu = channel.service_rate();
+        let t0 = channel.chunk_seconds;
+        let mut servers = Vec::with_capacity(lambdas.len());
+        let mut expected = Vec::with_capacity(lambdas.len());
+        let mut upload = Vec::with_capacity(lambdas.len());
+        for &lambda in lambdas {
+            let m = target.min_servers(lambda, mu, t0)?;
+            let e_n = if m == 0 {
+                0.0
+            } else {
+                MmmQueue::new(lambda, mu, m)?.expected_in_system()
+            };
+            servers.push(m);
+            expected.push(e_n);
+            upload.push(m as f64 * channel.vm_bandwidth);
         }
+        Ok(CapacityDemand {
+            channel: channel.id,
+            arrival_rates: lambdas.clone(),
+            servers,
+            expected_in_queue: expected,
+            upload_demand: upload,
+        })
     }
-    Ok(CapacityDemand {
-        channel: channel.id,
-        arrival_rates: lambdas,
-        servers,
-        expected_in_queue: expected,
-        upload_demand: upload,
-    })
+
+    /// Channel-pooled sizing: one M/M/m fleet for `Σ λ_i`, apportioned
+    /// to chunks by load (see [`pooled_capacity_demand`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates queueing failures.
+    pub(crate) fn pooled(&self, target: ProvisioningTarget) -> Result<CapacityDemand, CoreError> {
+        let channel = self.channel;
+        let lambdas = &self.traffic.arrival_rates;
+        let mu = channel.service_rate();
+        let t0 = channel.chunk_seconds;
+        let total_lambda: f64 = lambdas.iter().sum();
+        let pool_servers = target.min_servers(total_lambda, mu, t0)?;
+        let pool_bandwidth = pool_servers as f64 * channel.vm_bandwidth;
+
+        let mut servers = vec![0usize; lambdas.len()];
+        let mut expected = vec![0.0; lambdas.len()];
+        let mut upload = vec![0.0; lambdas.len()];
+        if total_lambda > 0.0 {
+            let pool = MmmQueue::new(total_lambda, mu, pool_servers)?;
+            let total_expected = pool.expected_in_system();
+            for (i, &lambda) in lambdas.iter().enumerate() {
+                let share = lambda / total_lambda;
+                upload[i] = pool_bandwidth * share;
+                expected[i] = total_expected * share;
+                // Integer bookkeeping: ceil of the fractional share, reported
+                // for diagnostics only.
+                servers[i] = (pool_servers as f64 * share).ceil() as usize;
+            }
+        }
+        Ok(CapacityDemand {
+            channel: channel.id,
+            arrival_rates: lambdas.clone(),
+            servers,
+            expected_in_queue: expected,
+            upload_demand: upload,
+        })
+    }
 }
 
 #[cfg(test)]

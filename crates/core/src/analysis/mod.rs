@@ -4,11 +4,13 @@
 //! for smooth playback when the cloud serves everything; [`p2p`] subtracts
 //! the equilibrium peer contribution, leaving the deficit the cloud must
 //! cover; [`admission`] analyzes the alternative of rejecting requests
-//! under a hard capacity cap.
+//! under a hard capacity cap. The client–server and P2P analyses run on
+//! one shared per-channel pass that factors `M = I − Pᵀ` once.
 
 pub mod admission;
 pub mod client_server;
 pub mod p2p;
+pub(crate) mod pass;
 
 pub use admission::{admission_outcome, min_vms_for_rejection, AdmissionOutcome};
 pub use client_server::{

@@ -27,11 +27,9 @@ pub static SHERMAN_MORRISON_UPDATES: GlobalCounter = GlobalCounter::new();
 pub static SHERMAN_MORRISON_FALLBACKS: GlobalCounter = GlobalCounter::new();
 
 #[cfg(test)]
-use crate::analysis::client_server::pooled_capacity_demand;
-use crate::analysis::client_server::{
-    capacity_demand, capacity_demand_with_target, pooled_capacity_demand_with_target,
-    CapacityDemand, ProvisioningTarget,
-};
+use crate::analysis::client_server::{capacity_demand, pooled_capacity_demand};
+use crate::analysis::client_server::{CapacityDemand, ProvisioningTarget};
+use crate::analysis::pass::ChannelPass;
 use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
@@ -85,14 +83,15 @@ impl P2pCapacity {
 ///
 /// All `J` per-chunk systems are principal submatrices of the same
 /// `M = I − Pᵀ` (row/column `i` deleted), so instead of `J` independent
-/// `O(J³)` eliminations this factorizes `M` **once**, computes its
-/// inverse columns, and recovers each deleted-row solution with a
-/// Sherman–Morrison rank-one update in `O(J²)` — `O(J³ + J·J²)` total,
-/// roughly `J/3` times fewer flops. The controller runs this for every
-/// channel every provisioning interval, which made it the hottest part
-/// of the P2P provisioning phase. An ill-conditioned update (denominator
-/// collapse, never observed for substochastic routing) falls back to the
-/// direct per-chunk elimination.
+/// `O(J³)` eliminations this factorizes `M` **once**, solves its `J`
+/// inverse columns in one multi-right-hand-side sweep, and recovers each
+/// deleted-row solution with a Sherman–Morrison rank-one update in
+/// `O(J²)` — `O(J³ + J·J²)` total. The controller's per-channel analysis
+/// pass runs the same updates on the inverse columns it already solved
+/// alongside the traffic equations, so `M` is factored once per channel
+/// and interval. An ill-conditioned update (denominator collapse, never
+/// observed for substochastic routing) falls back to the direct
+/// per-chunk elimination, and so does a singular `M`.
 ///
 /// Returns the full matrix (row `i`, column `j`).
 ///
@@ -113,38 +112,39 @@ pub fn replica_matrix(
             ),
         ));
     }
-    RoutingMatrix::from_rows(routing)?;
-    let mut result = vec![vec![0.0; j_count]; j_count];
+    let checked = RoutingMatrix::from_rows(routing)?;
     if j_count == 1 {
+        return Ok(vec![vec![expected_in_queue[0]]]);
+    }
+    match checked.traffic_matrix().lu() {
+        Ok(lu) => replicas_from_inverse(routing, &lu.inverse_columns(), expected_in_queue),
+        Err(_) => {
+            // M = I − Pᵀ is singular for perfectly recirculating routing
+            // (row sums exactly 1, no departures) — a valid input whose
+            // *deleted* per-chunk systems are still well posed. Solve them
+            // directly, as the original algorithm did.
+            let mut result = vec![vec![0.0; j_count]; j_count];
+            for (i, (out, &occupancy)) in result.iter_mut().zip(expected_in_queue).enumerate() {
+                SHERMAN_MORRISON_FALLBACKS.inc();
+                replica_row_direct(routing, occupancy, i, out)?;
+            }
+            Ok(result)
+        }
+    }
+}
+
+/// Proposition 1 from the columns of `M⁻¹` (`inv[i·n..(i + 1)·n]` is
+/// `M⁻¹ e_i`): one Sherman–Morrison deleted-row update per chunk.
+fn replicas_from_inverse(
+    routing: &[Vec<f64>],
+    inv: &[f64],
+    expected_in_queue: &[f64],
+) -> Result<Vec<Vec<f64>>, CoreError> {
+    let n = routing.len();
+    let mut result = vec![vec![0.0; n]; n];
+    if n == 1 {
         result[0][0] = expected_in_queue[0];
         return Ok(result);
-    }
-    let n = j_count;
-    // M = I − Pᵀ: M[j][l] = δ_jl − P_lj.
-    let mut m = Matrix::zeros(n, n);
-    for j in 0..n {
-        for (l, row) in routing.iter().enumerate() {
-            m[(j, l)] = f64::from(u8::from(j == l)) - row[j];
-        }
-    }
-    let Ok(lu) = m.lu() else {
-        // M = I − Pᵀ is singular for perfectly recirculating routing
-        // (row sums exactly 1, no departures) — a valid input whose
-        // *deleted* per-chunk systems are still well posed. Solve them
-        // directly, as the original algorithm did.
-        for (i, (out, &occupancy)) in result.iter_mut().zip(expected_in_queue).enumerate() {
-            SHERMAN_MORRISON_FALLBACKS.inc();
-            replica_row_direct(routing, occupancy, i, out)?;
-        }
-        return Ok(result);
-    };
-    // Inverse columns: inv[i·n ..][k] = (M⁻¹ e_i)_k.
-    let mut inv = vec![0.0; n * n];
-    let mut scratch = Vec::with_capacity(n);
-    for i in 0..n {
-        let col = &mut inv[i * n..(i + 1) * n];
-        col[i] = 1.0;
-        lu.solve_into(col, &mut scratch);
     }
     let mut z = vec![0.0; n];
     for (i, (out, &occupancy)) in result.iter_mut().zip(expected_in_queue).enumerate() {
@@ -403,7 +403,25 @@ pub fn p2p_capacity_hetero(
     classes: &[UploadClass],
     opts: P2pAnalysisOptions,
 ) -> Result<P2pCapacity, CoreError> {
-    let estimator = opts.psi;
+    validate_classes(classes)?;
+    let pass = ChannelPass::new(channel, true)?;
+    let demand = pass.per_chunk(ProvisioningTarget::MeanSojourn)?;
+    let supply = pass.peer_supply(classes, opts.psi)?;
+    let baseline = match (opts.pooling, opts.target) {
+        (DemandPooling::PerChunk, ProvisioningTarget::MeanSojourn) => demand.upload_demand.clone(),
+        (pooling, target) => pass.baseline(pooling, target)?.upload_demand,
+    };
+    Ok(P2pCapacity {
+        cloud_demand: supply.cloud_demand(&baseline),
+        demand,
+        replicas: supply.replicas,
+        peer_contribution: supply.contribution,
+    })
+}
+
+/// Checks a peer upload class list: non-empty, shares in `(0, 1]`
+/// summing to 1, finite non-negative uploads.
+pub(crate) fn validate_classes(classes: &[UploadClass]) -> Result<(), CoreError> {
     if classes.is_empty() {
         return Err(invalid_param(
             "classes",
@@ -432,91 +450,128 @@ pub fn p2p_capacity_hetero(
             format!("shares must sum to 1, got {share_sum}"),
         ));
     }
-    let demand = capacity_demand(channel)?;
-    // Equilibrium chunk-queue occupancy: the paper derives m_i from
-    // `E(n_i) = λ_i T0` (mean sojourn pinned to the playback time), so in
-    // its equilibrium each chunk queue holds λ_i·T0 viewers — these are
-    // the future owners Proposition 1 propagates. (Our integer m_i gives
-    // sojourn ≤ T0, so the raw M/M/m occupancy would undercount owners.)
-    let occupancy: Vec<f64> = demand
-        .arrival_rates
-        .iter()
-        .map(|&l| l * channel.chunk_seconds)
-        .collect();
-    let matrix = replica_matrix(&channel.routing, &occupancy)?;
-    let replicas = replica_counts(&matrix);
-    let population: f64 = occupancy.iter().sum();
-    let dual = dual_ownership(channel, &replicas, population, estimator)?;
+    Ok(())
+}
 
-    let j_count = channel.chunks();
-    // Rarest first: ascending replica count.
-    let mut order: Vec<usize> = (0..j_count).collect();
-    order.sort_by(|&a, &b| {
-        replicas[a]
-            .partial_cmp(&replicas[b])
-            .expect("replica counts are finite")
-    });
+/// What the peers of one channel supply: the Proposition 1 replica
+/// counts and the Eqn. 5 waterfilled contribution per chunk.
+#[derive(Debug)]
+pub(crate) struct PeerSupply {
+    /// Expected replica count `E(ν_i)` per chunk.
+    pub(crate) replicas: Vec<f64>,
+    /// Expected peer upload contribution `E(Γ_i)` per chunk, bytes/s.
+    pub(crate) contribution: Vec<f64>,
+}
 
-    let r = channel.streaming_rate;
-    // Richer classes are drawn from first at each chunk.
-    let mut class_order: Vec<usize> = (0..classes.len()).collect();
-    class_order.sort_by(|&a, &b| {
-        classes[b]
-            .upload
-            .partial_cmp(&classes[a].upload)
-            .expect("uploads are finite")
-    });
-    // Per-class peer contribution to each chunk.
-    let mut gamma_class = vec![vec![0.0; classes.len()]; j_count];
-    let mut gamma = vec![0.0; j_count];
-    for (pos, &k) in order.iter().enumerate() {
-        // Demand-side cap (paper Eqn. 5's "bandwidth demand to address its
-        // download requests"): the chunk's concurrent downloaders, each
-        // consuming at the streaming rate — `E(n_k)·r = λ_k·T0·r`. Peer
-        // service never exceeds the chunk's streaming throughput; the
-        // cloud keeps the remaining capacity as the quality margin.
-        let mut room = occupancy[k] * r;
-        for &ci in &class_order {
-            if room <= 0.0 {
-                break;
-            }
-            let class = &classes[ci];
-            // Supply from this class's owners of chunk k, minus bandwidth
-            // those owners already promised to rarer chunks.
-            let mut supply = replicas[k] * class.share * class.upload;
-            for &j in order.iter().take(pos) {
-                if replicas[j] <= 0.0 || gamma_class[j][ci] <= 0.0 {
-                    continue;
-                }
-                // dual[j][k]·share peers of this class own both; each
-                // gives gamma_class[j][ci] / (nu_j · share) to chunk j.
-                supply -= dual[j][k] * gamma_class[j][ci] / replicas[j];
-            }
-            let take = supply.max(0.0).min(room);
-            gamma_class[k][ci] = take;
-            gamma[k] += take;
-            room -= take;
-        }
+impl PeerSupply {
+    /// The cloud's share of a baseline capacity, `Δ_i = (s_i − Γ_i)⁺`.
+    pub(crate) fn cloud_demand(&self, baseline: &[f64]) -> Vec<f64> {
+        baseline
+            .iter()
+            .zip(&self.contribution)
+            .map(|(&b, &g)| (b - g).max(0.0))
+            .collect()
     }
+}
 
-    let baseline: Vec<f64> = match opts.pooling {
-        DemandPooling::PerChunk => match opts.target {
-            ProvisioningTarget::MeanSojourn => demand.upload_demand.clone(),
-            other => capacity_demand_with_target(channel, other)?.upload_demand,
-        },
-        DemandPooling::ChannelPooled => {
-            pooled_capacity_demand_with_target(channel, opts.target)?.upload_demand
+impl ChannelPass<'_> {
+    /// The P2P half of the analysis: replica counts from the inverse
+    /// columns this pass solved (Proposition 1), joint ownership, and
+    /// the rarest-first waterfilling of the classes' upload (Eqn. 5).
+    /// `classes` must have passed [`validate_classes`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver failures of the path-based estimator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pass was built without the inverse columns.
+    pub(crate) fn peer_supply(
+        &self,
+        classes: &[UploadClass],
+        estimator: PsiEstimator,
+    ) -> Result<PeerSupply, CoreError> {
+        let channel = self.channel;
+        let j_count = channel.chunks();
+        assert_eq!(
+            self.traffic.inverse_columns.len(),
+            j_count * j_count,
+            "peer supply needs a pass with the inverse columns"
+        );
+        // Equilibrium chunk-queue occupancy: the paper derives m_i from
+        // `E(n_i) = λ_i T0` (mean sojourn pinned to the playback time), so
+        // in its equilibrium each chunk queue holds λ_i·T0 viewers — these
+        // are the future owners Proposition 1 propagates. (Our integer m_i
+        // gives sojourn ≤ T0, so the raw M/M/m occupancy would undercount
+        // owners.)
+        let occupancy: Vec<f64> = self
+            .traffic
+            .arrival_rates
+            .iter()
+            .map(|&l| l * channel.chunk_seconds)
+            .collect();
+        let matrix =
+            replicas_from_inverse(&channel.routing, &self.traffic.inverse_columns, &occupancy)?;
+        let replicas = replica_counts(&matrix);
+        let population: f64 = occupancy.iter().sum();
+        let dual = dual_ownership(channel, &replicas, population, estimator)?;
+
+        // Rarest first: ascending replica count.
+        let mut order: Vec<usize> = (0..j_count).collect();
+        order.sort_by(|&a, &b| {
+            replicas[a]
+                .partial_cmp(&replicas[b])
+                .expect("replica counts are finite")
+        });
+
+        let r = channel.streaming_rate;
+        // Richer classes are drawn from first at each chunk.
+        let mut class_order: Vec<usize> = (0..classes.len()).collect();
+        class_order.sort_by(|&a, &b| {
+            classes[b]
+                .upload
+                .partial_cmp(&classes[a].upload)
+                .expect("uploads are finite")
+        });
+        // Per-class peer contribution to each chunk.
+        let mut gamma_class = vec![vec![0.0; classes.len()]; j_count];
+        let mut gamma = vec![0.0; j_count];
+        for (pos, &k) in order.iter().enumerate() {
+            // Demand-side cap (paper Eqn. 5's "bandwidth demand to address
+            // its download requests"): the chunk's concurrent downloaders,
+            // each consuming at the streaming rate — `E(n_k)·r =
+            // λ_k·T0·r`. Peer service never exceeds the chunk's streaming
+            // throughput; the cloud keeps the remaining capacity as the
+            // quality margin.
+            let mut room = occupancy[k] * r;
+            for &ci in &class_order {
+                if room <= 0.0 {
+                    break;
+                }
+                let class = &classes[ci];
+                // Supply from this class's owners of chunk k, minus
+                // bandwidth those owners already promised to rarer chunks.
+                let mut supply = replicas[k] * class.share * class.upload;
+                for &j in order.iter().take(pos) {
+                    if replicas[j] <= 0.0 || gamma_class[j][ci] <= 0.0 {
+                        continue;
+                    }
+                    // dual[j][k]·share peers of this class own both; each
+                    // gives gamma_class[j][ci] / (nu_j · share) to chunk j.
+                    supply -= dual[j][k] * gamma_class[j][ci] / replicas[j];
+                }
+                let take = supply.max(0.0).min(room);
+                gamma_class[k][ci] = take;
+                gamma[k] += take;
+                room -= take;
+            }
         }
-    };
-    let cloud_demand: Vec<f64> = (0..j_count)
-        .map(|i| (baseline[i] - gamma[i]).max(0.0))
-        .collect();
-    Ok(P2pCapacity {
-        demand,
-        replicas,
-        peer_contribution: gamma,
-        cloud_demand,
-    })
+        Ok(PeerSupply {
+            replicas,
+            contribution: gamma,
+        })
+    }
 }
 
 #[cfg(test)]

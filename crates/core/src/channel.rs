@@ -5,7 +5,7 @@
 //! `R`, measured arrival rate `Λ(c)`, first-chunk fraction `α`, and the
 //! chunk transfer probability matrix `P(c)`.
 
-use cloudmedia_queueing::jackson::{JacksonNetwork, RoutingMatrix};
+use cloudmedia_queueing::jackson::{solve_traffic, JacksonNetwork, RoutingMatrix, TrafficSolution};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{invalid_param, CoreError};
@@ -53,6 +53,11 @@ impl ChannelModel {
     /// Returns an error for empty routing, non-positive rates, `R <= r`,
     /// or `alpha` outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), CoreError> {
+        self.validated_routing().map(drop)
+    }
+
+    /// Validates all parameters and returns the checked routing matrix.
+    fn validated_routing(&self) -> Result<RoutingMatrix, CoreError> {
         if self.routing.is_empty() {
             return Err(invalid_param(
                 "routing",
@@ -93,18 +98,12 @@ impl ChannelModel {
             ));
         }
         // Delegate routing validation (squareness, substochastic rows).
-        RoutingMatrix::from_rows(&self.routing)?;
-        Ok(())
+        Ok(RoutingMatrix::from_rows(&self.routing)?)
     }
 
-    /// Builds the open Jackson network of the channel: external arrivals
-    /// split `α` to chunk 0 and uniform over the rest (paper Sec. IV-A).
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures.
-    pub fn jackson_network(&self) -> Result<JacksonNetwork, CoreError> {
-        self.validate()?;
+    /// External arrival rates per chunk: `α` of `Λ(c)` to chunk 0 and the
+    /// rest uniform over the other chunks (paper Sec. IV-A).
+    fn external_arrivals(&self) -> Vec<f64> {
         let j = self.chunks();
         let mut gamma = vec![0.0; j];
         if j == 1 {
@@ -116,8 +115,34 @@ impl ChannelModel {
                 *g = rest;
             }
         }
-        let routing = RoutingMatrix::from_rows(&self.routing)?;
-        Ok(JacksonNetwork::new(routing, gamma)?)
+        gamma
+    }
+
+    /// Builds the open Jackson network of the channel: external arrivals
+    /// split `α` to chunk 0 and uniform over the rest (paper Sec. IV-A).
+    ///
+    /// # Errors
+    ///
+    /// Propagates validation failures.
+    pub fn jackson_network(&self) -> Result<JacksonNetwork, CoreError> {
+        let routing = self.validated_routing()?;
+        Ok(JacksonNetwork::new(routing, self.external_arrivals())?)
+    }
+
+    /// Validates the channel once and solves its traffic equations with
+    /// one factorization of `M = I − Pᵀ`; with `inverse_columns`, the
+    /// columns of `M⁻¹` come out of the same sweep (see
+    /// [`solve_traffic`]).
+    pub(crate) fn solve_traffic(
+        &self,
+        inverse_columns: bool,
+    ) -> Result<TrafficSolution, CoreError> {
+        let routing = self.validated_routing()?;
+        Ok(solve_traffic(
+            &routing,
+            &self.external_arrivals(),
+            inverse_columns,
+        )?)
     }
 
     /// Per-chunk aggregate arrival rates `λ_i` from the traffic equations
@@ -127,7 +152,7 @@ impl ChannelModel {
     ///
     /// Propagates validation and solver failures.
     pub fn chunk_arrival_rates(&self) -> Result<Vec<f64>, CoreError> {
-        Ok(self.jackson_network()?.arrival_rates()?)
+        Ok(self.solve_traffic(false)?.arrival_rates)
     }
 
     /// The paper's experimental channel parameters: `r` = 50 KB/s

@@ -18,12 +18,9 @@ use cloudmedia_cloud::broker::SlaTerms;
 use cloudmedia_cloud::scheduler::{ChunkKey, PlacementPlan};
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::client_server::{
-    capacity_demand_with_target, pooled_capacity_demand_with_target, ProvisioningTarget,
-};
-use crate::analysis::p2p::{
-    p2p_capacity_hetero, p2p_capacity_opts, P2pAnalysisOptions, PsiEstimator, UploadClass,
-};
+use crate::analysis::client_server::ProvisioningTarget;
+use crate::analysis::p2p::{validate_classes, PsiEstimator, UploadClass};
+use crate::analysis::pass::ChannelPass;
 use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
@@ -247,11 +244,7 @@ impl Controller {
         }
         // Channels we have ever observed, in stable order.
         let mut channels: Vec<usize> = stats.iter().map(|(c, _)| *c).collect();
-        for &c in self.placement_demands.keys().map(|k| &k.channel) {
-            if !channels.contains(&c) {
-                channels.push(c);
-            }
-        }
+        channels.extend(self.placement_demands.keys().map(|k| k.channel));
         channels.sort_unstable();
         channels.dedup();
 
@@ -269,36 +262,35 @@ impl Controller {
                 vm_bandwidth: self.config.vm_bandwidth,
                 arrival_rate: predicted.arrival_rate,
                 alpha: predicted.alpha,
-                routing: predicted.routing.clone(),
+                routing: predicted.routing,
             };
-            let baseline = |model: &ChannelModel| -> Result<Vec<f64>, CoreError> {
-                Ok(match self.config.pooling {
-                    DemandPooling::PerChunk => {
-                        capacity_demand_with_target(model, self.config.target)?.upload_demand
-                    }
-                    DemandPooling::ChannelPooled => {
-                        pooled_capacity_demand_with_target(model, self.config.target)?.upload_demand
-                    }
-                })
-            };
+            // One analysis pass per channel: the peer supply and the
+            // baseline it offsets both read one solve of the traffic
+            // equations.
+            let (pooling, target) = (self.config.pooling, self.config.target);
             let cloud_demand: Vec<f64> = match self.config.mode {
-                StreamingMode::ClientServer => baseline(&model)?,
+                StreamingMode::ClientServer => {
+                    ChannelPass::new(&model, false)?
+                        .baseline(pooling, target)?
+                        .upload_demand
+                }
                 StreamingMode::P2p { mean_upload, psi } => {
-                    let opts = P2pAnalysisOptions {
-                        psi,
-                        pooling: self.config.pooling,
-                        target: self.config.target,
-                    };
-                    let p = match &self.config.upload_classes {
-                        Some(classes) => p2p_capacity_hetero(&model, classes, opts)?,
-                        None => p2p_capacity_opts(&model, mean_upload, opts)?,
-                    };
-                    total_peer += p.total_peer_contribution();
+                    let mean = [UploadClass {
+                        share: 1.0,
+                        upload: mean_upload,
+                    }];
+                    let classes = self.config.upload_classes.as_deref().unwrap_or(&mean);
+                    validate_classes(classes)?;
+                    let pass = ChannelPass::new(&model, true)?;
+                    let supply = pass.peer_supply(classes, psi)?;
+                    total_peer += supply.contribution.iter().sum::<f64>();
+                    let baseline = pass.baseline(pooling, target)?.upload_demand;
                     // Enforce the minimum fallback reserve per chunk.
                     let floor = self.config.p2p_cloud_floor;
-                    p.cloud_demand
+                    supply
+                        .cloud_demand(&baseline)
                         .iter()
-                        .zip(&baseline(&model)?)
+                        .zip(&baseline)
                         .map(|(&d, &b)| d.max(floor * b))
                         .collect()
                 }
@@ -427,6 +419,7 @@ fn demand_shift(old: &BTreeMap<ChunkKey, f64>, new: &BTreeMap<ChunkKey, f64>) ->
 mod tests {
     use super::*;
     use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
+    use cloudmedia_queueing::QueueingError;
 
     fn sla() -> SlaTerms {
         SlaTerms {
@@ -657,6 +650,32 @@ mod tests {
         assert_eq!(fallback.vm_targets, after.vm_targets);
         assert!(c.scale_vm_budget(0.0).is_err());
         assert!(c.scale_vm_budget(f64::NAN).is_err());
+    }
+
+    #[test]
+    fn recirculating_routing_is_a_singular_system() {
+        // Viewers who never leave make M = I − Pᵀ singular: both modes
+        // report the traffic equations' pivot failure, not a plan.
+        for mode in [
+            StreamingMode::ClientServer,
+            StreamingMode::P2p {
+                mean_upload: 34_000.0,
+                psi: PsiEstimator::Independent,
+            },
+        ] {
+            let obs = ChannelObservation {
+                arrival_rate: 0.3,
+                alpha: 0.7,
+                routing: vec![vec![0.0, 1.0], vec![1.0, 0.0]],
+            };
+            let err = controller(mode)
+                .plan_interval(&[(0, obs)], &sla())
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CoreError::Queueing(QueueingError::SingularSystem { column: 1 })
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::error::{invalid_param, QueueingError};
 use crate::jackson::RoutingMatrix;
-use crate::linalg::Matrix;
+use crate::linalg::{LuFactors, Matrix};
 
 /// Analysis of an absorbing Markov chain defined by a substochastic
 /// routing matrix.
@@ -115,28 +115,35 @@ impl AbsorbingChain {
     ///
     /// Returns an error for out-of-range states or `first == second`.
     pub fn hit_before(&self, first: usize, second: usize) -> Result<Vec<f64>, QueueingError> {
+        let lu = self.hit_before_lu(first, second)?;
+        let mut b = vec![0.0; self.len()];
+        b[first] = 1.0;
+        lu.solve_into(&mut b, &mut Vec::new());
+        Ok(b.into_iter().map(|v| v.clamp(0.0, 1.0)).collect())
+    }
+
+    /// Factors `I − P'`, where `P'` zeroes the rows of `a` and `b`: the
+    /// matrix of both hit-before systems of the pair, which differ only
+    /// in their right-hand side (`e_a` for "`a` before `b`", `e_b` for
+    /// the converse).
+    fn hit_before_lu(&self, a: usize, b: usize) -> Result<LuFactors, QueueingError> {
         let n = self.len();
-        if first >= n || second >= n {
+        if a >= n || b >= n {
             return Err(invalid_param("state", format!("state out of range 0..{n}")));
         }
-        if first == second {
+        if a == b {
             return Err(invalid_param("state", "first and second must differ"));
         }
-        // Solve (I - P') a = b where P' zeroes the rows of `first` and
-        // `second`, and b has 1 at `first`.
-        let mut a = Matrix::identity(n);
+        let mut m = Matrix::identity(n);
         for i in 0..n {
-            if i == first || i == second {
+            if i == a || i == b {
                 continue;
             }
             for j in 0..n {
-                a[(i, j)] -= self.routing.prob(i, j);
+                m[(i, j)] -= self.routing.prob(i, j);
             }
         }
-        let mut b = vec![0.0; n];
-        b[first] = 1.0;
-        let sol = a.solve(&b)?;
-        Ok(sol.into_iter().map(|v| v.clamp(0.0, 1.0)).collect())
+        m.lu()
     }
 
     /// Probability that a trajectory drawn from `start` visits **both**
@@ -168,8 +175,16 @@ impl AbsorbingChain {
                 .sum();
             return Ok(p.clamp(0.0, 1.0));
         }
-        let j_first = self.hit_before(j, k)?;
-        let k_first = self.hit_before(k, j)?;
+        // Both hit-before systems share one matrix: factor it once and
+        // solve `e_j` and `e_k` in one sweep.
+        let n = self.len();
+        let lu = self.hit_before_lu(j, k)?;
+        let mut first = vec![0.0; 2 * n];
+        first[j] = 1.0;
+        first[n + k] = 1.0;
+        lu.solve_columns_into(&mut first, &mut Vec::new());
+        first.iter_mut().for_each(|v| *v = v.clamp(0.0, 1.0));
+        let (j_first, k_first) = first.split_at(n);
         let j_to_k = self.hitting_probability(j, k);
         let k_to_j = self.hitting_probability(k, j);
         let mut p = 0.0;

@@ -47,8 +47,7 @@ impl RoutingMatrix {
         }
         for i in 0..matrix.rows() {
             let mut row_sum = 0.0;
-            for j in 0..matrix.cols() {
-                let p = matrix[(i, j)];
+            for &p in matrix.row(i) {
                 if !(0.0..=1.0).contains(&p) || !p.is_finite() {
                     return Err(QueueingError::InvalidRouting { row: i, row_sum: p });
                 }
@@ -92,6 +91,85 @@ impl RoutingMatrix {
     pub fn as_matrix(&self) -> &Matrix {
         &self.inner
     }
+
+    /// The traffic-equation matrix `M = I − Pᵀ`: entry `(i, j)` is
+    /// `δ_ij − P_ji`.
+    pub fn traffic_matrix(&self) -> Matrix {
+        let n = self.len();
+        let mut a = Matrix::identity(n);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] -= self.inner[(j, i)];
+            }
+        }
+        a
+    }
+}
+
+/// The traffic equations of a network solved against one factorization
+/// of `M = I − Pᵀ` ([`solve_traffic`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrafficSolution {
+    /// Aggregate arrival rate `λ_i` at each queue (paper Eqn. 1).
+    pub arrival_rates: Vec<f64>,
+    /// The columns of `M⁻¹` back to back — column `j` is
+    /// `[j·n..(j + 1)·n]` — when requested, else empty.
+    pub inverse_columns: Vec<f64>,
+}
+
+/// Solves the traffic equations `(I − Pᵀ) λ = γ` for the external
+/// arrival rates `gamma` with one LU factorization of `M = I − Pᵀ`. With
+/// `inverse_columns`, the `n` columns of `M⁻¹` — which the P2P
+/// replica-balance systems (Proposition 1) are solved from — come out of
+/// the same multi-right-hand-side sweep.
+///
+/// The rates are bitwise those of [`JacksonNetwork::arrival_rates`] for
+/// the same routing and `gamma`: the factorization pivots exactly as its
+/// elimination does, and each column sees the same arithmetic. Failures
+/// are the same errors too.
+///
+/// # Errors
+///
+/// Returns [`QueueingError::SingularSystem`] if `M` is singular or
+/// [`QueueingError::NoEquilibrium`] if a computed rate is
+/// negative/non-finite.
+///
+/// # Panics
+///
+/// Panics if `gamma.len()` differs from the number of queues.
+pub fn solve_traffic(
+    routing: &RoutingMatrix,
+    gamma: &[f64],
+    inverse_columns: bool,
+) -> Result<TrafficSolution, QueueingError> {
+    let n = routing.len();
+    assert_eq!(gamma.len(), n, "dimension mismatch in solve_traffic");
+    let lu = routing.traffic_matrix().lu()?;
+    let mut columns = gamma.to_vec();
+    if inverse_columns {
+        columns.resize(n * (n + 1), 0.0);
+        for (j, column) in columns[n..].chunks_exact_mut(n).enumerate() {
+            column[j] = 1.0;
+        }
+    }
+    lu.solve_columns_into(&mut columns, &mut Vec::new());
+    let inverse_columns = columns.split_off(n);
+    Ok(TrafficSolution {
+        arrival_rates: equilibrium_rates(columns)?,
+        inverse_columns,
+    })
+}
+
+/// Accepts a traffic-equation solution as equilibrium arrival rates:
+/// rejects negative or non-finite entries and clamps rounding-level
+/// negatives to zero.
+fn equilibrium_rates(lambda: Vec<f64>) -> Result<Vec<f64>, QueueingError> {
+    for (i, &l) in lambda.iter().enumerate() {
+        if !l.is_finite() || l < -1e-9 {
+            return Err(QueueingError::NoEquilibrium { queue: i, rate: l });
+        }
+    }
+    Ok(lambda.into_iter().map(|l| l.max(0.0)).collect())
 }
 
 /// An open Jackson network specification: routing plus external arrival
@@ -162,7 +240,9 @@ impl JacksonNetwork {
 
     /// Solves the traffic equations `lambda = gamma + P^T lambda`,
     /// returning the aggregate arrival rate `lambda_i` at each queue
-    /// (paper Eqn. 1).
+    /// (paper Eqn. 1). This is the direct-elimination reference;
+    /// [`solve_traffic`] gives the same rates from a reusable
+    /// factorization.
     ///
     /// # Errors
     ///
@@ -170,22 +250,11 @@ impl JacksonNetwork {
     /// (the routing traps jobs forever) or [`QueueingError::NoEquilibrium`]
     /// if a computed rate is negative/non-finite.
     pub fn arrival_rates(&self) -> Result<Vec<f64>, QueueingError> {
-        let n = self.len();
-        let p = self.routing.as_matrix();
-        let mut a = Matrix::identity(n);
-        for i in 0..n {
-            for j in 0..n {
-                // (I - P^T)_{ij} = delta_ij - P_{ji}
-                a[(i, j)] -= p[(j, i)];
-            }
-        }
-        let lambda = a.solve(&self.external_arrivals)?;
-        for (i, &l) in lambda.iter().enumerate() {
-            if !l.is_finite() || l < -1e-9 {
-                return Err(QueueingError::NoEquilibrium { queue: i, rate: l });
-            }
-        }
-        Ok(lambda.into_iter().map(|l| l.max(0.0)).collect())
+        let lambda = self
+            .routing
+            .traffic_matrix()
+            .solve(&self.external_arrivals)?;
+        equilibrium_rates(lambda)
     }
 
     /// Builds the per-queue M/M/m queues for the given service rate and
@@ -341,6 +410,39 @@ mod tests {
         let routing = RoutingMatrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
         let net = JacksonNetwork::new(routing, vec![1.0, 0.0]).unwrap();
         assert!(net.arrival_rates().is_err());
+    }
+
+    #[test]
+    fn solve_traffic_matches_arrival_rates_and_inverts_m() {
+        let routing = RoutingMatrix::from_rows(&[
+            vec![0.0, 0.5, 0.2],
+            vec![0.1, 0.0, 0.6],
+            vec![0.3, 0.3, 0.0],
+        ])
+        .unwrap();
+        let gamma = vec![1.0, 2.0, 0.5];
+        let net = JacksonNetwork::new(routing.clone(), gamma.clone()).unwrap();
+        let solved = solve_traffic(&routing, &gamma, true).unwrap();
+        assert_eq!(solved.arrival_rates, net.arrival_rates().unwrap());
+        let m = routing.traffic_matrix();
+        for (j, column) in solved.inverse_columns.chunks_exact(3).enumerate() {
+            let e = m.mul_vec(column);
+            for (i, v) in e.iter().enumerate() {
+                assert_close(*v, if i == j { 1.0 } else { 0.0 }, 1e-12);
+            }
+        }
+        assert!(solve_traffic(&routing, &gamma, false)
+            .unwrap()
+            .inverse_columns
+            .is_empty());
+
+        // Trapping routing fails the same way in both.
+        let trap = RoutingMatrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 1.0]]).unwrap();
+        let net = JacksonNetwork::new(trap.clone(), vec![1.0, 0.0]).unwrap();
+        assert_eq!(
+            solve_traffic(&trap, &[1.0, 0.0], true).unwrap_err(),
+            net.arrival_rates().unwrap_err()
+        );
     }
 
     #[test]

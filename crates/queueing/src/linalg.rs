@@ -22,7 +22,8 @@ pub static DIRECT_SOLVES: GlobalCounter = GlobalCounter::new();
 pub static LU_FACTORIZATIONS: GlobalCounter = GlobalCounter::new();
 
 /// Right-hand sides solved against a cached factorization
-/// ([`LuFactors::solve_into`]), process lifetime.
+/// ([`LuFactors::solve_into`], one per column of
+/// [`LuFactors::solve_columns_into`]), process lifetime.
 pub static LU_SOLVES: GlobalCounter = GlobalCounter::new();
 
 /// A dense row-major matrix of `f64`.
@@ -71,7 +72,10 @@ impl Matrix {
             rows.iter().all(|r| r.len() == cols),
             "all rows must have the same length"
         );
-        let data = rows.iter().flatten().copied().collect();
+        let mut data = Vec::with_capacity(rows.len() * cols);
+        for row in rows {
+            data.extend_from_slice(row);
+        }
         Self {
             rows: rows.len(),
             cols,
@@ -87,6 +91,16 @@ impl Matrix {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
+    }
+
+    /// Row `i` as a slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> &[f64] {
+        assert!(i < self.rows, "matrix row out of bounds");
+        &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Returns the transpose of this matrix.
@@ -198,18 +212,25 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Computes the inverse via `n` solves against identity columns.
+    /// Computes the inverse: one LU factorization, then the `n` identity
+    /// columns in one [`LuFactors::solve_columns_into`] sweep — `O(n³)`
+    /// instead of a full elimination per column. Each column is bitwise
+    /// what [`Matrix::solve`] returns for that identity column.
+    ///
+    /// Returns [`QueueingError::SingularSystem`] if the matrix is
+    /// (numerically) singular.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
     pub fn inverse(&self) -> Result<Matrix, QueueingError> {
         assert_eq!(self.rows, self.cols, "inverse requires a square matrix");
         let n = self.rows;
+        let columns = self.lu()?.inverse_columns();
         let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![0.0; n];
-        for j in 0..n {
-            e[j] = 1.0;
-            let col = self.solve(&e)?;
-            e[j] = 0.0;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
+        for (j, column) in columns.chunks_exact(n).enumerate() {
+            for (i, &x) in column.iter().enumerate() {
+                inv.data[i * n + j] = x;
             }
         }
         Ok(inv)
@@ -246,18 +267,19 @@ impl Matrix {
                 return Err(QueueingError::SingularSystem { column: col });
             }
             if pivot_row != col {
-                for c in 0..n {
-                    lu.swap(col * n + c, pivot_row * n + c);
-                }
+                let (above, below) = lu.split_at_mut(pivot_row * n);
+                above[col * n..(col + 1) * n].swap_with_slice(&mut below[..n]);
                 perm.swap(col, pivot_row);
             }
-            let pivot = lu[col * n + col];
-            for r in (col + 1)..n {
-                let factor = lu[r * n + col] / pivot;
-                lu[r * n + col] = factor; // store L below the diagonal
+            let (upper, lower) = lu.split_at_mut((col + 1) * n);
+            let pivot = upper[col * n + col];
+            let pivot_tail = &upper[col * n + col + 1..];
+            for row in lower.chunks_exact_mut(n) {
+                let factor = row[col] / pivot;
+                row[col] = factor; // store L below the diagonal
                 if factor != 0.0 {
-                    for c in (col + 1)..n {
-                        lu[r * n + c] -= factor * lu[col * n + c];
+                    for (x, &u) in row[col + 1..].iter_mut().zip(pivot_tail) {
+                        *x -= factor * u;
                     }
                 }
             }
@@ -321,6 +343,85 @@ impl LuFactors {
             scratch[i] = sum / self.lu[i * n + i];
         }
         b.copy_from_slice(scratch);
+    }
+
+    /// Solves `A X = B` in place for several right-hand sides at once:
+    /// `b` holds `k = b.len() / n` columns back to back (column `c` is
+    /// `b[c·n..(c + 1)·n]`) and each becomes its solution. `scratch`
+    /// holds the permuted right-hand sides row by row (resized as
+    /// needed).
+    ///
+    /// The substitutions sweep the factors once, row by row, applying
+    /// each factor entry to all `k` columns. Every column still sees
+    /// exactly the operations of [`LuFactors::solve_into`] in the same
+    /// order, so the results are bitwise those of `k` separate solves —
+    /// and [`LU_SOLVES`] counts `k`. A single column goes straight to
+    /// `solve_into`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not a multiple of the system dimension.
+    pub fn solve_columns_into(&self, b: &mut [f64], scratch: &mut Vec<f64>) {
+        let n = self.n;
+        assert_eq!(b.len() % n, 0, "dimension mismatch in LU solve");
+        let k = b.len() / n;
+        match k {
+            0 => return,
+            1 => return self.solve_into(b, scratch),
+            _ => LU_SOLVES.add(k as u64),
+        }
+        scratch.clear();
+        scratch.resize(n * k, 0.0);
+        for (row, &p) in scratch.chunks_exact_mut(k).zip(&self.perm) {
+            for (x, column) in row.iter_mut().zip(b.chunks_exact(n)) {
+                *x = column[p];
+            }
+        }
+        // Forward substitution with unit-diagonal L.
+        for i in 1..n {
+            let (solved, rest) = scratch.split_at_mut(i * k);
+            let row = &mut rest[..k];
+            for (&l, src) in self.lu[i * n..i * n + i].iter().zip(solved.chunks_exact(k)) {
+                for (x, &y) in row.iter_mut().zip(src) {
+                    *x -= l * y;
+                }
+            }
+        }
+        // Back substitution with U.
+        for i in (0..n).rev() {
+            let (head, solved) = scratch.split_at_mut((i + 1) * k);
+            let row = &mut head[i * k..];
+            for (&u, src) in self.lu[i * n + i + 1..(i + 1) * n]
+                .iter()
+                .zip(solved.chunks_exact(k))
+            {
+                for (x, &y) in row.iter_mut().zip(src) {
+                    *x -= u * y;
+                }
+            }
+            let pivot = self.lu[i * n + i];
+            for x in row.iter_mut() {
+                *x /= pivot;
+            }
+        }
+        for (i, row) in scratch.chunks_exact(k).enumerate() {
+            for (&x, column) in row.iter().zip(b.chunks_exact_mut(n)) {
+                column[i] = x;
+            }
+        }
+    }
+
+    /// The columns of `A⁻¹`, back to back (column `j` is
+    /// `[j·n..(j + 1)·n]`), from one [`LuFactors::solve_columns_into`]
+    /// sweep over the identity.
+    pub fn inverse_columns(&self) -> Vec<f64> {
+        let n = self.n;
+        let mut columns = vec![0.0; n * n];
+        for (j, column) in columns.chunks_exact_mut(n).enumerate() {
+            column[j] = 1.0;
+        }
+        self.solve_columns_into(&mut columns, &mut Vec::new());
+        columns
     }
 
     /// Solves `A x = b`, allocating the result.
@@ -467,6 +568,21 @@ mod tests {
                 assert_close(*d, *l, 1e-10);
             }
         }
+    }
+
+    #[test]
+    fn solve_columns_counts_every_column() {
+        // Bitwise equality with `solve_into` is property-tested in
+        // tests/properties.rs; here, the accounting and the empty case.
+        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]);
+        let lu = a.lu().unwrap();
+        let mut columns = vec![1.0, 0.0, 0.0, 1.0, 5.0, -2.0];
+        let before = LU_SOLVES.get();
+        lu.solve_columns_into(&mut columns, &mut Vec::new());
+        assert!(LU_SOLVES.get() - before >= 3, "every column is counted");
+        let inv = a.inverse().unwrap();
+        assert_eq!(&columns[..2], &[inv[(0, 0)], inv[(1, 0)]]);
+        lu.solve_columns_into(&mut [], &mut Vec::new());
     }
 
     #[test]
