@@ -3,8 +3,7 @@
 //! RSS), re-checks serial ≡ parallel bit equality, and appends the
 //! `scale_sweep` section to the benchmark JSON (regeneration order:
 //! `bench_sim`, `bench_des`, `ext_multi_region_sim`, then this).
-//! Parallel steady rows run in quiescence-off/on pairs so the epoch
-//! engine's wall-clock effect is isolated row-to-row.
+//! Every steady point runs once serial and once channel-parallel.
 //!
 //! Usage: `bench_scale [--max-peers N] [--hours H] [--flash-peers N] [--out PATH]`
 //!   - `--max-peers` population of the headline run (default 1 000 000;
@@ -15,7 +14,9 @@
 //!     (default 500 000; 0 skips the lane),
 //!   - `--out` benchmark JSON to append to (default `BENCH_sim.json`).
 //!
-//! Set `RAYON_NUM_THREADS` to sweep worker-pool sizes.
+//! Set `RAYON_NUM_THREADS` to sweep worker-pool sizes; a pool wider than
+//! the host's `available_parallelism` is refused, since it would measure
+//! oversubscription rather than the engine.
 
 use cloudmedia_bench::geo_sim::append_section;
 use cloudmedia_bench::scale::{
@@ -24,6 +25,15 @@ use cloudmedia_bench::scale::{
 use cloudmedia_sim::config::SimMode;
 
 fn main() {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool = rayon::current_num_threads();
+    if pool > host {
+        eprintln!(
+            "bench_scale: a {pool}-thread pool on a {host}-thread host measures \
+             oversubscription; set RAYON_NUM_THREADS to at most {host}"
+        );
+        std::process::exit(2);
+    }
     let mut max_peers = 1_000_000.0_f64;
     let mut hours = 2.0_f64;
     let mut flash_peers = 500_000.0_f64;
@@ -72,16 +82,12 @@ fn main() {
     }
     for (population, h, mode) in points {
         let channels = ((population / 500.0) as usize).clamp(20, 4096);
-        // Serial runs quiesced (the default); the parallel pair runs
-        // quiescence off then on, so adjacent rows isolate the epoch
-        // engine's wall-clock effect (metrics are bit-identical).
-        for (parallel, quiesce) in [(false, true), (true, false), (true, true)] {
-            let row = run_point(population, channels, mode, h, parallel, quiesce);
+        for parallel in [false, true] {
+            let row = run_point(population, channels, mode, h, parallel);
             eprintln!(
-                "{mode:?} {population:.0} viewers / {channels} channels ({}, quiescence {}): \
+                "{mode:?} {population:.0} viewers / {channels} channels ({}): \
                  {:.2}s wall, {:.1} sim-h/s, peak {} viewers, RSS {} MB",
                 if parallel { "parallel" } else { "serial" },
-                if quiesce { "on" } else { "off" },
                 row.wall_seconds,
                 row.sim_hours_per_wall_second,
                 row.peak_peers,
@@ -130,7 +136,7 @@ fn main() {
 
     let headline = sweep
         .iter()
-        .filter(|r| r.parallel && r.quiesce)
+        .filter(|r| r.parallel)
         .max_by(|a, b| a.peak_peers.cmp(&b.peak_peers))
         .expect("sweep is non-empty");
     println!(

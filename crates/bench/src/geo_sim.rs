@@ -163,6 +163,9 @@ pub struct ModeComparison {
     pub central_saving_vs_independent: f64,
 }
 
+/// Schema tag of the `geo_federation` section.
+pub const SCHEMA: &str = "cloudmedia-bench-geo-federation/v1";
+
 /// The `geo_federation` section appended to `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
 pub struct GeoFederationSection {
@@ -200,7 +203,7 @@ pub fn mode_comparison(result: &ThreeWayResult) -> ModeComparison {
 /// Wraps mode comparisons into the full section.
 pub fn section(modes: Vec<ModeComparison>) -> GeoFederationSection {
     GeoFederationSection {
-        schema: "cloudmedia-bench-geo-federation/v1".into(),
+        schema: SCHEMA.into(),
         notes: vec![
             "Three-site deployment (americas 1.0x / europe 1.15x / apac 1.30x VM \
              prices, $0.01/GB egress, $0.005/GB SLA latency penalty). The cost \
@@ -212,30 +215,37 @@ pub fn section(modes: Vec<ModeComparison>) -> GeoFederationSection {
     }
 }
 
-/// Appends (or refreshes) a named JSON section inside the benchmark
-/// file, assuming sections are appended in regeneration order
-/// (`bench_sim`, `bench_des`, then this) so each marker-to-end
-/// replacement is lossless for earlier sections.
-pub fn append_section(out_path: &str, marker_key: &str, section_json: &str) -> std::io::Result<()> {
-    let marker = format!("\"{marker_key}\":");
-    let base = match std::fs::read_to_string(out_path) {
-        Ok(text) => {
-            let text = text.trim_end();
-            if let Some(i) = text.find(&marker) {
-                text[..i]
-                    .trim_end()
-                    .trim_end_matches(',')
-                    .trim_end()
-                    .to_string()
-            } else {
-                text.strip_suffix('}')
-                    .map(|s| s.trim_end().to_string())
-                    .unwrap_or_else(|| "{\n  \"schema\": \"cloudmedia-bench-sim/v1\"".into())
-            }
-        }
-        Err(_) => "{\n  \"schema\": \"cloudmedia-bench-sim/v1\"".into(),
+/// Writes `section_json` as the section `key` of the benchmark file.
+/// An existing `key` is replaced in place, so every other section keeps
+/// its content and position; a new key goes at the end. A missing file
+/// starts a fresh record.
+///
+/// # Errors
+///
+/// Fails if the file cannot be read or written, or if it or
+/// `section_json` is not JSON (the file must hold a JSON object).
+pub fn append_section(out_path: &str, key: &str, section_json: &str) -> std::io::Result<()> {
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let section: serde::Value =
+        serde_json::from_str(section_json).map_err(|e| invalid(e.to_string()))?;
+    let mut fields = match std::fs::read_to_string(out_path) {
+        Ok(text) => match serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))? {
+            serde::Value::Object(fields) => fields,
+            _ => return Err(invalid(format!("{out_path} does not hold a JSON object"))),
+        },
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => vec![(
+            "schema".to_owned(),
+            serde::Value::String("cloudmedia-bench-sim/v1".into()),
+        )],
+        Err(e) => return Err(e),
     };
-    std::fs::write(out_path, format!("{base},\n  {marker} {section_json}\n}}"))
+    match fields.iter_mut().find(|(k, _)| k == key) {
+        Some((_, value)) => *value = section,
+        None => fields.push((key.to_owned(), section)),
+    }
+    let json = serde_json::to_string_pretty(&serde::Value::Object(fields))
+        .map_err(|e| invalid(e.to_string()))?;
+    std::fs::write(out_path, json + "\n")
 }
 
 #[cfg(test)]
@@ -291,6 +301,28 @@ mod tests {
         let text = std::fs::read_to_string(path).unwrap();
         let parsed: serde::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(text.matches("geo_federation").count(), 1, "{text}");
-        drop(parsed);
+        assert_eq!(
+            parsed.get("geo_federation").unwrap().get("a"),
+            Some(&serde::Value::UInt(2))
+        );
+
+        // Regenerating a middle section keeps the sections after it,
+        // in their original order.
+        std::fs::remove_file(path).unwrap();
+        for key in ["a", "b", "c"] {
+            append_section(path, key, "{\"v\": 1}").unwrap();
+        }
+        append_section(path, "b", "{\"v\": 2}").unwrap();
+        let parsed: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let serde::Value::Object(fields) = &parsed else {
+            panic!("the record is a JSON object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "a", "b", "c"]);
+        let v = |key: &str| parsed.get(key).unwrap().get("v").cloned();
+        assert_eq!(v("a"), Some(serde::Value::UInt(1)));
+        assert_eq!(v("b"), Some(serde::Value::UInt(2)));
+        assert_eq!(v("c"), Some(serde::Value::UInt(1)));
     }
 }

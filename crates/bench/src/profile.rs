@@ -52,6 +52,9 @@ pub struct KernelStageProfile {
     pub stages: Vec<StageRow>,
 }
 
+/// Schema tag of the `stage_profile` section.
+pub const SCHEMA: &str = "cloudmedia-bench-stage-profile/v1";
+
 /// The `stage_profile` benchmark section.
 #[derive(Debug, Clone, Serialize)]
 pub struct StageProfileSection {
@@ -160,7 +163,7 @@ pub fn profile_kernel(
 /// Wraps the kernel profiles into the full section.
 pub fn section(hours: f64, reps: usize, kernels: Vec<KernelStageProfile>) -> StageProfileSection {
     StageProfileSection {
-        schema: "cloudmedia-bench-stage-profile/v1".into(),
+        schema: SCHEMA.into(),
         sim_hours: hours,
         reps,
         notes: vec![

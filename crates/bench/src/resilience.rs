@@ -29,6 +29,9 @@ pub struct ResilienceRow {
     pub report: ResilienceReport,
 }
 
+/// Schema tag of the `resilience` section.
+pub const SCHEMA: &str = "cloudmedia-bench-resilience/v1";
+
 /// The `resilience` benchmark section.
 #[derive(Debug, Clone, Serialize)]
 pub struct ResilienceSection {
@@ -159,7 +162,7 @@ pub fn run_federated(scenario: &str, mode: SimMode, hours: f64) -> Result<Resili
 /// Wraps the rows into the full section.
 pub fn section(hours: f64, rows: Vec<ResilienceRow>) -> ResilienceSection {
     ResilienceSection {
-        schema: "cloudmedia-bench-resilience/v1".into(),
+        schema: SCHEMA.into(),
         horizon_hours: hours,
         notes: vec![
             "Fault presets match the `cloudmedia chaos` CLI scenarios: half the \

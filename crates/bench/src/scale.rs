@@ -35,11 +35,6 @@ pub struct ScaleRow {
     pub parallel: bool,
     /// Sub-channel lane cap ([`SimConfig::lanes`]; 0 = auto).
     pub lanes: usize,
-    /// Whether the quiescence-aware epoch engine was enabled
-    /// ([`SimConfig::quiescence`]). On/off rows are bit-identical in
-    /// metrics (pinned by `crates/sim/tests/quiesce_invariance.rs`);
-    /// only the wall-clock columns may differ.
-    pub quiesce: bool,
     /// Worker-pool threads the run had available.
     pub threads: usize,
     /// Simulated horizon, hours.
@@ -70,6 +65,9 @@ pub struct EqualityCheck {
     /// Whether serial and parallel produced bit-identical metrics.
     pub serial_equals_parallel: bool,
 }
+
+/// Schema tag of the `scale_sweep` section.
+pub const SCHEMA: &str = "cloudmedia-scale-sweep/v4";
 
 /// The `scale_sweep` section appended to `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
@@ -102,12 +100,10 @@ pub fn run_point(
     mode: SimMode,
     hours: f64,
     parallel: bool,
-    quiesce: bool,
 ) -> ScaleRow {
     let mut cfg = SimConfig::scale_out(mode, channels, population).expect("valid scale config");
     cfg.trace.horizon_seconds = hours * 3600.0;
     cfg.parallel_channels = parallel;
-    cfg.quiescence = quiesce;
     measure(
         "steady", cfg, population, channels, mode, hours, parallel, 0,
     )
@@ -175,7 +171,6 @@ fn measure(
     parallel: bool,
     lanes: usize,
 ) -> ScaleRow {
-    let quiesce = cfg.quiescence;
     let start = Instant::now();
     let metrics = Simulator::new(cfg)
         .expect("valid configuration")
@@ -189,7 +184,6 @@ fn measure(
         mode: format!("{mode:?}"),
         parallel,
         lanes,
-        quiesce,
         threads: rayon::current_num_threads(),
         sim_hours: hours,
         wall_seconds: wall,
@@ -260,7 +254,7 @@ pub fn section(
     flash_equality: Option<EqualityCheck>,
 ) -> ScaleSweepSection {
     ScaleSweepSection {
-        schema: "cloudmedia-scale-sweep/v3".into(),
+        schema: SCHEMA.into(),
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         notes: vec![
             "Sharded engine (SimKernel::Sharded): one shard per channel, fanned \
@@ -283,15 +277,9 @@ pub fn section(
              `flash_equality`). Lane speedup needs pool threads: compare rows \
              across RAYON_NUM_THREADS settings, not within a 1-thread host."
                 .into(),
-            "`quiesce` marks rows run with the quiescence-aware epoch engine \
-             (SimConfig::quiescence, the default; `--no-quiesce` disables it). \
-             Steady channels whose demand is fully served settle into epochs \
-             whose rounds are skipped or fast-forwarded in closed form; results \
-             are bit-identical on/off (pinned by \
-             crates/sim/tests/quiesce_invariance.rs), so paired steady rows \
-             isolate the engine's wall-clock effect. Flash-crowd rows keep the \
-             default: the burst breaks epochs, so quiescence shows up there as \
-             overhead-neutral, not as a speedup."
+            "Each steady point runs once serial and once parallel; `threads` is \
+             the pool width, which bench_scale refuses to set above \
+             `host_threads`."
                 .into(),
         ],
         sweep,
@@ -306,24 +294,21 @@ mod tests {
 
     #[test]
     fn tiny_sweep_point_measures_and_serializes() {
-        let row = run_point(2000.0, 10, SimMode::ClientServer, 0.5, true, true);
+        let row = run_point(2000.0, 10, SimMode::ClientServer, 0.5, true);
         assert_eq!(row.channels, 10);
         assert_eq!(row.scenario, "steady");
-        assert!(row.quiesce);
         assert!(row.wall_seconds > 0.0);
         assert!(row.sim_hours_per_wall_second > 0.0);
         assert!(row.peak_peers > 0);
-        let off = run_point(2000.0, 10, SimMode::ClientServer, 0.5, true, false);
-        assert!(!off.quiesce);
-        assert_eq!(row.peak_peers, off.peak_peers);
-        assert_eq!(row.mean_quality, off.mean_quality);
+        let serial = run_point(2000.0, 10, SimMode::ClientServer, 0.5, false);
+        assert!(!serial.parallel);
+        assert_eq!(row.peak_peers, serial.peak_peers);
+        assert_eq!(row.mean_quality, serial.mean_quality);
         let eq = equality_check(2000.0, 10, SimMode::ClientServer, 0.5);
         assert!(eq.serial_equals_parallel, "serial and parallel diverged");
-        let section = section(vec![row, off], eq, None);
+        let section = section(vec![row, serial], eq, None);
         let json = serde_json::to_string(&section).unwrap();
-        assert!(json.contains("cloudmedia-scale-sweep/v3"));
-        assert!(json.contains("\"quiesce\":true"));
-        assert!(json.contains("\"quiesce\":false"));
+        assert!(json.contains("\"schema\":\"cloudmedia-scale-sweep/v4\""));
     }
 
     #[test]
@@ -332,7 +317,6 @@ mod tests {
         assert_eq!(row.scenario, "flash_crowd_1ch");
         assert_eq!(row.channels, 1);
         assert_eq!(row.lanes, 4);
-        assert!(row.quiesce, "flash rows keep the quiescence default");
         assert!(row.peak_peers > 0);
         let eq = flash_equality_check(3000.0, 0.5, 4);
         assert!(eq.serial_equals_parallel, "laned flash run diverged");

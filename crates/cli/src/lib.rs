@@ -127,10 +127,6 @@ pub enum Command {
         config_path: Option<String>,
         /// Optional path to write the full metrics JSON.
         out_path: Option<String>,
-        /// Disable the quiescence-aware epoch engine (`--no-quiesce`).
-        /// Results are bit-identical either way; this is the
-        /// escape-hatch / baseline knob.
-        no_quiesce: bool,
         /// Telemetry / trace output options.
         telemetry: TelemetryOpts,
     },
@@ -181,9 +177,6 @@ pub enum Command {
         shed: bool,
         /// Optional path to write the resilience report JSON.
         out_path: Option<String>,
-        /// Disable the quiescence-aware epoch engine (`--no-quiesce`)
-        /// on both the baseline and the faulted run.
-        no_quiesce: bool,
         /// Telemetry / trace output options (recorded on the faulted run).
         telemetry: TelemetryOpts,
     },
@@ -204,10 +197,6 @@ pub enum Command {
         lanes: usize,
         /// Optional path to write the full metrics JSON.
         out_path: Option<String>,
-        /// Disable the quiescence-aware epoch engine (`--no-quiesce`).
-        /// Results are bit-identical either way; this is the
-        /// escape-hatch / baseline knob.
-        no_quiesce: bool,
         /// Telemetry / trace output options.
         telemetry: TelemetryOpts,
     },
@@ -378,16 +367,16 @@ USAGE:
   cloudmedia plan --arrival-rates R1,R2,... [--mode cs|p2p] [--budget DOLLARS]
   cloudmedia simulate [--mode cs|p2p] [--hours H]
                       [--kernel scan|indexed|event-driven|sharded]
-                      [--config FILE] [--out FILE] [--no-quiesce]
+                      [--config FILE] [--out FILE]
   cloudmedia des <baseline|boot-delay|vm-failure|flash-crowd>
                  [--mode cs|p2p] [--hours H] [--scheduler heap|wheel] [--out FILE]
   cloudmedia geo <independent|federated|central> [--mode cs|p2p] [--hours H]
   cloudmedia chaos <vm-outage|site-outage|budget-cut|tracker-dropout>
                    [--mode cs|p2p] [--hours H]
                    [--kernel scan|indexed|event-driven|sharded]
-                   [--serial] [--shed] [--out FILE] [--no-quiesce]
+                   [--serial] [--shed] [--out FILE]
   cloudmedia scale [--peers N] [--channels C] [--mode cs|p2p] [--hours H]
-                   [--serial | --lanes N] [--out FILE] [--no-quiesce]
+                   [--serial | --lanes N] [--out FILE]
   cloudmedia profile [--mode cs|p2p] [--hours H]
                      [--kernel scan|indexed|event-driven|sharded] [--out FILE]
   cloudmedia default-config [--mode cs|p2p]
@@ -397,9 +386,7 @@ Every run-style subcommand (simulate, des, geo, chaos, scale) also accepts:
   --telemetry FILE   write the metrics-registry snapshot as JSON
   --trace FILE       write Chrome trace-event JSON (Perfetto / chrome://tracing)
 Telemetry never changes simulation results: outputs are bit-identical
-with the flags on or off. `--no-quiesce` disables the quiescence-aware
-epoch engine (simulate/chaos/scale); it too never changes results —
-skipped rounds are bit-identical to stepped ones.
+with the flags on or off.
 ";
 
 fn parse_mode(v: &str) -> Result<SimMode, CliError> {
@@ -514,7 +501,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
             let mut kernel = None;
             let mut config_path = None;
             let mut out_path = None;
-            let mut no_quiesce = false;
             let mut telemetry = TelemetryOpts::default();
             while let Some(flag) = it.next() {
                 match flag {
@@ -523,7 +509,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                     "--kernel" => kernel = Some(parse_kernel(take_value(&mut it, flag)?)?),
                     "--config" => config_path = Some(take_value(&mut it, flag)?.to_owned()),
                     "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--no-quiesce" => no_quiesce = true,
                     "--telemetry" => {
                         telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
                     }
@@ -539,7 +524,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                 kernel,
                 config_path,
                 out_path,
-                no_quiesce,
                 telemetry,
             })
         }
@@ -616,7 +600,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
             let mut serial = false;
             let mut shed = false;
             let mut out_path = None;
-            let mut no_quiesce = false;
             let mut telemetry = TelemetryOpts::default();
             while let Some(flag) = it.next() {
                 match flag {
@@ -626,7 +609,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                     "--serial" => serial = true,
                     "--shed" => shed = true,
                     "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--no-quiesce" => no_quiesce = true,
                     "--telemetry" => {
                         telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
                     }
@@ -644,7 +626,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                 serial,
                 shed,
                 out_path,
-                no_quiesce,
                 telemetry,
             })
         }
@@ -656,7 +637,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
             let mut serial = false;
             let mut lanes = None;
             let mut out_path = None;
-            let mut no_quiesce = false;
             let mut telemetry = TelemetryOpts::default();
             while let Some(flag) = it.next() {
                 match flag {
@@ -677,7 +657,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                         })?);
                     }
                     "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--no-quiesce" => no_quiesce = true,
                     "--telemetry" => {
                         telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
                     }
@@ -702,7 +681,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                 serial,
                 lanes: lanes.unwrap_or(0),
                 out_path,
-                no_quiesce,
                 telemetry,
             })
         }
@@ -776,7 +754,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             kernel,
             config_path,
             out_path,
-            no_quiesce,
             telemetry,
         } => simulate(
             mode,
@@ -784,7 +761,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             kernel,
             config_path.as_deref(),
             out_path.as_deref(),
-            no_quiesce,
             &telemetry,
         ),
         Command::Des {
@@ -816,7 +792,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             serial,
             shed,
             out_path,
-            no_quiesce,
             telemetry,
         } => chaos(
             scenario,
@@ -826,7 +801,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             serial,
             shed,
             out_path.as_deref(),
-            no_quiesce,
             &telemetry,
         ),
         Command::Scale {
@@ -837,7 +811,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             serial,
             lanes,
             out_path,
-            no_quiesce,
             telemetry,
         } => scale(
             peers,
@@ -847,7 +820,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             serial,
             lanes,
             out_path.as_deref(),
-            no_quiesce,
             &telemetry,
         ),
         Command::Profile {
@@ -972,7 +944,6 @@ fn simulate(
     kernel: Option<SimKernel>,
     config_path: Option<&str>,
     out_path: Option<&str>,
-    no_quiesce: bool,
     telemetry: &TelemetryOpts,
 ) -> Result<String, CliError> {
     let mut config = match config_path {
@@ -989,9 +960,6 @@ fn simulate(
     }
     if let Some(kernel) = kernel {
         config.kernel = kernel;
-    }
-    if no_quiesce {
-        config.quiescence = false;
     }
     let tel = telemetry.registry();
     let metrics = Simulator::new(config)
@@ -1183,7 +1151,6 @@ fn chaos(
     serial: bool,
     shed: bool,
     out_path: Option<&str>,
-    no_quiesce: bool,
     telemetry: &TelemetryOpts,
 ) -> Result<String, CliError> {
     let horizon = hours * 3600.0;
@@ -1200,7 +1167,6 @@ fn chaos(
         }
         let mut fc = FederatedConfig::paper_default(DeploymentKind::Federated, mode, hours);
         fc.parallel_regions = !serial;
-        fc.base.quiescence = !no_quiesce;
         let baseline = FederatedSimulator::new(fc.clone())
             .map_err(|e| CliError::Run(format!("invalid federation config: {e}")))?
             .run()
@@ -1230,7 +1196,6 @@ fn chaos(
             cfg.kernel = kernel;
         }
         cfg.parallel_channels = !serial;
-        cfg.quiescence = !no_quiesce;
         let baseline = Simulator::new(cfg.clone())
             .map_err(|e| CliError::Run(format!("invalid configuration: {e}")))?
             .run()
@@ -1300,7 +1265,6 @@ fn scale(
     serial: bool,
     lanes: usize,
     out_path: Option<&str>,
-    no_quiesce: bool,
     telemetry: &TelemetryOpts,
 ) -> Result<String, CliError> {
     let mut config = SimConfig::scale_out(mode, channels, peers)
@@ -1308,7 +1272,6 @@ fn scale(
     config.trace.horizon_seconds = hours * 3600.0;
     config.parallel_channels = !serial;
     config.lanes = lanes;
-    config.quiescence = !no_quiesce;
     let tel = telemetry.registry();
     let started = std::time::Instant::now();
     let metrics = Simulator::new(config)
@@ -1327,8 +1290,7 @@ fn scale(
     let _ = writeln!(
         out,
         "scale run: {channels} channels, target {peers:.0} concurrent viewers, \
-         {hours:.1} h in {mode:?} mode ({} shard stepping, {} pool threads, {}, \
-         quiescence {})",
+         {hours:.1} h in {mode:?} mode ({} shard stepping, {} pool threads, {})",
         if serial { "serial" } else { "parallel" },
         rayon_threads(),
         if serial {
@@ -1338,7 +1300,6 @@ fn scale(
         } else {
             format!("lane cap {lanes}")
         },
-        if no_quiesce { "off" } else { "on" },
     );
     let _ = writeln!(
         out,
@@ -1426,17 +1387,6 @@ fn profile(
         staged_ns as f64 / 1e6,
         run_ns as f64 / 1e6,
     );
-    // The quiescence engine only reports on the sharded kernel; zero
-    // everywhere else, so the line is gated rather than noise.
-    let skipped = snap.value(telem::QUIESCE_ROUNDS_SKIPPED);
-    let dirty = snap.value(telem::QUIESCE_DIRTY_CHANNELS);
-    if skipped > 0 || dirty > 0 {
-        let _ = writeln!(
-            out,
-            "quiescence: {skipped} shard-rounds skipped, {dirty} epochs dirtied \
-             (catch-up spans in hist/catchup_k)",
-        );
-    }
     let _ = writeln!(
         out,
         "mean streaming quality: {:.4} (telemetry never changes results)",
@@ -1469,7 +1419,6 @@ mod tests {
                 serial: false,
                 shed: false,
                 out_path: None,
-                no_quiesce: false,
                 telemetry: TelemetryOpts::default(),
             }
         );
@@ -1498,7 +1447,6 @@ mod tests {
                 serial: true,
                 shed: true,
                 out_path: Some("r.json".into()),
-                no_quiesce: false,
                 telemetry: TelemetryOpts::default(),
             }
         );
@@ -1537,7 +1485,6 @@ mod tests {
             serial: true,
             shed: false,
             out_path: None,
-            no_quiesce: false,
             telemetry: TelemetryOpts::default(),
         })
         .unwrap_err();
@@ -1604,7 +1551,6 @@ mod tests {
                 kernel: None,
                 config_path: None,
                 out_path: None,
-                no_quiesce: false,
                 telemetry: TelemetryOpts::default(),
             }
         );
@@ -1792,7 +1738,6 @@ mod tests {
                 serial: false,
                 lanes: 0,
                 out_path: None,
-                no_quiesce: false,
                 telemetry: TelemetryOpts::default(),
             }
         );
@@ -1819,7 +1764,6 @@ mod tests {
                 serial: true,
                 lanes: 0,
                 out_path: None,
-                no_quiesce: false,
                 telemetry: TelemetryOpts::default(),
             }
         );
@@ -1849,34 +1793,21 @@ mod tests {
         ));
     }
 
+    /// The removed `--no-quiesce` flag is an ordinary unknown flag on
+    /// the three subcommands that once accepted it.
     #[test]
-    fn parse_no_quiesce_on_run_subcommands() {
-        assert!(matches!(
-            parse(&["scale", "--no-quiesce"]).unwrap(),
-            Command::Scale {
-                no_quiesce: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&["simulate", "--no-quiesce"]).unwrap(),
-            Command::Simulate {
-                no_quiesce: true,
-                ..
-            }
-        ));
-        assert!(matches!(
-            parse(&["chaos", "vm-outage", "--no-quiesce"]).unwrap(),
-            Command::Chaos {
-                no_quiesce: true,
-                ..
-            }
-        ));
-        // Not a run-style flag elsewhere: des/geo/profile reject it.
-        assert!(matches!(
-            parse(&["des", "baseline", "--no-quiesce"]),
-            Err(CliError::Usage(_))
-        ));
+    fn no_quiesce_is_an_unknown_flag_on_run_subcommands() {
+        for argv in [
+            &["simulate", "--no-quiesce"][..],
+            &["chaos", "vm-outage", "--no-quiesce"][..],
+            &["scale", "--no-quiesce"][..],
+        ] {
+            let err = parse(argv).unwrap_err();
+            let CliError::Usage(msg) = &err else {
+                panic!("expected a usage error, got: {err}");
+            };
+            assert_eq!(msg, "unknown flag `--no-quiesce`", "argv {argv:?}");
+        }
     }
 
     #[test]
@@ -1909,32 +1840,16 @@ mod tests {
             serial: false,
             lanes: 0,
             out_path: None,
-            no_quiesce: false,
             telemetry: TelemetryOpts::default(),
         })
         .unwrap();
         assert!(out.contains("scale run: 6 channels"), "got: {out}");
-        assert!(out.contains("quiescence on"), "got: {out}");
         assert!(out.contains("sim-hours per wall-second"));
         assert!(out.contains("peak concurrent viewers"));
-
-        let off = run(Command::Scale {
-            peers: 300.0,
-            channels: 6,
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            serial: false,
-            lanes: 0,
-            out_path: None,
-            no_quiesce: true,
-            telemetry: TelemetryOpts::default(),
-        })
-        .unwrap();
-        assert!(off.contains("quiescence off"), "got: {off}");
     }
 
     #[test]
-    fn profile_sharded_kernel_reports_quiescence() {
+    fn profile_sharded_kernel_reports_the_shard_step() {
         let out = run(Command::Profile {
             mode: SimMode::ClientServer,
             hours: 2.0,
@@ -1942,10 +1857,8 @@ mod tests {
             out_path: None,
         })
         .unwrap();
-        assert!(
-            out.contains("quiescence:") && out.contains("shard-rounds skipped"),
-            "got: {out}"
-        );
+        assert!(out.contains("profile: Sharded kernel"), "got: {out}");
+        assert!(out.contains("stage/shard_step"), "got: {out}");
     }
 
     #[test]
@@ -1958,7 +1871,6 @@ mod tests {
             serial: false,
             lanes: 0,
             out_path: None,
-            no_quiesce: false,
             telemetry: TelemetryOpts::default(),
         })
         .unwrap_err();
@@ -2150,7 +2062,6 @@ mod tests {
             kernel: Some(SimKernel::Indexed),
             config_path: None,
             out_path: None,
-            no_quiesce: false,
             telemetry: TelemetryOpts {
                 metrics_path: Some(m_path.to_string_lossy().into_owned()),
                 trace_path: Some(t_path.to_string_lossy().into_owned()),
@@ -2228,7 +2139,6 @@ mod tests {
             kernel: None,
             config_path: Some(cfg_path.to_string_lossy().into_owned()),
             out_path: Some(out_path.to_string_lossy().into_owned()),
-            no_quiesce: false,
             telemetry: TelemetryOpts::default(),
         })
         .unwrap();

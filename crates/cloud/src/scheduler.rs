@@ -34,7 +34,7 @@ pub struct VmScheduler {
     running_cache: Vec<usize>,
     /// Earliest future instant any instance changes lifecycle state
     /// (`ready_at` of a booting or `off_at` of a stopping instance);
-    /// `+inf` when the fleet is quiescent.
+    /// `+inf` when no instance is booting or stopping.
     next_transition: f64,
     /// Earliest `off_at` among shutting-down instances; `+inf` if none.
     earliest_off: f64,
@@ -133,7 +133,7 @@ impl VmScheduler {
             });
         }
         self.last_tick = now;
-        // Quiescent fast path: no instance can change state before
+        // Idle fast path: no instance can change state before
         // `next_transition`, so the per-instance walk is skippable.
         if now < self.next_transition {
             return Ok(());

@@ -73,12 +73,10 @@ pub fn allocate_pool_into(demands: &[f64], pool: f64, out: &mut [f64], order: &m
 /// for in-mask slots are bit-identical to a dense
 /// [`allocate_pool_into`] call over the full slice.
 ///
-/// The `total <= pool` exact-copy branch is also the keystone of the
-/// quiescence engine: an under-subscribed channel gets `out[k] =
-/// demands[k]` *verbatim* — not a proportional share that merely rounds
-/// to it — so every served ratio is exactly `1.0` and a quiescent
-/// epoch's cached allocation stays bit-for-bit valid as long as demand
-/// fits the pool (see the epoch engine in `simulator.rs`).
+/// The `total <= pool` branch copies `out[k] = demands[k]` *verbatim* —
+/// not a proportional share that merely rounds to it — so an
+/// under-subscribed channel's served ratio is exactly `1.0` and the
+/// advance pass scales each download's requested rate by exactly one.
 pub fn allocate_pool_sparse(
     demands: &[f64],
     pool: f64,

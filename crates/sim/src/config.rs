@@ -195,16 +195,6 @@ pub struct SimConfig {
     /// identically (see [`crate::faults`] and `docs/RESILIENCE.md`).
     /// Empty by default — no faults.
     pub faults: FaultSchedule,
-    /// Quiescence-aware epoch engine (the [`SimKernel::Sharded`] hot
-    /// path; see `docs/SCALING.md` "Quiescence and epochs"). When a
-    /// channel's inputs are provably steady, its shard enters an
-    /// **epoch**: downloads are virtualized as integer demand deltas on
-    /// the 1/1024 fixed-point grid and event-free rounds are skipped
-    /// outright, fast-forwarding peers in closed form when next
-    /// observed. Skipped rounds are bit-identical to stepped ones
-    /// (pinned by `crates/sim/tests/quiesce_invariance.rs`). On by
-    /// default; `--no-quiesce` (or `"quiescence": false`) disables it.
-    pub quiescence: bool,
 }
 
 impl serde::Deserialize for SimConfig {
@@ -262,12 +252,6 @@ impl serde::Deserialize for SimConfig {
                 Some(value) => serde::Deserialize::from_value(value)?,
                 None => FaultSchedule::default(),
             },
-            // Optional: configs written before the quiescence engine
-            // existed load with it on (results are bit-identical).
-            quiescence: match v.get("quiescence") {
-                Some(value) => serde::Deserialize::from_value(value)?,
-                None => true,
-            },
         })
     }
 }
@@ -317,7 +301,6 @@ impl SimConfig {
             lanes: 0,
             fleet_scale: 1.0,
             faults: FaultSchedule::default(),
-            quiescence: true,
         }
     }
 
@@ -537,16 +520,18 @@ mod tests {
         assert_eq!(parsed, cfg);
     }
 
+    /// Configs written while the removed `quiescence` knob existed carry
+    /// the key; it is ignored like any unknown key.
     #[test]
-    fn config_json_without_quiescence_field_still_loads() {
+    fn config_json_with_legacy_quiescence_key_loads_unchanged() {
         let cfg = SimConfig::paper_default(SimMode::P2p);
         let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
             panic!("config serializes to an object");
         };
-        fields.retain(|(k, _)| k != "quiescence");
+        assert!(fields.iter().all(|(k, _)| k != "quiescence"));
+        fields.push(("quiescence".into(), serde::Value::Bool(false)));
         let legacy = serde::Value::Object(fields);
         let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
-        assert!(parsed.quiescence, "defaults to quiescence on");
         assert_eq!(parsed, cfg);
     }
 

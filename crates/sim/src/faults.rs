@@ -375,12 +375,10 @@ impl FaultSchedule {
 /// Counters the fault plane accumulates during a run; serialized into the
 /// resilience report.
 ///
-/// Part of the quiescence bit-equality contract: a quiescence-on run
-/// must produce these counters bit-identical to the same run with the
-/// epoch engine off (`crates/sim/tests/quiesce_invariance.rs` pins it
-/// alongside [`crate::metrics::Metrics`]) — fault-plane state changes
-/// (VM kills, shed windows) dirty any epoch they touch, so no fault
-/// event is ever absorbed into a skipped round.
+/// Covered by the same bit-identity contracts as
+/// [`crate::metrics::Metrics`]: serial and parallel runs of one seeded
+/// schedule produce equal counters (`crates/sim/tests/chaos.rs` and
+/// `lane_invariance.rs` pin them alongside the metrics).
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct FaultStats {
     /// Running VMs killed by fleet failures.

@@ -57,13 +57,13 @@ pub struct IntervalRecord {
 
 /// Full metrics of one run.
 ///
-/// The quiescence engine's correctness bar is defined on this type:
-/// every sample, interval record, and cost accumulator of a
-/// quiescence-on run must be **bit-identical** to the quiescence-off
-/// run of the same config (`crates/sim/tests/quiesce_invariance.rs`;
-/// the committed golden in `crates/sim/tests/golden_steady.rs` pins a
-/// heavily-skipped run's exact bytes). Skipped rounds contribute their
-/// cached cloud usage analytically — never an approximation.
+/// The simulator's bit-identity contracts are stated on this type:
+/// Scan ≡ Indexed, serial ≡ parallel, any lane count, and telemetry on
+/// ≡ off must produce equal `Metrics` — every sample, interval record,
+/// and cost accumulator — for the same config (pinned by
+/// `crates/sim/tests/sharding.rs`, `lane_invariance.rs`,
+/// `telemetry_determinism.rs`, and the committed goldens such as
+/// `crates/sim/tests/golden_steady.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Fine-grained samples.

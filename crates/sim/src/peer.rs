@@ -77,15 +77,13 @@ const TAG_WAIT_LEAVE: u8 = 2;
 /// `crates/sim/tests/peer_footprint.rs`; see the module docs for the
 /// layout).
 ///
-/// Quiescence invariant: while a shard sits in an epoch a downloading
-/// peer's `f_a` (bytes left) is deliberately **stale** — the epoch
-/// engine tracks the download as a virtual schedule and only writes
-/// `f_a` back at materialization, fast-forwarding it with the same
-/// fixed-point recurrence the stepped path runs, so the written value
-/// is bit-identical to what round-by-round advancement would have
-/// produced. No code outside the engine may read a downloading peer's
-/// `f_a` mid-epoch (the invariance proptest in
-/// `crates/sim/tests/quiesce_invariance.rs` would catch the drift).
+/// Bytes-left invariant: under the indexed engines (`Indexed` and
+/// `Sharded`) a downloading peer's `f_a` keeps the bytes left at the
+/// download's start — the engine's download index holds the live value.
+/// No code outside the engine may read a downloading peer's `f_a`
+/// between rounds; the Scan reference engine writes it back every
+/// round, so the Scan ≡ Indexed tests would catch a reader that depends
+/// on it.
 #[derive(Debug, Clone)]
 pub struct Peer {
     /// Stable identifier from the arrival trace.

@@ -95,7 +95,7 @@ use crate::metrics::{Metrics, Sample};
 use crate::peer::Peer;
 use crate::simulator::{
     bootstrap_stats, interval_record, make_planner, process_round_events, IndexedEngine, RoundCtx,
-    RoundEngine, QUIESCE_MAX_STREAK, QUIESCE_MIN_DUTY, QUIESCE_STREAK,
+    RoundEngine,
 };
 use crate::telem;
 use crate::tracker::summarize_channel;
@@ -145,36 +145,8 @@ struct ChannelShard {
     removals: Vec<usize>,
     completed: Vec<usize>,
     woken: Vec<usize>,
-    /// Cloud rate used by this shard in the round just stepped (a
-    /// skipped quiescent round provably reuses the previous value).
+    /// Cloud rate used by this shard in the round just stepped.
     round_used: f64,
-    /// Whether this shard may enter quiescent epochs
-    /// ([`SimConfig::quiescence`]).
-    quiesce: bool,
-    /// Rounds stepped (the epoch scheduler's ring clock).
-    rounds: u64,
-    /// Consecutive fully-served rounds (epoch-entry hysteresis).
-    clean_streak: u32,
-    /// Clean rounds currently required to enter an epoch. Starts at
-    /// [`QUIESCE_STREAK`] and doubles (up to [`QUIESCE_MAX_STREAK`])
-    /// every time an epoch ends without having skipped at least one
-    /// round in [`QUIESCE_MIN_DUTY`], so a channel whose epochs are
-    /// never quiet enough to skip (per-round prefetch wake-ups, churny
-    /// demand) stops paying the fuse/materialize cycle; one productive
-    /// epoch resets it.
-    streak_need: u32,
-    /// Round the current epoch was entered at (drives the backoff).
-    epoch_entered_at: u64,
-    /// `skipped_rounds` snapshot at epoch entry (drives the backoff's
-    /// productivity test).
-    skips_at_entry: u64,
-    /// Rounds skipped outright inside quiescent epochs (cumulative;
-    /// reduced into `quiesce/rounds_skipped` at run end).
-    skipped_rounds: u64,
-    /// Epoch exits forced by a dirtied input — a served ratio leaving
-    /// 1.0 or the round step leaving the quantization grid (cumulative;
-    /// reduced into `quiesce/dirty_channels` at run end).
-    epoch_breaks: u64,
     /// Arrivals refused by [`crate::faults::DegradeMode::ShedNewArrivals`]
     /// (cumulative; reduced in channel order at run end).
     shed: u64,
@@ -219,47 +191,6 @@ impl ChannelShard {
         chunk_seconds: f64,
         faults: &FaultSchedule,
     ) {
-        let round = self.rounds;
-        self.rounds += 1;
-        // A round off the epoch's quantization grid (the horizon's final
-        // partial round) invalidates every scheduled integer rate: exit
-        // before anything — arrivals included — is processed at the new
-        // step.
-        if self.engine.epoch_active() && !self.engine.epoch_step_matches(ctx) {
-            self.engine.epoch_materialize(&self.peers, round);
-            self.epoch_breaks += 1;
-            self.clean_streak = 0;
-            self.note_epoch_end(round);
-        }
-        // Productivity eviction: a resident epoch that skips fewer than
-        // one round in QUIESCE_MIN_DUTY is a net loss — its per-round
-        // kernel (ring upkeep, delta replay, event merge) costs more
-        // than the plain allocate/advance it replaced — so once the
-        // shortfall is provable (at least QUIESCE_MIN_DUTY resident
-        // rounds) the epoch is materialized voluntarily. The decision
-        // reads only shard-local counters, so it is identical under any
-        // thread count, and materialization is exact, so metrics are
-        // untouched. The exit doubles `streak_need` via the same
-        // backoff as a dirty break.
-        if self.engine.epoch_active() {
-            let lived = round - self.epoch_entered_at;
-            if lived >= QUIESCE_MIN_DUTY
-                && (self.skipped_rounds - self.skips_at_entry) * QUIESCE_MIN_DUTY < lived
-            {
-                self.engine.epoch_materialize(&self.peers, round);
-                self.epoch_breaks += 1;
-                self.clean_streak = 0;
-                self.note_epoch_end(round);
-            }
-        }
-        let in_epoch = self.engine.epoch_active();
-        if in_epoch {
-            // Pre-drain the wake wheel (due-ness only compares wake
-            // times against `t1`, so the set is identical to the normal
-            // path's post-kernel drain).
-            self.engine.epoch_begin_round(&self.peers, t1, round);
-        }
-        let admitted_before = self.admitted;
         while let Some(a) = self.next_arrival.as_ref().filter(|a| a.time < t1) {
             // Admission control under ShedNewArrivals: pure function of
             // the arrival timestamp and the (read-only) schedule, so the
@@ -285,58 +216,17 @@ impl ChannelShard {
             self.next_arrival = self.arrivals.next();
         }
         self.peak_peers = self.peak_peers.max(self.peers.len());
-        let had_arrivals = self.admitted != admitted_before;
 
-        if in_epoch {
-            if !had_arrivals && self.engine.epoch_can_skip(ctx, round) {
-                // Nothing due, nothing scheduled, inputs unchanged:
-                // every kernel input is bit-identical to last round's,
-                // no peer/collector state would be touched, and the
-                // cached `round_used` is exactly what a full round
-                // would recompute.
-                self.skipped_rounds += 1;
-                return;
-            }
-            self.completed.clear();
-            self.woken.clear();
-            match self.engine.epoch_allocate(&self.peers, ctx, round) {
-                Ok(used) => {
-                    self.round_used = used;
-                    self.engine
-                        .epoch_events(round, &mut self.completed, &mut self.woken);
-                }
-                Err(used) => {
-                    // A ratio left 1.0: the engine materialized with the
-                    // kernel outputs (which never depend on ratios)
-                    // already correct, so the round finishes on the
-                    // normal advance path. The pre-drained wakes merge
-                    // back in (the wheel is already empty for this
-                    // round).
-                    self.epoch_breaks += 1;
-                    self.note_epoch_end(round);
-                    self.round_used = used;
-                    self.engine.advance_round(
-                        &mut self.peers,
-                        ctx,
-                        t1,
-                        &mut self.completed,
-                        &mut self.woken,
-                    );
-                    self.engine.take_epoch_woken(&mut self.woken);
-                }
-            }
-        } else {
-            self.round_used = self.engine.allocate(&self.peers, ctx);
-            self.completed.clear();
-            self.woken.clear();
-            self.engine.advance_round(
-                &mut self.peers,
-                ctx,
-                t1,
-                &mut self.completed,
-                &mut self.woken,
-            );
-        }
+        self.round_used = self.engine.allocate(&self.peers, ctx);
+        self.completed.clear();
+        self.woken.clear();
+        self.engine.advance_round(
+            &mut self.peers,
+            ctx,
+            t1,
+            &mut self.completed,
+            &mut self.woken,
+        );
         process_round_events(
             &mut self.engine,
             &mut self.peers,
@@ -354,54 +244,6 @@ impl ChannelShard {
         );
         self.n_completed += self.completed.len() as u64;
         self.n_woken += self.woken.len() as u64;
-
-        if self.engine.epoch_active() {
-            self.engine.epoch_end_round(
-                had_arrivals || !self.completed.is_empty() || !self.woken.is_empty(),
-            );
-        } else if self.quiesce {
-            // Epoch entry hysteresis: only a shard that strings together
-            // `streak_need` quiet rounds (QUIESCE_STREAK, doubled by the
-            // backoff while epochs stay unproductive) fuses its download
-            // index into virtual schedules. Quiet means fully served AND
-            // event-free — a channel whose every round carries prefetch
-            // wake-ups or arrivals can hold ratios at 1.0 indefinitely
-            // yet never skip a single round, so "fully served" alone
-            // admits exactly the channels that make epochs a net loss.
-            if self.engine.round_fully_served()
-                && !had_arrivals
-                && self.completed.is_empty()
-                && self.woken.is_empty()
-            {
-                self.clean_streak += 1;
-            } else {
-                self.clean_streak = 0;
-            }
-            if self.clean_streak >= self.streak_need
-                && self.engine.epoch_enter(round, ctx, chunk_bytes)
-            {
-                self.clean_streak = 0;
-                self.epoch_entered_at = round;
-                self.skips_at_entry = self.skipped_rounds;
-            }
-        }
-    }
-
-    /// Entry-backoff accounting at every epoch exit: an epoch that
-    /// skipped fewer than one round in [`QUIESCE_MIN_DUTY`] of its
-    /// lifetime was wasted work — its fuse, ring upkeep, and
-    /// materialization cost more than the normal path it replaced — so
-    /// the clean streak the next entry requires doubles (capped at
-    /// [`QUIESCE_MAX_STREAK`]). An epoch that cleared the bar resets
-    /// the threshold to [`QUIESCE_STREAK`].
-    fn note_epoch_end(&mut self, round: u64) {
-        let lived = round - self.epoch_entered_at;
-        let skipped = self.skipped_rounds - self.skips_at_entry;
-        if skipped * QUIESCE_MIN_DUTY >= lived.max(1) {
-            self.streak_need = QUIESCE_STREAK;
-        } else {
-            self.streak_need = (self.streak_need * 2).min(QUIESCE_MAX_STREAK);
-        }
     }
 
     /// [`ChannelShard::step_round`], optionally timing the step into the
@@ -504,7 +346,7 @@ fn run_inner(
     for spec in catalog.channels() {
         let mut arrivals = ChannelArrivals::new(spec, &cfg.trace)?;
         let next_arrival = arrivals.next();
-        let mut engine = IndexedEngine::for_shard(
+        let engine = IndexedEngine::for_shard(
             spec.id,
             spec.viewing.chunks,
             cfg.peer_efficiency,
@@ -512,7 +354,6 @@ fn run_inner(
             lane_cap,
             lane_min,
         );
-        engine.set_catchup_recording(tel.enabled());
         shards.push(ChannelShard {
             channel: spec.id,
             engine,
@@ -527,14 +368,6 @@ fn run_inner(
             completed: Vec::new(),
             woken: Vec::new(),
             round_used: 0.0,
-            quiesce: cfg.quiescence,
-            rounds: 0,
-            clean_streak: 0,
-            streak_need: QUIESCE_STREAK,
-            epoch_entered_at: 0,
-            skips_at_entry: 0,
-            skipped_rounds: 0,
-            epoch_breaks: 0,
             shed: 0,
             startup_sum: 0.0,
             startup_count: 0,
@@ -810,20 +643,6 @@ fn run_inner(
         tel.add(telem::WOKEN_PEERS, n_woken);
         tel.add(telem::ROUNDS, round_idx);
         tel.gauge_max(telem::PEERS_PEAK, peers_peak);
-        // Quiescence engagement, in channel order: skipped shard-rounds,
-        // dirtied-epoch exits, and the catch-up spans of every download
-        // fast-forwarded at a materialization.
-        let mut skipped = 0u64;
-        let mut breaks = 0u64;
-        for shard in &shards {
-            skipped += shard.skipped_rounds;
-            breaks += shard.epoch_breaks;
-            for &k in shard.engine.catchup_spans() {
-                tel.observe(telem::HIST_CATCHUP_K, u64::from(k));
-            }
-        }
-        tel.add(telem::QUIESCE_ROUNDS_SKIPPED, skipped);
-        tel.add(telem::QUIESCE_DIRTY_CHANNELS, breaks);
     }
     telem::record_fault_stats(tel, &fault_driver.stats);
     globals.record_delta(tel);

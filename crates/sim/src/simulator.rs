@@ -27,8 +27,7 @@
 //!   the *active downloaders*; waiting peers sit in a calendar wheel
 //!   bucketed by wake round and are touched exactly once, when due.
 //!   Allocation runs through mask-sparse in-place kernels over each
-//!   channel's requested chunks, and fans out across channels (`rayon`)
-//!   for very large populations. **Zero heap allocation per round** in
+//!   channel's requested chunks. **Zero heap allocation per round** in
 //!   steady state: every buffer — per-channel lanes, sort scratch, the
 //!   wheel, the event lists — is owned by the engine or the run loop and
 //!   reused across all ~60 k rounds of a week-long run. Arrivals are
@@ -62,8 +61,6 @@
 //!   and wake-ups) are replayed in ascending peer order — the order the
 //!   reference scan encounters them — regardless of which lane or wheel
 //!   bucket discovered them.
-//! - Channel-parallelism cannot reorder anything: channels never share
-//!   an accumulator.
 //!
 //! Set `CLOUDMEDIA_PROFILE=1` to print a per-phase wall-time breakdown
 //! of a run on stderr (used by `cloudmedia-bench`'s `bench_sim`).
@@ -124,11 +121,6 @@ pub fn last_phase_profile() -> Option<PhaseProfile> {
     LAST_PROFILE.with(|c| c.get())
 }
 
-/// Minimum connected population before the indexed engine fans the
-/// per-channel allocation stage out across threads. Below this, one core
-/// finishes the stage faster than pool dispatch costs.
-const PAR_MIN_PEERS: usize = 16_384;
-
 /// Fixed-point scale for peer upload-supply aggregation: 1/1024 byte/s
 /// units. A power of two, so quantization and the `u64 → f64` readback
 /// are exact binary operations; integer sums are associative, which is
@@ -150,13 +142,8 @@ pub(crate) fn quantize_usable(capacity: f64, eff: f64) -> u64 {
 }
 
 /// Converts a fixed-point supply aggregate back to bytes/s.
-///
-/// Public alongside [`quantize_rate`] so external harnesses (the bench
-/// crate's `catchup_kernel`) can replay the exact service recurrence
-/// the quiescence engine fast-forwards on.
 #[inline]
-#[must_use]
-pub fn dequantize(units: u64) -> f64 {
+pub(crate) fn dequantize(units: u64) -> f64 {
     units as f64 * (1.0 / UPLOAD_SCALE)
 }
 
@@ -170,8 +157,7 @@ pub fn dequantize(units: u64) -> f64 {
 /// still requests a nonzero rate and can complete instead of stalling
 /// forever.
 #[inline]
-#[must_use]
-pub fn quantize_rate(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> u64 {
+pub(crate) fn quantize_rate(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> u64 {
     ((bytes_left * inv_step).min(vm_bandwidth) * UPLOAD_SCALE).ceil() as u64
 }
 
@@ -689,24 +675,6 @@ impl ChannelLane {
         self.written_mask = 0;
     }
 
-    /// Clears last round's written outputs but — unlike
-    /// [`ChannelLane::clear_written`] — keeps the fixed-point demand
-    /// accumulator: inside a quiescent epoch `req_units` is maintained
-    /// incrementally across rounds by scheduled integer deltas instead
-    /// of being rebuilt from a download-index walk.
-    fn clear_outputs(&mut self) {
-        let mut m = self.written_mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.requested[k] = 0.0;
-            self.peer_served[k] = 0.0;
-            self.cloud_served[k] = 0.0;
-            self.residual[k] = 0.0;
-        }
-        self.written_mask = 0;
-    }
-
     /// Fused per-round pass for this channel: demand aggregation over the
     /// active downloaders, fixed-point supply readback, and both
     /// allocation kernels — all confined to the requested chunk slots,
@@ -1005,161 +973,6 @@ impl WakeWheel {
 /// "Not downloading" marker in [`IndexedEngine::dl_slot`].
 const DL_NONE: u32 = u32::MAX;
 
-// ----------------------------------------------------------------------
-// Quiescent epochs: exact multi-round fast-forward for steady shards.
-// ----------------------------------------------------------------------
-
-/// Ring length of the epoch event scheduler, in rounds. Every virtual
-/// download's whole schedule must fit strictly inside one revolution
-/// ([`MAX_TRAJ`] bounds the trajectory), so a bucket is always fully
-/// drained at its own round before the clock wraps back onto it.
-const EPOCH_RING: usize = 64;
-
-/// Longest admissible service trajectory, in rounds. A schedule placed
-/// at round `r` touches buckets up to `r + MAX_TRAJ + 1`, which must
-/// stay inside one ring revolution; shards whose chunk takes longer
-/// than this to download at the VM rate cap simply never quiesce.
-const MAX_TRAJ: u32 = EPOCH_RING as u32 - 2;
-
-/// Consecutive fully-served rounds a shard must string together before
-/// it enters a quiescent epoch — hysteresis so a channel oscillating
-/// around saturation does not pay the fuse/materialize cycle each round.
-pub(crate) const QUIESCE_STREAK: u32 = 4;
-
-/// Entry-backoff ceiling: after repeated unproductive epochs a shard's
-/// required clean streak doubles up to this many rounds (85 simulated
-/// minutes on the paper's 10 s grid), so a channel whose epochs never
-/// pay for themselves effectively stops re-trying until the load
-/// pattern changes. Chosen with [`QUIESCE_MIN_DUTY`]: backoff decays
-/// the moment one epoch actually earns its keep.
-pub(crate) const QUIESCE_MAX_STREAK: u32 = 512;
-
-/// Productivity bar for the entry backoff: an epoch is worth having
-/// only if it skipped at least one round in [`QUIESCE_MIN_DUTY`] — a
-/// busy channel can hold an epoch open for hours (ratios pinned at 1.0)
-/// while per-round prefetch wake-ups deny every single skip, and such
-/// an epoch is pure fuse/ring/materialize overhead no matter how long
-/// it lived. Productive epochs reset the shard's entry threshold to
-/// [`QUIESCE_STREAK`]; unproductive ones double it.
-pub(crate) const QUIESCE_MIN_DUTY: u64 = 8;
-
-/// One scheduled change to a lane's fixed-point demand accumulator:
-/// at the delta's round, chunk `chunk` gains `units` demand units and
-/// `count` active downloaders. Emitted when a virtual download starts
-/// (`+u₀`, `+1`), when its quantized rate steps down mid-flight
-/// (`u_{j} − u_{j−1}`, `0`), and the round after it completes
-/// (`−u_last`, `−1`). Integer arithmetic, so maintenance is exact.
-#[derive(Debug, Clone, Copy)]
-struct EpochDelta {
-    /// Chunk slot the delta applies to (chunk sets are ≤ 64 wide).
-    chunk: u8,
-    /// Active-downloader count change for the chunk.
-    count: i8,
-    /// Fixed-point demand change, 1/1024 byte/s units.
-    units: i64,
-}
-
-/// One ring bucket: the demand deltas applied at the bucket's round
-/// (before the allocation kernels) and the virtual downloads completing
-/// in it (surfaced as ordinary completion events after the kernels).
-#[derive(Debug, Default)]
-struct EpochBucket {
-    deltas: Vec<EpochDelta>,
-    completes: Vec<u32>,
-}
-
-/// Per-engine state of a quiescent epoch (see the `IndexedEngine` epoch
-/// methods for the protocol). While active, the lane's download index
-/// is empty: every in-flight download is *virtual* — represented only
-/// by its wake-slab slot, its closed-form start state
-/// (`virt_round`/`virt_bytes`), and its pre-scheduled demand deltas and
-/// completion round in the ring.
-#[derive(Debug)]
-struct EpochState {
-    active: bool,
-    /// Round currently being processed (the shard's round counter).
-    round: u64,
-    /// `buckets[round % EPOCH_RING]` holds the round's scheduled work.
-    buckets: Vec<EpochBucket>,
-    /// Active virtual downloads per chunk (drives `active_mask`).
-    chunk_active: Vec<u32>,
-    /// Chunk slots with at least one active virtual download — the
-    /// round's `req_mask`, maintained on count 0↔1 transitions.
-    active_mask: u64,
-    /// Per-slab-slot schedule origin: the first round the virtual
-    /// download contributes demand (valid while the slot holds one).
-    virt_round: Vec<u64>,
-    /// Bytes left at the schedule origin.
-    virt_bytes: Vec<f64>,
-    /// Quantization context the schedules were built with; a round with
-    /// a different `step` (the horizon's final partial round) exits the
-    /// epoch *before* any kernel runs, because the scheduled integer
-    /// demand is only exact at this grid.
-    step: f64,
-    inv_step: f64,
-    vm_bw: f64,
-    chunk_bytes: f64,
-    /// Supply inputs of the last kernel run; a change forces a kernel
-    /// round (provisioning and fault-plane dirtiness both flow through
-    /// these two values — see `epoch_can_skip`).
-    last_reserved: f64,
-    last_scale: f64,
-    /// True when the previous epoch round processed no events, so the
-    /// P2P supply aggregates (owners, pool) are unchanged; client-server
-    /// kernels read neither, so CS skips do not require it.
-    quiet: bool,
-    /// True until the epoch's first `epoch_allocate`. A skip replays the
-    /// *cached* cloud usage, which right after entry still belongs to
-    /// the normal-path entry round — a round whose demand may have
-    /// included downloads that completed during it and were therefore
-    /// never virtualized (no tear-down delta exists for them in the
-    /// ring). The first in-epoch round must recompute from the ring's
-    /// own demand before any skip is sound.
-    fresh: bool,
-}
-
-impl EpochState {
-    fn new(max_chunks: usize) -> Self {
-        Self {
-            active: false,
-            round: 0,
-            buckets: (0..EPOCH_RING).map(|_| EpochBucket::default()).collect(),
-            chunk_active: vec![0; max_chunks],
-            active_mask: 0,
-            virt_round: Vec::new(),
-            virt_bytes: Vec::new(),
-            step: 0.0,
-            inv_step: 0.0,
-            vm_bw: 0.0,
-            chunk_bytes: 0.0,
-            last_reserved: 0.0,
-            last_scale: 0.0,
-            quiet: false,
-            fresh: false,
-        }
-    }
-}
-
-/// Rounds a download of `bytes` takes under permanently exact service
-/// (ratio 1.0), walking the same quantize/advance recurrence as
-/// [`ChannelLane::advance`] — `None` if it exceeds [`MAX_TRAJ`].
-fn quiesce_traj_len(bytes: f64, step: f64, inv_step: f64, vm_bw: f64) -> Option<u32> {
-    let mut b = bytes;
-    let mut len = 0u32;
-    loop {
-        let u = quantize_rate(b, inv_step, vm_bw);
-        len += 1;
-        if len > MAX_TRAJ {
-            return None;
-        }
-        let new_left = b - dequantize(u) * step;
-        if new_left <= 1e-6 {
-            return Some(len);
-        }
-        b = new_left;
-    }
-}
-
 /// Size of one in-flight download record, exposed for the worst-case
 /// accounting in [`crate::footprint`].
 pub(crate) const DL_ENTRY_BYTES: usize = std::mem::size_of::<DlEntry>();
@@ -1216,18 +1029,6 @@ pub(crate) struct IndexedEngine {
     scratch: Vec<LaneScratch>,
     /// Rounds processed, for sampled sub-lane wall telemetry.
     rounds: u64,
-    /// Quiescent-epoch scheduler (single-channel shard engines only;
-    /// inert until the sharded runtime calls `epoch_enter`).
-    epoch: EpochState,
-    /// Wake-ups pre-drained at the top of an epoch round (ascending
-    /// peer order), consumed by `epoch_events` or — after an in-round
-    /// epoch break — appended to the normal advance path's wake list.
-    epoch_woken: Vec<usize>,
-    /// Catch-up spans (rounds each virtual download was fast-forwarded
-    /// at materialization), recorded only when `record_catchup` is set
-    /// by a telemetry-enabled run; feeds the `hist/catchup_k` histogram.
-    catchup: Vec<u32>,
-    record_catchup: bool,
 }
 
 impl IndexedEngine {
@@ -1273,10 +1074,6 @@ impl IndexedEngine {
             lane_min: 1,
             scratch: Vec::new(),
             rounds: 0,
-            epoch: EpochState::new(max_chunks),
-            epoch_woken: Vec::new(),
-            catchup: Vec::new(),
-            record_catchup: false,
         }
     }
 
@@ -1363,383 +1160,6 @@ impl IndexedEngine {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Quiescent epochs.
-    //
-    // Protocol (driven by `ChannelShard::step_round`): after
-    // `QUIESCE_STREAK` consecutive rounds in which every requested chunk
-    // was served at ratio exactly 1.0, the shard calls `epoch_enter`,
-    // which *virtualizes* the download index: each in-flight download's
-    // future is pre-computed on the fixed-point grid (the trajectory of
-    // quantized rates is a pure function of its bytes-left, because full
-    // service makes `advance` deterministic) and written into the ring
-    // as integer demand deltas plus a completion round. From then on a
-    // round costs O(scheduled events + active chunks) instead of
-    // O(downloads): apply the round's deltas, run the unchanged
-    // `ChannelLane::finish` kernels on the incrementally maintained
-    // demand, verify every written ratio is still exactly 1.0, and
-    // surface the ring's completions/wheel's wakes as ordinary events.
-    // A round with no arrivals, no scheduled work, unchanged supply and
-    // (in P2P) no prior-round events is skipped outright — the cached
-    // cloud usage is provably identical.
-    //
-    // Exactness: the ratio check *is* the dirtiness predicate. Demand is
-    // the same integer sum the index walk would produce; the kernels are
-    // the same code reading the same inputs; and while ratios stay 1.0,
-    // `advance` multiplies by exactly 1.0, so bytes-left follows the
-    // precomputed trajectory bit for bit. The moment any input change
-    // (provisioning, fault plane, membership, demand) pushes a ratio off
-    // 1.0 — or the round step leaves the grid the schedules were built
-    // on — the epoch materializes: bytes-left is replayed in closed
-    // form (`k` iterations of the exact recurrence, no approximation)
-    // and the round continues on the normal path with the already
-    // correct kernel outputs. Peers are never touched by any of this —
-    // a virtual download's peer keeps its real `Downloading` state, so
-    // sampling, stalls, and startup accounting read identical bytes
-    // with quiescence on or off.
-    // ------------------------------------------------------------------
-
-    /// Whether a quiescent epoch is active.
-    pub(crate) fn epoch_active(&self) -> bool {
-        self.epoch.active
-    }
-
-    /// Whether the round context still matches the grid the epoch's
-    /// schedules were quantized on. The horizon's final partial round
-    /// changes `step`, which invalidates every scheduled integer rate —
-    /// the shard must materialize before that round's kernels.
-    pub(crate) fn epoch_step_matches(&self, ctx: &RoundCtx<'_>) -> bool {
-        ctx.step == self.epoch.step
-    }
-
-    /// True when every chunk requested this round was served at ratio
-    /// exactly 1.0 (vacuously true for an idle channel) — the shard's
-    /// epoch-entry streak condition.
-    pub(crate) fn round_fully_served(&self) -> bool {
-        if self.lanes.len() != 1 {
-            return false;
-        }
-        let lane = &self.lanes[0];
-        let mut m = lane.written_mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if lane.ratio[k] != 1.0 {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Enters a quiescent epoch at the end of round `round`: fuses every
-    /// in-flight download into a virtual schedule starting next round.
-    /// Returns `false` (state untouched) if any trajectory would not fit
-    /// the ring.
-    pub(crate) fn epoch_enter(&mut self, round: u64, ctx: &RoundCtx<'_>, chunk_bytes: f64) -> bool {
-        debug_assert_eq!(self.lanes.len(), 1, "epochs are per-shard");
-        debug_assert!(!self.epoch.active);
-        // Validity dry-run: the fresh-chunk trajectory (what every
-        // restart and arrival schedules) and each in-flight remainder
-        // must fit one ring revolution.
-        if quiesce_traj_len(chunk_bytes, ctx.step, ctx.inv_step, ctx.vm_bandwidth).is_none() {
-            return false;
-        }
-        if self.lanes[0]
-            .dl
-            .iter()
-            .any(|e| quiesce_traj_len(e.bytes, ctx.step, ctx.inv_step, ctx.vm_bandwidth).is_none())
-        {
-            return false;
-        }
-        self.epoch.active = true;
-        self.epoch.round = round;
-        self.epoch.step = ctx.step;
-        self.epoch.inv_step = ctx.inv_step;
-        self.epoch.vm_bw = ctx.vm_bandwidth;
-        self.epoch.chunk_bytes = chunk_bytes;
-        self.epoch.last_reserved = ctx.channel_reserved[self.lanes[0].id];
-        self.epoch.last_scale = ctx.online_scale;
-        self.epoch.quiet = false;
-        self.epoch.fresh = true;
-        // Demand restarts from zero and is rebuilt by the scheduled
-        // deltas (the fused downloads re-emit their own `+u₀`).
-        self.lanes[0].clear_written();
-        self.epoch.chunk_active.iter_mut().for_each(|c| *c = 0);
-        self.epoch.active_mask = 0;
-        let entries = std::mem::take(&mut self.lanes[0].dl);
-        for e in &entries {
-            let slot = self.alloc_slot(e.idx as usize);
-            self.dl_slot[e.idx as usize] = slot;
-            self.schedule_virtual(slot, e.chunk as usize, e.bytes, round + 1);
-        }
-        true
-    }
-
-    /// Schedules a virtual download on slab slot `slot`: walks the exact
-    /// service recurrence from `bytes`, emitting a demand delta at every
-    /// quantized-rate change, the completion at its final demand round,
-    /// and the tear-down delta one round later.
-    fn schedule_virtual(&mut self, slot: u32, chunk: usize, bytes: f64, first_round: u64) {
-        let s = slot as usize;
-        if self.epoch.virt_round.len() <= s {
-            self.epoch.virt_round.resize(s + 1, 0);
-            self.epoch.virt_bytes.resize(s + 1, 0.0);
-        }
-        self.epoch.virt_round[s] = first_round;
-        self.epoch.virt_bytes[s] = bytes;
-        let (step, inv_step, vm_bw) = (self.epoch.step, self.epoch.inv_step, self.epoch.vm_bw);
-        let mut b = bytes;
-        let mut prev: i64 = 0;
-        let mut r = first_round;
-        loop {
-            let u = quantize_rate(b, inv_step, vm_bw) as i64;
-            let count: i8 = if r == first_round { 1 } else { 0 };
-            if u != prev || count != 0 {
-                self.push_delta(r, chunk, u - prev, count);
-            }
-            prev = u;
-            let new_left = b - dequantize(u as u64) * step;
-            if new_left <= 1e-6 {
-                self.epoch.buckets[(r % EPOCH_RING as u64) as usize]
-                    .completes
-                    .push(slot);
-                self.push_delta(r + 1, chunk, -prev, -1);
-                return;
-            }
-            b = new_left;
-            r += 1;
-            debug_assert!(
-                r - first_round <= u64::from(MAX_TRAJ),
-                "trajectory outruns the ring (checked at epoch entry)"
-            );
-        }
-    }
-
-    fn push_delta(&mut self, round: u64, chunk: usize, units: i64, count: i8) {
-        self.epoch.buckets[(round % EPOCH_RING as u64) as usize]
-            .deltas
-            .push(EpochDelta {
-                chunk: chunk as u8,
-                count,
-                units,
-            });
-    }
-
-    /// Opens an epoch round: records the round number (the scheduling
-    /// origin for this round's joins/restarts) and pre-drains the wake
-    /// wheel — due-ness only compares wake times against `t1`, so
-    /// draining before the kernels collects exactly the set the normal
-    /// path's post-kernel drain would.
-    pub(crate) fn epoch_begin_round(&mut self, peers: &[Peer], t1: f64, round: u64) {
-        self.epoch.round = round;
-        self.epoch_woken.clear();
-        self.due.clear();
-        {
-            let Self {
-                wheel,
-                wake_slab,
-                due,
-                ..
-            } = self;
-            wheel.drain_due(t1, due, |slot| {
-                peers[wake_slab[slot as usize] as usize].wake_at()
-            });
-        }
-        for i in 0..self.due.len() {
-            let slot = self.due[i];
-            let idx = self.wake_slab[slot as usize] as usize;
-            debug_assert!(matches!(peers[idx].state(), PeerState::Waiting { .. }));
-            self.dl_slot[idx] = DL_NONE;
-            self.free_slots.push(slot);
-            self.epoch_woken.push(idx);
-        }
-        self.epoch_woken.sort_unstable();
-    }
-
-    /// Whether this epoch round can be skipped outright: the cached
-    /// cloud usage was computed *inside* the epoch (never on the entry
-    /// round's normal pass, whose demand may have included downloads
-    /// that completed before virtualization), no pre-drained wakes,
-    /// nothing scheduled in the round's ring bucket, the same supply
-    /// inputs as the last kernel run, and (P2P only) no events last
-    /// round — under those conditions every kernel input is
-    /// bit-identical to the previous round's, so the cached cloud usage
-    /// and the untouched peer/collector state are exactly what a full
-    /// round would produce. The caller separately guarantees no arrival
-    /// was admitted this round.
-    pub(crate) fn epoch_can_skip(&self, ctx: &RoundCtx<'_>, round: u64) -> bool {
-        let e = &self.epoch;
-        let b = &e.buckets[(round % EPOCH_RING as u64) as usize];
-        !e.fresh
-            && self.epoch_woken.is_empty()
-            && b.deltas.is_empty()
-            && b.completes.is_empty()
-            && ctx.channel_reserved[self.lanes[0].id] == e.last_reserved
-            && ctx.online_scale == e.last_scale
-            && (!ctx.p2p || e.quiet)
-    }
-
-    /// The epoch round's allocation stage: applies the round's scheduled
-    /// demand deltas, runs the unchanged serial kernels on the
-    /// incrementally maintained demand, and checks the exactness
-    /// predicate. `Ok(used)` keeps the epoch; `Err(used)` means a ratio
-    /// left 1.0 — the engine has already materialized (the kernel
-    /// outputs are correct either way; demand never depends on ratios),
-    /// and the shard finishes the round on the normal advance path.
-    pub(crate) fn epoch_allocate(
-        &mut self,
-        peers: &[Peer],
-        ctx: &RoundCtx<'_>,
-        round: u64,
-    ) -> Result<f64, f64> {
-        self.rounds += 1;
-        self.epoch.fresh = false;
-        let bucket = (round % EPOCH_RING as u64) as usize;
-        // Split borrows: the bucket's deltas vs the count/mask state.
-        let mut deltas = std::mem::take(&mut self.epoch.buckets[bucket].deltas);
-        let lane = &mut self.lanes[0];
-        lane.clear_outputs();
-        for d in deltas.drain(..) {
-            let k = usize::from(d.chunk);
-            lane.req_units[k] = (lane.req_units[k] as i64 + d.units) as u64;
-            let c = &mut self.epoch.chunk_active[k];
-            *c = (*c as i32 + i32::from(d.count)) as u32;
-            if *c == 0 {
-                self.epoch.active_mask &= !(1 << k);
-            } else {
-                self.epoch.active_mask |= 1 << k;
-            }
-        }
-        self.epoch.buckets[bucket].deltas = deltas;
-        let req_mask = self.epoch.active_mask;
-        if req_mask != 0 {
-            lane.finish(ctx, req_mask);
-        }
-        self.epoch.last_reserved = ctx.channel_reserved[lane.id];
-        self.epoch.last_scale = ctx.online_scale;
-        // Same running sum as `allocate` over the (single) lane.
-        let mut used = 0.0;
-        let mut m = lane.written_mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            m &= m - 1;
-            used += lane.cloud_served[k];
-        }
-        let mut exact = true;
-        let mut m = lane.written_mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if lane.ratio[k] != 1.0 {
-                exact = false;
-                break;
-            }
-        }
-        if exact {
-            Ok(used)
-        } else {
-            self.epoch_materialize(peers, round);
-            Err(used)
-        }
-    }
-
-    /// Surfaces the epoch round's events: the ring bucket's virtual
-    /// completions (their slab slots stay claimed — the post-completion
-    /// state handlers reuse them) and the pre-drained wakes, each in
-    /// ascending peer order — exactly the sets and order the normal
-    /// advance-plus-drain path would produce.
-    pub(crate) fn epoch_events(
-        &mut self,
-        round: u64,
-        completed: &mut Vec<usize>,
-        woken: &mut Vec<usize>,
-    ) {
-        let bucket = (round % EPOCH_RING as u64) as usize;
-        let mut completes = std::mem::take(&mut self.epoch.buckets[bucket].completes);
-        completed.extend(
-            completes
-                .drain(..)
-                .map(|slot| self.wake_slab[slot as usize] as usize),
-        );
-        self.epoch.buckets[bucket].completes = completes;
-        completed.sort_unstable();
-        woken.extend_from_slice(&self.epoch_woken);
-    }
-
-    /// Appends the wakes pre-drained by `epoch_begin_round` to `woken`
-    /// (used on the in-round break path, where `advance_round`'s own
-    /// drain finds the wheel already empty for this round).
-    pub(crate) fn take_epoch_woken(&mut self, woken: &mut Vec<usize>) {
-        woken.extend_from_slice(&self.epoch_woken);
-        woken.sort_unstable();
-        self.epoch_woken.clear();
-    }
-
-    /// Records whether the epoch round just finished was event-free
-    /// (feeds the P2P skip condition: owners/pool unchanged).
-    pub(crate) fn epoch_end_round(&mut self, had_events: bool) {
-        self.epoch.quiet = !had_events;
-    }
-
-    /// Exits the epoch, rebuilding the download index: every virtual
-    /// download's bytes-left is fast-forwarded `k = round − origin`
-    /// rounds by replaying the exact recurrence (every replayed round
-    /// verifiably ran at ratio 1.0, so this is bit-identical to `k`
-    /// single-round advances), and the round then continues on the
-    /// normal path. All remaining ring entries are discarded and the
-    /// incremental demand state is zeroed.
-    pub(crate) fn epoch_materialize(&mut self, peers: &[Peer], round: u64) {
-        debug_assert!(self.epoch.active);
-        let (step, inv_step, vm_bw) = (self.epoch.step, self.epoch.inv_step, self.epoch.vm_bw);
-        for bucket in 0..EPOCH_RING {
-            let mut completes = std::mem::take(&mut self.epoch.buckets[bucket].completes);
-            for slot in completes.drain(..) {
-                let idx = self.wake_slab[slot as usize] as usize;
-                let PeerState::Downloading { chunk, .. } = peers[idx].state() else {
-                    unreachable!("virtual downloads keep their peers in Downloading");
-                };
-                let k = round - self.epoch.virt_round[slot as usize];
-                let mut b = self.epoch.virt_bytes[slot as usize];
-                for _ in 0..k {
-                    let u = quantize_rate(b, inv_step, vm_bw);
-                    b -= dequantize(u) * step;
-                    debug_assert!(b > 1e-6, "completion was scheduled before round {round}");
-                }
-                if self.record_catchup {
-                    self.catchup.push(k as u32);
-                }
-                let lane = &mut self.lanes[0];
-                self.dl_slot[idx] = lane.dl.len() as u32;
-                lane.dl.push(DlEntry {
-                    idx: idx as u32,
-                    chunk: chunk as u32,
-                    bytes: b,
-                });
-                self.free_slots.push(slot);
-            }
-            self.epoch.buckets[bucket].completes = completes;
-            self.epoch.buckets[bucket].deltas.clear();
-        }
-        for k in 0..self.max_chunks {
-            self.lanes[0].req_units[k] = 0;
-            self.epoch.chunk_active[k] = 0;
-        }
-        self.epoch.active_mask = 0;
-        self.epoch.active = false;
-    }
-
-    /// Enables catch-up span recording (telemetry-enabled runs only;
-    /// recording is a pure side channel).
-    pub(crate) fn set_catchup_recording(&mut self, on: bool) {
-        self.record_catchup = on;
-    }
-
-    /// Catch-up spans recorded at materializations (rounds each virtual
-    /// download was fast-forwarded), for `hist/catchup_k`.
-    pub(crate) fn catchup_spans(&self) -> &[u32] {
-        &self.catchup
-    }
 }
 
 impl RoundEngine for IndexedEngine {
@@ -1759,15 +1179,6 @@ impl RoundEngine for IndexedEngine {
         else {
             unreachable!("peers join downloading their start chunk");
         };
-        if self.epoch.active {
-            // Mid-epoch arrival: its download is virtual from the start,
-            // contributing demand in the round being ingested.
-            let round = self.epoch.round;
-            let slot = self.alloc_slot(idx);
-            self.dl_slot.push(slot);
-            self.schedule_virtual(slot, chunk, bytes_left, round);
-            return;
-        }
         self.dl_slot.push(lane.dl.len() as u32);
         lane.dl.push(DlEntry {
             idx: idx as u32,
@@ -1791,16 +1202,6 @@ impl RoundEngine for IndexedEngine {
         _deadline: f64,
     ) {
         debug_assert_eq!(self.dl_slot[idx], DL_NONE, "peer was not downloading");
-        if self.epoch.active {
-            // A drained waiter restarts mid-epoch: schedule the fresh
-            // chunk's virtual trajectory from next round (this round's
-            // demand pass already ran).
-            let round = self.epoch.round;
-            let slot = self.alloc_slot(idx);
-            self.dl_slot[idx] = slot;
-            self.schedule_virtual(slot, chunk, bytes_left, round + 1);
-            return;
-        }
         let lane = &mut self.lanes[channel - self.base];
         self.dl_slot[idx] = lane.dl.len() as u32;
         lane.dl.push(DlEntry {
@@ -1818,21 +1219,6 @@ impl RoundEngine for IndexedEngine {
         bytes_left: f64,
         _deadline: f64,
     ) {
-        if self.epoch.active {
-            // A virtual download completed and its peer immediately
-            // started the next chunk: reuse the slab slot for the new
-            // virtual schedule. `advance_playback` guarantees this is
-            // always a genuine restart (`start_chunk` ran), never the
-            // stale resync of a departing peer: a completion's
-            // `play_end` is at least one chunk duration in the future,
-            // so immediate departures cannot reach this hook in-epoch.
-            debug_assert_eq!(bytes_left, self.epoch.chunk_bytes);
-            let round = self.epoch.round;
-            let slot = self.dl_slot[idx];
-            debug_assert_ne!(slot, DL_NONE);
-            self.schedule_virtual(slot, chunk, bytes_left, round + 1);
-            return;
-        }
         let pos = self.dl_slot[idx] as usize;
         let entry = &mut self.lanes[channel - self.base].dl[pos];
         debug_assert_eq!(entry.idx as usize, idx, "download index is consistent");
@@ -1841,17 +1227,6 @@ impl RoundEngine for IndexedEngine {
     }
 
     fn on_download_stopped(&mut self, channel: usize, idx: usize, _id: u64, wake_at: f64) {
-        if self.epoch.active {
-            // A virtual download completed and its peer went back to
-            // waiting: the slab slot it already holds simply becomes its
-            // wait slot (the ring's completion entry for it was consumed
-            // this round, so nothing dangles).
-            let slot = self.dl_slot[idx];
-            debug_assert_ne!(slot, DL_NONE);
-            debug_assert_eq!(self.wake_slab[slot as usize] as usize, idx);
-            self.wheel.push(slot, wake_at);
-            return;
-        }
         let lane = &mut self.lanes[channel - self.base];
         let pos = self.dl_slot[idx] as usize;
         debug_assert_eq!(lane.dl[pos].idx as usize, idx);
@@ -1885,14 +1260,7 @@ impl RoundEngine for IndexedEngine {
                 lane.owner_units[chunk] -= usable;
             }
         }
-        if self.epoch.active {
-            // In-epoch departures are always drained waiters (a
-            // completion's `play_end` is at least one chunk duration
-            // ahead of the clock, so completions never depart in the
-            // same round) — no download-index entry, no slab slot, no
-            // pending ring entries.
-            debug_assert_eq!(self.dl_slot[idx], DL_NONE);
-        } else if matches!(removed.state(), PeerState::Downloading { .. }) {
+        if matches!(removed.state(), PeerState::Downloading { .. }) {
             let pos = self.dl_slot[idx] as usize;
             debug_assert_eq!(lane.dl[pos].idx as usize, idx);
             lane.dl.swap_remove(pos);
@@ -1916,15 +1284,12 @@ impl RoundEngine for IndexedEngine {
             let moved = &peers[last];
             let slot = self.dl_slot[idx];
             if slot != DL_NONE {
-                if !self.epoch.active && matches!(moved.state(), PeerState::Downloading { .. }) {
+                if matches!(moved.state(), PeerState::Downloading { .. }) {
                     let entry = &mut self.lanes[moved.channel() - self.base].dl[slot as usize];
                     debug_assert_eq!(entry.idx as usize, last);
                     entry.idx = idx as u32;
                 } else {
-                    // Waiting peers always live in the slab; in-epoch so
-                    // do downloading peers (their downloads are virtual,
-                    // keyed by slab slot — ring entries reference the
-                    // slot, so only the slab needs re-keying).
+                    // Waiting peers live in the slab.
                     debug_assert_eq!(self.wake_slab[slot as usize] as usize, last);
                     self.wake_slab[slot as usize] = idx as u32;
                 }
@@ -1932,23 +1297,9 @@ impl RoundEngine for IndexedEngine {
         }
     }
 
-    fn allocate(&mut self, peers: &[Peer], ctx: &RoundCtx<'_>) -> f64 {
+    fn allocate(&mut self, _peers: &[Peer], ctx: &RoundCtx<'_>) -> f64 {
         self.rounds += 1;
-        if peers.len() >= PAR_MIN_PEERS && self.lanes.len() > 1 {
-            // Contiguous channel groups across threads. Channels never
-            // share an accumulator, so scheduling cannot affect results.
-            let threads = rayon::current_num_threads().min(self.lanes.len()).max(1);
-            let group = self.lanes.len().div_ceil(threads);
-            rayon::scope(|s| {
-                for lanes in self.lanes.chunks_mut(group) {
-                    s.spawn(move |_| {
-                        for lane in lanes {
-                            lane.process(ctx);
-                        }
-                    });
-                }
-            });
-        } else if self.lanes.len() == 1 && self.sub_lanes(self.lanes[0].dl.len()) > 1 {
+        if self.lanes.len() == 1 && self.sub_lanes(self.lanes[0].dl.len()) > 1 {
             // A hot single-channel shard: fan the demand scan out over
             // fixed-order sub-lanes (bit-identical by integer-sum
             // reassociation; see `process_split`).
@@ -2909,14 +2260,14 @@ mod tests {
         );
     }
 
-    /// The channel-parallel allocation path (engaged above
-    /// `PAR_MIN_PEERS`) must produce exactly the same per-slot rates as
-    /// the reference engine's sequential scan.
+    /// On a large multi-channel population the indexed engine's
+    /// allocation stage produces exactly the same per-slot rates as the
+    /// reference engine's full scan.
     #[test]
-    fn parallel_allocation_is_bit_identical_to_scan() {
+    fn large_population_allocation_is_bit_identical_to_scan() {
         let n_channels = 5;
         let max_chunks = 16;
-        let n_peers = PAR_MIN_PEERS + 1024;
+        let n_peers = 17_408;
         let mut scan = ScanEngine::new(n_channels, max_chunks);
         let mut indexed = IndexedEngine::new(n_channels, max_chunks, 0.85, 10.0);
         let mut peers: Vec<Peer> = Vec::new();

@@ -106,7 +106,6 @@ pub const SPECS: &[Spec] = &[
     h("hist/lane_wall_ns", "ns"),
     c("quiesce/rounds_skipped", "count"),
     c("quiesce/dirty_channels", "count"),
-    h("hist/catchup_k", "count"),
 ];
 
 /// `stage/provisioning` — fault boundaries + the provisioning block.
@@ -201,17 +200,14 @@ pub const STAGE_REGION_STEP: MetricId = MetricId(41);
 /// giant-channel lane fan-out (one observation per scratch lane on
 /// sampled rounds; see `LANE_WALL_SAMPLE` in the simulator).
 pub const HIST_LANE_WALL: MetricId = MetricId(42);
-/// `quiesce/rounds_skipped` — shard-rounds the quiescent-epoch engine
-/// skipped outright (summed over channels; the engagement proof the
-/// invariance proptest checks).
+/// `quiesce/rounds_skipped` — always 0. The round-skipping engine that
+/// counted skipped shard-rounds here was removed (every shard steps
+/// every round); the slot stays because the repository benchmark
+/// (`perfbench/src/layers.rs`) still reads it.
 pub const QUIESCE_ROUNDS_SKIPPED: MetricId = MetricId(43);
-/// `quiesce/dirty_channels` — quiescent epochs exited because an input
-/// was dirtied (a served ratio left 1.0, or the round step left the
-/// quantization grid), summed over channels.
+/// `quiesce/dirty_channels` — always 0, kept for the same reason as
+/// [`QUIESCE_ROUNDS_SKIPPED`].
 pub const QUIESCE_DIRTY_CHANNELS: MetricId = MetricId(44);
-/// `hist/catchup_k` — rounds each virtual download was fast-forwarded
-/// when its epoch materialized.
-pub const HIST_CATCHUP_K: MetricId = MetricId(45);
 
 /// A live registry over the simulator catalog; with `trace` the
 /// explicit span call sites also buffer Chrome trace events.
@@ -325,12 +321,11 @@ mod tests {
             (HIST_LANE_WALL, "hist/lane_wall_ns"),
             (QUIESCE_ROUNDS_SKIPPED, "quiesce/rounds_skipped"),
             (QUIESCE_DIRTY_CHANNELS, "quiesce/dirty_channels"),
-            (HIST_CATCHUP_K, "hist/catchup_k"),
         ];
         for &(id, name) in pairs {
             assert_eq!(SPECS[id.0].name, name);
         }
-        assert_eq!(SPECS.len(), 46);
+        assert_eq!(SPECS.len(), 45);
     }
 
     #[test]

@@ -1,13 +1,9 @@
-//! Golden-run pinning for the steady-state mega-catalog scenario — the
-//! workload the quiescence-aware epoch engine exists for. The committed
-//! config is a small Zipf catalog under a plain diurnal profile (no
-//! flash crowds), so most channels settle into fully-served epochs and
-//! the sharded engine skips the bulk of their rounds; the golden
-//! `Metrics` JSON therefore pins the *epoch* code path end to end —
-//! entry, skipping, closed-form catch-up, and materialization — not
-//! just the stepped path. An engagement assertion keeps the pin honest:
-//! if quiescence stops engaging, the test fails rather than silently
-//! pinning the ordinary path.
+//! Golden-run pinning for the steady-state mega-catalog scenario: a
+//! small Zipf catalog under a plain diurnal profile (no flash crowds)
+//! on the sharded engine. The committed `Metrics` JSON was blessed from
+//! a run of the round-skipping engine that has since been removed; the
+//! stepped path reproduces it byte for byte, so the fixture also pins
+//! that every shard stepping every round changed no result.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -23,7 +19,6 @@ use std::path::PathBuf;
 use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::metrics::Metrics;
 use cloudmedia_sim::simulator::Simulator;
-use cloudmedia_sim::telem;
 
 fn fixture_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,7 +32,7 @@ fn blessing() -> bool {
 
 /// The scenario: a 16-channel Zipf mega catalog at a population small
 /// enough to keep the suite fast, over a horizon long enough to cross
-/// several provisioning intervals and let steady channels quiesce.
+/// several provisioning intervals and let channels settle.
 fn fixture_config() -> SimConfig {
     let mut cfg = SimConfig::scale_out(SimMode::ClientServer, 16, 1500.0).unwrap();
     cfg.trace.horizon_seconds = 3.0 * 3600.0;
@@ -87,33 +82,10 @@ fn fixture_config_matches_the_committed_json() {
     committed.validate().unwrap();
 }
 
-/// The sharded engine with quiescence engaged matches the committed
-/// golden, and the epoch engine demonstrably did the work (rounds were
-/// skipped, so the golden pins the fast-forward arithmetic).
+/// The sharded engine matches the committed golden.
 #[test]
 fn sharded_engine_matches_the_steady_golden() {
-    let tel = telem::new_registry(false);
-    let run = Simulator::new(fixture_config())
-        .unwrap()
-        .run_with_telemetry(&tel)
-        .unwrap();
-    assert!(
-        run.metrics.peak_peers() > 0,
-        "the scenario exercised nobody"
-    );
-    assert!(
-        tel.snapshot().value(telem::QUIESCE_ROUNDS_SKIPPED) > 0,
-        "quiescence never engaged — the golden would pin the wrong path"
-    );
-    assert_matches_golden(&run.metrics, "steady_sharded.json");
-}
-
-/// The same scenario with quiescence disabled reproduces the same
-/// golden byte for byte — the epoch engine is a pure optimization.
-#[test]
-fn no_quiesce_matches_the_same_steady_golden() {
-    let mut cfg = fixture_config();
-    cfg.quiescence = false;
-    let metrics = Simulator::new(cfg).unwrap().run().unwrap();
+    let metrics = Simulator::new(fixture_config()).unwrap().run().unwrap();
+    assert!(metrics.peak_peers() > 0, "the scenario exercised nobody");
     assert_matches_golden(&metrics, "steady_sharded.json");
 }
