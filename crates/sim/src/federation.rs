@@ -68,6 +68,7 @@ use crate::error::{invalid_param, SimError};
 use crate::faults::FaultStats;
 use crate::metrics::Metrics;
 use crate::peer::Peer;
+use crate::sharded::MAX_SEGMENT_ROUNDS;
 use crate::simulator::{
     bootstrap_stats, interval_record, make_planner, process_round_events, sample, IndexedEngine,
     Planner, RoundCtx, RoundEngine, ScanEngine,
@@ -100,13 +101,14 @@ pub struct FederatedConfig {
     pub sites: Vec<SiteSpec>,
     /// The placement policy.
     pub policy: FederationPolicy,
-    /// Run the per-region round engines on the rayon pool (default).
-    /// Regions never share an accumulator inside a round and every
-    /// cross-region coupling (global placement, site online fractions)
-    /// happens at synchronization barriers, so the parallel and serial
-    /// executions are **bit-identical** — pinned by
-    /// `crates/sim/tests/federation.rs`. Disable to force serial
-    /// execution (debugging, single-core baselines).
+    /// Run the per-region round engines and controller plans on the
+    /// rayon pool (default). Regions never share an accumulator inside
+    /// a segment of rounds and every cross-region coupling (global
+    /// placement, site online fractions) happens at synchronization
+    /// barriers, so the parallel and serial executions are
+    /// **bit-identical** — pinned by `crates/sim/tests/federation.rs`.
+    /// Disable to force serial execution (debugging, single-core
+    /// baselines).
     ///
     /// ```
     /// use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
@@ -452,12 +454,69 @@ struct RegionRuntime {
     removals: Vec<usize>,
     completed: Vec<usize>,
     woken: Vec<usize>,
-    // Telemetry accumulators (side channel only; populated in
-    // telemetry-enabled runs, reduced in region order at run end).
-    /// Wall time this region spent stepping rounds, ns.
+    // Telemetry accumulators (side channel only; reduced in region
+    // order at run end).
+    /// Wall time this region spent stepping segments (its rounds and
+    /// sample flushes; not the cloud ticks), ns. Telemetry-enabled runs
+    /// only.
     wall_ns: u64,
     /// High-water mark of this region's connected viewers.
     peak_peers: usize,
+}
+
+/// One round of a federated segment as the coordinator pre-stepped it.
+#[derive(Debug, Clone, Copy)]
+struct SegmentRound {
+    /// The round's end, seconds.
+    t1: f64,
+    /// The round's length, seconds (the last round may be cut short).
+    step: f64,
+    /// True when the round closes a sampling window.
+    sample: bool,
+}
+
+/// The coordinator's record of one segment: what each region reads
+/// while it steps the segment's rounds. Rows are round-major, one entry
+/// per site.
+#[derive(Debug)]
+struct Segment {
+    /// Sites per row.
+    sites: usize,
+    rounds: Vec<SegmentRound>,
+    /// Each round's `site_online` row: the fraction of each site's
+    /// target fleet running at the round's start (0 for a down site).
+    site_online: Vec<f64>,
+    /// Each site's running bandwidth after the round's cloud tick — what
+    /// a sample taken at the round's end reports as reserved.
+    running: Vec<f64>,
+}
+
+/// Runs `f` on every region — one pool task per region when `parallel`,
+/// inline in region order otherwise — and returns the results in region
+/// order, so a caller reducing them (errors included) sees the same
+/// sequence either way.
+fn map_regions<T, F>(parallel: bool, regions: &mut [RegionRuntime], f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &mut RegionRuntime) -> T + Sync,
+{
+    if !parallel || regions.len() <= 1 {
+        return regions
+            .iter_mut()
+            .enumerate()
+            .map(|(j, r)| f(j, r))
+            .collect();
+    }
+    let mut out: Vec<Option<T>> = regions.iter().map(|_| None).collect();
+    let f = &f;
+    rayon::scope(|s| {
+        for ((j, r), slot) in regions.iter_mut().enumerate().zip(out.iter_mut()) {
+            s.spawn(move |_| *slot = Some(f(j, r)));
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every region task ran"))
+        .collect()
 }
 
 impl std::fmt::Debug for RegionRuntime {
@@ -622,14 +681,17 @@ impl FederatedSimulator {
         let mut site_mask = vec![false; n_sites];
 
         let telemetry_on = tel.enabled();
-        let mut clk = tel.stage_clock_sampled(telem::STAGE_TIME_SAMPLE);
+        // Segments are long enough to time every one of them.
+        let mut clk = tel.stage_clock();
         let mut rounds_total = 0u64;
+        let mut seg = Segment {
+            sites: n_sites,
+            rounds: Vec::with_capacity(MAX_SEGMENT_ROUNDS),
+            site_online: Vec::with_capacity(MAX_SEGMENT_ROUNDS * n_sites),
+            running: Vec::with_capacity(MAX_SEGMENT_ROUNDS * n_sites),
+        };
 
         while clock < horizon {
-            let t1 = (clock + dt).min(horizon);
-            let step = t1 - clock;
-            clk.begin_round();
-
             // --- Global provisioning boundary ------------------------
             let mask = fc.base.faults.site_mask(n_sites, clock);
             if clock >= next_provision {
@@ -654,62 +716,69 @@ impl FederatedSimulator {
             }
             clk.lap(telem::STAGE_PROVISIONING);
 
-            // --- Per-region round (arrivals → allocate → progress) ---
-            // Site online fractions feed every region's blended scale;
-            // computing them *before* the fan-out is the read barrier
-            // that keeps the parallel execution bit-identical to serial.
-            // A down site serves nothing, whatever its fleet state.
-            let site_online: Vec<f64> = regions
-                .iter()
-                .zip(&site_mask)
-                .map(|(r, &down)| {
-                    if down {
-                        0.0
-                    } else if r.site_target_bw > 0.0 {
-                        (r.cloud.running_bandwidth() / r.site_target_bw).min(1.0)
-                    } else {
-                        1.0
-                    }
-                })
-                .collect();
-            if fc.parallel_regions && regions.len() > 1 {
-                // Regions are fully independent within a round (no shared
-                // accumulator; coupling happens only at provisioning
-                // boundaries and through the pre-computed `site_online`
-                // snapshot), so the fan-out cannot reorder any
-                // arithmetic. Results are reduced in region order below,
-                // so even error reporting is deterministic.
-                let mut results: Vec<Result<(), SimError>> = Vec::new();
-                results.resize_with(regions.len(), || Ok(()));
-                let online = &site_online;
-                rayon::scope(|s| {
-                    for (r, slot) in regions.iter_mut().zip(results.iter_mut()) {
-                        s.spawn(move |_| {
-                            *slot = r.step_round_timed(telemetry_on, clock, t1, step, online);
-                        });
-                    }
-                });
-                for result in results {
-                    result?;
-                }
-            } else {
+            // --- Segment pre-step (coordinator, serial) --------------
+            // Regions couple only through the placement and the sites'
+            // boot progress, which depend on time and submissions, never
+            // on viewer state. So the coordinator ticks every site
+            // through the segment up front, recording each round's
+            // `site_online` row (the read barrier of a round-at-a-time
+            // loop) and each site's running bandwidth for the samples.
+            // A down site serves nothing, whatever its fleet state. The
+            // segment ends before the next provisioning round or site
+            // mask change, at the horizon, or at the cap.
+            seg.rounds.clear();
+            seg.site_online.clear();
+            seg.running.clear();
+            let mut t0 = clock;
+            loop {
+                let t1 = (t0 + dt).min(horizon);
+                seg.site_online
+                    .extend(regions.iter().zip(&site_mask).map(|(r, &down)| {
+                        if down {
+                            0.0
+                        } else if r.site_target_bw > 0.0 {
+                            (r.cloud.running_bandwidth() / r.site_target_bw).min(1.0)
+                        } else {
+                            1.0
+                        }
+                    }));
                 for r in regions.iter_mut() {
-                    r.step_round_timed(telemetry_on, clock, t1, step, &site_online)?;
+                    r.cloud.tick(t1)?;
+                    seg.running.push(r.cloud.running_bandwidth());
+                }
+                let sample = t1 >= next_sample || t1 >= horizon;
+                if sample {
+                    next_sample += sample_interval;
+                }
+                seg.rounds.push(SegmentRound {
+                    t1,
+                    step: t1 - t0,
+                    sample,
+                });
+                t0 = t1;
+                if t1 >= horizon
+                    || t1 >= next_provision
+                    || seg.rounds.len() == MAX_SEGMENT_ROUNDS
+                    || fc.base.faults.site_mask(n_sites, t1) != site_mask
+                {
+                    break;
                 }
             }
-            rounds_total += 1;
+            clk.lap(telem::STAGE_CLOUD);
+
+            // --- Per-region segments (arrivals → allocate → progress,
+            // samples) ------------------------------------------------
+            // Regions share no accumulator inside a segment and read
+            // only the pre-stepped rows, so the fan-out cannot reorder
+            // any arithmetic.
+            let seg_ref = &seg;
+            map_regions(fc.parallel_regions, &mut regions, |j, r| {
+                r.step_segment(j, seg_ref, telemetry_on);
+            });
+            rounds_total += seg.rounds.len() as u64;
             clk.lap(telem::STAGE_REGION_STEP);
 
-            // --- Sampling --------------------------------------------
-            if t1 >= next_sample || t1 >= horizon {
-                for r in regions.iter_mut() {
-                    r.flush_sample(t1);
-                }
-                next_sample += sample_interval;
-            }
-            clk.lap(telem::STAGE_SAMPLING);
-
-            clock = t1;
+            clock = t0;
         }
 
         // Close out billing and assemble outcomes.
@@ -723,10 +792,6 @@ impl FederatedSimulator {
                 })
                 .collect();
             tel.push_table("regions", &["wall_ns", "peers_final", "peak_peers"], rows);
-            tel.gauge_max(
-                telem::PEERS_PEAK,
-                regions.iter().map(|r| r.peers.len() as u64).sum(),
-            );
         }
         let mut per_region = Vec::with_capacity(n_regions);
         let mut total_vm = 0.0;
@@ -754,17 +819,21 @@ impl FederatedSimulator {
         }
         clk.lap(telem::STAGE_REDUCE);
         drop(run_span);
-        tel.add(telem::ROUNDS, rounds_total);
-        telem::record_fault_stats(tel, &stats);
-        globals.record_delta(tel);
-        Ok(FederatedMetrics {
+        let metrics = FederatedMetrics {
             per_region,
             total_vm_cost: total_vm,
             total_storage_cost: total_storage,
             total_transfer_cost: total_transfer,
             total_latency_penalty_cost: total_penalty,
             fault_stats: stats,
-        })
+        };
+        tel.add(telem::ROUNDS, rounds_total);
+        // The summed per-sample high-water mark, as the single-site
+        // engines record it.
+        tel.gauge_max(telem::PEERS_PEAK, metrics.peak_peers() as u64);
+        telem::record_fault_stats(tel, &metrics.fault_stats);
+        globals.record_delta(tel);
+        Ok(metrics)
     }
 
     /// One global provisioning boundary: per-region plans, the global
@@ -800,33 +869,20 @@ impl FederatedSimulator {
         }
 
         // 1. Per-region controller plans (identical to a single-site run,
-        //    including the tracker-dropout fallback).
+        //    including the tracker-dropout fallback). Each region plans
+        //    from its own tracker and controller, so the plans fan out
+        //    on the pool; results, errors and fallbacks are reduced in
+        //    region order.
         let dropout = faults.dropout_active(clock);
+        let outcomes = map_regions(fc.parallel_regions, regions, |_, r| {
+            r.plan_interval(dropout, price_factor)
+        });
         let mut plans = Vec::with_capacity(n);
         let mut site_prices = Vec::with_capacity(n);
-        for r in regions.iter_mut() {
-            let bootstrap = r.metrics.intervals.is_empty();
-            let sla = r.cloud.sla_terms();
-            let planning_sla = if price_factor == 1.0 {
-                sla
-            } else {
-                sla.with_vm_price_factor(price_factor)
-            };
-            site_prices.push(planning_sla.bandwidth_price_per_bps_hour());
-            let plan = if !bootstrap && dropout && r.last_plan.is_some() {
-                // Measurements are dark: drain the tracker so collector
-                // state matches a fault-free run, replay the last plan.
-                let _ = r.tracker.interval_stats(r.cfg.provisioning_interval)?;
-                stats.fallback_intervals += 1;
-                r.last_plan.clone().expect("checked is_some above")
-            } else {
-                let interval_stats = if bootstrap {
-                    bootstrap_stats(&r.cfg.catalog, &r.cfg)
-                } else {
-                    r.tracker.interval_stats(r.cfg.provisioning_interval)?
-                };
-                r.planner.plan_interval(&interval_stats, &planning_sla)?
-            };
+        for outcome in outcomes {
+            let (plan, price, fell_back) = outcome?;
+            stats.fallback_intervals += u64::from(fell_back);
+            site_prices.push(price);
             plans.push(plan);
         }
 
@@ -1053,39 +1109,68 @@ fn apply_global_placement(
 }
 
 impl RegionRuntime {
-    /// One allocation round for this region: ingest arrivals, run the
-    /// engine's allocation stage, advance downloads, handle the round's
-    /// events, tick the site's cloud, and meter redirected traffic.
-    ///
-    /// [`RegionRuntime::step_round`] with optional wall-time and
-    /// peak-peer accounting (telemetry-enabled runs only — a pure side
-    /// channel either way).
-    fn step_round_timed(
+    /// This region's part of a provisioning boundary: its controller's
+    /// plan, exactly as in a single-site run, and its site's planning
+    /// price. While the tracker is dark the tracker is drained, so
+    /// collector state matches a fault-free run, and the last plan is
+    /// replayed; the flag reports that fallback.
+    fn plan_interval(
         &mut self,
-        time_it: bool,
-        t0: f64,
-        t1: f64,
-        step: f64,
-        site_online: &[f64],
-    ) -> Result<(), SimError> {
-        if time_it {
-            let start = std::time::Instant::now();
-            let r = self.step_round(t0, t1, step, site_online);
-            self.wall_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.peak_peers = self.peak_peers.max(self.peers.len());
-            r
+        dropout: bool,
+        price_factor: f64,
+    ) -> Result<(ProvisioningPlan, f64, bool), SimError> {
+        let sla = self.cloud.sla_terms();
+        let planning_sla = if price_factor == 1.0 {
+            sla
         } else {
-            self.step_round(t0, t1, step, site_online)
+            sla.with_vm_price_factor(price_factor)
+        };
+        let price = planning_sla.bandwidth_price_per_bps_hour();
+        let bootstrap = self.metrics.intervals.is_empty();
+        if !bootstrap && dropout {
+            if let Some(last) = &self.last_plan {
+                self.tracker
+                    .interval_stats(self.cfg.provisioning_interval)?;
+                return Ok((last.clone(), price, true));
+            }
+        }
+        let interval_stats = if bootstrap {
+            bootstrap_stats(&self.cfg.catalog, &self.cfg)
+        } else {
+            self.tracker
+                .interval_stats(self.cfg.provisioning_interval)?
+        };
+        let plan = self.planner.plan_interval(&interval_stats, &planning_sla)?;
+        Ok((plan, price, false))
+    }
+
+    /// Steps every round of a segment: each round reads its row of the
+    /// pre-stepped `site_online`, and a round that closes a sampling
+    /// window flushes the sample with this site's (`idx`) recorded
+    /// running bandwidth.
+    fn step_segment(&mut self, idx: usize, seg: &Segment, time_it: bool) {
+        let start = time_it.then(std::time::Instant::now);
+        for (round, (online, running)) in seg.rounds.iter().zip(
+            seg.site_online
+                .chunks_exact(seg.sites)
+                .zip(seg.running.chunks_exact(seg.sites)),
+        ) {
+            self.step_round(round.t1, round.step, online);
+            self.peak_peers = self.peak_peers.max(self.peers.len());
+            if round.sample {
+                self.flush_sample(round.t1, running[idx]);
+            }
+        }
+        if let Some(start) = start {
+            self.wall_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
     }
 
-    fn step_round(
-        &mut self,
-        _t0: f64,
-        t1: f64,
-        step: f64,
-        site_online: &[f64],
-    ) -> Result<(), SimError> {
+    /// One allocation round for this region: ingest arrivals, run the
+    /// engine's allocation stage, advance downloads, handle the round's
+    /// events, and meter redirected traffic. The site's cloud is ticked
+    /// by the coordinator.
+    fn step_round(&mut self, t1: f64, step: f64, site_online: &[f64]) {
         let chunk_bytes = self.chunk_bytes;
         // --- Arrivals ------------------------------------------------
         while let Some(a) = self.next_arrival.as_ref().filter(|a| a.time < t1) {
@@ -1159,9 +1244,6 @@ impl RegionRuntime {
             &mut self.window_startup_count,
         );
 
-        // --- Cloud lifecycle + billing -------------------------------
-        self.cloud.tick(t1)?;
-
         // --- Usage + redirection metering ----------------------------
         let used_bytes = used_cloud_rate * step;
         self.window_used += used_bytes;
@@ -1172,11 +1254,11 @@ impl RegionRuntime {
             self.transfer_cost += redirected * self.blended_egress_per_gb / 1e9;
             self.latency_penalty_cost += redirected * self.penalty_per_gb / 1e9;
         }
-        Ok(())
     }
 
-    /// Closes the current sampling window at `t1`.
-    fn flush_sample(&mut self, t1: f64) {
+    /// Closes the current sampling window at `t1`, reporting `reserved`
+    /// (the site's running bandwidth after the round's tick).
+    fn flush_sample(&mut self, t1: f64, reserved: f64) {
         let elapsed = (t1 - self.window_start).max(1e-9);
         let startup = if self.window_startup_count > 0 {
             self.window_startup_sum / self.window_startup_count as f64
@@ -1185,7 +1267,7 @@ impl RegionRuntime {
         };
         self.metrics.samples.push(sample(
             t1,
-            self.cloud.running_bandwidth(),
+            reserved,
             self.window_used / elapsed,
             startup,
             &self.peers,

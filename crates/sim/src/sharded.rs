@@ -15,16 +15,24 @@
 //!   collector, and its own behaviour RNG seeded with a splitmix child
 //!   of [`SimConfig::behaviour_seed`]
 //!   ([`cloudmedia_workload::trace::child_seed`]).
-//! - Every round, shards step independently — arrivals, allocation,
-//!   download progress, viewing-model events — and the run loop fans
-//!   them across the rayon worker pool when
-//!   [`SimConfig::parallel_channels`] is set.
+//! - Shards step independently — arrivals, allocation, download
+//!   progress, viewing-model events — through whole **segments** of
+//!   rounds, and the run loop fans the segment across the rayon worker
+//!   pool when [`SimConfig::parallel_channels`] is set: one pool
+//!   dispatch per segment, not per round. A segment runs up to the next
+//!   round that samples (sample assembly reads every shard), stops
+//!   before the next provisioning round (the controller reads every
+//!   shard's tracker), and holds at most [`MAX_SEGMENT_ROUNDS`] rounds.
+//! - The cloud depends only on time and submissions, never on viewer
+//!   state, so before the fan-out the coordinator pre-steps every round
+//!   of the segment: fault boundaries, the round's online scale, and
+//!   the cloud tick.
 //! - Everything the shards share is either **read-only during the
-//!   fan-out** (the catalog, the per-channel reservations, the online
-//!   scale — all snapshotted before dispatch, the same read-barrier
-//!   discipline the federated simulator uses) or **reduced in fixed
-//!   channel order after it** (the round's used cloud rate, interval
-//!   statistics, sample assembly).
+//!   fan-out** (the catalog, the per-channel reservations, each round's
+//!   pre-computed online scale — the same read-barrier discipline the
+//!   federated simulator uses) or **reduced in fixed channel order after
+//!   it** (each round's used cloud rate, replayed round by round;
+//!   interval statistics; sample assembly).
 //!
 //! # Determinism contract
 //!
@@ -40,6 +48,10 @@
 //!    sums, sample aggregation) is computed by the coordinator after the
 //!    barrier, iterating shards in ascending channel order — one fixed
 //!    f64 addition sequence regardless of which thread finished first.
+//!    Each shard writes its per-round used rate into its row of a
+//!    shards × rounds buffer, and the coordinator folds the buffer round
+//!    by round, so every addition happens in the order a round-at-a-time
+//!    loop would make it.
 //! 3. Each shard's RNG stream is a pure function of
 //!    `(behaviour_seed, channel id)`, and each shard's arrival stream is
 //!    a pure function of `(trace seed, channel id)` — neither depends on
@@ -52,7 +64,7 @@
 //! Amdahl-cap the whole run on one core. Each shard's engine may
 //! therefore fan its two per-round download passes (demand aggregation
 //! and advance) out over fixed-order **sub-lanes** — contiguous
-//! segments of the shard's download index — as nested rayon scopes.
+//! slices of the shard's download index — as nested rayon scopes.
 //! Idle workers steal lane jobs from hot shards off the shared pool
 //! queue (the vendored pool prefers same-scope jobs, so a worker
 //! blocked on its own shard helps that shard first). Determinism holds
@@ -100,16 +112,15 @@ use crate::simulator::{
 use crate::telem;
 use crate::tracker::summarize_channel;
 
-/// Per-shard wall times are sampled on every `SHARD_WALL_SAMPLE`-th
-/// round rather than every round: a shard's step costs about as much as
-/// a clock read, so timing every shard every round would dominate the
-/// telemetry budget. Sampled totals still rank the shards (the Zipf
-/// head channel dominates by orders of magnitude), which is what the
-/// imbalance table is for.
-const SHARD_WALL_SAMPLE: u64 = 64;
+/// The most rounds one segment holds. Segments normally end earlier,
+/// at the next sample (30 rounds at the paper's 10 s rounds and 5 min
+/// samples) or provisioning boundary; the cap bounds the shards ×
+/// rounds buffer of per-round used rates (≤ 1 KiB per shard) for any
+/// valid interval settings.
+pub(crate) const MAX_SEGMENT_ROUNDS: usize = 128;
 
 /// Minimum downloads per sub-lane in auto mode ([`SimConfig::lanes`]
-/// = 0): below ~8k entries a segment's demand scan finishes faster than
+/// = 0): below ~8k entries a sub-lane's demand scan finishes faster than
 /// pool dispatch costs, so only genuinely hot shards split.
 const LANE_MIN_AUTO: usize = 8192;
 
@@ -145,8 +156,6 @@ struct ChannelShard {
     removals: Vec<usize>,
     completed: Vec<usize>,
     woken: Vec<usize>,
-    /// Cloud rate used by this shard in the round just stepped.
-    round_used: f64,
     /// Arrivals refused by [`crate::faults::DegradeMode::ShedNewArrivals`]
     /// (cumulative; reduced in channel order at run end).
     shed: u64,
@@ -155,8 +164,8 @@ struct ChannelShard {
     startup_count: usize,
     // Telemetry accumulators (side channel only — reduced in channel
     // order at run end; the cheap integer ones run unconditionally, the
-    // wall clock only on sampled rounds of a telemetry-enabled run).
-    /// Sampled wall time spent in [`ChannelShard::step_round`], ns.
+    // wall clock once per segment of a telemetry-enabled run).
+    /// Wall time spent in [`ChannelShard::step_segment`], ns.
     wall_ns: u64,
     /// High-water mark of this shard's connected viewers.
     peak_peers: usize,
@@ -177,25 +186,56 @@ impl std::fmt::Debug for ChannelShard {
     }
 }
 
+/// One round of a segment as the coordinator pre-stepped it.
+#[derive(Debug, Clone, Copy)]
+struct SegmentRound {
+    /// The round's end, seconds.
+    t1: f64,
+    /// The round's length, seconds (the last round may be cut short).
+    step: f64,
+    /// `min(1, online / reserved)` at the round's start.
+    online_scale: f64,
+}
+
+/// What every shard reads, unchanged, while it steps a segment.
+struct SegmentEnv<'a> {
+    rounds: &'a [SegmentRound],
+    vm_bandwidth: f64,
+    eff: f64,
+    p2p: bool,
+    channel_reserved: &'a [f64],
+    catalog: &'a Catalog,
+    chunk_bytes: f64,
+    chunk_seconds: f64,
+    faults: &'a FaultSchedule,
+    /// Time each shard's segment into its wall accumulator.
+    time_it: bool,
+}
+
 impl ChannelShard {
+    /// Steps every round of a segment, writing each round's used cloud
+    /// rate into `used` (this shard's row of the segment buffer).
+    fn step_segment(&mut self, env: &SegmentEnv<'_>, used: &mut [f64]) {
+        let start = env.time_it.then(std::time::Instant::now);
+        for (round, used) in env.rounds.iter().zip(used) {
+            *used = self.step_round(round, env);
+        }
+        if let Some(start) = start {
+            self.wall_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+    }
+
     /// One allocation round for this shard: ingest arrivals, run the
     /// allocation stage, advance downloads, and handle the round's
     /// events — the exact per-round sequence of the single-site run
-    /// loop, confined to one channel.
-    fn step_round(
-        &mut self,
-        t1: f64,
-        ctx: &RoundCtx<'_>,
-        catalog: &Catalog,
-        chunk_bytes: f64,
-        chunk_seconds: f64,
-        faults: &FaultSchedule,
-    ) {
+    /// loop, confined to one channel. Returns the cloud rate used.
+    fn step_round(&mut self, round: &SegmentRound, env: &SegmentEnv<'_>) -> f64 {
+        let t1 = round.t1;
         while let Some(a) = self.next_arrival.as_ref().filter(|a| a.time < t1) {
             // Admission control under ShedNewArrivals: pure function of
             // the arrival timestamp and the (read-only) schedule, so the
             // decision is identical under any shard grouping.
-            if faults.shed_arrivals_at(a.time) {
+            if env.faults.shed_arrivals_at(a.time) {
                 self.shed += 1;
                 self.next_arrival = self.arrivals.next();
                 continue;
@@ -205,7 +245,7 @@ impl ChannelShard {
                 a.channel,
                 a.upload_bytes_per_sec,
                 a.start_chunk,
-                chunk_bytes,
+                env.chunk_bytes,
                 a.time,
             ));
             self.engine.on_join(&self.peers, self.peers.len() - 1);
@@ -217,12 +257,21 @@ impl ChannelShard {
         }
         self.peak_peers = self.peak_peers.max(self.peers.len());
 
-        self.round_used = self.engine.allocate(&self.peers, ctx);
+        let ctx = RoundCtx {
+            step: round.step,
+            inv_step: 1.0 / round.step,
+            vm_bandwidth: env.vm_bandwidth,
+            eff: env.eff,
+            p2p: env.p2p,
+            online_scale: round.online_scale,
+            channel_reserved: env.channel_reserved,
+        };
+        let used = self.engine.allocate(&self.peers, &ctx);
         self.completed.clear();
         self.woken.clear();
         self.engine.advance_round(
             &mut self.peers,
-            ctx,
+            &ctx,
             t1,
             &mut self.completed,
             &mut self.woken,
@@ -235,37 +284,16 @@ impl ChannelShard {
             &mut self.removals,
             &mut self.collector,
             &mut self.rng,
-            catalog,
-            chunk_bytes,
-            chunk_seconds,
+            env.catalog,
+            env.chunk_bytes,
+            env.chunk_seconds,
             t1,
             &mut self.startup_sum,
             &mut self.startup_count,
         );
         self.n_completed += self.completed.len() as u64;
         self.n_woken += self.woken.len() as u64;
-    }
-
-    /// [`ChannelShard::step_round`], optionally timing the step into the
-    /// shard's sampled wall accumulator.
-    #[allow(clippy::too_many_arguments)]
-    fn step_round_timed(
-        &mut self,
-        time_it: bool,
-        t1: f64,
-        ctx: &RoundCtx<'_>,
-        catalog: &Catalog,
-        chunk_bytes: f64,
-        chunk_seconds: f64,
-        faults: &FaultSchedule,
-    ) {
-        if time_it {
-            let t0 = std::time::Instant::now();
-            self.step_round(t1, ctx, catalog, chunk_bytes, chunk_seconds, faults);
-            self.wall_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        } else {
-            self.step_round(t1, ctx, catalog, chunk_bytes, chunk_seconds, faults);
-        }
+        used
     }
 }
 
@@ -367,7 +395,6 @@ fn run_inner(
             removals: Vec::new(),
             completed: Vec::new(),
             woken: Vec::new(),
-            round_used: 0.0,
             shed: 0,
             startup_sum: 0.0,
             startup_count: 0,
@@ -390,16 +417,18 @@ fn run_inner(
     let mut channel_reserved = vec![0.0_f64; n_channels];
     let mut reserved_total = 0.0_f64;
 
+    // Segment scratch, reused: the pre-stepped rounds and the shards ×
+    // rounds buffer of per-round used rates (shard-major rows).
+    let mut rounds: Vec<SegmentRound> = Vec::with_capacity(MAX_SEGMENT_ROUNDS);
+    let mut round_used: Vec<f64> = Vec::new();
+
     let run_span = tel.span(telem::RUN_WALL);
-    let mut clk = tel.stage_clock_sampled(telem::STAGE_TIME_SAMPLE);
+    // Segments are long enough to time every one of them.
+    let mut clk = tel.stage_clock();
     let mut round_idx: u64 = 0;
     let mut peers_peak = 0u64;
 
     while clock < horizon {
-        let t1 = (clock + dt).min(horizon);
-        let step = t1 - clock;
-        clk.begin_round();
-
         // --- Fault boundaries (coordinator, serial) ------------------
         fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
 
@@ -493,24 +522,58 @@ fn run_inner(
         }
         clk.lap(telem::STAGE_PROVISIONING);
 
-        // --- Round fan-out -------------------------------------------
-        // Everything the shards read is snapshotted here (the read
-        // barrier): the reservations, the online scale, the context.
-        let online_scale = if reserved_total > 0.0 {
-            (cloud.running_bandwidth() / reserved_total).min(1.0)
-        } else {
-            0.0
-        };
-        let ctx = RoundCtx {
-            step,
-            inv_step: 1.0 / step,
+        // --- Segment pre-step (coordinator, serial) ------------------
+        // The cloud reads no viewer state, so every round's fault
+        // boundaries, online scale and tick run here, ahead of the
+        // shards, in the order a round-at-a-time loop makes them. The
+        // segment ends at the round that samples, before the next
+        // provisioning round, or at the cap.
+        rounds.clear();
+        let mut t0 = clock;
+        loop {
+            if !rounds.is_empty() {
+                fault_driver.apply_due(t0, &mut cloud, &last_plan_targets)?;
+            }
+            let t1 = (t0 + dt).min(horizon);
+            let online_scale = if reserved_total > 0.0 {
+                (cloud.running_bandwidth() / reserved_total).min(1.0)
+            } else {
+                0.0
+            };
+            cloud.tick(t1)?;
+            rounds.push(SegmentRound {
+                t1,
+                step: t1 - t0,
+                online_scale,
+            });
+            t0 = t1;
+            if t1 >= next_sample
+                || t1 >= horizon
+                || t1 >= next_provision
+                || rounds.len() == MAX_SEGMENT_ROUNDS
+            {
+                break;
+            }
+        }
+        clk.lap(telem::STAGE_CLOUD);
+
+        // --- Segment fan-out -----------------------------------------
+        // Everything the shards read is fixed for the whole segment (the
+        // read barrier): the reservations, each round's online scale.
+        let n_rounds = rounds.len();
+        round_used.resize(n_channels * n_rounds, 0.0);
+        let env = SegmentEnv {
+            rounds: &rounds,
             vm_bandwidth,
             eff: cfg.peer_efficiency,
             p2p: cfg.mode == SimMode::P2p,
-            online_scale,
             channel_reserved: &channel_reserved,
+            catalog,
+            chunk_bytes,
+            chunk_seconds: cfg.chunk_seconds,
+            faults: &cfg.faults,
+            time_it: tel.enabled(),
         };
-        let time_shards = tel.enabled() && round_idx.is_multiple_of(SHARD_WALL_SAMPLE);
         if cfg.parallel_channels && shards.len() > 1 {
             // Several groups per worker so the Zipf-skewed head
             // channels level out across the pool (workers pull groups
@@ -519,53 +582,39 @@ fn run_inner(
             let group = group_override
                 .unwrap_or_else(|| shards.len().div_ceil(tasks))
                 .max(1);
-            let ctx_ref = &ctx;
-            let faults = &cfg.faults;
+            let env = &env;
             rayon::scope(|s| {
-                for chunk in shards.chunks_mut(group) {
+                for (chunk, used) in shards
+                    .chunks_mut(group)
+                    .zip(round_used.chunks_mut(group.saturating_mul(n_rounds)))
+                {
                     s.spawn(move |_| {
-                        for shard in chunk {
-                            shard.step_round_timed(
-                                time_shards,
-                                t1,
-                                ctx_ref,
-                                catalog,
-                                chunk_bytes,
-                                cfg.chunk_seconds,
-                                faults,
-                            );
+                        for (shard, row) in chunk.iter_mut().zip(used.chunks_mut(n_rounds)) {
+                            shard.step_segment(env, row);
                         }
                     });
                 }
             });
         } else {
-            for shard in shards.iter_mut() {
-                shard.step_round_timed(
-                    time_shards,
-                    t1,
-                    &ctx,
-                    catalog,
-                    chunk_bytes,
-                    cfg.chunk_seconds,
-                    &cfg.faults,
-                );
+            for (shard, row) in shards.iter_mut().zip(round_used.chunks_mut(n_rounds)) {
+                shard.step_segment(&env, row);
             }
         }
-        round_idx += 1;
+        round_idx += n_rounds as u64;
         clk.lap(telem::STAGE_SHARD_STEP);
 
-        // --- Channel-order reduction ---------------------------------
-        let mut used_cloud_rate = 0.0_f64;
-        for shard in &shards {
-            used_cloud_rate += shard.round_used;
+        // --- Channel-order reduction, round by round -----------------
+        for (k, round) in rounds.iter().enumerate() {
+            let mut used_cloud_rate = 0.0_f64;
+            for row in round_used.chunks_exact(n_rounds) {
+                used_cloud_rate += row[k];
+            }
+            window_used += used_cloud_rate * round.step;
         }
         clk.lap(telem::STAGE_REDUCE);
 
-        cloud.tick(t1)?;
-        window_used += used_cloud_rate * step;
-        clk.lap(telem::STAGE_CLOUD);
-
-        // --- Sampling ------------------------------------------------
+        // --- Sampling (the segment's last round) ---------------------
+        let t1 = t0;
         if t1 >= next_sample || t1 >= horizon {
             let elapsed = (t1 - window_start).max(1e-9);
             let s = assemble_sample(
@@ -613,8 +662,7 @@ fn run_inner(
                 tel.observe(telem::HIST_LANE_WALL, w);
             }
         }
-        // Shard-imbalance table and aggregates, in channel order. Wall
-        // times are sampled (see `SHARD_WALL_SAMPLE`).
+        // Shard-imbalance table and aggregates, in channel order.
         let mut admitted = 0u64;
         let mut n_completed = 0u64;
         let mut n_woken = 0u64;
@@ -635,7 +683,7 @@ fn run_inner(
             .collect();
         tel.push_table(
             "shards",
-            &["channel", "wall_ns_sampled", "peers_final", "peak_peers"],
+            &["channel", "wall_ns", "peers_final", "peak_peers"],
             rows,
         );
         tel.add(telem::ARRIVALS_ADMITTED, admitted);

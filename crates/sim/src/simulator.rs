@@ -573,7 +573,7 @@ struct DlEntry {
 /// Per-sub-lane scratch for the split (parallel) demand and advance
 /// passes over one hot channel's download index: a private fixed-point
 /// demand accumulator, the chunk mask it wrote, the completions its
-/// segment produced, and a sampled wall-time counter for the
+/// slice produced, and a sampled wall-time counter for the
 /// `hist/lane_wall_ns` telemetry histogram.
 #[derive(Debug)]
 struct LaneScratch {
@@ -583,7 +583,7 @@ struct LaneScratch {
     req_units: Vec<u64>,
     /// Chunk slots this sub-lane wrote in `req_units`.
     mask: u64,
-    /// Peer indices whose download completed in this sub-lane's segment.
+    /// Peer indices whose download completed in this sub-lane's slice.
     completed: Vec<u32>,
     /// Sampled wall time spent in this sub-lane, nanoseconds.
     wall_ns: u64,
@@ -699,10 +699,10 @@ impl ChannelLane {
 
     /// Split variant of [`ChannelLane::process`] for a hot channel: the
     /// demand scan fans out over `scratch.len()` contiguous sub-lanes
-    /// (fixed-order segments of the download index) on the rayon pool;
+    /// (fixed-order slices of the download index) on the rayon pool;
     /// each sub-lane accumulates private fixed-point partials, which are
     /// folded back in sub-lane order. The demand sums are integers, so
-    /// segmentation and thread count cannot change a single bit of the
+    /// the slicing and thread count cannot change a single bit of the
     /// totals — this path is exactly [`ChannelLane::process`] with the
     /// additions reassociated.
     fn process_split(&mut self, ctx: &RoundCtx<'_>, scratch: &mut [LaneScratch], time_it: bool) {
@@ -817,7 +817,7 @@ impl ChannelLane {
     }
 
     /// Split variant of [`ChannelLane::advance`]: the same fixed-order
-    /// sub-lane segments as [`ChannelLane::process_split`] advance in
+    /// sub-lane slices as [`ChannelLane::process_split`] advance in
     /// parallel (each entry's update reads only its own bytes and the
     /// shared read-only ratios), and each sub-lane's completions are
     /// concatenated in sub-lane order — the caller's global sort makes

@@ -17,8 +17,9 @@ use cloudmedia_telemetry::{Kind, MetricId, Spec, Telemetry};
 
 use crate::faults::FaultStats;
 
-/// Round-sampling period for the `stage/*` lap clocks: one round in
-/// this many is timed and the laps are scaled by the period. 17 keeps
+/// Round-sampling period for the single-site round loop's `stage/*`
+/// lap clocks (Scan and Indexed): one round in this many is timed and
+/// the laps are scaled by the period. 17 keeps
 /// the per-round telemetry cost to a fraction of a clock read while
 /// still sampling thousands of rounds on any multi-hour horizon.
 ///
@@ -55,11 +56,13 @@ const fn h(name: &'static str, unit: &'static str) -> Spec {
 /// of process-wide counters, `des/*` is event-kernel health, `faults/*`
 /// mirrors [`FaultStats`], and `hist/*` are log2 histograms.
 ///
-/// The round-loop `stage/*` counters are sampled estimates: the round
-/// engines time one round in [`STAGE_TIME_SAMPLE`] and scale by the
-/// period (see [`Telemetry::stage_clock_sampled`]), so a clock read per
-/// stage boundary is paid on ~6 % of rounds instead of all of them.
-/// The DES engine times its event loop as one unsampled stage.
+/// The Scan/Indexed round loop's `stage/*` counters are sampled
+/// estimates: it times one round in [`STAGE_TIME_SAMPLE`] and scales by
+/// the period (see [`Telemetry::stage_clock_sampled`]), so a clock read
+/// per stage boundary is paid on ~6 % of rounds instead of all of them.
+/// The Sharded engine and the federated simulator time every segment
+/// of rounds (one lap per stage per segment, unsampled). The DES engine
+/// times its event loop as one unsampled stage.
 pub const SPECS: &[Spec] = &[
     c("stage/provisioning", "ns"),
     c("stage/arrivals", "ns"),
@@ -108,7 +111,8 @@ pub const SPECS: &[Spec] = &[
     c("quiesce/dirty_channels", "count"),
 ];
 
-/// `stage/provisioning` — fault boundaries + the provisioning block.
+/// `stage/provisioning` — fault boundaries + the provisioning block
+/// (on the segment engines, those of a segment's first round).
 pub const STAGE_PROVISIONING: MetricId = MetricId(0);
 /// `stage/arrivals` — arrival ingestion.
 pub const STAGE_ARRIVALS: MetricId = MetricId(1);
@@ -118,9 +122,12 @@ pub const STAGE_ALLOCATION: MetricId = MetricId(2);
 pub const STAGE_ADVANCE: MetricId = MetricId(3);
 /// `stage/events` — completion/wake-up event handling.
 pub const STAGE_EVENTS: MetricId = MetricId(4);
-/// `stage/cloud` — cloud lifecycle + billing ticks.
+/// `stage/cloud` — cloud lifecycle + billing ticks (on the segment
+/// engines, the coordinator's pre-step of every round of a segment:
+/// fault boundaries, online fractions, ticks).
 pub const STAGE_CLOUD: MetricId = MetricId(5);
-/// `stage/sampling` — metric sampling.
+/// `stage/sampling` — metric sampling (the federated simulator flushes
+/// samples inside `stage/region_step`).
 pub const STAGE_SAMPLING: MetricId = MetricId(6);
 /// `stage/reduce` — cross-shard / cross-region merge work.
 pub const STAGE_REDUCE: MetricId = MetricId(7);
@@ -138,7 +145,9 @@ pub const COMPLETED_CHUNKS: MetricId = MetricId(12);
 pub const WOKEN_PEERS: MetricId = MetricId(13);
 /// `arrivals_admitted` — arrivals admitted into the system.
 pub const ARRIVALS_ADMITTED: MetricId = MetricId(14);
-/// `peers_peak` — high-water mark of the connected population.
+/// `peers_peak` — high-water mark of the connected population: after
+/// each round's arrivals on Scan/Indexed, at sample instants on Sharded
+/// and (summed across regions) on the federated simulator.
 pub const PEERS_PEAK: MetricId = MetricId(15);
 /// `arrivals/generated` — trace arrivals drawn (process-wide delta).
 pub const ARRIVALS_GENERATED: MetricId = MetricId(16);
@@ -180,21 +189,25 @@ pub const FAULT_FALLBACKS: MetricId = MetricId(33);
 pub const FAULT_REPLANS: MetricId = MetricId(34);
 /// `faults/retry_backoff_us` — simulated backoff, microseconds.
 pub const FAULT_BACKOFF_US: MetricId = MetricId(35);
-/// `hist/shard_wall_ns` — sampled per-shard round wall times.
+/// `hist/shard_wall_ns` — one observation per shard: its whole-run
+/// wall time stepping segments.
 pub const HIST_SHARD_WALL: MetricId = MetricId(36);
-/// `hist/region_wall_ns` — per-region round wall times.
+/// `hist/region_wall_ns` — one observation per region: its whole-run
+/// wall time stepping segments (rounds and sample flushes; the cloud
+/// ticks run in `stage/cloud`).
 pub const HIST_REGION_WALL: MetricId = MetricId(37);
 /// `run` — whole-run wall time (also the trace's top-level span).
 pub const RUN_WALL: MetricId = MetricId(38);
 /// `prov/interval` — one whole provisioning boundary (trace span; the
 /// stage counter equivalent is `stage/provisioning`).
 pub const PROV_INTERVAL: MetricId = MetricId(39);
-/// `stage/shard_step` — the sharded engine's whole-round fan-out
-/// (arrivals + allocation + advance + events happen inside the shards,
+/// `stage/shard_step` — the sharded engine's segment fan-out
+/// (arrivals, allocation, advance and events happen inside the shards,
 /// so the sharded profile reports them as one stage).
 pub const STAGE_SHARD_STEP: MetricId = MetricId(40);
-/// `stage/region_step` — the federated simulator's per-region round
-/// fan-out (each region's arrivals + allocation + advance + events).
+/// `stage/region_step` — the federated simulator's per-region segment
+/// fan-out (each region's arrivals, allocation, advance, events and
+/// sample flushes).
 pub const STAGE_REGION_STEP: MetricId = MetricId(41);
 /// `hist/lane_wall_ns` — sampled per-sub-lane wall times from the
 /// giant-channel lane fan-out (one observation per scratch lane on

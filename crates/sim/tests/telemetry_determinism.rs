@@ -9,7 +9,8 @@
 //! refactor that accidentally moves simulation work inside an
 //! `if tel.enabled()` block, or a sampling clock that starts gating
 //! simulation (not just measurement) logic. Both would show up here as
-//! a metrics mismatch.
+//! a metrics mismatch. The last test pins what one gauge reads on the
+//! parallel engines, where per-unit values are summed.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::federation::{
@@ -155,4 +156,44 @@ fn federated_simulator_is_telemetry_invariant_serial_and_parallel() {
         let traced = sim.run_with_telemetry(&trace_tel).unwrap();
         assert_federated_eq(&dark, &traced, label);
     }
+}
+
+/// On the parallel engines `peers_peak` is the high-water mark of the
+/// connected population at sample instants — for a federation, of the
+/// population summed across regions — so it equals the results' own
+/// `peak_peers()` rather than, say, the end-of-run population.
+#[test]
+fn peers_peak_gauge_is_the_sampled_high_water_mark() {
+    let tel = telem::new_registry(false);
+    let run = Simulator::new(config(SimKernel::Sharded, SimMode::P2p))
+        .unwrap()
+        .run_with_telemetry(&tel)
+        .unwrap();
+    assert_eq!(
+        tel.snapshot().value(telem::PEERS_PEAK),
+        run.metrics.peak_peers() as u64,
+        "sharded"
+    );
+
+    // A day: the regions' evening peaks fall well inside the horizon.
+    let fc = FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::P2p, 24.0);
+    let tel = telem::new_registry(false);
+    let m = FederatedSimulator::new(fc)
+        .unwrap()
+        .run_with_telemetry(&tel)
+        .unwrap();
+    let final_population: usize = m
+        .per_region
+        .iter()
+        .map(|r| r.metrics.samples.last().map_or(0, |s| s.active_peers))
+        .sum();
+    assert!(
+        m.peak_peers() > final_population,
+        "the horizon ends at the peak, so the check cannot tell the two apart"
+    );
+    assert_eq!(
+        tel.snapshot().value(telem::PEERS_PEAK),
+        m.peak_peers() as u64,
+        "federated"
+    );
 }
