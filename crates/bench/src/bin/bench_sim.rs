@@ -1,8 +1,9 @@
 //! Simulator performance benchmark: measures the reference (`Scan`) and
 //! production (`Indexed`) round engines end-to-end in both streaming
-//! modes, plus the allocation-kernel microbenchmarks, and writes the
-//! results as machine-readable `BENCH_sim.json` so the perf trajectory
-//! is tracked from PR to PR.
+//! modes, plus the allocation-kernel microbenchmarks, and merges the
+//! results into the machine-readable `BENCH_sim.json` so the perf
+//! trajectory is tracked from PR to PR. Only its own top-level keys are
+//! rewritten; the sections other bench binaries own are kept.
 //!
 //! Usage: `bench_sim [--hours N] [--out PATH]`
 //!   - `--hours` simulated horizon per run (default 24; use 168 for the
@@ -12,10 +13,46 @@
 
 use std::time::Instant;
 
+use cloudmedia_bench::geo_sim::merge_record;
 use cloudmedia_sim::allocation::{allocate_pool, allocate_pool_into, allocate_pool_sparse};
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::simulator::{last_phase_profile, PhaseProfile, Simulator};
+use cloudmedia_sim::simulator::Simulator;
+use cloudmedia_sim::telem;
+use cloudmedia_telemetry::Telemetry;
 use serde::Serialize;
+
+/// Wall time of each round-loop stage of one run, seconds, read from
+/// the run's `stage/*` telemetry counters.
+#[derive(Debug, Clone, Copy, Serialize)]
+struct PhaseProfile {
+    /// Hourly provisioning (controller + broker submission).
+    provisioning: f64,
+    /// Arrival ingestion.
+    arrivals: f64,
+    /// The engine's per-round allocation stage.
+    allocation: f64,
+    /// Download advancement and event handling.
+    progress: f64,
+    /// Cloud lifecycle + billing ticks.
+    cloud: f64,
+    /// Metric sampling.
+    sampling: f64,
+}
+
+impl PhaseProfile {
+    fn from_registry(tel: &Telemetry) -> Self {
+        let snap = tel.snapshot();
+        let secs = |id| snap.value(id) as f64 * 1e-9;
+        Self {
+            provisioning: secs(telem::STAGE_PROVISIONING),
+            arrivals: secs(telem::STAGE_ARRIVALS),
+            allocation: secs(telem::STAGE_ALLOCATION),
+            progress: secs(telem::STAGE_ADVANCE) + secs(telem::STAGE_EVENTS),
+            cloud: secs(telem::STAGE_CLOUD),
+            sampling: secs(telem::STAGE_SAMPLING),
+        }
+    }
+}
 
 /// One end-to-end measurement.
 #[derive(Debug, Serialize)]
@@ -29,7 +66,7 @@ struct E2eResult {
     ns_per_round: f64,
     mean_quality: f64,
     peak_peers: usize,
-    phases: Option<PhaseProfile>,
+    phases: PhaseProfile,
 }
 
 /// One microbenchmark measurement.
@@ -50,7 +87,7 @@ struct Speedups {
     allocate_pool_sparse_vs_naive: f64,
 }
 
-/// Full report serialized to `BENCH_sim.json`.
+/// `bench_sim`'s top-level keys of `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
 struct Report {
     schema: String,
@@ -85,8 +122,6 @@ fn main() {
         }
     }
 
-    // Capture per-phase breakdowns for the stage-level speedups.
-    std::env::set_var("CLOUDMEDIA_PROFILE", "1");
     let mut e2e = Vec::new();
     let mut wall = [[0.0_f64; 2]; 2];
     let mut alloc_stage = [[0.0_f64; 2]; 2];
@@ -102,15 +137,19 @@ fn main() {
             cfg.trace.horizon_seconds = hours * 3600.0;
             cfg.kernel = kernel;
             let rounds = (cfg.trace.horizon_seconds / cfg.round_seconds).ceil() as u64;
+            // A fresh registry per run: its stage counters are the
+            // run's phase breakdown.
+            let tel = telem::new_registry(false);
             let start = Instant::now();
             let metrics = Simulator::new(cfg)
                 .expect("paper config is valid")
-                .run()
-                .expect("benchmark run succeeds");
+                .run_with_telemetry(&tel)
+                .expect("benchmark run succeeds")
+                .metrics;
             let secs = start.elapsed().as_secs_f64();
             wall[mi][ki] = secs;
-            let phases = last_phase_profile();
-            alloc_stage[mi][ki] = phases.map_or(0.0, |p| p.allocation);
+            let phases = PhaseProfile::from_registry(&tel);
+            alloc_stage[mi][ki] = phases.allocation;
             eprintln!(
                 "{mode:?}/{kernel:?} {hours}h: {secs:.3}s wall ({:.0} sim-hours/s)",
                 hours / secs
@@ -154,13 +193,13 @@ fn main() {
             "End-to-end ratios are Amdahl-capped by work shared between the \
              engines (viewing-model event processing, hourly provisioning, \
              trace generation); the kernel and per-stage ratios show the \
-             refactor's effect in isolation. Set CLOUDMEDIA_PROFILE=1 for a \
-             per-phase breakdown."
+             refactor's effect in isolation. Each row's phases are its \
+             run's stage/* telemetry counters (sampled stage clocks)."
                 .into(),
         ],
     };
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(&out_path, json).expect("write BENCH_sim.json");
+    let json = serde_json::to_string(&report).expect("report serializes");
+    merge_record(&out_path, &json).expect("write benchmark file");
     println!(
         "wrote {out_path}: C/S {:.2}x, P2P {:.2}x end-to-end (indexed vs scan)",
         report.speedups.client_server_e2e, report.speedups.p2p_e2e

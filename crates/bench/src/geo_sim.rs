@@ -225,11 +225,35 @@ pub fn section(modes: Vec<ModeComparison>) -> GeoFederationSection {
 /// Fails if the file cannot be read or written, or if it or
 /// `section_json` is not JSON (the file must hold a JSON object).
 pub fn append_section(out_path: &str, key: &str, section_json: &str) -> std::io::Result<()> {
-    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
-    let section: serde::Value =
-        serde_json::from_str(section_json).map_err(|e| invalid(e.to_string()))?;
+    let section = parse(section_json)?;
+    merge_fields(out_path, vec![(key.to_owned(), section)])
+}
+
+/// Writes every top-level key of the JSON object `record_json` into the
+/// benchmark file as [`append_section`] writes one: keys the file holds
+/// are replaced in place, and every other section is kept.
+///
+/// # Errors
+///
+/// As [`append_section`]; `record_json` must be a JSON object.
+pub fn merge_record(out_path: &str, record_json: &str) -> std::io::Result<()> {
+    match parse(record_json)? {
+        serde::Value::Object(fields) => merge_fields(out_path, fields),
+        _ => Err(invalid("the record is not a JSON object".into())),
+    }
+}
+
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+fn parse(json: &str) -> std::io::Result<serde::Value> {
+    serde_json::from_str(json).map_err(|e| invalid(e.to_string()))
+}
+
+fn merge_fields(out_path: &str, new: Vec<(String, serde::Value)>) -> std::io::Result<()> {
     let mut fields = match std::fs::read_to_string(out_path) {
-        Ok(text) => match serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))? {
+        Ok(text) => match parse(&text)? {
             serde::Value::Object(fields) => fields,
             _ => return Err(invalid(format!("{out_path} does not hold a JSON object"))),
         },
@@ -239,9 +263,11 @@ pub fn append_section(out_path: &str, key: &str, section_json: &str) -> std::io:
         )],
         Err(e) => return Err(e),
     };
-    match fields.iter_mut().find(|(k, _)| k == key) {
-        Some((_, value)) => *value = section,
-        None => fields.push((key.to_owned(), section)),
+    for (key, section) in new {
+        match fields.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, value)) => *value = section,
+            None => fields.push((key, section)),
+        }
     }
     let json = serde_json::to_string_pretty(&serde::Value::Object(fields))
         .map_err(|e| invalid(e.to_string()))?;
@@ -323,6 +349,26 @@ mod tests {
         let v = |key: &str| parsed.get(key).unwrap().get("v").cloned();
         assert_eq!(v("a"), Some(serde::Value::UInt(1)));
         assert_eq!(v("b"), Some(serde::Value::UInt(2)));
+        assert_eq!(v("c"), Some(serde::Value::UInt(1)));
+
+        // A whole record (what `bench_sim` writes) merges key by key:
+        // its keys are replaced in place or appended, and every other
+        // writer's section survives.
+        merge_record(
+            path,
+            "{\"schema\": \"cloudmedia-bench-sim/v1\", \"b\": {\"v\": 3}, \"e2e\": []}",
+        )
+        .unwrap();
+        let parsed: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let serde::Value::Object(fields) = &parsed else {
+            panic!("the record is a JSON object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["schema", "a", "b", "c", "e2e"]);
+        let v = |key: &str| parsed.get(key).unwrap().get("v").cloned();
+        assert_eq!(v("a"), Some(serde::Value::UInt(1)));
+        assert_eq!(v("b"), Some(serde::Value::UInt(3)));
         assert_eq!(v("c"), Some(serde::Value::UInt(1)));
     }
 }

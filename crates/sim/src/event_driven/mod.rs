@@ -15,10 +15,10 @@
 //!   [`cloudmedia_queueing::erlang_c_wait_probability`]) plus a transfer
 //!   at the request's frozen capacity share; integrates used cloud
 //!   bandwidth exactly between events.
-//! - [`provisioner::Provisioner`] — the identical control path as the
-//!   round engines (tracker → controller/baseline planner → broker →
-//!   billing), driven by hourly `ProvisionTick` events, plus the VM
-//!   failure-injection hook.
+//! - [`provisioner::Provisioner`] — the round engines' control path, run
+//!   through the same `crate::control` module (tracker →
+//!   controller/baseline planner → broker → billing), driven by hourly
+//!   `ProvisionTick` events, plus the VM failure-injection hook.
 //!
 //! Components never touch each other's state: every interaction is an
 //! event (`ChunkRequest`, `Delivered`, `PoolUpdate`, `CapacityUpdate`,

@@ -1,13 +1,14 @@
 //! The provisioning component: the paper's control path, event-driven.
 //!
-//! Runs the *identical* hourly pipeline as the round engines — tracker
-//! measurements (fed by `Track*` events from the sessions component)
-//! into the model-driven controller or a baseline planner, the resulting
-//! VM targets and placement through the cloud broker, usage-time billing
-//! — but at event granularity: boot and shutdown completions fire
-//! `CloudSync` events that re-announce the online capacity to the
-//! admission component mid-interval, which is what makes VM boot delay
-//! a first-class observable instead of a sub-round artifact.
+//! Runs the round engines' hourly pipeline through the same
+//! `crate::control` module — tracker measurements (fed by `Track*`
+//! events from the sessions component) into the model-driven controller
+//! or a baseline planner, the resulting VM targets and placement through
+//! the cloud broker, usage-time billing — but at event granularity:
+//! boot and shutdown completions fire `CloudSync` events that
+//! re-announce the online capacity to the admission component
+//! mid-interval, which is what makes VM boot delay a first-class
+//! observable instead of a sub-round artifact.
 //!
 //! Failure injection: a `VmFailure { fraction }` event shuts down the
 //! given fraction of each cluster's active instances immediately (they
@@ -15,40 +16,33 @@
 //! provider would meter a crashed-but-reserved instance). The next
 //! provisioning tick re-plans from measured demand and relaunches.
 
-use cloudmedia_cloud::broker::{
-    scale_fleet_capacity, scale_nfs_capacity, Cloud, ResourceRequest, RetryPolicy, SlaTerms,
-};
-use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_cloud::scheduler::PlacementPlan;
+use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy};
 use cloudmedia_cloud::vm::{DEFAULT_BOOT_SECONDS, DEFAULT_SHUTDOWN_SECONDS};
-use cloudmedia_core::controller::ProvisioningPlan;
 use cloudmedia_des::{Component, Event, Kernel};
+use cloudmedia_telemetry::Telemetry;
 
 use super::events::{CmEvent, ADMISSION, PROVISIONER};
 use super::DesScenario;
 use crate::config::SimConfig;
+use crate::control::{site_cloud, SiteControl};
 use crate::error::SimError;
 use crate::faults::{FaultSchedule, FaultStats};
 use crate::metrics::IntervalRecord;
-use crate::simulator::{bootstrap_stats, interval_record, make_planner, Planner};
 use crate::tracker::Tracker;
 
 /// The provisioning component; see the module docs.
 #[derive(Debug)]
 pub struct Provisioner {
     cloud: Cloud,
-    sla: SlaTerms,
-    planner: Planner,
+    /// The site's interval control path (planner, plan in force,
+    /// per-channel reservation).
+    site: SiteControl,
     tracker: Tracker,
     provisioning_interval: f64,
-    n_channels: usize,
-    channel_reserved: Vec<f64>,
-    current_placement: Option<PlacementPlan>,
     /// Connected sessions per channel, maintained from join/leave
     /// tracking events.
     counts: Vec<usize>,
     intervals: Vec<IntervalRecord>,
-    first_interval: bool,
     /// Run horizon; provisioning ticks fire strictly before it (the
     /// round engines' `while clock < horizon` boundary), so the DES run
     /// records the same interval count and never plans a fleet that
@@ -56,26 +50,16 @@ pub struct Provisioner {
     horizon: f64,
     boot_seconds: f64,
     shutdown_seconds: f64,
-    vm_bandwidth: f64,
     vms_killed: u64,
     /// First control-path failure; the engine surfaces it after the run.
     error: Option<SimError>,
-    /// Precomputed bootstrap observations for the very first interval.
-    bootstrap: Vec<(usize, cloudmedia_core::predictor::ChannelObservation)>,
-    /// The configuration's fault schedule (availability caps, tracker
-    /// dropouts, cost shocks).
+    /// The configuration's fault schedule (its availability caps; the
+    /// control path reads the rest).
     faults: FaultSchedule,
-    /// Broker retry policy for provisioning submissions.
+    /// Broker retry policy for repair resubmissions.
     retry: RetryPolicy,
     /// Fault-plane counters.
     stats: FaultStats,
-    /// VM targets of the last planned interval — what a repair restores.
-    last_vm_targets: Vec<usize>,
-    /// Last successfully planned interval (placement stripped), replayed
-    /// when the tracker is dark.
-    last_plan: Option<ProvisioningPlan>,
-    /// Budget-shock factor already folded into the planner's budget.
-    applied_budget_factor: f64,
 }
 
 impl Provisioner {
@@ -90,49 +74,31 @@ impl Provisioner {
         let shutdown_seconds = scenario
             .vm_shutdown_seconds
             .unwrap_or(DEFAULT_SHUTDOWN_SECONDS);
-        let cloud = Cloud::new(
-            scale_fleet_capacity(&paper_virtual_clusters(), cfg.fleet_scale),
-            scale_nfs_capacity(&paper_nfs_clusters(), cfg.fleet_scale),
-            cfg.chunk_bytes() as u64,
-        )?
-        .with_vm_latencies(boot_seconds, shutdown_seconds);
-        let sla = cloud.sla_terms();
-        let vm_bandwidth = sla.virtual_clusters[0].vm_bandwidth_bytes_per_sec;
-        let planner = make_planner(cfg, vm_bandwidth)?;
+        let cloud = site_cloud(cfg, 1.0)?.with_vm_latencies(boot_seconds, shutdown_seconds);
+        let site = SiteControl::new(cfg, &cloud)?;
         let tracker = Tracker::new(&cfg.catalog)?;
-        let n_channels = cfg.catalog.len();
         Ok(Self {
             cloud,
-            sla,
-            planner,
+            site,
             tracker,
             provisioning_interval: cfg.provisioning_interval,
-            n_channels,
-            channel_reserved: vec![0.0; n_channels],
-            current_placement: None,
-            counts: vec![0; n_channels],
+            counts: vec![0; cfg.catalog.len()],
             intervals: Vec::new(),
-            first_interval: true,
             horizon: cfg.trace.horizon_seconds,
             boot_seconds,
             shutdown_seconds,
-            vm_bandwidth,
             vms_killed: 0,
             error: None,
-            bootstrap: bootstrap_stats(&cfg.catalog, cfg),
             faults: cfg.faults.clone(),
             retry: RetryPolicy::paper_default(),
             stats: FaultStats::default(),
-            last_vm_targets: Vec::new(),
-            last_plan: None,
-            applied_budget_factor: 1.0,
         })
     }
 
     /// Per-VM bandwidth of the paper's Standard cluster (the admission
     /// component's per-connection cap).
     pub(crate) fn vm_bandwidth(&self) -> f64 {
-        self.vm_bandwidth
+        self.site.vm_bandwidth()
     }
 
     /// Bandwidth of VMs currently running, bytes/s.
@@ -181,7 +147,7 @@ impl Provisioner {
             0.0,
             ADMISSION,
             CmEvent::CapacityUpdate {
-                channel_reserved: self.channel_reserved.clone(),
+                channel_reserved: self.site.channel_reserved().to_vec(),
                 running_bandwidth: self.cloud.running_bandwidth(),
             },
         );
@@ -190,68 +156,15 @@ impl Provisioner {
     /// One provisioning interval: measure, plan, submit, record.
     fn provision(&mut self, now: f64, kernel: &mut Kernel<CmEvent>) -> Result<(), SimError> {
         self.cloud.tick(now)?;
-        // Mid-run cost shocks, folded in exactly as the round loop does.
-        let (budget_factor, price_factor) = self.faults.shock_factors(now);
-        if budget_factor != self.applied_budget_factor {
-            self.planner
-                .scale_vm_budget(budget_factor / self.applied_budget_factor)?;
-            self.applied_budget_factor = budget_factor;
-        }
-        let planning_sla = if price_factor == 1.0 {
-            self.sla.clone()
-        } else {
-            self.sla.with_vm_price_factor(price_factor)
-        };
-        let bootstrap = self.first_interval;
-        let plan = if !bootstrap && self.faults.dropout_active(now) && self.last_plan.is_some() {
-            // Tracker blackout: drain the lost measurements and replay
-            // the last-known-good plan.
-            let _ = self.tracker.interval_stats(self.provisioning_interval)?;
-            self.stats.fallback_intervals += 1;
-            self.last_plan.clone().expect("checked is_some above")
-        } else {
-            let stats = if bootstrap {
-                self.first_interval = false;
-                self.bootstrap.clone()
-            } else {
-                self.tracker.interval_stats(self.provisioning_interval)?
-            };
-            self.planner.plan_interval(&stats, &planning_sla)?
-        };
-        if let Some(p) = &plan.placement {
-            self.current_placement = Some(p.clone());
-        }
-        let receipt = self.cloud.submit_with_retry(
-            &ResourceRequest {
-                vm_targets: plan.vm_targets.clone(),
-                placement: plan.placement.clone(),
-            },
-            &self.retry,
-        )?;
-        self.stats.record_receipt(&receipt);
-        self.last_vm_targets = plan.vm_targets.clone();
-        self.channel_reserved.iter_mut().for_each(|v| *v = 0.0);
-        for (key, allocs) in &plan.vm_plan.allocations {
-            if key.channel >= self.n_channels {
-                continue;
-            }
-            let bw: f64 = allocs
-                .iter()
-                .map(|a| a.vms * self.sla.virtual_clusters[a.cluster].vm_bandwidth_bytes_per_sec)
-                .sum();
-            self.channel_reserved[key.channel] += bw;
-        }
-        self.intervals.push(interval_record(
+        let record = self.site.provision(
             now,
-            &plan,
-            self.current_placement.as_ref(),
-            &self.sla,
-            self.n_channels,
+            &mut self.cloud,
+            &mut self.stats,
+            &Telemetry::disabled(),
             self.counts.clone(),
-        ));
-        let mut stored = plan;
-        stored.placement = None;
-        self.last_plan = Some(stored);
+            || self.tracker.interval_stats(self.provisioning_interval),
+        )?;
+        self.intervals.push(record);
         // Reserved changed now; running changes when boots/shutdowns
         // complete — sync capacity at both lifecycle instants.
         self.announce_capacity(kernel);
@@ -326,10 +239,10 @@ impl Provisioner {
     fn recover_vms(&mut self, now: f64, kernel: &mut Kernel<CmEvent>) -> Result<(), SimError> {
         self.cloud.tick(now)?;
         self.sync_availability(now)?;
-        if !self.last_vm_targets.is_empty() {
+        if !self.site.last_targets().is_empty() {
             let receipt = self.cloud.submit_with_retry(
                 &ResourceRequest {
-                    vm_targets: self.last_vm_targets.clone(),
+                    vm_targets: self.site.last_targets().to_vec(),
                     placement: None,
                 },
                 &self.retry,

@@ -485,10 +485,6 @@ impl FaultDriver {
         }
     }
 
-    pub(crate) fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
     /// Applies every boundary due at or before `clock`: failures kill the
     /// configured fraction of running VMs and cap the fleet's
     /// availability; repairs lift the cap and resubmit the last planned

@@ -50,11 +50,7 @@
 //!   latency is outside the model (the paper's motivation for regional
 //!   sites in the first place).
 
-use cloudmedia_cloud::broker::{
-    scale_fleet_capacity, scale_nfs_capacity, scale_vm_prices, Cloud, ResourceRequest, RetryPolicy,
-};
-use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_core::controller::ProvisioningPlan;
+use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy};
 use cloudmedia_core::federation::{paper_sites, plan_global_placement, FederationPolicy, SiteSpec};
 use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
 use cloudmedia_telemetry::Telemetry;
@@ -64,14 +60,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{SimConfig, SimKernel, SimMode};
+use crate::control::{site_cloud, Planned, SiteControl};
 use crate::error::{invalid_param, SimError};
 use crate::faults::FaultStats;
 use crate::metrics::Metrics;
 use crate::peer::Peer;
 use crate::sharded::MAX_SEGMENT_ROUNDS;
 use crate::simulator::{
-    bootstrap_stats, interval_record, make_planner, process_round_events, sample, IndexedEngine,
-    Planner, RoundCtx, RoundEngine, ScanEngine,
+    process_round_events, sample, IndexedEngine, RoundCtx, RoundEngine, ScanEngine,
 };
 use crate::telem;
 use crate::tracker::Tracker;
@@ -397,13 +393,16 @@ fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
 }
 
 /// One region's live simulation state: the engine, its viewers, its
-/// tracker/planner, and its site's cloud.
+/// tracker and control path, and its site's cloud.
 struct RegionRuntime {
     cfg: SimConfig,
     engine: Box<dyn RoundEngine>,
     /// The region's site (broker + schedulers + billing at its prices).
     cloud: Cloud,
-    planner: Planner,
+    /// The region's interval control path. Its plans and viewer-side
+    /// reservation are the region's own; the VMs backing them run on
+    /// the sites the global placement picks.
+    control: SiteControl,
     tracker: Tracker,
     rng: StdRng,
     peers: Vec<Peer>,
@@ -414,20 +413,9 @@ struct RegionRuntime {
     next_arrival: Option<UserArrival>,
     /// SLA latency penalty on redirected traffic, dollars per GB.
     penalty_per_gb: f64,
-    vm_bandwidth: f64,
     chunk_bytes: f64,
-    /// The storage placement currently in force (sticky across
-    /// non-refresh intervals, as in the single-site run loop).
-    current_placement: Option<cloudmedia_cloud::scheduler::PlacementPlan>,
-    /// The last plan this region's controller produced (placement
-    /// stripped), replayed during tracker dropouts and emergency
-    /// re-plans.
-    last_plan: Option<ProvisioningPlan>,
     /// Arrivals rejected by [`DegradeMode::ShedNewArrivals`](crate::faults::DegradeMode).
     shed: u64,
-    /// Viewer-side per-channel reservation from this region's own plan.
-    channel_reserved: Vec<f64>,
-    reserved_total: f64,
     /// Current interval's placement row: share of this region's demand
     /// served by each site.
     serve_share: Vec<f64>,
@@ -592,16 +580,7 @@ impl FederatedSimulator {
                 .max()
                 .expect("catalog validated non-empty");
             let chunk_bytes = cfg.chunk_bytes();
-            let cloud = Cloud::new(
-                scale_fleet_capacity(
-                    &scale_vm_prices(&paper_virtual_clusters(), fc.sites[idx].vm_price_factor),
-                    cfg.fleet_scale,
-                ),
-                scale_nfs_capacity(&paper_nfs_clusters(), cfg.fleet_scale),
-                chunk_bytes as u64,
-            )?;
-            let sla = cloud.sla_terms();
-            let vm_bandwidth = sla.virtual_clusters[0].vm_bandwidth_bytes_per_sec;
+            let cloud = site_cloud(&cfg, fc.sites[idx].vm_price_factor)?;
             let engine: Box<dyn RoundEngine> = match cfg.kernel {
                 SimKernel::Scan => Box::new(ScanEngine::new(n_channels, max_chunks)),
                 SimKernel::Indexed => Box::new(IndexedEngine::new(
@@ -614,16 +593,16 @@ impl FederatedSimulator {
                     unreachable!("rejected by validate")
                 }
             };
-            let planner = make_planner(&cfg, vm_bandwidth)?;
+            let control = SiteControl::new(&cfg, &cloud)?;
             let tracker = Tracker::new(&cfg.catalog)?;
             let mut arrivals = ArrivalStream::new(&cfg.catalog, &cfg.trace)?;
             let next_arrival = arrivals.next();
             let rng = StdRng::seed_from_u64(cfg.behaviour_seed);
-            let n_clusters = sla.virtual_clusters.len();
+            let n_clusters = cloud.vm_scheduler().clusters();
             regions.push(RegionRuntime {
                 engine,
                 cloud,
-                planner,
+                control,
                 tracker,
                 rng,
                 peers: Vec::new(),
@@ -631,13 +610,8 @@ impl FederatedSimulator {
                 arrivals,
                 next_arrival,
                 penalty_per_gb,
-                vm_bandwidth,
                 chunk_bytes,
-                current_placement: None,
-                last_plan: None,
                 shed: 0,
-                channel_reserved: vec![0.0; n_channels],
-                reserved_total: 0.0,
                 serve_share: {
                     let mut s = vec![0.0; n_sites];
                     s[idx] = 1.0;
@@ -677,7 +651,6 @@ impl FederatedSimulator {
         // bit-identical.
         let retry = RetryPolicy::paper_default();
         let mut stats = FaultStats::default();
-        let mut applied_budget_factor = 1.0_f64;
         let mut site_mask = vec![false; n_sites];
 
         let telemetry_on = tel.enabled();
@@ -696,14 +669,7 @@ impl FederatedSimulator {
             let mask = fc.base.faults.site_mask(n_sites, clock);
             if clock >= next_provision {
                 let _interval_span = tel.span(telem::PROV_INTERVAL);
-                self.provision(
-                    &mut regions,
-                    clock,
-                    &mask,
-                    &retry,
-                    &mut applied_budget_factor,
-                    &mut stats,
-                )?;
+                self.provision(&mut regions, clock, &mask, &retry, &mut stats, tel)?;
                 next_provision += provisioning_interval;
                 site_mask = mask;
             } else if mask != site_mask {
@@ -837,52 +803,35 @@ impl FederatedSimulator {
     }
 
     /// One global provisioning boundary: per-region plans, the global
-    /// placement, the integer VM-target apportionment, and each site's
-    /// broker submission. The fault plane hooks in here: economic shocks
-    /// rescale every region's budget and planning prices, tracker
-    /// dropouts replay each region's last-known-good plan, and the site
-    /// outage mask reroutes demand around dark sites.
-    #[allow(clippy::too_many_arguments)]
+    /// placement, the integer VM-target apportionment, each site's
+    /// broker submission, and each region's plan put in force. The fault
+    /// plane hooks in here: each region's control path folds economic
+    /// shocks and replays its last plan during tracker dropouts, and the
+    /// site outage mask reroutes demand around dark sites.
     fn provision(
         &self,
         regions: &mut [RegionRuntime],
         clock: f64,
         mask: &[bool],
         retry: &RetryPolicy,
-        applied_budget_factor: &mut f64,
         stats: &mut FaultStats,
+        tel: &Telemetry,
     ) -> Result<(), SimError> {
         let fc = &self.config;
-        let n = regions.len();
-        let faults = &fc.base.faults;
+        let interval = fc.base.provisioning_interval;
 
-        // Economic shocks hit every region's controller at the same
-        // boundary. Tracking the cumulative factor applies each shock
-        // exactly once, whatever order the schedule lists them in.
-        let (budget_factor, price_factor) = faults.shock_factors(clock);
-        if budget_factor != *applied_budget_factor {
-            let step = budget_factor / *applied_budget_factor;
-            for r in regions.iter_mut() {
-                r.planner.scale_vm_budget(step)?;
-            }
-            *applied_budget_factor = budget_factor;
-        }
-
-        // 1. Per-region controller plans (identical to a single-site run,
-        //    including the tracker-dropout fallback). Each region plans
-        //    from its own tracker and controller, so the plans fan out
-        //    on the pool; results, errors and fallbacks are reduced in
-        //    region order.
-        let dropout = faults.dropout_active(clock);
+        // 1. Per-region plans, exactly as in a single-site run. Each
+        //    region plans from its own tracker and controller, so the
+        //    plans fan out on the pool; results, errors and fallbacks are
+        //    reduced in region order.
         let outcomes = map_regions(fc.parallel_regions, regions, |_, r| {
-            r.plan_interval(dropout, price_factor)
+            r.control
+                .plan(clock, tel, || r.tracker.interval_stats(interval))
         });
-        let mut plans = Vec::with_capacity(n);
-        let mut site_prices = Vec::with_capacity(n);
+        let mut plans = Vec::with_capacity(regions.len());
         for outcome in outcomes {
-            let (plan, price, fell_back) = outcome?;
-            stats.fallback_intervals += u64::from(fell_back);
-            site_prices.push(price);
+            let Planned { plan, replayed } = outcome?;
+            stats.fallback_intervals += u64::from(replayed);
             plans.push(plan);
         }
 
@@ -891,6 +840,10 @@ impl FederatedSimulator {
         //    receives a storage placement.
         let demands: Vec<f64> = plans.iter().map(|p| p.total_cloud_demand).collect();
         let region_targets: Vec<Vec<usize>> = plans.iter().map(|p| p.vm_targets.clone()).collect();
+        let site_prices: Vec<f64> = regions
+            .iter()
+            .map(|r| r.control.planning_price(clock))
+            .collect();
         let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> = plans
             .iter()
             .zip(mask)
@@ -908,45 +861,15 @@ impl FederatedSimulator {
             stats,
         )?;
 
-        // 4. Refresh each region's viewer-side state.
-        for ((r, plan), &down) in regions.iter_mut().zip(&plans).zip(mask) {
-            let sla = r.cloud.sla_terms();
-            if !down {
-                if let Some(pl) = &plan.placement {
-                    r.current_placement = Some(pl.clone());
-                }
-            }
-
-            // Viewer-side reservation from the region's own plan.
-            let n_channels = r.cfg.catalog.len();
-            r.channel_reserved.iter_mut().for_each(|v| *v = 0.0);
-            for (key, allocs) in &plan.vm_plan.allocations {
-                if key.channel >= n_channels {
-                    continue;
-                }
-                let bw: f64 = allocs
-                    .iter()
-                    .map(|a| a.vms * sla.virtual_clusters[a.cluster].vm_bandwidth_bytes_per_sec)
-                    .sum();
-                r.channel_reserved[key.channel] += bw;
-            }
-            r.reserved_total = r.channel_reserved.iter().sum();
-
-            let mut per_channel_peers = vec![0usize; n_channels];
+        // 4. Put each region's plan in force: its viewer-side
+        //    reservation comes from its own plan.
+        for ((r, plan), &down) in regions.iter_mut().zip(plans).zip(mask) {
+            let mut per_channel_peers = vec![0usize; r.cfg.catalog.len()];
             for p in &r.peers {
                 per_channel_peers[p.channel()] += 1;
             }
-            r.metrics.intervals.push(interval_record(
-                clock,
-                plan,
-                r.current_placement.as_ref(),
-                &sla,
-                n_channels,
-                per_channel_peers,
-            ));
-            let mut stored = plan.clone();
-            stored.placement = None;
-            r.last_plan = Some(stored);
+            let record = r.control.commit(clock, plan, !down, per_channel_peers);
+            r.metrics.intervals.push(record);
         }
         Ok(())
     }
@@ -966,21 +889,14 @@ impl FederatedSimulator {
         stats: &mut FaultStats,
     ) -> Result<(), SimError> {
         let fc = &self.config;
-        let (_, price_factor) = fc.base.faults.shock_factors(clock);
         let mut demands = Vec::with_capacity(regions.len());
         let mut region_targets = Vec::with_capacity(regions.len());
         let mut site_prices = Vec::with_capacity(regions.len());
         for r in regions.iter() {
-            let plan = r.last_plan.as_ref();
+            let plan = r.control.last_plan();
             demands.push(plan.map_or(0.0, |p| p.total_cloud_demand));
             region_targets.push(plan.map(|p| p.vm_targets.clone()).unwrap_or_default());
-            let sla = r.cloud.sla_terms();
-            site_prices.push(if price_factor == 1.0 {
-                sla.bandwidth_price_per_bps_hour()
-            } else {
-                sla.with_vm_price_factor(price_factor)
-                    .bandwidth_price_per_bps_hour()
-            });
+            site_prices.push(r.control.planning_price(clock));
         }
         let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> =
             vec![None; regions.len()];
@@ -1046,13 +962,9 @@ fn apply_global_placement(
     // Respect each site's physical fleet: clamp to cluster maxima
     // (the paper fleet is far larger than any default-week placement,
     // so this is a guard, not a steady-state path).
-    let max_vms: Vec<usize> = scale_fleet_capacity(&paper_virtual_clusters(), fc.base.fleet_scale)
-        .iter()
-        .map(|c| c.max_vms)
-        .collect();
-    for (j, targets) in site_targets.iter_mut().enumerate() {
-        for (v, t) in targets.iter_mut().enumerate() {
-            *t = if mask[j] { 0 } else { (*t).min(max_vms[v]) };
+    for ((targets, r), &down) in site_targets.iter_mut().zip(regions.iter()).zip(mask) {
+        for (t, spec) in targets.iter_mut().zip(r.cloud.vm_scheduler().specs()) {
+            *t = if down { 0 } else { (*t).min(spec.max_vms) };
         }
     }
 
@@ -1109,41 +1021,6 @@ fn apply_global_placement(
 }
 
 impl RegionRuntime {
-    /// This region's part of a provisioning boundary: its controller's
-    /// plan, exactly as in a single-site run, and its site's planning
-    /// price. While the tracker is dark the tracker is drained, so
-    /// collector state matches a fault-free run, and the last plan is
-    /// replayed; the flag reports that fallback.
-    fn plan_interval(
-        &mut self,
-        dropout: bool,
-        price_factor: f64,
-    ) -> Result<(ProvisioningPlan, f64, bool), SimError> {
-        let sla = self.cloud.sla_terms();
-        let planning_sla = if price_factor == 1.0 {
-            sla
-        } else {
-            sla.with_vm_price_factor(price_factor)
-        };
-        let price = planning_sla.bandwidth_price_per_bps_hour();
-        let bootstrap = self.metrics.intervals.is_empty();
-        if !bootstrap && dropout {
-            if let Some(last) = &self.last_plan {
-                self.tracker
-                    .interval_stats(self.cfg.provisioning_interval)?;
-                return Ok((last.clone(), price, true));
-            }
-        }
-        let interval_stats = if bootstrap {
-            bootstrap_stats(&self.cfg.catalog, &self.cfg)
-        } else {
-            self.tracker
-                .interval_stats(self.cfg.provisioning_interval)?
-        };
-        let plan = self.planner.plan_interval(&interval_stats, &planning_sla)?;
-        Ok((plan, price, false))
-    }
-
     /// Steps every round of a segment: each round reads its row of the
     /// pre-stepped `site_online`, and a round that closes a sampling
     /// window flushes the sample with this site's (`idx`) recorded
@@ -1197,7 +1074,7 @@ impl RegionRuntime {
         // --- Allocation stage ---------------------------------------
         // The region's capacity comes online as fast as the sites
         // actually serving it boot their fleets.
-        let online_scale = if self.reserved_total > 0.0 {
+        let online_scale = if self.control.reserved_total() > 0.0 {
             self.serve_share
                 .iter()
                 .zip(site_online)
@@ -1210,11 +1087,11 @@ impl RegionRuntime {
         let ctx = RoundCtx {
             step,
             inv_step: 1.0 / step,
-            vm_bandwidth: self.vm_bandwidth,
+            vm_bandwidth: self.control.vm_bandwidth(),
             eff: self.cfg.peer_efficiency,
             p2p: self.cfg.mode == SimMode::P2p,
             online_scale,
-            channel_reserved: &self.channel_reserved,
+            channel_reserved: self.control.channel_reserved(),
         };
         let used_cloud_rate = self.engine.allocate(&self.peers, &ctx);
 

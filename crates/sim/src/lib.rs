@@ -14,6 +14,8 @@
 //!   bandwidth allocation,
 //! - [`tracker`]: per-interval measurement of `Λ(c)`, `α`, `P(c)`,
 //! - [`simulator`]: the main loop,
+//! - `control`: the interval control path every engine shares
+//!   (measure → plan → rent → record, one site at a time),
 //! - `sharded` (via [`config::SimKernel::Sharded`]): the scale-out
 //!   channel-parallel round engine (one shard per channel, fanned
 //!   across the worker pool; see `docs/SCALING.md`),
@@ -40,6 +42,7 @@
 
 pub mod allocation;
 pub mod config;
+mod control;
 mod error;
 pub mod event_driven;
 pub mod faults;

@@ -90,9 +90,6 @@
 //! bit-for-bit. `docs/SCALING.md` discusses when that trade is the
 //! right one.
 
-use cloudmedia_cloud::broker::{scale_fleet_capacity, scale_nfs_capacity, Cloud, ResourceRequest};
-use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_cloud::scheduler::PlacementPlan;
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::stats::{ChannelStatsCollector, Observation};
@@ -101,14 +98,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{SimConfig, SimMode};
+use crate::control::{site_cloud, SiteControl};
 use crate::error::SimError;
 use crate::faults::{FaultDriver, FaultRun, FaultSchedule};
 use crate::metrics::{Metrics, Sample};
 use crate::peer::Peer;
-use crate::simulator::{
-    bootstrap_stats, interval_record, make_planner, process_round_events, IndexedEngine, RoundCtx,
-    RoundEngine,
-};
+use crate::simulator::{process_round_events, IndexedEngine, RoundCtx, RoundEngine};
 use crate::telem;
 use crate::tracker::summarize_channel;
 
@@ -340,20 +335,10 @@ fn run_inner(
     let n_channels = catalog.len();
     let chunk_bytes = cfg.chunk_bytes();
 
-    let mut cloud = Cloud::new(
-        scale_fleet_capacity(&paper_virtual_clusters(), cfg.fleet_scale),
-        scale_nfs_capacity(&paper_nfs_clusters(), cfg.fleet_scale),
-        chunk_bytes as u64,
-    )?;
-    let sla = cloud.sla_terms();
-    let vm_bandwidth = sla.virtual_clusters[0].vm_bandwidth_bytes_per_sec;
-    let mut planner = make_planner(cfg, vm_bandwidth)?;
+    let mut cloud = site_cloud(cfg, 1.0)?;
+    let mut control = SiteControl::new(cfg, &cloud)?;
+    let vm_bandwidth = control.vm_bandwidth();
     let mut fault_driver = FaultDriver::new(&cfg.faults);
-    let retry = *fault_driver.retry_policy();
-    let mut last_plan: Option<cloudmedia_core::controller::ProvisioningPlan> = None;
-    let mut last_plan_targets: Vec<usize> = Vec::new();
-    let mut applied_budget_factor = 1.0_f64;
-    let mut current_placement: Option<PlacementPlan> = None;
     let mut metrics = Metrics::default();
 
     // Sub-lane fan-out parameters for every shard engine. A truly
@@ -414,9 +399,6 @@ fn run_inner(
     let mut window_used = 0.0_f64;
     let mut window_start = 0.0_f64;
 
-    let mut channel_reserved = vec![0.0_f64; n_channels];
-    let mut reserved_total = 0.0_f64;
-
     // Segment scratch, reused: the pre-stepped rounds and the shards ×
     // rounds buffer of per-round used rates (shard-major rows).
     let mut rounds: Vec<SegmentRound> = Vec::with_capacity(MAX_SEGMENT_ROUNDS);
@@ -430,94 +412,33 @@ fn run_inner(
 
     while clock < horizon {
         // --- Fault boundaries (coordinator, serial) ------------------
-        fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
+        fault_driver.apply_due(clock, &mut cloud, control.last_targets())?;
 
         // --- Provisioning boundary (coordinator, serial) ------------
         if clock >= next_provision {
-            let _interval_span = tel.span(telem::PROV_INTERVAL);
-            let bootstrap = metrics.intervals.is_empty();
-            let (budget_factor, price_factor) = cfg.faults.shock_factors(clock);
-            if budget_factor != applied_budget_factor {
-                planner.scale_vm_budget(budget_factor / applied_budget_factor)?;
-                applied_budget_factor = budget_factor;
-            }
-            let planning_sla = if price_factor == 1.0 {
-                sla.clone()
-            } else {
-                sla.with_vm_price_factor(price_factor)
-            };
-            let summarize = |shards: &mut [ChannelShard]| -> Result<Vec<(usize, _)>, SimError> {
-                let mut out = Vec::with_capacity(n_channels);
-                for s in shards.iter_mut() {
-                    let obs = summarize_channel(
-                        &mut s.collector,
-                        &s.prior_routing,
-                        s.prior_alpha,
-                        cfg.provisioning_interval,
-                    )?;
-                    out.push((s.channel, obs));
-                }
-                Ok(out)
-            };
-            let plan = if !bootstrap && cfg.faults.dropout_active(clock) && last_plan.is_some() {
-                // Tracker blackout: drain the interval's measurements so
-                // the collectors reset exactly as in a non-faulted run,
-                // then replay the last-known-good plan.
-                let _s = tel.span(telem::PROV_TRACKER);
-                let _ = summarize(&mut shards)?;
-                fault_driver.stats.fallback_intervals += 1;
-                last_plan.clone().expect("checked is_some above")
-            } else {
-                let stats = {
-                    let _s = tel.span(telem::PROV_TRACKER);
-                    if bootstrap {
-                        bootstrap_stats(catalog, cfg)
-                    } else {
-                        summarize(&mut shards)?
-                    }
-                };
-                let _s = tel.span(telem::PROV_PLAN);
-                planner.plan_interval(&stats, &planning_sla)?
-            };
-            if let Some(p) = &plan.placement {
-                current_placement = Some(p.clone());
-            }
-            let receipt = {
-                let _s = tel.span(telem::PROV_SUBMIT);
-                cloud.submit_with_retry(
-                    &ResourceRequest {
-                        vm_targets: plan.vm_targets.clone(),
-                        placement: plan.placement.clone(),
-                    },
-                    &retry,
-                )?
-            };
-            fault_driver.stats.record_receipt(&receipt);
-            last_plan_targets = plan.vm_targets.clone();
-            channel_reserved.iter_mut().for_each(|v| *v = 0.0);
-            for (key, allocs) in &plan.vm_plan.allocations {
-                if key.channel >= n_channels {
-                    continue;
-                }
-                let bw: f64 = allocs
-                    .iter()
-                    .map(|a| a.vms * sla.virtual_clusters[a.cluster].vm_bandwidth_bytes_per_sec)
-                    .sum();
-                channel_reserved[key.channel] += bw;
-            }
-            reserved_total = channel_reserved.iter().sum();
-            let per_channel_peers: Vec<usize> = shards.iter().map(|s| s.peers.len()).collect();
-            metrics.intervals.push(interval_record(
+            let per_channel_peers = shards.iter().map(|s| s.peers.len()).collect();
+            let record = control.provision(
                 clock,
-                &plan,
-                current_placement.as_ref(),
-                &sla,
-                n_channels,
+                &mut cloud,
+                &mut fault_driver.stats,
+                tel,
                 per_channel_peers,
-            ));
-            let mut stored = plan;
-            stored.placement = None;
-            last_plan = Some(stored);
+                || {
+                    shards
+                        .iter_mut()
+                        .map(|s| {
+                            let obs = summarize_channel(
+                                &mut s.collector,
+                                &s.prior_routing,
+                                s.prior_alpha,
+                                cfg.provisioning_interval,
+                            )?;
+                            Ok((s.channel, obs))
+                        })
+                        .collect()
+                },
+            )?;
+            metrics.intervals.push(record);
             next_provision += cfg.provisioning_interval;
         }
         clk.lap(telem::STAGE_PROVISIONING);
@@ -532,11 +453,11 @@ fn run_inner(
         let mut t0 = clock;
         loop {
             if !rounds.is_empty() {
-                fault_driver.apply_due(t0, &mut cloud, &last_plan_targets)?;
+                fault_driver.apply_due(t0, &mut cloud, control.last_targets())?;
             }
             let t1 = (t0 + dt).min(horizon);
-            let online_scale = if reserved_total > 0.0 {
-                (cloud.running_bandwidth() / reserved_total).min(1.0)
+            let online_scale = if control.reserved_total() > 0.0 {
+                (cloud.running_bandwidth() / control.reserved_total()).min(1.0)
             } else {
                 0.0
             };
@@ -567,7 +488,7 @@ fn run_inner(
             vm_bandwidth,
             eff: cfg.peer_efficiency,
             p2p: cfg.mode == SimMode::P2p,
-            channel_reserved: &channel_reserved,
+            channel_reserved: control.channel_reserved(),
             catalog,
             chunk_bytes,
             chunk_seconds: cfg.chunk_seconds,

@@ -61,19 +61,8 @@
 //!   and wake-ups) are replayed in ascending peer order — the order the
 //!   reference scan encounters them — regardless of which lane or wheel
 //!   bucket discovered them.
-//!
-//! Set `CLOUDMEDIA_PROFILE=1` to print a per-phase wall-time breakdown
-//! of a run on stderr (used by `cloudmedia-bench`'s `bench_sim`).
 
-use cloudmedia_cloud::broker::{
-    scale_fleet_capacity, scale_nfs_capacity, Cloud, ResourceRequest, SlaTerms,
-};
-use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_cloud::scheduler::{ChunkKey, PlacementPlan};
-use cloudmedia_core::baseline::{BaselinePlanner, ProvisionerKind};
-use cloudmedia_core::controller::{BudgetPolicy, Controller, ControllerConfig, ProvisioningPlan};
-use cloudmedia_core::predictor::ChannelObservation;
-use cloudmedia_core::CoreError;
+use cloudmedia_cloud::scheduler::ChunkKey;
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::trace::ArrivalStream;
@@ -84,42 +73,13 @@ use rand::SeedableRng;
 use crate::allocation::peer_allocation;
 use crate::allocation::ChannelRound;
 use crate::config::{SimConfig, SimKernel, SimMode};
+use crate::control::{site_cloud, SiteControl};
 use crate::error::SimError;
 use crate::faults::{FaultDriver, FaultRun};
-use crate::metrics::{IntervalRecord, Metrics, Sample};
+use crate::metrics::{Metrics, Sample};
 use crate::peer::{Peer, PeerState, PendingChunk};
 use crate::telem;
 use crate::tracker::{Tracker, ViewingSink};
-
-/// Wall-time spent in each phase of a profiled run (seconds), captured
-/// when `CLOUDMEDIA_PROFILE=1`; see [`last_phase_profile`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
-pub struct PhaseProfile {
-    /// Hourly provisioning (controller + broker submission).
-    pub provisioning: f64,
-    /// Arrival ingestion.
-    pub arrivals: f64,
-    /// The engine's per-round allocation stage.
-    pub allocation: f64,
-    /// Download advancement and event handling.
-    pub progress: f64,
-    /// Cloud lifecycle + billing ticks.
-    pub cloud: f64,
-    /// Metric sampling.
-    pub sampling: f64,
-}
-
-thread_local! {
-    static LAST_PROFILE: std::cell::Cell<Option<PhaseProfile>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The phase breakdown of the most recent `Simulator::run` on this
-/// thread, if it ran with `CLOUDMEDIA_PROFILE=1`. Consumed by
-/// `cloudmedia-bench`'s `bench_sim` to report per-stage speedups.
-pub fn last_phase_profile() -> Option<PhaseProfile> {
-    LAST_PROFILE.with(|c| c.get())
-}
 
 /// Fixed-point scale for peer upload-supply aggregation: 1/1024 byte/s
 /// units. A power of two, so quantization and the `u64 → f64` readback
@@ -1379,34 +1339,23 @@ impl RoundEngine for IndexedEngine {
 // Shared run loop.
 // ----------------------------------------------------------------------
 
-/// The round loop shared by both engines: provisioning, arrivals, the
-/// engine's allocation stage, download progress and viewing-model
-/// transitions, cloud billing, and sampling. The configuration's fault
-/// schedule is applied in this serial loop — fleet failures/repairs at
-/// round boundaries, cost shocks and tracker dropouts at provisioning
-/// boundaries, arrival shedding per arrival timestamp — so every fault
-/// decision is a pure function of the simulated clock and the run stays
-/// bit-identical across engines and parallelism.
+/// The round loop shared by both engines: provisioning (through
+/// `crate::control`), arrivals, the engine's allocation stage,
+/// download progress and viewing-model transitions, cloud billing, and
+/// sampling. The configuration's fault schedule is applied in this
+/// serial loop — fleet failures/repairs at round boundaries, cost
+/// shocks and tracker dropouts at provisioning boundaries, arrival
+/// shedding per arrival timestamp — so every fault decision is a pure
+/// function of the simulated clock and the run stays bit-identical
+/// across engines and parallelism.
 fn run_loop<E: RoundEngine>(
     cfg: &SimConfig,
     engine: &mut E,
     tel: &Telemetry,
 ) -> Result<FaultRun, SimError> {
-    // Legacy env-var profiling (CLOUDMEDIA_PROFILE=1), consumed by
-    // `bench_sim`: when the caller didn't pass a live registry, stand up
-    // a private one so the phase breakdown can still be computed.
-    let profile = std::env::var("CLOUDMEDIA_PROFILE").is_ok();
-    let private_reg;
-    let tel = if profile && !tel.enabled() {
-        private_reg = telem::new_registry(false);
-        &private_reg
-    } else {
-        tel
-    };
     // Process-wide counter baseline, taken before the arrival stream
     // exists so its lazy draws are attributed to this run.
     let globals = telem::GlobalCounters::capture();
-    let before = profile.then(|| tel.snapshot());
 
     let catalog = &cfg.catalog;
     let n_channels = catalog.len();
@@ -1417,25 +1366,10 @@ fn run_loop<E: RoundEngine>(
     let mut arrival_stream = ArrivalStream::new(catalog, &cfg.trace)?;
     let mut next_arrival = arrival_stream.next();
 
-    let mut cloud = Cloud::new(
-        scale_fleet_capacity(&paper_virtual_clusters(), cfg.fleet_scale),
-        scale_nfs_capacity(&paper_nfs_clusters(), cfg.fleet_scale),
-        chunk_bytes as u64,
-    )?;
-    let sla = cloud.sla_terms();
-    let vm_bandwidth = sla.virtual_clusters[0].vm_bandwidth_bytes_per_sec;
-
-    let mut planner = make_planner(cfg, vm_bandwidth)?;
+    let mut cloud = site_cloud(cfg, 1.0)?;
+    let mut control = SiteControl::new(cfg, &cloud)?;
+    let vm_bandwidth = control.vm_bandwidth();
     let mut fault_driver = FaultDriver::new(&cfg.faults);
-    let retry = *fault_driver.retry_policy();
-    // The last successfully planned interval (placement stripped) — the
-    // controller's fallback when the tracker is dark — and its VM
-    // targets, restored by fleet repairs.
-    let mut last_plan: Option<ProvisioningPlan> = None;
-    let mut last_plan_targets: Vec<usize> = Vec::new();
-    // Budget-shock factor already folded into the planner's budget.
-    let mut applied_budget_factor = 1.0_f64;
-    let mut current_placement: Option<PlacementPlan> = None;
     let mut tracker = Tracker::new(catalog)?;
     let mut rng = StdRng::seed_from_u64(cfg.behaviour_seed);
 
@@ -1452,13 +1386,6 @@ fn run_loop<E: RoundEngine>(
     let mut window_startup_sum = 0.0_f64;
     let mut window_startup_count = 0usize;
 
-    // Per-channel cloud bandwidth reserved by the current plan. The
-    // paper's port-forwarding sends chunk requests to designated VMs,
-    // and a shared VM serves consecutive chunks of one channel — so a
-    // channel can use its own reserved VMs for any of its chunks, but
-    // cannot borrow another channel's.
-    let mut channel_reserved = vec![0.0_f64; n_channels];
-    let mut reserved_total = 0.0_f64;
     // Event scratch, reused across rounds.
     let mut removals: Vec<usize> = Vec::new();
     let mut completed: Vec<usize> = Vec::new();
@@ -1486,96 +1413,24 @@ fn run_loop<E: RoundEngine>(
         clk.begin_round();
 
         // --- Fault boundaries (fleet failures and repairs) ----------
-        fault_driver.apply_due(clock, &mut cloud, &last_plan_targets)?;
+        fault_driver.apply_due(clock, &mut cloud, control.last_targets())?;
 
         // --- Provisioning boundary ---------------------------------
-        {
-            if clock >= next_provision {
-                let _interval_span = tel.span(telem::PROV_INTERVAL);
-                let bootstrap = metrics.intervals.is_empty();
-                // Mid-run cost shocks: fold newly due budget factors into
-                // the planner once, and plan against the shocked price
-                // book (billing of already-running rentals is unchanged).
-                let (budget_factor, price_factor) = cfg.faults.shock_factors(clock);
-                if budget_factor != applied_budget_factor {
-                    planner.scale_vm_budget(budget_factor / applied_budget_factor)?;
-                    applied_budget_factor = budget_factor;
-                }
-                let planning_sla = if price_factor == 1.0 {
-                    sla.clone()
-                } else {
-                    sla.with_vm_price_factor(price_factor)
-                };
-                let plan = if !bootstrap && cfg.faults.dropout_active(clock) && last_plan.is_some()
-                {
-                    // Tracker blackout: the interval's measurements are
-                    // lost. Drain them anyway (the collector's reset
-                    // state must match a non-faulted run) and fall back
-                    // to the last-known-good plan instead of panicking
-                    // on empty statistics.
-                    let _s = tel.span(telem::PROV_TRACKER);
-                    let _ = tracker.interval_stats(cfg.provisioning_interval)?;
-                    fault_driver.stats.fallback_intervals += 1;
-                    last_plan.clone().expect("checked is_some above")
-                } else {
-                    let stats = {
-                        let _s = tel.span(telem::PROV_TRACKER);
-                        if bootstrap {
-                            bootstrap_stats(catalog, cfg)
-                        } else {
-                            tracker.interval_stats(cfg.provisioning_interval)?
-                        }
-                    };
-                    let _s = tel.span(telem::PROV_PLAN);
-                    planner.plan_interval(&stats, &planning_sla)?
-                };
-                if let Some(p) = &plan.placement {
-                    current_placement = Some(p.clone());
-                }
-                let receipt = {
-                    let _s = tel.span(telem::PROV_SUBMIT);
-                    cloud.submit_with_retry(
-                        &ResourceRequest {
-                            vm_targets: plan.vm_targets.clone(),
-                            placement: plan.placement.clone(),
-                        },
-                        &retry,
-                    )?
-                };
-                fault_driver.stats.record_receipt(&receipt);
-                last_plan_targets = plan.vm_targets.clone();
-                channel_reserved.iter_mut().for_each(|v| *v = 0.0);
-                for (key, allocs) in &plan.vm_plan.allocations {
-                    if key.channel >= n_channels {
-                        continue;
-                    }
-                    let bw: f64 = allocs
-                        .iter()
-                        .map(|a| a.vms * sla.virtual_clusters[a.cluster].vm_bandwidth_bytes_per_sec)
-                        .sum();
-                    channel_reserved[key.channel] += bw;
-                }
-                reserved_total = channel_reserved.iter().sum();
-                let mut per_channel_peers = vec![0usize; n_channels];
-                for p in &peers {
-                    per_channel_peers[p.channel()] += 1;
-                }
-                metrics.intervals.push(interval_record(
-                    clock,
-                    &plan,
-                    current_placement.as_ref(),
-                    &sla,
-                    n_channels,
-                    per_channel_peers,
-                ));
-                // Keep the plan as the dropout fallback, placement
-                // stripped: re-placing chunks is not part of replaying a
-                // stale plan.
-                let mut stored = plan;
-                stored.placement = None;
-                last_plan = Some(stored);
-                next_provision += cfg.provisioning_interval;
+        if clock >= next_provision {
+            let mut per_channel_peers = vec![0usize; n_channels];
+            for p in &peers {
+                per_channel_peers[p.channel()] += 1;
             }
+            let record = control.provision(
+                clock,
+                &mut cloud,
+                &mut fault_driver.stats,
+                tel,
+                per_channel_peers,
+                || tracker.interval_stats(cfg.provisioning_interval),
+            )?;
+            metrics.intervals.push(record);
+            next_provision += cfg.provisioning_interval;
         }
         clk.lap(telem::STAGE_PROVISIONING);
 
@@ -1612,8 +1467,8 @@ fn run_loop<E: RoundEngine>(
 
         // --- Allocation stage (engine-specific) ---------------------
         let cloud_pool = cloud.running_bandwidth();
-        let online_scale = if reserved_total > 0.0 {
-            (cloud_pool / reserved_total).min(1.0)
+        let online_scale = if control.reserved_total() > 0.0 {
+            (cloud_pool / control.reserved_total()).min(1.0)
         } else {
             0.0
         };
@@ -1624,7 +1479,7 @@ fn run_loop<E: RoundEngine>(
             eff: cfg.peer_efficiency,
             p2p: cfg.mode == SimMode::P2p,
             online_scale,
-            channel_reserved: &channel_reserved,
+            channel_reserved: control.channel_reserved(),
         };
         let used_cloud_rate = engine.allocate(&peers, &ctx);
         clk.lap(telem::STAGE_ALLOCATION);
@@ -1701,37 +1556,6 @@ fn run_loop<E: RoundEngine>(
     telem::record_fault_stats(tel, &fault_driver.stats);
     globals.record_delta(tel);
 
-    if profile {
-        let snap = tel.snapshot();
-        let base = before.expect("captured when profiling");
-        let secs = |id: cloudmedia_telemetry::MetricId| {
-            snap.value(id).wrapping_sub(base.value(id)) as f64 * 1e-9
-        };
-        let count =
-            |id: cloudmedia_telemetry::MetricId| snap.value(id).wrapping_sub(base.value(id));
-        let rounds = count(telem::ROUNDS).max(1);
-        let phases = PhaseProfile {
-            provisioning: secs(telem::STAGE_PROVISIONING),
-            arrivals: secs(telem::STAGE_ARRIVALS),
-            allocation: secs(telem::STAGE_ALLOCATION),
-            progress: secs(telem::STAGE_ADVANCE) + secs(telem::STAGE_EVENTS),
-            cloud: secs(telem::STAGE_CLOUD),
-            sampling: secs(telem::STAGE_SAMPLING),
-        };
-        eprintln!(
-            "phases: prov={:.3}s arrivals={:.3}s alloc={:.3}s progress={:.3}s (advance={:.3}s, {:.1} done + {:.1} woken / round) cloud={:.3}s sample={:.3}s",
-            phases.provisioning,
-            phases.arrivals,
-            phases.allocation,
-            phases.progress,
-            secs(telem::STAGE_ADVANCE),
-            count(telem::COMPLETED_CHUNKS) as f64 / rounds as f64,
-            count(telem::WOKEN_PEERS) as f64 / rounds as f64,
-            phases.cloud,
-            phases.sampling
-        );
-        LAST_PROFILE.with(|c| c.set(Some(phases)));
-    }
     metrics.total_vm_cost = cloud.billing().vm_cost().as_dollars();
     metrics.total_storage_cost = cloud.billing().storage_cost().as_dollars();
     Ok(FaultRun {
@@ -1924,149 +1748,6 @@ pub(crate) fn process_round_events<E: RoundEngine + ?Sized, S: ViewingSink>(
         peers.swap_remove(idx);
     }
     removals.clear();
-}
-
-/// Bootstrap observations for the very first interval: the provider's
-/// "empirical user scale and viewing pattern information" (paper Sec. V-B)
-/// — the catalog's base rates scaled by the diurnal multiplier at time 0.
-pub(crate) fn bootstrap_stats(
-    catalog: &Catalog,
-    cfg: &SimConfig,
-) -> Vec<(usize, ChannelObservation)> {
-    let mult = cfg.trace.diurnal.multiplier(0.0);
-    catalog
-        .channels()
-        .iter()
-        .map(|spec| {
-            (
-                spec.id,
-                ChannelObservation {
-                    arrival_rate: spec.base_arrival_rate * mult,
-                    alpha: spec.viewing.start_at_beginning,
-                    routing: spec
-                        .viewing
-                        .routing_rows()
-                        .expect("catalog channels validated at construction"),
-                },
-            )
-        })
-        .collect()
-}
-
-/// The pluggable provisioning strategy driving the simulation. Shared
-/// with the event-driven engine, which runs the identical control path.
-#[derive(Debug)]
-pub(crate) enum Planner {
-    /// The paper's model-driven controller (boxed: it dwarfs the
-    /// baseline variant).
-    Model(Box<Controller>),
-    /// A baseline strategy (reactive or fixed).
-    Baseline(BaselinePlanner),
-}
-
-/// Builds the configured provisioning planner for a run (the controller
-/// configuration mirrors the paper's defaults with the run's overrides).
-pub(crate) fn make_planner(cfg: &SimConfig, vm_bandwidth: f64) -> Result<Planner, SimError> {
-    let controller_config = ControllerConfig {
-        interval_seconds: cfg.provisioning_interval,
-        vm_budget_per_hour: cfg.vm_budget_per_hour,
-        storage_budget_per_hour: cfg.storage_budget_per_hour,
-        mode: cfg.streaming_mode(),
-        streaming_rate: cfg.streaming_rate,
-        chunk_seconds: cfg.chunk_seconds,
-        vm_bandwidth,
-        safety_factor: cfg.safety_factor,
-        target: cfg.provisioning_target,
-        // Fault-plane runs degrade uniformly (diluting every stream)
-        // instead of aborting when a mid-run budget shock makes the
-        // configured budget infeasible; fault-free runs keep the strict
-        // paper semantics of surfacing the "increase the budget" signal.
-        budget_policy: if cfg.faults.is_empty() {
-            BudgetPolicy::Strict
-        } else {
-            BudgetPolicy::BestEffort
-        },
-        ..ControllerConfig::paper_default(cfg.streaming_mode())
-    };
-    Ok(match cfg.provisioner {
-        ProvisionerKind::Model => {
-            Planner::Model(Box::new(Controller::new(controller_config, cfg.predictor)?))
-        }
-        baseline => Planner::Baseline(BaselinePlanner::new(
-            baseline,
-            cfg.streaming_rate,
-            cfg.chunk_seconds,
-            cfg.vm_budget_per_hour,
-            cfg.storage_budget_per_hour,
-        )?),
-    })
-}
-
-impl Planner {
-    pub(crate) fn plan_interval(
-        &mut self,
-        stats: &[(usize, cloudmedia_core::predictor::ChannelObservation)],
-        sla: &SlaTerms,
-    ) -> Result<ProvisioningPlan, CoreError> {
-        match self {
-            Planner::Model(c) => c.plan_interval(stats, sla),
-            Planner::Baseline(b) => b.plan_interval(stats, sla),
-        }
-    }
-
-    /// Scales the VM rental budget by `factor` (mid-run budget shocks
-    /// apply to the model controller and the baselines alike).
-    pub(crate) fn scale_vm_budget(&mut self, factor: f64) -> Result<(), CoreError> {
-        match self {
-            Planner::Model(c) => c.scale_vm_budget(factor),
-            Planner::Baseline(b) => b.scale_vm_budget(factor),
-        }
-    }
-}
-
-pub(crate) fn interval_record(
-    time: f64,
-    plan: &ProvisioningPlan,
-    placement: Option<&PlacementPlan>,
-    sla: &SlaTerms,
-    n_channels: usize,
-    per_channel_peers: Vec<usize>,
-) -> IntervalRecord {
-    let mut per_channel_demand = vec![0.0; n_channels];
-    let mut per_channel_storage = vec![0.0; n_channels];
-    let mut per_channel_vm = vec![0.0; n_channels];
-    for d in &plan.chunk_demands {
-        let c = d.key.channel;
-        if c >= n_channels {
-            continue;
-        }
-        per_channel_demand[c] += d.demand;
-        if let Some(pl) = placement {
-            if let Some(&f) = pl.get(&d.key) {
-                per_channel_storage[c] += sla.nfs_clusters[f].utility * d.demand;
-            }
-        }
-    }
-    for (key, allocs) in &plan.vm_plan.allocations {
-        if key.channel >= n_channels {
-            continue;
-        }
-        for a in allocs {
-            per_channel_vm[key.channel] += sla.virtual_clusters[a.cluster].utility * a.vms;
-        }
-    }
-    IntervalRecord {
-        time,
-        vm_targets: plan.vm_targets.clone(),
-        vm_hourly_cost: plan.vm_plan.integer_hourly_cost,
-        total_cloud_demand: plan.total_cloud_demand,
-        expected_peer_contribution: plan.expected_peer_contribution,
-        per_channel_demand,
-        per_channel_storage_utility: per_channel_storage,
-        per_channel_vm_utility: per_channel_vm,
-        placement_refreshed: plan.placement.is_some(),
-        per_channel_peers,
-    }
 }
 
 pub(crate) fn sample(

@@ -5,7 +5,7 @@
 //! points (`docs/SCALING.md`, "Segments"). The serial ≡ parallel suites
 //! cannot see an ordering change that both paths share, and every other
 //! golden runs fault-free on aligned 10 s / 300 s / 3600 s intervals, so
-//! this suite pins four runs whose boundaries never line up:
+//! this suite pins eight runs whose boundaries never line up:
 //!
 //! - 7 s rounds, 95 s samples, 1000 s provisioning intervals, and a
 //!   horizon that ends 3 s into a round;
@@ -16,7 +16,9 @@
 //!   1.5 h + 11 s, so both emergency re-plans fire between boundaries.
 //!
 //! The runs are Sharded client–server and P2P on a 6-channel Zipf
-//! catalog, and the paper-default federated deployment in both modes.
+//! catalog, the paper-default federated deployment in both modes, and
+//! the same single-site runs on the Indexed and event-driven engines,
+//! so every engine's hourly control path is pinned under faults.
 //! Floats are recorded as IEEE-754 bit patterns; each interval's
 //! samples and per-channel vectors are recorded as a count plus an
 //! FNV-1a digest of every bit pattern, which keeps the fixture small
@@ -83,10 +85,10 @@ fn unaligned(cfg: &mut SimConfig) {
     cfg.faults = faults();
 }
 
-fn sharded(mode: SimMode) -> SimConfig {
+fn single_site(kernel: SimKernel, mode: SimMode) -> SimConfig {
     let mut cfg = SimConfig::paper_default(mode);
     cfg.catalog = Catalog::zipf(6, 0.8, ViewingModel::paper_default(), 200.0, 300.0).unwrap();
-    cfg.kernel = SimKernel::Sharded;
+    cfg.kernel = kernel;
     unaligned(&mut cfg);
     cfg
 }
@@ -217,16 +219,7 @@ fn fault_line(out: &mut String, label: &str, s: &FaultStats) {
 fn runs() -> (String, Vec<(String, FaultStats)>) {
     let mut out = String::new();
     let mut stats = Vec::new();
-    for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
-        let label = format!("sharded_{name}");
-        let run = Simulator::new(sharded(mode))
-            .unwrap()
-            .run_with_faults()
-            .unwrap();
-        site_lines(&mut out, &label, &run.metrics);
-        fault_line(&mut out, &label, &run.fault_stats);
-        stats.push((label, run.fault_stats));
-    }
+    single_site_runs(&mut out, &mut stats, "sharded", SimKernel::Sharded);
     for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
         let label = format!("federated_{name}");
         let m = FederatedSimulator::new(federated(mode))
@@ -258,7 +251,29 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         fault_line(&mut out, &label, &m.fault_stats);
         stats.push((label, m.fault_stats));
     }
+    single_site_runs(&mut out, &mut stats, "indexed", SimKernel::Indexed);
+    single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven);
     (out, stats)
+}
+
+/// A single-site engine's C/S and P2P runs on the faulted 6-channel
+/// config.
+fn single_site_runs(
+    out: &mut String,
+    stats: &mut Vec<(String, FaultStats)>,
+    engine: &str,
+    kernel: SimKernel,
+) {
+    for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
+        let label = format!("{engine}_{name}");
+        let run = Simulator::new(single_site(kernel, mode))
+            .unwrap()
+            .run_with_faults()
+            .unwrap();
+        site_lines(out, &label, &run.metrics);
+        fault_line(out, &label, &run.fault_stats);
+        stats.push((label, run.fault_stats));
+    }
 }
 
 #[test]
@@ -298,10 +313,10 @@ fn golden_covers_every_boundary_kind() {
     for (label, s) in &stats {
         assert!(s.fallback_intervals > 0, "{label}: blackout never replayed");
         assert!(s.shed_arrivals > 0, "{label}: nothing shed");
-        if label.starts_with("sharded") {
-            assert!(s.vms_killed > 0, "{label}: burst killed nothing");
-        } else {
+        if label.starts_with("federated") {
             assert_eq!(s.emergency_replans, 2, "{label}: outage re-plans");
+        } else {
+            assert!(s.vms_killed > 0, "{label}: burst killed nothing");
         }
     }
 }
