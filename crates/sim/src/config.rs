@@ -155,8 +155,7 @@ pub struct SimConfig {
     /// Fraction of peers' upload capacity usable per round in P2P mode,
     /// in `(0, 1]`. Models mesh friction the fluid allocator does not see
     /// — stale buffer maps, neighbor fan-out limits, request pipelining
-    /// gaps — which is why the paper's P2P quality (≈ 0.95) trails its
-    /// client–server quality (≈ 0.97).
+    /// gaps.
     pub peer_efficiency: f64,
     /// Round-engine implementation (identical results, different speed).
     pub kernel: SimKernel,

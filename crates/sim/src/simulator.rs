@@ -18,7 +18,7 @@
 //!
 //! - [`SimKernel::Indexed`] (production): round cost scales with *what
 //!   happens*, not with how many viewers are connected. Per channel it
-//!   keeps a sorted struct-of-arrays index of the in-flight downloads,
+//!   keeps an unordered index of the in-flight downloads,
 //!   incrementally-maintained chunk-owner counts, and **fixed-point peer
 //!   supply aggregates** — the upload pool and per-chunk owner-upload
 //!   sums are integers in 1/1024-byte/s units, updated in O(1) on every
@@ -42,11 +42,10 @@
 //! Both engines produce **bit-identical** [`Metrics`] for the same seed.
 //! This is by construction:
 //!
-//! - Per-slot *demand* sums are f64, but each receives contributions from
-//!   exactly one channel's downloaders, and the indexed engine's download
-//!   index is kept sorted by global peer index — the same relative order
-//!   the full-population scan visits — so every demand sum is the same
-//!   sequence of f64 additions.
+//! - Per-slot *demand* sums are integers in the same fixed-point units
+//!   (`quantize_rate`, one rounding shared by both engines), so the
+//!   indexed engine's unordered, possibly split pass over its download
+//!   index sums exactly what the scan engine's ordered rescan does.
 //! - Peer *supply* aggregates (upload pool, per-chunk owner upload) are
 //!   integers in fixed-point units shared by both engines
 //!   (`quantize_usable`). Integer addition is associative, so the scan
@@ -118,7 +117,34 @@ pub(crate) fn dequantize(units: u64) -> f64 {
 /// forever.
 #[inline]
 pub(crate) fn quantize_rate(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> u64 {
-    ((bytes_left * inv_step).min(vm_bandwidth) * UPLOAD_SCALE).ceil() as u64
+    rate_units(bytes_left, inv_step, vm_bandwidth) as u64
+}
+
+/// `dequantize(quantize_rate(..))`, bit for bit, without the `u64` round
+/// trip: the per-download advance passes read a download's own rate
+/// through this.
+#[inline]
+pub(crate) fn quantized_rate(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> f64 {
+    rate_units(bytes_left, inv_step, vm_bandwidth) as f64 * (1.0 / UPLOAD_SCALE)
+}
+
+/// `y.ceil()` for the requested rate `y` on the fixed-point grid, as
+/// `trunc(y) + (trunc(y) < y)`. Baseline x86-64 has no rounding
+/// instruction, so `f64::ceil` is an out-of-line libm call, and `f64 ↔
+/// u64` conversions branch; `f64 ↔ i64` are single instructions. Exact
+/// on the domain `0 ≤ y ≤ vm_bandwidth · UPLOAD_SCALE`, which the
+/// demand and advance passes stay in because a live download's
+/// bytes-left is positive. Any real link keeps the bound far below
+/// 2^53; the identity itself holds for every `y` below 2^63.
+#[inline]
+fn rate_units(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> i64 {
+    let y = (bytes_left * inv_step).min(vm_bandwidth) * UPLOAD_SCALE;
+    debug_assert!(
+        (0.0..=vm_bandwidth * UPLOAD_SCALE).contains(&y),
+        "requested rate {y} outside the quantizer's domain"
+    );
+    let t = y as i64;
+    t + i64::from((t as f64) < y)
 }
 
 /// The system simulator. Construct with a [`SimConfig`] and call
@@ -484,8 +510,7 @@ impl RoundEngine for ScanEngine {
                     deadline,
                 } => {
                     let slot = p.channel() * self.max_chunks + chunk;
-                    let my_req =
-                        dequantize(quantize_rate(bytes_left, ctx.inv_step, ctx.vm_bandwidth));
+                    let my_req = quantized_rate(bytes_left, ctx.inv_step, ctx.vm_bandwidth);
                     let my_rate = my_req * self.ratio[slot];
                     let new_left = bytes_left - my_rate * ctx.step;
                     if new_left <= 1e-6 {
@@ -539,8 +564,8 @@ struct DlEntry {
 struct LaneScratch {
     /// Fixed-point demand partials, folded into the lane in sub-lane
     /// order after the fan-out (integer sums, so the fold order cannot
-    /// change the totals).
-    req_units: Vec<u64>,
+    /// change the totals). Written whole, once per round.
+    req_units: [u64; 64],
     /// Chunk slots this sub-lane wrote in `req_units`.
     mask: u64,
     /// Peer indices whose download completed in this sub-lane's slice.
@@ -575,8 +600,6 @@ struct ChannelLane {
     /// Σ usable upload over the channel's members, fixed-point units
     /// (incremental).
     pool_units: u64,
-    /// Fixed-point demand accumulator per chunk this round.
-    req_units: Vec<u64>,
     /// Chunk slots written last processed round (cleared lazily at the
     /// start of the next).
     written_mask: u64,
@@ -607,7 +630,6 @@ impl ChannelLane {
             owners: vec![0; max_chunks],
             owner_units: vec![0; max_chunks],
             pool_units: 0,
-            req_units: vec![0; max_chunks],
             written_mask: 0,
             requested: vec![0.0; max_chunks],
             peer_served: vec![0.0; max_chunks],
@@ -630,7 +652,6 @@ impl ChannelLane {
             self.peer_served[k] = 0.0;
             self.cloud_served[k] = 0.0;
             self.residual[k] = 0.0;
-            self.req_units[k] = 0;
         }
         self.written_mask = 0;
     }
@@ -648,70 +669,60 @@ impl ChannelLane {
             return;
         }
 
-        let mut req_mask: u64 = 0;
-        for e in &self.dl {
-            let units = quantize_rate(e.bytes, ctx.inv_step, ctx.vm_bandwidth);
-            self.req_units[e.chunk as usize] += units;
-            req_mask |= 1 << e.chunk;
-        }
-        self.finish(ctx, req_mask);
+        let (units, req_mask) = slice_demand(&self.dl, ctx);
+        self.finish(ctx, &units, req_mask);
     }
 
     /// Split variant of [`ChannelLane::process`] for a hot channel: the
-    /// demand scan fans out over `scratch.len()` contiguous sub-lanes
-    /// (fixed-order slices of the download index) on the rayon pool;
-    /// each sub-lane accumulates private fixed-point partials, which are
-    /// folded back in sub-lane order. The demand sums are integers, so
-    /// the slicing and thread count cannot change a single bit of the
-    /// totals — this path is exactly [`ChannelLane::process`] with the
-    /// additions reassociated.
+    /// demand scan fans out over up to `scratch.len()` contiguous
+    /// sub-lanes (fixed-order slices of the download index) on the rayon
+    /// pool; each sub-lane accumulates private fixed-point partials,
+    /// which are folded back in sub-lane order. The demand sums are
+    /// integers, so the slicing and thread count cannot change a single
+    /// bit of the totals — this path is exactly [`ChannelLane::process`]
+    /// with the additions reassociated.
     fn process_split(&mut self, ctx: &RoundCtx<'_>, scratch: &mut [LaneScratch], time_it: bool) {
         self.clear_written();
         if self.dl.is_empty() {
             return;
         }
-        let seg = self.dl.len().div_ceil(scratch.len());
+        let (seg, scratch) = sub_lane_slices(self.dl.len(), scratch);
         let dl = &self.dl;
         rayon::scope(|s| {
             for (part, sc) in dl.chunks(seg).zip(scratch.iter_mut()) {
                 s.spawn(move |_| {
                     let t0 = time_it.then(std::time::Instant::now);
-                    sc.mask = 0;
-                    for e in part {
-                        let units = quantize_rate(e.bytes, ctx.inv_step, ctx.vm_bandwidth);
-                        sc.req_units[e.chunk as usize] += units;
-                        sc.mask |= 1 << e.chunk;
-                    }
+                    (sc.req_units, sc.mask) = slice_demand(part, ctx);
                     if let Some(t0) = t0 {
                         sc.wall_ns += t0.elapsed().as_nanos() as u64;
                     }
                 });
             }
         });
+        let mut units = [0u64; 64];
         let mut req_mask: u64 = 0;
-        for sc in scratch.iter_mut() {
+        for sc in scratch.iter() {
             let mut m = sc.mask;
             while m != 0 {
                 let k = m.trailing_zeros() as usize;
                 m &= m - 1;
-                self.req_units[k] += sc.req_units[k];
-                sc.req_units[k] = 0;
+                units[k] += sc.req_units[k];
             }
             req_mask |= sc.mask;
-            sc.mask = 0;
         }
-        self.finish(ctx, req_mask);
+        self.finish(ctx, &units, req_mask);
     }
 
-    /// The serial tail of the round pass: requested-rate readback, both
-    /// allocation kernels, and the served-rate ratios — identical
-    /// whichever demand pass (serial or split) filled `req_units`.
-    fn finish(&mut self, ctx: &RoundCtx<'_>, req_mask: u64) {
+    /// The serial tail of the round pass: requested-rate readback of the
+    /// per-chunk demand `units`, both allocation kernels, and the
+    /// served-rate ratios — identical whichever demand pass (serial or
+    /// split) summed `units`.
+    fn finish(&mut self, ctx: &RoundCtx<'_>, units: &[u64; 64], req_mask: u64) {
         let mut m = req_mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
             m &= m - 1;
-            self.requested[k] = dequantize(self.req_units[k]);
+            self.requested[k] = dequantize(units[k]);
         }
         self.written_mask = req_mask;
 
@@ -764,16 +775,9 @@ impl ChannelLane {
     /// demand pass — with the identical quantization, so the advance is
     /// bit-equal to the old cached-rate implementation.
     fn advance(&mut self, ctx: &RoundCtx<'_>, completed: &mut Vec<usize>) {
-        for e in &mut self.dl {
-            let my_req = dequantize(quantize_rate(e.bytes, ctx.inv_step, ctx.vm_bandwidth));
-            let my_rate = my_req * self.ratio[e.chunk as usize];
-            let new_left = e.bytes - my_rate * ctx.step;
-            if new_left <= 1e-6 {
-                completed.push(e.idx as usize);
-            } else {
-                e.bytes = new_left;
-            }
-        }
+        advance_slice(&mut self.dl, &self.ratio, ctx, |idx| {
+            completed.push(idx as usize);
+        });
     }
 
     /// Split variant of [`ChannelLane::advance`]: the same fixed-order
@@ -792,24 +796,14 @@ impl ChannelLane {
         if self.dl.is_empty() {
             return;
         }
-        let seg = self.dl.len().div_ceil(scratch.len());
-        let ratio = &self.ratio;
+        let (seg, scratch) = sub_lane_slices(self.dl.len(), scratch);
+        let ratio = &self.ratio[..];
         rayon::scope(|s| {
             for (part, sc) in self.dl.chunks_mut(seg).zip(scratch.iter_mut()) {
                 s.spawn(move |_| {
                     let t0 = time_it.then(std::time::Instant::now);
                     sc.completed.clear();
-                    for e in part {
-                        let my_req =
-                            dequantize(quantize_rate(e.bytes, ctx.inv_step, ctx.vm_bandwidth));
-                        let my_rate = my_req * ratio[e.chunk as usize];
-                        let new_left = e.bytes - my_rate * ctx.step;
-                        if new_left <= 1e-6 {
-                            sc.completed.push(e.idx);
-                        } else {
-                            e.bytes = new_left;
-                        }
-                    }
+                    advance_slice(part, ratio, ctx, |idx| sc.completed.push(idx));
                     if let Some(t0) = t0 {
                         sc.wall_ns += t0.elapsed().as_nanos() as u64;
                     }
@@ -820,6 +814,55 @@ impl ChannelLane {
             completed.extend(sc.completed.iter().map(|&i| i as usize));
         }
     }
+}
+
+/// Demand of one slice of a download index: per-chunk fixed-point sums
+/// and the mask of requested chunks. The accumulator and mask are
+/// locals, so the loop stores nothing to memory another lane or the
+/// engine shares; the caller writes them out once.
+#[inline]
+fn slice_demand(part: &[DlEntry], ctx: &RoundCtx<'_>) -> ([u64; 64], u64) {
+    let (inv_step, vm_bandwidth) = (ctx.inv_step, ctx.vm_bandwidth);
+    let mut units = [0u64; 64];
+    let mut mask: u64 = 0;
+    for e in part {
+        units[e.chunk as usize] += quantize_rate(e.bytes, inv_step, vm_bandwidth);
+        mask |= 1 << e.chunk;
+    }
+    (units, mask)
+}
+
+/// Advances one slice of a download index by a round at the served
+/// ratios `ratio`, reporting each completed download's peer index to
+/// `done`.
+#[inline]
+fn advance_slice(
+    part: &mut [DlEntry],
+    ratio: &[f64],
+    ctx: &RoundCtx<'_>,
+    mut done: impl FnMut(u32),
+) {
+    let (inv_step, vm_bandwidth, step) = (ctx.inv_step, ctx.vm_bandwidth, ctx.step);
+    for e in part {
+        let my_rate = quantized_rate(e.bytes, inv_step, vm_bandwidth) * ratio[e.chunk as usize];
+        let new_left = e.bytes - my_rate * step;
+        if new_left <= 1e-6 {
+            done(e.idx);
+        } else {
+            e.bytes = new_left;
+        }
+    }
+}
+
+/// The sub-lane slicing both split passes share: contiguous slices of
+/// `seg = ceil(n / lanes)` downloads, and the scratch of the sub-lanes
+/// that get one. `chunks(seg)` yields `ceil(n / seg)` slices, which can
+/// be fewer than the lanes (81 downloads over 10 lanes make 9 slices of
+/// 9); a sub-lane without a slice keeps an earlier round's partials and
+/// completions, so it must not be folded.
+fn sub_lane_slices(n: usize, scratch: &mut [LaneScratch]) -> (usize, &mut [LaneScratch]) {
+    let seg = n.div_ceil(scratch.len());
+    (seg, &mut scratch[..n.div_ceil(seg)])
 }
 
 /// Calendar wheel of waiting peers, bucketed by round. Pushing is O(1);
@@ -1062,7 +1105,7 @@ impl IndexedEngine {
         if engine.lane_cap > 1 {
             engine.scratch = (0..engine.lane_cap)
                 .map(|_| LaneScratch {
-                    req_units: vec![0; max_chunks],
+                    req_units: [0; 64],
                     mask: 0,
                     completed: Vec::new(),
                     wall_ns: 0,
@@ -1807,6 +1850,110 @@ pub fn group_demand_by_channel(demands: &[(ChunkKey, f64)], n_channels: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The rate quantizer as written with `std`'s `ceil`: the reference
+    /// `quantize_rate` and `quantized_rate` must match bit for bit.
+    fn reference_rate(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) -> u64 {
+        ((bytes_left * inv_step).min(vm_bandwidth) * UPLOAD_SCALE).ceil() as u64
+    }
+
+    fn assert_rate_matches(bytes_left: f64, inv_step: f64, vm_bandwidth: f64) {
+        let want = reference_rate(bytes_left, inv_step, vm_bandwidth);
+        let args = format!("({bytes_left:e}, {inv_step:e}, {vm_bandwidth:e})");
+        assert_eq!(
+            quantize_rate(bytes_left, inv_step, vm_bandwidth),
+            want,
+            "quantize_rate{args}"
+        );
+        assert_eq!(
+            quantized_rate(bytes_left, inv_step, vm_bandwidth).to_bits(),
+            dequantize(want).to_bits(),
+            "quantized_rate{args}"
+        );
+    }
+
+    /// SplitMix64: a dependency-free bit source for the rounding sweeps.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A link cap whose grid bound `CAP · UPLOAD_SCALE` is 2^62, so the
+    /// sweeps reach past 2^53 while staying in the quantizer's domain.
+    const CAP: f64 = (1u64 << 52) as f64;
+
+    /// Checks the grid value `y`: `bytes_left = y / UPLOAD_SCALE` with a
+    /// unit step is exact unless the quotient is subnormal, so the
+    /// quantizer sees `y` itself (and the reference the same arguments
+    /// either way).
+    fn assert_grid_value_matches(y: f64) {
+        assert_rate_matches(y / UPLOAD_SCALE, 1.0, CAP);
+    }
+
+    #[test]
+    fn rate_rounding_matches_std_at_integers_and_their_neighbours() {
+        let mut ys: Vec<f64> = (0..=4096).map(f64::from).collect();
+        for e in 0..=62 {
+            ys.push((1u64 << e) as f64);
+        }
+        // Around 2^52 the grid spacing becomes 1; past 2^53 it is 2.
+        for base in [1u64 << 52, 1 << 53] {
+            for d in 0..=4 {
+                ys.push((base - d) as f64);
+                ys.push((base + d) as f64);
+            }
+            ys.push(base as f64 - 0.5);
+        }
+        let mut state = 0xC10D_0001;
+        for _ in 0..100_000 {
+            ys.push((splitmix(&mut state) >> 11) as f64); // integers below 2^53
+        }
+        for y in ys {
+            assert_grid_value_matches(y);
+            assert_grid_value_matches(y.next_up());
+            if y > 0.0 {
+                assert_grid_value_matches(y.next_down());
+            }
+        }
+    }
+
+    #[test]
+    fn rate_rounding_matches_std_at_zero_and_subnormals() {
+        for bytes_left in [0.0, -0.0, f64::MIN_POSITIVE, f64::from_bits(1)] {
+            assert_rate_matches(bytes_left, 1.0, CAP);
+            assert_rate_matches(bytes_left, 0.1, 1.25e6);
+        }
+        let mut state = 0xC10D_0002;
+        for _ in 0..100_000 {
+            // Subnormal bytes scale to subnormal or tiny grid values.
+            let subnormal = f64::from_bits(splitmix(&mut state) >> 12);
+            assert_rate_matches(subnormal, 1.0, CAP);
+        }
+    }
+
+    #[test]
+    fn rate_rounding_matches_std_on_random_bit_patterns() {
+        let mut state = 0xC10D_0003;
+        let mut checked = 0;
+        while checked < 1_000_000 {
+            // Clear the sign; the filter drops NaNs, infinities and
+            // values past the cap, which lie outside the domain.
+            let y = f64::from_bits(splitmix(&mut state) >> 1);
+            if y <= CAP * UPLOAD_SCALE {
+                assert_grid_value_matches(y);
+                checked += 1;
+            }
+        }
+        // Realistic arguments: 10 s rounds and a 10 Mbit/s link cap,
+        // which clamps about half of these byte counts.
+        for _ in 0..1_000_000 {
+            let bytes_left = (splitmix(&mut state) >> 11) as f64 * (2.5e7 / (1u64 << 53) as f64);
+            assert_rate_matches(bytes_left, 0.1, 1.25e6);
+        }
+    }
 
     /// A small, fast configuration: 3 channels, ~120 viewers, 6 hours.
     fn small_config(mode: SimMode) -> SimConfig {

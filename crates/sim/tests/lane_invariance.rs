@@ -64,7 +64,7 @@ proptest! {
     fn any_lane_count_matches_the_serial_single_lane_reference(
         channels in 1usize..4,
         population in 150.0..450.0f64,
-        lanes in 0usize..8,
+        lanes in 0usize..48,
         trace_seed in any::<u64>(),
         behaviour_seed in any::<u64>(),
         p2p in any::<bool>(),
@@ -103,6 +103,30 @@ fn lane_count_sweep_on_a_giant_channel_is_invariant() {
     reference.parallel_channels = false;
     let want = run(reference.clone());
     for lanes in [0usize, 1, 2, 3, 5, 8, 64] {
+        let mut cfg = reference.clone();
+        cfg.parallel_channels = true;
+        cfg.lanes = lanes;
+        let got = run(cfg);
+        assert_eq!(want.metrics, got.metrics, "lanes={lanes}");
+        assert_eq!(want.fault_stats, got.fault_stats, "lanes={lanes}");
+    }
+}
+
+/// Forced lane counts can cut the download index into fewer slices
+/// than sub-lanes: with at least `LANE_MIN_FORCED` (8) downloads per
+/// sub-lane, `ceil(n / ceil(n / subs))` falls below `subs` from ten
+/// sub-lanes on (81 downloads over 10 make 9 slices of 9). The
+/// sub-lanes left without a slice must sit the round out: folding
+/// their scratch once replayed an earlier round's completions and
+/// panicked. The one-channel 2,000-viewer run at 16 and 32 lanes must
+/// match the serial reference.
+#[test]
+fn lane_counts_beyond_the_slice_count_match_serial() {
+    let mut reference = SimConfig::scale_out(SimMode::ClientServer, 1, 2000.0).unwrap();
+    reference.trace.horizon_seconds = 3600.0;
+    reference.parallel_channels = false;
+    let want = run(reference.clone());
+    for lanes in [16usize, 32] {
         let mut cfg = reference.clone();
         cfg.parallel_channels = true;
         cfg.lanes = lanes;
