@@ -5,20 +5,23 @@
 //! points (`docs/SCALING.md`, "Segments"). The serial ≡ parallel suites
 //! cannot see an ordering change that both paths share, and every other
 //! golden runs fault-free on aligned 10 s / 300 s / 3600 s intervals, so
-//! this suite pins eight runs whose boundaries never line up:
+//! this suite pins fourteen runs whose boundaries never line up:
 //!
 //! - 7 s rounds, 95 s samples, 1000 s provisioning intervals, and a
 //!   horizon that ends 3 s into a round;
 //! - a VM burst at 0.4 · horizon + 13 s, a tracker blackout, a budget
 //!   shock between boundaries, and `ShedNewArrivals`, all landing
 //!   mid-segment;
-//! - for the federation, a site outage from 3 h 10 min 13 s lasting
-//!   1.5 h + 11 s, so both emergency re-plans fire between boundaries.
+//! - for the federated and independent deployments, a site outage from
+//!   3 h 10 min 13 s lasting 1.5 h + 11 s, so both emergency re-plans
+//!   fire between boundaries.
 //!
 //! The runs are Sharded client–server and P2P on a 6-channel Zipf
-//! catalog, the paper-default federated deployment in both modes, and
-//! the same single-site runs on the Indexed and event-driven engines,
-//! so every engine's hourly control path is pinned under faults.
+//! catalog, the same single-site runs on the Indexed, event-driven and
+//! Scan engines, and the paper-default federated, independent and
+//! central deployments in both modes (the central deployment's one
+//! region has no site 1, so it runs the single-site schedule only).
+//! Every engine's hourly control path is therefore pinned under faults.
 //! Floats are recorded as IEEE-754 bit patterns; each interval's
 //! samples and per-channel vectors are recorded as a count plus an
 //! FNV-1a digest of every bit pattern, which keeps the fixture small
@@ -93,14 +96,18 @@ fn single_site(kernel: SimKernel, mode: SimMode) -> SimConfig {
     cfg
 }
 
-fn federated(mode: SimMode) -> FederatedConfig {
-    let mut fc = FederatedConfig::paper_default(DeploymentKind::Federated, mode, HORIZON / 3600.0);
+/// A deployment under the single-site schedule plus, where it has a
+/// site 1, the site outage.
+fn deployment_config(kind: DeploymentKind, mode: SimMode) -> FederatedConfig {
+    let mut fc = FederatedConfig::paper_default(kind, mode, HORIZON / 3600.0);
     unaligned(&mut fc.base);
-    fc.base.faults.site_outages = vec![SiteOutage {
-        at: OUTAGE_AT,
-        site: 1,
-        duration_seconds: OUTAGE_FOR,
-    }];
+    if kind != DeploymentKind::Central {
+        fc.base.faults.site_outages = vec![SiteOutage {
+            at: OUTAGE_AT,
+            site: 1,
+            duration_seconds: OUTAGE_FOR,
+        }];
+    }
     fc
 }
 
@@ -220,15 +227,32 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
     let mut out = String::new();
     let mut stats = Vec::new();
     single_site_runs(&mut out, &mut stats, "sharded", SimKernel::Sharded);
+    deployment_runs(&mut out, &mut stats, "federated", DeploymentKind::Federated);
+    single_site_runs(&mut out, &mut stats, "indexed", SimKernel::Indexed);
+    single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven);
+    single_site_runs(&mut out, &mut stats, "scan", SimKernel::Scan);
+    deployment_runs(&mut out, &mut stats, "independent", DeploymentKind::Independent);
+    deployment_runs(&mut out, &mut stats, "central", DeploymentKind::Central);
+    (out, stats)
+}
+
+/// A deployment's C/S and P2P runs: each region's lines, then the
+/// deployment's totals and fault counters.
+fn deployment_runs(
+    out: &mut String,
+    stats: &mut Vec<(String, FaultStats)>,
+    deployment: &str,
+    kind: DeploymentKind,
+) {
     for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
-        let label = format!("federated_{name}");
-        let m = FederatedSimulator::new(federated(mode))
+        let label = format!("{deployment}_{name}");
+        let m = FederatedSimulator::new(deployment_config(kind, mode))
             .unwrap()
             .run()
             .unwrap();
         for (j, r) in m.per_region.iter().enumerate() {
             let region = format!("{label} r{j}");
-            site_lines(&mut out, &region, &r.metrics);
+            site_lines(out, &region, &r.metrics);
             writeln!(
                 out,
                 "{region} cloud_bytes={} redirected={} transfer={} penalty={}",
@@ -248,12 +272,9 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
             bits(m.total_latency_penalty_cost),
         )
         .unwrap();
-        fault_line(&mut out, &label, &m.fault_stats);
+        fault_line(out, &label, &m.fault_stats);
         stats.push((label, m.fault_stats));
     }
-    single_site_runs(&mut out, &mut stats, "indexed", SimKernel::Indexed);
-    single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven);
-    (out, stats)
 }
 
 /// A single-site engine's C/S and P2P runs on the faulted 6-channel
@@ -310,11 +331,16 @@ fn segment_boundaries_match_the_golden() {
 fn golden_covers_every_boundary_kind() {
     assert_eq!(HORIZON % ROUND, 3.0);
     let (_, stats) = runs();
+    assert_eq!(stats.len(), 14, "seven engines or deployments, two modes each");
     for (label, s) in &stats {
         assert!(s.fallback_intervals > 0, "{label}: blackout never replayed");
         assert!(s.shed_arrivals > 0, "{label}: nothing shed");
-        if label.starts_with("federated") {
+        if label.starts_with("federated") || label.starts_with("independent") {
             assert_eq!(s.emergency_replans, 2, "{label}: outage re-plans");
+        } else if label.starts_with("central") {
+            // One region, so no site 1 to take down; the federation
+            // ignores VM bursts (ROADMAP item 3(e)), so none are killed.
+            assert_eq!(s.emergency_replans, 0, "{label}: no outage, no re-plan");
         } else {
             assert!(s.vms_killed > 0, "{label}: burst killed nothing");
         }
