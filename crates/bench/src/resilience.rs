@@ -130,9 +130,9 @@ pub fn run_federated(scenario: &str, mode: SimMode, hours: f64) -> Result<Resili
     let baseline = FederatedSimulator::new(fc.clone())?.run()?;
 
     fc.base.faults = schedule;
-    fc.parallel_regions = true;
+    fc.base.parallel_channels = true;
     let parallel = FederatedSimulator::new(fc.clone())?.run()?;
-    fc.parallel_regions = false;
+    fc.base.parallel_channels = false;
     let serial = FederatedSimulator::new(fc)?.run()?;
     let identical = parallel.fault_stats == serial.fault_stats
         && parallel

@@ -1166,7 +1166,7 @@ fn chaos(
             ));
         }
         let mut fc = FederatedConfig::paper_default(DeploymentKind::Federated, mode, hours);
-        fc.parallel_regions = !serial;
+        fc.base.parallel_channels = !serial;
         let baseline = FederatedSimulator::new(fc.clone())
             .map_err(|e| CliError::Run(format!("invalid federation config: {e}")))?
             .run()

@@ -23,10 +23,13 @@ pub enum SimMode {
 
 /// Which simulation engine drives the run.
 ///
-/// The two *round* engines (`Scan`, `Indexed`) produce **bit-identical**
-/// metrics for the same seed and differ only in speed. The *event-driven*
-/// engine is a different microscopic model on the `cloudmedia-des`
-/// kernel: it agrees with the round engines in steady-state means (see
+/// The three *round* engines (`Scan`, `Indexed`, `Sharded`) run on one
+/// segment driver. `Scan` and `Indexed` produce **bit-identical**
+/// metrics for the same seed and differ only in speed; `Sharded` draws
+/// one behaviour RNG stream per channel, so it agrees with them in
+/// distribution, not bit for bit. The *event-driven* engine is a
+/// different microscopic model on the `cloudmedia-des` kernel: it
+/// agrees with the round engines in steady-state means (see
 /// [`crate::event_driven`] for the tolerance argument) and additionally
 /// models per-request admission latency, VM boot delay, and failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -39,8 +42,8 @@ pub enum SimKernel {
     /// Production round engine: per-channel peer index maintained
     /// incrementally on join/leave, incrementally-tracked chunk-owner
     /// counts, fused single-pass per-channel aggregation into reusable
-    /// scratch, in-place allocation kernels, and (for large populations)
-    /// channel-parallel execution.
+    /// scratch, and in-place allocation kernels. Single-threaded;
+    /// `Sharded` is the channel-parallel engine.
     #[default]
     Indexed,
     /// Event-driven engine on the deterministic DES kernel: components
@@ -163,14 +166,17 @@ pub struct SimConfig {
     /// (identical event order, different speed). Ignored by the round
     /// engines.
     pub scheduler: SchedulerChoice,
-    /// Fan [`SimKernel::Sharded`] channel shards across the rayon worker
-    /// pool (default). Shards never share an accumulator inside a round
-    /// and every cross-shard coupling (provisioning, the online scale,
-    /// metric assembly) happens at synchronization barriers in fixed
-    /// channel order, so serial and parallel execution are
-    /// **bit-identical**. Disable to force serial shard stepping
-    /// (debugging, single-core baselines). Ignored by every other
-    /// kernel.
+    /// Fan the segment driver's shards across the rayon worker pool
+    /// (default): a [`SimKernel::Sharded`] run's channel shards, and in
+    /// a federated run (as `FederatedConfig::base`) every shard of every
+    /// region plus the regions' controller plans. Shards never share an
+    /// accumulator inside a segment of rounds and every cross-shard
+    /// coupling (provisioning, the online scale, metric assembly)
+    /// happens at synchronization barriers in fixed shard order, so
+    /// serial and parallel execution are **bit-identical**. Disable to
+    /// force serial stepping (debugging, single-core baselines). A
+    /// single-site Scan or Indexed run has one shard, so it runs
+    /// serially either way; the event-driven kernel ignores it.
     pub parallel_channels: bool,
     /// Cap on the sub-channel **lanes** a single shard may split its
     /// downloading peers across inside one round (the giant-channel
@@ -181,7 +187,8 @@ pub struct SimConfig {
     /// Lane partitions are fixed-order index ranges and reductions fold
     /// integer partials in lane order, so any lane count and any thread
     /// count produce bit-identical results. Ignored unless
-    /// [`SimKernel::Sharded`] runs with `parallel_channels`.
+    /// [`SimKernel::Sharded`] runs with `parallel_channels`, alone or
+    /// in every region of a federated run.
     pub lanes: usize,
     /// Multiplier on the paper's Table II/III cloud capacity (fleet
     /// sizes and NFS storage; per-VM bandwidth and prices unchanged).

@@ -14,10 +14,10 @@
 //! # What redirection means mechanically
 //!
 //! The viewer-facing side of a region is unchanged: its channels keep
-//! the reservation its controller planned, and its round engine (the
-//! same [`SimKernel::Indexed`]/[`SimKernel::Scan`] engines the
-//! single-site [`crate::Simulator`] uses) allocates bandwidth per round
-//! as always. What moves is *where the VMs backing that reservation
+//! the reservation its controller planned, and its round kernel (any
+//! of the [`SimKernel::Scan`]/[`SimKernel::Indexed`]/[`SimKernel::Sharded`]
+//! engines the single-site [`crate::Simulator`] uses) allocates
+//! bandwidth per round as always. What moves is *where the VMs backing that reservation
 //! run*: region `i`'s integer VM targets are apportioned across sites
 //! according to the placement (largest-remainder per cluster, so totals
 //! are conserved), each site's broker receives the aggregate targets it
@@ -31,6 +31,16 @@
 //! latency penalty (per gigabyte). The penalty monetizes the remote-
 //! serving quality loss instead of simulating packet-level latency — the
 //! same modeling level as the paper's cost objective.
+//!
+//! # Execution
+//!
+//! Each region is one site of the segment driver (`crate::segments`),
+//! which steps every shard of every region through segments of rounds
+//! in one pool fan-out and folds them in region and shard order. This
+//! module keeps only the federation's boundary work: the per-region
+//! plans and the global placement at provisioning rounds, emergency
+//! re-plans when the site mask changes, each round's `site_online`
+//! blending, and the redirected-traffic metering.
 //!
 //! # The three deployments
 //!
@@ -55,22 +65,15 @@ use cloudmedia_core::federation::{paper_sites, plan_global_placement, Federation
 use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::diurnal::DiurnalPattern;
-use cloudmedia_workload::trace::{ArrivalStream, UserArrival};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::config::{SimConfig, SimKernel, SimMode};
 use crate::control::{site_cloud, Planned, SiteControl};
 use crate::error::{invalid_param, SimError};
 use crate::faults::FaultStats;
 use crate::metrics::Metrics;
-use crate::peer::Peer;
-use crate::sharded::MAX_SEGMENT_ROUNDS;
-use crate::simulator::{
-    process_round_events, sample, IndexedEngine, RoundCtx, RoundEngine, ScanEngine,
-};
+use crate::segments::{self, Host, Site, Stages};
+use crate::simulator::RoundEngine;
 use crate::telem;
-use crate::tracker::Tracker;
 
 /// Which multi-region deployment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,22 +92,15 @@ pub enum DeploymentKind {
 pub struct FederatedConfig {
     /// Template configuration; each region derives its own copy (catalog
     /// scaled by population share, diurnal shifted to local time,
-    /// distinct trace seed). The `kernel` must be a round engine.
-    pub base: SimConfig,
-    /// The regions (shares must sum to ~1).
-    pub regions: Vec<RegionSpec>,
-    /// One cloud site per region, in region order.
-    pub sites: Vec<SiteSpec>,
-    /// The placement policy.
-    pub policy: FederationPolicy,
-    /// Run the per-region round engines and controller plans on the
-    /// rayon pool (default). Regions never share an accumulator inside
-    /// a segment of rounds and every cross-region coupling (global
-    /// placement, site online fractions) happens at synchronization
-    /// barriers, so the parallel and serial executions are
-    /// **bit-identical** — pinned by `crates/sim/tests/federation.rs`.
-    /// Disable to force serial execution (debugging, single-core
-    /// baselines).
+    /// distinct trace seed). The `kernel` must be a round engine (Scan,
+    /// Indexed or Sharded). `parallel_channels` (the default) steps every
+    /// shard of every region on the rayon pool and fans the regions'
+    /// plans out; shards never share an accumulator inside a segment of
+    /// rounds and every cross-region coupling (global placement, site
+    /// online fractions) happens at synchronization barriers, so the
+    /// parallel and serial executions are **bit-identical** — pinned by
+    /// `crates/sim/tests/federation.rs`. Disable it to force serial
+    /// execution (debugging, single-core baselines).
     ///
     /// ```
     /// use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
@@ -112,11 +108,17 @@ pub struct FederatedConfig {
     ///
     /// let mut cfg =
     ///     FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, 24.0);
-    /// assert!(cfg.parallel_regions, "parallel by default");
-    /// cfg.parallel_regions = false; // serial run: bit-identical metrics
+    /// assert!(cfg.base.parallel_channels, "parallel by default");
+    /// cfg.base.parallel_channels = false; // serial run: bit-identical metrics
     /// assert!(FederatedSimulator::new(cfg).is_ok());
     /// ```
-    pub parallel_regions: bool,
+    pub base: SimConfig,
+    /// The regions (shares must sum to ~1).
+    pub regions: Vec<RegionSpec>,
+    /// One cloud site per region, in region order.
+    pub sites: Vec<SiteSpec>,
+    /// The placement policy.
+    pub policy: FederationPolicy,
 }
 
 impl FederatedConfig {
@@ -131,14 +133,12 @@ impl FederatedConfig {
                 regions: three_sites(),
                 sites: paper_sites(),
                 policy: FederationPolicy::independent(),
-                parallel_regions: true,
             },
             DeploymentKind::Federated => Self {
                 base,
                 regions: three_sites(),
                 sites: paper_sites(),
                 policy: FederationPolicy::federated(),
-                parallel_regions: true,
             },
             DeploymentKind::Central => {
                 // One site in the reference market serving the mixture of
@@ -172,7 +172,6 @@ impl FederatedConfig {
                         egress_price_per_gb: 0.0,
                     }],
                     policy: FederationPolicy::independent(),
-                    parallel_regions: true,
                 }
             }
         }
@@ -201,18 +200,9 @@ impl FederatedConfig {
         if self.base.kernel == SimKernel::EventDriven {
             return Err(invalid_param(
                 "kernel",
-                "the federated simulator drives round engines; use Indexed or Scan \
-                 (the event-driven engine models single-site redirection via \
+                "the federated simulator drives round engines; use Indexed, Sharded \
+                 or Scan (the event-driven engine models single-site redirection via \
                  DesScenario::remote_overflow)",
-            ));
-        }
-        if self.base.kernel == SimKernel::Sharded {
-            return Err(invalid_param(
-                "kernel",
-                "the federated simulator already parallelizes across regions \
-                 (parallel_regions); nesting the channel-sharded engine inside it \
-                 would contend for the same worker pool — use Indexed per region, \
-                 or a single-site Sharded run with parallel_channels",
             ));
         }
         for o in &self.base.faults.site_outages {
@@ -392,30 +382,16 @@ fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
     out
 }
 
-/// One region's live simulation state: the engine, its viewers, its
-/// tracker and control path, and its site's cloud.
+/// One region's boundary state: its site's cloud, its control path, the
+/// placement bookkeeping that routes its demand, and its redirected-
+/// traffic accounting. Its viewers live in the segment driver's site.
 struct RegionRuntime {
-    cfg: SimConfig,
-    engine: Box<dyn RoundEngine>,
     /// The region's site (broker + schedulers + billing at its prices).
     cloud: Cloud,
     /// The region's interval control path. Its plans and viewer-side
     /// reservation are the region's own; the VMs backing them run on
     /// the sites the global placement picks.
     control: SiteControl,
-    tracker: Tracker,
-    rng: StdRng,
-    peers: Vec<Peer>,
-    metrics: Metrics,
-    /// Lazily generated arrival stream (O(channels) memory).
-    arrivals: ArrivalStream,
-    /// The next arrival not yet ingested, if any.
-    next_arrival: Option<UserArrival>,
-    /// SLA latency penalty on redirected traffic, dollars per GB.
-    penalty_per_gb: f64,
-    chunk_bytes: f64,
-    /// Arrivals rejected by [`DegradeMode::ShedNewArrivals`](crate::faults::DegradeMode).
-    shed: u64,
     /// Current interval's placement row: share of this region's demand
     /// served by each site.
     serve_share: Vec<f64>,
@@ -428,91 +404,277 @@ struct RegionRuntime {
     site_targets: Vec<usize>,
     /// Bandwidth those targets add up to, bytes/s.
     site_target_bw: f64,
-    // Sampling windows (mirror the single-site run loop).
-    window_used: f64,
-    window_start: f64,
-    window_startup_sum: f64,
-    window_startup_count: usize,
     // Federation accounting.
     cloud_bytes: f64,
     redirected_bytes: f64,
     transfer_cost: f64,
     latency_penalty_cost: f64,
-    // Round-event scratch.
-    removals: Vec<usize>,
-    completed: Vec<usize>,
-    woken: Vec<usize>,
-    // Telemetry accumulators (side channel only; reduced in region
-    // order at run end).
-    /// Wall time this region spent stepping segments (its rounds and
-    /// sample flushes; not the cloud ticks), ns. Telemetry-enabled runs
-    /// only.
-    wall_ns: u64,
-    /// High-water mark of this region's connected viewers.
-    peak_peers: usize,
 }
 
-/// One round of a federated segment as the coordinator pre-stepped it.
-#[derive(Debug, Clone, Copy)]
-struct SegmentRound {
-    /// The round's end, seconds.
-    t1: f64,
-    /// The round's length, seconds (the last round may be cut short).
-    step: f64,
-    /// True when the round closes a sampling window.
-    sample: bool,
-}
-
-/// The coordinator's record of one segment: what each region reads
-/// while it steps the segment's rounds. Rows are round-major, one entry
-/// per site.
-#[derive(Debug)]
-struct Segment {
-    /// Sites per row.
-    sites: usize,
-    rounds: Vec<SegmentRound>,
-    /// Each round's `site_online` row: the fraction of each site's
-    /// target fleet running at the round's start (0 for a down site).
+/// The federation's side of the segment driver: the regions' boundary
+/// state, the fault plane's site mask, and the coordinator's scratch.
+/// Everything here is mutated serially, between segments or in the
+/// pre-step, so serial and parallel execution stay bit-identical.
+struct Regions<'a> {
+    fc: &'a FederatedConfig,
+    regions: Vec<RegionRuntime>,
+    retry: RetryPolicy,
+    stats: FaultStats,
+    /// The site mask in force (true = down).
+    site_mask: Vec<bool>,
+    /// A round's `site_online` row: the fraction of each site's target
+    /// fleet running at the round's start (0 for a down site).
     site_online: Vec<f64>,
-    /// Each site's running bandwidth after the round's cloud tick — what
-    /// a sample taken at the round's end reports as reserved.
-    running: Vec<f64>,
 }
 
-/// Runs `f` on every region — one pool task per region when `parallel`,
-/// inline in region order otherwise — and returns the results in region
-/// order, so a caller reducing them (errors included) sees the same
-/// sequence either way.
-fn map_regions<T, F>(parallel: bool, regions: &mut [RegionRuntime], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut RegionRuntime) -> T + Sync,
-{
-    if !parallel || regions.len() <= 1 {
-        return regions
-            .iter_mut()
-            .enumerate()
-            .map(|(j, r)| f(j, r))
-            .collect();
-    }
-    let mut out: Vec<Option<T>> = regions.iter().map(|_| None).collect();
-    let f = &f;
-    rayon::scope(|s| {
-        for ((j, r), slot) in regions.iter_mut().enumerate().zip(out.iter_mut()) {
-            s.spawn(move |_| *slot = Some(f(j, r)));
+impl Host for Regions<'_> {
+    fn boundary<E: RoundEngine>(
+        &mut self,
+        clock: f64,
+        provision: bool,
+        sites: &mut [Site<'_, E>],
+        tel: &Telemetry,
+    ) -> Result<(), SimError> {
+        let mask = self.fc.base.faults.site_mask(self.regions.len(), clock);
+        if provision {
+            let _interval_span = tel.span(telem::PROV_INTERVAL);
+            self.provision(sites, clock, &mask, tel)?;
+            self.site_mask = mask;
+        } else if mask != self.site_mask {
+            // A site went dark (or came back) between boundaries:
+            // re-place the in-force plans around the new topology right
+            // now instead of waiting for the next hourly tick.
+            self.emergency_replan(clock, &mask)?;
+            self.stats.emergency_replans += 1;
+            self.site_mask = mask;
         }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every region task ran"))
-        .collect()
+        Ok(())
+    }
+
+    /// Regions couple only through the placement and the sites' boot
+    /// progress, which depend on time and submissions, never on viewer
+    /// state. A region's capacity comes online as fast as the sites
+    /// actually serving it boot their fleets; a down site serves
+    /// nothing, whatever its fleet state.
+    fn pre_round(
+        &mut self,
+        _t0: f64,
+        t1: f64,
+        online: &mut [f64],
+        running: &mut [f64],
+    ) -> Result<(), SimError> {
+        self.site_online.clear();
+        self.site_online
+            .extend(self.regions.iter().zip(&self.site_mask).map(|(r, &down)| {
+                if down {
+                    0.0
+                } else if r.site_target_bw > 0.0 {
+                    (r.cloud.running_bandwidth() / r.site_target_bw).min(1.0)
+                } else {
+                    1.0
+                }
+            }));
+        for (r, online) in self.regions.iter().zip(online.iter_mut()) {
+            *online = if r.control.reserved_total() > 0.0 {
+                r.serve_share
+                    .iter()
+                    .zip(&self.site_online)
+                    .map(|(s, u)| s * u)
+                    .sum::<f64>()
+                    .min(1.0)
+            } else {
+                0.0
+            };
+        }
+        for (r, running) in self.regions.iter_mut().zip(running.iter_mut()) {
+            r.cloud.tick(t1)?;
+            *running = r.cloud.running_bandwidth();
+        }
+        Ok(())
+    }
+
+    fn ends_segment(&self, t1: f64) -> bool {
+        let faults = &self.fc.base.faults;
+        (0..self.site_mask.len()).any(|j| faults.site_down(j, t1) != self.site_mask[j])
+    }
+
+    fn control(&self, site: usize) -> &SiteControl {
+        &self.regions[site].control
+    }
+
+    /// Redirected traffic: the round's cloud bytes times the region's
+    /// redirected share, billed the serving sites' egress price plus the
+    /// SLA latency penalty.
+    fn meter(&mut self, site: usize, bytes: f64) {
+        let penalty_per_gb = self.fc.policy.latency_penalty_per_gb;
+        let r = &mut self.regions[site];
+        r.cloud_bytes += bytes;
+        let redirected = bytes * r.redirect_fraction;
+        if redirected > 0.0 {
+            r.redirected_bytes += redirected;
+            r.transfer_cost += redirected * r.blended_egress_per_gb / 1e9;
+            r.latency_penalty_cost += redirected * penalty_per_gb / 1e9;
+        }
+    }
 }
 
-impl std::fmt::Debug for RegionRuntime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RegionRuntime")
-            .field("peers", &self.peers.len())
-            .field("redirect_fraction", &self.redirect_fraction)
-            .finish_non_exhaustive()
+impl Regions<'_> {
+    /// Runs every region's site in lockstep to the horizon and assembles
+    /// the outcome.
+    fn run<E: RoundEngine>(
+        mut self,
+        mut sites: Vec<Site<'_, E>>,
+        tel: &Telemetry,
+    ) -> Result<FederatedMetrics, SimError> {
+        let fc = self.fc;
+        segments::run(&fc.base, &mut sites, &mut self, Stages::Regions, tel)?;
+        let mut per_region = Vec::with_capacity(sites.len());
+        let mut total_vm = 0.0;
+        let mut total_storage = 0.0;
+        let mut total_transfer = 0.0;
+        let mut total_penalty = 0.0;
+        for (idx, (mut r, site)) in self.regions.into_iter().zip(sites).enumerate() {
+            r.cloud.tick(fc.base.trace.horizon_seconds)?;
+            self.stats.shed_arrivals += site.shed();
+            let mut metrics = site.metrics;
+            metrics.total_vm_cost = r.cloud.billing().vm_cost().as_dollars();
+            metrics.total_storage_cost = r.cloud.billing().storage_cost().as_dollars();
+            total_vm += metrics.total_vm_cost;
+            total_storage += metrics.total_storage_cost;
+            total_transfer += r.transfer_cost;
+            total_penalty += r.latency_penalty_cost;
+            per_region.push(RegionOutcome {
+                region: fc.regions[idx].clone(),
+                site: fc.sites[idx].clone(),
+                metrics,
+                cloud_bytes: r.cloud_bytes,
+                redirected_bytes: r.redirected_bytes,
+                transfer_cost: r.transfer_cost,
+                latency_penalty_cost: r.latency_penalty_cost,
+            });
+        }
+        Ok(FederatedMetrics {
+            per_region,
+            total_vm_cost: total_vm,
+            total_storage_cost: total_storage,
+            total_transfer_cost: total_transfer,
+            total_latency_penalty_cost: total_penalty,
+            fault_stats: self.stats,
+        })
+    }
+
+    /// One global provisioning boundary: per-region plans, the global
+    /// placement, the integer VM-target apportionment, each site's
+    /// broker submission, and each region's plan put in force. The fault
+    /// plane hooks in here: each region's control path folds economic
+    /// shocks and replays its last plan during tracker dropouts, and the
+    /// site outage mask reroutes demand around dark sites.
+    fn provision<E: RoundEngine>(
+        &mut self,
+        sites: &mut [Site<'_, E>],
+        clock: f64,
+        mask: &[bool],
+        tel: &Telemetry,
+    ) -> Result<(), SimError> {
+        // 1. Per-region plans, exactly as in a single-site run. Each
+        //    region plans from its own trackers and controller, so the
+        //    plans fan out on the pool; results, errors and fallbacks are
+        //    reduced in region order.
+        let mut outcomes: Vec<Option<Result<Planned, SimError>>> =
+            self.regions.iter().map(|_| None).collect();
+        let plan = |r: &mut RegionRuntime, site: &mut Site<'_, E>, out: &mut Option<_>| {
+            *out = Some(r.control.plan(clock, tel, || site.interval_stats()));
+        };
+        let parallel = self.fc.base.parallel_channels && sites.len() > 1;
+        let work = self
+            .regions
+            .iter_mut()
+            .zip(sites.iter_mut())
+            .zip(&mut outcomes);
+        if parallel {
+            let plan = &plan;
+            rayon::scope(|s| {
+                for ((r, site), out) in work {
+                    s.spawn(move |_| plan(r, site, out));
+                }
+            });
+        } else {
+            for ((r, site), out) in work {
+                plan(r, site, out);
+            }
+        }
+        let mut plans = Vec::with_capacity(self.regions.len());
+        for outcome in outcomes {
+            let Planned { plan, replayed } = outcome.expect("every region planned")?;
+            self.stats.fallback_intervals += u64::from(replayed);
+            plans.push(plan);
+        }
+
+        // 2–3. Global placement, apportionment, and site submissions —
+        //    shared with the emergency re-plan path. A dark site never
+        //    receives a storage placement.
+        let demands: Vec<f64> = plans.iter().map(|p| p.total_cloud_demand).collect();
+        let region_targets: Vec<Vec<usize>> = plans.iter().map(|p| p.vm_targets.clone()).collect();
+        let site_prices: Vec<f64> = self
+            .regions
+            .iter()
+            .map(|r| r.control.planning_price(clock))
+            .collect();
+        let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> = plans
+            .iter()
+            .zip(mask)
+            .map(|(p, &down)| if down { None } else { p.placement.clone() })
+            .collect();
+        apply_global_placement(
+            self.fc,
+            &mut self.regions,
+            &demands,
+            &region_targets,
+            &site_prices,
+            mask,
+            &storage,
+            &self.retry,
+            &mut self.stats,
+        )?;
+
+        // 4. Put each region's plan in force: its viewer-side
+        //    reservation comes from its own plan.
+        for (((r, site), plan), &down) in self.regions.iter_mut().zip(sites).zip(plans).zip(mask) {
+            let record = r.control.commit(clock, plan, !down, site.channel_peers());
+            site.metrics.intervals.push(record);
+        }
+        Ok(())
+    }
+
+    /// Re-routes the in-force plans around a topology change (a site
+    /// going dark or coming back) between provisioning boundaries: the
+    /// last plans' demands and VM targets are re-placed over the
+    /// surviving sites and resubmitted. No tracker is drained and no
+    /// interval record is written — the next boundary plans from fresh
+    /// measurements as usual.
+    fn emergency_replan(&mut self, clock: f64, mask: &[bool]) -> Result<(), SimError> {
+        let n = self.regions.len();
+        let mut demands = Vec::with_capacity(n);
+        let mut region_targets = Vec::with_capacity(n);
+        let mut site_prices = Vec::with_capacity(n);
+        for r in &self.regions {
+            let plan = r.control.last_plan();
+            demands.push(plan.map_or(0.0, |p| p.total_cloud_demand));
+            region_targets.push(plan.map(|p| p.vm_targets.clone()).unwrap_or_default());
+            site_prices.push(r.control.planning_price(clock));
+        }
+        let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> = vec![None; n];
+        apply_global_placement(
+            self.fc,
+            &mut self.regions,
+            &demands,
+            &region_targets,
+            &site_prices,
+            mask,
+            &storage,
+            &self.retry,
+            &mut self.stats,
+        )
     }
 }
 
@@ -563,354 +725,52 @@ impl FederatedSimulator {
         let globals = telem::GlobalCounters::capture();
         let run_span = tel.span(telem::RUN_WALL);
         let fc = &self.config;
-        let n_regions = fc.regions.len();
-        let n_sites = n_regions;
-
-        let penalty_per_gb = fc.policy.latency_penalty_per_gb;
-
-        let mut regions: Vec<RegionRuntime> = Vec::with_capacity(n_regions);
-        for idx in 0..n_regions {
-            let cfg = fc.region_config(idx);
-            let n_channels = cfg.catalog.len();
-            let max_chunks = cfg
-                .catalog
-                .channels()
-                .iter()
-                .map(|c| c.viewing.chunks)
-                .max()
-                .expect("catalog validated non-empty");
-            let chunk_bytes = cfg.chunk_bytes();
-            let cloud = site_cloud(&cfg, fc.sites[idx].vm_price_factor)?;
-            let engine: Box<dyn RoundEngine> = match cfg.kernel {
-                SimKernel::Scan => Box::new(ScanEngine::new(n_channels, max_chunks)),
-                SimKernel::Indexed => Box::new(IndexedEngine::new(
-                    n_channels,
-                    max_chunks,
-                    cfg.peer_efficiency,
-                    cfg.round_seconds,
-                )),
-                SimKernel::EventDriven | SimKernel::Sharded => {
-                    unreachable!("rejected by validate")
-                }
-            };
-            let control = SiteControl::new(&cfg, &cloud)?;
-            let tracker = Tracker::new(&cfg.catalog)?;
-            let mut arrivals = ArrivalStream::new(&cfg.catalog, &cfg.trace)?;
-            let next_arrival = arrivals.next();
-            let rng = StdRng::seed_from_u64(cfg.behaviour_seed);
+        let n_sites = fc.regions.len();
+        let cfgs: Vec<SimConfig> = (0..n_sites).map(|idx| fc.region_config(idx)).collect();
+        let mut regions = Vec::with_capacity(n_sites);
+        for (idx, cfg) in cfgs.iter().enumerate() {
+            let cloud = site_cloud(cfg, fc.sites[idx].vm_price_factor)?;
+            let control = SiteControl::new(cfg, &cloud)?;
             let n_clusters = cloud.vm_scheduler().clusters();
+            let mut serve_share = vec![0.0; n_sites];
+            serve_share[idx] = 1.0;
             regions.push(RegionRuntime {
-                engine,
                 cloud,
                 control,
-                tracker,
-                rng,
-                peers: Vec::new(),
-                metrics: Metrics::default(),
-                arrivals,
-                next_arrival,
-                penalty_per_gb,
-                chunk_bytes,
-                shed: 0,
-                serve_share: {
-                    let mut s = vec![0.0; n_sites];
-                    s[idx] = 1.0;
-                    s
-                },
+                serve_share,
                 redirect_fraction: 0.0,
                 blended_egress_per_gb: 0.0,
                 site_targets: vec![0; n_clusters],
                 site_target_bw: 0.0,
-                window_used: 0.0,
-                window_start: 0.0,
-                window_startup_sum: 0.0,
-                window_startup_count: 0,
                 cloud_bytes: 0.0,
                 redirected_bytes: 0.0,
                 transfer_cost: 0.0,
                 latency_penalty_cost: 0.0,
-                removals: Vec::new(),
-                completed: Vec::new(),
-                woken: Vec::new(),
-                wall_ns: 0,
-                peak_peers: 0,
-                cfg,
             });
         }
-
-        let horizon = fc.base.trace.horizon_seconds;
-        let dt = fc.base.round_seconds;
-        let sample_interval = fc.base.sample_interval;
-        let provisioning_interval = fc.base.provisioning_interval;
-        let mut clock = 0.0_f64;
-        let mut next_sample = sample_interval;
-        let mut next_provision = 0.0_f64;
-
-        // Fault-plane state — all mutated in this serial coordinator
-        // loop, so serial and parallel region execution stay
-        // bit-identical.
-        let retry = RetryPolicy::paper_default();
-        let mut stats = FaultStats::default();
-        let mut site_mask = vec![false; n_sites];
-
-        let telemetry_on = tel.enabled();
-        // Segments are long enough to time every one of them.
-        let mut clk = tel.stage_clock();
-        let mut rounds_total = 0u64;
-        let mut seg = Segment {
-            sites: n_sites,
-            rounds: Vec::with_capacity(MAX_SEGMENT_ROUNDS),
-            site_online: Vec::with_capacity(MAX_SEGMENT_ROUNDS * n_sites),
-            running: Vec::with_capacity(MAX_SEGMENT_ROUNDS * n_sites),
+        let host = Regions {
+            fc,
+            regions,
+            retry: RetryPolicy::paper_default(),
+            stats: FaultStats::default(),
+            site_mask: vec![false; n_sites],
+            site_online: Vec::with_capacity(n_sites),
         };
-
-        while clock < horizon {
-            // --- Global provisioning boundary ------------------------
-            let mask = fc.base.faults.site_mask(n_sites, clock);
-            if clock >= next_provision {
-                let _interval_span = tel.span(telem::PROV_INTERVAL);
-                self.provision(&mut regions, clock, &mask, &retry, &mut stats, tel)?;
-                next_provision += provisioning_interval;
-                site_mask = mask;
-            } else if mask != site_mask {
-                // A site went dark (or came back) between boundaries:
-                // re-place the in-force plans around the new topology
-                // right now instead of waiting for the next hourly tick.
-                self.emergency_replan(&mut regions, clock, &mask, &retry, &mut stats)?;
-                stats.emergency_replans += 1;
-                site_mask = mask;
+        let cfgs = cfgs.iter();
+        let metrics = match fc.base.kernel {
+            SimKernel::Scan => host.run(cfgs.map(Site::scan).collect::<Result<_, _>>()?, tel)?,
+            SimKernel::Indexed => {
+                host.run(cfgs.map(Site::indexed).collect::<Result<_, _>>()?, tel)?
             }
-            clk.lap(telem::STAGE_PROVISIONING);
-
-            // --- Segment pre-step (coordinator, serial) --------------
-            // Regions couple only through the placement and the sites'
-            // boot progress, which depend on time and submissions, never
-            // on viewer state. So the coordinator ticks every site
-            // through the segment up front, recording each round's
-            // `site_online` row (the read barrier of a round-at-a-time
-            // loop) and each site's running bandwidth for the samples.
-            // A down site serves nothing, whatever its fleet state. The
-            // segment ends before the next provisioning round or site
-            // mask change, at the horizon, or at the cap.
-            seg.rounds.clear();
-            seg.site_online.clear();
-            seg.running.clear();
-            let mut t0 = clock;
-            loop {
-                let t1 = (t0 + dt).min(horizon);
-                seg.site_online
-                    .extend(regions.iter().zip(&site_mask).map(|(r, &down)| {
-                        if down {
-                            0.0
-                        } else if r.site_target_bw > 0.0 {
-                            (r.cloud.running_bandwidth() / r.site_target_bw).min(1.0)
-                        } else {
-                            1.0
-                        }
-                    }));
-                for r in regions.iter_mut() {
-                    r.cloud.tick(t1)?;
-                    seg.running.push(r.cloud.running_bandwidth());
-                }
-                let sample = t1 >= next_sample || t1 >= horizon;
-                if sample {
-                    next_sample += sample_interval;
-                }
-                seg.rounds.push(SegmentRound {
-                    t1,
-                    step: t1 - t0,
-                    sample,
-                });
-                t0 = t1;
-                if t1 >= horizon
-                    || t1 >= next_provision
-                    || seg.rounds.len() == MAX_SEGMENT_ROUNDS
-                    || fc.base.faults.site_mask(n_sites, t1) != site_mask
-                {
-                    break;
-                }
+            SimKernel::Sharded => {
+                host.run(cfgs.map(Site::sharded).collect::<Result<_, _>>()?, tel)?
             }
-            clk.lap(telem::STAGE_CLOUD);
-
-            // --- Per-region segments (arrivals → allocate → progress,
-            // samples) ------------------------------------------------
-            // Regions share no accumulator inside a segment and read
-            // only the pre-stepped rows, so the fan-out cannot reorder
-            // any arithmetic.
-            let seg_ref = &seg;
-            map_regions(fc.parallel_regions, &mut regions, |j, r| {
-                r.step_segment(j, seg_ref, telemetry_on);
-            });
-            rounds_total += seg.rounds.len() as u64;
-            clk.lap(telem::STAGE_REGION_STEP);
-
-            clock = t0;
-        }
-
-        // Close out billing and assemble outcomes.
-        if telemetry_on {
-            // Region-imbalance table and wall histogram, in region order.
-            let rows: Vec<Vec<u64>> = regions
-                .iter()
-                .map(|r| {
-                    tel.observe(telem::HIST_REGION_WALL, r.wall_ns);
-                    vec![r.wall_ns, r.peers.len() as u64, r.peak_peers as u64]
-                })
-                .collect();
-            tel.push_table("regions", &["wall_ns", "peers_final", "peak_peers"], rows);
-        }
-        let mut per_region = Vec::with_capacity(n_regions);
-        let mut total_vm = 0.0;
-        let mut total_storage = 0.0;
-        let mut total_transfer = 0.0;
-        let mut total_penalty = 0.0;
-        for (idx, mut r) in regions.into_iter().enumerate() {
-            r.cloud.tick(horizon)?;
-            r.metrics.total_vm_cost = r.cloud.billing().vm_cost().as_dollars();
-            r.metrics.total_storage_cost = r.cloud.billing().storage_cost().as_dollars();
-            stats.shed_arrivals += r.shed;
-            total_vm += r.metrics.total_vm_cost;
-            total_storage += r.metrics.total_storage_cost;
-            total_transfer += r.transfer_cost;
-            total_penalty += r.latency_penalty_cost;
-            per_region.push(RegionOutcome {
-                region: fc.regions[idx].clone(),
-                site: fc.sites[idx].clone(),
-                metrics: r.metrics,
-                cloud_bytes: r.cloud_bytes,
-                redirected_bytes: r.redirected_bytes,
-                transfer_cost: r.transfer_cost,
-                latency_penalty_cost: r.latency_penalty_cost,
-            });
-        }
-        clk.lap(telem::STAGE_REDUCE);
+            SimKernel::EventDriven => unreachable!("rejected by validate"),
+        };
         drop(run_span);
-        let metrics = FederatedMetrics {
-            per_region,
-            total_vm_cost: total_vm,
-            total_storage_cost: total_storage,
-            total_transfer_cost: total_transfer,
-            total_latency_penalty_cost: total_penalty,
-            fault_stats: stats,
-        };
-        tel.add(telem::ROUNDS, rounds_total);
-        // The summed per-sample high-water mark, as the single-site
-        // engines record it.
-        tel.gauge_max(telem::PEERS_PEAK, metrics.peak_peers() as u64);
         telem::record_fault_stats(tel, &metrics.fault_stats);
         globals.record_delta(tel);
         Ok(metrics)
-    }
-
-    /// One global provisioning boundary: per-region plans, the global
-    /// placement, the integer VM-target apportionment, each site's
-    /// broker submission, and each region's plan put in force. The fault
-    /// plane hooks in here: each region's control path folds economic
-    /// shocks and replays its last plan during tracker dropouts, and the
-    /// site outage mask reroutes demand around dark sites.
-    fn provision(
-        &self,
-        regions: &mut [RegionRuntime],
-        clock: f64,
-        mask: &[bool],
-        retry: &RetryPolicy,
-        stats: &mut FaultStats,
-        tel: &Telemetry,
-    ) -> Result<(), SimError> {
-        let fc = &self.config;
-        let interval = fc.base.provisioning_interval;
-
-        // 1. Per-region plans, exactly as in a single-site run. Each
-        //    region plans from its own tracker and controller, so the
-        //    plans fan out on the pool; results, errors and fallbacks are
-        //    reduced in region order.
-        let outcomes = map_regions(fc.parallel_regions, regions, |_, r| {
-            r.control
-                .plan(clock, tel, || r.tracker.interval_stats(interval))
-        });
-        let mut plans = Vec::with_capacity(regions.len());
-        for outcome in outcomes {
-            let Planned { plan, replayed } = outcome?;
-            stats.fallback_intervals += u64::from(replayed);
-            plans.push(plan);
-        }
-
-        // 2–3. Global placement, apportionment, and site submissions —
-        //    shared with the emergency re-plan path. A dark site never
-        //    receives a storage placement.
-        let demands: Vec<f64> = plans.iter().map(|p| p.total_cloud_demand).collect();
-        let region_targets: Vec<Vec<usize>> = plans.iter().map(|p| p.vm_targets.clone()).collect();
-        let site_prices: Vec<f64> = regions
-            .iter()
-            .map(|r| r.control.planning_price(clock))
-            .collect();
-        let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> = plans
-            .iter()
-            .zip(mask)
-            .map(|(p, &down)| if down { None } else { p.placement.clone() })
-            .collect();
-        apply_global_placement(
-            fc,
-            regions,
-            &demands,
-            &region_targets,
-            &site_prices,
-            mask,
-            &storage,
-            retry,
-            stats,
-        )?;
-
-        // 4. Put each region's plan in force: its viewer-side
-        //    reservation comes from its own plan.
-        for ((r, plan), &down) in regions.iter_mut().zip(plans).zip(mask) {
-            let mut per_channel_peers = vec![0usize; r.cfg.catalog.len()];
-            for p in &r.peers {
-                per_channel_peers[p.channel()] += 1;
-            }
-            let record = r.control.commit(clock, plan, !down, per_channel_peers);
-            r.metrics.intervals.push(record);
-        }
-        Ok(())
-    }
-
-    /// Re-routes the in-force plans around a topology change (a site
-    /// going dark or coming back) between provisioning boundaries: the
-    /// last plans' demands and VM targets are re-placed over the
-    /// surviving sites and resubmitted. No tracker is drained and no
-    /// interval record is written — the next boundary plans from fresh
-    /// measurements as usual.
-    fn emergency_replan(
-        &self,
-        regions: &mut [RegionRuntime],
-        clock: f64,
-        mask: &[bool],
-        retry: &RetryPolicy,
-        stats: &mut FaultStats,
-    ) -> Result<(), SimError> {
-        let fc = &self.config;
-        let mut demands = Vec::with_capacity(regions.len());
-        let mut region_targets = Vec::with_capacity(regions.len());
-        let mut site_prices = Vec::with_capacity(regions.len());
-        for r in regions.iter() {
-            let plan = r.control.last_plan();
-            demands.push(plan.map_or(0.0, |p| p.total_cloud_demand));
-            region_targets.push(plan.map(|p| p.vm_targets.clone()).unwrap_or_default());
-            site_prices.push(r.control.planning_price(clock));
-        }
-        let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> =
-            vec![None; regions.len()];
-        apply_global_placement(
-            fc,
-            regions,
-            &demands,
-            &region_targets,
-            &site_prices,
-            mask,
-            &storage,
-            retry,
-            stats,
-        )
     }
 }
 
@@ -1018,144 +878,6 @@ fn apply_global_placement(
         };
     }
     Ok(())
-}
-
-impl RegionRuntime {
-    /// Steps every round of a segment: each round reads its row of the
-    /// pre-stepped `site_online`, and a round that closes a sampling
-    /// window flushes the sample with this site's (`idx`) recorded
-    /// running bandwidth.
-    fn step_segment(&mut self, idx: usize, seg: &Segment, time_it: bool) {
-        let start = time_it.then(std::time::Instant::now);
-        for (round, (online, running)) in seg.rounds.iter().zip(
-            seg.site_online
-                .chunks_exact(seg.sites)
-                .zip(seg.running.chunks_exact(seg.sites)),
-        ) {
-            self.step_round(round.t1, round.step, online);
-            self.peak_peers = self.peak_peers.max(self.peers.len());
-            if round.sample {
-                self.flush_sample(round.t1, running[idx]);
-            }
-        }
-        if let Some(start) = start {
-            self.wall_ns += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        }
-    }
-
-    /// One allocation round for this region: ingest arrivals, run the
-    /// engine's allocation stage, advance downloads, handle the round's
-    /// events, and meter redirected traffic. The site's cloud is ticked
-    /// by the coordinator.
-    fn step_round(&mut self, t1: f64, step: f64, site_online: &[f64]) {
-        let chunk_bytes = self.chunk_bytes;
-        // --- Arrivals ------------------------------------------------
-        while let Some(a) = self.next_arrival.as_ref().filter(|a| a.time < t1) {
-            // Shedding is a pure function of the arrival's own timestamp,
-            // so the parallel fan-out cannot perturb it.
-            if self.cfg.faults.shed_arrivals_at(a.time) {
-                self.shed += 1;
-                self.next_arrival = self.arrivals.next();
-                continue;
-            }
-            self.peers.push(Peer::new(
-                a.user_id,
-                a.channel,
-                a.upload_bytes_per_sec,
-                a.start_chunk,
-                chunk_bytes,
-                a.time,
-            ));
-            self.engine.on_join(&self.peers, self.peers.len() - 1);
-            self.tracker.record_join(a.channel, a.start_chunk);
-            self.next_arrival = self.arrivals.next();
-        }
-
-        // --- Allocation stage ---------------------------------------
-        // The region's capacity comes online as fast as the sites
-        // actually serving it boot their fleets.
-        let online_scale = if self.control.reserved_total() > 0.0 {
-            self.serve_share
-                .iter()
-                .zip(site_online)
-                .map(|(s, u)| s * u)
-                .sum::<f64>()
-                .min(1.0)
-        } else {
-            0.0
-        };
-        let ctx = RoundCtx {
-            step,
-            inv_step: 1.0 / step,
-            vm_bandwidth: self.control.vm_bandwidth(),
-            eff: self.cfg.peer_efficiency,
-            p2p: self.cfg.mode == SimMode::P2p,
-            online_scale,
-            channel_reserved: self.control.channel_reserved(),
-        };
-        let used_cloud_rate = self.engine.allocate(&self.peers, &ctx);
-
-        // --- Progress + events (identical ordering to the run loop) --
-        self.completed.clear();
-        self.woken.clear();
-        self.engine.advance_round(
-            &mut self.peers,
-            &ctx,
-            t1,
-            &mut self.completed,
-            &mut self.woken,
-        );
-        process_round_events(
-            self.engine.as_mut(),
-            &mut self.peers,
-            &self.completed,
-            &self.woken,
-            &mut self.removals,
-            &mut self.tracker,
-            &mut self.rng,
-            &self.cfg.catalog,
-            chunk_bytes,
-            self.cfg.chunk_seconds,
-            t1,
-            &mut self.window_startup_sum,
-            &mut self.window_startup_count,
-        );
-
-        // --- Usage + redirection metering ----------------------------
-        let used_bytes = used_cloud_rate * step;
-        self.window_used += used_bytes;
-        self.cloud_bytes += used_bytes;
-        let redirected = used_bytes * self.redirect_fraction;
-        if redirected > 0.0 {
-            self.redirected_bytes += redirected;
-            self.transfer_cost += redirected * self.blended_egress_per_gb / 1e9;
-            self.latency_penalty_cost += redirected * self.penalty_per_gb / 1e9;
-        }
-    }
-
-    /// Closes the current sampling window at `t1`, reporting `reserved`
-    /// (the site's running bandwidth after the round's tick).
-    fn flush_sample(&mut self, t1: f64, reserved: f64) {
-        let elapsed = (t1 - self.window_start).max(1e-9);
-        let startup = if self.window_startup_count > 0 {
-            self.window_startup_sum / self.window_startup_count as f64
-        } else {
-            0.0
-        };
-        self.metrics.samples.push(sample(
-            t1,
-            reserved,
-            self.window_used / elapsed,
-            startup,
-            &self.peers,
-            self.cfg.catalog.len(),
-            &self.cfg,
-        ));
-        self.window_used = 0.0;
-        self.window_startup_sum = 0.0;
-        self.window_startup_count = 0;
-        self.window_start = t1;
-    }
 }
 
 #[cfg(test)]

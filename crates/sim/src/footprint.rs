@@ -22,7 +22,7 @@
 
 use cloudmedia_telemetry::Telemetry;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, SimKernel};
 use crate::error::SimError;
 
 /// The per-viewer resident-memory budget, bytes. The worst case
@@ -73,5 +73,11 @@ pub fn worst_case_bytes_per_peer() -> usize {
 /// Propagates configuration validation and simulation failures.
 pub fn measure(cfg: &SimConfig) -> Result<PeerFootprint, SimError> {
     cfg.validate()?;
-    crate::sharded::run_with_footprint(cfg, &Telemetry::disabled()).map(|(_, fp)| fp)
+    let cfg = SimConfig {
+        kernel: SimKernel::Sharded,
+        ..cfg.clone()
+    };
+    let mut fp = PeerFootprint::default();
+    crate::simulator::run_site(&cfg, &Telemetry::disabled(), Some(&mut fp))?;
+    Ok(fp)
 }

@@ -13,13 +13,13 @@
 //! - [`allocation`]: max–min fair cloud sharing and rarest-first peer
 //!   bandwidth allocation,
 //! - [`tracker`]: per-interval measurement of `Λ(c)`, `α`, `P(c)`,
-//! - [`simulator`]: the main loop,
+//! - [`simulator`]: the entry point and the round engines,
+//! - `segments`: the one round loop every round engine runs on — a
+//!   run is a list of sites, each a list of shards, stepped in segments
+//!   of rounds across the worker pool (see `docs/SCALING.md`),
 //! - `control`: the interval control path every engine shares
 //!   (measure → plan → rent → record, one site at a time),
-//! - `sharded` (via [`config::SimKernel::Sharded`]): the scale-out
-//!   channel-parallel round engine (one shard per channel, fanned
-//!   across the worker pool; see `docs/SCALING.md`),
-//! - [`federation`]: the multi-region simulator (per-region engines in
+//! - [`federation`]: the multi-region simulator (one site per region in
 //!   lockstep, coupled by the global placement optimizer),
 //! - [`metrics`]: recorded time series (quality, reserved/used bandwidth,
 //!   cost, per-channel breakdowns).
@@ -50,7 +50,7 @@ pub mod federation;
 pub mod footprint;
 pub mod metrics;
 pub mod peer;
-mod sharded;
+mod segments;
 pub mod simulator;
 pub mod telem;
 pub mod tracker;

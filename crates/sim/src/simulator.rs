@@ -9,12 +9,19 @@
 //!
 //! Downloads progress in fixed fluid rounds (default 10 s): each round,
 //! bandwidth is allocated to in-flight chunk downloads, bytes advance, and
-//! completed chunks trigger viewing-model transitions.
+//! completed chunks trigger viewing-model transitions. The rounds run on
+//! the segment driver (`crate::segments`), which every round engine
+//! shares: this module's [`Simulator`] runs a Scan, Indexed or Sharded
+//! configuration as one site of it, keeping only the single site's
+//! boundary work — the fault plane's fleet boundaries and the interval
+//! control path (`crate::control`) — and the event-driven kernel runs
+//! its own loop (`crate::event_driven`).
 //!
 //! # Round engines
 //!
-//! The per-round work is driven by one of two interchangeable engines
-//! selected by [`SimKernel`]:
+//! Inside each shard of the driver, the per-round work is done by one
+//! of two interchangeable engines selected by [`SimKernel`] (Sharded
+//! runs one single-channel `Indexed` engine per channel):
 //!
 //! - [`SimKernel::Indexed`] (production): round cost scales with *what
 //!   happens*, not with how many viewers are connected. Per channel it
@@ -29,7 +36,7 @@
 //!   Allocation runs through mask-sparse in-place kernels over each
 //!   channel's requested chunks. **Zero heap allocation per round** in
 //!   steady state: every buffer — per-channel lanes, sort scratch, the
-//!   wheel, the event lists — is owned by the engine or the run loop and
+//!   wheel, the event lists — is owned by the engine or its shard and
 //!   reused across all ~60 k rounds of a week-long run. Arrivals are
 //!   pulled lazily from the streaming
 //!   [`cloudmedia_workload::trace::ArrivalStream`], so a full simulated
@@ -61,24 +68,25 @@
 //!   reference scan encounters them — regardless of which lane or wheel
 //!   bucket discovered them.
 
+use cloudmedia_cloud::broker::Cloud;
 use cloudmedia_cloud::scheduler::ChunkKey;
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
-use cloudmedia_workload::trace::ArrivalStream;
 use cloudmedia_workload::viewing::NextAction;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::allocation::peer_allocation;
 use crate::allocation::ChannelRound;
-use crate::config::{SimConfig, SimKernel, SimMode};
+use crate::config::{SimConfig, SimKernel};
 use crate::control::{site_cloud, SiteControl};
 use crate::error::SimError;
 use crate::faults::{FaultDriver, FaultRun};
-use crate::metrics::{Metrics, Sample};
+use crate::footprint::PeerFootprint;
+use crate::metrics::Metrics;
 use crate::peer::{Peer, PeerState, PendingChunk};
+use crate::segments::{self, Host, Site, Stages};
 use crate::telem;
-use crate::tracker::{Tracker, ViewingSink};
+use crate::tracker::Tracker;
 
 /// Fixed-point scale for peer upload-supply aggregation: 1/1024 byte/s
 /// units. A power of two, so quantization and the `u64 → f64` readback
@@ -204,28 +212,7 @@ impl Simulator {
     /// Propagates trace generation, provisioning, and cloud failures.
     pub fn run_with_telemetry(&self, tel: &Telemetry) -> Result<FaultRun, SimError> {
         let cfg = &self.config;
-        let n_channels = cfg.catalog.len();
-        let max_chunks = cfg
-            .catalog
-            .channels()
-            .iter()
-            .map(|c| c.viewing.chunks)
-            .max()
-            .expect("catalog validated non-empty");
         match cfg.kernel {
-            SimKernel::Scan => {
-                let mut engine = ScanEngine::new(n_channels, max_chunks);
-                run_loop(cfg, &mut engine, tel)
-            }
-            SimKernel::Indexed => {
-                let mut engine = IndexedEngine::new(
-                    n_channels,
-                    max_chunks,
-                    cfg.peer_efficiency,
-                    cfg.round_seconds,
-                );
-                run_loop(cfg, &mut engine, tel)
-            }
             SimKernel::EventDriven => crate::event_driven::run_with_telemetry(
                 cfg,
                 &crate::event_driven::DesScenario::default(),
@@ -235,14 +222,13 @@ impl Simulator {
                 metrics: run.metrics,
                 fault_stats: run.fault_stats,
             }),
-            SimKernel::Sharded => crate::sharded::run_with_telemetry(cfg, tel),
+            SimKernel::Scan | SimKernel::Indexed | SimKernel::Sharded => run_site(cfg, tel, None),
         }
     }
 }
 
-/// Read-only per-round inputs handed to the engines. Shared with the
-/// federated simulator (`crate::federation`), which drives one engine per
-/// region through the same interface.
+/// Read-only per-round inputs the segment driver's shards hand their
+/// engine (`crate::segments`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RoundCtx<'a> {
     /// Round duration, seconds.
@@ -263,8 +249,8 @@ pub(crate) struct RoundCtx<'a> {
 
 /// A per-round allocation engine: told about peer lifecycle events, asked
 /// once per round to run the allocation stage and to name the peers that
-/// can act this round. `Send` so the federated simulator can drive one
-/// engine per region on the rayon pool.
+/// can act this round. `Send` so the segment driver can step shards on
+/// the rayon pool.
 pub(crate) trait RoundEngine: Send {
     /// A peer was appended at global index `idx` (always in the
     /// `Downloading` state).
@@ -324,6 +310,18 @@ pub(crate) trait RoundEngine: Send {
         completed: &mut Vec<usize>,
         woken: &mut Vec<usize>,
     );
+
+    /// Bytes of engine-resident state that scale with the connected
+    /// population (see `crate::footprint`); 0 for an engine that keeps
+    /// none.
+    fn resident_peer_bytes(&self) -> usize {
+        0
+    }
+
+    /// Records the engine's sampled sub-lane wall times into the
+    /// `hist/lane_wall_ns` histogram; nothing for an engine that never
+    /// split its passes.
+    fn record_lane_walls(&self, _tel: &Telemetry) {}
 }
 
 // ----------------------------------------------------------------------
@@ -1080,7 +1078,7 @@ impl IndexedEngine {
         }
     }
 
-    /// A single-channel engine for one shard of the sharded run loop,
+    /// A single-channel engine for one per-channel shard (Sharded),
     /// with its round passes allowed to fan out over up to `lane_cap`
     /// sub-lanes of at least `lane_min` downloads each (`lane_cap == 1`
     /// keeps the shard fully serial).
@@ -1125,29 +1123,6 @@ impl IndexedEngine {
         } else {
             (n_dl / self.lane_min).clamp(1, self.lane_cap)
         }
-    }
-
-    /// Sampled per-sub-lane wall times (ns) accumulated over the run,
-    /// for the `hist/lane_wall_ns` histogram; empty when the engine
-    /// never split.
-    pub(crate) fn lane_walls(&self) -> impl Iterator<Item = u64> + '_ {
-        self.scratch.iter().map(|s| s.wall_ns).filter(|&w| w > 0)
-    }
-
-    /// Bytes of engine-resident state that scale with the connected
-    /// population: the supply and download-slot mirrors, the in-flight
-    /// download index, and the waiting peers' slab + wheel entries.
-    /// Fixed per-engine overhead (bucket headers, sub-lane scratch) is
-    /// excluded — it does not grow with viewers. The `Peer` array itself
-    /// is accounted by the caller (`crate::footprint`).
-    pub(crate) fn resident_peer_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let downloads: usize = self.lanes.iter().map(|l| l.dl.len()).sum();
-        let waiting = self.wake_slab.len() - self.free_slots.len();
-        self.usable_units.len() * size_of::<u32>()
-            + self.dl_slot.len() * size_of::<u32>()
-            + downloads * size_of::<DlEntry>()
-            + waiting * 2 * size_of::<u32>()
     }
 
     /// Claims a wake-slab slot for peer `idx` (reuse before growth).
@@ -1376,234 +1351,154 @@ impl RoundEngine for IndexedEngine {
         }
         woken.sort_unstable();
     }
+
+    /// The supply and download-slot mirrors, the in-flight download
+    /// index, and the waiting peers' slab + wheel entries. Fixed
+    /// per-engine overhead (bucket headers, sub-lane scratch) is
+    /// excluded — it does not grow with viewers. The `Peer` array itself
+    /// is accounted by the caller.
+    fn resident_peer_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let downloads: usize = self.lanes.iter().map(|l| l.dl.len()).sum();
+        let waiting = self.wake_slab.len() - self.free_slots.len();
+        self.usable_units.len() * size_of::<u32>()
+            + self.dl_slot.len() * size_of::<u32>()
+            + downloads * size_of::<DlEntry>()
+            + waiting * 2 * size_of::<u32>()
+    }
+
+    fn record_lane_walls(&self, tel: &Telemetry) {
+        for w in self.scratch.iter().map(|s| s.wall_ns).filter(|&w| w > 0) {
+            tel.observe(telem::HIST_LANE_WALL, w);
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
-// Shared run loop.
+// The single-site caller of the segment driver.
 // ----------------------------------------------------------------------
 
-/// The round loop shared by both engines: provisioning (through
-/// `crate::control`), arrivals, the engine's allocation stage,
-/// download progress and viewing-model transitions, cloud billing, and
-/// sampling. The configuration's fault schedule is applied in this
-/// serial loop — fleet failures/repairs at round boundaries, cost
-/// shocks and tracker dropouts at provisioning boundaries, arrival
-/// shedding per arrival timestamp — so every fault decision is a pure
-/// function of the simulated clock and the run stays bit-identical
-/// across engines and parallelism.
-fn run_loop<E: RoundEngine>(
-    cfg: &SimConfig,
-    engine: &mut E,
-    tel: &Telemetry,
-) -> Result<FaultRun, SimError> {
-    // Process-wide counter baseline, taken before the arrival stream
-    // exists so its lazy draws are attributed to this run.
-    let globals = telem::GlobalCounters::capture();
+/// A single-site run's boundary work: the fault plane's fleet failures
+/// and repairs at round boundaries, and the interval control path
+/// (through `crate::control`) at provisioning rounds. Everything else —
+/// arrivals, allocation, download progress, viewing-model transitions,
+/// metering and sampling — is the segment driver's
+/// (`crate::segments`). Every fault decision is a pure function of the
+/// simulated clock, so the run stays bit-identical across engines and
+/// parallelism.
+struct OneSite<'a> {
+    cfg: &'a SimConfig,
+    cloud: Cloud,
+    control: SiteControl,
+    faults: FaultDriver,
+}
 
-    let catalog = &cfg.catalog;
-    let n_channels = catalog.len();
-    let chunk_bytes = cfg.chunk_bytes();
-
-    // Arrivals stream lazily in global time order — O(channels) memory
-    // and no up-front trace materialization or sort.
-    let mut arrival_stream = ArrivalStream::new(catalog, &cfg.trace)?;
-    let mut next_arrival = arrival_stream.next();
-
-    let mut cloud = site_cloud(cfg, 1.0)?;
-    let mut control = SiteControl::new(cfg, &cloud)?;
-    let vm_bandwidth = control.vm_bandwidth();
-    let mut fault_driver = FaultDriver::new(&cfg.faults);
-    let mut tracker = Tracker::new(catalog)?;
-    let mut rng = StdRng::seed_from_u64(cfg.behaviour_seed);
-
-    let mut peers: Vec<Peer> = Vec::new();
-    let mut metrics = Metrics::default();
-
-    let horizon = cfg.trace.horizon_seconds;
-    let dt = cfg.round_seconds;
-    let mut clock = 0.0_f64;
-    let mut next_sample = cfg.sample_interval;
-    let mut next_provision = 0.0_f64;
-    let mut window_used = 0.0_f64; // integral of used bandwidth, bytes
-    let mut window_start = 0.0_f64;
-    let mut window_startup_sum = 0.0_f64;
-    let mut window_startup_count = 0usize;
-
-    // Event scratch, reused across rounds.
-    let mut removals: Vec<usize> = Vec::new();
-    let mut completed: Vec<usize> = Vec::new();
-    let mut woken: Vec<usize> = Vec::new();
-
-    // Stage attribution: the lap clock times one round in
-    // STAGE_TIME_SAMPLE and scales up, so stage boundaries cost a
-    // fraction of a clock read per round (and one branch when telemetry
-    // is off). The whole-run span also feeds the trace when the
-    // registry buffers spans.
-    let run_span = tel.span(telem::RUN_WALL);
-    let mut clk = tel.stage_clock_sampled(telem::STAGE_TIME_SAMPLE);
-    // Round-loop totals accumulate in plain locals and hit the registry
-    // once after the loop — per-round atomic adds are measurable on a
-    // 60k-round week.
-    let mut rounds_total = 0u64;
-    let mut completed_total = 0u64;
-    let mut woken_total = 0u64;
-    let mut admitted_total = 0u64;
-    let mut peers_peak = 0u64;
-
-    while clock < horizon {
-        let t1 = (clock + dt).min(horizon);
-        let step = t1 - clock;
-        clk.begin_round();
-
-        // --- Fault boundaries (fleet failures and repairs) ----------
-        fault_driver.apply_due(clock, &mut cloud, control.last_targets())?;
-
-        // --- Provisioning boundary ---------------------------------
-        if clock >= next_provision {
-            let mut per_channel_peers = vec![0usize; n_channels];
-            for p in &peers {
-                per_channel_peers[p.channel()] += 1;
-            }
-            let record = control.provision(
+impl Host for OneSite<'_> {
+    fn boundary<E: RoundEngine>(
+        &mut self,
+        clock: f64,
+        provision: bool,
+        sites: &mut [Site<'_, E>],
+        tel: &Telemetry,
+    ) -> Result<(), SimError> {
+        self.faults
+            .apply_due(clock, &mut self.cloud, self.control.last_targets())?;
+        if provision {
+            let site = &mut sites[0];
+            let record = self.control.provision(
                 clock,
-                &mut cloud,
-                &mut fault_driver.stats,
+                &mut self.cloud,
+                &mut self.faults.stats,
                 tel,
-                per_channel_peers,
-                || tracker.interval_stats(cfg.provisioning_interval),
+                site.channel_peers(),
+                || site.interval_stats(),
             )?;
-            metrics.intervals.push(record);
-            next_provision += cfg.provisioning_interval;
+            site.metrics.intervals.push(record);
         }
-        clk.lap(telem::STAGE_PROVISIONING);
+        Ok(())
+    }
 
-        // --- Arrivals ----------------------------------------------
-        let mut admitted_this_round = 0u64;
-        while let Some(a) = next_arrival.as_ref().filter(|a| a.time < t1) {
-            // Graceful degradation (ShedNewArrivals): during an
-            // active fleet-failure window, refuse admission instead
-            // of diluting every stream. The decision depends only on
-            // the arrival timestamp, so it is engine-independent.
-            if cfg.faults.shed_arrivals_at(a.time) {
-                fault_driver.stats.shed_arrivals += 1;
-                next_arrival = arrival_stream.next();
-                continue;
-            }
-            peers.push(Peer::new(
-                a.user_id,
-                a.channel,
-                a.upload_bytes_per_sec,
-                a.start_chunk,
-                chunk_bytes,
-                a.time,
-            ));
-            engine.on_join(&peers, peers.len() - 1);
-            tracker.record_join(a.channel, a.start_chunk);
-            admitted_this_round += 1;
-            next_arrival = arrival_stream.next();
-        }
-        if admitted_this_round > 0 {
-            admitted_total += admitted_this_round;
-            peers_peak = peers_peak.max(peers.len() as u64);
-        }
-        clk.lap(telem::STAGE_ARRIVALS);
-
-        // --- Allocation stage (engine-specific) ---------------------
-        let cloud_pool = cloud.running_bandwidth();
-        let online_scale = if control.reserved_total() > 0.0 {
-            (cloud_pool / control.reserved_total()).min(1.0)
+    fn pre_round(
+        &mut self,
+        t0: f64,
+        t1: f64,
+        online: &mut [f64],
+        running: &mut [f64],
+    ) -> Result<(), SimError> {
+        // A no-op on a segment's first round, whose boundaries
+        // `boundary` applied before provisioning.
+        self.faults
+            .apply_due(t0, &mut self.cloud, self.control.last_targets())?;
+        let reserved = self.control.reserved_total();
+        online[0] = if reserved > 0.0 {
+            (self.cloud.running_bandwidth() / reserved).min(1.0)
         } else {
             0.0
         };
-        let ctx = RoundCtx {
-            step,
-            inv_step: 1.0 / step,
-            vm_bandwidth,
-            eff: cfg.peer_efficiency,
-            p2p: cfg.mode == SimMode::P2p,
-            online_scale,
-            channel_reserved: control.channel_reserved(),
-        };
-        let used_cloud_rate = engine.allocate(&peers, &ctx);
-        clk.lap(telem::STAGE_ALLOCATION);
-
-        // --- Progress downloads, handle completions -----------------
-        // The engine advances every in-flight download and reports the
-        // round's events: completed chunks and due wake-ups. Events are
-        // then handled in ascending peer order — the same order the
-        // original full scan encountered them — so RNG draws, tracker
-        // records, and removals are identical.
-        completed.clear();
-        woken.clear();
-        engine.advance_round(&mut peers, &ctx, t1, &mut completed, &mut woken);
-        clk.lap(telem::STAGE_ADVANCE);
-        rounds_total += 1;
-        completed_total += completed.len() as u64;
-        woken_total += woken.len() as u64;
-        process_round_events(
-            engine,
-            &mut peers,
-            &completed,
-            &woken,
-            &mut removals,
-            &mut tracker,
-            &mut rng,
-            catalog,
-            chunk_bytes,
-            cfg.chunk_seconds,
-            t1,
-            &mut window_startup_sum,
-            &mut window_startup_count,
-        );
-        clk.lap(telem::STAGE_EVENTS);
-
-        // --- Advance the cloud (billing + VM lifecycle) --------------
-        cloud.tick(t1)?;
-        window_used += used_cloud_rate * step;
-        clk.lap(telem::STAGE_CLOUD);
-
-        // --- Sampling ------------------------------------------------
-        if t1 >= next_sample || t1 >= horizon {
-            let elapsed = (t1 - window_start).max(1e-9);
-            let startup = if window_startup_count > 0 {
-                window_startup_sum / window_startup_count as f64
-            } else {
-                0.0
-            };
-            metrics.samples.push(sample(
-                t1,
-                cloud.running_bandwidth(),
-                window_used / elapsed,
-                startup,
-                &peers,
-                n_channels,
-                cfg,
-            ));
-            window_used = 0.0;
-            window_startup_sum = 0.0;
-            window_startup_count = 0;
-            window_start = t1;
-            next_sample += cfg.sample_interval;
-        }
-        clk.lap(telem::STAGE_SAMPLING);
-
-        clock = t1;
+        self.cloud.tick(t1)?;
+        running[0] = self.cloud.running_bandwidth();
+        Ok(())
     }
+
+    fn control(&self, _site: usize) -> &SiteControl {
+        &self.control
+    }
+}
+
+impl OneSite<'_> {
+    /// Runs `site` to the horizon; returns its metrics (costs not yet
+    /// filled in) and, when asked, adds its end-of-run footprint.
+    fn run<E: RoundEngine>(
+        &mut self,
+        mut site: Site<'_, E>,
+        stages: Stages,
+        tel: &Telemetry,
+        footprint: Option<&mut PeerFootprint>,
+    ) -> Result<Metrics, SimError> {
+        segments::run(self.cfg, std::slice::from_mut(&mut site), self, stages, tel)?;
+        self.faults.stats.shed_arrivals += site.shed();
+        if let Some(out) = footprint {
+            site.add_footprint(out);
+        }
+        Ok(site.metrics)
+    }
+}
+
+/// Runs a Scan, Indexed or Sharded configuration as one site, returning
+/// the metrics plus the fault-plane counters and recording telemetry
+/// into `tel`; with `footprint`, also measures the end-of-run per-peer
+/// resident footprint (`crate::footprint`).
+pub(crate) fn run_site(
+    cfg: &SimConfig,
+    tel: &Telemetry,
+    footprint: Option<&mut PeerFootprint>,
+) -> Result<FaultRun, SimError> {
+    // Process-wide counter baseline, taken before the arrival streams
+    // exist so their lazy draws are attributed to this run.
+    let globals = telem::GlobalCounters::capture();
+    let run_span = tel.span(telem::RUN_WALL);
+    let cloud = site_cloud(cfg, 1.0)?;
+    let control = SiteControl::new(cfg, &cloud)?;
+    let mut host = OneSite {
+        cfg,
+        cloud,
+        control,
+        faults: FaultDriver::new(&cfg.faults),
+    };
+    let mut metrics = match cfg.kernel {
+        SimKernel::Scan => host.run(Site::scan(cfg)?, Stages::Rounds, tel, footprint)?,
+        SimKernel::Indexed => host.run(Site::indexed(cfg)?, Stages::Rounds, tel, footprint)?,
+        SimKernel::Sharded => host.run(Site::sharded(cfg)?, Stages::Shards, tel, footprint)?,
+        SimKernel::EventDriven => unreachable!("the event-driven engine has its own loop"),
+    };
     drop(run_span);
-
-    tel.add(telem::ROUNDS, rounds_total);
-    tel.add(telem::COMPLETED_CHUNKS, completed_total);
-    tel.add(telem::WOKEN_PEERS, woken_total);
-    tel.add(telem::ARRIVALS_ADMITTED, admitted_total);
-    tel.gauge_max(telem::PEERS_PEAK, peers_peak);
-    telem::record_fault_stats(tel, &fault_driver.stats);
+    metrics.total_vm_cost = host.cloud.billing().vm_cost().as_dollars();
+    metrics.total_storage_cost = host.cloud.billing().storage_cost().as_dollars();
+    telem::record_fault_stats(tel, &host.faults.stats);
     globals.record_delta(tel);
-
-    metrics.total_vm_cost = cloud.billing().vm_cost().as_dollars();
-    metrics.total_storage_cost = cloud.billing().storage_cost().as_dollars();
     Ok(FaultRun {
         metrics,
-        fault_stats: fault_driver.stats,
+        fault_stats: host.faults.stats,
     })
 }
 
@@ -1612,7 +1507,7 @@ fn run_loop<E: RoundEngine>(
 /// either starts (or gates) the next download or schedules departure.
 /// `play_end` is the playback end time of the just-finished chunk.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn advance_playback<S: ViewingSink>(
+fn advance_playback(
     p: &mut Peer,
     idx: usize,
     chunk: usize,
@@ -1621,7 +1516,7 @@ pub(crate) fn advance_playback<S: ViewingSink>(
     chunk_seconds: f64,
     now: f64,
     catalog: &Catalog,
-    tracker: &mut S,
+    tracker: &mut Tracker,
     rng: &mut StdRng,
     removals: &mut Vec<usize>,
 ) {
@@ -1630,7 +1525,7 @@ pub(crate) fn advance_playback<S: ViewingSink>(
     loop {
         match viewing.sample_next(rng, current) {
             NextAction::Watch(next) => {
-                tracker.transition(p.channel(), current, next);
+                tracker.record_transition(p.channel(), current, next);
                 if p.owns(next) {
                     // Already buffered (a jump back): it plays straight
                     // from the buffer; decide again after it.
@@ -1655,7 +1550,7 @@ pub(crate) fn advance_playback<S: ViewingSink>(
                 return;
             }
             NextAction::Leave => {
-                tracker.leave(p.channel(), current);
+                tracker.record_leave(p.channel(), current);
                 if play_end <= now {
                     removals.push(idx);
                 } else {
@@ -1675,18 +1570,16 @@ pub(crate) fn advance_playback<S: ViewingSink>(
 /// merged in ascending peer order (the order the original full scan
 /// encountered them, so RNG draws, tracker records, and removals are
 /// identical) — then removes departed peers, highest index first so
-/// earlier indices stay valid across `swap_remove`. Shared verbatim by
-/// the single-site run loop and the federated per-region runtime
-/// (`crate::federation`), so event ordering can never diverge between
-/// them.
+/// earlier indices stay valid across `swap_remove`. Called once per
+/// round by every shard of the segment driver (`crate::segments`).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn process_round_events<E: RoundEngine + ?Sized, S: ViewingSink>(
+pub(crate) fn process_round_events<E: RoundEngine>(
     engine: &mut E,
     peers: &mut Vec<Peer>,
     completed: &[usize],
     woken: &[usize],
     removals: &mut Vec<usize>,
-    tracker: &mut S,
+    tracker: &mut Tracker,
     rng: &mut StdRng,
     catalog: &Catalog,
     chunk_bytes: f64,
@@ -1793,48 +1686,6 @@ pub(crate) fn process_round_events<E: RoundEngine + ?Sized, S: ViewingSink>(
     removals.clear();
 }
 
-pub(crate) fn sample(
-    time: f64,
-    reserved: f64,
-    used: f64,
-    mean_startup_delay: f64,
-    peers: &[Peer],
-    n_channels: usize,
-    cfg: &SimConfig,
-) -> Sample {
-    let window = cfg.sample_interval;
-    let mut per_channel_peers = vec![0usize; n_channels];
-    let mut per_channel_smooth = vec![0usize; n_channels];
-    let mut smooth = 0usize;
-    for p in peers {
-        per_channel_peers[p.channel()] += 1;
-        if p.smooth_in_window(time, window) {
-            smooth += 1;
-            per_channel_smooth[p.channel()] += 1;
-        }
-    }
-    let quality = if peers.is_empty() {
-        1.0
-    } else {
-        smooth as f64 / peers.len() as f64
-    };
-    let per_channel_quality = per_channel_peers
-        .iter()
-        .zip(&per_channel_smooth)
-        .map(|(&n, &s)| if n == 0 { 1.0 } else { s as f64 / n as f64 })
-        .collect();
-    Sample {
-        time,
-        reserved_bandwidth: reserved,
-        used_bandwidth: used,
-        quality,
-        active_peers: peers.len(),
-        per_channel_peers,
-        per_channel_quality,
-        mean_startup_delay,
-    }
-}
-
 /// A `(ChunkKey, demand)` pair list grouped per channel; helper shared by
 /// experiment harnesses.
 pub fn group_demand_by_channel(demands: &[(ChunkKey, f64)], n_channels: usize) -> Vec<f64> {
@@ -1850,6 +1701,7 @@ pub fn group_demand_by_channel(demands: &[(ChunkKey, f64)], n_channels: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimMode;
 
     /// The rate quantizer as written with `std`'s `ceil`: the reference
     /// `quantize_rate` and `quantized_rate` must match bit for bit.

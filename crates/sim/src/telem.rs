@@ -8,18 +8,19 @@
 //! engine's recording code) feeds a metric value back into simulation
 //! arithmetic or control flow, so a telemetry-enabled run produces
 //! bit-identical [`Metrics`](crate::metrics::Metrics) to a disabled
-//! run — pinned by `tests/telemetry_determinism.rs`. Parallel engines
-//! record into worker-local [`cloudmedia_telemetry::LocalSink`]s (or pre-assigned slots) and
-//! the coordinator merges them in fixed shard/region order; counter
-//! totals are order-free integer sums either way.
+//! run — pinned by `tests/telemetry_determinism.rs`. The segment
+//! driver's shards count into their own fields and the driver adds them
+//! to the registry in fixed site and shard order; counter totals are
+//! order-free integer sums either way.
 
 use cloudmedia_telemetry::{Kind, MetricId, Spec, Telemetry};
 
 use crate::faults::FaultStats;
 
-/// Round-sampling period for the single-site round loop's `stage/*`
-/// lap clocks (Scan and Indexed): one round in this many is timed and
-/// the laps are scaled by the period. 17 keeps
+/// Round-sampling period for the round-stage lap clocks of a Scan or
+/// Indexed run's one shard: one round in this many (counted from the
+/// start of the run) is timed and the laps are scaled by the period.
+/// 17 keeps
 /// the per-round telemetry cost to a fraction of a clock read while
 /// still sampling thousands of rounds on any multi-hour horizon.
 ///
@@ -56,13 +57,18 @@ const fn h(name: &'static str, unit: &'static str) -> Spec {
 /// of process-wide counters, `des/*` is event-kernel health, `faults/*`
 /// mirrors [`FaultStats`], and `hist/*` are log2 histograms.
 ///
-/// The Scan/Indexed round loop's `stage/*` counters are sampled
-/// estimates: it times one round in [`STAGE_TIME_SAMPLE`] and scales by
-/// the period (see [`Telemetry::stage_clock_sampled`]), so a clock read
-/// per stage boundary is paid on ~6 % of rounds instead of all of them.
-/// The Sharded engine and the federated simulator time every segment
-/// of rounds (one lap per stage per segment, unsampled). The DES engine
-/// times its event loop as one unsampled stage.
+/// Every round-engine run steps on the segment driver, which laps
+/// `stage/provisioning`, `stage/cloud`, `stage/reduce` and
+/// `stage/sampling` once per segment of rounds, unsampled, and times
+/// its fan-out as `stage/shard_step` (Sharded) or `stage/region_step`
+/// (the federation). A Scan or Indexed run's one shard instead times
+/// its own round stages (`stage/arrivals` … `stage/events`, and
+/// `stage/sampling` for its sample partials) as sampled estimates: one
+/// round in [`STAGE_TIME_SAMPLE`], scaled by the period (see
+/// [`Telemetry::stage_clock_sampled`]), so a clock read per stage
+/// boundary is paid on ~6 % of rounds instead of all of them. No stage
+/// counter nests inside another. The DES engine times its event loop as
+/// one unsampled stage.
 pub const SPECS: &[Spec] = &[
     c("stage/provisioning", "ns"),
     c("stage/arrivals", "ns"),
@@ -111,8 +117,8 @@ pub const SPECS: &[Spec] = &[
     c("quiesce/dirty_channels", "count"),
 ];
 
-/// `stage/provisioning` — fault boundaries + the provisioning block
-/// (on the segment engines, those of a segment's first round).
+/// `stage/provisioning` — the boundary work before a segment's first
+/// round: fault boundaries, provisioning, the federation's re-plans.
 pub const STAGE_PROVISIONING: MetricId = MetricId(0);
 /// `stage/arrivals` — arrival ingestion.
 pub const STAGE_ARRIVALS: MetricId = MetricId(1);
@@ -122,14 +128,15 @@ pub const STAGE_ALLOCATION: MetricId = MetricId(2);
 pub const STAGE_ADVANCE: MetricId = MetricId(3);
 /// `stage/events` — completion/wake-up event handling.
 pub const STAGE_EVENTS: MetricId = MetricId(4);
-/// `stage/cloud` — cloud lifecycle + billing ticks (on the segment
-/// engines, the coordinator's pre-step of every round of a segment:
-/// fault boundaries, online fractions, ticks).
+/// `stage/cloud` — the pre-step of every round of a segment: fault
+/// boundaries, online fractions, cloud lifecycle + billing ticks.
 pub const STAGE_CLOUD: MetricId = MetricId(5);
-/// `stage/sampling` — metric sampling (the federated simulator flushes
-/// samples inside `stage/region_step`).
+/// `stage/sampling` — metric sampling: the driver's fold of the
+/// shards' sample partials, plus (Scan/Indexed) the shard's sampled
+/// partial writes.
 pub const STAGE_SAMPLING: MetricId = MetricId(6);
-/// `stage/reduce` — cross-shard / cross-region merge work.
+/// `stage/reduce` — the round-by-round fold of the shards' used cloud
+/// rates (and the federation's redirected-traffic metering).
 pub const STAGE_REDUCE: MetricId = MetricId(7);
 /// `prov/tracker_summarize` — interval statistics drain.
 pub const PROV_TRACKER: MetricId = MetricId(8);
@@ -145,9 +152,12 @@ pub const COMPLETED_CHUNKS: MetricId = MetricId(12);
 pub const WOKEN_PEERS: MetricId = MetricId(13);
 /// `arrivals_admitted` — arrivals admitted into the system.
 pub const ARRIVALS_ADMITTED: MetricId = MetricId(14);
-/// `peers_peak` — high-water mark of the connected population: after
-/// each round's arrivals on Scan/Indexed, at sample instants on Sharded
-/// and (summed across regions) on the federated simulator.
+/// `peers_peak` — high-water mark of the connected population summed
+/// over every site, at sample instants: the largest sample's
+/// `active_peers` for a single site, `FederatedMetrics::peak_peers` for
+/// a federation. Every round-engine run records it, and `rounds`,
+/// `completed_chunks`, `woken_peers` and `arrivals_admitted`, the same
+/// way.
 pub const PEERS_PEAK: MetricId = MetricId(15);
 /// `arrivals/generated` — trace arrivals drawn (process-wide delta).
 pub const ARRIVALS_GENERATED: MetricId = MetricId(16);
@@ -192,22 +202,22 @@ pub const FAULT_BACKOFF_US: MetricId = MetricId(35);
 /// `hist/shard_wall_ns` — one observation per shard: its whole-run
 /// wall time stepping segments.
 pub const HIST_SHARD_WALL: MetricId = MetricId(36);
-/// `hist/region_wall_ns` — one observation per region: its whole-run
-/// wall time stepping segments (rounds and sample flushes; the cloud
-/// ticks run in `stage/cloud`).
+/// `hist/region_wall_ns` — one observation per region: the sum of its
+/// shards' whole-run wall times stepping segments (rounds and sample
+/// partials; the cloud ticks run in `stage/cloud`).
 pub const HIST_REGION_WALL: MetricId = MetricId(37);
 /// `run` — whole-run wall time (also the trace's top-level span).
 pub const RUN_WALL: MetricId = MetricId(38);
 /// `prov/interval` — one whole provisioning boundary (trace span; the
 /// stage counter equivalent is `stage/provisioning`).
 pub const PROV_INTERVAL: MetricId = MetricId(39);
-/// `stage/shard_step` — the sharded engine's segment fan-out
-/// (arrivals, allocation, advance and events happen inside the shards,
-/// so the sharded profile reports them as one stage).
+/// `stage/shard_step` — a Sharded run's segment fan-out (arrivals,
+/// allocation, advance, events and sample partials happen inside the
+/// shards, so the sharded profile reports them as one stage).
 pub const STAGE_SHARD_STEP: MetricId = MetricId(40);
-/// `stage/region_step` — the federated simulator's per-region segment
-/// fan-out (each region's arrivals, allocation, advance, events and
-/// sample flushes).
+/// `stage/region_step` — the federated simulator's segment fan-out over
+/// every shard of every region (arrivals, allocation, advance, events
+/// and sample partials).
 pub const STAGE_REGION_STEP: MetricId = MetricId(41);
 /// `hist/lane_wall_ns` — sampled per-sub-lane wall times from the
 /// giant-channel lane fan-out (one observation per scratch lane on

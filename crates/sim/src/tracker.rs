@@ -8,6 +8,8 @@
 //! empirical transition counts with the provider's prior viewing model so
 //! a quiet hour cannot zero out the routing structure.
 
+use std::ops::Range;
+
 use cloudmedia_core::predictor::ChannelObservation;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::stats::{ChannelStatsCollector, Observation};
@@ -15,68 +17,16 @@ use cloudmedia_workload::stats::{ChannelStatsCollector, Observation};
 use crate::error::SimError;
 
 /// Pseudo-count weight used to blend the prior routing into the empirical
-/// transition matrix. Shared with the sharded engine's per-shard
-/// collectors so both tracker implementations summarize identically.
-pub(crate) const ROUTING_SMOOTHING: f64 = 10.0;
+/// transition matrix.
+const ROUTING_SMOOTHING: f64 = 10.0;
 
-/// Where the simulation loop reports viewing-model events (transitions
-/// and departures). The single-site and federated run loops record into
-/// the global [`Tracker`]; the sharded run loop records into each
-/// shard's own per-channel collector, so the event path never takes a
-/// cross-shard lock.
-pub(crate) trait ViewingSink {
-    /// A viewer on `channel` finished `from` and moved to `to`.
-    fn transition(&mut self, channel: usize, from: usize, to: usize);
-    /// A viewer on `channel` departed after finishing `from`.
-    fn leave(&mut self, channel: usize, from: usize);
-}
-
-impl ViewingSink for Tracker {
-    fn transition(&mut self, channel: usize, from: usize, to: usize) {
-        self.record_transition(channel, from, to);
-    }
-
-    fn leave(&mut self, channel: usize, from: usize) {
-        self.record_leave(channel, from);
-    }
-}
-
-/// A single channel's collector is itself a sink: the sharded engine's
-/// shards record straight into their own collector, ignoring the
-/// (constant) channel id.
-impl ViewingSink for ChannelStatsCollector {
-    fn transition(&mut self, _channel: usize, from: usize, to: usize) {
-        self.record(Observation::Transition { from, to });
-    }
-
-    fn leave(&mut self, _channel: usize, from: usize) {
-        self.record(Observation::Leave { from });
-    }
-}
-
-/// Summarizes one channel's interval from its collector and prior —
-/// the per-channel body of [`Tracker::interval_stats`], shared with the
-/// sharded engine so per-shard summaries are bitwise the same
-/// computation. Resets the collector.
-pub(crate) fn summarize_channel(
-    collector: &mut cloudmedia_workload::stats::ChannelStatsCollector,
-    prior_routing: &[Vec<f64>],
-    prior_alpha: f64,
-    interval_seconds: f64,
-) -> Result<ChannelObservation, SimError> {
-    let routing = collector.transition_matrix(prior_routing, ROUTING_SMOOTHING)?;
-    let obs = ChannelObservation {
-        arrival_rate: collector.arrival_rate(interval_seconds),
-        alpha: collector.alpha(prior_alpha),
-        routing,
-    };
-    collector.reset();
-    Ok(obs)
-}
-
-/// Tracker-side statistics aggregation for every channel.
+/// Tracker-side statistics aggregation for every channel of a catalog,
+/// or (inside the simulator's shards) for a contiguous range of them.
 #[derive(Debug)]
 pub struct Tracker {
+    /// The first tracked channel: `collectors[c - first]` is channel
+    /// `c`'s.
+    first: usize,
     collectors: Vec<ChannelStatsCollector>,
     priors: Vec<Vec<Vec<f64>>>,
     prior_alphas: Vec<f64>,
@@ -90,15 +40,25 @@ impl Tracker {
     ///
     /// Propagates viewing-model validation failures.
     pub fn new(catalog: &Catalog) -> Result<Self, SimError> {
-        let mut collectors = Vec::with_capacity(catalog.len());
-        let mut priors = Vec::with_capacity(catalog.len());
-        let mut prior_alphas = Vec::with_capacity(catalog.len());
-        for spec in catalog.channels() {
+        Self::for_channels(catalog, 0..catalog.len())
+    }
+
+    /// A tracker for the catalog's `channels` only.
+    pub(crate) fn for_channels(
+        catalog: &Catalog,
+        channels: Range<usize>,
+    ) -> Result<Self, SimError> {
+        let specs = &catalog.channels()[channels.clone()];
+        let mut collectors = Vec::with_capacity(specs.len());
+        let mut priors = Vec::with_capacity(specs.len());
+        let mut prior_alphas = Vec::with_capacity(specs.len());
+        for spec in specs {
             collectors.push(ChannelStatsCollector::new(spec.viewing.chunks)?);
             priors.push(spec.viewing.routing_rows()?);
             prior_alphas.push(spec.viewing.start_at_beginning);
         }
         Ok(Self {
+            first: channels.start,
             collectors,
             priors,
             prior_alphas,
@@ -107,17 +67,17 @@ impl Tracker {
 
     /// Records a user joining `channel` at `chunk`.
     pub fn record_join(&mut self, channel: usize, chunk: usize) {
-        self.collectors[channel].record(Observation::Join { chunk });
+        self.collectors[channel - self.first].record(Observation::Join { chunk });
     }
 
     /// Records a chunk-to-chunk transition.
     pub fn record_transition(&mut self, channel: usize, from: usize, to: usize) {
-        self.collectors[channel].record(Observation::Transition { from, to });
+        self.collectors[channel - self.first].record(Observation::Transition { from, to });
     }
 
     /// Records a departure after `from`.
     pub fn record_leave(&mut self, channel: usize, from: usize) {
-        self.collectors[channel].record(Observation::Leave { from });
+        self.collectors[channel - self.first].record(Observation::Leave { from });
     }
 
     /// Summarizes the interval that just ended and resets the counters:
@@ -132,13 +92,14 @@ impl Tracker {
     ) -> Result<Vec<(usize, ChannelObservation)>, SimError> {
         let mut out = Vec::with_capacity(self.collectors.len());
         for (c, collector) in self.collectors.iter_mut().enumerate() {
-            let obs = summarize_channel(
-                collector,
-                &self.priors[c],
-                self.prior_alphas[c],
-                interval_seconds,
-            )?;
-            out.push((c, obs));
+            let routing = collector.transition_matrix(&self.priors[c], ROUTING_SMOOTHING)?;
+            let obs = ChannelObservation {
+                arrival_rate: collector.arrival_rate(interval_seconds),
+                alpha: collector.alpha(self.prior_alphas[c]),
+                routing,
+            };
+            collector.reset();
+            out.push((self.first + c, obs));
         }
         Ok(out)
     }

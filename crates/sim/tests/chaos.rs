@@ -99,9 +99,9 @@ fn faulted_federated_run_is_bit_identical_serial_vs_parallel() {
     // path, not just the hourly boundary.
     fc.base.faults = FaultSchedule::site_outage(3.0 * 3600.0 + 600.0, 1, 1.5 * 3600.0);
 
-    fc.parallel_regions = true;
+    fc.base.parallel_channels = true;
     let parallel = FederatedSimulator::new(fc.clone()).unwrap().run().unwrap();
-    fc.parallel_regions = false;
+    fc.base.parallel_channels = false;
     let serial = FederatedSimulator::new(fc).unwrap().run().unwrap();
 
     assert_eq!(

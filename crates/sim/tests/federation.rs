@@ -23,7 +23,7 @@
 //! ordering (and the presence of redirected traffic) on the default
 //! three-site week so `cargo test` keeps it honest PR to PR.
 
-use cloudmedia_sim::config::SimMode;
+use cloudmedia_sim::config::{SimKernel, SimMode};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 
 fn run(kind: DeploymentKind, hours: f64) -> cloudmedia_sim::federation::FederatedMetrics {
@@ -115,16 +115,25 @@ fn federated_viewers_see_the_same_demand_as_independent() {
 
 #[test]
 fn parallel_and_serial_region_execution_are_bit_identical() {
-    // The federated simulator fans its regions out on the rayon pool;
-    // regions share no accumulator inside a round and every coupling
-    // happens at a barrier, so the parallel execution must reproduce the
-    // serial one exactly — every float bit of every region's metrics.
+    for kernel in [SimKernel::Indexed, SimKernel::Sharded] {
+        parallel_and_serial_are_bit_identical(kernel);
+    }
+}
+
+/// The federated simulator fans every shard of every region out on the
+/// rayon pool; shards share no accumulator inside a segment and every
+/// coupling happens at a barrier, so the parallel execution must
+/// reproduce the serial one exactly — every float bit of every region's
+/// metrics — whether a region is one Indexed shard or one shard per
+/// channel.
+fn parallel_and_serial_are_bit_identical(kernel: SimKernel) {
     const HOURS: f64 = 8.0;
     let mut serial_cfg =
         FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, HOURS);
-    serial_cfg.parallel_regions = false;
+    serial_cfg.base.kernel = kernel;
+    serial_cfg.base.parallel_channels = false;
     let mut parallel_cfg = serial_cfg.clone();
-    parallel_cfg.parallel_regions = true;
+    parallel_cfg.base.parallel_channels = true;
 
     let serial = FederatedSimulator::new(serial_cfg).unwrap().run().unwrap();
     let parallel = FederatedSimulator::new(parallel_cfg)
@@ -143,7 +152,11 @@ fn parallel_and_serial_region_execution_are_bit_identical() {
     );
     assert_eq!(serial.per_region.len(), parallel.per_region.len());
     for (s, p) in serial.per_region.iter().zip(&parallel.per_region) {
-        assert_eq!(s.metrics, p.metrics, "region {} diverged", s.region.name);
+        assert_eq!(
+            s.metrics, p.metrics,
+            "{kernel:?}: region {} diverged",
+            s.region.name
+        );
         assert_eq!(s.cloud_bytes.to_bits(), p.cloud_bytes.to_bits());
         assert_eq!(s.redirected_bytes.to_bits(), p.redirected_bytes.to_bits());
     }

@@ -5,7 +5,7 @@
 //! points (`docs/SCALING.md`, "Segments"). The serial ≡ parallel suites
 //! cannot see an ordering change that both paths share, and every other
 //! golden runs fault-free on aligned 10 s / 300 s / 3600 s intervals, so
-//! this suite pins fourteen runs whose boundaries never line up:
+//! this suite pins sixteen runs whose boundaries never line up:
 //!
 //! - 7 s rounds, 95 s samples, 1000 s provisioning intervals, and a
 //!   horizon that ends 3 s into a round;
@@ -18,9 +18,10 @@
 //!
 //! The runs are Sharded client–server and P2P on a 6-channel Zipf
 //! catalog, the same single-site runs on the Indexed, event-driven and
-//! Scan engines, and the paper-default federated, independent and
-//! central deployments in both modes (the central deployment's one
-//! region has no site 1, so it runs the single-site schedule only).
+//! Scan engines, the paper-default federated, independent and central
+//! deployments in both modes on Indexed regions (the central
+//! deployment's one region has no site 1, so it runs the single-site
+//! schedule only), and the federated deployment on Sharded regions.
 //! Every engine's hourly control path is therefore pinned under faults.
 //! Floats are recorded as IEEE-754 bit patterns; each interval's
 //! samples and per-channel vectors are recorded as a count plus an
@@ -98,8 +99,9 @@ fn single_site(kernel: SimKernel, mode: SimMode) -> SimConfig {
 
 /// A deployment under the single-site schedule plus, where it has a
 /// site 1, the site outage.
-fn deployment_config(kind: DeploymentKind, mode: SimMode) -> FederatedConfig {
+fn deployment_config(kind: DeploymentKind, kernel: SimKernel, mode: SimMode) -> FederatedConfig {
     let mut fc = FederatedConfig::paper_default(kind, mode, HORIZON / 3600.0);
+    fc.base.kernel = kernel;
     unaligned(&mut fc.base);
     if kind != DeploymentKind::Central {
         fc.base.faults.site_outages = vec![SiteOutage {
@@ -226,27 +228,54 @@ fn fault_line(out: &mut String, label: &str, s: &FaultStats) {
 fn runs() -> (String, Vec<(String, FaultStats)>) {
     let mut out = String::new();
     let mut stats = Vec::new();
-    single_site_runs(&mut out, &mut stats, "sharded", SimKernel::Sharded);
-    deployment_runs(&mut out, &mut stats, "federated", DeploymentKind::Federated);
-    single_site_runs(&mut out, &mut stats, "indexed", SimKernel::Indexed);
+    let (indexed, sharded) = (SimKernel::Indexed, SimKernel::Sharded);
+    single_site_runs(&mut out, &mut stats, "sharded", sharded);
+    deployment_runs(
+        &mut out,
+        &mut stats,
+        "federated",
+        DeploymentKind::Federated,
+        indexed,
+    );
+    single_site_runs(&mut out, &mut stats, "indexed", indexed);
     single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven);
     single_site_runs(&mut out, &mut stats, "scan", SimKernel::Scan);
-    deployment_runs(&mut out, &mut stats, "independent", DeploymentKind::Independent);
-    deployment_runs(&mut out, &mut stats, "central", DeploymentKind::Central);
+    deployment_runs(
+        &mut out,
+        &mut stats,
+        "independent",
+        DeploymentKind::Independent,
+        indexed,
+    );
+    deployment_runs(
+        &mut out,
+        &mut stats,
+        "central",
+        DeploymentKind::Central,
+        indexed,
+    );
+    deployment_runs(
+        &mut out,
+        &mut stats,
+        "federated_sharded",
+        DeploymentKind::Federated,
+        sharded,
+    );
     (out, stats)
 }
 
-/// A deployment's C/S and P2P runs: each region's lines, then the
-/// deployment's totals and fault counters.
+/// A deployment's C/S and P2P runs with `kernel` in every region: each
+/// region's lines, then the deployment's totals and fault counters.
 fn deployment_runs(
     out: &mut String,
     stats: &mut Vec<(String, FaultStats)>,
     deployment: &str,
     kind: DeploymentKind,
+    kernel: SimKernel,
 ) {
     for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
         let label = format!("{deployment}_{name}");
-        let m = FederatedSimulator::new(deployment_config(kind, mode))
+        let m = FederatedSimulator::new(deployment_config(kind, kernel, mode))
             .unwrap()
             .run()
             .unwrap();
@@ -331,7 +360,11 @@ fn segment_boundaries_match_the_golden() {
 fn golden_covers_every_boundary_kind() {
     assert_eq!(HORIZON % ROUND, 3.0);
     let (_, stats) = runs();
-    assert_eq!(stats.len(), 14, "seven engines or deployments, two modes each");
+    assert_eq!(
+        stats.len(),
+        16,
+        "eight engines or deployments, two modes each"
+    );
     for (label, s) in &stats {
         assert!(s.fallback_intervals > 0, "{label}: blackout never replayed");
         assert!(s.shed_arrivals > 0, "{label}: nothing shed");

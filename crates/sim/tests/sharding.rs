@@ -128,16 +128,24 @@ fn mega_catalog_smoke_runs_serial_and_parallel() {
     }
 }
 
-/// The federated simulator must refuse the sharded kernel (regions
-/// already own the worker pool) with actionable guidance.
+/// The federated simulator runs Sharded regions: every region is one
+/// shard per channel, stepped in the same pool fan-out as every other
+/// region's shards.
 #[test]
-fn federation_rejects_sharded_kernel() {
+fn federation_runs_sharded_regions() {
     let mut fc =
         FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, 2.0);
     fc.base.kernel = SimKernel::Sharded;
-    let err = match FederatedSimulator::new(fc) {
-        Err(e) => e.to_string(),
-        Ok(_) => panic!("sharded kernel must be rejected"),
-    };
-    assert!(err.contains("parallel_channels"), "unhelpful error: {err}");
+    let channels = fc.base.catalog.len();
+    let m = FederatedSimulator::new(fc).unwrap().run().unwrap();
+    assert_eq!(m.per_region.len(), 3);
+    for r in &m.per_region {
+        assert_eq!(r.metrics.intervals.len(), 2, "one record per hour");
+        for s in &r.metrics.samples {
+            assert_eq!(s.per_channel_peers.len(), channels);
+            assert_eq!(s.per_channel_peers.iter().sum::<usize>(), s.active_peers);
+        }
+    }
+    assert!(m.peak_peers() > 0, "viewers showed up");
+    assert!(m.mean_quality() > 0.9, "quality {}", m.mean_quality());
 }

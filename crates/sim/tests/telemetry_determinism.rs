@@ -9,8 +9,9 @@
 //! refactor that accidentally moves simulation work inside an
 //! `if tel.enabled()` block, or a sampling clock that starts gating
 //! simulation (not just measurement) logic. Both would show up here as
-//! a metrics mismatch. The last test pins what one gauge reads on the
-//! parallel engines, where per-unit values are summed.
+//! a metrics mismatch. The last tests pin what the round-loop counters
+//! read: non-zero, equal between serial and parallel federated runs and
+//! between Scan and Indexed, and `peers_peak` summed per sample.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::federation::{
@@ -18,6 +19,7 @@ use cloudmedia_sim::federation::{
 };
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
+use cloudmedia_telemetry::{MetricId, Telemetry};
 
 /// Short enough to keep the suite fast, long enough to cross several
 /// provisioning intervals, diurnal phases, and (for the sampled stage
@@ -137,11 +139,34 @@ fn assert_federated_eq(a: &FederatedMetrics, b: &FederatedMetrics, label: &str) 
     }
 }
 
+/// The round-loop counters every round-engine run records the same way.
+const EVENT_COUNTERS: [(MetricId, &str); 5] = [
+    (telem::ROUNDS, "rounds"),
+    (telem::COMPLETED_CHUNKS, "completed_chunks"),
+    (telem::WOKEN_PEERS, "woken_peers"),
+    (telem::ARRIVALS_ADMITTED, "arrivals_admitted"),
+    (telem::PEERS_PEAK, "peers_peak"),
+];
+
+/// The event counters of a run's registry, each asserted non-zero.
+fn event_counts(tel: &Telemetry, label: &str) -> Vec<u64> {
+    let snap = tel.snapshot();
+    EVENT_COUNTERS
+        .iter()
+        .map(|&(id, name)| {
+            let v = snap.value(id);
+            assert!(v > 0, "{label}: {name} recorded nothing");
+            v
+        })
+        .collect()
+}
+
 #[test]
 fn federated_simulator_is_telemetry_invariant_serial_and_parallel() {
+    let mut counts = Vec::new();
     for parallel in [false, true] {
         let mut fc = FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::P2p, HOURS);
-        fc.parallel_regions = parallel;
+        fc.base.parallel_channels = parallel;
         let sim = FederatedSimulator::new(fc).unwrap();
         let label = if parallel { "parallel" } else { "serial" };
 
@@ -150,30 +175,53 @@ fn federated_simulator_is_telemetry_invariant_serial_and_parallel() {
         let metrics_tel = telem::new_registry(false);
         let lit = sim.run_with_telemetry(&metrics_tel).unwrap();
         assert_federated_eq(&dark, &lit, label);
-        assert!(metrics_tel.snapshot().value(telem::ROUNDS) > 0);
+        counts.push(event_counts(&metrics_tel, label));
 
         let trace_tel = telem::new_registry(true);
         let traced = sim.run_with_telemetry(&trace_tel).unwrap();
         assert_federated_eq(&dark, &traced, label);
     }
+    assert_eq!(
+        counts[0], counts[1],
+        "serial and parallel counted differently"
+    );
 }
 
-/// On the parallel engines `peers_peak` is the high-water mark of the
+/// Scan and Indexed replay the same events, so they count the same.
+#[test]
+fn scan_and_indexed_record_equal_event_counts() {
+    let counts: Vec<Vec<u64>> = [SimKernel::Scan, SimKernel::Indexed]
+        .into_iter()
+        .map(|kernel| {
+            let tel = telem::new_registry(false);
+            Simulator::new(config(kernel, SimMode::P2p))
+                .unwrap()
+                .run_with_telemetry(&tel)
+                .unwrap();
+            event_counts(&tel, &format!("{kernel:?}"))
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "Scan and Indexed counted differently");
+}
+
+/// On every round engine `peers_peak` is the high-water mark of the
 /// connected population at sample instants — for a federation, of the
 /// population summed across regions — so it equals the results' own
 /// `peak_peers()` rather than, say, the end-of-run population.
 #[test]
 fn peers_peak_gauge_is_the_sampled_high_water_mark() {
-    let tel = telem::new_registry(false);
-    let run = Simulator::new(config(SimKernel::Sharded, SimMode::P2p))
-        .unwrap()
-        .run_with_telemetry(&tel)
-        .unwrap();
-    assert_eq!(
-        tel.snapshot().value(telem::PEERS_PEAK),
-        run.metrics.peak_peers() as u64,
-        "sharded"
-    );
+    for kernel in [SimKernel::Scan, SimKernel::Indexed, SimKernel::Sharded] {
+        let tel = telem::new_registry(false);
+        let run = Simulator::new(config(kernel, SimMode::P2p))
+            .unwrap()
+            .run_with_telemetry(&tel)
+            .unwrap();
+        assert_eq!(
+            tel.snapshot().value(telem::PEERS_PEAK),
+            run.metrics.peak_peers() as u64,
+            "{kernel:?}"
+        );
+    }
 
     // A day: the regions' evening peaks fall well inside the horizon.
     let fc = FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::P2p, 24.0);
