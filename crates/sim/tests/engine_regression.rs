@@ -5,8 +5,10 @@
 //! indexed engine is an optimization, never a behavior change.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::faults::FaultSchedule;
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_workload::catalog::Catalog;
+use cloudmedia_workload::diurnal::{DiurnalPattern, FlashCrowd};
 use cloudmedia_workload::viewing::ViewingModel;
 
 fn run(cfg: SimConfig) -> cloudmedia_sim::Metrics {
@@ -16,7 +18,9 @@ fn run(cfg: SimConfig) -> cloudmedia_sim::Metrics {
         .expect("run succeeds")
 }
 
-fn assert_engines_agree(mut cfg: SimConfig, label: &str) {
+/// Runs `cfg` on both engines, asserts they agree exactly, and returns
+/// the (shared) metrics for scenario checks.
+fn assert_engines_agree(mut cfg: SimConfig, label: &str) -> cloudmedia_sim::Metrics {
     cfg.kernel = SimKernel::Scan;
     let scan = run(cfg.clone());
     cfg.kernel = SimKernel::Indexed;
@@ -26,6 +30,7 @@ fn assert_engines_agree(mut cfg: SimConfig, label: &str) {
         scan.peak_peers() > 0,
         "{label}: the scenario exercised nobody"
     );
+    scan
 }
 
 fn base_config(mode: SimMode, channels: usize, population: f64) -> SimConfig {
@@ -116,5 +121,52 @@ fn engines_agree_with_non_default_round() {
         cfg.sample_interval = 300.0;
         cfg.trace.horizon_seconds = 3.0 * 3600.0 + 11.0;
         assert_engines_agree(cfg, &format!("odd round length {mode:?}"));
+    }
+}
+
+#[test]
+fn engines_agree_through_a_total_fleet_outage() {
+    // Every VM fails at 1.5 h and the fleet takes 40 min to recover:
+    // in client-server mode nothing is served in between, so downloads
+    // that start during the outage keep their full chunk size — the
+    // same bytes-left as the fresh downloads that join after them.
+    for mode in [SimMode::ClientServer, SimMode::P2p] {
+        let mut cfg = base_config(mode, 3, 150.0);
+        cfg.faults = FaultSchedule::vm_outage(5400.0, 1.0, 2400.0);
+        let m = assert_engines_agree(cfg, &format!("total fleet outage {mode:?}"));
+        if mode == SimMode::ClientServer {
+            assert!(
+                m.samples
+                    .iter()
+                    .any(|s| s.time > 5400.0 && s.used_bandwidth == 0.0),
+                "the outage never stopped cloud service"
+            );
+        }
+    }
+}
+
+#[test]
+fn engines_agree_on_a_starved_one_channel_burst() {
+    // One channel, a quiet 0.3 baseline and a 12x burst at hour 1 (the
+    // flash-crowd benchmark's shape): served ratios fall below 1 and
+    // downloads trickle on across many rounds.
+    for mode in [SimMode::ClientServer, SimMode::P2p] {
+        let mut cfg = base_config(mode, 1, 400.0);
+        cfg.trace.horizon_seconds = 2.0 * 3600.0;
+        cfg.trace.diurnal = DiurnalPattern::new(
+            0.3,
+            vec![FlashCrowd {
+                peak_hour: 1.0,
+                width_hours: 0.15,
+                amplitude: 12.0,
+            }],
+        )
+        .unwrap();
+        let m = assert_engines_agree(cfg, &format!("starved burst {mode:?}"));
+        assert!(
+            m.mean_quality() < 0.95,
+            "{mode:?}: the burst never starved anyone (quality {})",
+            m.mean_quality()
+        );
     }
 }
