@@ -10,8 +10,8 @@
 //!     the acceptance row — must complete end to end),
 //!   - `--hours` horizon of the headline run (default 2, long enough
 //!     for the diurnal ramp to cross 1 M concurrent viewers),
-//!   - `--flash-peers` population of the one-channel flash-crowd lane
-//!     (default 500 000; 0 skips the lane),
+//!   - `--flash-peers` population of the one-channel flash crowd
+//!     (default 500 000; 0 skips it),
 //!   - `--out` benchmark JSON to append to (default `BENCH_sim.json`).
 //!
 //! Set `RAYON_NUM_THREADS` to sweep worker-pool sizes; a pool wider than
@@ -100,18 +100,17 @@ fn main() {
         }
     }
 
-    // The one-channel flash-crowd lane: the giant-channel serial cap
-    // this sweep exists to break. Serial single-lane reference first,
-    // then the laned run (auto cap = one lane per pool thread).
+    // The one-channel flash crowd: the whole burst on one shard, serial
+    // first, then with the pool available.
     let mut flash_equality = None;
     if flash_peers > 0.0 {
         let flash_hours = 1.0;
-        for (parallel, lanes) in [(false, 0usize), (true, 0)] {
-            let row = run_flash_point(flash_peers, flash_hours, parallel, lanes);
+        for parallel in [false, true] {
+            let row = run_flash_point(flash_peers, flash_hours, parallel);
             eprintln!(
                 "flash-crowd 1ch {flash_peers:.0} viewers ({}): {:.2}s wall, \
                  {:.1} sim-h/s, peak {} viewers, RSS {} MB",
-                if parallel { "laned" } else { "serial" },
+                if parallel { "parallel" } else { "serial" },
                 row.wall_seconds,
                 row.sim_hours_per_wall_second,
                 row.peak_peers,
@@ -120,10 +119,10 @@ fn main() {
             sweep.push(row);
         }
         // Bit-identity at a size the check can afford to run twice.
-        let eq = flash_equality_check(flash_peers.min(100_000.0), 1.0, 4);
+        let eq = flash_equality_check(flash_peers.min(100_000.0), 1.0);
         assert!(
             eq.serial_equals_parallel,
-            "serial and laned flash-crowd runs diverged — lane determinism broken"
+            "serial and parallel flash-crowd runs diverged — determinism broken"
         );
         flash_equality = Some(eq);
     }

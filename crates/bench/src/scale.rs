@@ -23,7 +23,7 @@ use serde::Serialize;
 #[derive(Debug, Serialize)]
 pub struct ScaleRow {
     /// Scenario kind: `"steady"` (diurnal mega catalog) or
-    /// `"flash_crowd_1ch"` (the one-channel burst lane).
+    /// `"flash_crowd_1ch"` (the one-channel burst).
     pub scenario: String,
     /// Target steady-state concurrent viewers.
     pub population: f64,
@@ -33,8 +33,6 @@ pub struct ScaleRow {
     pub mode: String,
     /// Whether shards were fanned across the worker pool.
     pub parallel: bool,
-    /// Sub-channel lane cap ([`SimConfig::lanes`]; 0 = auto).
-    pub lanes: usize,
     /// Worker-pool threads the run had available.
     pub threads: usize,
     /// Simulated horizon, hours.
@@ -67,7 +65,7 @@ pub struct EqualityCheck {
 }
 
 /// Schema tag of the `scale_sweep` section.
-pub const SCHEMA: &str = "cloudmedia-scale-sweep/v4";
+pub const SCHEMA: &str = "cloudmedia-scale-sweep/v5";
 
 /// The `scale_sweep` section appended to `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
@@ -79,12 +77,12 @@ pub struct ScaleSweepSection {
     /// Reading notes.
     pub notes: Vec<String>,
     /// Sweep rows, ascending population (steady rows first, then the
-    /// one-channel flash-crowd lane).
+    /// one-channel flash crowd).
     pub sweep: Vec<ScaleRow>,
     /// The serial ≡ parallel bit-equality re-check (steady sweep).
     pub equality: EqualityCheck,
-    /// The serial ≡ laned bit-equality re-check on the one-channel
-    /// flash-crowd scenario (`None` when the lane was skipped).
+    /// The serial ≡ parallel bit-equality re-check on the one-channel
+    /// flash-crowd scenario (`None` when the flash crowd was skipped).
     pub flash_equality: Option<EqualityCheck>,
 }
 
@@ -104,19 +102,16 @@ pub fn run_point(
     let mut cfg = SimConfig::scale_out(mode, channels, population).expect("valid scale config");
     cfg.trace.horizon_seconds = hours * 3600.0;
     cfg.parallel_channels = parallel;
-    measure(
-        "steady", cfg, population, channels, mode, hours, parallel, 0,
-    )
+    measure("steady", cfg, population, channels, mode, hours, parallel)
 }
 
 /// The one-channel flash-crowd configuration: a quiet baseline with a
 /// sharp arrival burst mid-horizon, sized so the burst peak far
 /// exceeds the provisioned steady capacity. Every burst viewer starts
 /// downloading at once and the deficit stretches downloads across
-/// rounds, so the shard's download index — the structure the sub-lane
-/// fan-out parallelizes — stays giant for a sustained stretch. This is
-/// the workload the `lanes` machinery exists for; `docs/SCALING.md`
-/// explains how to read its rows.
+/// rounds, so the one shard holds hundreds of thousands of in-flight
+/// downloads for a sustained stretch — grouped into download cohorts
+/// of hundreds each. `docs/SCALING.md` explains how to read its rows.
 pub fn flash_crowd_config(population: f64, hours: f64) -> SimConfig {
     let mut cfg =
         SimConfig::scale_out(SimMode::ClientServer, 1, population).expect("valid flash config");
@@ -125,7 +120,7 @@ pub fn flash_crowd_config(population: f64, hours: f64) -> SimConfig {
     // fleet for; grow capacity and budgets so the *post-burst*
     // provisioning plan stays feasible. During the burst itself the
     // hour-late controller still reserves last interval's capacity, so
-    // downloads dilute and the download index balloons — the starvation
+    // downloads dilute and pile up in flight — the starvation
     // is in the provisioning lag, not in an infeasible fleet.
     cfg.fleet_scale *= 4.0;
     cfg.vm_budget_per_hour *= 4.0;
@@ -142,12 +137,10 @@ pub fn flash_crowd_config(population: f64, hours: f64) -> SimConfig {
     cfg
 }
 
-/// Runs one flash-crowd lane point: `lanes` sub-lanes on the single
-/// hot shard (0 = auto, `serial` forces the single-lane reference).
-pub fn run_flash_point(population: f64, hours: f64, parallel: bool, lanes: usize) -> ScaleRow {
+/// Runs one flash-crowd point, serial or with the pool available.
+pub fn run_flash_point(population: f64, hours: f64, parallel: bool) -> ScaleRow {
     let mut cfg = flash_crowd_config(population, hours);
     cfg.parallel_channels = parallel;
-    cfg.lanes = if parallel { lanes } else { 0 };
     measure(
         "flash_crowd_1ch",
         cfg,
@@ -156,11 +149,9 @@ pub fn run_flash_point(population: f64, hours: f64, parallel: bool, lanes: usize
         SimMode::ClientServer,
         hours,
         parallel,
-        lanes,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn measure(
     scenario: &str,
     cfg: SimConfig,
@@ -169,7 +160,6 @@ fn measure(
     mode: SimMode,
     hours: f64,
     parallel: bool,
-    lanes: usize,
 ) -> ScaleRow {
     let start = Instant::now();
     let metrics = Simulator::new(cfg)
@@ -183,7 +173,6 @@ fn measure(
         channels,
         mode: format!("{mode:?}"),
         parallel,
-        lanes,
         threads: rayon::current_num_threads(),
         sim_hours: hours,
         wall_seconds: wall,
@@ -194,17 +183,16 @@ fn measure(
     }
 }
 
-/// Runs the serial single-lane and parallel laned executions of the
-/// flash-crowd scenario and verifies bit equality of the full metrics.
+/// Runs the serial and parallel executions of the flash-crowd scenario
+/// and verifies bit equality of the full metrics.
 ///
 /// # Panics
 ///
 /// Panics if either run fails to configure or execute.
-pub fn flash_equality_check(population: f64, hours: f64, lanes: usize) -> EqualityCheck {
+pub fn flash_equality_check(population: f64, hours: f64) -> EqualityCheck {
     let run = |parallel: bool| {
         let mut cfg = flash_crowd_config(population, hours);
         cfg.parallel_channels = parallel;
-        cfg.lanes = if parallel { lanes } else { 0 };
         Simulator::new(cfg)
             .expect("valid configuration")
             .run()
@@ -269,13 +257,12 @@ pub fn section(
             "Populations are steady-state targets; peak_peers shows what the \
              diurnal ramp actually reached within the horizon."
                 .into(),
-            "`flash_crowd_1ch` rows are the one-channel burst lane: a single \
-             shard whose download index balloons past provisioned capacity, \
-             split across `lanes` sub-lanes (SimConfig::lanes; serial rows are \
-             the single-lane reference and bit-identical to every laned run — \
-             pinned by crates/sim/tests/lane_invariance.rs, re-checked in \
-             `flash_equality`). Lane speedup needs pool threads: compare rows \
-             across RAYON_NUM_THREADS settings, not within a 1-thread host."
+            "`flash_crowd_1ch` rows are the one-channel burst: a single shard \
+             whose in-flight downloads balloon past provisioned capacity, \
+             grouped into download cohorts that the demand and advance passes \
+             visit once each. A one-shard run steps on one thread whatever \
+             the pool, so its serial and parallel rows run the same code and \
+             are bit-identical (re-checked in `flash_equality`)."
                 .into(),
             "Each steady point runs once serial and once parallel; `threads` is \
              the pool width, which bench_scale refuses to set above \
@@ -308,18 +295,17 @@ mod tests {
         assert!(eq.serial_equals_parallel, "serial and parallel diverged");
         let section = section(vec![row, serial], eq, None);
         let json = serde_json::to_string(&section).unwrap();
-        assert!(json.contains("\"schema\":\"cloudmedia-scale-sweep/v4\""));
+        assert!(json.contains("\"schema\":\"cloudmedia-scale-sweep/v5\""));
     }
 
     #[test]
     fn tiny_flash_lane_measures_and_stays_bit_identical() {
-        let row = run_flash_point(3000.0, 0.5, true, 4);
+        let row = run_flash_point(3000.0, 0.5, true);
         assert_eq!(row.scenario, "flash_crowd_1ch");
         assert_eq!(row.channels, 1);
-        assert_eq!(row.lanes, 4);
         assert!(row.peak_peers > 0);
-        let eq = flash_equality_check(3000.0, 0.5, 4);
-        assert!(eq.serial_equals_parallel, "laned flash run diverged");
+        let eq = flash_equality_check(3000.0, 0.5);
+        assert!(eq.serial_equals_parallel, "parallel flash run diverged");
     }
 
     #[test]

@@ -192,9 +192,6 @@ pub enum Command {
         hours: f64,
         /// Force serial shard stepping (`--serial`).
         serial: bool,
-        /// Sub-channel lane cap per shard (`--lanes N`; 0 = auto).
-        /// Conflicts with `--serial`.
-        lanes: usize,
         /// Optional path to write the full metrics JSON.
         out_path: Option<String>,
         /// Telemetry / trace output options.
@@ -376,7 +373,7 @@ USAGE:
                    [--kernel scan|indexed|event-driven|sharded]
                    [--serial] [--shed] [--out FILE]
   cloudmedia scale [--peers N] [--channels C] [--mode cs|p2p] [--hours H]
-                   [--serial | --lanes N] [--out FILE]
+                   [--serial] [--out FILE]
   cloudmedia profile [--mode cs|p2p] [--hours H]
                      [--kernel scan|indexed|event-driven|sharded] [--out FILE]
   cloudmedia default-config [--mode cs|p2p]
@@ -635,7 +632,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
             let mut mode = SimMode::ClientServer;
             let mut hours = 1.0;
             let mut serial = false;
-            let mut lanes = None;
             let mut out_path = None;
             let mut telemetry = TelemetryOpts::default();
             while let Some(flag) = it.next() {
@@ -650,12 +646,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                     "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
                     "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
                     "--serial" => serial = true,
-                    "--lanes" => {
-                        let v = take_value(&mut it, flag)?;
-                        lanes = Some(v.parse::<usize>().map_err(|_| {
-                            CliError::Usage(format!("bad value `{v}` for --lanes"))
-                        })?);
-                    }
                     "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
                     "--telemetry" => {
                         telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
@@ -666,20 +656,12 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                     other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
                 }
             }
-            if serial && lanes.is_some() {
-                return Err(CliError::Usage(
-                    "--lanes conflicts with --serial: lanes parallelize inside a shard, \
-                     --serial forces one-thread stepping (drop one of the two)"
-                        .into(),
-                ));
-            }
             Ok(Command::Scale {
                 peers,
                 channels,
                 mode,
                 hours,
                 serial,
-                lanes: lanes.unwrap_or(0),
                 out_path,
                 telemetry,
             })
@@ -809,7 +791,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             mode,
             hours,
             serial,
-            lanes,
             out_path,
             telemetry,
         } => scale(
@@ -818,7 +799,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             mode,
             hours,
             serial,
-            lanes,
             out_path.as_deref(),
             &telemetry,
         ),
@@ -1256,14 +1236,12 @@ fn chaos(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors Command::Scale's fields one-to-one
 fn scale(
     peers: f64,
     channels: usize,
     mode: SimMode,
     hours: f64,
     serial: bool,
-    lanes: usize,
     out_path: Option<&str>,
     telemetry: &TelemetryOpts,
 ) -> Result<String, CliError> {
@@ -1271,7 +1249,6 @@ fn scale(
         .map_err(|e| CliError::Run(format!("invalid scale configuration: {e}")))?;
     config.trace.horizon_seconds = hours * 3600.0;
     config.parallel_channels = !serial;
-    config.lanes = lanes;
     let tel = telemetry.registry();
     let started = std::time::Instant::now();
     let metrics = Simulator::new(config)
@@ -1290,16 +1267,9 @@ fn scale(
     let _ = writeln!(
         out,
         "scale run: {channels} channels, target {peers:.0} concurrent viewers, \
-         {hours:.1} h in {mode:?} mode ({} shard stepping, {} pool threads, {})",
+         {hours:.1} h in {mode:?} mode ({} shard stepping, {} pool threads)",
         if serial { "serial" } else { "parallel" },
         rayon_threads(),
-        if serial {
-            "single-lane".to_owned()
-        } else if lanes == 0 {
-            "auto lane cap".to_owned()
-        } else {
-            format!("lane cap {lanes}")
-        },
     );
     let _ = writeln!(
         out,
@@ -1736,7 +1706,6 @@ mod tests {
                 mode: SimMode::ClientServer,
                 hours: 1.0,
                 serial: false,
-                lanes: 0,
                 out_path: None,
                 telemetry: TelemetryOpts::default(),
             }
@@ -1762,29 +1731,12 @@ mod tests {
                 mode: SimMode::P2p,
                 hours: 0.5,
                 serial: true,
-                lanes: 0,
                 out_path: None,
                 telemetry: TelemetryOpts::default(),
             }
         );
-        let c = parse(&["scale", "--lanes", "8"]).unwrap();
-        assert!(
-            matches!(
-                c,
-                Command::Scale {
-                    lanes: 8,
-                    serial: false,
-                    ..
-                }
-            ),
-            "got: {c:?}"
-        );
         assert!(matches!(
             parse(&["scale", "--channels", "many"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse(&["scale", "--lanes", "several"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
@@ -1810,22 +1762,15 @@ mod tests {
         }
     }
 
+    /// The removed sub-channel `--lanes` flag is an ordinary unknown
+    /// flag.
     #[test]
-    fn scale_lanes_conflicts_with_serial() {
-        // Order must not matter, and the message should name both flags.
-        for argv in [
-            &["scale", "--serial", "--lanes", "4"][..],
-            &["scale", "--lanes", "4", "--serial"][..],
-        ] {
-            let err = parse(argv).unwrap_err();
-            let CliError::Usage(msg) = &err else {
-                panic!("expected a usage error, got: {err}");
-            };
-            assert!(
-                msg.contains("--lanes") && msg.contains("--serial"),
-                "got: {msg}"
-            );
-        }
+    fn scale_lanes_is_an_unknown_flag() {
+        let err = parse(&["scale", "--lanes", "4"]).unwrap_err();
+        let CliError::Usage(msg) = &err else {
+            panic!("expected a usage error, got: {err}");
+        };
+        assert_eq!(msg, "unknown flag `--lanes`");
     }
 
     #[test]
@@ -1838,7 +1783,6 @@ mod tests {
             mode: SimMode::ClientServer,
             hours: 1.0,
             serial: false,
-            lanes: 0,
             out_path: None,
             telemetry: TelemetryOpts::default(),
         })
@@ -1869,7 +1813,6 @@ mod tests {
             mode: SimMode::ClientServer,
             hours: 1.0,
             serial: false,
-            lanes: 0,
             out_path: None,
             telemetry: TelemetryOpts::default(),
         })

@@ -39,11 +39,12 @@ pub enum SimKernel {
     /// implementation did. Kept as the baseline for benchmarks and as
     /// the oracle for the indexed engine's regression test.
     Scan,
-    /// Production round engine: per-channel peer index maintained
-    /// incrementally on join/leave, incrementally-tracked chunk-owner
-    /// counts, fused single-pass per-channel aggregation into reusable
-    /// scratch, and in-place allocation kernels. Single-threaded;
-    /// `Sharded` is the channel-parallel engine.
+    /// Production round engine: per-channel download cohorts (one
+    /// record per group of downloads that advance in lockstep),
+    /// incrementally-tracked chunk-owner counts and supply aggregates,
+    /// fused single-pass per-channel aggregation into reusable scratch,
+    /// and in-place allocation kernels. Single-threaded; `Sharded` is
+    /// the channel-parallel engine.
     #[default]
     Indexed,
     /// Event-driven engine on the deterministic DES kernel: components
@@ -178,18 +179,6 @@ pub struct SimConfig {
     /// single-site Scan or Indexed run has one shard, so it runs
     /// serially either way; the event-driven kernel ignores it.
     pub parallel_channels: bool,
-    /// Cap on the sub-channel **lanes** a single shard may split its
-    /// downloading peers across inside one round (the giant-channel
-    /// parallel path; see `docs/SCALING.md`). `0` (the default) sizes
-    /// the cap to the worker-pool width and keeps the auto engagement
-    /// threshold, so small shards stay serial; an explicit value forces
-    /// that many lanes with a low threshold (test/benchmark knob).
-    /// Lane partitions are fixed-order index ranges and reductions fold
-    /// integer partials in lane order, so any lane count and any thread
-    /// count produce bit-identical results. Ignored unless
-    /// [`SimKernel::Sharded`] runs with `parallel_channels`, alone or
-    /// in every region of a federated run.
-    pub lanes: usize,
     /// Multiplier on the paper's Table II/III cloud capacity (fleet
     /// sizes and NFS storage; per-VM bandwidth and prices unchanged).
     /// 1.0 is the paper testbed — 150 VMs sized for ~2500 concurrent
@@ -241,12 +230,6 @@ impl serde::Deserialize for SimConfig {
             parallel_channels: match v.get("parallel_channels") {
                 Some(value) => serde::Deserialize::from_value(value)?,
                 None => true,
-            },
-            // Optional: configs written before sub-channel lanes
-            // existed load with the auto cap.
-            lanes: match v.get("lanes") {
-                Some(value) => serde::Deserialize::from_value(value)?,
-                None => 0,
             },
             fleet_scale: match v.get("fleet_scale") {
                 Some(value) => serde::Deserialize::from_value(value)?,
@@ -304,7 +287,6 @@ impl SimConfig {
             kernel: SimKernel::default(),
             scheduler: SchedulerChoice::default(),
             parallel_channels: true,
-            lanes: 0,
             fleet_scale: 1.0,
             faults: FaultSchedule::default(),
         }
@@ -405,12 +387,6 @@ impl SimConfig {
         if !(self.peer_efficiency > 0.0 && self.peer_efficiency <= 1.0) {
             return Err(invalid_param("peer_efficiency", "must be in (0, 1]"));
         }
-        if self.lanes > 1024 {
-            return Err(invalid_param(
-                "lanes",
-                "must be at most 1024 (0 = auto, one lane per worker)",
-            ));
-        }
         if !(self.fleet_scale.is_finite() && self.fleet_scale >= 1.0) {
             return Err(invalid_param(
                 "fleet_scale",
@@ -490,27 +466,19 @@ mod tests {
         assert_eq!(parsed, cfg);
     }
 
+    /// Configs written while the removed sub-channel `lanes` knob
+    /// existed carry the key; it is ignored like any unknown key.
     #[test]
-    fn config_json_without_lanes_field_still_loads() {
+    fn config_json_with_legacy_lanes_key_loads_unchanged() {
         let cfg = SimConfig::paper_default(SimMode::P2p);
         let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
             panic!("config serializes to an object");
         };
-        fields.retain(|(k, _)| k != "lanes");
+        assert!(fields.iter().all(|(k, _)| k != "lanes"));
+        fields.push(("lanes".into(), serde::Serialize::to_value(&4usize)));
         let legacy = serde::Value::Object(fields);
         let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
-        assert_eq!(parsed.lanes, 0, "defaults to the auto lane cap");
         assert_eq!(parsed, cfg);
-    }
-
-    #[test]
-    fn oversized_lane_cap_rejected() {
-        let mut c = SimConfig::paper_default(SimMode::P2p);
-        c.lanes = 1024;
-        c.validate().unwrap();
-        c.lanes = 1025;
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("lanes"), "got: {err}");
     }
 
     #[test]

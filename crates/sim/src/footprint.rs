@@ -13,22 +13,26 @@
 //!
 //! Per connected viewer: the packed [`Peer`](crate::peer::Peer) record
 //! itself (72 B), the engine's two `u32` per-peer mirrors (fixed-point
-//! usable upload, download-slot map), and the state-dependent tail —
-//! a 16-byte download-index entry while downloading, or a wake-slab
-//! slot plus a wheel-bucket entry (4 B each) while waiting. Fixed
-//! per-engine overhead (wheel bucket headers, sub-lane scratch, the
-//! tracker) is excluded: it does not grow with viewers, which is the
-//! axis this budget guards.
+//! usable upload, slot map), and the peer's 8-byte slot — its index
+//! plus one list link, which threads it into its download cohort while
+//! downloading or its wake bucket while waiting. That is 88 B in either
+//! state. On top, each download cohort (24 B) is shared by its members;
+//! the measurement counts cohorts, the per-viewer worst case does not,
+//! since a channel opens one cohort per chunk per round however many
+//! viewers join it. Fixed per-engine
+//! overhead (wheel bucket heads, per-chunk scratch, the tracker) is
+//! excluded: it does not grow with viewers, which is the axis this
+//! budget guards.
 
 use cloudmedia_telemetry::Telemetry;
 
 use crate::config::{SimConfig, SimKernel};
 use crate::error::SimError;
 
-/// The per-viewer resident-memory budget, bytes. The worst case
-/// (a downloading peer) must fit: 72 (packed `Peer`) + 4 (usable
-/// upload) + 4 (download slot) + 16 (download-index entry). At this
-/// ceiling, 10 M viewers hold under 1 GB of peer state.
+/// The per-viewer resident-memory budget, bytes. The worst case must
+/// fit: 72 (packed `Peer`) + 4 (usable upload) + 4 (slot map) + 8
+/// (slot) = 88. At this ceiling, 10 M viewers hold under 1 GB of peer
+/// state.
 pub const PEER_BUDGET_BYTES: usize = 96;
 
 /// A measured population + resident-byte count, as produced by
@@ -52,14 +56,15 @@ impl PeerFootprint {
     }
 }
 
-/// The worst-case resident bytes for one connected viewer — a
-/// *downloading* peer, whose state tail (a download-index entry) is
-/// larger than a waiting peer's (slab slot + wheel entry, 8 B).
-/// Computed from the real type layouts so any field growth moves it.
+/// The worst-case resident bytes for one connected viewer. Downloading
+/// and waiting peers cost the same: each holds one slot, linked into
+/// its cohort or its wake bucket (cohort records are shared; see the
+/// module docs). Computed from the real type layouts so any field
+/// growth moves it.
 pub fn worst_case_bytes_per_peer() -> usize {
     std::mem::size_of::<crate::peer::Peer>()
         + 2 * std::mem::size_of::<u32>()
-        + crate::simulator::DL_ENTRY_BYTES
+        + crate::simulator::SLOT_BYTES
 }
 
 /// Runs `cfg` through the sharded engine and returns the end-of-run

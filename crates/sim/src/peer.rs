@@ -79,7 +79,8 @@ const TAG_WAIT_LEAVE: u8 = 2;
 ///
 /// Bytes-left invariant: under the indexed engines (`Indexed` and
 /// `Sharded`) a downloading peer's `f_a` keeps the bytes left at the
-/// download's start — the engine's download index holds the live value.
+/// download's start — the engine's download cohort holds the live
+/// value.
 /// No code outside the engine may read a downloading peer's `f_a`
 /// between rounds; the Scan reference engine writes it back every
 /// round, so the Scan ≡ Indexed tests would catch a reader that depends

@@ -66,29 +66,20 @@
 //! Indexed run: the two agree in distribution and in steady-state means,
 //! not bit for bit. `docs/SCALING.md` discusses that trade.
 //!
-//! # Sub-channel lanes
+//! # One thread per shard
 //!
-//! A channel is the unit of *state*, but not the unit of *work*: a
-//! flash-crowd channel holding most of the population would otherwise
-//! Amdahl-cap the whole run on one core. Each per-channel shard's engine
-//! may therefore fan its two per-round download passes (demand
-//! aggregation and advance) out over fixed-order **sub-lanes** —
-//! contiguous slices of the shard's download index — as nested rayon
-//! scopes. Idle workers steal lane jobs from hot shards off the shared
-//! pool queue (the vendored pool prefers same-scope jobs, so a worker
-//! blocked on its own shard helps that shard first). Determinism holds
-//! by the same two rules as the shard fan-out: sub-lanes never share an
-//! accumulator (each writes private fixed-point partials), and the
-//! partials are folded in fixed lane order — and since they are
-//! *integers*, even the fold order could not change the sums. Lane
-//! count is derived from [`SimConfig::lanes`] (0 = one lane per pool
-//! thread, engaging only on genuinely hot shards; explicit values lower
-//! the engagement threshold so tests can exercise the machinery on
-//! small populations — see `LANE_MIN_AUTO` / `LANE_MIN_FORCED`).
+//! A channel is the unit of both state and work: each shard steps on
+//! one thread, so a flash crowd on one channel steps on one core. That
+//! stays affordable because the Indexed engine groups a channel's
+//! downloads into *cohorts* (downloads of one chunk that entered in the
+//! same round with equal bytes, which advance in lockstep), so its
+//! demand and advance passes cost one step per cohort, not per download
+//! (see `crate::simulator`).
 //!
 //! `crates/sim/tests/sharding.rs` pins serial ≡ parallel over random
-//! configurations, `crates/sim/tests/lane_invariance.rs` extends the
-//! pin over lane counts × thread counts × fault schedules,
+//! configurations, `crates/sim/tests/hot_shard_invariance.rs` extends
+//! the pin to a few hot channels (down to one giant channel) under
+//! fault schedules at any thread count,
 //! `crates/sim/tests/golden_segments.rs` pins every engine's segment
 //! boundaries under unaligned intervals and faults, and the unit tests
 //! below pin invariance to the shard-to-task grouping (the knob thread
@@ -115,18 +106,6 @@ use crate::tracker::Tracker;
 /// of per-round used rates (≤ 1 KiB per shard) for any valid interval
 /// settings.
 pub(crate) const MAX_SEGMENT_ROUNDS: usize = 128;
-
-/// Minimum downloads per sub-lane in auto mode ([`SimConfig::lanes`]
-/// = 0): below ~8k entries a sub-lane's demand scan finishes faster than
-/// pool dispatch costs, so only genuinely hot shards split.
-const LANE_MIN_AUTO: usize = 8192;
-
-/// Minimum downloads per sub-lane when the lane count is explicit
-/// ([`SimConfig::lanes`] > 0): low enough that integration tests (and
-/// deliberate experiments) exercise the split passes on small
-/// populations. Correctness never depends on the threshold — lanes are
-/// bit-identical at any engagement point.
-const LANE_MIN_FORCED: usize = 8;
 
 /// Where a shard's arrivals come from.
 enum Arrivals {
@@ -449,20 +428,6 @@ impl<'a> Site<'a, IndexedEngine> {
 
     /// A Sharded site: one shard per channel.
     pub(crate) fn sharded(cfg: &'a SimConfig) -> Result<Self, SimError> {
-        // Sub-lane fan-out parameters for every shard engine. A truly
-        // serial run (parallel_channels off) keeps every shard
-        // single-lane, so `--serial` remains the one-thread reference.
-        // Auto mode (lanes = 0) offers one lane per pool thread but
-        // engages them only on shards hot enough to amortize dispatch;
-        // an explicit lane count lowers the engagement threshold
-        // instead (tests and experiments).
-        let (lane_cap, lane_min) = if !cfg.parallel_channels {
-            (1, LANE_MIN_AUTO)
-        } else if cfg.lanes == 0 {
-            (rayon::current_num_threads().max(1), LANE_MIN_AUTO)
-        } else {
-            (cfg.lanes, LANE_MIN_FORCED)
-        };
         let mut shards = Vec::with_capacity(cfg.catalog.len());
         for spec in cfg.catalog.channels() {
             let engine = IndexedEngine::for_shard(
@@ -470,8 +435,6 @@ impl<'a> Site<'a, IndexedEngine> {
                 spec.viewing.chunks,
                 cfg.peer_efficiency,
                 cfg.round_seconds,
-                lane_cap,
-                lane_min,
             );
             let arrivals = Arrivals::Channel(ChannelArrivals::new(spec, &cfg.trace)?);
             let seed = child_seed(cfg.behaviour_seed, spec.id as u64);
@@ -696,8 +659,8 @@ pub(crate) trait Host {
 /// the round, sampling and provisioning intervals and the
 /// `parallel_channels` knob), with `host` doing the boundary and
 /// clock-only work. Records the round-loop counters, the summed
-/// per-sample `peers_peak`, the lane walls and the `stages` mode's
-/// stage, histogram and table into `tel`.
+/// per-sample `peers_peak` and the `stages` mode's stage, histogram
+/// and table into `tel`.
 ///
 /// # Errors
 ///
@@ -886,9 +849,6 @@ fn report<E: RoundEngine>(sites: &[Site<'_, E>], stages: Stages, rounds: u64, te
         .max()
         .unwrap_or(0);
     tel.gauge_max(telem::PEERS_PEAK, peak as u64);
-    for shard in shards() {
-        shard.engine.record_lane_walls(tel);
-    }
     match stages {
         Stages::Rounds => {}
         Stages::Shards => {

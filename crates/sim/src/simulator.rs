@@ -25,20 +25,26 @@
 //!
 //! - [`SimKernel::Indexed`] (production): round cost scales with *what
 //!   happens*, not with how many viewers are connected. Per channel it
-//!   keeps an unordered index of the in-flight downloads,
-//!   incrementally-maintained chunk-owner counts, and **fixed-point peer
-//!   supply aggregates** — the upload pool and per-chunk owner-upload
+//!   groups the in-flight downloads into **download cohorts** —
+//!   downloads of one chunk that entered in the same round with equal
+//!   bytes-left, which advance in lockstep — and keeps
+//!   incrementally-maintained chunk-owner counts and **fixed-point peer
+//!   supply aggregates**: the upload pool and per-chunk owner-upload
 //!   sums are integers in 1/1024-byte/s units, updated in O(1) on every
 //!   join, buffer addition, and departure, so no per-round walk of the
-//!   channel membership exists at all. Demand aggregation streams only
-//!   the *active downloaders*; waiting peers sit in a calendar wheel
-//!   bucketed by wake round and are touched exactly once, when due.
-//!   Allocation runs through mask-sparse in-place kernels over each
-//!   channel's requested chunks. **Zero heap allocation per round** in
-//!   steady state: every buffer — per-channel lanes, sort scratch, the
-//!   wheel, the event lists — is owned by the engine or its shard and
-//!   reused across all ~60 k rounds of a week-long run. Arrivals are
-//!   pulled lazily from the streaming
+//!   channel membership exists at all. Demand aggregation and the
+//!   download advance touch one record per cohort; a completed cohort
+//!   walks its member list once to report its downloaders. Waiting
+//!   peers sit in a calendar wheel bucketed by wake round and are
+//!   touched exactly once, when due. Every connected peer holds one
+//!   slot in the engine's slab, and a slot's single link threads it into
+//!   its cohort's member list or its wake bucket. Allocation runs
+//!   through mask-sparse in-place kernels over each channel's requested
+//!   chunks. **Zero heap allocation per round** in steady state: every
+//!   buffer — per-channel lanes, cohort lists, the slot slab, sort
+//!   scratch, the wheel, the event lists — is owned by the engine or
+//!   its shard and reused across all ~60 k rounds of a week-long run.
+//!   Arrivals are pulled lazily from the streaming
 //!   [`cloudmedia_workload::trace::ArrivalStream`], so a full simulated
 //!   week (or year) never materializes its trace.
 //! - [`SimKernel::Scan`] (reference): the original engine — three full
@@ -49,10 +55,16 @@
 //! Both engines produce **bit-identical** [`Metrics`] for the same seed.
 //! This is by construction:
 //!
+//! - A download's advance is a function of its own bytes-left and its
+//!   chunk's served ratio only, so the members of a cohort, which start
+//!   with equal bytes, stay bit-equal every round and complete in the
+//!   same round; the cohort's one update is exactly each member's.
 //! - Per-slot *demand* sums are integers in the same fixed-point units
-//!   (`quantize_rate`, one rounding shared by both engines), so the
-//!   indexed engine's unordered, possibly split pass over its download
-//!   index sums exactly what the scan engine's ordered rescan does.
+//!   (`quantize_rate`, one rounding shared by both engines). A cohort
+//!   adds `count × quantize_rate(bytes)`, an integer product equal to
+//!   its members' separate terms, so the indexed engine's unordered
+//!   pass over its cohorts sums exactly what the scan engine's ordered
+//!   rescan does.
 //! - Peer *supply* aggregates (upload pool, per-chunk owner upload) are
 //!   integers in fixed-point units shared by both engines
 //!   (`quantize_usable`). Integer addition is associative, so the scan
@@ -65,8 +77,8 @@
 //!   exact zero, which contributes nothing to any sum.
 //! - Round events (chunk completions, which draw from the shared RNG,
 //!   and wake-ups) are replayed in ascending peer order — the order the
-//!   reference scan encounters them — regardless of which lane or wheel
-//!   bucket discovered them.
+//!   reference scan encounters them — regardless of which cohort or
+//!   wheel bucket discovered them.
 
 use cloudmedia_cloud::broker::Cloud;
 use cloudmedia_cloud::scheduler::ChunkKey;
@@ -260,20 +272,10 @@ pub(crate) trait RoundEngine: Send {
     /// it to its buffer.
     fn on_buffer(&mut self, channel: usize, idx: usize, chunk: usize);
 
-    /// The peer at `idx` started downloading `chunk` (left the `Waiting`
-    /// state) with `bytes_left` to fetch by `deadline`.
+    /// The peer at `idx` started downloading `chunk` with `bytes_left`
+    /// to fetch by `deadline`: after a wake-up, or straight after a
+    /// completion.
     fn on_download_started(
-        &mut self,
-        channel: usize,
-        idx: usize,
-        chunk: usize,
-        bytes_left: f64,
-        deadline: f64,
-    );
-
-    /// The peer at `idx` moved straight to its next download after a
-    /// completion: refresh the engine's view of its in-flight chunk.
-    fn sync_download(
         &mut self,
         channel: usize,
         idx: usize,
@@ -317,11 +319,6 @@ pub(crate) trait RoundEngine: Send {
     fn resident_peer_bytes(&self) -> usize {
         0
     }
-
-    /// Records the engine's sampled sub-lane wall times into the
-    /// `hist/lane_wall_ns` histogram; nothing for an engine that never
-    /// split its passes.
-    fn record_lane_walls(&self, _tel: &Telemetry) {}
 }
 
 // ----------------------------------------------------------------------
@@ -382,16 +379,6 @@ impl RoundEngine for ScanEngine {
     fn on_buffer(&mut self, _channel: usize, _idx: usize, _chunk: usize) {}
 
     fn on_download_started(
-        &mut self,
-        _channel: usize,
-        _idx: usize,
-        _chunk: usize,
-        _bytes_left: f64,
-        _deadline: f64,
-    ) {
-    }
-
-    fn sync_download(
         &mut self,
         _channel: usize,
         _idx: usize,
@@ -532,62 +519,75 @@ impl RoundEngine for ScanEngine {
 }
 
 // ----------------------------------------------------------------------
-// Indexed engine: per-channel peer index + incremental aggregates.
+// Indexed engine: download cohorts + incremental aggregates.
 // ----------------------------------------------------------------------
 
-/// One in-flight download in a lane's index: the downloader's global
-/// peer index, the chunk it fetches, and the authoritative bytes-left
-/// counter (the peer's own state is only refreshed at completion
-/// boundaries). 16 bytes, so a lane's whole download index streams
-/// through cache in the advance loop. The round's requested rate is not
-/// cached: `advance` re-derives it from `bytes` with the same exact
-/// fixed-point quantization `process` used, which costs one multiply
-/// and saves 8 bytes per downloader.
+/// End of a slot list: a cohort's members, a wake bucket, the wheel's
+/// pending list.
+const NIL: u32 = u32::MAX;
+
+/// [`Slot::next`] of a slot that sits in no list: a new peer's, or one
+/// whose cohort just completed or whose wake just drained, until the
+/// peer's next download or wait links it again. Only the debug
+/// assertions read it.
+const UNLINKED: u32 = u32::MAX - 1;
+
+/// A connected peer's handle in the indexed engine, held from its join
+/// to its removal. Slots never move, so the lists threaded through them
+/// survive the `swap_remove` that re-keys peers: re-keying a peer
+/// rewrites one `peer` field.
 #[derive(Debug, Clone, Copy)]
-struct DlEntry {
-    /// Global peer index (re-keyed on `swap_remove`).
-    idx: u32,
-    /// Chunk being fetched.
-    chunk: u32,
-    /// Bytes still to download.
-    bytes: f64,
+struct Slot {
+    /// The peer's current global index.
+    peer: u32,
+    /// The next slot of the one list this slot is in — its download
+    /// cohort's members while downloading, its wake bucket (or the
+    /// wheel's pending list) while waiting — or [`NIL`] at the end.
+    next: u32,
 }
 
-/// Per-sub-lane scratch for the split (parallel) demand and advance
-/// passes over one hot channel's download index: a private fixed-point
-/// demand accumulator, the chunk mask it wrote, the completions its
-/// slice produced, and a sampled wall-time counter for the
-/// `hist/lane_wall_ns` telemetry histogram.
-#[derive(Debug)]
-struct LaneScratch {
-    /// Fixed-point demand partials, folded into the lane in sub-lane
-    /// order after the fan-out (integer sums, so the fold order cannot
-    /// change the totals). Written whole, once per round.
-    req_units: [u64; 64],
-    /// Chunk slots this sub-lane wrote in `req_units`.
-    mask: u64,
-    /// Peer indices whose download completed in this sub-lane's slice.
-    completed: Vec<u32>,
-    /// Sampled wall time spent in this sub-lane, nanoseconds.
-    wall_ns: u64,
+/// Size of a peer's slot, exposed for the worst-case accounting in
+/// [`crate::footprint`].
+pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
+
+/// A download cohort: in-flight downloads of one chunk in one lane that
+/// hold equal bytes-left. A download's advance is a function of its own
+/// bytes and its chunk's served ratio only, so downloads that enter a
+/// lane between one round's advance and the next round's allocation
+/// with equal bytes (every new download starts at the chunk size) move
+/// in lockstep and complete in the same round. The demand and advance
+/// passes therefore touch one record per cohort, not one per download.
+#[derive(Debug, Clone, Copy)]
+struct Cohort {
+    /// Bytes each member still has to download.
+    bytes: f64,
+    /// Chunk the members fetch.
+    chunk: u32,
+    /// Number of members.
+    count: u32,
+    /// The first member's slot; [`Slot::next`] links the rest.
+    head: u32,
 }
 
 /// One channel's round state and scratch, owned by the indexed engine.
 ///
 /// All per-chunk vectors are sized `max_chunks` (≤ 64, so chunk sets are
 /// `u64` masks) at construction and reused for the entire run; the
-/// download index retains capacity across rounds, so a steady-state
-/// round performs no heap allocation. Peer supply (upload pool,
-/// per-chunk owner upload) lives in fixed-point integers maintained
-/// incrementally — there is no per-round membership walk.
+/// cohort list retains capacity across rounds, so a steady-state round
+/// performs no heap allocation. Peer supply (upload pool, per-chunk
+/// owner upload) lives in fixed-point integers maintained incrementally
+/// — there is no per-round membership walk.
 #[derive(Debug)]
 struct ChannelLane {
     /// This channel's index (for `channel_reserved` lookup).
     id: usize,
-    /// In-flight downloads, in no particular order (every cross-peer sum
-    /// is fixed-point and therefore order-free, so the index uses O(1)
-    /// push / swap-remove; the engine's `dl_slot` map locates entries).
-    dl: Vec<DlEntry>,
+    /// In-flight downloads as cohorts, in no particular order (every
+    /// cross-download sum is fixed-point and therefore order-free).
+    cohorts: Vec<Cohort>,
+    /// Per chunk: the index in `cohorts` of the cohort that downloads
+    /// entering since the last advance join, or [`NIL`]. Reset at every
+    /// advance, which moves that cohort's bytes on.
+    fresh: Vec<u32>,
     /// Number of peers owning each chunk — maintained incrementally on
     /// buffer additions and departures (integers, so maintenance is
     /// exact).
@@ -624,7 +624,8 @@ impl ChannelLane {
         assert!(max_chunks <= 64, "chunk sets are u64 masks");
         Self {
             id,
-            dl: Vec::new(),
+            cohorts: Vec::new(),
+            fresh: vec![NIL; max_chunks],
             owners: vec![0; max_chunks],
             owner_units: vec![0; max_chunks],
             pool_units: 0,
@@ -637,6 +638,30 @@ impl ChannelLane {
             ratio: vec![0.0; max_chunks],
             order: Vec::new(),
         }
+    }
+
+    /// Links the download in `slot` (fetching `chunk`, `bytes` to go)
+    /// into the cohort of `chunk` opened since the last advance, or
+    /// opens one if there is none or its bytes differ.
+    fn join(&mut self, slots: &mut [Slot], slot: u32, chunk: usize, bytes: f64) {
+        let fresh = self.fresh[chunk] as usize;
+        let at = if self.cohorts.get(fresh).is_some_and(|c| c.bytes == bytes) {
+            fresh
+        } else {
+            self.fresh[chunk] = self.cohorts.len() as u32;
+            self.cohorts.push(Cohort {
+                bytes,
+                chunk: chunk as u32,
+                count: 0,
+                head: NIL,
+            });
+            self.cohorts.len() - 1
+        };
+        let cohort = &mut self.cohorts[at];
+        let s = &mut slots[slot as usize];
+        debug_assert_eq!(s.next, UNLINKED, "a slot sits in one list at a time");
+        s.next = std::mem::replace(&mut cohort.head, slot);
+        cohort.count += 1;
     }
 
     /// Lazily clears last round's written slots; afterwards every
@@ -654,68 +679,30 @@ impl ChannelLane {
         self.written_mask = 0;
     }
 
-    /// Fused per-round pass for this channel: demand aggregation over the
-    /// active downloaders, fixed-point supply readback, and both
-    /// allocation kernels — all confined to the requested chunk slots,
-    /// so per-round cost scales with active downloads rather than
-    /// channel size or chunk count.
+    /// Fused per-round pass for this channel: demand aggregation over
+    /// the cohorts, fixed-point supply readback, and both allocation
+    /// kernels — all confined to the requested chunk slots, so per-round
+    /// cost scales with the cohorts rather than channel size, downloads
+    /// or chunk count.
     fn process(&mut self, ctx: &RoundCtx<'_>) {
         self.clear_written();
-        if self.dl.is_empty() {
+        if self.cohorts.is_empty() {
             // Nothing is requested: every output stays zero and the lane
             // costs O(1) this round.
             return;
         }
 
-        let (units, req_mask) = slice_demand(&self.dl, ctx);
-        self.finish(ctx, &units, req_mask);
-    }
-
-    /// Split variant of [`ChannelLane::process`] for a hot channel: the
-    /// demand scan fans out over up to `scratch.len()` contiguous
-    /// sub-lanes (fixed-order slices of the download index) on the rayon
-    /// pool; each sub-lane accumulates private fixed-point partials,
-    /// which are folded back in sub-lane order. The demand sums are
-    /// integers, so the slicing and thread count cannot change a single
-    /// bit of the totals — this path is exactly [`ChannelLane::process`]
-    /// with the additions reassociated.
-    fn process_split(&mut self, ctx: &RoundCtx<'_>, scratch: &mut [LaneScratch], time_it: bool) {
-        self.clear_written();
-        if self.dl.is_empty() {
-            return;
-        }
-        let (seg, scratch) = sub_lane_slices(self.dl.len(), scratch);
-        let dl = &self.dl;
-        rayon::scope(|s| {
-            for (part, sc) in dl.chunks(seg).zip(scratch.iter_mut()) {
-                s.spawn(move |_| {
-                    let t0 = time_it.then(std::time::Instant::now);
-                    (sc.req_units, sc.mask) = slice_demand(part, ctx);
-                    if let Some(t0) = t0 {
-                        sc.wall_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                });
-            }
-        });
+        // A cohort's members request the same quantized rate, so one
+        // integer product adds exactly what their separate terms would.
+        // The accumulator and mask are locals, written out once.
+        let (inv_step, vm_bandwidth) = (ctx.inv_step, ctx.vm_bandwidth);
         let mut units = [0u64; 64];
         let mut req_mask: u64 = 0;
-        for sc in scratch.iter() {
-            let mut m = sc.mask;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                units[k] += sc.req_units[k];
-            }
-            req_mask |= sc.mask;
+        for c in &self.cohorts {
+            units[c.chunk as usize] +=
+                u64::from(c.count) * quantize_rate(c.bytes, inv_step, vm_bandwidth);
+            req_mask |= 1 << c.chunk;
         }
-        self.finish(ctx, &units, req_mask);
-    }
-
-    /// The serial tail of the round pass: requested-rate readback of the
-    /// per-chunk demand `units`, both allocation kernels, and the
-    /// served-rate ratios — identical whichever demand pass (serial or
-    /// split) summed `units`.
-    fn finish(&mut self, ctx: &RoundCtx<'_>, units: &[u64; 64], req_mask: u64) {
         let mut m = req_mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
@@ -756,8 +743,8 @@ impl ChannelLane {
             &mut self.order,
             req_mask,
         );
-        // One division per requested chunk; the advance loop then costs
-        // a single multiply per downloader.
+        // One division per requested chunk; the advance then costs a
+        // single multiply per cohort.
         let mut m = req_mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
@@ -766,101 +753,34 @@ impl ChannelLane {
         }
     }
 
-    /// Advances this lane's in-flight downloads by one round, streaming
-    /// the download index; completed downloads are appended to
-    /// `completed` (order restored by the caller's global sort). The
-    /// requested rate is re-derived from `bytes` — unchanged since the
-    /// demand pass — with the identical quantization, so the advance is
-    /// bit-equal to the old cached-rate implementation.
-    fn advance(&mut self, ctx: &RoundCtx<'_>, completed: &mut Vec<usize>) {
-        advance_slice(&mut self.dl, &self.ratio, ctx, |idx| {
-            completed.push(idx as usize);
-        });
-    }
-
-    /// Split variant of [`ChannelLane::advance`]: the same fixed-order
-    /// sub-lane slices as [`ChannelLane::process_split`] advance in
-    /// parallel (each entry's update reads only its own bytes and the
-    /// shared read-only ratios), and each sub-lane's completions are
-    /// concatenated in sub-lane order — the caller's global sort makes
-    /// the discovery order immaterial anyway.
-    fn advance_split(
-        &mut self,
-        ctx: &RoundCtx<'_>,
-        scratch: &mut [LaneScratch],
-        completed: &mut Vec<usize>,
-        time_it: bool,
-    ) {
-        if self.dl.is_empty() {
-            return;
-        }
-        let (seg, scratch) = sub_lane_slices(self.dl.len(), scratch);
-        let ratio = &self.ratio[..];
-        rayon::scope(|s| {
-            for (part, sc) in self.dl.chunks_mut(seg).zip(scratch.iter_mut()) {
-                s.spawn(move |_| {
-                    let t0 = time_it.then(std::time::Instant::now);
-                    sc.completed.clear();
-                    advance_slice(part, ratio, ctx, |idx| sc.completed.push(idx));
-                    if let Some(t0) = t0 {
-                        sc.wall_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                });
+    /// Advances this lane's cohorts by one round, one update per cohort.
+    /// A cohort that completes appends its members' peer indices to
+    /// `completed` (order restored by the caller's global sort) and
+    /// unlinks their slots. The requested rate is re-derived from
+    /// `bytes` — unchanged since the demand pass — with the identical
+    /// quantization. Downloads that enter after this advance open new
+    /// cohorts.
+    fn advance(&mut self, ctx: &RoundCtx<'_>, slots: &mut [Slot], completed: &mut Vec<usize>) {
+        self.fresh.fill(NIL);
+        let (inv_step, vm_bandwidth, step) = (ctx.inv_step, ctx.vm_bandwidth, ctx.step);
+        let ratio = &self.ratio;
+        self.cohorts.retain_mut(|c| {
+            let my_rate = quantized_rate(c.bytes, inv_step, vm_bandwidth) * ratio[c.chunk as usize];
+            let new_left = c.bytes - my_rate * step;
+            if new_left <= 1e-6 {
+                let mut s = c.head;
+                while s != NIL {
+                    let slot = &mut slots[s as usize];
+                    completed.push(slot.peer as usize);
+                    s = std::mem::replace(&mut slot.next, UNLINKED);
+                }
+                false
+            } else {
+                c.bytes = new_left;
+                true
             }
         });
-        for sc in scratch {
-            completed.extend(sc.completed.iter().map(|&i| i as usize));
-        }
     }
-}
-
-/// Demand of one slice of a download index: per-chunk fixed-point sums
-/// and the mask of requested chunks. The accumulator and mask are
-/// locals, so the loop stores nothing to memory another lane or the
-/// engine shares; the caller writes them out once.
-#[inline]
-fn slice_demand(part: &[DlEntry], ctx: &RoundCtx<'_>) -> ([u64; 64], u64) {
-    let (inv_step, vm_bandwidth) = (ctx.inv_step, ctx.vm_bandwidth);
-    let mut units = [0u64; 64];
-    let mut mask: u64 = 0;
-    for e in part {
-        units[e.chunk as usize] += quantize_rate(e.bytes, inv_step, vm_bandwidth);
-        mask |= 1 << e.chunk;
-    }
-    (units, mask)
-}
-
-/// Advances one slice of a download index by a round at the served
-/// ratios `ratio`, reporting each completed download's peer index to
-/// `done`.
-#[inline]
-fn advance_slice(
-    part: &mut [DlEntry],
-    ratio: &[f64],
-    ctx: &RoundCtx<'_>,
-    mut done: impl FnMut(u32),
-) {
-    let (inv_step, vm_bandwidth, step) = (ctx.inv_step, ctx.vm_bandwidth, ctx.step);
-    for e in part {
-        let my_rate = quantized_rate(e.bytes, inv_step, vm_bandwidth) * ratio[e.chunk as usize];
-        let new_left = e.bytes - my_rate * step;
-        if new_left <= 1e-6 {
-            done(e.idx);
-        } else {
-            e.bytes = new_left;
-        }
-    }
-}
-
-/// The sub-lane slicing both split passes share: contiguous slices of
-/// `seg = ceil(n / lanes)` downloads, and the scratch of the sub-lanes
-/// that get one. `chunks(seg)` yields `ceil(n / seg)` slices, which can
-/// be fewer than the lanes (81 downloads over 10 lanes make 9 slices of
-/// 9); a sub-lane without a slice keeps an earlier round's partials and
-/// completions, so it must not be folded.
-fn sub_lane_slices(n: usize, scratch: &mut [LaneScratch]) -> (usize, &mut [LaneScratch]) {
-    let seg = n.div_ceil(scratch.len());
-    (seg, &mut scratch[..n.div_ceil(seg)])
 }
 
 /// Calendar wheel of waiting peers, bucketed by round. Pushing is O(1);
@@ -871,22 +791,23 @@ fn sub_lane_slices(n: usize, scratch: &mut [LaneScratch]) -> (usize, &mut [LaneS
 /// Due-ness is always re-checked against the actual round clock, so
 /// bucket placement never changes behavior — only where an entry waits.
 ///
-/// Entries are bare 4-byte slots into the engine's wake slab; wake
-/// times are not duplicated into the wheel but read back through the
-/// `wake_of` lookup handed to [`WakeWheel::drain_due`] (they live on
-/// the waiting peers themselves), which cuts the wheel's per-waiter
-/// footprint from 16 to 4 bytes.
+/// A bucket is a list of the waiters' slots threaded through
+/// [`Slot::next`], so a waiter costs the wheel nothing beyond the slot
+/// it already holds; wake times are read back through the `wake_of`
+/// lookup handed to [`WakeWheel::drain_due`] (they live on the waiting
+/// peers themselves).
 #[derive(Debug)]
 struct WakeWheel {
     /// Round duration (bucket width), seconds.
     dt: f64,
-    /// `buckets[b]` holds slots whose `floor(wake_at / dt) % LEN == b`.
-    buckets: Vec<Vec<u32>>,
+    /// `heads[b]` starts the list of slots whose
+    /// `floor(wake_at / dt) % LEN == b`.
+    heads: Vec<u32>,
     /// Highest absolute bucket index already drained.
     drained: i64,
-    /// Scratch for entries drained early (same bucket, later in the
-    /// round window); re-checked next round.
-    pending: Vec<u32>,
+    /// Start of the list of entries drained early (same bucket, later in
+    /// the round window); re-checked next round.
+    pending: u32,
 }
 
 impl WakeWheel {
@@ -897,19 +818,19 @@ impl WakeWheel {
 
     /// Bucket count for a single-channel shard's wheel: the sharded
     /// engine owns one wheel *per channel*, so the full-size wheel's
-    /// fixed cost (8192 `Vec`s ≈ 200 KB) would multiply by thousands of
-    /// channels. 256 buckets (~43 min at the default round) still cover
-    /// every prefetch-gate wait and almost all drain waits; longer waits
-    /// wrap and are skipped once per revolution, which placement never
-    /// affects behavior — only where the entry sits.
+    /// fixed cost would multiply by thousands of channels. 256 buckets
+    /// (~43 min at the default round) still cover every prefetch-gate
+    /// wait and almost all drain waits; longer waits wrap and are
+    /// skipped once per revolution, which placement never affects
+    /// behavior — only where the entry sits.
     const SHARD_LEN: usize = 256;
 
     fn new(dt: f64, len: usize) -> Self {
         Self {
             dt,
-            buckets: (0..len).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; len],
             drained: -1,
-            pending: Vec::new(),
+            pending: NIL,
         }
     }
 
@@ -917,72 +838,73 @@ impl WakeWheel {
         (wake_at / self.dt).floor() as i64
     }
 
-    fn push(&mut self, slot: u32, wake_at: f64) {
+    fn push(&mut self, slots: &mut [Slot], slot: u32, wake_at: f64) {
         let b = self.abs_bucket(wake_at);
-        if b <= self.drained {
+        let head = if b <= self.drained {
             // The wake falls inside a bucket the clock already passed
             // this round (possible whenever wake times are not aligned
             // to round boundaries, e.g. chunk_seconds not a multiple of
             // round_seconds). The bucket will not be drained again for a
             // full revolution, so park the entry in `pending`, which is
             // re-checked at the start of every round.
-            self.pending.push(slot);
+            &mut self.pending
         } else {
-            let len = self.buckets.len() as i64;
-            self.buckets[(b.rem_euclid(len)) as usize].push(slot);
-        }
+            let len = self.heads.len() as i64;
+            &mut self.heads[b.rem_euclid(len) as usize]
+        };
+        let s = &mut slots[slot as usize];
+        debug_assert_eq!(s.next, UNLINKED, "a slot sits in one list at a time");
+        s.next = std::mem::replace(head, slot);
     }
 
-    /// Collects every slot whose wake time (per `wake_of`) is `<= t1`
-    /// into `due`.
-    fn drain_due(&mut self, t1: f64, due: &mut Vec<u32>, wake_of: impl Fn(u32) -> f64) {
+    /// Moves every waiter whose wake time (per `wake_of`, given the peer
+    /// index) is `<= t1` into `due` as its peer index, unlinking its
+    /// slot.
+    fn drain_due(
+        &mut self,
+        t1: f64,
+        slots: &mut [Slot],
+        due: &mut Vec<usize>,
+        wake_of: impl Fn(u32) -> f64,
+    ) {
         // Entries drained early in a previous pass.
-        self.pending.retain(|&slot| {
-            if wake_of(slot) <= t1 {
-                due.push(slot);
-                false
+        let mut s = std::mem::replace(&mut self.pending, NIL);
+        while s != NIL {
+            let slot = &mut slots[s as usize];
+            let next = slot.next;
+            if wake_of(slot.peer) <= t1 {
+                due.push(slot.peer as usize);
+                slot.next = UNLINKED;
             } else {
-                true
+                slot.next = std::mem::replace(&mut self.pending, s);
             }
-        });
+            s = next;
+        }
         let target = self.abs_bucket(t1);
+        let len = self.heads.len() as i64;
         while self.drained < target {
             self.drained += 1;
-            let drained = self.drained;
-            let dt = self.dt;
-            let pos = (drained.rem_euclid(self.buckets.len() as i64)) as usize;
-            let bucket = &mut self.buckets[pos];
-            for i in (0..bucket.len()).rev() {
-                let slot = bucket[i];
-                let wake_at = wake_of(slot);
-                // Same-revolution entries only; a far-future collision
-                // (> one revolution ahead) stays for a later pass.
-                if (wake_at / dt).floor() as i64 != drained {
-                    continue;
-                }
-                bucket.swap_remove(i);
-                if wake_at <= t1 {
-                    due.push(slot);
+            let pos = self.drained.rem_euclid(len) as usize;
+            let mut s = std::mem::replace(&mut self.heads[pos], NIL);
+            while s != NIL {
+                let slot = &mut slots[s as usize];
+                let next = slot.next;
+                let wake_at = wake_of(slot.peer);
+                slot.next = if (wake_at / self.dt).floor() as i64 != self.drained {
+                    // A far-future collision (> one revolution ahead)
+                    // stays for a later pass.
+                    std::mem::replace(&mut self.heads[pos], s)
+                } else if wake_at <= t1 {
+                    due.push(slot.peer as usize);
+                    UNLINKED
                 } else {
-                    self.pending.push(slot);
-                }
+                    std::mem::replace(&mut self.pending, s)
+                };
+                s = next;
             }
         }
     }
 }
-
-/// "Not downloading" marker in [`IndexedEngine::dl_slot`].
-const DL_NONE: u32 = u32::MAX;
-
-/// Size of one in-flight download record, exposed for the worst-case
-/// accounting in [`crate::footprint`].
-pub(crate) const DL_ENTRY_BYTES: usize = std::mem::size_of::<DlEntry>();
-
-/// How often (in rounds) the split sub-lane passes sample their per-lane
-/// wall time for the `hist/lane_wall_ns` telemetry histogram. Sampling
-/// keeps the clock reads off the hot path; telemetry never affects
-/// results.
-const LANE_WALL_SAMPLE: u64 = 64;
 
 /// Production engine; see the module docs for the design and the
 /// bit-exactness argument.
@@ -1003,33 +925,16 @@ pub(crate) struct IndexedEngine {
     /// ~4 GB/s of usable upload per peer — far beyond any residential
     /// uplink the workloads model (joins assert it).
     usable_units: Vec<u32>,
-    /// While downloading: the peer's position in its lane's download
-    /// index. While waiting: its slot in `wake_slab` (the peer's own
-    /// state tag disambiguates). [`DL_NONE`] only in the instant between
-    /// a drained wake and the event-processing that restarts or removes
-    /// the peer. Indexed by global peer index.
-    dl_slot: Vec<u32>,
-    /// Waiting peers' slab slots, bucketed by wake round.
-    wheel: WakeWheel,
-    /// Slab of waiting peers' current global indices (re-keyed across
-    /// `swap_remove`), addressed by the slots stored in the wheel.
-    /// Replaces the old stable-id hash map: resolution is one array
-    /// load, and the per-waiter cost is 4 bytes plus the free list.
-    wake_slab: Vec<u32>,
-    /// Free `wake_slab` slots available for reuse.
+    /// Each connected peer's slot in `slots`, indexed by global peer
+    /// index (mirrors `peers` across `swap_remove`).
+    slot_of: Vec<u32>,
+    /// Every connected peer's [`Slot`]; the cohorts' member lists and
+    /// the wake wheel's buckets thread through it.
+    slots: Vec<Slot>,
+    /// Free `slots` entries available for reuse.
     free_slots: Vec<u32>,
-    /// Scratch for drained wake slots.
-    due: Vec<u32>,
-    /// Sub-lane fan-out cap for a single-channel engine's round passes
-    /// (1 = always serial). Set by the sharded runtime; the fan-out also
-    /// requires `dl.len() >= 2 * lane_min`.
-    lane_cap: usize,
-    /// Minimum downloads per sub-lane before another lane engages.
-    lane_min: usize,
-    /// Per-sub-lane scratch (`lane_cap` entries when lanes are enabled).
-    scratch: Vec<LaneScratch>,
-    /// Rounds processed, for sampled sub-lane wall telemetry.
-    rounds: u64,
+    /// Waiting peers' slots, bucketed by wake round.
+    wheel: WakeWheel,
 }
 
 impl IndexedEngine {
@@ -1045,12 +950,10 @@ impl IndexedEngine {
     }
 
     /// An engine covering global channels `base .. base + n_channels`,
-    /// with a `wheel_len`-bucket wake wheel. The sharded engine builds
-    /// one per channel (`n_channels == 1`,
-    /// `wheel_len == WakeWheel::SHARD_LEN`); peers keep their global
+    /// with a `wheel_len`-bucket wake wheel. Peers keep their global
     /// channel ids, and [`RoundCtx::channel_reserved`] stays the global
     /// per-channel slice.
-    pub(crate) fn with_base(
+    fn with_base(
         base: usize,
         n_channels: usize,
         max_chunks: usize,
@@ -1066,77 +969,29 @@ impl IndexedEngine {
             max_chunks,
             eff,
             usable_units: Vec::new(),
-            dl_slot: Vec::new(),
-            wheel: WakeWheel::new(round_seconds, wheel_len),
-            wake_slab: Vec::new(),
+            slot_of: Vec::new(),
+            slots: Vec::new(),
             free_slots: Vec::new(),
-            due: Vec::new(),
-            lane_cap: 1,
-            lane_min: 1,
-            scratch: Vec::new(),
-            rounds: 0,
+            wheel: WakeWheel::new(round_seconds, wheel_len),
         }
     }
 
-    /// A single-channel engine for one per-channel shard (Sharded),
-    /// with its round passes allowed to fan out over up to `lane_cap`
-    /// sub-lanes of at least `lane_min` downloads each (`lane_cap == 1`
-    /// keeps the shard fully serial).
+    /// A single-channel engine for one per-channel shard (Sharded), with
+    /// a [`WakeWheel::SHARD_LEN`]-bucket wheel.
     pub(crate) fn for_shard(
         channel: usize,
         max_chunks: usize,
         eff: f64,
         round_seconds: f64,
-        lane_cap: usize,
-        lane_min: usize,
     ) -> Self {
-        let mut engine = Self::with_base(
+        Self::with_base(
             channel,
             1,
             max_chunks,
             eff,
             round_seconds,
             WakeWheel::SHARD_LEN,
-        );
-        engine.lane_cap = lane_cap.max(1);
-        engine.lane_min = lane_min.max(1);
-        if engine.lane_cap > 1 {
-            engine.scratch = (0..engine.lane_cap)
-                .map(|_| LaneScratch {
-                    req_units: [0; 64],
-                    mask: 0,
-                    completed: Vec::new(),
-                    wall_ns: 0,
-                })
-                .collect();
-        }
-        engine
-    }
-
-    /// How many sub-lanes a round pass over `n_dl` downloads fans out
-    /// over: one lane per `lane_min` downloads, capped at `lane_cap`.
-    /// A pure function of the download count and the engine's fixed
-    /// parameters, so both round passes of a round agree.
-    fn sub_lanes(&self, n_dl: usize) -> usize {
-        if self.lane_cap <= 1 {
-            1
-        } else {
-            (n_dl / self.lane_min).clamp(1, self.lane_cap)
-        }
-    }
-
-    /// Claims a wake-slab slot for peer `idx` (reuse before growth).
-    fn alloc_slot(&mut self, idx: usize) -> u32 {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                self.wake_slab[slot as usize] = idx as u32;
-                slot
-            }
-            None => {
-                self.wake_slab.push(idx as u32);
-                (self.wake_slab.len() - 1) as u32
-            }
-        }
+        )
     }
 }
 
@@ -1149,20 +1004,30 @@ impl RoundEngine for IndexedEngine {
         let packed = u32::try_from(usable)
             .expect("peer upload exceeds the packed u32 supply grid (~4 GB/s)");
         self.usable_units.push(packed);
-        let lane = &mut self.lanes[p.channel() - self.base];
-        lane.pool_units += usable;
         let PeerState::Downloading {
             chunk, bytes_left, ..
         } = p.state()
         else {
             unreachable!("peers join downloading their start chunk");
         };
-        self.dl_slot.push(lane.dl.len() as u32);
-        lane.dl.push(DlEntry {
-            idx: idx as u32,
-            chunk: chunk as u32,
-            bytes: bytes_left,
-        });
+        let new_slot = Slot {
+            peer: idx as u32,
+            next: UNLINKED,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = new_slot;
+                slot
+            }
+            None => {
+                self.slots.push(new_slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slot_of.push(slot);
+        let lane = &mut self.lanes[p.channel() - self.base];
+        lane.pool_units += usable;
+        lane.join(&mut self.slots, slot, chunk, bytes_left);
     }
 
     fn on_buffer(&mut self, channel: usize, idx: usize, chunk: usize) {
@@ -1179,47 +1044,13 @@ impl RoundEngine for IndexedEngine {
         bytes_left: f64,
         _deadline: f64,
     ) {
-        debug_assert_eq!(self.dl_slot[idx], DL_NONE, "peer was not downloading");
-        let lane = &mut self.lanes[channel - self.base];
-        self.dl_slot[idx] = lane.dl.len() as u32;
-        lane.dl.push(DlEntry {
-            idx: idx as u32,
-            chunk: chunk as u32,
-            bytes: bytes_left,
-        });
+        self.lanes[channel - self.base].join(&mut self.slots, self.slot_of[idx], chunk, bytes_left);
     }
 
-    fn sync_download(
-        &mut self,
-        channel: usize,
-        idx: usize,
-        chunk: usize,
-        bytes_left: f64,
-        _deadline: f64,
-    ) {
-        let pos = self.dl_slot[idx] as usize;
-        let entry = &mut self.lanes[channel - self.base].dl[pos];
-        debug_assert_eq!(entry.idx as usize, idx, "download index is consistent");
-        entry.chunk = chunk as u32;
-        entry.bytes = bytes_left;
-    }
-
-    fn on_download_stopped(&mut self, channel: usize, idx: usize, _id: u64, wake_at: f64) {
-        let lane = &mut self.lanes[channel - self.base];
-        let pos = self.dl_slot[idx] as usize;
-        debug_assert_eq!(lane.dl[pos].idx as usize, idx);
-        lane.dl.swap_remove(pos);
-        if let Some(moved) = lane.dl.get(pos) {
-            self.dl_slot[moved.idx as usize] = pos as u32;
-        }
-        // Park the waiter in the slab; `dl_slot` holds its slab slot
-        // until the wake drains (the peer's state tag disambiguates the
-        // two uses of `dl_slot`).
-        let slot = self.alloc_slot(idx);
-        self.dl_slot[idx] = slot;
+    fn on_download_stopped(&mut self, _channel: usize, idx: usize, _id: u64, wake_at: f64) {
         // `wake_at` is strictly in the future (gates and drains both
         // check against `now` before waiting).
-        self.wheel.push(slot, wake_at);
+        self.wheel.push(&mut self.slots, self.slot_of[idx], wake_at);
     }
 
     fn on_remove(&mut self, peers: &[Peer], idx: usize) {
@@ -1238,56 +1069,22 @@ impl RoundEngine for IndexedEngine {
                 lane.owner_units[chunk] -= usable;
             }
         }
-        if matches!(removed.state(), PeerState::Downloading { .. }) {
-            let pos = self.dl_slot[idx] as usize;
-            debug_assert_eq!(lane.dl[pos].idx as usize, idx);
-            lane.dl.swap_remove(pos);
-            if let Some(moved_entry) = lane.dl.get(pos) {
-                self.dl_slot[moved_entry.idx as usize] = pos as u32;
-            }
-        } else {
-            // A waiting peer is only removed in the round its wake
-            // drained (the departure path), so it has no live wheel
-            // entry or slab slot.
-            debug_assert_eq!(self.dl_slot[idx], DL_NONE);
-        }
-        // `swap_remove` moves the peer at the last global index into
-        // `idx`; re-key it. The supply aggregates are value-based, not
-        // position-based, so only the download index and the wake slab
-        // care.
+        // The slot is in no list: only a waiter departs, in the round its
+        // wake drained (see `process_round_events`).
+        let slot = self.slot_of.swap_remove(idx);
+        debug_assert_eq!(self.slots[slot as usize].next, UNLINKED);
+        self.free_slots.push(slot);
         self.usable_units.swap_remove(idx);
-        self.dl_slot.swap_remove(idx);
-        let last = peers.len() - 1;
-        if last != idx {
-            let moved = &peers[last];
-            let slot = self.dl_slot[idx];
-            if slot != DL_NONE {
-                if matches!(moved.state(), PeerState::Downloading { .. }) {
-                    let entry = &mut self.lanes[moved.channel() - self.base].dl[slot as usize];
-                    debug_assert_eq!(entry.idx as usize, last);
-                    entry.idx = idx as u32;
-                } else {
-                    // Waiting peers live in the slab.
-                    debug_assert_eq!(self.wake_slab[slot as usize] as usize, last);
-                    self.wake_slab[slot as usize] = idx as u32;
-                }
-            }
+        // `swap_remove` moved the peer at the last global index into
+        // `idx`; re-key its slot. Nothing else is position-based.
+        if let Some(&moved) = self.slot_of.get(idx) {
+            self.slots[moved as usize].peer = idx as u32;
         }
     }
 
     fn allocate(&mut self, _peers: &[Peer], ctx: &RoundCtx<'_>) -> f64 {
-        self.rounds += 1;
-        if self.lanes.len() == 1 && self.sub_lanes(self.lanes[0].dl.len()) > 1 {
-            // A hot single-channel shard: fan the demand scan out over
-            // fixed-order sub-lanes (bit-identical by integer-sum
-            // reassociation; see `process_split`).
-            let subs = self.sub_lanes(self.lanes[0].dl.len());
-            let time_it = self.rounds.is_multiple_of(LANE_WALL_SAMPLE);
-            self.lanes[0].process_split(ctx, &mut self.scratch[..subs], time_it);
-        } else {
-            for lane in &mut self.lanes {
-                lane.process(ctx);
-            }
+        for lane in &mut self.lanes {
+            lane.process(ctx);
         }
         // One running accumulator over channels in order, visiting only
         // written slots — the same addition sequence as a dense flat sum,
@@ -1312,65 +1109,28 @@ impl RoundEngine for IndexedEngine {
         completed: &mut Vec<usize>,
         woken: &mut Vec<usize>,
     ) {
-        let subs = if self.lanes.len() == 1 {
-            self.sub_lanes(self.lanes[0].dl.len())
-        } else {
-            1
-        };
-        if subs > 1 {
-            let time_it = self.rounds.is_multiple_of(LANE_WALL_SAMPLE);
-            self.lanes[0].advance_split(ctx, &mut self.scratch[..subs], completed, time_it);
-        } else {
-            for lane in &mut self.lanes {
-                lane.advance(ctx, completed);
-            }
+        for lane in &mut self.lanes {
+            lane.advance(ctx, &mut self.slots, completed);
         }
         completed.sort_unstable();
-        self.due.clear();
-        {
-            // Wake times live on the waiting peers; the slab maps a
-            // wheel slot to the peer's current index.
-            let Self {
-                wheel,
-                wake_slab,
-                due,
-                ..
-            } = self;
-            wheel.drain_due(t1, due, |slot| {
-                peers[wake_slab[slot as usize] as usize].wake_at()
-            });
-        }
-        for &slot in &self.due {
-            let idx = self.wake_slab[slot as usize] as usize;
-            debug_assert!(matches!(peers[idx].state(), PeerState::Waiting { .. }));
-            // The slot is free again; clear the peer's slab reference so
-            // a restarted download can claim `dl_slot` (asserted there).
-            self.dl_slot[idx] = DL_NONE;
-            self.free_slots.push(slot);
-            woken.push(idx);
-        }
+        // Wake times live on the waiting peers.
+        self.wheel.drain_due(t1, &mut self.slots, woken, |peer| {
+            peers[peer as usize].wake_at()
+        });
         woken.sort_unstable();
     }
 
-    /// The supply and download-slot mirrors, the in-flight download
-    /// index, and the waiting peers' slab + wheel entries. Fixed
-    /// per-engine overhead (bucket headers, sub-lane scratch) is
-    /// excluded — it does not grow with viewers. The `Peer` array itself
-    /// is accounted by the caller.
+    /// The two per-peer mirrors, every connected peer's slot, and the
+    /// cohort records (shared by their members). Fixed per-engine
+    /// overhead (wheel bucket heads, per-chunk scratch) is excluded — it
+    /// does not grow with viewers. The `Peer` array itself is accounted
+    /// by the caller.
     fn resident_peer_bytes(&self) -> usize {
         use std::mem::size_of;
-        let downloads: usize = self.lanes.iter().map(|l| l.dl.len()).sum();
-        let waiting = self.wake_slab.len() - self.free_slots.len();
+        let cohorts: usize = self.lanes.iter().map(|l| l.cohorts.len()).sum();
         self.usable_units.len() * size_of::<u32>()
-            + self.dl_slot.len() * size_of::<u32>()
-            + downloads * size_of::<DlEntry>()
-            + waiting * 2 * size_of::<u32>()
-    }
-
-    fn record_lane_walls(&self, tel: &Telemetry) {
-        for w in self.scratch.iter().map(|s| s.wall_ns).filter(|&w| w > 0) {
-            tel.observe(telem::HIST_LANE_WALL, w);
-        }
+            + self.slot_of.len() * (size_of::<u32>() + SLOT_BYTES)
+            + cohorts * size_of::<Cohort>()
     }
 }
 
@@ -1504,12 +1264,12 @@ pub(crate) fn run_site(
 
 /// Advances a peer's playback pipeline after it finished downloading
 /// `chunk`: walks the viewing model through already-buffered chunks, then
-/// either starts (or gates) the next download or schedules departure.
-/// `play_end` is the playback end time of the just-finished chunk.
+/// either starts (or gates) the next download or drains playback before
+/// departure. `play_end` is the playback end time of the just-finished
+/// chunk, which lies after `now`.
 #[allow(clippy::too_many_arguments)]
 fn advance_playback(
     p: &mut Peer,
-    idx: usize,
     chunk: usize,
     mut play_end: f64,
     chunk_bytes: f64,
@@ -1518,8 +1278,8 @@ fn advance_playback(
     catalog: &Catalog,
     tracker: &mut Tracker,
     rng: &mut StdRng,
-    removals: &mut Vec<usize>,
 ) {
+    debug_assert!(play_end > now, "the finished chunk plays after `now`");
     let viewing = &catalog.channel(p.channel()).viewing;
     let mut current = chunk;
     loop {
@@ -1551,15 +1311,11 @@ fn advance_playback(
             }
             NextAction::Leave => {
                 tracker.record_leave(p.channel(), current);
-                if play_end <= now {
-                    removals.push(idx);
-                } else {
-                    // Drain playback (still uploading), then depart.
-                    p.set_state(PeerState::Waiting {
-                        next: None,
-                        wake_at: play_end,
-                    });
-                }
+                // Drain playback (still uploading), then depart.
+                p.set_state(PeerState::Waiting {
+                    next: None,
+                    wake_at: play_end,
+                });
                 return;
             }
         }
@@ -1627,7 +1383,6 @@ pub(crate) fn process_round_events<E: RoundEngine>(
             };
             advance_playback(
                 p,
-                idx,
                 chunk,
                 play_start + chunk_seconds,
                 chunk_bytes,
@@ -1636,11 +1391,11 @@ pub(crate) fn process_round_events<E: RoundEngine>(
                 catalog,
                 tracker,
                 rng,
-                removals,
             );
-            // The playback walk either began the next download, gated it
-            // (or a departure drain) behind a wake-up, or scheduled an
-            // immediate departure.
+            // The playback walk either began the next download or gated
+            // it (or a departure drain) behind a wake-up. A peer departs
+            // only when a drain's wake comes due, so a downloader never
+            // leaves in the round its download completed.
             match p.state() {
                 PeerState::Waiting { wake_at, .. } => {
                     engine.on_download_stopped(p.channel(), idx, p.id, wake_at);
@@ -1650,7 +1405,7 @@ pub(crate) fn process_round_events<E: RoundEngine>(
                     bytes_left,
                     deadline,
                 } => {
-                    engine.sync_download(p.channel(), idx, chunk, bytes_left, deadline);
+                    engine.on_download_started(p.channel(), idx, chunk, bytes_left, deadline);
                 }
             }
         } else {
@@ -1940,11 +1695,86 @@ mod tests {
         );
     }
 
+    /// One engine's copy of a test population and the state the shared
+    /// event handler mutates.
+    struct Side<'a> {
+        peers: Vec<Peer>,
+        rng: StdRng,
+        tracker: Tracker,
+        catalog: &'a Catalog,
+    }
+
+    impl Side<'_> {
+        /// Chunk size and playback time of the test population.
+        const CHUNK_BYTES: f64 = 15e6;
+        /// Short chunks, so prefetch gates and departure drains come due
+        /// within a test's rounds.
+        const CHUNK_SECONDS: f64 = 30.0;
+
+        /// Advances `engine` by one round ending at `t1` and handles the
+        /// round's events; returns the completed and woken lists.
+        fn step<E: RoundEngine>(
+            &mut self,
+            engine: &mut E,
+            ctx: &RoundCtx<'_>,
+            t1: f64,
+        ) -> (Vec<usize>, Vec<usize>) {
+            let (mut completed, mut woken) = (Vec::new(), Vec::new());
+            engine.advance_round(&mut self.peers, ctx, t1, &mut completed, &mut woken);
+            let (mut startup_sum, mut startup_count) = (0.0, 0);
+            process_round_events(
+                engine,
+                &mut self.peers,
+                &completed,
+                &woken,
+                &mut Vec::new(),
+                &mut self.tracker,
+                &mut self.rng,
+                self.catalog,
+                Self::CHUNK_BYTES,
+                Self::CHUNK_SECONDS,
+                t1,
+                &mut startup_sum,
+                &mut startup_count,
+            );
+            (completed, woken)
+        }
+    }
+
+    /// Asserts the indexed engine's per-slot rates equal the scan
+    /// engine's, bit for bit, after an allocation.
+    fn assert_rates_match(scan: &ScanEngine, indexed: &IndexedEngine, round: usize) {
+        let max_chunks = scan.max_chunks;
+        for (c, lane) in indexed.lanes.iter().enumerate() {
+            for k in 0..max_chunks {
+                let i = c * max_chunks + k;
+                for (what, want, got) in [
+                    ("requested", scan.requested[i], lane.requested[k]),
+                    ("peer_served", scan.peer_served[i], lane.peer_served[k]),
+                    ("cloud_served", scan.cloud_served[i], lane.cloud_served[k]),
+                ] {
+                    assert_eq!(
+                        want.to_bits(),
+                        got.to_bits(),
+                        "round {round}: {what}[{c}][{k}]"
+                    );
+                }
+            }
+        }
+    }
+
     /// On a large multi-channel population the indexed engine's
-    /// allocation stage produces exactly the same per-slot rates as the
-    /// reference engine's full scan.
+    /// allocation and advance reproduce the reference engine's full
+    /// scans exactly, round after round: per-slot rates, used-rate sums,
+    /// and the completed and woken lists. The population joins in one
+    /// round, so its downloads form at most one cohort per (channel,
+    /// chunk); the completions then restart, wait and leave through the
+    /// shared event handler, opening new cohorts every round.
     #[test]
     fn large_population_allocation_is_bit_identical_to_scan() {
+        use cloudmedia_workload::viewing::ViewingModel;
+        use rand::SeedableRng;
+
         let n_channels = 5;
         let max_chunks = 16;
         let n_peers = 17_408;
@@ -1963,7 +1793,14 @@ mod tests {
             let channel = (next() as usize) % n_channels;
             let chunk = (next() as usize) % max_chunks;
             let upload = 1e4 + (next() % 100_000) as f64;
-            peers.push(Peer::new(i as u64, channel, upload, chunk, 15e6, 0.0));
+            peers.push(Peer::new(
+                i as u64,
+                channel,
+                upload,
+                chunk,
+                Side::CHUNK_BYTES,
+                0.0,
+            ));
             scan.on_join(&peers, i);
             indexed.on_join(&peers, i);
             for _ in 0..(next() % 6) {
@@ -1975,44 +1812,125 @@ mod tests {
                 }
             }
         }
-        let channel_reserved = vec![5.0e7; n_channels];
+        for lane in &indexed.lanes {
+            let mut chunks: Vec<u32> = lane.cohorts.iter().map(|c| c.chunk).collect();
+            let n = chunks.len();
+            chunks.sort_unstable();
+            chunks.dedup();
+            assert_eq!(chunks.len(), n, "channel {}: one cohort per chunk", lane.id);
+        }
+        let members: u32 = indexed
+            .lanes
+            .iter()
+            .flat_map(|l| &l.cohorts)
+            .map(|c| c.count)
+            .sum();
+        assert_eq!(members as usize, n_peers);
+
+        // Reservations from starved to ample, so some cohorts trickle
+        // on while others complete within a round or two.
+        let channel_reserved: Vec<f64> = (0..n_channels)
+            .map(|c| 5.0e7 * 40f64.powi(c as i32))
+            .collect();
+        let catalog = Catalog::zipf(
+            n_channels,
+            0.8,
+            ViewingModel {
+                chunks: max_chunks,
+                ..ViewingModel::paper_default()
+            },
+            1000.0,
+            Side::CHUNK_SECONDS,
+        )
+        .unwrap();
+        // Each engine drives its own copy of the population through the
+        // shared event handler with identical RNG and tracker state.
+        let [mut a, mut b] = [(); 2].map(|()| Side {
+            peers: peers.clone(),
+            rng: StdRng::seed_from_u64(7),
+            tracker: Tracker::for_channels(&catalog, 0..n_channels).unwrap(),
+            catalog: &catalog,
+        });
+        let (mut completions, mut wakes) = (0, 0);
+        for round in 0..40 {
+            let ctx = RoundCtx {
+                step: 10.0,
+                inv_step: 0.1,
+                vm_bandwidth: 1.25e6,
+                eff: 0.85,
+                p2p: round % 2 == 0,
+                online_scale: 1.0,
+                channel_reserved: &channel_reserved,
+            };
+            let used_scan = scan.allocate(&a.peers, &ctx);
+            let used_indexed = indexed.allocate(&b.peers, &ctx);
+            assert_eq!(
+                used_scan.to_bits(),
+                used_indexed.to_bits(),
+                "round {round}: used"
+            );
+            assert_rates_match(&scan, &indexed, round);
+
+            let t1 = 10.0 * (round + 1) as f64;
+            let events = a.step(&mut scan, &ctx, t1);
+            assert_eq!(
+                events,
+                b.step(&mut indexed, &ctx, t1),
+                "round {round}: completed and woken lists"
+            );
+            completions += events.0.len();
+            wakes += events.1.len();
+            let ids = |p: &[Peer]| p.iter().map(|p| p.id).collect::<Vec<_>>();
+            assert_eq!(ids(&a.peers), ids(&b.peers), "round {round}: peers");
+        }
+        assert!(completions > n_peers, "only {completions} completions");
+        assert!(wakes > 0, "nobody waited");
+        assert!(b.peers.len() < n_peers, "nobody left");
+    }
+
+    /// Downloads that enter a channel in the same round with unequal
+    /// bytes never share a cohort: each completes in the round the scan
+    /// engine completes it.
+    #[test]
+    fn unequal_bytes_never_share_a_cohort() {
+        let mut scan = ScanEngine::new(1, 4);
+        let mut indexed = IndexedEngine::new(1, 4, 0.85, 10.0);
+        let mut peers = Vec::new();
+        for i in 0..6 {
+            let bytes = if i % 2 == 0 { 15e6 } else { 4e6 };
+            peers.push(Peer::new(i as u64, 0, 5e4, 1, bytes, 0.0));
+            scan.on_join(&peers, i);
+            indexed.on_join(&peers, i);
+        }
         let ctx = RoundCtx {
             step: 10.0,
             inv_step: 0.1,
             vm_bandwidth: 1.25e6,
             eff: 0.85,
-            p2p: true,
+            p2p: false,
             online_scale: 1.0,
-            channel_reserved: &channel_reserved,
+            channel_reserved: &[1e9],
         };
-        let used_scan = scan.allocate(&peers, &ctx);
-        let used_indexed = indexed.allocate(&peers, &ctx);
-        assert_eq!(
-            used_scan.to_bits(),
-            used_indexed.to_bits(),
-            "used-rate sums differ"
-        );
-        for c in 0..n_channels {
-            let lane = &indexed.lanes[c];
-            for k in 0..max_chunks {
-                let i = c * max_chunks + k;
-                assert_eq!(
-                    scan.requested[i].to_bits(),
-                    lane.requested[k].to_bits(),
-                    "requested[{c}][{k}]"
-                );
-                assert_eq!(
-                    scan.peer_served[i].to_bits(),
-                    lane.peer_served[k].to_bits(),
-                    "peer_served[{c}][{k}]"
-                );
-                assert_eq!(
-                    scan.cloud_served[i].to_bits(),
-                    lane.cloud_served[k].to_bits(),
-                    "cloud_served[{c}][{k}]"
-                );
+        let mut completions = Vec::new();
+        for round in 0..3 {
+            let t1 = 10.0 * (round + 1) as f64;
+            scan.allocate(&peers, &ctx);
+            indexed.allocate(&peers, &ctx);
+            let mut events = [(); 2].map(|()| (Vec::new(), Vec::new()));
+            scan.advance_round(&mut peers, &ctx, t1, &mut events[0].0, &mut events[0].1);
+            indexed.advance_round(&mut peers, &ctx, t1, &mut events[1].0, &mut events[1].1);
+            assert_eq!(events[0], events[1], "round {round}");
+            for &idx in &events[0].0 {
+                peers[idx].set_state(PeerState::Waiting {
+                    next: None,
+                    wake_at: 1e9,
+                });
+                scan.on_download_stopped(0, idx, idx as u64, 1e9);
+                indexed.on_download_stopped(0, idx, idx as u64, 1e9);
             }
+            completions.push(events[0].0.clone());
         }
+        assert_eq!(completions, [vec![1, 3, 5], vec![0, 2, 4], vec![]]);
     }
 
     #[test]

@@ -219,9 +219,11 @@ pub const STAGE_SHARD_STEP: MetricId = MetricId(40);
 /// every shard of every region (arrivals, allocation, advance, events
 /// and sample partials).
 pub const STAGE_REGION_STEP: MetricId = MetricId(41);
-/// `hist/lane_wall_ns` — sampled per-sub-lane wall times from the
-/// giant-channel lane fan-out (one observation per scratch lane on
-/// sampled rounds; see `LANE_WALL_SAMPLE` in the simulator).
+/// `hist/lane_wall_ns` — always empty. The sub-channel lane fan-out
+/// that observed its per-lane wall times here was removed (a shard
+/// steps on one thread); the slot stays because the repository
+/// benchmark (`perfbench/src/layers.rs`) still reads it as
+/// `sim.lane_wall_p50_us` and `sim.lane_wall_p99_us`.
 pub const HIST_LANE_WALL: MetricId = MetricId(42);
 /// `quiesce/rounds_skipped` — always 0. The round-skipping engine that
 /// counted skipped shard-rounds here was removed (every shard steps

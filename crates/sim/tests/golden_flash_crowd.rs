@@ -4,8 +4,8 @@
 //! Scan/Indexed share one golden (they are bit-identical by contract),
 //! the sharded engine has its own (different per-channel RNG streams,
 //! same process). Any change to allocation arithmetic, RNG consumption
-//! order, the packed peer layout's semantics, or the lane fan-out shows
-//! up here as a diff against a checked-in file.
+//! order, the packed peer layout's semantics, or the download cohorts
+//! shows up here as a diff against a checked-in file.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -36,9 +36,9 @@ fn blessing() -> bool {
 }
 
 /// The scenario: one channel, a quiet baseline, and a sharp flash
-/// crowd one hour in — the giant-channel shape the sub-lane fan-out
-/// exists for, at a population small enough to keep the suite fast.
-/// `lanes` is forced so the sharded golden pins the *laned* code path.
+/// crowd one hour in — the giant-channel shape, where many downloads
+/// share each cohort, at a population small enough to keep the suite
+/// fast.
 fn fixture_config() -> SimConfig {
     let mut cfg = SimConfig::paper_default(SimMode::ClientServer);
     cfg.catalog = Catalog::zipf(1, 0.8, ViewingModel::paper_default(), 150.0, 300.0).unwrap();
@@ -54,7 +54,6 @@ fn fixture_config() -> SimConfig {
     )
     .unwrap();
     cfg.behaviour_seed = 0x5EED_F1A5;
-    cfg.lanes = 3;
     cfg
 }
 
@@ -115,8 +114,8 @@ fn round_engines_match_the_flash_crowd_golden() {
     assert_matches_golden(&scan, "flash_crowd_round_engines.json");
 }
 
-/// The sharded engine (parallel, with forced lanes) matches its own
-/// golden — pinning the laned giant-channel path end to end.
+/// The sharded engine (parallel) matches its own golden — pinning the
+/// giant-channel shard path end to end.
 #[test]
 fn sharded_engine_matches_the_flash_crowd_golden() {
     let sharded = run(fixture_config(), SimKernel::Sharded);

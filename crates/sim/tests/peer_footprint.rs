@@ -9,14 +9,14 @@ use cloudmedia_sim::footprint;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::ViewingModel;
 
-/// The analytic ceiling: a downloading peer (the worst case) must fit
-/// the budget with the layouts the compiler actually produced.
+/// The analytic ceiling: the worst-case peer must fit the budget with
+/// the layouts the compiler actually produced.
 #[test]
 fn worst_case_peer_fits_the_budget() {
     let worst = footprint::worst_case_bytes_per_peer();
     assert!(
         worst <= footprint::PEER_BUDGET_BYTES,
-        "worst-case downloading peer is {worst} B, budget is {} B",
+        "worst-case peer is {worst} B, budget is {} B",
         footprint::PEER_BUDGET_BYTES
     );
     // The packed record itself is the bulk of the budget; if it grows,
@@ -26,15 +26,13 @@ fn worst_case_peer_fits_the_budget() {
 }
 
 /// The measured footprint of a live single-channel flash-crowd run —
-/// the giant-channel shape the lane fan-out exists for — stays within
-/// the budget. Waiting peers carry a smaller tail than downloading
-/// ones, so the population mean lands under the worst case.
+/// the giant-channel shape — stays within the budget. The measurement
+/// also counts the download cohorts, which their members share.
 #[test]
 fn measured_flash_crowd_footprint_stays_under_budget() {
     let mut cfg = SimConfig::paper_default(SimMode::ClientServer);
     cfg.catalog = Catalog::zipf(1, 0.8, ViewingModel::paper_default(), 500.0, 300.0).unwrap();
     cfg.trace.horizon_seconds = 2.0 * 3600.0;
-    cfg.lanes = 4;
     let fp = footprint::measure(&cfg).unwrap();
     assert!(
         fp.peers > 100,
