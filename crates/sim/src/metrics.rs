@@ -58,10 +58,10 @@ pub struct IntervalRecord {
 /// Full metrics of one run.
 ///
 /// The simulator's bit-identity contracts are stated on this type:
-/// Scan ≡ Indexed, serial ≡ parallel, any lane count, and telemetry on
-/// ≡ off must produce equal `Metrics` — every sample, interval record,
-/// and cost accumulator — for the same config (pinned by
-/// `crates/sim/tests/sharding.rs`, `lane_invariance.rs`,
+/// Scan ≡ Indexed, serial ≡ parallel at any pool width, and telemetry
+/// on ≡ off must produce equal `Metrics` — every sample, interval
+/// record, and cost accumulator — for the same config (pinned by
+/// `crates/sim/tests/sharding.rs`, `hot_shard_invariance.rs`,
 /// `telemetry_determinism.rs`, and the committed goldens such as
 /// `crates/sim/tests/golden_steady.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]

@@ -913,7 +913,7 @@ pub(crate) struct IndexedEngine {
     lanes: Vec<ChannelLane>,
     /// First global channel id this engine covers; `lanes[c - base]` is
     /// channel `c`'s lane. 0 for the full-catalog single-site engine;
-    /// the sharded engine instantiates one single-lane engine per
+    /// the sharded engine instantiates one one-channel engine per
     /// channel with `base` = that channel's id.
     base: usize,
     max_chunks: usize,
