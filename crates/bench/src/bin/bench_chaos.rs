@@ -1,6 +1,6 @@
 //! Chaos benchmark: runs the fault-injection presets (VM-fleet outage,
-//! budget cut, tracker dropout) on the Indexed and Sharded engines plus
-//! the federated site outage, each against a fault-free baseline, and
+//! budget cut, tracker dropout) on the Indexed engine plus the federated
+//! site outage, each against a fault-free baseline, and
 //! appends the `resilience` section to the benchmark JSON (regeneration
 //! order: `bench_sim`, `bench_des`, `ext_multi_region_sim`,
 //! `bench_scale`, then this).
@@ -37,12 +37,10 @@ fn main() {
 
     let mut rows: Vec<ResilienceRow> = Vec::new();
     for scenario in ["vm-outage", "budget-cut", "tracker-dropout"] {
-        for kernel in [SimKernel::Indexed, SimKernel::Sharded] {
-            let row = run_single_site(scenario, kernel, SimMode::ClientServer, hours)
-                .expect("chaos scenario runs");
-            print_row(&row);
-            rows.push(row);
-        }
+        let row = run_single_site(scenario, SimKernel::Indexed, SimMode::ClientServer, hours)
+            .expect("chaos scenario runs");
+        print_row(&row);
+        rows.push(row);
     }
     let row = run_federated("site-outage", SimMode::ClientServer, hours).expect("site outage runs");
     print_row(&row);

@@ -1,6 +1,5 @@
-//! Stage-profile benchmark: runs the paper week on the Indexed and
-//! Sharded engines with telemetry off and on, prints the per-stage
-//! wall-time tables, and appends the `stage_profile` section to the
+//! Stage-profile benchmark: runs the paper week on the Indexed engine
+//! with telemetry off and on, prints the per-stage wall-time table, and appends the `stage_profile` section to the
 //! benchmark JSON (regeneration order: `bench_sim`, `bench_des`,
 //! `ext_multi_region_sim`, `bench_scale`, `bench_chaos`, then this).
 //!
@@ -42,13 +41,10 @@ fn main() {
         }
     }
 
-    let mut kernels: Vec<KernelStageProfile> = Vec::new();
-    for kernel in [SimKernel::Indexed, SimKernel::Sharded] {
-        let p = profile_kernel(kernel, SimMode::ClientServer, hours, reps)
-            .expect("profiled run succeeds");
-        print_profile(&p);
-        kernels.push(p);
-    }
+    let p = profile_kernel(SimKernel::Indexed, SimMode::ClientServer, hours, reps)
+        .expect("profiled run succeeds");
+    print_profile(&p);
+    let kernels = vec![p];
 
     assert!(
         kernels.iter().all(|p| p.metrics_identical),

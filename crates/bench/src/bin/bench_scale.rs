@@ -1,4 +1,4 @@
-//! Scale-sweep benchmark: measures the sharded channel-parallel engine
+//! Scale-sweep benchmark: measures the channel-parallel round engine
 //! at 10 k → 1 M+ steady-state viewers (sim-hours per wall second, peak
 //! RSS), re-checks serial ≡ parallel bit equality, and appends the
 //! `scale_sweep` section to the benchmark JSON (regeneration order:
@@ -130,7 +130,7 @@ fn main() {
     let equality = equality_check(50_000.0, 100, SimMode::P2p, 1.0);
     assert!(
         equality.serial_equals_parallel,
-        "serial and parallel sharded runs diverged — determinism contract broken"
+        "serial and parallel scale runs diverged — determinism contract broken"
     );
 
     let headline = sweep

@@ -33,7 +33,7 @@ pub struct StageRow {
 /// The stage profile of one kernel over the paper week.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelStageProfile {
-    /// Engine name (`indexed`, `sharded`, ...).
+    /// Engine name (`indexed`, `scan`, ...).
     pub engine: String,
     /// Rounds the telemetry-on run executed.
     pub rounds: u64,
@@ -76,7 +76,6 @@ fn engine_name(kernel: SimKernel) -> &'static str {
         SimKernel::Scan => "scan",
         SimKernel::Indexed => "indexed",
         SimKernel::EventDriven => "event-driven",
-        SimKernel::Sharded => "sharded",
     }
 }
 

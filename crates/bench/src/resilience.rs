@@ -20,7 +20,7 @@ pub struct ResilienceRow {
     /// Scenario name (`vm-outage`, `budget-cut`, `tracker-dropout`,
     /// `site-outage`).
     pub scenario: String,
-    /// Engine the scenario ran on (`indexed`, `sharded`, `federated`).
+    /// Engine the scenario ran on (`indexed`, `federated`, ...).
     pub engine: String,
     /// Whether the serial and parallel executions of the faulted run
     /// produced bit-identical metrics and fault counters.
@@ -62,7 +62,6 @@ fn engine_name(kernel: SimKernel) -> &'static str {
         SimKernel::Scan => "scan",
         SimKernel::Indexed => "indexed",
         SimKernel::EventDriven => "event-driven",
-        SimKernel::Sharded => "sharded",
     }
 }
 

@@ -1,5 +1,5 @@
-//! Scale sweep: throughput and memory of the sharded channel-parallel
-//! round engine versus population, plus the serial ≡ parallel
+//! Scale sweep: throughput and memory of the channel-parallel round
+//! engine versus population, plus the serial ≡ parallel
 //! bit-equality check, recorded as the `scale_sweep` section of
 //! `BENCH_sim.json` (binary: `bench_scale`).
 //!
@@ -245,10 +245,11 @@ pub fn section(
         schema: SCHEMA.into(),
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         notes: vec![
-            "Sharded engine (SimKernel::Sharded): one shard per channel, fanned \
-             across the rayon pool; serial and parallel runs are bit-identical \
-             (pinned by crates/sim/tests/sharding.rs and re-checked in `equality`). \
-             Set RAYON_NUM_THREADS to sweep thread counts."
+            "Indexed engine: one shard per channel, fanned across the rayon pool \
+             once a site holds 5,000 connected viewers; serial and parallel runs \
+             are bit-identical (pinned by crates/sim/tests/sharding.rs and \
+             re-checked in `equality`). Set RAYON_NUM_THREADS to sweep thread \
+             counts."
                 .into(),
             "peak_rss_bytes reads /proc VmHWM, the process high-water mark: rows \
              run in ascending population order so each reading upper-bounds its \

@@ -121,7 +121,7 @@ pub enum Command {
         /// Horizon in hours.
         hours: f64,
         /// Simulation engine override
-        /// (`--kernel scan|indexed|event-driven|sharded`).
+        /// (`--kernel scan|indexed|event-driven`).
         kernel: Option<SimKernel>,
         /// Optional JSON config file overriding the paper defaults.
         config_path: Option<String>,
@@ -166,7 +166,7 @@ pub enum Command {
         /// Horizon in hours.
         hours: f64,
         /// Engine override for the single-site scenarios
-        /// (`--kernel scan|indexed|event-driven|sharded`); `site-outage`
+        /// (`--kernel scan|indexed|event-driven`); `site-outage`
         /// always runs the federated simulator.
         kernel: Option<SimKernel>,
         /// Force serial execution (`--serial`): no channel sharding, no
@@ -180,7 +180,8 @@ pub enum Command {
         /// Telemetry / trace output options (recorded on the faulted run).
         telemetry: TelemetryOpts,
     },
-    /// Run a scale-out mega-catalog scenario on the sharded engine.
+    /// Run a scale-out mega-catalog scenario (the Indexed engine fans the
+    /// channel shards out over the pool).
     Scale {
         /// Target steady-state concurrent viewers.
         peers: f64,
@@ -205,7 +206,7 @@ pub enum Command {
         /// Horizon in hours.
         hours: f64,
         /// Simulation engine override
-        /// (`--kernel scan|indexed|event-driven|sharded`).
+        /// (`--kernel scan|indexed|event-driven`).
         kernel: Option<SimKernel>,
         /// Optional path to also write the metrics snapshot JSON.
         out_path: Option<String>,
@@ -363,19 +364,19 @@ USAGE:
   cloudmedia analyze --arrival-rate R [--upload BYTES_PER_S]
   cloudmedia plan --arrival-rates R1,R2,... [--mode cs|p2p] [--budget DOLLARS]
   cloudmedia simulate [--mode cs|p2p] [--hours H]
-                      [--kernel scan|indexed|event-driven|sharded]
+                      [--kernel scan|indexed|event-driven]
                       [--config FILE] [--out FILE]
   cloudmedia des <baseline|boot-delay|vm-failure|flash-crowd>
                  [--mode cs|p2p] [--hours H] [--scheduler heap|wheel] [--out FILE]
   cloudmedia geo <independent|federated|central> [--mode cs|p2p] [--hours H]
   cloudmedia chaos <vm-outage|site-outage|budget-cut|tracker-dropout>
                    [--mode cs|p2p] [--hours H]
-                   [--kernel scan|indexed|event-driven|sharded]
+                   [--kernel scan|indexed|event-driven]
                    [--serial] [--shed] [--out FILE]
   cloudmedia scale [--peers N] [--channels C] [--mode cs|p2p] [--hours H]
                    [--serial] [--out FILE]
   cloudmedia profile [--mode cs|p2p] [--hours H]
-                     [--kernel scan|indexed|event-driven|sharded] [--out FILE]
+                     [--kernel scan|indexed|event-driven] [--out FILE]
   cloudmedia default-config [--mode cs|p2p]
   cloudmedia help
 
@@ -404,9 +405,8 @@ fn parse_kernel(v: &str) -> Result<SimKernel, CliError> {
         "scan" => Ok(SimKernel::Scan),
         "indexed" => Ok(SimKernel::Indexed),
         "event-driven" | "des" => Ok(SimKernel::EventDriven),
-        "sharded" => Ok(SimKernel::Sharded),
         other => Err(CliError::Usage(format!(
-            "unknown kernel `{other}` (use scan|indexed|event-driven|sharded)"
+            "unknown kernel `{other}` (use scan|indexed|event-driven)"
         ))),
     }
 }
@@ -1400,7 +1400,7 @@ mod tests {
             "--hours",
             "6",
             "--kernel",
-            "sharded",
+            "indexed",
             "--serial",
             "--shed",
             "--out",
@@ -1413,7 +1413,7 @@ mod tests {
                 scenario: ChaosScenarioKind::BudgetCut,
                 mode: SimMode::P2p,
                 hours: 6.0,
-                kernel: Some(SimKernel::Sharded),
+                kernel: Some(SimKernel::Indexed),
                 serial: true,
                 shed: true,
                 out_path: Some("r.json".into()),
@@ -1533,7 +1533,6 @@ mod tests {
             ("indexed", SimKernel::Indexed),
             ("event-driven", SimKernel::EventDriven),
             ("des", SimKernel::EventDriven),
-            ("sharded", SimKernel::Sharded),
         ] {
             let c = parse(&["simulate", "--kernel", name]).unwrap();
             assert!(
@@ -1547,7 +1546,9 @@ mod tests {
     fn unknown_kernel_string_is_a_usage_error_not_a_fallback() {
         // The whole point: a typo must never silently run the default
         // engine (which would e.g. benchmark the wrong kernel).
-        for bad in ["Indexed", "quantum", "scan2", ""] {
+        // `sharded` named the kernel whose partition every round engine
+        // now runs; it is gone from the surface like any unknown name.
+        for bad in ["Indexed", "quantum", "scan2", "sharded", ""] {
             let err = parse(&["simulate", "--kernel", bad]).unwrap_err();
             match err {
                 CliError::Usage(msg) => {
@@ -1775,8 +1776,7 @@ mod tests {
 
     #[test]
     fn scale_short_run_reports_throughput() {
-        // Small but definitely sharded: population and channel count kept
-        // tiny so the test stays fast.
+        // Population and channel count kept tiny so the test stays fast.
         let out = run(Command::Scale {
             peers: 300.0,
             channels: 6,
@@ -1790,19 +1790,6 @@ mod tests {
         assert!(out.contains("scale run: 6 channels"), "got: {out}");
         assert!(out.contains("sim-hours per wall-second"));
         assert!(out.contains("peak concurrent viewers"));
-    }
-
-    #[test]
-    fn profile_sharded_kernel_reports_the_shard_step() {
-        let out = run(Command::Profile {
-            mode: SimMode::ClientServer,
-            hours: 2.0,
-            kernel: Some(SimKernel::Sharded),
-            out_path: None,
-        })
-        .unwrap();
-        assert!(out.contains("profile: Sharded kernel"), "got: {out}");
-        assert!(out.contains("stage/shard_step"), "got: {out}");
     }
 
     #[test]
@@ -1958,7 +1945,7 @@ mod tests {
             }
         );
         let c = parse(&[
-            "profile", "--mode", "cs", "--hours", "2", "--kernel", "sharded", "--out", "p.json",
+            "profile", "--mode", "cs", "--hours", "2", "--kernel", "scan", "--out", "p.json",
         ])
         .unwrap();
         assert_eq!(
@@ -1966,7 +1953,7 @@ mod tests {
             Command::Profile {
                 mode: SimMode::ClientServer,
                 hours: 2.0,
-                kernel: Some(SimKernel::Sharded),
+                kernel: Some(SimKernel::Scan),
                 out_path: Some("p.json".into()),
             }
         );

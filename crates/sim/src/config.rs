@@ -23,11 +23,12 @@ pub enum SimMode {
 
 /// Which simulation engine drives the run.
 ///
-/// The three *round* engines (`Scan`, `Indexed`, `Sharded`) run on one
-/// segment driver. `Scan` and `Indexed` produce **bit-identical**
-/// metrics for the same seed and differ only in speed; `Sharded` draws
-/// one behaviour RNG stream per channel, so it agrees with them in
-/// distribution, not bit for bit. The *event-driven* engine is a
+/// The two *round* engines (`Scan`, `Indexed`) run on one segment
+/// driver, one shard per channel, each channel with its own arrival
+/// sub-stream and behaviour RNG stream. They produce **bit-identical**
+/// metrics for the same seed and differ only in speed. Config files
+/// that name the removed `Sharded` kernel load as `Indexed`, which runs
+/// exactly what `Sharded` ran. The *event-driven* engine is a
 /// different microscopic model on the `cloudmedia-des` kernel: it
 /// agrees with the round engines in steady-state means (see
 /// [`crate::event_driven`] for the tolerance argument) and additionally
@@ -43,8 +44,9 @@ pub enum SimKernel {
     /// record per group of downloads that advance in lockstep),
     /// incrementally-tracked chunk-owner counts and supply aggregates,
     /// fused single-pass per-channel aggregation into reusable scratch,
-    /// and in-place allocation kernels. Single-threaded; `Sharded` is
-    /// the channel-parallel engine.
+    /// and in-place allocation kernels. Large sites fan their channel
+    /// shards out over the rayon pool (see
+    /// [`SimConfig::parallel_channels`]).
     #[default]
     Indexed,
     /// Event-driven engine on the deterministic DES kernel: components
@@ -53,24 +55,6 @@ pub enum SimKernel {
     /// latency, VM boot/teardown delay, failure injection, and
     /// sub-round-timed flash crowds to the scenario space.
     EventDriven,
-    /// Scale-out round engine for very large catalogs and populations:
-    /// every channel is an independent **shard** owning its peers, its
-    /// round state, its lazy arrival sub-stream, its tracker collector,
-    /// and its own behaviour RNG (a splitmix child of `behaviour_seed`).
-    /// Rounds fan the shards across the rayon worker pool when
-    /// [`SimConfig::parallel_channels`] is set, and every cross-shard
-    /// reduction runs in fixed channel order — so serial and parallel
-    /// execution (at any thread count) produce **bit-identical**
-    /// [`crate::metrics::Metrics`], pinned by
-    /// `crates/sim/tests/sharding.rs`.
-    ///
-    /// Because each channel draws from its own RNG stream (the
-    /// single-RNG round engines interleave all channels through one
-    /// stream), a sharded run is a *different sample of the same
-    /// process* than an `Indexed`/`Scan` run — identical model,
-    /// matching distributions, but not bit-equal to them. See
-    /// `docs/SCALING.md` for the determinism rules.
-    Sharded,
 }
 
 /// Which event-queue scheduler backs the DES kernel when
@@ -119,7 +103,9 @@ impl From<SchedulerChoice> for cloudmedia_des::SchedulerKind {
 /// `Deserialize` is implemented by hand (the vendored derive has no
 /// `#[serde(default)]`): the `scheduler` field is optional in JSON and
 /// defaults to [`SchedulerChoice::Wheel`], so config files written
-/// before the field existed keep loading.
+/// before the field existed keep loading, and a `"kernel": "Sharded"`
+/// written before that kernel was removed loads as
+/// [`SimKernel::Indexed`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Channel catalog (popularity, viewing models, arrival rates).
@@ -167,17 +153,18 @@ pub struct SimConfig {
     /// (identical event order, different speed). Ignored by the round
     /// engines.
     pub scheduler: SchedulerChoice,
-    /// Fan the segment driver's shards across the rayon worker pool
-    /// (default): a [`SimKernel::Sharded`] run's channel shards, and in
-    /// a federated run (as `FederatedConfig::base`) every shard of every
-    /// region plus the regions' controller plans. Shards never share an
-    /// accumulator inside a segment of rounds and every cross-shard
-    /// coupling (provisioning, the online scale, metric assembly)
-    /// happens at synchronization barriers in fixed shard order, so
-    /// serial and parallel execution are **bit-identical**. Disable to
-    /// force serial stepping (debugging, single-core baselines). A
-    /// single-site Scan or Indexed run has one shard, so it runs
-    /// serially either way; the event-driven kernel ignores it.
+    /// Let the segment driver fan its channel shards across the rayon
+    /// worker pool (default): a site's shards once it holds at least
+    /// 5,000 connected viewers (a measured threshold; smaller sites step
+    /// as one task, and a segment of one task runs inline), and in a
+    /// federated run (as `FederatedConfig::base`) every region plus the
+    /// regions' controller plans. Shards never share an accumulator
+    /// inside a segment of rounds and every cross-shard coupling
+    /// (provisioning, the online scale, metric assembly) happens at
+    /// synchronization barriers in fixed shard order, so serial and
+    /// parallel execution are **bit-identical**. Disable to force
+    /// serial stepping (debugging, single-core baselines); the
+    /// event-driven kernel ignores it.
     pub parallel_channels: bool,
     /// Multiplier on the paper's Table II/III cloud capacity (fleet
     /// sizes and NFS storage; per-VM bandwidth and prices unchanged).
@@ -219,7 +206,12 @@ impl serde::Deserialize for SimConfig {
             streaming_rate: req(v, "streaming_rate")?,
             chunk_seconds: req(v, "chunk_seconds")?,
             peer_efficiency: req(v, "peer_efficiency")?,
-            kernel: req(v, "kernel")?,
+            // `Sharded` was the one-shard-per-channel partition every
+            // round engine now runs; Indexed runs it bit for bit.
+            kernel: match v.get("kernel") {
+                Some(serde::Value::String(name)) if name == "Sharded" => SimKernel::Indexed,
+                _ => req(v, "kernel")?,
+            },
             // Optional with a default: added after configs were already
             // in the wild.
             scheduler: match v.get("scheduler") {
@@ -294,17 +286,20 @@ impl SimConfig {
 
     /// A scale-out configuration: a [`Catalog::mega_catalog`] of
     /// `channels` Zipf channels calibrated to `population` expected
-    /// concurrent viewers, driven by the [`SimKernel::Sharded`] engine
-    /// with channel-parallel rounds. Everything else follows the paper
-    /// defaults (hourly provisioning, 10-second rounds, 5-minute
-    /// sampling); set `trace.horizon_seconds` for the run length.
+    /// concurrent viewers, with the fleet and budgets grown to match.
+    /// Everything else follows the paper defaults, the engine and
+    /// [`SimConfig::parallel_channels`] included (the default Indexed
+    /// engine fans a large site's shards out by itself); set
+    /// `trace.horizon_seconds` for the run length.
     ///
     /// ```
     /// use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
     ///
     /// let mut cfg = SimConfig::scale_out(SimMode::ClientServer, 500, 50_000.0).unwrap();
     /// cfg.trace.horizon_seconds = 2.0 * 3600.0;
-    /// assert_eq!(cfg.kernel, SimKernel::Sharded);
+    /// // The kernel and `parallel_channels` stay at the paper defaults.
+    /// assert_eq!(cfg.kernel, SimKernel::Indexed);
+    /// assert!(cfg.parallel_channels);
     /// assert_eq!(cfg.catalog.len(), 500);
     /// cfg.validate().unwrap();
     /// ```
@@ -317,8 +312,6 @@ impl SimConfig {
         let mut cfg = Self::paper_default(mode);
         cfg.catalog = Catalog::mega_catalog(channels, population)
             .map_err(|e| invalid_param("catalog", e.to_string()))?;
-        cfg.kernel = SimKernel::Sharded;
-        cfg.parallel_channels = true;
         // The paper testbed (150 VMs, $100/h + $1/h budgets) serves
         // ~2500 concurrent viewers; grow capacity and budgets in
         // proportion so the controller's optimization stays feasible at
@@ -523,25 +516,43 @@ mod tests {
         assert!(cfg.validate().is_err(), "schedule validated with config");
     }
 
+    /// The scale-out settings a sharded config carries round-trip.
     #[test]
     fn sharded_config_round_trips_through_json() {
-        let mut cfg = SimConfig::paper_default(SimMode::P2p);
-        cfg.kernel = SimKernel::Sharded;
+        let mut cfg = SimConfig::scale_out(SimMode::P2p, 40, 100_000.0).unwrap();
         cfg.parallel_channels = false;
-        cfg.fleet_scale = 40.0;
         let value = serde::Serialize::to_value(&cfg);
         let parsed = <SimConfig as serde::Deserialize>::from_value(&value).unwrap();
         assert_eq!(parsed, cfg);
-        assert_eq!(parsed.kernel, SimKernel::Sharded);
         assert!(!parsed.parallel_channels);
         assert_eq!(parsed.fleet_scale, 40.0);
+    }
+
+    /// Configs written while the `Sharded` kernel existed load as the
+    /// same config with `Indexed`, which runs what `Sharded` ran.
+    #[test]
+    fn legacy_sharded_kernel_loads_as_indexed() {
+        let cfg = SimConfig::scale_out(SimMode::ClientServer, 400, 200_000.0).unwrap();
+        assert_eq!(cfg.kernel, SimKernel::Indexed);
+        let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
+            panic!("config serializes to an object");
+        };
+        for (key, value) in &mut fields {
+            if key == "kernel" {
+                *value = serde::Value::String("Sharded".into());
+            }
+        }
+        let legacy = serde::Value::Object(fields);
+        let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
+        assert_eq!(parsed, cfg);
     }
 
     #[test]
     fn scale_out_builds_a_sharded_mega_config() {
         let cfg = SimConfig::scale_out(SimMode::P2p, 300, 25_000.0).unwrap();
-        assert_eq!(cfg.kernel, SimKernel::Sharded);
-        assert!(cfg.parallel_channels);
+        let paper = SimConfig::paper_default(SimMode::P2p);
+        assert_eq!(cfg.kernel, paper.kernel);
+        assert_eq!(cfg.parallel_channels, paper.parallel_channels);
         assert_eq!(cfg.catalog.len(), 300);
         let pop = cfg.catalog.expected_population(cfg.chunk_seconds);
         assert!((pop - 25_000.0).abs() / 25_000.0 < 1e-9, "population {pop}");

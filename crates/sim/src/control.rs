@@ -13,8 +13,8 @@
 //! force, the last plan (replayed while the tracker is dark, and whose
 //! VM targets fleet repairs restore), and the per-channel reservation.
 //! Its two steps are [`SiteControl::plan`] and [`SiteControl::commit`].
-//! A single-site engine — Scan, Indexed or Sharded on the segment
-//! driver, or the event-driven provisioner — calls
+//! A single-site engine — Scan or Indexed on the segment driver, or the
+//! event-driven provisioner — calls
 //! [`SiteControl::provision`], which
 //! rents the plan through the retrying broker in between. The federation
 //! plans every region, runs the global placement over the plans, and

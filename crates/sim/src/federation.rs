@@ -14,10 +14,9 @@
 //! # What redirection means mechanically
 //!
 //! The viewer-facing side of a region is unchanged: its channels keep
-//! the reservation its controller planned, and its round kernel (any
-//! of the [`SimKernel::Scan`]/[`SimKernel::Indexed`]/[`SimKernel::Sharded`]
-//! engines the single-site [`crate::Simulator`] uses) allocates
-//! bandwidth per round as always. What moves is *where the VMs backing that reservation
+//! the reservation its controller planned, and its round kernel (the
+//! [`SimKernel::Scan`] or [`SimKernel::Indexed`] engine the single-site
+//! [`crate::Simulator`] uses) allocates bandwidth per round as always. What moves is *where the VMs backing that reservation
 //! run*: region `i`'s integer VM targets are apportioned across sites
 //! according to the placement (largest-remainder per cluster, so totals
 //! are conserved), each site's broker receives the aggregate targets it
@@ -71,7 +70,7 @@ use crate::control::{site_cloud, Planned, SiteControl};
 use crate::error::{invalid_param, SimError};
 use crate::faults::FaultStats;
 use crate::metrics::Metrics;
-use crate::segments::{self, Host, Site, Stages};
+use crate::segments::{self, Host, Site};
 use crate::simulator::RoundEngine;
 use crate::telem;
 
@@ -92,12 +91,12 @@ pub enum DeploymentKind {
 pub struct FederatedConfig {
     /// Template configuration; each region derives its own copy (catalog
     /// scaled by population share, diurnal shifted to local time,
-    /// distinct trace seed). The `kernel` must be a round engine (Scan,
-    /// Indexed or Sharded). `parallel_channels` (the default) steps every
-    /// shard of every region on the rayon pool and fans the regions'
-    /// plans out; shards never share an accumulator inside a segment of
-    /// rounds and every cross-region coupling (global placement, site
-    /// online fractions) happens at synchronization barriers, so the
+    /// distinct trace seed). The `kernel` must be a round engine (Scan or
+    /// Indexed). `parallel_channels` (the default) steps the regions on
+    /// the rayon pool and fans their plans out; shards never share an
+    /// accumulator inside a segment of rounds and every cross-region
+    /// coupling (global placement, site online fractions) happens at
+    /// synchronization barriers, so the
     /// parallel and serial executions are **bit-identical** — pinned by
     /// `crates/sim/tests/federation.rs`. Disable it to force serial
     /// execution (debugging, single-core baselines).
@@ -200,8 +199,8 @@ impl FederatedConfig {
         if self.base.kernel == SimKernel::EventDriven {
             return Err(invalid_param(
                 "kernel",
-                "the federated simulator drives round engines; use Indexed, Sharded \
-                 or Scan (the event-driven engine models single-site redirection via \
+                "the federated simulator drives round engines; use Indexed or Scan \
+                 (the event-driven engine models single-site redirection via \
                  DesScenario::remote_overflow)",
             ));
         }
@@ -428,6 +427,8 @@ struct Regions<'a> {
 }
 
 impl Host for Regions<'_> {
+    const REGIONS: bool = true;
+
     fn boundary<E: RoundEngine>(
         &mut self,
         clock: f64,
@@ -527,7 +528,7 @@ impl Regions<'_> {
         tel: &Telemetry,
     ) -> Result<FederatedMetrics, SimError> {
         let fc = self.fc;
-        segments::run(&fc.base, &mut sites, &mut self, Stages::Regions, tel)?;
+        segments::run(&fc.base, &mut sites, &mut self, tel)?;
         let mut per_region = Vec::with_capacity(sites.len());
         let mut total_vm = 0.0;
         let mut total_storage = 0.0;
@@ -761,9 +762,6 @@ impl FederatedSimulator {
             SimKernel::Scan => host.run(cfgs.map(Site::scan).collect::<Result<_, _>>()?, tel)?,
             SimKernel::Indexed => {
                 host.run(cfgs.map(Site::indexed).collect::<Result<_, _>>()?, tel)?
-            }
-            SimKernel::Sharded => {
-                host.run(cfgs.map(Site::sharded).collect::<Result<_, _>>()?, tel)?
             }
             SimKernel::EventDriven => unreachable!("rejected by validate"),
         };

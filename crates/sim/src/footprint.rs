@@ -1,11 +1,11 @@
-//! Per-peer memory accounting for the sharded engine.
+//! Per-peer memory accounting for the Indexed engine.
 //!
 //! The scale-out story ("10 M viewers under 2 GB", docs/SCALING.md)
 //! rests on the per-viewer resident state staying small, and nothing
 //! rots faster than a memory model nobody measures. This module gives
 //! the budget a load-bearing number: [`worst_case_bytes_per_peer`] is
 //! computed from the actual type layouts (so a grown field moves it),
-//! [`measure`] runs a sharded simulation and counts the real resident
+//! [`measure`] runs an Indexed simulation and counts the real resident
 //! bytes at run end, and [`PEER_BUDGET_BYTES`] is the ceiling both are
 //! pinned against by `crates/sim/tests/peer_footprint.rs`.
 //!
@@ -67,11 +67,11 @@ pub fn worst_case_bytes_per_peer() -> usize {
         + crate::simulator::SLOT_BYTES
 }
 
-/// Runs `cfg` through the sharded engine and returns the end-of-run
-/// per-peer footprint. The simulation itself is discarded; use the
-/// sharded engine through [`crate::Simulator`] for results. The
-/// sharded kernel is measured regardless of `cfg.kernel` — it is the
-/// scale-out engine the budget exists for.
+/// Runs `cfg` through the Indexed engine and returns the end-of-run
+/// per-peer footprint. The simulation itself is discarded; use
+/// [`crate::Simulator`] for results. The Indexed kernel is measured
+/// regardless of `cfg.kernel` — it is the production engine the budget
+/// exists for.
 ///
 /// # Errors
 ///
@@ -79,7 +79,7 @@ pub fn worst_case_bytes_per_peer() -> usize {
 pub fn measure(cfg: &SimConfig) -> Result<PeerFootprint, SimError> {
     cfg.validate()?;
     let cfg = SimConfig {
-        kernel: SimKernel::Sharded,
+        kernel: SimKernel::Indexed,
         ..cfg.clone()
     };
     let mut fp = PeerFootprint::default();

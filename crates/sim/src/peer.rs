@@ -77,8 +77,8 @@ const TAG_WAIT_LEAVE: u8 = 2;
 /// `crates/sim/tests/peer_footprint.rs`; see the module docs for the
 /// layout).
 ///
-/// Bytes-left invariant: under the indexed engines (`Indexed` and
-/// `Sharded`) a downloading peer's `f_a` keeps the bytes left at the
+/// Bytes-left invariant: under the `Indexed` engine a downloading
+/// peer's `f_a` keeps the bytes left at the
 /// download's start — the engine's download cohort holds the live
 /// value.
 /// No code outside the engine may read a downloading peer's `f_a`

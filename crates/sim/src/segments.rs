@@ -1,23 +1,21 @@
 //! The segment driver: the one round loop every round engine runs on.
 //!
-//! Scan, Indexed, Sharded and the federation replay one per-round model:
+//! Scan, Indexed and the federation replay one per-round model:
 //! arrivals (shed under [`crate::faults::DegradeMode::ShedNewArrivals`]),
 //! allocation, download advance, viewing-model events, metering and
 //! sampling. This module holds that model once. A run is a list of
 //! **sites** (one for a single-site run, one per region for the
-//! federation), and a site is a list of **shards**:
+//! federation), and a site is a list of **shards**, one per channel, as
+//! in the paper's model a viewer only ever meets its own channel's swarm
+//! and its own channel's reservation:
 //!
-//! - A [`Shard`] owns one round engine (Scan or Indexed, statically
-//!   dispatched), its peers, its behaviour RNG, its arrival source, the
-//!   tracker collectors of a contiguous channel range, and its event
-//!   scratch. [`Shard::step_round`] is the only per-round body there is.
-//! - Scan and Indexed run one full-catalog shard per site: it is seeded
-//!   with [`SimConfig::behaviour_seed`], fed by the merged
-//!   [`ArrivalStream`], and records into a full-catalog [`Tracker`].
-//!   Sharded runs one shard per channel, each with its lazy
-//!   [`ChannelArrivals`] sub-stream and a behaviour RNG seeded with a
-//!   splitmix child of `behaviour_seed`
-//!   ([`cloudmedia_workload::trace::child_seed`]).
+//! - A [`Shard`] owns one channel's round engine (Scan or Indexed,
+//!   statically dispatched), its peers, its lazy [`ChannelArrivals`]
+//!   sub-stream, its behaviour RNG (seeded with the channel's splitmix
+//!   child of [`SimConfig::behaviour_seed`],
+//!   [`cloudmedia_workload::trace::child_seed`]), its tracker collector,
+//!   and its event scratch. [`Shard::step_round`] is the only per-round
+//!   body there is.
 //!
 //! The driver ([`run`]) steps whole **segments** of rounds. Before each
 //! segment the caller's [`Host`] does its boundary work (fault
@@ -25,16 +23,17 @@
 //! emergency re-plans for the federation). Then the driver pre-steps
 //! every round of the segment through the host: the clouds depend only
 //! on time and submissions, never on viewer state, so each round's
-//! online scale and cloud tick can run ahead of the shards. Then it fans
-//! every shard of every site out over the rayon pool in one scope (when
-//! [`SimConfig::parallel_channels`] is set) and folds the results round
-//! by round, in site and shard order. A segment ends before the next
-//! provisioning round or host topology change (the federation's site
-//! mask), at the horizon, or after [`MAX_SEGMENT_ROUNDS`] rounds.
-//! Sampling rounds fall inside segments: at each one, a shard writes its
-//! per-channel sample partial (peers, smooth-playback count, start-up
-//! delay sum and count), and the driver folds the partials in shard
-//! order after the barrier.
+//! online scale and cloud tick can run ahead of the shards. Then it
+//! steps every shard of every site — inline, or fanned out over the
+//! rayon pool in one scope when [`SimConfig::parallel_channels`] is set
+//! and the sites are large enough (see [`run`] for the two rules) — and
+//! folds the results round by round, in site and shard order. A segment
+//! ends before the next provisioning round or host topology change (the
+//! federation's site mask), at the horizon, or after
+//! [`MAX_SEGMENT_ROUNDS`] rounds. Sampling rounds fall inside segments:
+//! at each one, a shard writes its sample partial (peers, smooth-playback
+//! count, start-up delay sum and count), and the driver folds the
+//! partials in shard order after the barrier.
 //!
 //! # Determinism contract
 //!
@@ -55,16 +54,11 @@
 //!    driver folds them round by round, so every addition happens in
 //!    the order a round-at-a-time loop would make it.
 //! 3. Each shard's RNG stream and arrival stream are pure functions of
-//!    the configuration and the shard's channel range — neither depends
-//!    on scheduling, shard grouping, or thread count.
+//!    the configuration and the shard's channel — neither depends on
+//!    scheduling, shard grouping, or thread count.
 //!
-//! A full-catalog shard replays exactly the draws, events and sums the
-//! round-at-a-time loop it replaced made, so Scan and Indexed stay
-//! bit-identical to each other and to their goldens. Because each
-//! Sharded channel draws from its own RNG stream, a Sharded run is a
-//! *different sample of the same viewer-behaviour process* than an
-//! Indexed run: the two agree in distribution and in steady-state means,
-//! not bit for bit. `docs/SCALING.md` discusses that trade.
+//! Scan and Indexed shards make the same draws, events and sums, so the
+//! two engines stay bit-identical to each other and to their goldens.
 //!
 //! # One thread per shard
 //!
@@ -86,7 +80,8 @@
 //! count actually turns).
 
 use cloudmedia_telemetry::{MetricId, StageClock, Telemetry};
-use cloudmedia_workload::trace::{child_seed, ArrivalStream, ChannelArrivals, UserArrival};
+use cloudmedia_workload::catalog::ChannelSpec;
+use cloudmedia_workload::trace::{child_seed, ChannelArrivals, UserArrival};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -107,22 +102,20 @@ use crate::tracker::Tracker;
 /// settings.
 pub(crate) const MAX_SEGMENT_ROUNDS: usize = 128;
 
-/// Where a shard's arrivals come from.
-enum Arrivals {
-    /// The whole catalog's merged stream (a full-catalog shard).
-    Merged(ArrivalStream),
-    /// One channel's sub-stream (a per-channel shard).
-    Channel(ChannelArrivals),
-}
-
-impl Arrivals {
-    fn next(&mut self) -> Option<UserArrival> {
-        match self {
-            Self::Merged(s) => s.next(),
-            Self::Channel(s) => s.next(),
-        }
-    }
-}
+/// The fewest connected viewers a site's shards must hold, at a
+/// segment's start, for the segment to fan the site's shards out as
+/// several pool tasks. Below it the site steps as one task, and a
+/// segment of one task runs inline, so a paper-scale site never starts
+/// the pool.
+///
+/// Measured, not guessed: on a 2-vCPU host, `cloudmedia scale --hours 2`
+/// on 20 channels with the default pool against `--serial` (11 runs per
+/// point). The pool won on wall time at every population from 2,500
+/// viewers up, but at 2,500 it spent 11 % more CPU than the serial run;
+/// at 5,000 (and above) it spent no more. 5,000 is the smallest
+/// population at which the pool wins at no more than 10 % extra CPU.
+/// `docs/SCALING.md` has the table.
+pub(crate) const FAN_OUT_MIN_PEERS: usize = 5_000;
 
 /// One round of a segment as the driver pre-stepped it.
 #[derive(Debug, Clone, Copy)]
@@ -135,40 +128,34 @@ struct Round {
     sample: bool,
 }
 
-/// How a run attributes the time of its segment fan-out to `stage/*`
-/// counters. Whatever the mode, no stage counter nests inside another.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stages {
-    /// The shard times its own round stages (`stage/arrivals`,
-    /// `stage/allocation`, `stage/advance`, `stage/events`,
-    /// `stage/sampling`) on one round in
-    /// [`telem::STAGE_TIME_SAMPLE`]: the single-shard Scan and Indexed
-    /// runs.
-    Rounds,
-    /// `stage/shard_step`, `hist/shard_wall_ns` and the `shards` table:
-    /// a Sharded run.
-    Shards,
-    /// `stage/region_step`, `hist/region_wall_ns` and the `regions`
-    /// table: the federation.
-    Regions,
+/// One sampling round's partial from one shard.
+#[derive(Debug, Clone, Copy)]
+struct Partial {
+    /// Connected viewers.
+    peers: usize,
+    /// Of those, viewers with smooth playback over the window.
+    smooth: usize,
+    /// Start-up delays completed in the window: their sum and count.
+    startup_sum: f64,
+    startup_count: usize,
 }
 
-/// One shard's complete simulation state: the unit the driver fans out.
-/// See the module docs for what lives here and why nothing is shared.
+/// One channel's complete simulation state: the unit the driver fans
+/// out. See the module docs for what lives here and why nothing is
+/// shared.
 struct Shard<E> {
     engine: E,
-    /// This shard's connected viewers.
+    /// The channel this shard simulates.
+    channel: usize,
+    /// The channel's connected viewers.
     peers: Vec<Peer>,
     /// Behaviour RNG.
     rng: StdRng,
-    arrivals: Arrivals,
+    arrivals: ChannelArrivals,
     /// The next arrival not yet ingested, if any.
     next_arrival: Option<UserArrival>,
-    /// Tracker-side statistics for the shard's channels.
+    /// Tracker-side statistics for the channel.
     tracker: Tracker,
-    /// The shard's first channel and channel count.
-    first: usize,
-    channels: usize,
     // Round-event scratch, reused every round.
     removals: Vec<usize>,
     completed: Vec<usize>,
@@ -179,12 +166,8 @@ struct Shard<E> {
     // Start-up delay window accumulators (flushed into the partials).
     startup_sum: f64,
     startup_count: usize,
-    /// This segment's sample partials: for each sampling round, one
-    /// `(peers, smooth)` pair per channel of the shard.
-    counts: Vec<(usize, usize)>,
-    /// This segment's start-up delay partials, one `(sum, count)` per
-    /// sampling round.
-    startups: Vec<(f64, usize)>,
+    /// This segment's sample partials, one per sampling round.
+    partials: Vec<Partial>,
     // Telemetry accumulators (side channel only — reduced in shard
     // order at run end; the integer ones run unconditionally, the wall
     // clock once per segment of a telemetry-enabled run).
@@ -212,11 +195,29 @@ struct Env<'a> {
     chunk_bytes: f64,
     /// Time each shard's segment into its wall accumulator.
     time_it: bool,
-    /// Time the round stages of every [`telem::STAGE_TIME_SAMPLE`]-th
-    /// round ([`Stages::Rounds`] with telemetry on).
+    /// Time round stages (an inline segment with telemetry on).
     stage_tel: Option<&'a Telemetry>,
+    /// How many shards the inline segment steps, over every site.
+    stage_shards: u64,
     /// The segment's first round, counted from the start of the run.
     first_round: u64,
+}
+
+impl Env<'_> {
+    /// The stage clock of round `k` for the shard at `position` of an
+    /// inline segment, if that shard times the round. One shard per
+    /// [`telem::STAGE_TIME_SAMPLE`]-th round does, picked by a hash of
+    /// the round index, and its laps are scaled by the period times the
+    /// shard count: an unbiased estimate of every shard's stages at one
+    /// shard's clock cost, with no phase locked to the run's periodic
+    /// structure.
+    fn stage_clock(&self, k: usize, position: u64) -> Option<StageClock<'_>> {
+        let tel = self.stage_tel?;
+        let round = self.first_round + k as u64;
+        let timed = round.is_multiple_of(telem::STAGE_TIME_SAMPLE)
+            && child_seed(round, 0) % self.stage_shards == position;
+        timed.then(|| tel.stage_clock_sampled(telem::STAGE_TIME_SAMPLE * self.stage_shards))
+    }
 }
 
 /// Credits the time since the previous boundary to `id` on a timed
@@ -228,31 +229,27 @@ fn lap(clk: &mut Option<StageClock<'_>>, id: MetricId) {
 }
 
 impl<E: RoundEngine> Shard<E> {
-    fn new(
-        cfg: &SimConfig,
-        engine: E,
-        seed: u64,
-        mut arrivals: Arrivals,
-        channels: std::ops::Range<usize>,
-    ) -> Result<Self, SimError> {
+    /// Channel `spec`'s shard: its arrival sub-stream, a behaviour RNG
+    /// seeded with the channel's splitmix child of `behaviour_seed`, and
+    /// its tracker collector.
+    fn new(cfg: &SimConfig, spec: &ChannelSpec, engine: E) -> Result<Self, SimError> {
+        let mut arrivals = ChannelArrivals::new(spec, &cfg.trace)?;
         let next_arrival = arrivals.next();
         Ok(Self {
             engine,
+            channel: spec.id,
             peers: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(child_seed(cfg.behaviour_seed, spec.id as u64)),
             arrivals,
             next_arrival,
-            tracker: Tracker::for_channels(&cfg.catalog, channels.clone())?,
-            first: channels.start,
-            channels: channels.len(),
+            tracker: Tracker::for_channels(&cfg.catalog, spec.id..spec.id + 1)?,
             removals: Vec::new(),
             completed: Vec::new(),
             woken: Vec::new(),
             shed: 0,
             startup_sum: 0.0,
             startup_count: 0,
-            counts: Vec::new(),
-            startups: Vec::new(),
+            partials: Vec::new(),
             wall_ns: 0,
             peak_peers: 0,
             admitted: 0,
@@ -263,16 +260,13 @@ impl<E: RoundEngine> Shard<E> {
 
     /// Steps every round of a segment, writing each round's used cloud
     /// rate into `used` (this shard's row of the segment buffer) and, at
-    /// each sampling round, the shard's sample partial.
-    fn step_segment(&mut self, env: &Env<'_>, used: &mut [f64]) {
+    /// each sampling round, the shard's sample partial. `position` is
+    /// the shard's place among an inline segment's shards.
+    fn step_segment(&mut self, env: &Env<'_>, used: &mut [f64], position: u64) {
         let start = env.time_it.then(std::time::Instant::now);
-        self.counts.clear();
-        self.startups.clear();
+        self.partials.clear();
         for (k, (round, used)) in env.rounds.iter().zip(used).enumerate() {
-            let mut clk = env
-                .stage_tel
-                .filter(|_| (env.first_round + k as u64).is_multiple_of(telem::STAGE_TIME_SAMPLE))
-                .map(|tel| tel.stage_clock_sampled(telem::STAGE_TIME_SAMPLE));
+            let mut clk = env.stage_clock(k, position);
             *used = self.step_round(round, env.online[k], env, &mut clk);
             if round.sample {
                 self.write_partial(round.t1, env.cfg.sample_interval);
@@ -327,8 +321,7 @@ impl<E: RoundEngine> Shard<E> {
             vm_bandwidth: env.vm_bandwidth,
             eff: cfg.peer_efficiency,
             p2p: cfg.mode == SimMode::P2p,
-            online_scale,
-            channel_reserved: env.channel_reserved,
+            reserved: env.channel_reserved[self.channel] * online_scale,
         };
         let used = self.engine.allocate(&self.peers, &ctx);
         lap(clk, telem::STAGE_ALLOCATION);
@@ -366,26 +359,28 @@ impl<E: RoundEngine> Shard<E> {
         used
     }
 
-    /// Appends this sampling round's partial: per channel, the connected
-    /// viewers and those with smooth playback over the past `window`,
-    /// then the start-up delay window (which it resets).
+    /// Appends this sampling round's partial: the connected viewers,
+    /// those with smooth playback over the past `window`, and the
+    /// start-up delay window (which it resets).
     fn write_partial(&mut self, t1: f64, window: f64) {
-        let at = self.counts.len();
-        self.counts.resize(at + self.channels, (0, 0));
-        let counts = &mut self.counts[at..];
-        for p in &self.peers {
-            let c = &mut counts[p.channel() - self.first];
-            c.0 += 1;
-            c.1 += usize::from(p.smooth_in_window(t1, window));
-        }
-        self.startups.push((self.startup_sum, self.startup_count));
+        let smooth = self
+            .peers
+            .iter()
+            .filter(|p| p.smooth_in_window(t1, window))
+            .count();
+        self.partials.push(Partial {
+            peers: self.peers.len(),
+            smooth,
+            startup_sum: self.startup_sum,
+            startup_count: self.startup_count,
+        });
         self.startup_sum = 0.0;
         self.startup_count = 0;
     }
 }
 
-/// One site: its shards in channel order, the segment buffers the driver
-/// fills and folds, and the site's metric series.
+/// One site: one shard per channel in channel order, the segment
+/// buffers the driver fills and folds, and the site's metric series.
 pub(crate) struct Site<'a, E> {
     cfg: &'a SimConfig,
     shards: Vec<Shard<E>>,
@@ -407,62 +402,32 @@ pub(crate) struct Site<'a, E> {
 }
 
 impl<'a> Site<'a, ScanEngine> {
-    /// A Scan site: one full-catalog shard.
+    /// A Scan site.
     pub(crate) fn scan(cfg: &'a SimConfig) -> Result<Self, SimError> {
-        let engine = ScanEngine::new(cfg.catalog.len(), max_chunks(cfg));
-        Site::full_catalog(cfg, engine)
+        Site::new(cfg, |spec| ScanEngine::new(spec.viewing.chunks))
     }
 }
 
 impl<'a> Site<'a, IndexedEngine> {
-    /// An Indexed site: one full-catalog shard.
+    /// An Indexed site.
     pub(crate) fn indexed(cfg: &'a SimConfig) -> Result<Self, SimError> {
-        let engine = IndexedEngine::new(
-            cfg.catalog.len(),
-            max_chunks(cfg),
-            cfg.peer_efficiency,
-            cfg.round_seconds,
-        );
-        Site::full_catalog(cfg, engine)
+        Site::new(cfg, |spec| {
+            IndexedEngine::new(spec.viewing.chunks, cfg.peer_efficiency, cfg.round_seconds)
+        })
     }
-
-    /// A Sharded site: one shard per channel.
-    pub(crate) fn sharded(cfg: &'a SimConfig) -> Result<Self, SimError> {
-        let mut shards = Vec::with_capacity(cfg.catalog.len());
-        for spec in cfg.catalog.channels() {
-            let engine = IndexedEngine::for_shard(
-                spec.id,
-                spec.viewing.chunks,
-                cfg.peer_efficiency,
-                cfg.round_seconds,
-            );
-            let arrivals = Arrivals::Channel(ChannelArrivals::new(spec, &cfg.trace)?);
-            let seed = child_seed(cfg.behaviour_seed, spec.id as u64);
-            shards.push(Shard::new(
-                cfg,
-                engine,
-                seed,
-                arrivals,
-                spec.id..spec.id + 1,
-            )?);
-        }
-        Ok(Site::new(cfg, shards))
-    }
-}
-
-/// The largest chunk count of any channel.
-fn max_chunks(cfg: &SimConfig) -> usize {
-    cfg.catalog
-        .channels()
-        .iter()
-        .map(|c| c.viewing.chunks)
-        .max()
-        .expect("catalog validated non-empty")
 }
 
 impl<'a, E: RoundEngine> Site<'a, E> {
-    fn new(cfg: &'a SimConfig, shards: Vec<Shard<E>>) -> Self {
-        Self {
+    /// One shard per channel of `cfg`'s catalog, each with the engine
+    /// `engine` builds for its channel.
+    fn new(cfg: &'a SimConfig, engine: impl Fn(&ChannelSpec) -> E) -> Result<Self, SimError> {
+        let shards = cfg
+            .catalog
+            .channels()
+            .iter()
+            .map(|spec| Shard::new(cfg, spec, engine(spec)))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
             cfg,
             shards,
             online: Vec::with_capacity(MAX_SEGMENT_ROUNDS),
@@ -472,37 +437,19 @@ impl<'a, E: RoundEngine> Site<'a, E> {
             window_used: 0.0,
             window_start: 0.0,
             metrics: Metrics::default(),
-        }
-    }
-
-    /// One full-catalog shard, seeded with `behaviour_seed` and fed by
-    /// the merged arrival stream.
-    fn full_catalog(cfg: &'a SimConfig, engine: E) -> Result<Self, SimError> {
-        let arrivals = Arrivals::Merged(ArrivalStream::new(&cfg.catalog, &cfg.trace)?);
-        let shard = Shard::new(
-            cfg,
-            engine,
-            cfg.behaviour_seed,
-            arrivals,
-            0..cfg.catalog.len(),
-        )?;
-        Ok(Self::new(cfg, vec![shard]))
+        })
     }
 
     /// Connected viewers per channel, in channel order.
     pub(crate) fn channel_peers(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.cfg.catalog.len()];
-        for p in self.shards.iter().flat_map(|s| &s.peers) {
-            out[p.channel()] += 1;
-        }
-        out
+        self.shards.iter().map(|s| s.peers.len()).collect()
     }
 
     /// Summarizes the interval that just ended from every shard's
     /// tracker, in channel order, and resets them.
     pub(crate) fn interval_stats(&mut self) -> Result<Observations, SimError> {
         let interval = self.cfg.provisioning_interval;
-        let mut out = Vec::with_capacity(self.cfg.catalog.len());
+        let mut out = Vec::with_capacity(self.shards.len());
         for shard in &mut self.shards {
             out.extend(shard.tracker.interval_stats(interval)?);
         }
@@ -521,6 +468,22 @@ impl<'a, E: RoundEngine> Site<'a, E> {
             out.peers += shard.peers.len();
             out.bytes += shard.peers.len() * std::mem::size_of::<Peer>()
                 + shard.engine.resident_peer_bytes();
+        }
+    }
+
+    /// The pool task size for this site's next segment (rule 1 of
+    /// [`run`]): the whole site below [`FAN_OUT_MIN_PEERS`] connected
+    /// viewers, else `group` shards.
+    fn task_size(&self, group: usize) -> usize {
+        #[cfg(test)]
+        if let Some(group) = tests::GROUP.with(std::cell::Cell::get) {
+            return group;
+        }
+        let connected: usize = self.shards.iter().map(|s| s.peers.len()).sum();
+        if connected < FAN_OUT_MIN_PEERS {
+            usize::MAX
+        } else {
+            group
         }
     }
 
@@ -561,7 +524,7 @@ impl<'a, E: RoundEngine> Site<'a, E> {
     /// The sample at `time` from every shard's `partial`-th partial, in
     /// shard order (one fixed f64 addition sequence).
     fn fold_partials(&self, partial: usize, time: f64, reserved: f64) -> Sample {
-        let n = self.cfg.catalog.len();
+        let n = self.shards.len();
         let mut per_channel_peers = Vec::with_capacity(n);
         let mut per_channel_quality = Vec::with_capacity(n);
         let mut total = 0usize;
@@ -569,20 +532,17 @@ impl<'a, E: RoundEngine> Site<'a, E> {
         let mut startup_sum = 0.0_f64;
         let mut startup_count = 0usize;
         for shard in &self.shards {
-            let w = shard.channels;
-            for &(peers, smooth) in &shard.counts[partial * w..(partial + 1) * w] {
-                per_channel_peers.push(peers);
-                per_channel_quality.push(if peers == 0 {
-                    1.0
-                } else {
-                    smooth as f64 / peers as f64
-                });
-                total += peers;
-                smooth_total += smooth;
-            }
-            let (sum, count) = shard.startups[partial];
-            startup_sum += sum;
-            startup_count += count;
+            let p = shard.partials[partial];
+            per_channel_peers.push(p.peers);
+            per_channel_quality.push(if p.peers == 0 {
+                1.0
+            } else {
+                p.smooth as f64 / p.peers as f64
+            });
+            total += p.peers;
+            smooth_total += p.smooth;
+            startup_sum += p.startup_sum;
+            startup_count += p.startup_count;
         }
         let elapsed = (time - self.window_start).max(1e-9);
         Sample {
@@ -609,6 +569,12 @@ impl<'a, E: RoundEngine> Site<'a, E> {
 /// A caller of the driver: the boundary work between segments and the
 /// clock-only work of each round, for every site it runs.
 pub(crate) trait Host {
+    /// True when each site is a region of a federation: a fanned-out
+    /// segment is then timed as `stage/region_step` and the run reports
+    /// per-region wall times, where a single site's run uses
+    /// `stage/shard_step` and per-shard ones.
+    const REGIONS: bool = false;
+
     /// The work before the segment that starts at `clock`, with
     /// `provision` set on a provisioning round: fault boundaries,
     /// provisioning, re-plans. Interval records go into each site's
@@ -659,8 +625,23 @@ pub(crate) trait Host {
 /// the round, sampling and provisioning intervals and the
 /// `parallel_channels` knob), with `host` doing the boundary and
 /// clock-only work. Records the round-loop counters, the summed
-/// per-sample `peers_peak` and the `stages` mode's stage, histogram
-/// and table into `tel`.
+/// per-sample `peers_peak`, the stage times and the per-shard (or, for
+/// a federation, per-region) wall times into `tel`.
+///
+/// Two rules, both read from state the driver already holds, decide
+/// how each segment steps:
+///
+/// 1. A site whose shards hold fewer than [`FAN_OUT_MIN_PEERS`]
+///    connected viewers at the segment's start steps as one pool task;
+///    a larger one as tasks of several shards. A segment of one task
+///    (or any segment with `parallel_channels` off) runs inline.
+/// 2. An inline segment times its round stages inside the shards
+///    (`stage/arrivals` … `stage/events` and `stage/sampling`, sampled:
+///    one shard in one round in [`telem::STAGE_TIME_SAMPLE`]). A
+///    fanned-out segment
+///    is timed as one stage: `stage/shard_step` for a single site,
+///    `stage/region_step` for the federation. No stage counter nests
+///    inside another.
 ///
 /// # Errors
 ///
@@ -669,7 +650,6 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
     base: &SimConfig,
     sites: &mut [Site<'_, E>],
     host: &mut H,
-    stages: Stages,
     tel: &Telemetry,
 ) -> Result<(), SimError> {
     let horizon = base.trace.horizon_seconds;
@@ -680,8 +660,8 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
     let mut rounds: Vec<Round> = Vec::with_capacity(MAX_SEGMENT_ROUNDS);
     let mut online = vec![0.0; sites.len()];
     let mut running = vec![0.0; sites.len()];
-    let n_shards: usize = sites.iter().map(|s| s.shards.len()).sum();
-    let group = (base.parallel_channels && n_shards > 1).then(|| task_group(n_shards));
+    let group = task_group(sites.iter().map(|s| s.shards.len()).sum());
+    let mut task_sizes = vec![0; sites.len()];
     // Segments are long enough to time every one of them.
     let mut clk = tel.stage_clock();
     let mut rounds_done = 0u64;
@@ -728,12 +708,26 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
         }
         clk.lap(telem::STAGE_CLOUD);
 
-        // --- One fan-out over every shard of every site --------------
-        fan_out(sites, host, &rounds, group, stages, rounds_done, tel);
-        match stages {
-            Stages::Rounds => clk.skip(),
-            Stages::Shards => clk.lap(telem::STAGE_SHARD_STEP),
-            Stages::Regions => clk.lap(telem::STAGE_REGION_STEP),
+        // --- One fan-out over every shard of every site (rule 1) -----
+        let mut tasks = 0;
+        for (size, site) in task_sizes.iter_mut().zip(sites.iter()) {
+            *size = site.task_size(group);
+            tasks += site.shards.len().div_ceil(*size);
+        }
+        let pooled = base.parallel_channels && tasks > 1;
+        fan_out(
+            sites,
+            host,
+            &rounds,
+            pooled.then_some(&task_sizes),
+            rounds_done,
+            tel,
+        );
+        // Rule 2: an inline segment's shards timed their own stages.
+        match (pooled, H::REGIONS) {
+            (false, _) => clk.skip(),
+            (true, false) => clk.lap(telem::STAGE_SHARD_STEP),
+            (true, true) => clk.lap(telem::STAGE_REGION_STEP),
         }
 
         // --- Site and shard order folds, round by round ---------------
@@ -749,39 +743,35 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
         rounds_done += rounds.len() as u64;
         clock = t0;
     }
-    report(sites, stages, rounds_done, tel);
+    report(sites, H::REGIONS, rounds_done, tel);
     Ok(())
 }
 
-/// Shards per pool task: several tasks per worker, so Zipf-skewed head
-/// channels level out across the pool (workers pull tasks as they free
-/// up).
+/// Shards per pool task of a fanned-out site: several tasks per
+/// worker, so Zipf-skewed head channels level out across the pool
+/// (workers pull tasks as they free up).
 fn task_group(n_shards: usize) -> usize {
-    #[cfg(test)]
-    if let Some(group) = tests::GROUP.with(std::cell::Cell::get) {
-        return group;
-    }
     n_shards
         .div_ceil((rayon::current_num_threads() * 8).max(1))
         .max(1)
 }
 
 /// Steps one segment on every shard of every site: inline in site and
-/// shard order when `group` is `None`, else in one pool scope of tasks
-/// of `group` shards each. Everything the shards read is fixed for the
-/// segment (the read barrier): the reservations and each round's online
-/// scale.
+/// shard order when `task_sizes` is `None`, else in one pool scope of
+/// tasks of `task_sizes[site]` shards each. Everything the shards read
+/// is fixed for the segment (the read barrier): the reservations and
+/// each round's online scale.
 fn fan_out<E: RoundEngine, H: Host>(
     sites: &mut [Site<'_, E>],
     host: &H,
     rounds: &[Round],
-    group: Option<usize>,
-    stages: Stages,
+    task_sizes: Option<&[usize]>,
     first_round: u64,
     tel: &Telemetry,
 ) {
     let n_rounds = rounds.len();
-    let stage_tel = (stages == Stages::Rounds && tel.enabled()).then_some(tel);
+    let stage_tel = (task_sizes.is_none() && tel.enabled()).then_some(tel);
+    let stage_shards = sites.iter().map(|s| s.shards.len() as u64).sum();
     let mut envs = Vec::with_capacity(sites.len());
     let mut work = Vec::with_capacity(sites.len());
     for (j, site) in sites.iter_mut().enumerate() {
@@ -796,27 +786,30 @@ fn fan_out<E: RoundEngine, H: Host>(
             chunk_bytes: site.cfg.chunk_bytes(),
             time_it: tel.enabled(),
             stage_tel,
+            stage_shards,
             first_round,
         });
         work.push((&mut site.shards, &mut site.used));
     }
-    let Some(group) = group else {
+    let Some(task_sizes) = task_sizes else {
+        let mut position = 0;
         for (env, (shards, used)) in envs.iter().zip(work) {
             for (shard, row) in shards.iter_mut().zip(used.chunks_mut(n_rounds)) {
-                shard.step_segment(env, row);
+                shard.step_segment(env, row, position);
+                position += 1;
             }
         }
         return;
     };
     rayon::scope(|s| {
-        for (env, (shards, used)) in envs.iter().zip(work) {
+        for ((env, (shards, used)), &size) in envs.iter().zip(work).zip(task_sizes) {
             for (chunk, used) in shards
-                .chunks_mut(group)
-                .zip(used.chunks_mut(group.saturating_mul(n_rounds)))
+                .chunks_mut(size)
+                .zip(used.chunks_mut(size.saturating_mul(n_rounds)))
             {
                 s.spawn(move |_| {
                     for (shard, row) in chunk.iter_mut().zip(used.chunks_mut(n_rounds)) {
-                        shard.step_segment(env, row);
+                        shard.step_segment(env, row, 0);
                     }
                 });
             }
@@ -824,8 +817,10 @@ fn fan_out<E: RoundEngine, H: Host>(
     });
 }
 
-/// The run's telemetry, reduced in site and shard order.
-fn report<E: RoundEngine>(sites: &[Site<'_, E>], stages: Stages, rounds: u64, tel: &Telemetry) {
+/// The run's telemetry, reduced in site and shard order: per-shard wall
+/// times and the `shards` table for a single site, per-region ones and
+/// the `regions` table for a federation (`regions`).
+fn report<E: RoundEngine>(sites: &[Site<'_, E>], regions: bool, rounds: u64, tel: &Telemetry) {
     if !tel.enabled() {
         return;
     }
@@ -849,57 +844,53 @@ fn report<E: RoundEngine>(sites: &[Site<'_, E>], stages: Stages, rounds: u64, te
         .max()
         .unwrap_or(0);
     tel.gauge_max(telem::PEERS_PEAK, peak as u64);
-    match stages {
-        Stages::Rounds => {}
-        Stages::Shards => {
-            let rows = shards()
-                .map(|s| {
-                    tel.observe(telem::HIST_SHARD_WALL, s.wall_ns);
-                    vec![
-                        s.first as u64,
-                        s.wall_ns,
-                        s.peers.len() as u64,
-                        s.peak_peers as u64,
-                    ]
-                })
-                .collect();
-            tel.push_table(
-                "shards",
-                &["channel", "wall_ns", "peers_final", "peak_peers"],
-                rows,
-            );
-        }
-        Stages::Regions => {
-            let rows = sites
-                .iter()
-                .map(|site| {
-                    let wall: u64 = site.shards.iter().map(|s| s.wall_ns).sum();
-                    tel.observe(telem::HIST_REGION_WALL, wall);
-                    let peers: usize = site.shards.iter().map(|s| s.peers.len()).sum();
-                    let peak = site.metrics.samples.iter().map(|s| s.active_peers).max();
-                    vec![wall, peers as u64, peak.unwrap_or(0) as u64]
-                })
-                .collect();
-            tel.push_table("regions", &["wall_ns", "peers_final", "peak_peers"], rows);
-        }
+    if regions {
+        let rows = sites
+            .iter()
+            .map(|site| {
+                let wall: u64 = site.shards.iter().map(|s| s.wall_ns).sum();
+                tel.observe(telem::HIST_REGION_WALL, wall);
+                let peers: usize = site.shards.iter().map(|s| s.peers.len()).sum();
+                let peak = site.metrics.samples.iter().map(|s| s.active_peers).max();
+                vec![wall, peers as u64, peak.unwrap_or(0) as u64]
+            })
+            .collect();
+        tel.push_table("regions", &["wall_ns", "peers_final", "peak_peers"], rows);
+    } else {
+        let rows = shards()
+            .map(|s| {
+                tel.observe(telem::HIST_SHARD_WALL, s.wall_ns);
+                vec![
+                    s.channel as u64,
+                    s.wall_ns,
+                    s.peers.len() as u64,
+                    s.peak_peers as u64,
+                ]
+            })
+            .collect();
+        tel.push_table(
+            "shards",
+            &["channel", "wall_ns", "peers_final", "peak_peers"],
+            rows,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimKernel;
     use crate::simulator::Simulator;
     use cloudmedia_workload::catalog::Catalog;
     use cloudmedia_workload::viewing::ViewingModel;
 
     thread_local! {
-        /// A forced shard-to-task group size for this thread's runs.
+        /// A forced shard-to-task group size for this thread's runs,
+        /// whatever the sites' populations.
         pub(super) static GROUP: std::cell::Cell<Option<usize>> =
             const { std::cell::Cell::new(None) };
     }
 
-    /// A small, fast sharded configuration.
+    /// A small, fast configuration.
     fn small(mode: SimMode, channels: usize, population: f64) -> SimConfig {
         let mut cfg = SimConfig::paper_default(mode);
         cfg.catalog = Catalog::zipf(
@@ -911,7 +902,6 @@ mod tests {
         )
         .unwrap();
         cfg.trace.horizon_seconds = 4.0 * 3600.0;
-        cfg.kernel = SimKernel::Sharded;
         cfg
     }
 

@@ -11,7 +11,7 @@
 //! bandwidth is allocated to in-flight chunk downloads, bytes advance, and
 //! completed chunks trigger viewing-model transitions. The rounds run on
 //! the segment driver (`crate::segments`), which every round engine
-//! shares: this module's [`Simulator`] runs a Scan, Indexed or Sharded
+//! shares: this module's [`Simulator`] runs a Scan or Indexed
 //! configuration as one site of it, keeping only the single site's
 //! boundary work — the fault plane's fleet boundaries and the interval
 //! control path (`crate::control`) — and the event-driven kernel runs
@@ -19,13 +19,13 @@
 //!
 //! # Round engines
 //!
-//! Inside each shard of the driver, the per-round work is done by one
-//! of two interchangeable engines selected by [`SimKernel`] (Sharded
-//! runs one single-channel `Indexed` engine per channel):
+//! The driver runs one shard per channel. Inside each shard, the
+//! per-round work is done by one of two interchangeable one-channel
+//! engines selected by [`SimKernel`]:
 //!
 //! - [`SimKernel::Indexed`] (production): round cost scales with *what
-//!   happens*, not with how many viewers are connected. Per channel it
-//!   groups the in-flight downloads into **download cohorts** —
+//!   happens*, not with how many viewers are connected. It groups the
+//!   channel's in-flight downloads into **download cohorts** —
 //!   downloads of one chunk that entered in the same round with equal
 //!   bytes-left, which advance in lockstep — and keeps
 //!   incrementally-maintained chunk-owner counts and **fixed-point peer
@@ -39,14 +39,14 @@
 //!   touched exactly once, when due. Every connected peer holds one
 //!   slot in the engine's slab, and a slot's single link threads it into
 //!   its cohort's member list or its wake bucket. Allocation runs
-//!   through mask-sparse in-place kernels over each channel's requested
+//!   through mask-sparse in-place kernels over the channel's requested
 //!   chunks. **Zero heap allocation per round** in steady state: every
-//!   buffer — per-channel lanes, cohort lists, the slot slab, sort
+//!   buffer — the cohort list, per-chunk scratch, the slot slab, sort
 //!   scratch, the wheel, the event lists — is owned by the engine or
 //!   its shard and reused across all ~60 k rounds of a week-long run.
-//!   Arrivals are pulled lazily from the streaming
-//!   [`cloudmedia_workload::trace::ArrivalStream`], so a full simulated
-//!   week (or year) never materializes its trace.
+//!   Arrivals are pulled lazily from the channel's streaming
+//!   [`cloudmedia_workload::trace::ChannelArrivals`], so a full
+//!   simulated week (or year) never materializes its trace.
 //! - [`SimKernel::Scan`] (reference): the original engine — three full
 //!   peer-population scans per round and fresh `Vec`s for every cloud
 //!   allocation. Kept as the benchmark baseline and as the oracle the
@@ -59,7 +59,7 @@
 //!   chunk's served ratio only, so the members of a cohort, which start
 //!   with equal bytes, stay bit-equal every round and complete in the
 //!   same round; the cohort's one update is exactly each member's.
-//! - Per-slot *demand* sums are integers in the same fixed-point units
+//! - Per-chunk *demand* sums are integers in the same fixed-point units
 //!   (`quantize_rate`, one rounding shared by both engines). A cohort
 //!   adds `count × quantize_rate(bytes)`, an integer product equal to
 //!   its members' separate terms, so the indexed engine's unordered
@@ -73,12 +73,12 @@
 //!   `u64 → f64` conversion both engines apply is exact (sums stay far
 //!   below 2^53).
 //! - Owner counts are integers, so their incremental maintenance is
-//!   exact; the mask-sparse kernels skip only slots whose demand is an
+//!   exact; the mask-sparse kernels skip only chunks whose demand is an
 //!   exact zero, which contributes nothing to any sum.
-//! - Round events (chunk completions, which draw from the shared RNG,
-//!   and wake-ups) are replayed in ascending peer order — the order the
-//!   reference scan encounters them — regardless of which cohort or
-//!   wheel bucket discovered them.
+//! - Round events (chunk completions, which draw from the shard's
+//!   behaviour RNG, and wake-ups) are replayed in ascending peer order —
+//!   the order the reference scan encounters them — regardless of which
+//!   cohort or wheel bucket discovered them.
 
 use cloudmedia_cloud::broker::Cloud;
 use cloudmedia_cloud::scheduler::ChunkKey;
@@ -96,7 +96,7 @@ use crate::faults::{FaultDriver, FaultRun};
 use crate::footprint::PeerFootprint;
 use crate::metrics::Metrics;
 use crate::peer::{Peer, PeerState, PendingChunk};
-use crate::segments::{self, Host, Site, Stages};
+use crate::segments::{self, Host, Site};
 use crate::telem;
 use crate::tracker::Tracker;
 
@@ -234,15 +234,15 @@ impl Simulator {
                 metrics: run.metrics,
                 fault_stats: run.fault_stats,
             }),
-            SimKernel::Scan | SimKernel::Indexed | SimKernel::Sharded => run_site(cfg, tel, None),
+            SimKernel::Scan | SimKernel::Indexed => run_site(cfg, tel, None),
         }
     }
 }
 
-/// Read-only per-round inputs the segment driver's shards hand their
+/// Read-only per-round inputs a shard of the segment driver hands its
 /// engine (`crate::segments`).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundCtx<'a> {
+pub(crate) struct RoundCtx {
     /// Round duration, seconds.
     pub(crate) step: f64,
     /// `1 / step`, precomputed for the demand quantization.
@@ -253,52 +253,42 @@ pub(crate) struct RoundCtx<'a> {
     pub(crate) eff: f64,
     /// True in P2P mode.
     pub(crate) p2p: bool,
-    /// `min(1, online/reserved)` scaling of per-channel reservations.
-    pub(crate) online_scale: f64,
-    /// Cloud bandwidth reserved per channel by the current plan, bytes/s.
-    pub(crate) channel_reserved: &'a [f64],
+    /// Cloud bandwidth the channel may use this round: its reservation
+    /// under the current plan times the site's `min(1, online/reserved)`
+    /// scale, bytes/s.
+    pub(crate) reserved: f64,
 }
 
-/// A per-round allocation engine: told about peer lifecycle events, asked
-/// once per round to run the allocation stage and to name the peers that
-/// can act this round. `Send` so the segment driver can step shards on
-/// the rayon pool.
+/// A per-round allocation engine for one channel: told about peer
+/// lifecycle events, asked once per round to run the allocation stage
+/// and to name the peers that can act this round. `Send` so the segment
+/// driver can step shards on the rayon pool.
 pub(crate) trait RoundEngine: Send {
-    /// A peer was appended at global index `idx` (always in the
-    /// `Downloading` state).
+    /// A peer was appended at index `idx` (always in the `Downloading`
+    /// state).
     fn on_join(&mut self, peers: &[Peer], idx: usize);
 
-    /// The peer at `idx` (watching `channel`) finished a chunk and added
-    /// it to its buffer.
-    fn on_buffer(&mut self, channel: usize, idx: usize, chunk: usize);
+    /// The peer at `idx` finished `chunk` and added it to its buffer.
+    fn on_buffer(&mut self, idx: usize, chunk: usize);
 
     /// The peer at `idx` started downloading `chunk` with `bytes_left`
-    /// to fetch by `deadline`: after a wake-up, or straight after a
-    /// completion.
-    fn on_download_started(
-        &mut self,
-        channel: usize,
-        idx: usize,
-        chunk: usize,
-        bytes_left: f64,
-        deadline: f64,
-    );
+    /// to fetch: after a wake-up, or straight after a completion.
+    fn on_download_started(&mut self, idx: usize, chunk: usize, bytes_left: f64);
 
-    /// The peer at `idx` (stable id `id`) stopped downloading and now
-    /// waits until `wake_at` (prefetch gate or playback drain before
-    /// departure).
-    fn on_download_stopped(&mut self, channel: usize, idx: usize, id: u64, wake_at: f64);
+    /// The peer at `idx` stopped downloading and now waits until
+    /// `wake_at` (prefetch gate or playback drain before departure).
+    fn on_download_stopped(&mut self, idx: usize, wake_at: f64);
 
     /// Called immediately before `peers.swap_remove(idx)` (the peer at
     /// the last index moves into `idx`).
     fn on_remove(&mut self, peers: &[Peer], idx: usize);
 
     /// Runs demand aggregation, P2P allocation, and cloud allocation for
-    /// one round; returns the total cloud rate used.
-    fn allocate(&mut self, peers: &[Peer], ctx: &RoundCtx<'_>) -> f64;
+    /// one round; returns the cloud rate used.
+    fn allocate(&mut self, peers: &[Peer], ctx: &RoundCtx) -> f64;
 
     /// Advances every in-flight download by one round (pro-rating each
-    /// peer's share of its slot's served rate, exactly as the original
+    /// peer's share of its chunk's served rate, exactly as the original
     /// scan did) and finds the waits that come due by `t1`. Indices of
     /// peers whose chunk completed go to `completed`; indices of due
     /// waiters go to `woken`; both sorted ascending. Downloads that did
@@ -307,7 +297,7 @@ pub(crate) trait RoundEngine: Send {
     fn advance_round(
         &mut self,
         peers: &mut [Peer],
-        ctx: &RoundCtx<'_>,
+        ctx: &RoundCtx,
         t1: f64,
         completed: &mut Vec<usize>,
         woken: &mut Vec<usize>,
@@ -326,49 +316,41 @@ pub(crate) trait RoundEngine: Send {
 // ----------------------------------------------------------------------
 
 /// Reference engine preserving the pre-index implementation: per round it
-/// rescans the entire peer population for demand, again for P2P upload
-/// state, and allocates fresh vectors for the cloud stage — exactly the
-/// allocation profile the indexed engine was built to eliminate.
+/// rescans the channel's entire peer population for demand, again for
+/// P2P upload state, and allocates fresh vectors for the cloud stage —
+/// exactly the allocation profile the indexed engine was built to
+/// eliminate.
 #[derive(Debug)]
 pub(crate) struct ScanEngine {
-    n_channels: usize,
-    max_chunks: usize,
     requested: Vec<f64>,
     peer_served: Vec<f64>,
     cloud_served: Vec<f64>,
-    rounds: Vec<ChannelRound>,
-    /// Fixed-point upload-pool accumulator per channel (rescanned every
+    round: ChannelRound,
+    /// Fixed-point owner-upload accumulator per chunk (rescanned every
     /// round; shared supply grid with the indexed engine).
-    pool_units: Vec<u64>,
-    /// Fixed-point owner-upload accumulator per slot.
     owner_units: Vec<u64>,
-    /// Fixed-point demand accumulator per slot.
+    /// Fixed-point demand accumulator per chunk.
     req_units: Vec<u64>,
-    /// Served-rate ratio per slot (recomputed each round).
+    /// Served-rate ratio per chunk (recomputed each round).
     ratio: Vec<f64>,
 }
 
 impl ScanEngine {
-    pub(crate) fn new(n_channels: usize, max_chunks: usize) -> Self {
-        let slots = n_channels * max_chunks;
+    /// An engine for a channel of `chunks` chunks.
+    pub(crate) fn new(chunks: usize) -> Self {
         Self {
-            n_channels,
-            max_chunks,
-            requested: vec![0.0; slots],
-            peer_served: vec![0.0; slots],
-            cloud_served: vec![0.0; slots],
-            rounds: (0..n_channels)
-                .map(|_| ChannelRound {
-                    requested_rate: vec![0.0; max_chunks],
-                    owners: vec![0; max_chunks],
-                    owner_upload: vec![0.0; max_chunks],
-                    upload_pool: 0.0,
-                })
-                .collect(),
-            pool_units: vec![0; n_channels],
-            owner_units: vec![0; slots],
-            req_units: vec![0; slots],
-            ratio: vec![0.0; slots],
+            requested: vec![0.0; chunks],
+            peer_served: vec![0.0; chunks],
+            cloud_served: vec![0.0; chunks],
+            round: ChannelRound {
+                requested_rate: vec![0.0; chunks],
+                owners: vec![0; chunks],
+                owner_upload: vec![0.0; chunks],
+                upload_pool: 0.0,
+            },
+            owner_units: vec![0; chunks],
+            req_units: vec![0; chunks],
+            ratio: vec![0.0; chunks],
         }
     }
 }
@@ -376,100 +358,74 @@ impl ScanEngine {
 impl RoundEngine for ScanEngine {
     fn on_join(&mut self, _peers: &[Peer], _idx: usize) {}
 
-    fn on_buffer(&mut self, _channel: usize, _idx: usize, _chunk: usize) {}
+    fn on_buffer(&mut self, _idx: usize, _chunk: usize) {}
 
-    fn on_download_started(
-        &mut self,
-        _channel: usize,
-        _idx: usize,
-        _chunk: usize,
-        _bytes_left: f64,
-        _deadline: f64,
-    ) {
-    }
+    fn on_download_started(&mut self, _idx: usize, _chunk: usize, _bytes_left: f64) {}
 
-    fn on_download_stopped(&mut self, _channel: usize, _idx: usize, _id: u64, _wake_at: f64) {}
+    fn on_download_stopped(&mut self, _idx: usize, _wake_at: f64) {}
 
     fn on_remove(&mut self, _peers: &[Peer], _idx: usize) {}
 
-    fn allocate(&mut self, peers: &[Peer], ctx: &RoundCtx<'_>) -> f64 {
-        let max_chunks = self.max_chunks;
-        let slots = self.n_channels * max_chunks;
+    fn allocate(&mut self, peers: &[Peer], ctx: &RoundCtx) -> f64 {
+        let chunks = self.requested.len();
 
         // --- Demand aggregation: full-population scan ---------------
-        self.req_units[..slots].iter_mut().for_each(|v| *v = 0);
+        self.req_units.fill(0);
         for p in peers {
             if let PeerState::Downloading {
                 chunk, bytes_left, ..
             } = p.state()
             {
-                self.req_units[p.channel() * max_chunks + chunk] +=
-                    quantize_rate(bytes_left, ctx.inv_step, ctx.vm_bandwidth);
+                self.req_units[chunk] += quantize_rate(bytes_left, ctx.inv_step, ctx.vm_bandwidth);
             }
         }
-        for (out, &units) in self.requested[..slots].iter_mut().zip(&self.req_units) {
+        for (out, &units) in self.requested.iter_mut().zip(&self.req_units) {
             *out = dequantize(units);
         }
 
         // --- Peer-side allocation (P2P only): second full scan ------
         if ctx.p2p {
-            for (c, round) in self.rounds.iter_mut().enumerate() {
-                round.owners.iter_mut().for_each(|v| *v = 0);
-                round
-                    .requested_rate
-                    .copy_from_slice(&self.requested[c * max_chunks..(c + 1) * max_chunks]);
-            }
-            self.pool_units.iter_mut().for_each(|v| *v = 0);
-            self.owner_units[..slots].iter_mut().for_each(|v| *v = 0);
+            let round = &mut self.round;
+            round.owners.fill(0);
+            round.requested_rate.copy_from_slice(&self.requested);
+            let mut pool_units = 0u64;
+            self.owner_units.fill(0);
             for p in peers {
-                let round = &mut self.rounds[p.channel()];
                 let usable = quantize_usable(p.upload_capacity, ctx.eff);
-                self.pool_units[p.channel()] += usable;
+                pool_units += usable;
                 let mut bits = p.buffer;
                 while bits != 0 {
                     let chunk = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if chunk < max_chunks {
+                    if chunk < chunks {
                         round.owners[chunk] += 1;
-                        self.owner_units[p.channel() * max_chunks + chunk] += usable;
+                        self.owner_units[chunk] += usable;
                     }
                 }
             }
-            for (c, round) in self.rounds.iter_mut().enumerate() {
-                round.upload_pool = dequantize(self.pool_units[c]);
-                for (k, out) in round.owner_upload.iter_mut().enumerate() {
-                    *out = dequantize(self.owner_units[c * max_chunks + k]);
-                }
+            round.upload_pool = dequantize(pool_units);
+            for (out, &units) in round.owner_upload.iter_mut().zip(&self.owner_units) {
+                *out = dequantize(units);
             }
-            for (c, round) in self.rounds.iter().enumerate() {
-                let served = peer_allocation(round);
-                self.peer_served[c * max_chunks..(c + 1) * max_chunks].copy_from_slice(&served);
-            }
+            self.peer_served = peer_allocation(round);
         } else {
-            self.peer_served[..slots].iter_mut().for_each(|v| *v = 0.0);
+            self.peer_served.fill(0.0);
         }
 
         // --- Cloud allocation over the residual demand ---------------
         // Fresh buffers every round, as the original implementation
         // allocated them.
-        let mut cloud_served = vec![0.0_f64; slots];
-        for c in 0..self.n_channels {
-            let span = c * max_chunks..(c + 1) * max_chunks;
-            let residual: Vec<f64> = span
-                .clone()
-                .map(|i| (self.requested[i] - self.peer_served[i]).max(0.0))
-                .collect();
-            let served = crate::allocation::allocate_pool(
-                &residual,
-                ctx.channel_reserved[c] * ctx.online_scale,
-            );
-            cloud_served[span].copy_from_slice(&served);
-        }
-        let used: f64 = cloud_served.iter().sum();
-        self.cloud_served = cloud_served;
-        for i in 0..slots {
-            self.ratio[i] = if self.requested[i] > 0.0 {
-                (self.peer_served[i] + self.cloud_served[i]) / self.requested[i]
+        let residual: Vec<f64> = self
+            .requested
+            .iter()
+            .zip(&self.peer_served)
+            .map(|(&req, &peer)| (req - peer).max(0.0))
+            .collect();
+        self.cloud_served = crate::allocation::allocate_pool(&residual, ctx.reserved);
+        let used: f64 = self.cloud_served.iter().sum();
+        for k in 0..chunks {
+            self.ratio[k] = if self.requested[k] > 0.0 {
+                (self.peer_served[k] + self.cloud_served[k]) / self.requested[k]
             } else {
                 0.0
             };
@@ -480,7 +436,7 @@ impl RoundEngine for ScanEngine {
     fn advance_round(
         &mut self,
         peers: &mut [Peer],
-        ctx: &RoundCtx<'_>,
+        ctx: &RoundCtx,
         t1: f64,
         completed: &mut Vec<usize>,
         woken: &mut Vec<usize>,
@@ -494,9 +450,8 @@ impl RoundEngine for ScanEngine {
                     bytes_left,
                     deadline,
                 } => {
-                    let slot = p.channel() * self.max_chunks + chunk;
                     let my_req = quantized_rate(bytes_left, ctx.inv_step, ctx.vm_bandwidth);
-                    let my_rate = my_req * self.ratio[slot];
+                    let my_rate = my_req * self.ratio[chunk];
                     let new_left = bytes_left - my_rate * ctx.step;
                     if new_left <= 1e-6 {
                         completed.push(idx);
@@ -538,7 +493,7 @@ const UNLINKED: u32 = u32::MAX - 1;
 /// rewrites one `peer` field.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    /// The peer's current global index.
+    /// The peer's current index.
     peer: u32,
     /// The next slot of the one list this slot is in — its download
     /// cohort's members while downloading, its wake bucket (or the
@@ -550,13 +505,13 @@ struct Slot {
 /// [`crate::footprint`].
 pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot>();
 
-/// A download cohort: in-flight downloads of one chunk in one lane that
-/// hold equal bytes-left. A download's advance is a function of its own
-/// bytes and its chunk's served ratio only, so downloads that enter a
-/// lane between one round's advance and the next round's allocation
-/// with equal bytes (every new download starts at the chunk size) move
-/// in lockstep and complete in the same round. The demand and advance
-/// passes therefore touch one record per cohort, not one per download.
+/// A download cohort: in-flight downloads of one chunk that hold equal
+/// bytes-left. A download's advance is a function of its own bytes and
+/// its chunk's served ratio only, so downloads that enter between one
+/// round's advance and the next round's allocation with equal bytes
+/// (every new download starts at the chunk size) move in lockstep and
+/// complete in the same round. The demand and advance passes therefore
+/// touch one record per cohort, not one per download.
 #[derive(Debug, Clone, Copy)]
 struct Cohort {
     /// Bytes each member still has to download.
@@ -569,18 +524,131 @@ struct Cohort {
     head: u32,
 }
 
-/// One channel's round state and scratch, owned by the indexed engine.
+/// Calendar wheel of waiting peers, bucketed by round. Pushing is O(1);
+/// each round drains exactly the buckets the clock passed. An entry more
+/// than one revolution ahead simply stays in its wrapped bucket until
+/// its own revolution comes around. Due-ness is always re-checked
+/// against the actual round clock, so bucket placement never changes
+/// behavior — only where an entry waits.
 ///
-/// All per-chunk vectors are sized `max_chunks` (≤ 64, so chunk sets are
-/// `u64` masks) at construction and reused for the entire run; the
-/// cohort list retains capacity across rounds, so a steady-state round
-/// performs no heap allocation. Peer supply (upload pool, per-chunk
-/// owner upload) lives in fixed-point integers maintained incrementally
-/// — there is no per-round membership walk.
+/// A bucket is a list of the waiters' slots threaded through
+/// [`Slot::next`], so a waiter costs the wheel nothing beyond the slot
+/// it already holds; wake times are read back through the `wake_of`
+/// lookup handed to [`WakeWheel::drain_due`] (they live on the waiting
+/// peers themselves).
 #[derive(Debug)]
-struct ChannelLane {
-    /// This channel's index (for `channel_reserved` lookup).
-    id: usize,
+struct WakeWheel {
+    /// Round duration (bucket width), seconds.
+    dt: f64,
+    /// `heads[b]` starts the list of slots whose
+    /// `floor(wake_at / dt) % LEN == b`.
+    heads: Vec<u32>,
+    /// Highest absolute bucket index already drained.
+    drained: i64,
+    /// Start of the list of entries drained early (same bucket, later in
+    /// the round window); re-checked next round.
+    pending: u32,
+}
+
+impl WakeWheel {
+    /// Bucket count. Every channel owns a wheel, so its fixed cost
+    /// multiplies by the catalog size. 256 buckets (~43 min at the
+    /// default 10 s round) cover every prefetch-gate wait and almost all
+    /// drain waits; longer waits wrap and are skipped once per
+    /// revolution, which never affects behavior — only where the entry
+    /// sits.
+    const LEN: usize = 256;
+
+    fn new(dt: f64) -> Self {
+        Self {
+            dt,
+            heads: vec![NIL; Self::LEN],
+            drained: -1,
+            pending: NIL,
+        }
+    }
+
+    fn abs_bucket(&self, wake_at: f64) -> i64 {
+        (wake_at / self.dt).floor() as i64
+    }
+
+    fn push(&mut self, slots: &mut [Slot], slot: u32, wake_at: f64) {
+        let b = self.abs_bucket(wake_at);
+        let head = if b <= self.drained {
+            // The wake falls inside a bucket the clock already passed
+            // this round (possible whenever wake times are not aligned
+            // to round boundaries, e.g. chunk_seconds not a multiple of
+            // round_seconds). The bucket will not be drained again for a
+            // full revolution, so park the entry in `pending`, which is
+            // re-checked at the start of every round.
+            &mut self.pending
+        } else {
+            &mut self.heads[b.rem_euclid(Self::LEN as i64) as usize]
+        };
+        let s = &mut slots[slot as usize];
+        debug_assert_eq!(s.next, UNLINKED, "a slot sits in one list at a time");
+        s.next = std::mem::replace(head, slot);
+    }
+
+    /// Moves every waiter whose wake time (per `wake_of`, given the peer
+    /// index) is `<= t1` into `due` as its peer index, unlinking its
+    /// slot.
+    fn drain_due(
+        &mut self,
+        t1: f64,
+        slots: &mut [Slot],
+        due: &mut Vec<usize>,
+        wake_of: impl Fn(u32) -> f64,
+    ) {
+        // Entries drained early in a previous pass.
+        let mut s = std::mem::replace(&mut self.pending, NIL);
+        while s != NIL {
+            let slot = &mut slots[s as usize];
+            let next = slot.next;
+            if wake_of(slot.peer) <= t1 {
+                due.push(slot.peer as usize);
+                slot.next = UNLINKED;
+            } else {
+                slot.next = std::mem::replace(&mut self.pending, s);
+            }
+            s = next;
+        }
+        let target = self.abs_bucket(t1);
+        while self.drained < target {
+            self.drained += 1;
+            let pos = self.drained.rem_euclid(Self::LEN as i64) as usize;
+            let mut s = std::mem::replace(&mut self.heads[pos], NIL);
+            while s != NIL {
+                let slot = &mut slots[s as usize];
+                let next = slot.next;
+                let wake_at = wake_of(slot.peer);
+                slot.next = if (wake_at / self.dt).floor() as i64 != self.drained {
+                    // A far-future collision (> one revolution ahead)
+                    // stays for a later pass.
+                    std::mem::replace(&mut self.heads[pos], s)
+                } else if wake_at <= t1 {
+                    due.push(slot.peer as usize);
+                    UNLINKED
+                } else {
+                    std::mem::replace(&mut self.pending, s)
+                };
+                s = next;
+            }
+        }
+    }
+}
+
+/// Production engine for one channel; see the module docs for the design
+/// and the bit-exactness argument.
+///
+/// All per-chunk vectors are sized to the channel's chunk count (≤ 64,
+/// so chunk sets are `u64` masks) at construction and reused for the
+/// entire run; the cohort list retains capacity across rounds, so a
+/// steady-state round performs no heap allocation. Peer supply (upload
+/// pool, per-chunk owner upload) lives in fixed-point integers
+/// maintained incrementally — there is no per-round membership walk.
+#[derive(Debug)]
+pub(crate) struct IndexedEngine {
     /// In-flight downloads as cohorts, in no particular order (every
     /// cross-download sum is fixed-point and therefore order-free).
     cohorts: Vec<Cohort>,
@@ -598,8 +666,8 @@ struct ChannelLane {
     /// Σ usable upload over the channel's members, fixed-point units
     /// (incremental).
     pool_units: u64,
-    /// Chunk slots written last processed round (cleared lazily at the
-    /// start of the next).
+    /// Chunks written last processed round (cleared lazily at the start
+    /// of the next).
     written_mask: u64,
     /// Requested download rate per chunk this round.
     requested: Vec<f64>,
@@ -617,33 +685,58 @@ struct ChannelLane {
     ratio: Vec<f64>,
     /// Sort scratch for the allocation kernels.
     order: Vec<usize>,
+    /// Usable-upload factor (`peer_efficiency`), applied once at join.
+    eff: f64,
+    /// Each connected peer's fixed-point usable upload, indexed by peer
+    /// index (mirrors `peers` across `swap_remove`). Packed to `u32`:
+    /// the grid is 1/1024 byte/s, so the cap is ~4 GB/s of usable upload
+    /// per peer — far beyond any residential uplink the workloads model
+    /// (joins assert it).
+    usable_units: Vec<u32>,
+    /// Each connected peer's slot in `slots`, indexed by peer index
+    /// (mirrors `peers` across `swap_remove`).
+    slot_of: Vec<u32>,
+    /// Every connected peer's [`Slot`]; the cohorts' member lists and
+    /// the wake wheel's buckets thread through it.
+    slots: Vec<Slot>,
+    /// Free `slots` entries available for reuse.
+    free_slots: Vec<u32>,
+    /// Waiting peers' slots, bucketed by wake round.
+    wheel: WakeWheel,
 }
 
-impl ChannelLane {
-    fn new(id: usize, max_chunks: usize) -> Self {
-        assert!(max_chunks <= 64, "chunk sets are u64 masks");
+impl IndexedEngine {
+    /// An engine for a channel of `chunks` chunks, with usable-upload
+    /// factor `eff` and rounds of `round_seconds`.
+    pub(crate) fn new(chunks: usize, eff: f64, round_seconds: f64) -> Self {
+        assert!(chunks <= 64, "chunk sets are u64 masks");
         Self {
-            id,
             cohorts: Vec::new(),
-            fresh: vec![NIL; max_chunks],
-            owners: vec![0; max_chunks],
-            owner_units: vec![0; max_chunks],
+            fresh: vec![NIL; chunks],
+            owners: vec![0; chunks],
+            owner_units: vec![0; chunks],
             pool_units: 0,
             written_mask: 0,
-            requested: vec![0.0; max_chunks],
-            peer_served: vec![0.0; max_chunks],
-            cloud_served: vec![0.0; max_chunks],
-            residual: vec![0.0; max_chunks],
-            owner_upload: vec![0.0; max_chunks],
-            ratio: vec![0.0; max_chunks],
+            requested: vec![0.0; chunks],
+            peer_served: vec![0.0; chunks],
+            cloud_served: vec![0.0; chunks],
+            residual: vec![0.0; chunks],
+            owner_upload: vec![0.0; chunks],
+            ratio: vec![0.0; chunks],
             order: Vec::new(),
+            eff,
+            usable_units: Vec::new(),
+            slot_of: Vec::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            wheel: WakeWheel::new(round_seconds),
         }
     }
 
     /// Links the download in `slot` (fetching `chunk`, `bytes` to go)
     /// into the cohort of `chunk` opened since the last advance, or
     /// opens one if there is none or its bytes differ.
-    fn join(&mut self, slots: &mut [Slot], slot: u32, chunk: usize, bytes: f64) {
+    fn join(&mut self, slot: u32, chunk: usize, bytes: f64) {
         let fresh = self.fresh[chunk] as usize;
         let at = if self.cohorts.get(fresh).is_some_and(|c| c.bytes == bytes) {
             fresh
@@ -658,13 +751,13 @@ impl ChannelLane {
             self.cohorts.len() - 1
         };
         let cohort = &mut self.cohorts[at];
-        let s = &mut slots[slot as usize];
+        let s = &mut self.slots[slot as usize];
         debug_assert_eq!(s.next, UNLINKED, "a slot sits in one list at a time");
         s.next = std::mem::replace(&mut cohort.head, slot);
         cohort.count += 1;
     }
 
-    /// Lazily clears last round's written slots; afterwards every
+    /// Lazily clears last round's written chunks; afterwards every
     /// per-chunk buffer is all-zero.
     fn clear_written(&mut self) {
         let mut m = self.written_mask;
@@ -679,17 +772,122 @@ impl ChannelLane {
         self.written_mask = 0;
     }
 
-    /// Fused per-round pass for this channel: demand aggregation over
-    /// the cohorts, fixed-point supply readback, and both allocation
-    /// kernels — all confined to the requested chunk slots, so per-round
-    /// cost scales with the cohorts rather than channel size, downloads
-    /// or chunk count.
-    fn process(&mut self, ctx: &RoundCtx<'_>) {
+    /// Advances the cohorts by one round, one update per cohort. A
+    /// cohort that completes appends its members' peer indices to
+    /// `completed` (order restored by the caller's sort) and unlinks
+    /// their slots. The requested rate is re-derived from `bytes` —
+    /// unchanged since the demand pass — with the identical
+    /// quantization. Downloads that enter after this advance open new
+    /// cohorts.
+    fn advance(&mut self, ctx: &RoundCtx, completed: &mut Vec<usize>) {
+        self.fresh.fill(NIL);
+        let (inv_step, vm_bandwidth, step) = (ctx.inv_step, ctx.vm_bandwidth, ctx.step);
+        let (ratio, slots) = (&self.ratio, &mut self.slots);
+        self.cohorts.retain_mut(|c| {
+            let my_rate = quantized_rate(c.bytes, inv_step, vm_bandwidth) * ratio[c.chunk as usize];
+            let new_left = c.bytes - my_rate * step;
+            if new_left <= 1e-6 {
+                let mut s = c.head;
+                while s != NIL {
+                    let slot = &mut slots[s as usize];
+                    completed.push(slot.peer as usize);
+                    s = std::mem::replace(&mut slot.next, UNLINKED);
+                }
+                false
+            } else {
+                c.bytes = new_left;
+                true
+            }
+        });
+    }
+}
+
+impl RoundEngine for IndexedEngine {
+    fn on_join(&mut self, peers: &[Peer], idx: usize) {
+        debug_assert_eq!(idx, peers.len() - 1, "joins append at the end");
+        let p = &peers[idx];
+        debug_assert_eq!(p.buffer, 0, "peers join with an empty buffer");
+        let usable = quantize_usable(p.upload_capacity, self.eff);
+        let packed = u32::try_from(usable)
+            .expect("peer upload exceeds the packed u32 supply grid (~4 GB/s)");
+        self.usable_units.push(packed);
+        let PeerState::Downloading {
+            chunk, bytes_left, ..
+        } = p.state()
+        else {
+            unreachable!("peers join downloading their start chunk");
+        };
+        let new_slot = Slot {
+            peer: idx as u32,
+            next: UNLINKED,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = new_slot;
+                slot
+            }
+            None => {
+                self.slots.push(new_slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.slot_of.push(slot);
+        self.pool_units += usable;
+        self.join(slot, chunk, bytes_left);
+    }
+
+    fn on_buffer(&mut self, idx: usize, chunk: usize) {
+        self.owners[chunk] += 1;
+        self.owner_units[chunk] += u64::from(self.usable_units[idx]);
+    }
+
+    fn on_download_started(&mut self, idx: usize, chunk: usize, bytes_left: f64) {
+        self.join(self.slot_of[idx], chunk, bytes_left);
+    }
+
+    fn on_download_stopped(&mut self, idx: usize, wake_at: f64) {
+        // `wake_at` is strictly in the future (gates and drains both
+        // check against `now` before waiting).
+        self.wheel.push(&mut self.slots, self.slot_of[idx], wake_at);
+    }
+
+    fn on_remove(&mut self, peers: &[Peer], idx: usize) {
+        let usable = u64::from(self.usable_units[idx]);
+        self.pool_units -= usable;
+        // Drop the departing peer's chunks from the owner aggregates —
+        // integer subtraction, so the running sums stay exact.
+        let mut bits = peers[idx].buffer;
+        while bits != 0 {
+            let chunk = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if chunk < self.owners.len() {
+                self.owners[chunk] -= 1;
+                self.owner_units[chunk] -= usable;
+            }
+        }
+        // The slot is in no list: only a waiter departs, in the round its
+        // wake drained (see `process_round_events`).
+        let slot = self.slot_of.swap_remove(idx);
+        debug_assert_eq!(self.slots[slot as usize].next, UNLINKED);
+        self.free_slots.push(slot);
+        self.usable_units.swap_remove(idx);
+        // `swap_remove` moved the peer at the last index into `idx`;
+        // re-key its slot. Nothing else is position-based.
+        if let Some(&moved) = self.slot_of.get(idx) {
+            self.slots[moved as usize].peer = idx as u32;
+        }
+    }
+
+    /// Fused per-round pass: demand aggregation over the cohorts,
+    /// fixed-point supply readback, and both allocation kernels — all
+    /// confined to the requested chunks, so per-round cost scales with
+    /// the cohorts rather than channel size, downloads or chunk count.
+    fn allocate(&mut self, _peers: &[Peer], ctx: &RoundCtx) -> f64 {
         self.clear_written();
         if self.cohorts.is_empty() {
-            // Nothing is requested: every output stays zero and the lane
-            // costs O(1) this round.
-            return;
+            // Nothing is requested: every output stays zero and the
+            // round costs O(1).
+            return 0.0;
         }
 
         // A cohort's members request the same quantized rate, so one
@@ -738,365 +936,22 @@ impl ChannelLane {
         }
         crate::allocation::allocate_pool_sparse(
             &self.residual,
-            ctx.channel_reserved[self.id] * ctx.online_scale,
+            ctx.reserved,
             &mut self.cloud_served,
             &mut self.order,
             req_mask,
         );
         // One division per requested chunk; the advance then costs a
-        // single multiply per cohort.
+        // single multiply per cohort. The used rate is one running sum
+        // over the written chunks in order — the same addition sequence
+        // as a dense sum, since the skipped chunks hold exact zeros.
+        let mut used = 0.0;
         let mut m = req_mask;
         while m != 0 {
             let k = m.trailing_zeros() as usize;
             m &= m - 1;
             self.ratio[k] = (self.peer_served[k] + self.cloud_served[k]) / self.requested[k];
-        }
-    }
-
-    /// Advances this lane's cohorts by one round, one update per cohort.
-    /// A cohort that completes appends its members' peer indices to
-    /// `completed` (order restored by the caller's global sort) and
-    /// unlinks their slots. The requested rate is re-derived from
-    /// `bytes` — unchanged since the demand pass — with the identical
-    /// quantization. Downloads that enter after this advance open new
-    /// cohorts.
-    fn advance(&mut self, ctx: &RoundCtx<'_>, slots: &mut [Slot], completed: &mut Vec<usize>) {
-        self.fresh.fill(NIL);
-        let (inv_step, vm_bandwidth, step) = (ctx.inv_step, ctx.vm_bandwidth, ctx.step);
-        let ratio = &self.ratio;
-        self.cohorts.retain_mut(|c| {
-            let my_rate = quantized_rate(c.bytes, inv_step, vm_bandwidth) * ratio[c.chunk as usize];
-            let new_left = c.bytes - my_rate * step;
-            if new_left <= 1e-6 {
-                let mut s = c.head;
-                while s != NIL {
-                    let slot = &mut slots[s as usize];
-                    completed.push(slot.peer as usize);
-                    s = std::mem::replace(&mut slot.next, UNLINKED);
-                }
-                false
-            } else {
-                c.bytes = new_left;
-                true
-            }
-        });
-    }
-}
-
-/// Calendar wheel of waiting peers, bucketed by round. Pushing is O(1);
-/// each round drains exactly the buckets the clock passed. An entry more
-/// than one revolution ahead (never at realistic wait lengths — gates
-/// wait minutes, drains at most a session's buffered playback) simply
-/// stays in its wrapped bucket until its own revolution comes around.
-/// Due-ness is always re-checked against the actual round clock, so
-/// bucket placement never changes behavior — only where an entry waits.
-///
-/// A bucket is a list of the waiters' slots threaded through
-/// [`Slot::next`], so a waiter costs the wheel nothing beyond the slot
-/// it already holds; wake times are read back through the `wake_of`
-/// lookup handed to [`WakeWheel::drain_due`] (they live on the waiting
-/// peers themselves).
-#[derive(Debug)]
-struct WakeWheel {
-    /// Round duration (bucket width), seconds.
-    dt: f64,
-    /// `heads[b]` starts the list of slots whose
-    /// `floor(wake_at / dt) % LEN == b`.
-    heads: Vec<u32>,
-    /// Highest absolute bucket index already drained.
-    drained: i64,
-    /// Start of the list of entries drained early (same bucket, later in
-    /// the round window); re-checked next round.
-    pending: u32,
-}
-
-impl WakeWheel {
-    /// One week of 10-second rounds is 60 480 buckets; 8192 (~22 h at the
-    /// default round) keeps the wheel compact while far exceeding any
-    /// prefetch-gate or drain wait.
-    const LEN: usize = 8192;
-
-    /// Bucket count for a single-channel shard's wheel: the sharded
-    /// engine owns one wheel *per channel*, so the full-size wheel's
-    /// fixed cost would multiply by thousands of channels. 256 buckets
-    /// (~43 min at the default round) still cover every prefetch-gate
-    /// wait and almost all drain waits; longer waits wrap and are
-    /// skipped once per revolution, which placement never affects
-    /// behavior — only where the entry sits.
-    const SHARD_LEN: usize = 256;
-
-    fn new(dt: f64, len: usize) -> Self {
-        Self {
-            dt,
-            heads: vec![NIL; len],
-            drained: -1,
-            pending: NIL,
-        }
-    }
-
-    fn abs_bucket(&self, wake_at: f64) -> i64 {
-        (wake_at / self.dt).floor() as i64
-    }
-
-    fn push(&mut self, slots: &mut [Slot], slot: u32, wake_at: f64) {
-        let b = self.abs_bucket(wake_at);
-        let head = if b <= self.drained {
-            // The wake falls inside a bucket the clock already passed
-            // this round (possible whenever wake times are not aligned
-            // to round boundaries, e.g. chunk_seconds not a multiple of
-            // round_seconds). The bucket will not be drained again for a
-            // full revolution, so park the entry in `pending`, which is
-            // re-checked at the start of every round.
-            &mut self.pending
-        } else {
-            let len = self.heads.len() as i64;
-            &mut self.heads[b.rem_euclid(len) as usize]
-        };
-        let s = &mut slots[slot as usize];
-        debug_assert_eq!(s.next, UNLINKED, "a slot sits in one list at a time");
-        s.next = std::mem::replace(head, slot);
-    }
-
-    /// Moves every waiter whose wake time (per `wake_of`, given the peer
-    /// index) is `<= t1` into `due` as its peer index, unlinking its
-    /// slot.
-    fn drain_due(
-        &mut self,
-        t1: f64,
-        slots: &mut [Slot],
-        due: &mut Vec<usize>,
-        wake_of: impl Fn(u32) -> f64,
-    ) {
-        // Entries drained early in a previous pass.
-        let mut s = std::mem::replace(&mut self.pending, NIL);
-        while s != NIL {
-            let slot = &mut slots[s as usize];
-            let next = slot.next;
-            if wake_of(slot.peer) <= t1 {
-                due.push(slot.peer as usize);
-                slot.next = UNLINKED;
-            } else {
-                slot.next = std::mem::replace(&mut self.pending, s);
-            }
-            s = next;
-        }
-        let target = self.abs_bucket(t1);
-        let len = self.heads.len() as i64;
-        while self.drained < target {
-            self.drained += 1;
-            let pos = self.drained.rem_euclid(len) as usize;
-            let mut s = std::mem::replace(&mut self.heads[pos], NIL);
-            while s != NIL {
-                let slot = &mut slots[s as usize];
-                let next = slot.next;
-                let wake_at = wake_of(slot.peer);
-                slot.next = if (wake_at / self.dt).floor() as i64 != self.drained {
-                    // A far-future collision (> one revolution ahead)
-                    // stays for a later pass.
-                    std::mem::replace(&mut self.heads[pos], s)
-                } else if wake_at <= t1 {
-                    due.push(slot.peer as usize);
-                    UNLINKED
-                } else {
-                    std::mem::replace(&mut self.pending, s)
-                };
-                s = next;
-            }
-        }
-    }
-}
-
-/// Production engine; see the module docs for the design and the
-/// bit-exactness argument.
-#[derive(Debug)]
-pub(crate) struct IndexedEngine {
-    lanes: Vec<ChannelLane>,
-    /// First global channel id this engine covers; `lanes[c - base]` is
-    /// channel `c`'s lane. 0 for the full-catalog single-site engine;
-    /// the sharded engine instantiates one one-channel engine per
-    /// channel with `base` = that channel's id.
-    base: usize,
-    max_chunks: usize,
-    /// Usable-upload factor (`peer_efficiency`), applied once at join.
-    eff: f64,
-    /// Each connected peer's fixed-point usable upload, indexed by
-    /// global peer index (mirrors `peers` across `swap_remove`).
-    /// Packed to `u32`: the grid is 1/1024 byte/s, so the cap is
-    /// ~4 GB/s of usable upload per peer — far beyond any residential
-    /// uplink the workloads model (joins assert it).
-    usable_units: Vec<u32>,
-    /// Each connected peer's slot in `slots`, indexed by global peer
-    /// index (mirrors `peers` across `swap_remove`).
-    slot_of: Vec<u32>,
-    /// Every connected peer's [`Slot`]; the cohorts' member lists and
-    /// the wake wheel's buckets thread through it.
-    slots: Vec<Slot>,
-    /// Free `slots` entries available for reuse.
-    free_slots: Vec<u32>,
-    /// Waiting peers' slots, bucketed by wake round.
-    wheel: WakeWheel,
-}
-
-impl IndexedEngine {
-    pub(crate) fn new(n_channels: usize, max_chunks: usize, eff: f64, round_seconds: f64) -> Self {
-        Self::with_base(
-            0,
-            n_channels,
-            max_chunks,
-            eff,
-            round_seconds,
-            WakeWheel::LEN,
-        )
-    }
-
-    /// An engine covering global channels `base .. base + n_channels`,
-    /// with a `wheel_len`-bucket wake wheel. Peers keep their global
-    /// channel ids, and [`RoundCtx::channel_reserved`] stays the global
-    /// per-channel slice.
-    fn with_base(
-        base: usize,
-        n_channels: usize,
-        max_chunks: usize,
-        eff: f64,
-        round_seconds: f64,
-        wheel_len: usize,
-    ) -> Self {
-        Self {
-            lanes: (0..n_channels)
-                .map(|c| ChannelLane::new(base + c, max_chunks))
-                .collect(),
-            base,
-            max_chunks,
-            eff,
-            usable_units: Vec::new(),
-            slot_of: Vec::new(),
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            wheel: WakeWheel::new(round_seconds, wheel_len),
-        }
-    }
-
-    /// A single-channel engine for one per-channel shard (Sharded), with
-    /// a [`WakeWheel::SHARD_LEN`]-bucket wheel.
-    pub(crate) fn for_shard(
-        channel: usize,
-        max_chunks: usize,
-        eff: f64,
-        round_seconds: f64,
-    ) -> Self {
-        Self::with_base(
-            channel,
-            1,
-            max_chunks,
-            eff,
-            round_seconds,
-            WakeWheel::SHARD_LEN,
-        )
-    }
-}
-
-impl RoundEngine for IndexedEngine {
-    fn on_join(&mut self, peers: &[Peer], idx: usize) {
-        debug_assert_eq!(idx, peers.len() - 1, "joins append at the end");
-        let p = &peers[idx];
-        debug_assert_eq!(p.buffer, 0, "peers join with an empty buffer");
-        let usable = quantize_usable(p.upload_capacity, self.eff);
-        let packed = u32::try_from(usable)
-            .expect("peer upload exceeds the packed u32 supply grid (~4 GB/s)");
-        self.usable_units.push(packed);
-        let PeerState::Downloading {
-            chunk, bytes_left, ..
-        } = p.state()
-        else {
-            unreachable!("peers join downloading their start chunk");
-        };
-        let new_slot = Slot {
-            peer: idx as u32,
-            next: UNLINKED,
-        };
-        let slot = match self.free_slots.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = new_slot;
-                slot
-            }
-            None => {
-                self.slots.push(new_slot);
-                (self.slots.len() - 1) as u32
-            }
-        };
-        self.slot_of.push(slot);
-        let lane = &mut self.lanes[p.channel() - self.base];
-        lane.pool_units += usable;
-        lane.join(&mut self.slots, slot, chunk, bytes_left);
-    }
-
-    fn on_buffer(&mut self, channel: usize, idx: usize, chunk: usize) {
-        let lane = &mut self.lanes[channel - self.base];
-        lane.owners[chunk] += 1;
-        lane.owner_units[chunk] += u64::from(self.usable_units[idx]);
-    }
-
-    fn on_download_started(
-        &mut self,
-        channel: usize,
-        idx: usize,
-        chunk: usize,
-        bytes_left: f64,
-        _deadline: f64,
-    ) {
-        self.lanes[channel - self.base].join(&mut self.slots, self.slot_of[idx], chunk, bytes_left);
-    }
-
-    fn on_download_stopped(&mut self, _channel: usize, idx: usize, _id: u64, wake_at: f64) {
-        // `wake_at` is strictly in the future (gates and drains both
-        // check against `now` before waiting).
-        self.wheel.push(&mut self.slots, self.slot_of[idx], wake_at);
-    }
-
-    fn on_remove(&mut self, peers: &[Peer], idx: usize) {
-        let removed = &peers[idx];
-        let lane = &mut self.lanes[removed.channel() - self.base];
-        let usable = u64::from(self.usable_units[idx]);
-        lane.pool_units -= usable;
-        // Drop the departing peer's chunks from the owner aggregates —
-        // integer subtraction, so the running sums stay exact.
-        let mut bits = removed.buffer;
-        while bits != 0 {
-            let chunk = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if chunk < self.max_chunks {
-                lane.owners[chunk] -= 1;
-                lane.owner_units[chunk] -= usable;
-            }
-        }
-        // The slot is in no list: only a waiter departs, in the round its
-        // wake drained (see `process_round_events`).
-        let slot = self.slot_of.swap_remove(idx);
-        debug_assert_eq!(self.slots[slot as usize].next, UNLINKED);
-        self.free_slots.push(slot);
-        self.usable_units.swap_remove(idx);
-        // `swap_remove` moved the peer at the last global index into
-        // `idx`; re-key its slot. Nothing else is position-based.
-        if let Some(&moved) = self.slot_of.get(idx) {
-            self.slots[moved as usize].peer = idx as u32;
-        }
-    }
-
-    fn allocate(&mut self, _peers: &[Peer], ctx: &RoundCtx<'_>) -> f64 {
-        for lane in &mut self.lanes {
-            lane.process(ctx);
-        }
-        // One running accumulator over channels in order, visiting only
-        // written slots — the same addition sequence as a dense flat sum,
-        // since the skipped slots hold exact zeros.
-        let mut used = 0.0;
-        for lane in &self.lanes {
-            let mut m = lane.written_mask;
-            while m != 0 {
-                let k = m.trailing_zeros() as usize;
-                m &= m - 1;
-                used += lane.cloud_served[k];
-            }
+            used += self.cloud_served[k];
         }
         used
     }
@@ -1104,14 +959,12 @@ impl RoundEngine for IndexedEngine {
     fn advance_round(
         &mut self,
         peers: &mut [Peer],
-        ctx: &RoundCtx<'_>,
+        ctx: &RoundCtx,
         t1: f64,
         completed: &mut Vec<usize>,
         woken: &mut Vec<usize>,
     ) {
-        for lane in &mut self.lanes {
-            lane.advance(ctx, &mut self.slots, completed);
-        }
+        self.advance(ctx, completed);
         completed.sort_unstable();
         // Wake times live on the waiting peers.
         self.wheel.drain_due(t1, &mut self.slots, woken, |peer| {
@@ -1127,10 +980,9 @@ impl RoundEngine for IndexedEngine {
     /// by the caller.
     fn resident_peer_bytes(&self) -> usize {
         use std::mem::size_of;
-        let cohorts: usize = self.lanes.iter().map(|l| l.cohorts.len()).sum();
         self.usable_units.len() * size_of::<u32>()
             + self.slot_of.len() * (size_of::<u32>() + SLOT_BYTES)
-            + cohorts * size_of::<Cohort>()
+            + self.cohorts.len() * size_of::<Cohort>()
     }
 }
 
@@ -1211,11 +1063,10 @@ impl OneSite<'_> {
     fn run<E: RoundEngine>(
         &mut self,
         mut site: Site<'_, E>,
-        stages: Stages,
         tel: &Telemetry,
         footprint: Option<&mut PeerFootprint>,
     ) -> Result<Metrics, SimError> {
-        segments::run(self.cfg, std::slice::from_mut(&mut site), self, stages, tel)?;
+        segments::run(self.cfg, std::slice::from_mut(&mut site), self, tel)?;
         self.faults.stats.shed_arrivals += site.shed();
         if let Some(out) = footprint {
             site.add_footprint(out);
@@ -1224,7 +1075,7 @@ impl OneSite<'_> {
     }
 }
 
-/// Runs a Scan, Indexed or Sharded configuration as one site, returning
+/// Runs a Scan or Indexed configuration as one site, returning
 /// the metrics plus the fault-plane counters and recording telemetry
 /// into `tel`; with `footprint`, also measures the end-of-run per-peer
 /// resident footprint (`crate::footprint`).
@@ -1246,9 +1097,8 @@ pub(crate) fn run_site(
         faults: FaultDriver::new(&cfg.faults),
     };
     let mut metrics = match cfg.kernel {
-        SimKernel::Scan => host.run(Site::scan(cfg)?, Stages::Rounds, tel, footprint)?,
-        SimKernel::Indexed => host.run(Site::indexed(cfg)?, Stages::Rounds, tel, footprint)?,
-        SimKernel::Sharded => host.run(Site::sharded(cfg)?, Stages::Shards, tel, footprint)?,
+        SimKernel::Scan => host.run(Site::scan(cfg)?, tel, footprint)?,
+        SimKernel::Indexed => host.run(Site::indexed(cfg)?, tel, footprint)?,
         SimKernel::EventDriven => unreachable!("the event-driven engine has its own loop"),
     };
     drop(run_span);
@@ -1364,7 +1214,7 @@ pub(crate) fn process_round_events<E: RoundEngine>(
             // Chunk complete at (approximately) t1.
             debug_assert!(!p.owns(chunk), "a chunk downloads at most once");
             p.add_to_buffer(chunk);
-            engine.on_buffer(p.channel(), idx, chunk);
+            engine.on_buffer(idx, chunk);
             if deadline.is_finite() {
                 if t1 > deadline {
                     p.record_stall(t1, t1 - deadline);
@@ -1398,14 +1248,12 @@ pub(crate) fn process_round_events<E: RoundEngine>(
             // leaves in the round its download completed.
             match p.state() {
                 PeerState::Waiting { wake_at, .. } => {
-                    engine.on_download_stopped(p.channel(), idx, p.id, wake_at);
+                    engine.on_download_stopped(idx, wake_at);
                 }
                 PeerState::Downloading {
-                    chunk,
-                    bytes_left,
-                    deadline,
+                    chunk, bytes_left, ..
                 } => {
-                    engine.on_download_started(p.channel(), idx, chunk, bytes_left, deadline);
+                    engine.on_download_started(idx, chunk, bytes_left);
                 }
             }
         } else {
@@ -1419,13 +1267,7 @@ pub(crate) fn process_round_events<E: RoundEngine>(
             match next {
                 Some(pending) => {
                     p.start_chunk(pending.chunk, chunk_bytes, pending.deadline);
-                    engine.on_download_started(
-                        p.channel(),
-                        idx,
-                        pending.chunk,
-                        chunk_bytes,
-                        pending.deadline,
-                    );
+                    engine.on_download_started(idx, pending.chunk, chunk_bytes);
                 }
                 None => removals.push(idx),
             }
@@ -1716,7 +1558,7 @@ mod tests {
         fn step<E: RoundEngine>(
             &mut self,
             engine: &mut E,
-            ctx: &RoundCtx<'_>,
+            ctx: &RoundCtx,
             t1: f64,
         ) -> (Vec<usize>, Vec<usize>) {
             let (mut completed, mut woken) = (Vec::new(), Vec::new());
@@ -1741,35 +1583,41 @@ mod tests {
         }
     }
 
-    /// Asserts the indexed engine's per-slot rates equal the scan
+    /// Asserts the indexed engine's per-chunk rates equal the scan
     /// engine's, bit for bit, after an allocation.
-    fn assert_rates_match(scan: &ScanEngine, indexed: &IndexedEngine, round: usize) {
-        let max_chunks = scan.max_chunks;
-        for (c, lane) in indexed.lanes.iter().enumerate() {
-            for k in 0..max_chunks {
-                let i = c * max_chunks + k;
-                for (what, want, got) in [
-                    ("requested", scan.requested[i], lane.requested[k]),
-                    ("peer_served", scan.peer_served[i], lane.peer_served[k]),
-                    ("cloud_served", scan.cloud_served[i], lane.cloud_served[k]),
-                ] {
-                    assert_eq!(
-                        want.to_bits(),
-                        got.to_bits(),
-                        "round {round}: {what}[{c}][{k}]"
-                    );
-                }
+    fn assert_rates_match(
+        scan: &ScanEngine,
+        indexed: &IndexedEngine,
+        channel: usize,
+        round: usize,
+    ) {
+        for k in 0..scan.requested.len() {
+            for (what, want, got) in [
+                ("requested", scan.requested[k], indexed.requested[k]),
+                ("peer_served", scan.peer_served[k], indexed.peer_served[k]),
+                (
+                    "cloud_served",
+                    scan.cloud_served[k],
+                    indexed.cloud_served[k],
+                ),
+            ] {
+                assert_eq!(
+                    want.to_bits(),
+                    got.to_bits(),
+                    "channel {channel}, round {round}: {what}[{k}]"
+                );
             }
         }
     }
 
-    /// On a large multi-channel population the indexed engine's
-    /// allocation and advance reproduce the reference engine's full
-    /// scans exactly, round after round: per-slot rates, used-rate sums,
-    /// and the completed and woken lists. The population joins in one
-    /// round, so its downloads form at most one cohort per (channel,
-    /// chunk); the completions then restart, wait and leave through the
-    /// shared event handler, opening new cohorts every round.
+    /// On a large population the indexed engine's allocation and advance
+    /// reproduce the reference engine's full scans exactly, round after
+    /// round: per-chunk rates, used rates, and the completed and woken
+    /// lists. Each channel drives its own Scan/Indexed pair, as the
+    /// driver's shards do. A channel's population joins in one round, so
+    /// its downloads form at most one cohort per chunk; the completions
+    /// then restart, wait and leave through the shared event handler,
+    /// opening new cohorts every round.
     #[test]
     fn large_population_allocation_is_bit_identical_to_scan() {
         use cloudmedia_workload::viewing::ViewingModel;
@@ -1778,10 +1626,8 @@ mod tests {
         let n_channels = 5;
         let max_chunks = 16;
         let n_peers = 17_408;
-        let mut scan = ScanEngine::new(n_channels, max_chunks);
-        let mut indexed = IndexedEngine::new(n_channels, max_chunks, 0.85, 10.0);
-        let mut peers: Vec<Peer> = Vec::new();
-        // Deterministic synthetic population with buffered history.
+        // Deterministic synthetic population with buffered history, by
+        // channel.
         let mut state = 0x1234_5678_u64;
         let mut next = || {
             state = state
@@ -1789,49 +1635,18 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
+        // One join per peer: id, start chunk, upload, buffered chunks.
+        type Join = (u64, usize, f64, Vec<usize>);
+        let mut population: Vec<Vec<Join>> = vec![Vec::new(); n_channels];
         for i in 0..n_peers {
             let channel = (next() as usize) % n_channels;
             let chunk = (next() as usize) % max_chunks;
             let upload = 1e4 + (next() % 100_000) as f64;
-            peers.push(Peer::new(
-                i as u64,
-                channel,
-                upload,
-                chunk,
-                Side::CHUNK_BYTES,
-                0.0,
-            ));
-            scan.on_join(&peers, i);
-            indexed.on_join(&peers, i);
-            for _ in 0..(next() % 6) {
-                let owned = (next() as usize) % max_chunks;
-                if owned != chunk && !peers[i].owns(owned) {
-                    peers[i].add_to_buffer(owned);
-                    scan.on_buffer(channel, i, owned);
-                    indexed.on_buffer(channel, i, owned);
-                }
-            }
+            let owned = (0..next() % 6)
+                .map(|_| (next() as usize) % max_chunks)
+                .collect();
+            population[channel].push((i as u64, chunk, upload, owned));
         }
-        for lane in &indexed.lanes {
-            let mut chunks: Vec<u32> = lane.cohorts.iter().map(|c| c.chunk).collect();
-            let n = chunks.len();
-            chunks.sort_unstable();
-            chunks.dedup();
-            assert_eq!(chunks.len(), n, "channel {}: one cohort per chunk", lane.id);
-        }
-        let members: u32 = indexed
-            .lanes
-            .iter()
-            .flat_map(|l| &l.cohorts)
-            .map(|c| c.count)
-            .sum();
-        assert_eq!(members as usize, n_peers);
-
-        // Reservations from starved to ample, so some cohorts trickle
-        // on while others complete within a round or two.
-        let channel_reserved: Vec<f64> = (0..n_channels)
-            .map(|c| 5.0e7 * 40f64.powi(c as i32))
-            .collect();
         let catalog = Catalog::zipf(
             n_channels,
             0.8,
@@ -1843,49 +1658,91 @@ mod tests {
             Side::CHUNK_SECONDS,
         )
         .unwrap();
-        // Each engine drives its own copy of the population through the
-        // shared event handler with identical RNG and tracker state.
-        let [mut a, mut b] = [(); 2].map(|()| Side {
-            peers: peers.clone(),
-            rng: StdRng::seed_from_u64(7),
-            tracker: Tracker::for_channels(&catalog, 0..n_channels).unwrap(),
-            catalog: &catalog,
-        });
-        let (mut completions, mut wakes) = (0, 0);
-        for round in 0..40 {
-            let ctx = RoundCtx {
-                step: 10.0,
-                inv_step: 0.1,
-                vm_bandwidth: 1.25e6,
-                eff: 0.85,
-                p2p: round % 2 == 0,
-                online_scale: 1.0,
-                channel_reserved: &channel_reserved,
-            };
-            let used_scan = scan.allocate(&a.peers, &ctx);
-            let used_indexed = indexed.allocate(&b.peers, &ctx);
-            assert_eq!(
-                used_scan.to_bits(),
-                used_indexed.to_bits(),
-                "round {round}: used"
-            );
-            assert_rates_match(&scan, &indexed, round);
 
-            let t1 = 10.0 * (round + 1) as f64;
-            let events = a.step(&mut scan, &ctx, t1);
-            assert_eq!(
-                events,
-                b.step(&mut indexed, &ctx, t1),
-                "round {round}: completed and woken lists"
-            );
-            completions += events.0.len();
-            wakes += events.1.len();
-            let ids = |p: &[Peer]| p.iter().map(|p| p.id).collect::<Vec<_>>();
-            assert_eq!(ids(&a.peers), ids(&b.peers), "round {round}: peers");
+        let (mut completions, mut wakes, mut departures) = (0, 0, 0);
+        for (channel, joins) in population.into_iter().enumerate() {
+            let mut scan = ScanEngine::new(max_chunks);
+            let mut indexed = IndexedEngine::new(max_chunks, 0.85, 10.0);
+            let mut peers: Vec<Peer> = Vec::new();
+            for (i, (id, chunk, upload, owned)) in joins.into_iter().enumerate() {
+                peers.push(Peer::new(
+                    id,
+                    channel,
+                    upload,
+                    chunk,
+                    Side::CHUNK_BYTES,
+                    0.0,
+                ));
+                scan.on_join(&peers, i);
+                indexed.on_join(&peers, i);
+                for owned in owned {
+                    if owned != chunk && !peers[i].owns(owned) {
+                        peers[i].add_to_buffer(owned);
+                        scan.on_buffer(i, owned);
+                        indexed.on_buffer(i, owned);
+                    }
+                }
+            }
+            let mut chunks: Vec<u32> = indexed.cohorts.iter().map(|c| c.chunk).collect();
+            let n = chunks.len();
+            chunks.sort_unstable();
+            chunks.dedup();
+            assert_eq!(chunks.len(), n, "channel {channel}: one cohort per chunk");
+            let members: u32 = indexed.cohorts.iter().map(|c| c.count).sum();
+            assert_eq!(members as usize, peers.len());
+
+            // Reservations from starved to ample across the channels, so
+            // some cohorts trickle on while others complete within a
+            // round or two.
+            let reserved = 5.0e7 * 40f64.powi(channel as i32);
+            // Each engine drives its own copy of the population through
+            // the shared event handler with identical RNG and tracker
+            // state.
+            let [mut a, mut b] = [(); 2].map(|()| Side {
+                peers: peers.clone(),
+                rng: StdRng::seed_from_u64(7 + channel as u64),
+                tracker: Tracker::for_channels(&catalog, channel..channel + 1).unwrap(),
+                catalog: &catalog,
+            });
+            for round in 0..40 {
+                let ctx = RoundCtx {
+                    step: 10.0,
+                    inv_step: 0.1,
+                    vm_bandwidth: 1.25e6,
+                    eff: 0.85,
+                    p2p: round % 2 == 0,
+                    reserved,
+                };
+                let used_scan = scan.allocate(&a.peers, &ctx);
+                let used_indexed = indexed.allocate(&b.peers, &ctx);
+                assert_eq!(
+                    used_scan.to_bits(),
+                    used_indexed.to_bits(),
+                    "channel {channel}, round {round}: used"
+                );
+                assert_rates_match(&scan, &indexed, channel, round);
+
+                let t1 = 10.0 * (round + 1) as f64;
+                let events = a.step(&mut scan, &ctx, t1);
+                assert_eq!(
+                    events,
+                    b.step(&mut indexed, &ctx, t1),
+                    "channel {channel}, round {round}: completed and woken lists"
+                );
+                completions += events.0.len();
+                wakes += events.1.len();
+                let ids = |p: &[Peer]| p.iter().map(|p| p.id).collect::<Vec<_>>();
+                assert_eq!(
+                    ids(&a.peers),
+                    ids(&b.peers),
+                    "channel {channel}, round {round}: peers"
+                );
+            }
+            departures += peers.len() - b.peers.len();
         }
         assert!(completions > n_peers, "only {completions} completions");
         assert!(wakes > 0, "nobody waited");
-        assert!(b.peers.len() < n_peers, "nobody left");
+        assert!(departures > 0, "nobody left");
     }
 
     /// Downloads that enter a channel in the same round with unequal
@@ -1893,8 +1750,8 @@ mod tests {
     /// engine completes it.
     #[test]
     fn unequal_bytes_never_share_a_cohort() {
-        let mut scan = ScanEngine::new(1, 4);
-        let mut indexed = IndexedEngine::new(1, 4, 0.85, 10.0);
+        let mut scan = ScanEngine::new(4);
+        let mut indexed = IndexedEngine::new(4, 0.85, 10.0);
         let mut peers = Vec::new();
         for i in 0..6 {
             let bytes = if i % 2 == 0 { 15e6 } else { 4e6 };
@@ -1908,8 +1765,7 @@ mod tests {
             vm_bandwidth: 1.25e6,
             eff: 0.85,
             p2p: false,
-            online_scale: 1.0,
-            channel_reserved: &[1e9],
+            reserved: 1e9,
         };
         let mut completions = Vec::new();
         for round in 0..3 {
@@ -1925,8 +1781,8 @@ mod tests {
                     next: None,
                     wake_at: 1e9,
                 });
-                scan.on_download_stopped(0, idx, idx as u64, 1e9);
-                indexed.on_download_stopped(0, idx, idx as u64, 1e9);
+                scan.on_download_stopped(idx, 1e9);
+                indexed.on_download_stopped(idx, 1e9);
             }
             completions.push(events[0].0.clone());
         }

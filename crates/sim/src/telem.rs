@@ -17,12 +17,13 @@ use cloudmedia_telemetry::{Kind, MetricId, Spec, Telemetry};
 
 use crate::faults::FaultStats;
 
-/// Round-sampling period for the round-stage lap clocks of a Scan or
-/// Indexed run's one shard: one round in this many (counted from the
-/// start of the run) is timed and the laps are scaled by the period.
-/// 17 keeps
-/// the per-round telemetry cost to a fraction of a clock read while
-/// still sampling thousands of rounds on any multi-hour horizon.
+/// Round-sampling period for the round-stage lap clocks of an inline
+/// segment's shards: in one round in this many (counted from the start
+/// of the run) one of the segment's `n` shards — picked by a hash of the
+/// round index — times its stages, and its laps are scaled by the period
+/// times `n`. 17 keeps the per-round telemetry cost to a fraction of a
+/// clock read, however many channels step inline, while still sampling
+/// thousands of rounds on any multi-hour horizon.
 ///
 /// The period must stay co-prime with the round counts of the
 /// simulation's own periodic structure — above all the provisioning
@@ -59,16 +60,19 @@ const fn h(name: &'static str, unit: &'static str) -> Spec {
 ///
 /// Every round-engine run steps on the segment driver, which laps
 /// `stage/provisioning`, `stage/cloud`, `stage/reduce` and
-/// `stage/sampling` once per segment of rounds, unsampled, and times
-/// its fan-out as `stage/shard_step` (Sharded) or `stage/region_step`
-/// (the federation). A Scan or Indexed run's one shard instead times
-/// its own round stages (`stage/arrivals` … `stage/events`, and
-/// `stage/sampling` for its sample partials) as sampled estimates: one
-/// round in [`STAGE_TIME_SAMPLE`], scaled by the period (see
+/// `stage/sampling` once per segment of rounds, unsampled. How it times
+/// the shards' work depends on how the segment stepped (the driver's
+/// two rules, `crate::segments`): a segment fanned out over the pool is
+/// one stage, `stage/shard_step` for a single site or
+/// `stage/region_step` for the federation; an inline segment's shards
+/// instead time their own round stages (`stage/arrivals` …
+/// `stage/events`, and `stage/sampling` for their sample partials) as
+/// sampled estimates: one shard in one round in [`STAGE_TIME_SAMPLE`],
+/// scaled by the period times the shard count (see
 /// [`Telemetry::stage_clock_sampled`]), so a clock read per stage
-/// boundary is paid on ~6 % of rounds instead of all of them. No stage
-/// counter nests inside another. The DES engine times its event loop as
-/// one unsampled stage.
+/// boundary is paid on ~6 % of rounds, on one shard, instead of on
+/// every shard of every round. No stage counter nests inside another.
+/// The DES engine times its event loop as one unsampled stage.
 pub const SPECS: &[Spec] = &[
     c("stage/provisioning", "ns"),
     c("stage/arrivals", "ns"),
@@ -211,13 +215,13 @@ pub const RUN_WALL: MetricId = MetricId(38);
 /// `prov/interval` — one whole provisioning boundary (trace span; the
 /// stage counter equivalent is `stage/provisioning`).
 pub const PROV_INTERVAL: MetricId = MetricId(39);
-/// `stage/shard_step` — a Sharded run's segment fan-out (arrivals,
+/// `stage/shard_step` — a single site's fanned-out segments (arrivals,
 /// allocation, advance, events and sample partials happen inside the
-/// shards, so the sharded profile reports them as one stage).
+/// shards on the pool, so the profile reports them as one stage).
 pub const STAGE_SHARD_STEP: MetricId = MetricId(40);
-/// `stage/region_step` — the federated simulator's segment fan-out over
-/// every shard of every region (arrivals, allocation, advance, events
-/// and sample partials).
+/// `stage/region_step` — the federated simulator's fanned-out segments
+/// over every shard of every region (arrivals, allocation, advance,
+/// events and sample partials).
 pub const STAGE_REGION_STEP: MetricId = MetricId(41);
 /// `hist/lane_wall_ns` — always empty. The sub-channel lane fan-out
 /// that observed its per-lane wall times here was removed (a shard

@@ -7,7 +7,7 @@
 //! 1. an *empty* schedule must reduce `run_with_faults` bit-exactly to
 //!    the plain `run` with all-zero fault counters, and
 //! 2. a *faulted* run must be bit-identical under serial and parallel
-//!    execution — on the Sharded channel-parallel engine and on the
+//!    execution — on the channel-parallel round engine and on the
 //!    federated region-parallel simulator alike.
 //!
 //! On top of the determinism pins, this suite checks the headline fault
@@ -49,7 +49,7 @@ fn window_quality(m: &Metrics, from: f64, to: f64) -> f64 {
 
 #[test]
 fn empty_schedule_reduces_to_the_plain_run() {
-    for kernel in [SimKernel::Scan, SimKernel::Indexed, SimKernel::Sharded] {
+    for kernel in [SimKernel::Scan, SimKernel::Indexed] {
         let cfg = small_cfg(kernel, 6.0);
         let plain = Simulator::new(cfg.clone()).unwrap().run().unwrap();
         let faulted = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
@@ -68,7 +68,7 @@ fn empty_schedule_reduces_to_the_plain_run() {
 #[test]
 fn faulted_sharded_run_is_bit_identical_serial_vs_parallel() {
     let horizon = 10.0 * 3600.0;
-    let mut cfg = small_cfg(SimKernel::Sharded, 10.0);
+    let mut cfg = small_cfg(SimKernel::Indexed, 10.0);
     cfg.faults = combined_schedule(horizon);
     cfg.faults.degrade = DegradeMode::ShedNewArrivals;
 
@@ -128,46 +128,58 @@ fn vm_outage_dents_quality_and_the_repair_restores_it() {
     // Mid-interval burst: the dent is visible until the repair (at
     // `at + recovery`, still before the next hourly re-plan at 5 h).
     let (at, recovery) = (4.25 * 3600.0, 0.5 * 3600.0);
-    let cfg = small_cfg(SimKernel::Indexed, hours);
-    let baseline = Simulator::new(cfg.clone()).unwrap().run().unwrap();
+    // After the repair the faulted and baseline runs of this ~100-viewer
+    // population follow different trajectories, and one integer-VM plan
+    // on a diurnal ramp moves a single run's window mean by ~0.01
+    // either way. The recovery check therefore averages five
+    // consecutive behaviour seeds; the dent is checked on each.
+    const SEEDS: u64 = 5;
+    let (mut after_fault, mut after_base) = (0.0, 0.0);
+    for k in 0..SEEDS {
+        let mut cfg = small_cfg(SimKernel::Indexed, hours);
+        cfg.behaviour_seed += k;
+        let baseline = Simulator::new(cfg.clone()).unwrap().run().unwrap();
 
-    let mut faulted_cfg = cfg;
-    faulted_cfg.faults = FaultSchedule::vm_outage(at, 0.6, recovery);
-    let faulted = Simulator::new(faulted_cfg)
-        .unwrap()
-        .run_with_faults()
-        .unwrap();
+        let mut faulted_cfg = cfg;
+        faulted_cfg.faults = FaultSchedule::vm_outage(at, 0.6, recovery);
+        let faulted = Simulator::new(faulted_cfg)
+            .unwrap()
+            .run_with_faults()
+            .unwrap();
 
-    assert!(
-        faulted.fault_stats.vms_killed > 0,
-        "the burst killed instances"
-    );
-    assert!(
-        faulted.fault_stats.vms_recovered > 0,
-        "the repair resubmitted them"
-    );
+        assert!(
+            faulted.fault_stats.vms_killed > 0,
+            "the burst killed instances"
+        );
+        assert!(
+            faulted.fault_stats.vms_recovered > 0,
+            "the repair resubmitted them"
+        );
 
-    let during_fault = window_quality(&faulted.metrics, at, at + recovery);
-    let during_base = window_quality(&baseline, at, at + recovery);
-    assert!(
-        during_fault < during_base - 0.01,
-        "outage dents quality: {during_fault:.4} vs baseline {during_base:.4}"
-    );
-    // After the repair (plus one provisioning interval of slack) the
-    // faulted run is back at baseline quality.
-    let after_fault = window_quality(&faulted.metrics, at + recovery + 3600.0, hours * 3600.0);
-    let after_base = window_quality(&baseline, at + recovery + 3600.0, hours * 3600.0);
+        let during_fault = window_quality(&faulted.metrics, at, at + recovery);
+        let during_base = window_quality(&baseline, at, at + recovery);
+        assert!(
+            during_fault < during_base - 0.01,
+            "seed +{k}: outage dents quality: {during_fault:.4} vs baseline {during_base:.4}"
+        );
+        // After the repair (plus one provisioning interval of slack).
+        let after = at + recovery + 3600.0;
+        after_fault += window_quality(&faulted.metrics, after, hours * 3600.0) / SEEDS as f64;
+        after_base += window_quality(&baseline, after, hours * 3600.0) / SEEDS as f64;
+
+        // The resilience report sees the same story.
+        let report =
+            ResilienceReport::from_runs(&baseline, &faulted.metrics, at, faulted.fault_stats);
+        assert!(report.dip_depth > 0.0, "seed +{k}: report records a dip");
+        assert!(
+            report.time_to_recover_seconds < (hours * 3600.0 - at),
+            "seed +{k}: report records recovery within the horizon"
+        );
+    }
+    // The faulted runs are back at baseline quality.
     assert!(
         after_fault > after_base - 0.005,
         "quality recovers: {after_fault:.4} vs baseline {after_base:.4}"
-    );
-
-    // The resilience report sees the same story.
-    let report = ResilienceReport::from_runs(&baseline, &faulted.metrics, at, faulted.fault_stats);
-    assert!(report.dip_depth > 0.0, "report records a dip");
-    assert!(
-        report.time_to_recover_seconds < (hours * 3600.0 - at),
-        "report records recovery within the horizon"
     );
 }
 

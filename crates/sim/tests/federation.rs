@@ -23,7 +23,7 @@
 //! ordering (and the presence of redirected traffic) on the default
 //! three-site week so `cargo test` keeps it honest PR to PR.
 
-use cloudmedia_sim::config::{SimKernel, SimMode};
+use cloudmedia_sim::config::SimMode;
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 
 fn run(kind: DeploymentKind, hours: f64) -> cloudmedia_sim::federation::FederatedMetrics {
@@ -113,24 +113,15 @@ fn federated_viewers_see_the_same_demand_as_independent() {
     }
 }
 
+/// The federated simulator fans its regions out on the rayon pool;
+/// shards share no accumulator inside a segment and every coupling
+/// happens at a barrier, so the parallel execution must reproduce the
+/// serial one exactly — every float bit of every region's metrics.
 #[test]
 fn parallel_and_serial_region_execution_are_bit_identical() {
-    for kernel in [SimKernel::Indexed, SimKernel::Sharded] {
-        parallel_and_serial_are_bit_identical(kernel);
-    }
-}
-
-/// The federated simulator fans every shard of every region out on the
-/// rayon pool; shards share no accumulator inside a segment and every
-/// coupling happens at a barrier, so the parallel execution must
-/// reproduce the serial one exactly — every float bit of every region's
-/// metrics — whether a region is one Indexed shard or one shard per
-/// channel.
-fn parallel_and_serial_are_bit_identical(kernel: SimKernel) {
     const HOURS: f64 = 8.0;
     let mut serial_cfg =
         FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, HOURS);
-    serial_cfg.base.kernel = kernel;
     serial_cfg.base.parallel_channels = false;
     let mut parallel_cfg = serial_cfg.clone();
     parallel_cfg.base.parallel_channels = true;
@@ -152,14 +143,29 @@ fn parallel_and_serial_are_bit_identical(kernel: SimKernel) {
     );
     assert_eq!(serial.per_region.len(), parallel.per_region.len());
     for (s, p) in serial.per_region.iter().zip(&parallel.per_region) {
-        assert_eq!(
-            s.metrics, p.metrics,
-            "{kernel:?}: region {} diverged",
-            s.region.name
-        );
+        assert_eq!(s.metrics, p.metrics, "region {} diverged", s.region.name);
         assert_eq!(s.cloud_bytes.to_bits(), p.cloud_bytes.to_bits());
         assert_eq!(s.redirected_bytes.to_bits(), p.redirected_bytes.to_bits());
     }
+}
+
+/// Every region steps one shard per channel: its samples split by
+/// channel, and the channel counts add up to the region's viewers.
+#[test]
+fn federation_runs_one_shard_per_channel_in_every_region() {
+    let fc = FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, 2.0);
+    let channels = fc.base.catalog.len();
+    let m = FederatedSimulator::new(fc).unwrap().run().unwrap();
+    assert_eq!(m.per_region.len(), 3);
+    for r in &m.per_region {
+        assert_eq!(r.metrics.intervals.len(), 2, "one record per hour");
+        for s in &r.metrics.samples {
+            assert_eq!(s.per_channel_peers.len(), channels);
+            assert_eq!(s.per_channel_peers.iter().sum::<usize>(), s.active_peers);
+        }
+    }
+    assert!(m.peak_peers() > 0, "viewers showed up");
+    assert!(m.mean_quality() > 0.9, "quality {}", m.mean_quality());
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! Golden-run pinning for the giant-channel flash-crowd scenario: a
 //! committed single-channel config with a sharp arrival bump, plus the
-//! exact `Metrics` JSON each engine family must reproduce —
-//! Scan/Indexed share one golden (they are bit-identical by contract),
-//! the sharded engine has its own (different per-channel RNG streams,
-//! same process). Any change to allocation arithmetic, RNG consumption
-//! order, the packed peer layout's semantics, or the download cohorts
-//! shows up here as a diff against a checked-in file.
+//! exact `Metrics` JSON both round engines must reproduce (Scan and
+//! Indexed are bit-identical by contract). Any change to allocation
+//! arithmetic, RNG consumption order, the packed peer layout's
+//! semantics, or the download cohorts shows up here as a diff against a
+//! checked-in file.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -111,14 +110,5 @@ fn round_engines_match_the_flash_crowd_golden() {
     let indexed = run(fixture_config(), SimKernel::Indexed);
     assert_eq!(scan, indexed, "Scan and Indexed diverged");
     assert!(scan.peak_peers() > 0, "the scenario exercised nobody");
-    assert_matches_golden(&scan, "flash_crowd_round_engines.json");
-}
-
-/// The sharded engine (parallel) matches its own golden — pinning the
-/// giant-channel shard path end to end.
-#[test]
-fn sharded_engine_matches_the_flash_crowd_golden() {
-    let sharded = run(fixture_config(), SimKernel::Sharded);
-    assert!(sharded.peak_peers() > 0, "the scenario exercised nobody");
-    assert_matches_golden(&sharded, "flash_crowd_sharded.json");
+    assert_matches_golden(&indexed, "flash_crowd_metrics.json");
 }

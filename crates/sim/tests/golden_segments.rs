@@ -1,11 +1,11 @@
-//! Golden pinning of the parallel engines' segment boundaries.
+//! Golden pinning of the round engines' segment boundaries.
 //!
-//! The Sharded engine and the federated simulator step their shards and
+//! The round engines and the federated simulator step their shards and
 //! regions through whole segments of rounds between synchronization
 //! points (`docs/SCALING.md`, "Segments"). The serial ≡ parallel suites
 //! cannot see an ordering change that both paths share, and every other
 //! golden runs fault-free on aligned 10 s / 300 s / 3600 s intervals, so
-//! this suite pins sixteen runs whose boundaries never line up:
+//! this suite pins twelve runs whose boundaries never line up:
 //!
 //! - 7 s rounds, 95 s samples, 1000 s provisioning intervals, and a
 //!   horizon that ends 3 s into a round;
@@ -16,13 +16,12 @@
 //!   3 h 10 min 13 s lasting 1.5 h + 11 s, so both emergency re-plans
 //!   fire between boundaries.
 //!
-//! The runs are Sharded client–server and P2P on a 6-channel Zipf
-//! catalog, the same single-site runs on the Indexed, event-driven and
-//! Scan engines, the paper-default federated, independent and central
-//! deployments in both modes on Indexed regions (the central
-//! deployment's one region has no site 1, so it runs the single-site
-//! schedule only), and the federated deployment on Sharded regions.
-//! Every engine's hourly control path is therefore pinned under faults.
+//! The runs are client–server and P2P on a 6-channel Zipf catalog on the
+//! Indexed, event-driven and Scan engines, and the paper-default
+//! federated, independent and central deployments in both modes on
+//! Indexed regions (the central deployment's one region has no site 1,
+//! so it runs the single-site schedule only). Every engine's hourly
+//! control path is therefore pinned under faults.
 //! Floats are recorded as IEEE-754 bit patterns; each interval's
 //! samples and per-channel vectors are recorded as a count plus an
 //! FNV-1a digest of every bit pattern, which keeps the fixture small
@@ -228,8 +227,7 @@ fn fault_line(out: &mut String, label: &str, s: &FaultStats) {
 fn runs() -> (String, Vec<(String, FaultStats)>) {
     let mut out = String::new();
     let mut stats = Vec::new();
-    let (indexed, sharded) = (SimKernel::Indexed, SimKernel::Sharded);
-    single_site_runs(&mut out, &mut stats, "sharded", sharded);
+    let indexed = SimKernel::Indexed;
     deployment_runs(
         &mut out,
         &mut stats,
@@ -253,13 +251,6 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         "central",
         DeploymentKind::Central,
         indexed,
-    );
-    deployment_runs(
-        &mut out,
-        &mut stats,
-        "federated_sharded",
-        DeploymentKind::Federated,
-        sharded,
     );
     (out, stats)
 }
@@ -362,8 +353,8 @@ fn golden_covers_every_boundary_kind() {
     let (_, stats) = runs();
     assert_eq!(
         stats.len(),
-        16,
-        "eight engines or deployments, two modes each"
+        12,
+        "six engines or deployments, two modes each"
     );
     for (label, s) in &stats {
         assert!(s.fallback_intervals > 0, "{label}: blackout never replayed");

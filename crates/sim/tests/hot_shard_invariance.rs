@@ -1,4 +1,4 @@
-//! The hot-shard determinism contract: a Sharded run whose population
+//! The hot-shard determinism contract: a run whose population
 //! sits on a few hot channels — down to one giant channel, the
 //! flash-crowd shape — is bit-identical serial and parallel, on any
 //! number of pool threads, with or without an active fault plane.
@@ -9,16 +9,19 @@
 //! folds every cross-shard sum in fixed shard order. CI drives this
 //! suite under several `RAYON_NUM_THREADS` settings; the thread count
 //! is pool-global per process, which is why it is an environment axis
-//! rather than a proptest parameter.
+//! rather than a proptest parameter. These sites stay below
+//! `FAN_OUT_MIN_PEERS` (5,000 viewers), so they step inline with the
+//! knob on or off; `sharding.rs`'s scale smoke and the segment driver's
+//! unit tests pin the pool fan-out itself.
 
-use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::faults::FaultSchedule;
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::ViewingModel;
 use proptest::prelude::*;
 
-/// A sharded configuration with few, hot channels.
+/// A configuration with few, hot channels.
 fn hot_config(
     mode: SimMode,
     channels: usize,
@@ -38,7 +41,6 @@ fn hot_config(
     cfg.trace.horizon_seconds = 3.0 * 3600.0;
     cfg.trace.seed = trace_seed;
     cfg.behaviour_seed = behaviour_seed;
-    cfg.kernel = SimKernel::Sharded;
     cfg
 }
 

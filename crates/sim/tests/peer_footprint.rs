@@ -1,7 +1,7 @@
 //! Differential memory regression: the scale-out story rests on small
 //! per-viewer resident state, and this suite pins it two ways — the
 //! analytic worst case computed from real type layouts, and a measured
-//! end-of-run footprint from a live sharded flash-crowd run. Either
+//! end-of-run footprint from a live flash-crowd run. Either
 //! assertion fails the moment a per-peer field grows past the budget.
 
 use cloudmedia_sim::config::{SimConfig, SimMode};

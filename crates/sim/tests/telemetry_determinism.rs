@@ -1,6 +1,6 @@
 //! Telemetry is a pure side channel: enabling the metrics registry (or
 //! the trace sink on top of it) must not change a single bit of any
-//! simulation result. This suite pins that contract for all four
+//! simulation result. This suite pins that contract for all three
 //! kernels and for the federated simulator in both its serial and
 //! parallel region-execution modes.
 //!
@@ -11,7 +11,8 @@
 //! simulation (not just measurement) logic. Both would show up here as
 //! a metrics mismatch. The last tests pin what the round-loop counters
 //! read: non-zero, equal between serial and parallel federated runs and
-//! between Scan and Indexed, and `peers_peak` summed per sample.
+//! between Scan and Indexed, `peers_peak` summed per sample, and which
+//! stages a run times inline and which as one fan-out stage.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::federation::{
@@ -81,7 +82,7 @@ fn event_driven_kernel_is_telemetry_invariant() {
 #[test]
 fn sharded_kernel_is_telemetry_invariant_serial_and_parallel() {
     for parallel in [false, true] {
-        let mut cfg = config(SimKernel::Sharded, SimMode::ClientServer);
+        let mut cfg = config(SimKernel::Indexed, SimMode::ClientServer);
         cfg.parallel_channels = parallel;
         assert_single_site_deterministic(cfg);
     }
@@ -210,7 +211,7 @@ fn scan_and_indexed_record_equal_event_counts() {
 /// `peak_peers()` rather than, say, the end-of-run population.
 #[test]
 fn peers_peak_gauge_is_the_sampled_high_water_mark() {
-    for kernel in [SimKernel::Scan, SimKernel::Indexed, SimKernel::Sharded] {
+    for kernel in [SimKernel::Scan, SimKernel::Indexed] {
         let tel = telem::new_registry(false);
         let run = Simulator::new(config(kernel, SimMode::P2p))
             .unwrap()
@@ -243,5 +244,39 @@ fn peers_peak_gauge_is_the_sampled_high_water_mark() {
         tel.snapshot().value(telem::PEERS_PEAK),
         m.peak_peers() as u64,
         "federated"
+    );
+}
+
+/// The segment driver's two rules, read from the counters (never from
+/// timing). A paper-scale site holds fewer than 5,000 viewers, so it
+/// steps inline and its shards time their own round stages; a
+/// 200k-viewer site on 400 channels fans its shards out, and each such
+/// segment is timed as one `stage/shard_step`.
+#[test]
+fn small_sites_time_round_stages_and_large_ones_the_shard_step() {
+    let mut paper = SimConfig::paper_default(SimMode::P2p);
+    paper.trace.horizon_seconds = 24.0 * 3600.0;
+    let tel = telem::new_registry(false);
+    Simulator::new(paper)
+        .unwrap()
+        .run_with_telemetry(&tel)
+        .unwrap();
+    let snap = tel.snapshot();
+    assert!(snap.value(telem::STAGE_ALLOCATION) > 0, "paper: allocation");
+    assert!(snap.value(telem::STAGE_ADVANCE) > 0, "paper: advance");
+    assert_eq!(snap.value(telem::STAGE_SHARD_STEP), 0, "paper: shard step");
+
+    let mut large = SimConfig::scale_out(SimMode::ClientServer, 400, 200_000.0).unwrap();
+    large.trace.horizon_seconds = 3600.0;
+    let tel = telem::new_registry(false);
+    Simulator::new(large)
+        .unwrap()
+        .run_with_telemetry(&tel)
+        .unwrap();
+    let snap = tel.snapshot();
+    assert!(snap.value(telem::STAGE_SHARD_STEP) > 0, "large: shard step");
+    assert!(
+        snap.buckets(telem::HIST_SHARD_WALL).iter().sum::<u64>() > 0,
+        "large: shard wall histogram"
     );
 }

@@ -150,8 +150,30 @@ pub struct Telemetry {
     offsets: Vec<u32>,
     cells: Vec<AtomicU64>,
     epoch: Instant,
+    /// One empty lap's cost, ns (see [`lap_cost_ns`]); 0 when disabled.
+    lap_ns: u64,
     spans: Mutex<Vec<TraceSpan>>,
     tables: Mutex<Vec<Table>>,
+}
+
+/// The cost of one empty lap, ns: the median gap between 63
+/// back-to-back laps (a clock read and a relaxed add each) with no work
+/// between them. The interval between two lap stamps spans one lap's
+/// own cost besides the stage's work, so [`StageClock::lap`] subtracts
+/// this; otherwise a clock that laps many small stages (one per channel
+/// shard) would credit each of them a lap.
+fn lap_cost_ns() -> u64 {
+    let sink = AtomicU64::new(0);
+    let mut gaps = [0u64; 63];
+    let mut last = Instant::now();
+    for gap in &mut gaps {
+        let now = Instant::now();
+        *gap = u64::try_from(now.duration_since(last).as_nanos()).unwrap_or(u64::MAX);
+        sink.fetch_add(*gap, Ordering::Relaxed);
+        last = now;
+    }
+    gaps.sort_unstable();
+    gaps[gaps.len() / 2]
 }
 
 fn layout(specs: &[Spec]) -> (Vec<u32>, usize) {
@@ -194,6 +216,7 @@ impl Telemetry {
             offsets,
             cells,
             epoch: Instant::now(),
+            lap_ns: if enabled { lap_cost_ns() } else { 0 },
             spans: Mutex::new(Vec::new()),
             tables: Mutex::new(Vec::new()),
         }
@@ -448,8 +471,8 @@ impl Drop for Span<'_> {
 
 /// Lap clock from [`Telemetry::stage_clock`] /
 /// [`Telemetry::stage_clock_sampled`]: each [`StageClock::lap`]
-/// attributes the time since the previous boundary to one stage
-/// counter with a single clock read. Laps feed counters only — they
+/// attributes the time since the previous boundary, less the lap's own
+/// cost, to one stage counter with a single clock read. Laps feed counters only — they
 /// never emit trace events, so a per-round lap in a million-round loop
 /// costs one clock read and one relaxed add, and trace files stay
 /// bounded by the explicit [`Telemetry::span`] call sites. A sampled
@@ -485,9 +508,9 @@ impl StageClock<'_> {
         }
     }
 
-    /// Ends the current stage, crediting its duration (scaled by the
-    /// sampling period) to `id`, and starts the next one. Unrecorded on
-    /// rounds the sampler skipped.
+    /// Ends the current stage, crediting its duration less one empty
+    /// lap (scaled by the sampling period) to `id`, and starts the next
+    /// one. Unrecorded on rounds the sampler skipped.
     #[inline]
     pub fn lap(&mut self, id: MetricId) {
         if !self.active {
@@ -495,7 +518,9 @@ impl StageClock<'_> {
         }
         let Some(last) = self.last else { return };
         let now = Instant::now();
-        let ns = u64::try_from(now.duration_since(last).as_nanos()).unwrap_or(u64::MAX);
+        let ns = u64::try_from(now.duration_since(last).as_nanos())
+            .unwrap_or(u64::MAX)
+            .saturating_sub(self.tel.lap_ns);
         self.tel
             .cell(id)
             .fetch_add(ns.saturating_mul(self.period), Ordering::Relaxed);

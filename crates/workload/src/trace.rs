@@ -224,8 +224,8 @@ pub fn generate_arrivals(
 /// steady-state horizon, in their means), not bit-for-bit.
 ///
 /// Because seeding is per channel, a channel's sub-stream does not
-/// depend on what else is in the catalog — the property the sharded
-/// round engine's per-shard ingestion builds on (see
+/// depend on what else is in the catalog — the property the round
+/// engines' per-channel shard ingestion builds on (see
 /// [`ChannelArrivals`]):
 ///
 /// ```
@@ -338,8 +338,8 @@ fn splitmix(mut x: u64) -> u64 {
 /// Derives the child seed for stream `index` of a family rooted at
 /// `seed`, via two rounds of the SplitMix64 finalizer. This is the
 /// derivation [`ArrivalStream`] uses for its per-channel RNGs, exposed
-/// so other per-channel stream families (the sharded round engine's
-/// per-shard behaviour RNGs, [`ChannelArrivals`]) draw from the same
+/// so other per-channel stream families (the round engines' per-channel
+/// behaviour RNGs, [`ChannelArrivals`]) draw from the same
 /// well-decorrelated seed tree.
 ///
 /// ```
@@ -403,8 +403,8 @@ impl ChannelStream {
     /// seed and the **global** channel id. [`ArrivalStream`] (merged)
     /// and [`ChannelArrivals`] (solo) both construct through here, which
     /// is what keeps their per-channel draw sequences bitwise identical
-    /// — the load-bearing property behind the sharded engine's
-    /// per-shard arrival ingestion.
+    /// — the load-bearing property behind the round engines' per-channel
+    /// arrival ingestion.
     fn for_spec(spec: &crate::catalog::ChannelSpec, config: &TraceConfig) -> Self {
         Self {
             id: spec.id,
@@ -494,7 +494,7 @@ impl Iterator for ArrivalStream {
 /// The lazy arrival stream of a **single channel**: exactly the
 /// per-channel sub-stream [`ArrivalStream`] merges, produced on its own.
 ///
-/// The sharded round engine owns one of these per channel shard, so
+/// Each channel shard of the round engines owns one of these, so
 /// arrival ingestion needs no cross-shard merge heap and stays
 /// `O(1)` memory per shard. Determinism contract: for a given
 /// `(TraceConfig::seed, channel id)` the sequence of arrival **times,

@@ -1,5 +1,5 @@
-//! Million-viewer scale-out: drive the sharded channel-parallel round
-//! engine over a mega catalog and watch the diurnal ramp cross a
+//! Million-viewer scale-out: drive the channel-parallel round engine
+//! over a mega catalog and watch the diurnal ramp cross a
 //! million concurrent viewers.
 //!
 //! The paper's deployment is 20 channels at ~2500 peak viewers; this
