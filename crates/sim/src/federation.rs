@@ -64,6 +64,7 @@ use cloudmedia_core::federation::{paper_sites, plan_global_placement, Federation
 use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::diurnal::DiurnalPattern;
+use cloudmedia_workload::trace::child_seed;
 
 use crate::config::{SimConfig, SimKernel, SimMode};
 use crate::control::{site_cloud, Planned, SiteControl};
@@ -91,8 +92,8 @@ pub enum DeploymentKind {
 pub struct FederatedConfig {
     /// Template configuration; each region derives its own copy (catalog
     /// scaled by population share, diurnal shifted to local time,
-    /// distinct trace seed). The `kernel` must be a round engine (Scan or
-    /// Indexed). `parallel_channels` (the default) steps the regions on
+    /// distinct trace and behaviour seeds). The `kernel` must be a round
+    /// engine (Scan or Indexed). `parallel_channels` (the default) steps the regions on
     /// the rayon pool and fans their plans out; shards never share an
     /// accumulator inside a segment of rounds and every cross-region
     /// coupling (global placement, site online fractions) happens at
@@ -228,8 +229,11 @@ impl FederatedConfig {
         let mut cfg = self.base.clone();
         cfg.catalog = cfg.catalog.scaled(r.population_share);
         cfg.trace.diurnal = cfg.trace.diurnal.shifted(r.timezone_offset_hours);
-        // Distinct seed per region so the swarms are independent.
+        // Distinct seeds per region so the swarms are independent: the
+        // arrivals, and the viewer behaviour (each region's channel
+        // shards then draw `child_seed` streams of its own seed).
         cfg.trace.seed ^= (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        cfg.behaviour_seed = child_seed(self.base.behaviour_seed, idx as u64);
         cfg
     }
 }
@@ -890,6 +894,18 @@ mod tests {
         fc.base.catalog =
             Catalog::zipf(3, 0.8, ViewingModel::paper_default(), 120.0, 300.0).unwrap();
         fc
+    }
+
+    /// Every region draws its own viewer behaviour: no two regions
+    /// derive the same behaviour seed, so they never replay one set of
+    /// per-channel streams.
+    #[test]
+    fn every_region_derives_its_own_behaviour_seed() {
+        let fc = FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::P2p, 1.0);
+        let seeds: std::collections::BTreeSet<u64> = (0..fc.regions.len())
+            .map(|idx| fc.region_config(idx).behaviour_seed)
+            .collect();
+        assert_eq!(seeds.len(), fc.regions.len(), "shared seeds: {seeds:?}");
     }
 
     #[test]
