@@ -1,7 +1,8 @@
 //! Stage-profile benchmark: runs the paper week on the Indexed engine
-//! with telemetry off and on, prints the per-stage wall-time table, and appends the `stage_profile` section to the
-//! benchmark JSON (regeneration order: `bench_sim`, `bench_des`,
-//! `ext_multi_region_sim`, `bench_scale`, `bench_chaos`, then this).
+//! with telemetry off and on, prints the per-stage wall-time table, and
+//! appends the `stage_profile` section to the benchmark JSON
+//! (regeneration order: `bench_sim`, `bench_des`, `ext_multi_region_sim`,
+//! `bench_scale`, `bench_chaos`, then this).
 //!
 //! Usage: `bench_profile [--hours H] [--reps N] [--out PATH]`
 //!   - `--hours` horizon of every run (default 168 — the paper week),

@@ -16,10 +16,11 @@
 //! The viewer-facing side of a region is unchanged: its channels keep
 //! the reservation its controller planned, and its round kernel (the
 //! [`SimKernel::Scan`] or [`SimKernel::Indexed`] engine the single-site
-//! [`crate::Simulator`] uses) allocates bandwidth per round as always. What moves is *where the VMs backing that reservation
-//! run*: region `i`'s integer VM targets are apportioned across sites
-//! according to the placement (largest-remainder per cluster, so totals
-//! are conserved), each site's broker receives the aggregate targets it
+//! [`crate::Simulator`] uses) allocates bandwidth per round as always.
+//! What moves is *where the VMs backing that reservation run*: region
+//! `i`'s integer VM targets are apportioned across sites according to
+//! the placement (largest-remainder per cluster, so totals are
+//! conserved), each site's broker receives the aggregate targets it
 //! must run, and each site's billing meters its own fleet at its own
 //! prices. A region whose capacity is partly remote sees its effective
 //! online scale blend the boot progress of every site serving it.
@@ -93,12 +94,12 @@ pub struct FederatedConfig {
     /// Template configuration; each region derives its own copy (catalog
     /// scaled by population share, diurnal shifted to local time,
     /// distinct trace and behaviour seeds). The `kernel` must be a round
-    /// engine (Scan or Indexed). `parallel_channels` (the default) steps the regions on
-    /// the rayon pool and fans their plans out; shards never share an
-    /// accumulator inside a segment of rounds and every cross-region
-    /// coupling (global placement, site online fractions) happens at
-    /// synchronization barriers, so the
-    /// parallel and serial executions are **bit-identical** — pinned by
+    /// engine (Scan or Indexed). `parallel_channels` (the default) steps
+    /// the regions on the rayon pool and fans their plans out; shards
+    /// never share an accumulator inside a segment of rounds and every
+    /// cross-region coupling (global placement, site online fractions)
+    /// happens at synchronization barriers, so the parallel and serial
+    /// executions are **bit-identical** — pinned by
     /// `crates/sim/tests/federation.rs`. Disable it to force serial
     /// execution (debugging, single-core baselines).
     ///
