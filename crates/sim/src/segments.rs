@@ -108,13 +108,16 @@ pub(crate) const MAX_SEGMENT_ROUNDS: usize = 128;
 /// segment of one task runs inline, so a paper-scale site never starts
 /// the pool.
 ///
-/// Measured, not guessed: on a 2-vCPU host, `cloudmedia scale --hours 2`
-/// on 20 channels with the default pool against `--serial` (11 runs per
-/// point). The pool won on wall time at every population from 2,500
-/// viewers up, but at 2,500 it spent 11 % more CPU than the serial run;
-/// at 5,000 (and above) it spent no more. 5,000 is the smallest
-/// population at which the pool wins at no more than 10 % extra CPU.
-/// `docs/SCALING.md` has the table.
+/// Measured on a 2-vCPU host with `cloudmedia scale --hours 2` on 20
+/// channels, the default pool against `--serial`, 11 runs per point
+/// (`docs/SCALING.md` has the table). The pool won on wall time at
+/// every population from 2,500 viewers up. The extra CPU it spent
+/// (+11 % at 2,500, −6 % at 5,000, −9 % at 10,000) lies inside the
+/// noise of runs that short: an 8-hour rerun read +16 %, +9 % and
+/// +16 %. So the 10 % CPU criterion does not single out 5,000, and the
+/// channel count was not varied (400 channels was measured at 50,000
+/// only). What 5,000 is known to do is keep the paper week (peak near
+/// 2,500) inline and fan the 200k-viewer steady run out.
 pub(crate) const FAN_OUT_MIN_PEERS: usize = 5_000;
 
 /// One round of a segment as the driver pre-stepped it.

@@ -1,7 +1,8 @@
 //! Telemetry is a pure side channel: enabling the metrics registry (or
 //! the trace sink on top of it) must not change a single bit of any
 //! simulation result. This suite pins that contract for all three
-//! kernels and for the federated simulator in both its serial and
+//! kernels, for a single site stepped inline and fanned out over the
+//! pool, and for the federated simulator in both its serial and
 //! parallel region-execution modes.
 //!
 //! The engines read no state back out of the registry — every telemetry
@@ -15,12 +16,13 @@
 //! stages a run times inline and which as one fan-out stage.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::faults::FaultRun;
 use cloudmedia_sim::federation::{
     DeploymentKind, FederatedConfig, FederatedMetrics, FederatedSimulator,
 };
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
-use cloudmedia_telemetry::{MetricId, Telemetry};
+use cloudmedia_telemetry::{MetricId, Snapshot, Telemetry};
 
 /// Short enough to keep the suite fast, long enough to cross several
 /// provisioning intervals, diurnal phases, and (for the sampled stage
@@ -36,8 +38,9 @@ fn config(kernel: SimKernel, mode: SimMode) -> SimConfig {
 
 /// Runs `cfg` three ways — telemetry off, metrics-only registry, and
 /// metrics + trace registry — and asserts the metrics and fault
-/// counters are bit-identical across all three.
-fn assert_single_site_deterministic(cfg: SimConfig) {
+/// counters are bit-identical across all three. Returns the run and the
+/// metrics-only registry's snapshot.
+fn assert_single_site_deterministic(cfg: SimConfig) -> (FaultRun, Snapshot) {
     let sim = Simulator::new(cfg).unwrap();
     let dark = sim.run_with_faults().unwrap();
 
@@ -61,6 +64,7 @@ fn assert_single_site_deterministic(cfg: SimConfig) {
         "trace recording changed the results"
     );
     assert_eq!(dark.fault_stats, traced.fault_stats);
+    (dark, snap)
 }
 
 #[test]
@@ -79,13 +83,34 @@ fn event_driven_kernel_is_telemetry_invariant() {
     assert_single_site_deterministic(config(SimKernel::EventDriven, SimMode::ClientServer));
 }
 
+/// A site past the driver's fan-out threshold: serial it steps inline
+/// and times its round stages, parallel it fans its shards out on the
+/// pool and times them as `stage/shard_step`. Either way telemetry
+/// changes nothing, and the two runs agree.
 #[test]
 fn sharded_kernel_is_telemetry_invariant_serial_and_parallel() {
+    let mut runs = Vec::new();
     for parallel in [false, true] {
-        let mut cfg = config(SimKernel::Indexed, SimMode::ClientServer);
+        let mut cfg = SimConfig::scale_out(SimMode::ClientServer, 30, 8_000.0).unwrap();
+        cfg.trace.horizon_seconds = 2.0 * 3600.0;
         cfg.parallel_channels = parallel;
-        assert_single_site_deterministic(cfg);
+        let (run, snap) = assert_single_site_deterministic(cfg);
+        let shard_step = snap.value(telem::STAGE_SHARD_STEP);
+        if parallel {
+            assert!(shard_step > 0, "the parallel run fanned out");
+        } else {
+            assert_eq!(shard_step, 0, "the serial run stepped inline");
+            assert!(
+                snap.value(telem::STAGE_ALLOCATION) > 0,
+                "serial: allocation"
+            );
+        }
+        runs.push(run);
     }
+    assert_eq!(
+        runs[0].metrics, runs[1].metrics,
+        "serial and parallel diverged"
+    );
 }
 
 /// Field-by-field equality for [`FederatedMetrics`] (the struct holds

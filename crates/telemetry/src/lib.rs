@@ -472,10 +472,11 @@ impl Drop for Span<'_> {
 /// Lap clock from [`Telemetry::stage_clock`] /
 /// [`Telemetry::stage_clock_sampled`]: each [`StageClock::lap`]
 /// attributes the time since the previous boundary, less the lap's own
-/// cost, to one stage counter with a single clock read. Laps feed counters only — they
-/// never emit trace events, so a per-round lap in a million-round loop
-/// costs one clock read and one relaxed add, and trace files stay
-/// bounded by the explicit [`Telemetry::span`] call sites. A sampled
+/// cost, to one stage counter with a single clock read. Laps feed
+/// counters only — they never emit trace events, so a per-round lap in
+/// a million-round loop costs one clock read and one relaxed add, and
+/// trace files stay bounded by the explicit [`Telemetry::span`] call
+/// sites. A sampled
 /// clock cuts even the clock reads to `1/period` of the rounds and
 /// scales each recorded lap up by `period`, keeping the counters
 /// unbiased estimates of the true stage totals.
@@ -853,6 +854,28 @@ mod tests {
         clk.lap(B);
         let snap = tel.snapshot();
         assert!(snap.value(A) >= 1_000_000);
+    }
+
+    #[test]
+    fn empty_laps_credit_a_small_fraction_of_their_own_cost() {
+        // Each lap takes the registry's measured lap cost out, so
+        // back-to-back empty laps credit only their jitter, well under
+        // half the time they take; uncalibrated, they would credit all
+        // of it. A preemption credits its whole length to one lap, so
+        // the check passes if any of five attempts does.
+        let tel = Telemetry::new(SPECS);
+        let calibrated = (0..5).any(|_| {
+            let before = tel.snapshot().value(A);
+            let start = Instant::now();
+            let mut clk = tel.stage_clock();
+            for _ in 0..10_000 {
+                clk.lap(A);
+            }
+            let took = start.elapsed().as_nanos();
+            let credited = u128::from(tel.snapshot().value(A) - before);
+            credited < took / 2
+        });
+        assert!(calibrated, "empty laps credited their own cost");
     }
 
     #[test]
