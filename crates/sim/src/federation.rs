@@ -404,10 +404,6 @@ struct RegionRuntime {
     /// Blended egress price of the sites serving this region's exported
     /// traffic, dollars per GB.
     blended_egress_per_gb: f64,
-    /// This site's aggregate VM targets (its own + imports), per cluster.
-    site_targets: Vec<usize>,
-    /// Bandwidth those targets add up to, bytes/s.
-    site_target_bw: f64,
     // Federation accounting.
     cloud_bytes: f64,
     redirected_bytes: f64,
@@ -461,7 +457,11 @@ impl Host for Regions<'_> {
     /// progress, which depend on time and submissions, never on viewer
     /// state. A region's capacity comes online as fast as the sites
     /// actually serving it boot their fleets; a down site serves
-    /// nothing, whatever its fleet state.
+    /// nothing, whatever its fleet state. Site `j`'s running bandwidth
+    /// is measured against the reservation it backs,
+    /// `Σ_i serve_share[i][j] · reserved_total_i`: for one site serving
+    /// all of its own demand, that is the single-site `min(1, running /
+    /// reserved)`, bit for bit.
     fn pre_round(
         &mut self,
         _t0: f64,
@@ -469,17 +469,28 @@ impl Host for Regions<'_> {
         online: &mut [f64],
         running: &mut [f64],
     ) -> Result<(), SimError> {
+        let regions = &self.regions;
         self.site_online.clear();
         self.site_online
-            .extend(self.regions.iter().zip(&self.site_mask).map(|(r, &down)| {
-                if down {
-                    0.0
-                } else if r.site_target_bw > 0.0 {
-                    (r.cloud.running_bandwidth() / r.site_target_bw).min(1.0)
-                } else {
-                    1.0
-                }
-            }));
+            .extend(
+                regions
+                    .iter()
+                    .zip(&self.site_mask)
+                    .enumerate()
+                    .map(|(j, (r, &down))| {
+                        let backed: f64 = regions
+                            .iter()
+                            .map(|i| i.serve_share[j] * i.control.reserved_total())
+                            .sum();
+                        if down {
+                            0.0
+                        } else if backed > 0.0 {
+                            (r.cloud.running_bandwidth() / backed).min(1.0)
+                        } else {
+                            1.0
+                        }
+                    }),
+            );
         for (r, online) in self.regions.iter().zip(online.iter_mut()) {
             *online = if r.control.reserved_total() > 0.0 {
                 r.serve_share
@@ -737,7 +748,6 @@ impl FederatedSimulator {
         for (idx, cfg) in cfgs.iter().enumerate() {
             let cloud = site_cloud(cfg, fc.sites[idx].vm_price_factor)?;
             let control = SiteControl::new(cfg, &cloud)?;
-            let n_clusters = cloud.vm_scheduler().clusters();
             let mut serve_share = vec![0.0; n_sites];
             serve_share[idx] = 1.0;
             regions.push(RegionRuntime {
@@ -746,8 +756,6 @@ impl FederatedSimulator {
                 serve_share,
                 redirect_fraction: 0.0,
                 blended_egress_per_gb: 0.0,
-                site_targets: vec![0; n_clusters],
-                site_target_bw: 0.0,
                 cloud_bytes: 0.0,
                 redirected_bytes: 0.0,
                 transfer_cost: 0.0,
@@ -847,13 +855,6 @@ fn apply_global_placement(
             retry,
         )?;
         stats.record_receipt(&receipt);
-        r.site_targets = site_targets[j].clone();
-        r.site_target_bw = r
-            .site_targets
-            .iter()
-            .zip(&sla.virtual_clusters)
-            .map(|(&t, c)| t as f64 * c.vm_bandwidth_bytes_per_sec)
-            .sum();
 
         // Redirection bookkeeping: where region j's demand is served.
         let row = &placement.assignment[j];
