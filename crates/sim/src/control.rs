@@ -10,15 +10,15 @@
 //!
 //! [`SiteControl`] owns that loop's state for one site: the planner, the
 //! budget-shock factor already folded into it, the storage placement in
-//! force, the last plan (replayed while the tracker is dark, and whose
-//! VM targets fleet repairs restore), and the per-channel reservation.
+//! force, the last plan (replayed while the tracker is dark, and
+//! re-placed by emergency re-plans), and the per-channel reservation.
 //! Its two steps are [`SiteControl::plan`] and [`SiteControl::commit`].
-//! A single-site engine — Scan or Indexed on the segment driver, or the
-//! event-driven provisioner — calls
-//! [`SiteControl::provision`], which
-//! rents the plan through the retrying broker in between. The federation
-//! plans every region, runs the global placement over the plans, and
-//! then commits each region's plan.
+//! Every round-engine run is a deployment of one or more sites
+//! (`crate::federation`): it plans every site, runs the global placement
+//! over the plans, rents each site's aggregate targets, and then commits
+//! each site's plan; a single site is a one-site deployment. The
+//! event-driven provisioner calls [`SiteControl::provision`], which
+//! rents the plan through the retrying broker in between.
 //!
 //! The fault plane's control-path faults are decided here, each a pure
 //! function of the interval's start time: cost shocks at the boundary
@@ -47,7 +47,8 @@ pub(crate) type Observations = Vec<(usize, ChannelObservation)>;
 
 /// A site's cloud: the paper's Table II/III clusters grown by the run's
 /// `fleet_scale`, with VM prices scaled by `vm_price_factor` (1 for a
-/// single-site run; the federation's regional sites bill at their own).
+/// single site and the event-driven engine; the federation's regional
+/// sites bill at their own).
 pub(crate) fn site_cloud(cfg: &SimConfig, vm_price_factor: f64) -> Result<Cloud, SimError> {
     Ok(Cloud::new(
         scale_fleet_capacity(
@@ -138,8 +139,8 @@ impl SiteControl {
         self.last_plan.as_ref()
     }
 
-    /// VM targets of the plan in force (empty before the first): what a
-    /// fleet repair resubmits.
+    /// VM targets of the plan in force (empty before the first): what
+    /// the event-driven engine's fleet repair resubmits.
     pub(crate) fn last_targets(&self) -> &[usize] {
         self.last_plan.as_ref().map_or(&[], |p| &p.vm_targets)
     }
@@ -271,7 +272,7 @@ impl SiteControl {
         record
     }
 
-    /// One provisioning boundary of a single-site engine:
+    /// One provisioning boundary of the event-driven engine:
     /// [`plan`](Self::plan), rent the plan's VM targets and placement
     /// through the retrying broker, and [`commit`](Self::commit) it.
     /// Fallbacks and broker retries are counted into `stats`.

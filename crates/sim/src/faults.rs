@@ -370,6 +370,19 @@ impl FaultSchedule {
                 .collect(),
         )
     }
+
+    /// Site `site`'s per-cluster availability at `t`, the one rule every
+    /// fleet boundary and every placement applies: none of the fleet
+    /// while the site is down, else what the worst active fleet failure
+    /// leaves of `max_vms` (all of it when none is active).
+    pub(crate) fn site_caps_at(&self, site: usize, max_vms: &[usize], t: f64) -> Vec<usize> {
+        if self.site_down(site, t) {
+            vec![0; max_vms.len()]
+        } else {
+            self.fleet_caps_at(max_vms, t)
+                .unwrap_or_else(|| max_vms.to_vec())
+        }
+    }
 }
 
 /// Counters the fault plane accumulates during a run; serialized into the
@@ -411,19 +424,6 @@ impl FaultStats {
             self.degraded_submissions += 1;
         }
     }
-
-    /// Element-wise accumulation (federated runs merge per-region stats
-    /// in fixed region order).
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.vms_killed += other.vms_killed;
-        self.vms_recovered += other.vms_recovered;
-        self.shed_arrivals += other.shed_arrivals;
-        self.retry_attempts += other.retry_attempts;
-        self.retry_backoff_seconds += other.retry_backoff_seconds;
-        self.degraded_submissions += other.degraded_submissions;
-        self.fallback_intervals += other.fallback_intervals;
-        self.emergency_replans += other.emergency_replans;
-    }
 }
 
 /// A metrics bundle returned by the fault-aware entry points: the usual
@@ -443,22 +443,24 @@ enum Boundary {
     Recovery,
 }
 
-/// Applies a [`FaultSchedule`]'s fleet failures and repairs to a round
-/// engine's [`Cloud`] in serial coordinator code. The driver is pure
-/// bookkeeping over the (sorted) schedule, so two engines stepping the
-/// same schedule at the same round boundaries mutate their clouds
-/// identically.
+/// Applies a [`FaultSchedule`]'s fleet failures and repairs to one
+/// site's [`Cloud`] in serial coordinator code. Every site of a
+/// round-engine deployment owns one. The driver is pure bookkeeping over
+/// the (sorted) schedule, so two engines stepping the same schedule at
+/// the same round boundaries mutate their clouds identically.
 #[derive(Debug)]
 pub(crate) struct FaultDriver {
     schedule: FaultSchedule,
+    /// The site whose fleet this driver fails and repairs.
+    site: usize,
     boundaries: Vec<(f64, Boundary)>,
     next: usize,
     retry: RetryPolicy,
-    pub(crate) stats: FaultStats,
 }
 
 impl FaultDriver {
-    pub(crate) fn new(schedule: &FaultSchedule) -> Self {
+    /// The driver of site `site`'s fleet.
+    pub(crate) fn new(schedule: &FaultSchedule, site: usize) -> Self {
         let mut boundaries: Vec<(f64, Boundary)> = Vec::new();
         for (i, f) in schedule.vm_failures.iter().enumerate() {
             boundaries.push((f.at, Boundary::Failure(i)));
@@ -478,23 +480,25 @@ impl FaultDriver {
         });
         Self {
             schedule: schedule.clone(),
+            site,
             boundaries,
             next: 0,
             retry: RetryPolicy::paper_default(),
-            stats: FaultStats::default(),
         }
     }
 
-    /// Applies every boundary due at or before `clock`: failures kill the
-    /// configured fraction of running VMs and cap the fleet's
-    /// availability; repairs lift the cap and resubmit the last planned
-    /// targets through the retry policy (clamping again if another
-    /// failure is still active).
+    /// Applies every boundary due at or before `clock`, counting into
+    /// `stats`: failures kill the configured fraction of running VMs and
+    /// cap the site's availability; repairs lift the cap and resubmit
+    /// `targets`, the site's aggregate VM targets in force, through the
+    /// retry policy (clamping again if another failure is still active).
+    /// Availability follows [`FaultSchedule::site_caps_at`].
     pub(crate) fn apply_due(
         &mut self,
         clock: f64,
         cloud: &mut Cloud,
-        last_plan_targets: &[usize],
+        targets: &[usize],
+        stats: &mut FaultStats,
     ) -> Result<(), SimError> {
         while self.next < self.boundaries.len() && self.boundaries[self.next].0 <= clock {
             let (at, boundary) = self.boundaries[self.next];
@@ -505,47 +509,40 @@ impl FaultDriver {
                 .iter()
                 .map(|s| s.max_vms)
                 .collect();
+            let caps = self.schedule.site_caps_at(self.site, &max_vms, at);
+            cloud.set_availability(&caps)?;
             match boundary {
                 Boundary::Failure(i) => {
                     let fraction = self.schedule.vm_failures[i].fraction;
-                    let caps = self
-                        .schedule
-                        .fleet_caps_at(&max_vms, at)
-                        .unwrap_or_else(|| max_vms.clone());
-                    cloud.set_availability(&caps)?;
                     // Kill the failed fraction of what is actually
                     // running; survivors also respect the new cap.
-                    let mut targets = Vec::with_capacity(max_vms.len());
+                    let mut survivors = Vec::with_capacity(max_vms.len());
                     let mut killed = 0u64;
                     for (cluster, &cap) in caps.iter().enumerate() {
                         let running = cloud.vm_scheduler().running(cluster);
-                        let survivors =
+                        let kept =
                             (((running as f64) * (1.0 - fraction)).floor() as usize).min(cap);
-                        killed += (running - survivors) as u64;
-                        targets.push(survivors);
+                        killed += (running - kept) as u64;
+                        survivors.push(kept);
                     }
-                    self.stats.vms_killed += killed;
+                    stats.vms_killed += killed;
                     cloud.submit_request(&ResourceRequest {
-                        vm_targets: targets,
+                        vm_targets: survivors,
                         placement: None,
                     })?;
                 }
                 Boundary::Recovery => {
-                    match self.schedule.fleet_caps_at(&max_vms, at) {
-                        Some(caps) => cloud.set_availability(&caps)?,
-                        None => cloud.restore_full_availability(),
-                    }
-                    if last_plan_targets.len() == max_vms.len() {
+                    if targets.len() == max_vms.len() {
                         let receipt = cloud.submit_with_retry(
                             &ResourceRequest {
-                                vm_targets: last_plan_targets.to_vec(),
+                                vm_targets: targets.to_vec(),
                                 placement: None,
                             },
                             &self.retry,
                         )?;
-                        self.stats.vms_recovered +=
+                        stats.vms_recovered +=
                             receipt.vm_targets.iter().map(|&t| t as u64).sum::<u64>();
-                        self.stats.record_receipt(&receipt);
+                        stats.record_receipt(&receipt);
                     }
                 }
             }
@@ -738,21 +735,28 @@ mod tests {
             .unwrap();
         cloud.tick(100.0).unwrap();
         let schedule = FaultSchedule::vm_outage(200.0, 0.5, 300.0);
-        let mut driver = FaultDriver::new(&schedule);
-        let plan_targets = vec![40, 10, 0];
+        let mut driver = FaultDriver::new(&schedule, 0);
+        let mut stats = FaultStats::default();
+        let targets = vec![40, 10, 0];
         cloud.tick(200.0).unwrap();
-        driver.apply_due(200.0, &mut cloud, &plan_targets).unwrap();
-        assert_eq!(driver.stats.vms_killed, 25, "half of 40 + half of 10");
+        driver
+            .apply_due(200.0, &mut cloud, &targets, &mut stats)
+            .unwrap();
+        assert_eq!(stats.vms_killed, 25, "half of 40 + half of 10");
         assert_eq!(cloud.availability(), &[37, 15, 22]);
         // Mid-outage nothing more happens.
         cloud.tick(400.0).unwrap();
-        driver.apply_due(400.0, &mut cloud, &plan_targets).unwrap();
-        assert_eq!(driver.stats.vms_killed, 25);
-        // Repair restores the fleet and resubmits the plan.
+        driver
+            .apply_due(400.0, &mut cloud, &targets, &mut stats)
+            .unwrap();
+        assert_eq!(stats.vms_killed, 25);
+        // Repair restores the fleet and resubmits the targets in force.
         cloud.tick(500.0).unwrap();
-        driver.apply_due(500.0, &mut cloud, &plan_targets).unwrap();
+        driver
+            .apply_due(500.0, &mut cloud, &targets, &mut stats)
+            .unwrap();
         assert_eq!(cloud.availability(), &[75, 30, 45]);
-        assert_eq!(driver.stats.vms_recovered, 50);
+        assert_eq!(stats.vms_recovered, 50);
         cloud.tick(600.0).unwrap();
         assert!((cloud.running_bandwidth() - 50.0 * 1.25e6).abs() < 1.0);
     }

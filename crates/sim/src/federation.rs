@@ -32,15 +32,22 @@
 //! serving quality loss instead of simulating packet-level latency — the
 //! same modeling level as the paper's cost objective.
 //!
-//! # Execution
+//! # Execution: one host for every round-engine run
 //!
 //! Each region is one site of the segment driver (`crate::segments`),
 //! which steps every shard of every region through segments of rounds
 //! in one pool fan-out and folds them in region and shard order. This
-//! module keeps only the federation's boundary work: the per-region
-//! plans and the global placement at provisioning rounds, emergency
-//! re-plans when the site mask changes, each round's `site_online`
-//! blending, and the redirected-traffic metering.
+//! module's `Deployment` is the driver's only host: it keeps the
+//! boundary work — each site's fleet failures and repairs (one
+//! `FaultDriver` per site), the per-region plans and the global
+//! placement at provisioning rounds, emergency re-plans when the site
+//! mask changes, each round's `site_online` blending, and the
+//! redirected-traffic metering. A single-site [`crate::Simulator`] run
+//! is a one-site deployment of the same host, with its own
+//! configuration, one uncapped reference-priced site without egress and
+//! [`FederationPolicy::independent`]: for one site the placement keeps
+//! everything local and the redirect metering adds nothing, so no fault
+//! kind or result depends on which entry point a run came through.
 //!
 //! # The three deployments
 //!
@@ -61,6 +68,7 @@
 //!   sites in the first place).
 
 use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy};
+use cloudmedia_cloud::scheduler::PlacementPlan;
 use cloudmedia_core::federation::{paper_sites, plan_global_placement, FederationPolicy, SiteSpec};
 use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
 use cloudmedia_telemetry::Telemetry;
@@ -70,9 +78,10 @@ use cloudmedia_workload::trace::child_seed;
 use crate::config::{SimConfig, SimKernel, SimMode};
 use crate::control::{site_cloud, Planned, SiteControl};
 use crate::error::{invalid_param, SimError};
-use crate::faults::FaultStats;
+use crate::faults::{FaultDriver, FaultStats};
+use crate::footprint::PeerFootprint;
 use crate::metrics::Metrics;
-use crate::segments::{self, Host, Site};
+use crate::segments::{self, Site};
 use crate::simulator::RoundEngine;
 use crate::telem;
 
@@ -386,12 +395,19 @@ fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
     out
 }
 
-/// One region's boundary state: its site's cloud, its control path, the
-/// placement bookkeeping that routes its demand, and its redirected-
-/// traffic accounting. Its viewers live in the segment driver's site.
+/// One region's boundary state: its site's cloud and fault driver, its
+/// control path, the placement bookkeeping that routes its demand, and
+/// its redirected-traffic accounting. Its viewers live in the segment
+/// driver's site.
 struct RegionRuntime {
     /// The region's site (broker + schedulers + billing at its prices).
     cloud: Cloud,
+    /// Fails and repairs the site's fleet.
+    faults: FaultDriver,
+    /// The site's aggregate VM targets in force (its own + imports), per
+    /// cluster: what a fleet repair resubmits. Empty before the first
+    /// placement.
+    targets: Vec<usize>,
     /// The region's interval control path. Its plans and viewer-side
     /// reservation are the region's own; the VMs backing them run on
     /// the sites the global placement picks.
@@ -411,32 +427,45 @@ struct RegionRuntime {
     latency_penalty_cost: f64,
 }
 
-/// The federation's side of the segment driver: the regions' boundary
-/// state, the fault plane's site mask, and the coordinator's scratch.
-/// Everything here is mutated serially, between segments or in the
-/// pre-step, so serial and parallel execution stay bit-identical.
-struct Regions<'a> {
+/// The one host of the segment driver. Every round-engine run is a
+/// deployment of one or more sites: each region's boundary state, the
+/// fault plane's site mask, and the coordinator's scratch. Everything
+/// here is mutated serially, between segments or in the pre-step, so
+/// serial and parallel execution stay bit-identical.
+pub(crate) struct Deployment<'a> {
     fc: &'a FederatedConfig,
     regions: Vec<RegionRuntime>,
     retry: RetryPolicy,
     stats: FaultStats,
     /// The site mask in force (true = down).
     site_mask: Vec<bool>,
-    /// A round's `site_online` row: the fraction of each site's target
-    /// fleet running at the round's start (0 for a down site).
+    /// A round's `site_online` row: the fraction of the reservation each
+    /// site backs that is running at the round's start (0 for a down
+    /// site).
     site_online: Vec<f64>,
 }
 
-impl Host for Regions<'_> {
-    const REGIONS: bool = true;
-
-    fn boundary<E: RoundEngine>(
+impl Deployment<'_> {
+    /// The work before the segment that starts at `clock`, with
+    /// `provision` set on a provisioning round: each site's due fleet
+    /// failures and repairs, then either the per-region plans and the
+    /// global placement, or an emergency re-plan when the site mask
+    /// changed. Interval records go into each site's metrics.
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning, placement and cloud failures.
+    pub(crate) fn boundary<E: RoundEngine>(
         &mut self,
         clock: f64,
         provision: bool,
         sites: &mut [Site<'_, E>],
         tel: &Telemetry,
     ) -> Result<(), SimError> {
+        for r in &mut self.regions {
+            r.faults
+                .apply_due(clock, &mut r.cloud, &r.targets, &mut self.stats)?;
+        }
         let mask = self.fc.base.faults.site_mask(self.regions.len(), clock);
         if provision {
             let _interval_span = tel.span(telem::PROV_INTERVAL);
@@ -446,13 +475,19 @@ impl Host for Regions<'_> {
             // A site went dark (or came back) between boundaries:
             // re-place the in-force plans around the new topology right
             // now instead of waiting for the next hourly tick.
-            self.emergency_replan(clock, &mask)?;
+            self.emergency_replan(clock, &mask, tel)?;
             self.stats.emergency_replans += 1;
             self.site_mask = mask;
         }
         Ok(())
     }
 
+    /// Pre-steps the round `[t0, t1)`: applies each site's fleet
+    /// boundaries due by `t0` (a no-op on a segment's first round),
+    /// writes each region's online scale at the round's start into
+    /// `online`, ticks every cloud to `t1`, and writes each site's
+    /// running bandwidth after the tick into `running`.
+    ///
     /// Regions couple only through the placement and the sites' boot
     /// progress, which depend on time and submissions, never on viewer
     /// state. A region's capacity comes online as fast as the sites
@@ -460,15 +495,22 @@ impl Host for Regions<'_> {
     /// nothing, whatever its fleet state. Site `j`'s running bandwidth
     /// is measured against the reservation it backs,
     /// `Σ_i serve_share[i][j] · reserved_total_i`: for one site serving
-    /// all of its own demand, that is the single-site `min(1, running /
-    /// reserved)`, bit for bit.
-    fn pre_round(
+    /// all of its own demand, that is `min(1, running / reserved)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cloud failures.
+    pub(crate) fn pre_round(
         &mut self,
-        _t0: f64,
+        t0: f64,
         t1: f64,
         online: &mut [f64],
         running: &mut [f64],
     ) -> Result<(), SimError> {
+        for r in &mut self.regions {
+            r.faults
+                .apply_due(t0, &mut r.cloud, &r.targets, &mut self.stats)?;
+        }
         let regions = &self.regions;
         self.site_online.clear();
         self.site_online
@@ -510,19 +552,24 @@ impl Host for Regions<'_> {
         Ok(())
     }
 
-    fn ends_segment(&self, t1: f64) -> bool {
+    /// True when the site mask changes at `t1`, so the segment must end
+    /// there.
+    pub(crate) fn ends_segment(&self, t1: f64) -> bool {
         let faults = &self.fc.base.faults;
         (0..self.site_mask.len()).any(|j| faults.site_down(j, t1) != self.site_mask[j])
     }
 
-    fn control(&self, site: usize) -> &SiteControl {
+    /// Region `site`'s control path: its per-channel reservation and VM
+    /// bandwidth are what its shards allocate from.
+    pub(crate) fn control(&self, site: usize) -> &SiteControl {
         &self.regions[site].control
     }
 
-    /// Redirected traffic: the round's cloud bytes times the region's
-    /// redirected share, billed the serving sites' egress price plus the
-    /// SLA latency penalty.
-    fn meter(&mut self, site: usize, bytes: f64) {
+    /// Meters one round of region `site`'s cloud use, `bytes` over the
+    /// round. Redirected traffic, the bytes times the region's
+    /// redirected share, is billed the serving sites' egress price plus
+    /// the SLA latency penalty.
+    pub(crate) fn meter(&mut self, site: usize, bytes: f64) {
         let penalty_per_gb = self.fc.policy.latency_penalty_per_gb;
         let r = &mut self.regions[site];
         r.cloud_bytes += bytes;
@@ -533,25 +580,27 @@ impl Host for Regions<'_> {
             r.latency_penalty_cost += redirected * penalty_per_gb / 1e9;
         }
     }
-}
 
-impl Regions<'_> {
     /// Runs every region's site in lockstep to the horizon and assembles
-    /// the outcome.
+    /// the outcome; with `footprint`, adds the sites' end-of-run
+    /// footprint.
     fn run<E: RoundEngine>(
         mut self,
         mut sites: Vec<Site<'_, E>>,
         tel: &Telemetry,
+        footprint: Option<&mut PeerFootprint>,
     ) -> Result<FederatedMetrics, SimError> {
         let fc = self.fc;
         segments::run(&fc.base, &mut sites, &mut self, tel)?;
+        if let Some(out) = footprint {
+            sites.iter().for_each(|site| site.add_footprint(out));
+        }
         let mut per_region = Vec::with_capacity(sites.len());
         let mut total_vm = 0.0;
         let mut total_storage = 0.0;
         let mut total_transfer = 0.0;
         let mut total_penalty = 0.0;
-        for (idx, (mut r, site)) in self.regions.into_iter().zip(sites).enumerate() {
-            r.cloud.tick(fc.base.trace.horizon_seconds)?;
+        for (idx, (r, site)) in self.regions.into_iter().zip(sites).enumerate() {
             self.stats.shed_arrivals += site.shed();
             let mut metrics = site.metrics;
             metrics.total_vm_cost = r.cloud.billing().vm_cost().as_dollars();
@@ -593,10 +642,9 @@ impl Regions<'_> {
         mask: &[bool],
         tel: &Telemetry,
     ) -> Result<(), SimError> {
-        // 1. Per-region plans, exactly as in a single-site run. Each
-        //    region plans from its own trackers and controller, so the
-        //    plans fan out on the pool; results, errors and fallbacks are
-        //    reduced in region order.
+        // 1. Per-region plans. Each region plans from its own trackers
+        //    and controller, so the plans fan out on the pool; results,
+        //    errors and fallbacks are reduced in region order.
         let mut outcomes: Vec<Option<Result<Planned, SimError>>> =
             self.regions.iter().map(|_| None).collect();
         let plan = |r: &mut RegionRuntime, site: &mut Site<'_, E>, out: &mut Option<_>| {
@@ -632,27 +680,12 @@ impl Regions<'_> {
         //    receives a storage placement.
         let demands: Vec<f64> = plans.iter().map(|p| p.total_cloud_demand).collect();
         let region_targets: Vec<Vec<usize>> = plans.iter().map(|p| p.vm_targets.clone()).collect();
-        let site_prices: Vec<f64> = self
-            .regions
-            .iter()
-            .map(|r| r.control.planning_price(clock))
-            .collect();
-        let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> = plans
+        let storage: Vec<Option<PlacementPlan>> = plans
             .iter()
             .zip(mask)
             .map(|(p, &down)| if down { None } else { p.placement.clone() })
             .collect();
-        apply_global_placement(
-            self.fc,
-            &mut self.regions,
-            &demands,
-            &region_targets,
-            &site_prices,
-            mask,
-            &storage,
-            &self.retry,
-            &mut self.stats,
-        )?;
+        self.place(clock, mask, &demands, &region_targets, &storage, tel)?;
 
         // 4. Put each region's plan in force: its viewer-side
         //    reservation comes from its own plan.
@@ -669,29 +702,131 @@ impl Regions<'_> {
     /// surviving sites and resubmitted. No tracker is drained and no
     /// interval record is written — the next boundary plans from fresh
     /// measurements as usual.
-    fn emergency_replan(&mut self, clock: f64, mask: &[bool]) -> Result<(), SimError> {
+    fn emergency_replan(
+        &mut self,
+        clock: f64,
+        mask: &[bool],
+        tel: &Telemetry,
+    ) -> Result<(), SimError> {
         let n = self.regions.len();
         let mut demands = Vec::with_capacity(n);
         let mut region_targets = Vec::with_capacity(n);
-        let mut site_prices = Vec::with_capacity(n);
         for r in &self.regions {
             let plan = r.control.last_plan();
             demands.push(plan.map_or(0.0, |p| p.total_cloud_demand));
             region_targets.push(plan.map(|p| p.vm_targets.clone()).unwrap_or_default());
-            site_prices.push(r.control.planning_price(clock));
         }
-        let storage: Vec<Option<cloudmedia_cloud::scheduler::PlacementPlan>> = vec![None; n];
-        apply_global_placement(
-            self.fc,
-            &mut self.regions,
-            &demands,
-            &region_targets,
-            &site_prices,
-            mask,
-            &storage,
-            &self.retry,
-            &mut self.stats,
-        )
+        self.place(clock, mask, &demands, &region_targets, &vec![None; n], tel)
+    }
+
+    /// The placement machinery shared by the hourly boundary and the
+    /// emergency re-plan: runs the global optimizer over the effective
+    /// topology (a down site advertises no capacity), apportions each
+    /// region's integer VM targets across the sites serving it, sets
+    /// each site's availability by the one rule of
+    /// [`FaultSchedule::site_caps_at`], submits every site's aggregate
+    /// request through the retrying broker path, and refreshes each
+    /// region's redirection bookkeeping. Down sites are forced to zero
+    /// targets and zero availability so nothing bills or serves while
+    /// they are dark.
+    ///
+    /// [`FaultSchedule::site_caps_at`]: crate::faults::FaultSchedule::site_caps_at
+    fn place(
+        &mut self,
+        clock: f64,
+        mask: &[bool],
+        demands: &[f64],
+        region_targets: &[Vec<usize>],
+        storage: &[Option<PlacementPlan>],
+        tel: &Telemetry,
+    ) -> Result<(), SimError> {
+        let fc = self.fc;
+        let n = self.regions.len();
+        let site_prices: Vec<f64> = self
+            .regions
+            .iter()
+            .map(|r| r.control.planning_price(clock))
+            .collect();
+        let placement = if mask.iter().any(|&d| d) {
+            // `SiteSpec::validate` rejects a zero capacity cap, so a dark
+            // site advertises the smallest positive one instead.
+            let mut sites = fc.sites.to_vec();
+            for (j, s) in sites.iter_mut().enumerate() {
+                if mask[j] {
+                    s.capacity_cap_bps = f64::MIN_POSITIVE;
+                }
+            }
+            plan_global_placement(demands, &sites, &site_prices, &fc.policy)?
+        } else {
+            plan_global_placement(demands, &fc.sites, &site_prices, &fc.policy)?
+        };
+
+        let n_clusters = region_targets.first().map(Vec::len).unwrap_or_default();
+        let mut site_targets = vec![vec![0usize; n_clusters]; n];
+        for (i, targets) in region_targets.iter().enumerate() {
+            let row = &placement.assignment[i];
+            for (v, &target) in targets.iter().enumerate() {
+                for (j, share) in apportion(target, row).into_iter().enumerate() {
+                    site_targets[j][v] += share;
+                }
+            }
+        }
+
+        for (j, (r, mut targets)) in self.regions.iter_mut().zip(site_targets).enumerate() {
+            let max_vms: Vec<usize> = r
+                .cloud
+                .vm_scheduler()
+                .specs()
+                .iter()
+                .map(|s| s.max_vms)
+                .collect();
+            // Respect each site's physical fleet: clamp to cluster maxima
+            // (the paper fleet is far larger than any default-week
+            // placement, so this is a guard, not a steady-state path).
+            for (t, &max) in targets.iter_mut().zip(&max_vms) {
+                *t = if mask[j] { 0 } else { (*t).min(max) };
+            }
+            r.cloud
+                .set_availability(&fc.base.faults.site_caps_at(j, &max_vms, clock))?;
+            let receipt = {
+                let _s = tel.span(telem::PROV_SUBMIT);
+                r.cloud.submit_with_retry(
+                    &ResourceRequest {
+                        vm_targets: targets.clone(),
+                        placement: storage[j].clone(),
+                    },
+                    &self.retry,
+                )?
+            };
+            self.stats.record_receipt(&receipt);
+            r.targets = targets;
+
+            // Redirection bookkeeping: where region j's demand is served.
+            let row = &placement.assignment[j];
+            let total: f64 = row.iter().sum();
+            r.serve_share = if total > 0.0 {
+                row.iter().map(|x| x / total).collect()
+            } else {
+                let mut s = vec![0.0; n];
+                if !mask[j] {
+                    s[j] = 1.0;
+                }
+                s
+            };
+            r.redirect_fraction = placement.redirect_fraction(j);
+            let exported: f64 = total - row[j];
+            r.blended_egress_per_gb = if exported > 0.0 {
+                row.iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != j)
+                    .map(|(k, x)| x * fc.sites[k].egress_price_per_gb)
+                    .sum::<f64>()
+                    / exported
+            } else {
+                0.0
+            };
+        }
+        Ok(())
     }
 }
 
@@ -739,149 +874,81 @@ impl FederatedSimulator {
     /// Propagates trace generation, provisioning, placement, and cloud
     /// failures.
     pub fn run_with_telemetry(&self, tel: &Telemetry) -> Result<FederatedMetrics, SimError> {
-        let globals = telem::GlobalCounters::capture();
-        let run_span = tel.span(telem::RUN_WALL);
         let fc = &self.config;
-        let n_sites = fc.regions.len();
-        let cfgs: Vec<SimConfig> = (0..n_sites).map(|idx| fc.region_config(idx)).collect();
-        let mut regions = Vec::with_capacity(n_sites);
-        for (idx, cfg) in cfgs.iter().enumerate() {
-            let cloud = site_cloud(cfg, fc.sites[idx].vm_price_factor)?;
-            let control = SiteControl::new(cfg, &cloud)?;
-            let mut serve_share = vec![0.0; n_sites];
-            serve_share[idx] = 1.0;
-            regions.push(RegionRuntime {
-                cloud,
-                control,
-                serve_share,
-                redirect_fraction: 0.0,
-                blended_egress_per_gb: 0.0,
-                cloud_bytes: 0.0,
-                redirected_bytes: 0.0,
-                transfer_cost: 0.0,
-                latency_penalty_cost: 0.0,
-            });
-        }
-        let host = Regions {
-            fc,
-            regions,
-            retry: RetryPolicy::paper_default(),
-            stats: FaultStats::default(),
-            site_mask: vec![false; n_sites],
-            site_online: Vec::with_capacity(n_sites),
-        };
-        let cfgs = cfgs.iter();
-        let metrics = match fc.base.kernel {
-            SimKernel::Scan => host.run(cfgs.map(Site::scan).collect::<Result<_, _>>()?, tel)?,
-            SimKernel::Indexed => {
-                host.run(cfgs.map(Site::indexed).collect::<Result<_, _>>()?, tel)?
-            }
-            SimKernel::EventDriven => unreachable!("rejected by validate"),
-        };
-        drop(run_span);
-        telem::record_fault_stats(tel, &metrics.fault_stats);
-        globals.record_delta(tel);
-        Ok(metrics)
+        let cfgs: Vec<SimConfig> = (0..fc.regions.len())
+            .map(|idx| fc.region_config(idx))
+            .collect();
+        run(fc, &cfgs, tel, None)
     }
 }
 
-/// The placement machinery shared by the hourly boundary and the
-/// emergency re-plan: runs the global optimizer over the effective
-/// topology (a down site advertises no capacity), apportions each
-/// region's integer VM targets across the sites serving it, submits
-/// every site's aggregate request through the retrying broker path, and
-/// refreshes each region's redirection bookkeeping. Down sites are
-/// forced to zero targets and zero availability so nothing bills or
-/// serves while they are dark.
-#[allow(clippy::too_many_arguments)]
-fn apply_global_placement(
+/// Runs `fc`'s deployment on `cfgs`, one configuration per site in site
+/// order (the federation derives them from `fc.base`; a single site
+/// passes its own), recording telemetry into `tel`; with `footprint`,
+/// also measures the end-of-run per-peer resident footprint
+/// (`crate::footprint`).
+///
+/// # Errors
+///
+/// Propagates trace generation, provisioning, placement, and cloud
+/// failures.
+pub(crate) fn run(
     fc: &FederatedConfig,
-    regions: &mut [RegionRuntime],
-    demands: &[f64],
-    region_targets: &[Vec<usize>],
-    site_prices: &[f64],
-    mask: &[bool],
-    storage: &[Option<cloudmedia_cloud::scheduler::PlacementPlan>],
-    retry: &RetryPolicy,
-    stats: &mut FaultStats,
-) -> Result<(), SimError> {
-    let n = regions.len();
-    let placement = if mask.iter().any(|&d| d) {
-        // `SiteSpec::validate` rejects a zero capacity cap, so a dark
-        // site advertises the smallest positive one instead.
-        let mut sites = fc.sites.to_vec();
-        for (j, s) in sites.iter_mut().enumerate() {
-            if mask[j] {
-                s.capacity_cap_bps = f64::MIN_POSITIVE;
-            }
-        }
-        plan_global_placement(demands, &sites, site_prices, &fc.policy)?
-    } else {
-        plan_global_placement(demands, &fc.sites, site_prices, &fc.policy)?
+    cfgs: &[SimConfig],
+    tel: &Telemetry,
+    footprint: Option<&mut PeerFootprint>,
+) -> Result<FederatedMetrics, SimError> {
+    // Process-wide counter baseline, taken before the arrival streams
+    // exist so their lazy draws are attributed to this run.
+    let globals = telem::GlobalCounters::capture();
+    let run_span = tel.span(telem::RUN_WALL);
+    let n_sites = cfgs.len();
+    let mut regions = Vec::with_capacity(n_sites);
+    for (idx, cfg) in cfgs.iter().enumerate() {
+        let cloud = site_cloud(cfg, fc.sites[idx].vm_price_factor)?;
+        let control = SiteControl::new(cfg, &cloud)?;
+        let mut serve_share = vec![0.0; n_sites];
+        serve_share[idx] = 1.0;
+        regions.push(RegionRuntime {
+            cloud,
+            faults: FaultDriver::new(&fc.base.faults, idx),
+            targets: Vec::new(),
+            control,
+            serve_share,
+            redirect_fraction: 0.0,
+            blended_egress_per_gb: 0.0,
+            cloud_bytes: 0.0,
+            redirected_bytes: 0.0,
+            transfer_cost: 0.0,
+            latency_penalty_cost: 0.0,
+        });
+    }
+    let host = Deployment {
+        fc,
+        regions,
+        retry: RetryPolicy::paper_default(),
+        stats: FaultStats::default(),
+        site_mask: vec![false; n_sites],
+        site_online: Vec::with_capacity(n_sites),
     };
-
-    let n_clusters = region_targets.first().map(Vec::len).unwrap_or_default();
-    let mut site_targets = vec![vec![0usize; n_clusters]; n];
-    for (i, targets) in region_targets.iter().enumerate() {
-        let row = &placement.assignment[i];
-        for (v, &target) in targets.iter().enumerate() {
-            for (j, share) in apportion(target, row).into_iter().enumerate() {
-                site_targets[j][v] += share;
-            }
-        }
-    }
-    // Respect each site's physical fleet: clamp to cluster maxima
-    // (the paper fleet is far larger than any default-week placement,
-    // so this is a guard, not a steady-state path).
-    for ((targets, r), &down) in site_targets.iter_mut().zip(regions.iter()).zip(mask) {
-        for (t, spec) in targets.iter_mut().zip(r.cloud.vm_scheduler().specs()) {
-            *t = if down { 0 } else { (*t).min(spec.max_vms) };
-        }
-    }
-
-    for (j, r) in regions.iter_mut().enumerate() {
-        let sla = r.cloud.sla_terms();
-        if mask[j] {
-            r.cloud
-                .set_availability(&vec![0; sla.virtual_clusters.len()])?;
-        } else {
-            r.cloud.restore_full_availability();
-        }
-        let receipt = r.cloud.submit_with_retry(
-            &ResourceRequest {
-                vm_targets: site_targets[j].clone(),
-                placement: storage[j].clone(),
-            },
-            retry,
-        )?;
-        stats.record_receipt(&receipt);
-
-        // Redirection bookkeeping: where region j's demand is served.
-        let row = &placement.assignment[j];
-        let total: f64 = row.iter().sum();
-        r.serve_share = if total > 0.0 {
-            row.iter().map(|x| x / total).collect()
-        } else {
-            let mut s = vec![0.0; n];
-            if !mask[j] {
-                s[j] = 1.0;
-            }
-            s
-        };
-        r.redirect_fraction = placement.redirect_fraction(j);
-        let exported: f64 = total - row[j];
-        r.blended_egress_per_gb = if exported > 0.0 {
-            row.iter()
-                .enumerate()
-                .filter(|&(k, _)| k != j)
-                .map(|(k, x)| x * fc.sites[k].egress_price_per_gb)
-                .sum::<f64>()
-                / exported
-        } else {
-            0.0
-        };
-    }
-    Ok(())
+    let sites = cfgs.iter();
+    let metrics = match fc.base.kernel {
+        SimKernel::Scan => host.run(
+            sites.map(Site::scan).collect::<Result<_, _>>()?,
+            tel,
+            footprint,
+        )?,
+        SimKernel::Indexed => host.run(
+            sites.map(Site::indexed).collect::<Result<_, _>>()?,
+            tel,
+            footprint,
+        )?,
+        SimKernel::EventDriven => unreachable!("the event-driven engine has its own loop"),
+    };
+    drop(run_span);
+    telem::record_fault_stats(tel, &metrics.fault_stats);
+    globals.record_delta(tel);
+    Ok(metrics)
 }
 
 #[cfg(test)]

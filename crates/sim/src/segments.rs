@@ -1,13 +1,13 @@
 //! The segment driver: the one round loop every round engine runs on.
 //!
-//! Scan, Indexed and the federation replay one per-round model:
-//! arrivals (shed under [`crate::faults::DegradeMode::ShedNewArrivals`]),
-//! allocation, download advance, viewing-model events, metering and
-//! sampling. This module holds that model once. A run is a list of
-//! **sites** (one for a single-site run, one per region for the
-//! federation), and a site is a list of **shards**, one per channel, as
-//! in the paper's model a viewer only ever meets its own channel's swarm
-//! and its own channel's reservation:
+//! Scan and Indexed replay one per-round model: arrivals (shed under
+//! [`crate::faults::DegradeMode::ShedNewArrivals`]), allocation, download
+//! advance, viewing-model events, metering and sampling. This module
+//! holds that model once. A run is a list of **sites** (one for a
+//! single-site run, one per region for the federation), and a site is a
+//! list of **shards**, one per channel, as in the paper's model a viewer
+//! only ever meets its own channel's swarm and its own channel's
+//! reservation:
 //!
 //! - A [`Shard`] owns one channel's round engine (Scan or Indexed,
 //!   statically dispatched), its peers, its lazy [`ChannelArrivals`]
@@ -17,19 +17,20 @@
 //!   and its event scratch. [`Shard::step_round`] is the only per-round
 //!   body there is.
 //!
-//! The driver ([`run`]) steps whole **segments** of rounds. Before each
-//! segment the caller's [`Host`] does its boundary work (fault
-//! boundaries and provisioning for one site; global placement and
-//! emergency re-plans for the federation). Then the driver pre-steps
-//! every round of the segment through the host: the clouds depend only
-//! on time and submissions, never on viewer state, so each round's
-//! online scale and cloud tick can run ahead of the shards. Then it
-//! steps every shard of every site — inline, or fanned out over the
-//! rayon pool in one scope when [`SimConfig::parallel_channels`] is set
-//! and the sites are large enough (see [`run`] for the two rules) — and
-//! folds the results round by round, in site and shard order. A segment
-//! ends before the next provisioning round or host topology change (the
-//! federation's site mask), at the horizon, or after
+//! The driver ([`run`]) steps whole **segments** of rounds under one
+//! host, the deployment of `crate::federation`: every run, one site or
+//! several, is a deployment. Before each segment the host does its
+//! boundary work (each site's fleet failures and repairs, then the
+//! per-site plans and global placement, or an emergency re-plan when a
+//! site goes dark or comes back). Then the driver pre-steps every round
+//! of the segment through the host: the clouds depend only on time and
+//! submissions, never on viewer state, so each round's online scale and
+//! cloud tick can run ahead of the shards. Then it steps every shard of
+//! every site — inline, or fanned out over the rayon pool in one scope
+//! when [`SimConfig::parallel_channels`] is set and the sites are large
+//! enough (see [`run`] for the two rules) — and folds the results round
+//! by round, in site and shard order. A segment ends before the next
+//! provisioning round or site-mask change, at the horizon, or after
 //! [`MAX_SEGMENT_ROUNDS`] rounds. Sampling rounds fall inside segments:
 //! at each one, a shard writes its sample partial (peers, smooth-playback
 //! count, start-up delay sum and count), and the driver folds the
@@ -86,8 +87,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{SimConfig, SimMode};
-use crate::control::{Observations, SiteControl};
+use crate::control::Observations;
 use crate::error::SimError;
+use crate::federation::Deployment;
 use crate::footprint::PeerFootprint;
 use crate::metrics::{Metrics, Sample};
 use crate::peer::Peer;
@@ -493,7 +495,7 @@ impl<'a, E: RoundEngine> Site<'a, E> {
     /// Folds each round's used cloud rate over the shards, in shard
     /// order, into the round's cloud bytes, and lets the host meter
     /// them.
-    fn reduce(&mut self, rounds: &[Round], site: usize, host: &mut impl Host) {
+    fn reduce(&mut self, rounds: &[Round], site: usize, host: &mut Deployment<'_>) {
         let n = rounds.len();
         self.bytes.clear();
         for (k, round) in rounds.iter().enumerate() {
@@ -569,67 +571,12 @@ impl<'a, E: RoundEngine> Site<'a, E> {
     }
 }
 
-/// A caller of the driver: the boundary work between segments and the
-/// clock-only work of each round, for every site it runs.
-pub(crate) trait Host {
-    /// True when each site is a region of a federation: a fanned-out
-    /// segment is then timed as `stage/region_step` and the run reports
-    /// per-region wall times, where a single site's run uses
-    /// `stage/shard_step` and per-shard ones.
-    const REGIONS: bool = false;
-
-    /// The work before the segment that starts at `clock`, with
-    /// `provision` set on a provisioning round: fault boundaries,
-    /// provisioning, re-plans. Interval records go into each site's
-    /// metrics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and cloud failures.
-    fn boundary<E: RoundEngine>(
-        &mut self,
-        clock: f64,
-        provision: bool,
-        sites: &mut [Site<'_, E>],
-        tel: &Telemetry,
-    ) -> Result<(), SimError>;
-
-    /// Pre-steps the round `[t0, t1)`: writes each site's online scale
-    /// at the round's start into `online`, ticks every cloud to `t1`,
-    /// and writes each site's running bandwidth after the tick into
-    /// `running`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cloud failures.
-    fn pre_round(
-        &mut self,
-        t0: f64,
-        t1: f64,
-        online: &mut [f64],
-        running: &mut [f64],
-    ) -> Result<(), SimError>;
-
-    /// True when the host's topology changes at `t1`, so the segment
-    /// must end there (the federation's site mask).
-    fn ends_segment(&self, _t1: f64) -> bool {
-        false
-    }
-
-    /// Site `site`'s control path: its per-channel reservation and VM
-    /// bandwidth are what its shards allocate from.
-    fn control(&self, site: usize) -> &SiteControl;
-
-    /// Meters one round of `site`'s cloud use, `bytes` over the round.
-    fn meter(&mut self, _site: usize, _bytes: f64) {}
-}
-
 /// Runs `sites` from time 0 to the horizon of `base` (which also gives
 /// the round, sampling and provisioning intervals and the
 /// `parallel_channels` knob), with `host` doing the boundary and
 /// clock-only work. Records the round-loop counters, the summed
 /// per-sample `peers_peak`, the stage times and the per-shard (or, for
-/// a federation, per-region) wall times into `tel`.
+/// more than one site, per-region) wall times into `tel`.
 ///
 /// Two rules, both read from state the driver already holds, decide
 /// how each segment steps:
@@ -641,18 +588,17 @@ pub(crate) trait Host {
 /// 2. An inline segment times its round stages inside the shards
 ///    (`stage/arrivals` … `stage/events` and `stage/sampling`, sampled:
 ///    one shard in one round in [`telem::STAGE_TIME_SAMPLE`]). A
-///    fanned-out segment
-///    is timed as one stage: `stage/shard_step` for a single site,
-///    `stage/region_step` for the federation. No stage counter nests
-///    inside another.
+///    fanned-out segment is timed as one stage: `stage/shard_step` for
+///    a single site, `stage/region_step` for more than one. No stage
+///    counter nests inside another.
 ///
 /// # Errors
 ///
 /// Propagates the host's failures.
-pub(crate) fn run<E: RoundEngine, H: Host>(
+pub(crate) fn run<E: RoundEngine>(
     base: &SimConfig,
     sites: &mut [Site<'_, E>],
-    host: &mut H,
+    host: &mut Deployment<'_>,
     tel: &Telemetry,
 ) -> Result<(), SimError> {
     let horizon = base.trace.horizon_seconds;
@@ -664,6 +610,7 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
     let mut online = vec![0.0; sites.len()];
     let mut running = vec![0.0; sites.len()];
     let group = task_group(sites.iter().map(|s| s.shards.len()).sum());
+    let regions = sites.len() > 1;
     let mut task_sizes = vec![0; sites.len()];
     // Segments are long enough to time every one of them.
     let mut clk = tel.stage_clock();
@@ -727,7 +674,7 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
             tel,
         );
         // Rule 2: an inline segment's shards timed their own stages.
-        match (pooled, H::REGIONS) {
+        match (pooled, regions) {
             (false, _) => clk.skip(),
             (true, false) => clk.lap(telem::STAGE_SHARD_STEP),
             (true, true) => clk.lap(telem::STAGE_REGION_STEP),
@@ -746,7 +693,7 @@ pub(crate) fn run<E: RoundEngine, H: Host>(
         rounds_done += rounds.len() as u64;
         clock = t0;
     }
-    report(sites, H::REGIONS, rounds_done, tel);
+    report(sites, regions, rounds_done, tel);
     Ok(())
 }
 
@@ -764,9 +711,9 @@ fn task_group(n_shards: usize) -> usize {
 /// tasks of `task_sizes[site]` shards each. Everything the shards read
 /// is fixed for the segment (the read barrier): the reservations and
 /// each round's online scale.
-fn fan_out<E: RoundEngine, H: Host>(
+fn fan_out<E: RoundEngine>(
     sites: &mut [Site<'_, E>],
-    host: &H,
+    host: &Deployment<'_>,
     rounds: &[Round],
     task_sizes: Option<&[usize]>,
     first_round: u64,
@@ -822,7 +769,7 @@ fn fan_out<E: RoundEngine, H: Host>(
 
 /// The run's telemetry, reduced in site and shard order: per-shard wall
 /// times and the `shards` table for a single site, per-region ones and
-/// the `regions` table for a federation (`regions`).
+/// the `regions` table for more than one (`regions`).
 fn report<E: RoundEngine>(sites: &[Site<'_, E>], regions: bool, rounds: u64, tel: &Telemetry) {
     if !tel.enabled() {
         return;

@@ -11,11 +11,12 @@
 //! bandwidth is allocated to in-flight chunk downloads, bytes advance, and
 //! completed chunks trigger viewing-model transitions. The rounds run on
 //! the segment driver (`crate::segments`), which every round engine
-//! shares: this module's [`Simulator`] runs a Scan or Indexed
-//! configuration as one site of it, keeping only the single site's
-//! boundary work — the fault plane's fleet boundaries and the interval
-//! control path (`crate::control`) — and the event-driven kernel runs
-//! its own loop (`crate::event_driven`).
+//! shares, under its one host (`crate::federation`): this module's
+//! [`Simulator`] builds a Scan or Indexed configuration into a one-site
+//! deployment of that host — its own configuration, one uncapped
+//! reference-priced site, no redirection — so every fault kind a
+//! federation applies applies here too. The event-driven kernel runs its
+//! own loop (`crate::event_driven`).
 //!
 //! # Round engines
 //!
@@ -80,8 +81,8 @@
 //!   the order the reference scan encounters them — regardless of which
 //!   cohort or wheel bucket discovered them.
 
-use cloudmedia_cloud::broker::Cloud;
-use cloudmedia_cloud::scheduler::ChunkKey;
+use cloudmedia_core::federation::{FederationPolicy, SiteSpec};
+use cloudmedia_core::geo::RegionSpec;
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::NextAction;
@@ -90,14 +91,12 @@ use rand::rngs::StdRng;
 use crate::allocation::peer_allocation;
 use crate::allocation::ChannelRound;
 use crate::config::{SimConfig, SimKernel};
-use crate::control::{site_cloud, SiteControl};
 use crate::error::SimError;
-use crate::faults::{FaultDriver, FaultRun};
+use crate::faults::FaultRun;
+use crate::federation::{self, FederatedConfig};
 use crate::footprint::PeerFootprint;
 use crate::metrics::Metrics;
 use crate::peer::{Peer, PeerState, PendingChunk};
-use crate::segments::{self, Host, Site};
-use crate::telem;
 use crate::tracker::Tracker;
 
 /// Fixed-point scale for peer upload-supply aggregation: 1/1024 byte/s
@@ -986,129 +985,31 @@ impl RoundEngine for IndexedEngine {
     }
 }
 
-// ----------------------------------------------------------------------
-// The single-site caller of the segment driver.
-// ----------------------------------------------------------------------
-
-/// A single-site run's boundary work: the fault plane's fleet failures
-/// and repairs at round boundaries, and the interval control path
-/// (through `crate::control`) at provisioning rounds. Everything else —
-/// arrivals, allocation, download progress, viewing-model transitions,
-/// metering and sampling — is the segment driver's
-/// (`crate::segments`). Every fault decision is a pure function of the
-/// simulated clock, so the run stays bit-identical across engines and
-/// parallelism.
-struct OneSite<'a> {
-    cfg: &'a SimConfig,
-    cloud: Cloud,
-    control: SiteControl,
-    faults: FaultDriver,
-}
-
-impl Host for OneSite<'_> {
-    fn boundary<E: RoundEngine>(
-        &mut self,
-        clock: f64,
-        provision: bool,
-        sites: &mut [Site<'_, E>],
-        tel: &Telemetry,
-    ) -> Result<(), SimError> {
-        self.faults
-            .apply_due(clock, &mut self.cloud, self.control.last_targets())?;
-        if provision {
-            let site = &mut sites[0];
-            let record = self.control.provision(
-                clock,
-                &mut self.cloud,
-                &mut self.faults.stats,
-                tel,
-                site.channel_peers(),
-                || site.interval_stats(),
-            )?;
-            site.metrics.intervals.push(record);
-        }
-        Ok(())
-    }
-
-    fn pre_round(
-        &mut self,
-        t0: f64,
-        t1: f64,
-        online: &mut [f64],
-        running: &mut [f64],
-    ) -> Result<(), SimError> {
-        // A no-op on a segment's first round, whose boundaries
-        // `boundary` applied before provisioning.
-        self.faults
-            .apply_due(t0, &mut self.cloud, self.control.last_targets())?;
-        let reserved = self.control.reserved_total();
-        online[0] = if reserved > 0.0 {
-            (self.cloud.running_bandwidth() / reserved).min(1.0)
-        } else {
-            0.0
-        };
-        self.cloud.tick(t1)?;
-        running[0] = self.cloud.running_bandwidth();
-        Ok(())
-    }
-
-    fn control(&self, _site: usize) -> &SiteControl {
-        &self.control
-    }
-}
-
-impl OneSite<'_> {
-    /// Runs `site` to the horizon; returns its metrics (costs not yet
-    /// filled in) and, when asked, adds its end-of-run footprint.
-    fn run<E: RoundEngine>(
-        &mut self,
-        mut site: Site<'_, E>,
-        tel: &Telemetry,
-        footprint: Option<&mut PeerFootprint>,
-    ) -> Result<Metrics, SimError> {
-        segments::run(self.cfg, std::slice::from_mut(&mut site), self, tel)?;
-        self.faults.stats.shed_arrivals += site.shed();
-        if let Some(out) = footprint {
-            site.add_footprint(out);
-        }
-        Ok(site.metrics)
-    }
-}
-
-/// Runs a Scan or Indexed configuration as one site, returning
-/// the metrics plus the fault-plane counters and recording telemetry
-/// into `tel`; with `footprint`, also measures the end-of-run per-peer
+/// Runs a Scan or Indexed configuration as a one-site deployment
+/// (`crate::federation`): its own configuration, one uncapped
+/// reference-priced site without egress, and no redirection. Returns
+/// the metrics plus the fault-plane counters and records telemetry into
+/// `tel`; with `footprint`, also measures the end-of-run per-peer
 /// resident footprint (`crate::footprint`).
 pub(crate) fn run_site(
     cfg: &SimConfig,
     tel: &Telemetry,
     footprint: Option<&mut PeerFootprint>,
 ) -> Result<FaultRun, SimError> {
-    // Process-wide counter baseline, taken before the arrival streams
-    // exist so their lazy draws are attributed to this run.
-    let globals = telem::GlobalCounters::capture();
-    let run_span = tel.span(telem::RUN_WALL);
-    let cloud = site_cloud(cfg, 1.0)?;
-    let control = SiteControl::new(cfg, &cloud)?;
-    let mut host = OneSite {
-        cfg,
-        cloud,
-        control,
-        faults: FaultDriver::new(&cfg.faults),
+    let fc = FederatedConfig {
+        base: cfg.clone(),
+        regions: vec![RegionSpec {
+            name: "site".into(),
+            population_share: 1.0,
+            timezone_offset_hours: 0.0,
+        }],
+        sites: vec![SiteSpec::reference(0.0)],
+        policy: FederationPolicy::independent(),
     };
-    let mut metrics = match cfg.kernel {
-        SimKernel::Scan => host.run(Site::scan(cfg)?, tel, footprint)?,
-        SimKernel::Indexed => host.run(Site::indexed(cfg)?, tel, footprint)?,
-        SimKernel::EventDriven => unreachable!("the event-driven engine has its own loop"),
-    };
-    drop(run_span);
-    metrics.total_vm_cost = host.cloud.billing().vm_cost().as_dollars();
-    metrics.total_storage_cost = host.cloud.billing().storage_cost().as_dollars();
-    telem::record_fault_stats(tel, &host.faults.stats);
-    globals.record_delta(tel);
+    let mut run = federation::run(&fc, std::slice::from_ref(cfg), tel, footprint)?;
     Ok(FaultRun {
-        metrics,
-        fault_stats: host.faults.stats,
+        metrics: run.per_region.swap_remove(0).metrics,
+        fault_stats: run.fault_stats,
     })
 }
 
@@ -1281,18 +1182,6 @@ pub(crate) fn process_round_events<E: RoundEngine>(
         peers.swap_remove(idx);
     }
     removals.clear();
-}
-
-/// A `(ChunkKey, demand)` pair list grouped per channel; helper shared by
-/// experiment harnesses.
-pub fn group_demand_by_channel(demands: &[(ChunkKey, f64)], n_channels: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n_channels];
-    for (key, demand) in demands {
-        if key.channel < n_channels {
-            out[key.channel] += demand;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1787,34 +1676,5 @@ mod tests {
             completions.push(events[0].0.clone());
         }
         assert_eq!(completions, [vec![1, 3, 5], vec![0, 2, 4], vec![]]);
-    }
-
-    #[test]
-    fn group_demand_by_channel_sums() {
-        let demands = vec![
-            (
-                ChunkKey {
-                    channel: 0,
-                    chunk: 0,
-                },
-                1.0,
-            ),
-            (
-                ChunkKey {
-                    channel: 0,
-                    chunk: 1,
-                },
-                2.0,
-            ),
-            (
-                ChunkKey {
-                    channel: 2,
-                    chunk: 0,
-                },
-                5.0,
-            ),
-        ];
-        let grouped = group_demand_by_channel(&demands, 3);
-        assert_eq!(grouped, vec![3.0, 0.0, 5.0]);
     }
 }
