@@ -109,12 +109,15 @@ pub(crate) enum CmEvent {
     /// A scheduled repair is due: lift the availability cap and restore
     /// the last planned VM targets.
     VmRecovery,
-    /// Tracker measurement: a viewer joined `channel` at `chunk`.
+    /// Tracker measurement: a viewer arrived at `channel` at `chunk`.
     TrackJoin {
         /// Channel.
         channel: usize,
         /// Start chunk.
         chunk: usize,
+        /// False for an arrival `ShedNewArrivals` refused: measured
+        /// demand, but no connected viewer.
+        admitted: bool,
     },
     /// Tracker measurement: a chunk-to-chunk transition.
     TrackTransition {

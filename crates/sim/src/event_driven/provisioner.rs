@@ -273,9 +273,13 @@ impl Component<CmEvent> for Provisioner {
             }),
             CmEvent::VmFailure { fraction } => self.fail_vms(now, fraction, kernel),
             CmEvent::VmRecovery => self.recover_vms(now, kernel),
-            CmEvent::TrackJoin { channel, chunk } => {
+            CmEvent::TrackJoin {
+                channel,
+                chunk,
+                admitted,
+            } => {
                 self.tracker.record_join(channel, chunk);
-                self.counts[channel] += 1;
+                self.counts[channel] += usize::from(admitted);
                 Ok(())
             }
             CmEvent::TrackTransition { channel, from, to } => {

@@ -194,6 +194,7 @@ impl Sessions {
             CmEvent::TrackJoin {
                 channel,
                 chunk: start_chunk,
+                admitted: true,
             },
         );
         kernel.schedule_in(
@@ -385,9 +386,19 @@ impl Component<CmEvent> for Sessions {
                     .expect("a NextArrival event always has its arrival staged");
                 debug_assert_eq!(a.time, now);
                 // Graceful degradation: during an active fleet-failure
-                // window with ShedNewArrivals, refuse admission.
+                // window with ShedNewArrivals, refuse admission. The
+                // tracker still measures the arrival as demand.
                 if self.faults.shed_arrivals_at(a.time) {
                     self.shed += 1;
+                    kernel.schedule_in(
+                        0.0,
+                        PROVISIONER,
+                        CmEvent::TrackJoin {
+                            channel: a.channel,
+                            chunk: a.start_chunk,
+                            admitted: false,
+                        },
+                    );
                 } else {
                     self.join(
                         kernel,

@@ -298,9 +298,13 @@ impl<E: RoundEngine> Shard<E> {
         while let Some(a) = self.next_arrival.as_ref().filter(|a| a.time < t1) {
             // Admission control under ShedNewArrivals: a pure function
             // of the arrival timestamp and the (read-only) schedule, so
-            // the decision is identical under any shard grouping.
+            // the decision is identical under any shard grouping. A
+            // shed arrival is still demand the tracker measures: the
+            // plans made inside the burst rent for it, and the repair
+            // resubmits them.
             if cfg.faults.shed_arrivals_at(a.time) {
                 self.shed += 1;
+                self.tracker.record_join(a.channel, a.start_chunk);
                 self.next_arrival = self.arrivals.next();
                 continue;
             }

@@ -218,3 +218,40 @@ fn shedding_new_arrivals_is_counted_and_caps_load() {
         "shedding must not raise the outage-window population"
     );
 }
+
+#[test]
+fn plans_inside_a_shed_burst_still_rent_vms() {
+    // Arrivals shed inside the burst are still measured demand: every
+    // plan made inside it rents VMs, and the repair resubmits them.
+    let hours = 10.0;
+    let (at, recovery) = (4.0 * 3600.0, 3.0 * 3600.0);
+    for kernel in [SimKernel::Indexed, SimKernel::EventDriven] {
+        let mut cfg = small_cfg(kernel, hours);
+        cfg.faults = FaultSchedule::vm_outage(at, 0.5, recovery);
+        cfg.faults.degrade = DegradeMode::ShedNewArrivals;
+        let run = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
+
+        assert!(
+            run.fault_stats.shed_arrivals > 0,
+            "{kernel:?}: nothing shed"
+        );
+        let inside: Vec<_> = run
+            .metrics
+            .intervals
+            .iter()
+            .filter(|r| r.time > at && r.time < at + recovery)
+            .collect();
+        assert_eq!(inside.len(), 2, "{kernel:?}: plans at 5 h and 6 h");
+        for r in inside {
+            assert!(
+                r.vm_targets.iter().sum::<usize>() > 0,
+                "{kernel:?}: the plan at {} s rents no VMs",
+                r.time
+            );
+        }
+        assert!(
+            run.fault_stats.vms_recovered > 0,
+            "{kernel:?}: the repair restored nothing"
+        );
+    }
+}

@@ -345,8 +345,9 @@ fn segment_boundaries_match_the_golden() {
 }
 
 /// The fixture exercises what it claims to: the horizon ends inside a
-/// round, the burst kills VMs and sheds arrivals, the blackout replays
-/// a plan, and the outage forces both emergency re-plans.
+/// round, the burst kills VMs, sheds arrivals and is repaired, the
+/// blackout replays a plan, and the outage forces both emergency
+/// re-plans.
 #[test]
 fn golden_covers_every_boundary_kind() {
     assert_eq!(HORIZON % ROUND, 3.0);
@@ -359,14 +360,14 @@ fn golden_covers_every_boundary_kind() {
     for (label, s) in &stats {
         assert!(s.fallback_intervals > 0, "{label}: blackout never replayed");
         assert!(s.shed_arrivals > 0, "{label}: nothing shed");
-        if label.starts_with("federated") || label.starts_with("independent") {
-            assert_eq!(s.emergency_replans, 2, "{label}: outage re-plans");
-        } else if label.starts_with("central") {
-            // One region, so no site 1 to take down; the federation
-            // ignores VM bursts (ROADMAP item 3(e)), so none are killed.
-            assert_eq!(s.emergency_replans, 0, "{label}: no outage, no re-plan");
+        assert!(s.vms_killed > 0, "{label}: burst killed nothing");
+        assert!(s.vms_recovered > 0, "{label}: repair restored nothing");
+        let replans = if label.starts_with("federated") || label.starts_with("independent") {
+            2
         } else {
-            assert!(s.vms_killed > 0, "{label}: burst killed nothing");
-        }
+            // One site, so no site 1 to take down.
+            0
+        };
+        assert_eq!(s.emergency_replans, replans, "{label}: outage re-plans");
     }
 }
