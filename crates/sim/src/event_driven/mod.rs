@@ -74,7 +74,7 @@ use cloudmedia_telemetry::Telemetry;
 use serde::Serialize;
 
 use crate::config::SimConfig;
-use crate::error::SimError;
+use crate::error::{invalid_param, SimError};
 use crate::metrics::Metrics;
 use crate::telem;
 use events::{CmEvent, ADMISSION, ENGINE, PROVISIONER, SESSIONS};
@@ -243,6 +243,25 @@ pub struct DesRun {
     pub fault_stats: crate::faults::FaultStats,
 }
 
+/// Validates `cfg` for the event-driven engine: its provisioner has no
+/// site mask, so it rejects any site outage.
+///
+/// # Errors
+///
+/// Propagates configuration validation failures and rejects site
+/// outages.
+pub(crate) fn validate(cfg: &SimConfig) -> Result<(), SimError> {
+    cfg.validate()?;
+    if !cfg.faults.site_outages.is_empty() {
+        return Err(invalid_param(
+            "site_outages",
+            "the event-driven engine has no site mask; run site outages on a round engine \
+             (Indexed or Scan)",
+        ));
+    }
+    Ok(())
+}
+
 /// Runs the event-driven engine over the configured horizon.
 ///
 /// # Errors
@@ -266,7 +285,7 @@ pub fn run_with_telemetry(
     scenario: &DesScenario,
     tel: &Telemetry,
 ) -> Result<DesRun, SimError> {
-    cfg.validate()?;
+    validate(cfg)?;
     let globals = telem::GlobalCounters::capture();
     let run_span = tel.span(telem::RUN_WALL);
     let horizon = cfg.trace.horizon_seconds;

@@ -2,27 +2,31 @@
 //!
 //! A [`FaultSchedule`] is part of the seeded [`SimConfig`](crate::config::SimConfig):
 //! a list of *timed, typed* events — correlated VM-fleet failure bursts
-//! (with repair), federated site outages, tracker-measurement dropouts,
-//! and mid-run cost shocks (budget cut / VM-price change) — that every
-//! engine applies at the same simulated instants. All fault mutation
-//! happens in serial coordinator code *before* any parallel fan-out, and
-//! the schedule itself is plain data, so the existing determinism
-//! contract holds: the same seed plus the same schedule produces
-//! bit-identical metrics serially and in parallel, on every engine that
-//! honours the event type (see `docs/RESILIENCE.md`).
+//! (with repair), site outages, tracker-measurement dropouts, and mid-run
+//! cost shocks (budget cut / VM-price change) — that every engine applies
+//! at the same simulated instants. Every round-engine run, one site or a
+//! federation of several, is a deployment on one host
+//! (`crate::federation`), so it applies every kind; the event-driven
+//! engine applies every kind but site outages, which its validation
+//! rejects. All fault mutation happens in serial coordinator code
+//! *before* any parallel fan-out, and the schedule itself is plain data,
+//! so the existing determinism contract holds: the same seed plus the
+//! same schedule produces bit-identical metrics serially and in
+//! parallel (see `docs/RESILIENCE.md`).
 //!
 //! Event semantics:
 //!
 //! - **Fleet failure** ([`FleetFailure`]): at `at`, a fraction of each
-//!   cluster's *running* VMs dies and the same fraction of the fleet's
-//!   hosts becomes unavailable (the broker rejects over-cap requests
-//!   until the repair at `at + recovery_seconds`, which restores the
-//!   fleet and resubmits the last planned targets through
+//!   cluster's *running* VMs dies at every site and the same fraction of
+//!   each site's hosts becomes unavailable (the broker rejects over-cap
+//!   requests until the repair at `at + recovery_seconds`, which restores
+//!   the fleet and resubmits the site's targets in force through
 //!   [`RetryPolicy`]-governed retry).
-//! - **Site outage** ([`SiteOutage`]): federated runs only. The site's
-//!   capacity drops to zero for the duration; the global placement
-//!   optimizer re-plans around it immediately (an emergency re-plan, not
-//!   waiting for the hourly boundary) and again at recovery.
+//! - **Site outage** ([`SiteOutage`]): the named site's capacity drops
+//!   to zero for the duration; the global placement optimizer re-plans
+//!   around it immediately (an emergency re-plan, not waiting for the
+//!   hourly boundary) and again at recovery. A single site has only
+//!   site 0, and its outage leaves its viewers without cloud capacity.
 //! - **Tracker dropout** ([`TrackerDropout`]): a provisioning boundary
 //!   falling inside the window has no fresh measurements; the controller
 //!   falls back to its last-known-good plan instead of re-planning.
@@ -66,14 +70,16 @@ impl FleetFailure {
     }
 }
 
-/// A federated site outage: the site serves nothing for the duration and
-/// the placement optimizer must route its regions' demand elsewhere.
-/// Ignored by the single-site engines.
+/// A site outage: the site serves nothing for the duration and the
+/// placement optimizer must route its regions' demand elsewhere. Every
+/// round-engine deployment applies it; a single site has only site 0,
+/// and the event-driven engine rejects it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SiteOutage {
     /// Outage start, simulated seconds.
     pub at: f64,
-    /// Index of the lost site (region index in the federation).
+    /// Index of the lost site (region index in the federation; 0 for a
+    /// single site).
     pub site: usize,
     /// Outage duration, seconds (> 0).
     pub duration_seconds: f64,
@@ -159,9 +165,11 @@ pub enum DegradeMode {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FaultSchedule {
-    /// Correlated VM-fleet failure bursts (all engines).
+    /// Correlated VM-fleet failure bursts (all engines; every site of a
+    /// deployment).
     pub vm_failures: Vec<FleetFailure>,
-    /// Site outages (federated runs; ignored by single-site engines).
+    /// Site outages (every round-engine deployment; rejected by the
+    /// event-driven engine).
     pub site_outages: Vec<SiteOutage>,
     /// Tracker-measurement dropout windows (all engines).
     pub tracker_dropouts: Vec<TrackerDropout>,
@@ -184,7 +192,7 @@ impl FaultSchedule {
         }
     }
 
-    /// A single site outage (federated runs).
+    /// A single site outage.
     pub fn site_outage(at: f64, site: usize, duration_seconds: f64) -> Self {
         Self {
             site_outages: vec![SiteOutage {
@@ -294,6 +302,22 @@ impl FaultSchedule {
         Ok(())
     }
 
+    /// Checks the schedule against a run of `sites` sites: every site
+    /// outage must name one of them (a single site has only site 0).
+    ///
+    /// # Errors
+    ///
+    /// Rejects a site outage whose site index is out of range.
+    pub(crate) fn validate_sites(&self, sites: usize) -> Result<(), SimError> {
+        match self.site_outages.iter().find(|o| o.site >= sites) {
+            Some(o) => Err(invalid_param(
+                "site_outages",
+                format!("site index {} out of range for {sites} site(s)", o.site),
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// True while any fleet-failure window is active.
     pub fn outage_active(&self, t: f64) -> bool {
         self.vm_failures.iter().any(|f| f.active_at(t))
@@ -391,7 +415,7 @@ impl FaultSchedule {
 /// Covered by the same bit-identity contracts as
 /// [`crate::metrics::Metrics`]: serial and parallel runs of one seeded
 /// schedule produce equal counters (`crates/sim/tests/chaos.rs` and
-/// `lane_invariance.rs` pin them alongside the metrics).
+/// `hot_shard_invariance.rs` pin them alongside the metrics).
 #[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct FaultStats {
     /// Running VMs killed by fleet failures.
@@ -410,8 +434,8 @@ pub struct FaultStats {
     /// Provisioning boundaries that fell back to the last-known-good plan
     /// because the tracker was dark.
     pub fallback_intervals: u64,
-    /// Emergency placement re-plans triggered by site outages/recoveries
-    /// (federated runs).
+    /// Emergency placement re-plans triggered by site outages and
+    /// recoveries.
     pub emergency_replans: u64,
 }
 

@@ -215,18 +215,7 @@ impl FederatedConfig {
                  DesScenario::remote_overflow)",
             ));
         }
-        for o in &self.base.faults.site_outages {
-            if o.site >= self.regions.len() {
-                return Err(invalid_param(
-                    "site_outages",
-                    format!(
-                        "site index {} out of range for {} regions",
-                        o.site,
-                        self.regions.len()
-                    ),
-                ));
-            }
-        }
+        self.base.faults.validate_sites(self.regions.len())?;
         for idx in 0..self.regions.len() {
             self.region_config(idx).validate()?;
         }

@@ -174,13 +174,22 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator after validating the configuration.
+    /// Creates a simulator after validating the configuration against
+    /// what its engine can apply.
     ///
     /// # Errors
     ///
-    /// Propagates configuration validation failures.
+    /// Propagates configuration validation failures, and rejects a site
+    /// outage naming any site but site 0 (a round-engine run is one
+    /// site) or any site outage on the event-driven engine.
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        config.validate()?;
+        match config.kernel {
+            SimKernel::EventDriven => crate::event_driven::validate(&config)?,
+            SimKernel::Scan | SimKernel::Indexed => {
+                config.validate()?;
+                config.faults.validate_sites(1)?;
+            }
+        }
         Ok(Self { config })
     }
 

@@ -17,11 +17,12 @@
 //! actually sheds (and counts) arrivals during the outage window.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::event_driven::{self, DesScenario};
 use cloudmedia_sim::faults::{DegradeMode, FaultSchedule, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
-use cloudmedia_sim::Metrics;
+use cloudmedia_sim::{Metrics, SimError};
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::ViewingModel;
 
@@ -103,11 +104,15 @@ fn faulted_sharded_run_is_bit_identical_serial_vs_parallel() {
 
 #[test]
 fn faulted_federated_run_is_bit_identical_serial_vs_parallel() {
+    let hours = 8.0;
     let mut fc =
-        FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, 8.0);
-    // Mid-interval start so the outage exercises the emergency re-plan
-    // path, not just the hourly boundary.
-    fc.base.faults = FaultSchedule::site_outage(3.0 * 3600.0 + 600.0, 1, 1.5 * 3600.0);
+        FederatedConfig::paper_default(DeploymentKind::Federated, SimMode::ClientServer, hours);
+    // Every fault kind at once. The outage starts mid-interval, so it
+    // exercises the emergency re-plan path, not just the hourly
+    // boundary.
+    fc.base.faults = combined_schedule(hours * 3600.0);
+    fc.base.faults.site_outages =
+        FaultSchedule::site_outage(3.0 * 3600.0 + 600.0, 1, 1.5 * 3600.0).site_outages;
 
     fc.base.parallel_channels = true;
     let parallel = FederatedSimulator::new(fc.clone()).unwrap().run().unwrap();
@@ -129,6 +134,92 @@ fn faulted_federated_run_is_bit_identical_serial_vs_parallel() {
     assert!(
         parallel.fault_stats.emergency_replans > 0,
         "mid-interval outage must force an emergency re-plan"
+    );
+    assert!(
+        parallel.fault_stats.vms_killed > 0,
+        "the fleet burst hit the federation's sites"
+    );
+}
+
+#[test]
+fn single_site_outage_dents_quality_serial_vs_parallel() {
+    // A 2 h outage of the one site, from 1 h 10 min to 3 h 10 min, on a
+    // site large enough to fan its shards out over the pool.
+    let hours = 4.0;
+    let (at, duration) = (3600.0 + 600.0, 2.0 * 3600.0);
+    let mut cfg = SimConfig::scale_out(SimMode::ClientServer, 30, 8_000.0).unwrap();
+    cfg.trace.horizon_seconds = hours * 3600.0;
+    let baseline = Simulator::new(cfg.clone()).unwrap().run().unwrap();
+    cfg.faults = FaultSchedule::site_outage(at, 0, duration);
+
+    let tel = telem::new_registry(false);
+    let parallel = Simulator::new(cfg.clone())
+        .unwrap()
+        .run_with_telemetry(&tel)
+        .unwrap();
+    assert!(
+        tel.snapshot().value(telem::STAGE_SHARD_STEP) > 0,
+        "the parallel run fanned its shards out"
+    );
+    cfg.parallel_channels = false;
+    let serial = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
+    assert_eq!(parallel.metrics, serial.metrics, "metrics diverged");
+    assert_eq!(
+        parallel.fault_stats, serial.fault_stats,
+        "fault counters diverged"
+    );
+
+    assert_ne!(parallel.metrics, baseline, "the outage changed nothing");
+    assert_eq!(
+        parallel.fault_stats.emergency_replans, 2,
+        "the site went dark and came back between boundaries"
+    );
+    let during = window_quality(&parallel.metrics, at, at + duration);
+    let during_base = window_quality(&baseline, at, at + duration);
+    assert!(
+        during < during_base - 0.05,
+        "the outage dents quality: {during:.4} vs baseline {during_base:.4}"
+    );
+}
+
+#[test]
+fn a_single_site_rejects_an_outage_of_another_site() {
+    for kernel in [SimKernel::Scan, SimKernel::Indexed] {
+        let mut cfg = small_cfg(kernel, 2.0);
+        cfg.faults = FaultSchedule::site_outage(3600.0, 1, 600.0);
+        assert!(
+            matches!(
+                Simulator::new(cfg),
+                Err(SimError::InvalidParameter {
+                    name: "site_outages",
+                    ..
+                })
+            ),
+            "{kernel:?}: a single site has only site 0"
+        );
+    }
+}
+
+#[test]
+fn the_event_driven_engine_rejects_site_outages() {
+    let mut cfg = small_cfg(SimKernel::EventDriven, 2.0);
+    cfg.faults = FaultSchedule::site_outage(3600.0, 0, 600.0);
+    let rejected = |r: Result<(), SimError>| {
+        matches!(
+            r,
+            Err(SimError::InvalidParameter {
+                name: "site_outages",
+                ..
+            })
+        )
+    };
+    assert!(
+        rejected(Simulator::new(cfg.clone()).map(drop)),
+        "Simulator::new"
+    );
+    assert!(
+        rejected(event_driven::run(&cfg, &DesScenario::default()).map(drop)),
+        "event_driven::run"
     );
 }
 
