@@ -1,4 +1,5 @@
-//! The federated multi-region simulator.
+//! The federated multi-region simulator, and the one host every
+//! round-engine run steps under (see "Execution" below).
 //!
 //! [`FederatedSimulator`] runs one full CloudMedia system per region —
 //! each with its population share of the catalog, its diurnal pattern

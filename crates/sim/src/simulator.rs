@@ -14,9 +14,9 @@
 //! shares, under its one host (`crate::federation`): this module's
 //! [`Simulator`] builds a Scan or Indexed configuration into a one-site
 //! deployment of that host — its own configuration, one uncapped
-//! reference-priced site, no redirection — so every fault kind a
-//! federation applies applies here too. The event-driven kernel runs its
-//! own loop (`crate::event_driven`).
+//! reference-priced site, no redirection — so it applies every fault
+//! kind a federation applies. The event-driven kernel runs its own loop
+//! (`crate::event_driven`).
 //!
 //! # Round engines
 //!
