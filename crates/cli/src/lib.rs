@@ -47,7 +47,7 @@ use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::controller::{Controller, ControllerConfig, StreamingMode};
 use cloudmedia_core::predictor::{ChannelObservation, PredictorKind};
 use cloudmedia_sim::config::{SchedulerChoice, SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::event_driven::{DesScenario, FlashCrowdSpec, VmFailureSpec};
+use cloudmedia_sim::event_driven::{DesScenario, FlashCrowdSpec};
 use cloudmedia_sim::faults::{DegradeMode, FaultSchedule, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 use cloudmedia_sim::simulator::Simulator;
@@ -238,7 +238,8 @@ pub enum DesScenarioKind {
     Baseline,
     /// VM boots stretched to 5 minutes (cold-capacity stress).
     BootDelay,
-    /// 50 % of the running fleet fails mid-run.
+    /// Half the VM fleet fails at mid-run and is repaired a quarter
+    /// horizon later: the `chaos vm-outage` burst.
     VmFailure,
     /// A sharp mid-run flash crowd on the most popular channel.
     FlashCrowd,
@@ -257,22 +258,20 @@ impl DesScenarioKind {
         }
     }
 
-    /// Builds the scenario spec for a run of `horizon` seconds.
-    fn build(self, horizon: f64) -> DesScenario {
+    /// Builds the scenario spec for a run of `config`; `vm-failure`
+    /// sets its fault schedule instead.
+    fn build(self, config: &mut SimConfig) -> DesScenario {
+        let horizon = config.trace.horizon_seconds;
         match self {
             Self::Baseline => DesScenario::default(),
             Self::BootDelay => DesScenario {
                 vm_boot_seconds: Some(300.0),
                 ..DesScenario::default()
             },
-            Self::VmFailure => DesScenario {
-                failures: vec![VmFailureSpec {
-                    at: horizon * 0.5,
-                    fraction: 0.5,
-                    recovery_seconds: 0.0,
-                }],
-                ..DesScenario::default()
-            },
+            Self::VmFailure => {
+                config.faults = ChaosScenarioKind::VmOutage.build(horizon, false);
+                DesScenario::default()
+            }
             Self::FlashCrowd => DesScenario {
                 flash_crowds: vec![FlashCrowdSpec {
                     at: horizon * 0.6 + 17.0,
@@ -989,7 +988,7 @@ fn des(
     let mut config = SimConfig::paper_default(mode);
     config.trace.horizon_seconds = hours * 3600.0;
     config.scheduler = scheduler;
-    let spec = scenario.build(config.trace.horizon_seconds);
+    let spec = scenario.build(&mut config);
     let tel = telemetry.registry();
     let run = cloudmedia_sim::event_driven::run_with_telemetry(&config, &spec, &tel)
         .map_err(|e| CliError::Run(format!("event-driven run failed: {e}")))?;
@@ -1048,11 +1047,11 @@ fn des(
          {} slots recycled",
         r.events_delivered, r.peak_pending_events, r.cancelled_events, r.recycled_slots
     );
-    if r.vms_killed > 0 {
+    if run.fault_stats.vms_killed > 0 {
         let _ = writeln!(
             out,
             "failure injection killed {} VM instances",
-            r.vms_killed
+            run.fault_stats.vms_killed
         );
     }
     if r.redirected_requests > 0 {
@@ -1626,18 +1625,27 @@ mod tests {
     #[test]
     fn des_scenarios_build_their_specs() {
         let horizon = 10.0 * 3600.0;
+        let mut config = SimConfig::paper_default(SimMode::P2p);
+        config.trace.horizon_seconds = horizon;
+        let plain = config.clone();
         assert_eq!(
-            DesScenarioKind::Baseline.build(horizon),
+            DesScenarioKind::Baseline.build(&mut config),
             DesScenario::default()
         );
-        let boot = DesScenarioKind::BootDelay.build(horizon);
+        let boot = DesScenarioKind::BootDelay.build(&mut config);
         assert_eq!(boot.vm_boot_seconds, Some(300.0));
-        let fail = DesScenarioKind::VmFailure.build(horizon);
-        assert_eq!(fail.failures.len(), 1);
-        assert!(fail.failures[0].at < horizon);
-        let crowd = DesScenarioKind::FlashCrowd.build(horizon);
+        let crowd = DesScenarioKind::FlashCrowd.build(&mut config);
         assert_eq!(crowd.flash_crowds.len(), 1);
         assert!(crowd.flash_crowds[0].at < horizon);
+        assert_eq!(config, plain, "only vm-failure touches the config");
+        // vm-failure runs the chaos vm-outage burst: half the fleet at
+        // mid-run, repaired a quarter horizon later.
+        let fail = DesScenarioKind::VmFailure.build(&mut config);
+        assert_eq!(fail, DesScenario::default());
+        assert_eq!(
+            config.faults,
+            FaultSchedule::vm_outage(0.5 * horizon, 0.5, 0.25 * horizon)
+        );
     }
 
     #[test]

@@ -394,13 +394,6 @@ impl Cloud {
         Ok(())
     }
 
-    /// Restores every cluster's availability to its full fleet size (the
-    /// repair completing after a correlated failure).
-    pub fn restore_full_availability(&mut self) {
-        let full: Vec<usize> = self.vms.specs().iter().map(|s| s.max_vms).collect();
-        self.available = full;
-    }
-
     /// Submits a request under `policy`: retries `InsufficientVms`
     /// rejections with exponential backoff, and after the final attempt
     /// *degrades* — clamps every VM target to the cluster's current
@@ -621,7 +614,7 @@ mod tests {
         // 5 + 10 + 20 seconds of exponential backoff across 3 failures.
         assert!((receipt.backoff_seconds - 35.0).abs() < 1e-12);
         // Repair restores the full fleet; the same request now lands.
-        cloud.restore_full_availability();
+        cloud.set_availability(&[75, 30, 45]).unwrap();
         let receipt = cloud
             .submit_with_retry(&request, &RetryPolicy::paper_default())
             .unwrap();

@@ -17,8 +17,8 @@
 //! (`crate::federation`): it plans every site, runs the global placement
 //! over the plans, rents each site's aggregate targets, and then commits
 //! each site's plan; a single site is a one-site deployment. The
-//! event-driven provisioner calls [`SiteControl::provision`], which
-//! rents the plan through the retrying broker in between.
+//! event-driven provisioner plans, rents and commits its one site the
+//! same way. Both rent through the site's `FaultDriver`.
 //!
 //! The fault plane's control-path faults are decided here, each a pure
 //! function of the interval's start time: cost shocks at the boundary
@@ -26,8 +26,7 @@
 //! each other and across thread counts.
 
 use cloudmedia_cloud::broker::{
-    scale_fleet_capacity, scale_nfs_capacity, scale_vm_prices, Cloud, ResourceRequest, RetryPolicy,
-    SlaTerms,
+    scale_fleet_capacity, scale_nfs_capacity, scale_vm_prices, Cloud, SlaTerms,
 };
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
 use cloudmedia_cloud::scheduler::PlacementPlan;
@@ -38,7 +37,7 @@ use cloudmedia_telemetry::Telemetry;
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::faults::{FaultSchedule, FaultStats};
+use crate::faults::FaultSchedule;
 use crate::metrics::IntervalRecord;
 use crate::telem;
 
@@ -75,7 +74,6 @@ pub(crate) struct SiteControl {
     /// The site's price book (before cost shocks) and VM bandwidths.
     sla: SlaTerms,
     faults: FaultSchedule,
-    retry: RetryPolicy,
     /// The first interval's observations, taken by the first plan.
     bootstrap: Option<Observations>,
     /// Budget-shock factor already folded into the planner's budget.
@@ -109,7 +107,6 @@ impl SiteControl {
             planner,
             sla,
             faults: cfg.faults.clone(),
-            retry: RetryPolicy::paper_default(),
             bootstrap: Some(bootstrap_stats(cfg)),
             applied_budget_factor: 1.0,
             placement: None,
@@ -137,12 +134,6 @@ impl SiteControl {
     /// The last plan put in force (placement stripped), if any.
     pub(crate) fn last_plan(&self) -> Option<&ProvisioningPlan> {
         self.last_plan.as_ref()
-    }
-
-    /// VM targets of the plan in force (empty before the first): what
-    /// the event-driven engine's fleet repair resubmits.
-    pub(crate) fn last_targets(&self) -> &[usize] {
-        self.last_plan.as_ref().map_or(&[], |p| &p.vm_targets)
     }
 
     /// The price book plans are made against at `clock`: the site's,
@@ -270,40 +261,6 @@ impl SiteControl {
         };
         self.last_plan = Some(plan);
         record
-    }
-
-    /// One provisioning boundary of the event-driven engine:
-    /// [`plan`](Self::plan), rent the plan's VM targets and placement
-    /// through the retrying broker, and [`commit`](Self::commit) it.
-    /// Fallbacks and broker retries are counted into `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and broker failures.
-    pub(crate) fn provision(
-        &mut self,
-        clock: f64,
-        cloud: &mut Cloud,
-        stats: &mut FaultStats,
-        tel: &Telemetry,
-        per_channel_peers: Vec<usize>,
-        observe: impl FnOnce() -> Result<Observations, SimError>,
-    ) -> Result<IntervalRecord, SimError> {
-        let _interval = tel.span(telem::PROV_INTERVAL);
-        let Planned { plan, replayed } = self.plan(clock, tel, observe)?;
-        stats.fallback_intervals += u64::from(replayed);
-        let receipt = {
-            let _s = tel.span(telem::PROV_SUBMIT);
-            cloud.submit_with_retry(
-                &ResourceRequest {
-                    vm_targets: plan.vm_targets.clone(),
-                    placement: plan.placement.clone(),
-                },
-                &self.retry,
-            )?
-        };
-        stats.record_receipt(&receipt);
-        Ok(self.commit(clock, plan, true, per_channel_peers))
     }
 }
 

@@ -101,14 +101,13 @@ pub(crate) enum CmEvent {
     /// A VM lifecycle transition is due: advance the cloud and
     /// re-announce capacity.
     CloudSync,
-    /// Scenario injection: a fraction of the fleet fails now.
-    VmFailure {
-        /// Fraction of each cluster's active instances lost.
-        fraction: f64,
+    /// A fault-schedule instant: a fleet failure or repair, or a site
+    /// outage's start or end.
+    FaultBoundary {
+        /// True for a repair or an outage's end: capacity returns once
+        /// VMs boot, not once they shut down.
+        restores: bool,
     },
-    /// A scheduled repair is due: lift the availability cap and restore
-    /// the last planned VM targets.
-    VmRecovery,
     /// Tracker measurement: a viewer arrived at `channel` at `chunk`.
     TrackJoin {
         /// Channel.

@@ -18,7 +18,9 @@
 //! - [`provisioner::Provisioner`] — the round engines' control path, run
 //!   through the same `crate::control` module (tracker →
 //!   controller/baseline planner → broker → billing), driven by hourly
-//!   `ProvisionTick` events, plus the VM failure-injection hook.
+//!   `ProvisionTick` events, and the round engines' fault plane: the
+//!   site is site 0 of the configuration's fault schedule, applied at
+//!   `FaultBoundary` events.
 //!
 //! Components never touch each other's state: every interaction is an
 //! event (`ChunkRequest`, `Delivered`, `PoolUpdate`, `CapacityUpdate`,
@@ -36,9 +38,9 @@
 //!   broker's actual VM lifecycle (boot completions re-announce capacity
 //!   mid-interval through `CloudSync` events), and a scenario can stretch
 //!   the boot latency arbitrarily ([`DesScenario::vm_boot_seconds`]).
-//! - **VM failure injection**: [`VmFailureSpec`] kills a fraction of the
-//!   running fleet at an arbitrary instant; the hourly controller then
-//!   re-provisions on its next tick.
+//! - **Faults at their own instants**: every kind of the configuration's
+//!   [`FaultSchedule`](crate::faults::FaultSchedule) lands at its exact
+//!   timestamp, between any two events, not at a round boundary.
 //! - **Sub-round flash crowds**: [`FlashCrowdSpec`] injects a burst of
 //!   extra viewers whose arrival times are sampled inside an arbitrary
 //!   window — timing no round boundary ever sees.
@@ -74,26 +76,10 @@ use cloudmedia_telemetry::Telemetry;
 use serde::Serialize;
 
 use crate::config::SimConfig;
-use crate::error::{invalid_param, SimError};
+use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::telem;
 use events::{CmEvent, ADMISSION, ENGINE, PROVISIONER, SESSIONS};
-
-/// A VM failure burst: at `at` seconds, `fraction` of the currently
-/// billable fleet (per cluster, rounded down) is killed. With a positive
-/// `recovery_seconds` the failed capacity comes back: a repair event at
-/// `at + recovery_seconds` restores the last planned VM targets (instead
-/// of the fleet staying dead until the next hourly re-plan).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct VmFailureSpec {
-    /// Failure instant, seconds from run start.
-    pub at: f64,
-    /// Fraction of each cluster's active instances lost, in `[0, 1]`.
-    pub fraction: f64,
-    /// Seconds until the failed capacity is repaired; `0.0` means the
-    /// failure is permanent (the historical behaviour).
-    pub recovery_seconds: f64,
-}
 
 /// A flash-crowd burst: `extra_viewers` additional arrivals to `channel`,
 /// spread uniformly over `[at, at + window_seconds)` — sub-round timing
@@ -135,8 +121,6 @@ pub struct DesScenario {
     pub vm_boot_seconds: Option<f64>,
     /// Override the VM shutdown latency (paper default: 10 s).
     pub vm_shutdown_seconds: Option<f64>,
-    /// VM failure bursts to inject.
-    pub failures: Vec<VmFailureSpec>,
     /// Flash-crowd bursts to inject.
     pub flash_crowds: Vec<FlashCrowdSpec>,
     /// Redirect queue overflow to a remote federation site.
@@ -223,8 +207,6 @@ pub struct DesReport {
     pub recycled_slots: u64,
     /// Sessions injected by flash-crowd bursts.
     pub injected_viewers: u64,
-    /// VM instances killed by failure bursts.
-    pub vms_killed: u64,
     /// Requests the admission hook redirected to the remote overflow
     /// site ([`DesScenario::remote_overflow`]); 0 without one.
     pub redirected_requests: u64,
@@ -238,28 +220,8 @@ pub struct DesRun {
     /// Event-driven-only outputs.
     pub report: DesReport,
     /// Fault-plane counters (the configuration's
-    /// [`FaultSchedule`](crate::faults::FaultSchedule) plus scenario
-    /// failure injections).
+    /// [`FaultSchedule`](crate::faults::FaultSchedule)).
     pub fault_stats: crate::faults::FaultStats,
-}
-
-/// Validates `cfg` for the event-driven engine: its provisioner has no
-/// site mask, so it rejects any site outage.
-///
-/// # Errors
-///
-/// Propagates configuration validation failures and rejects site
-/// outages.
-pub(crate) fn validate(cfg: &SimConfig) -> Result<(), SimError> {
-    cfg.validate()?;
-    if !cfg.faults.site_outages.is_empty() {
-        return Err(invalid_param(
-            "site_outages",
-            "the event-driven engine has no site mask; run site outages on a round engine \
-             (Indexed or Scan)",
-        ));
-    }
-    Ok(())
 }
 
 /// Runs the event-driven engine over the configured horizon.
@@ -267,7 +229,7 @@ pub(crate) fn validate(cfg: &SimConfig) -> Result<(), SimError> {
 /// # Errors
 ///
 /// Propagates configuration validation, trace, provisioning, and cloud
-/// failures.
+/// failures, and rejects a site outage naming any site but site 0.
 pub fn run(cfg: &SimConfig, scenario: &DesScenario) -> Result<DesRun, SimError> {
     run_with_telemetry(cfg, scenario, &Telemetry::disabled())
 }
@@ -279,13 +241,14 @@ pub fn run(cfg: &SimConfig, scenario: &DesScenario) -> Result<DesRun, SimError> 
 /// # Errors
 ///
 /// Propagates configuration validation, trace, provisioning, and cloud
-/// failures.
+/// failures, and rejects a site outage naming any site but site 0.
 pub fn run_with_telemetry(
     cfg: &SimConfig,
     scenario: &DesScenario,
     tel: &Telemetry,
 ) -> Result<DesRun, SimError> {
-    validate(cfg)?;
+    cfg.validate()?;
+    cfg.faults.validate_sites(1)?;
     let globals = telem::GlobalCounters::capture();
     let run_span = tel.span(telem::RUN_WALL);
     let horizon = cfg.trace.horizon_seconds;
@@ -307,25 +270,25 @@ pub fn run_with_telemetry(
         ENGINE,
         CmEvent::SampleTick,
     );
-    // Failure bursts come from the scenario and from the configuration's
-    // fault schedule (whose fleet failures always carry a recovery).
-    let schedule_failures = cfg.faults.vm_failures.iter().map(|f| VmFailureSpec {
-        at: f.at,
-        fraction: f.fraction,
-        recovery_seconds: f.recovery_seconds,
-    });
-    for f in scenario.failures.iter().copied().chain(schedule_failures) {
-        if f.at < horizon && f.fraction > 0.0 {
-            kernel.schedule_at(
-                f.at,
-                PROVISIONER,
-                CmEvent::VmFailure {
-                    fraction: f.fraction,
-                },
-            );
-            if f.recovery_seconds > 0.0 {
-                kernel.schedule_at(f.at + f.recovery_seconds, PROVISIONER, CmEvent::VmRecovery);
-            }
+    // Fault boundaries: each fleet failure and site outage that starts
+    // inside the horizon takes capacity away at its start and restores
+    // it at its repair or end.
+    let faults = &cfg.faults;
+    let windows = faults
+        .vm_failures
+        .iter()
+        .map(|f| (f.at, f.recovery_seconds))
+        .chain(
+            faults
+                .site_outages
+                .iter()
+                .map(|o| (o.at, o.duration_seconds)),
+        );
+    for (at, length) in windows {
+        if at < horizon {
+            let boundary = |restores| CmEvent::FaultBoundary { restores };
+            kernel.schedule_at(at, PROVISIONER, boundary(false));
+            kernel.schedule_at(at + length, PROVISIONER, boundary(true));
         }
     }
     for fc in &scenario.flash_crowds {
@@ -414,7 +377,6 @@ pub fn run_with_telemetry(
         cancelled_events: kernel.cancelled_count(),
         recycled_slots: kernel.recycled_count(),
         injected_viewers: sessions.injected_viewers(),
-        vms_killed: provisioner.vms_killed(),
         redirected_requests: admission.redirected_requests(),
     };
     let mut fault_stats = provisioner.take_fault_stats();

@@ -10,13 +10,16 @@
 //! mid-interval, which is what makes VM boot delay a first-class
 //! observable instead of a sub-round artifact.
 //!
-//! Failure injection: a `VmFailure { fraction }` event shuts down the
-//! given fraction of each cluster's active instances immediately (they
-//! stop serving traffic at once; billing runs until power-off, as a real
-//! provider would meter a crashed-but-reserved instance). The next
-//! provisioning tick re-plans from measured demand and relaunches.
+//! Faults: the site is site 0 of the configuration's fault schedule, and
+//! its `FaultDriver` is the one every round-engine site owns. A
+//! `FaultBoundary` event applies the fleet failures and repairs due (a
+//! failed instance stops serving at once; billing runs until power-off,
+//! as a real provider would meter a crashed-but-reserved instance), and
+//! a site going down or coming back between ticks re-rents the plan in
+//! force, as a one-site deployment does. Every tick rents through the
+//! same driver.
 
-use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy};
+use cloudmedia_cloud::broker::Cloud;
 use cloudmedia_cloud::vm::{DEFAULT_BOOT_SECONDS, DEFAULT_SHUTDOWN_SECONDS};
 use cloudmedia_des::{Component, Event, Kernel};
 use cloudmedia_telemetry::Telemetry;
@@ -24,9 +27,9 @@ use cloudmedia_telemetry::Telemetry;
 use super::events::{CmEvent, ADMISSION, PROVISIONER};
 use super::DesScenario;
 use crate::config::SimConfig;
-use crate::control::{site_cloud, SiteControl};
+use crate::control::{site_cloud, Planned, SiteControl};
 use crate::error::SimError;
-use crate::faults::{FaultSchedule, FaultStats};
+use crate::faults::{FaultDriver, FaultStats};
 use crate::metrics::IntervalRecord;
 use crate::tracker::Tracker;
 
@@ -37,6 +40,14 @@ pub struct Provisioner {
     /// The site's interval control path (planner, plan in force,
     /// per-channel reservation).
     site: SiteControl,
+    /// Fails, repairs and rents the site's fleet.
+    faults: FaultDriver,
+    /// The site was down at the last tick or outage boundary.
+    down: bool,
+    /// When the next provisioning tick fires (infinite after the last):
+    /// a site going down or coming back at that instant is the tick's to
+    /// rent, as at a deployment's provisioning boundary.
+    next_tick: f64,
     tracker: Tracker,
     provisioning_interval: f64,
     /// Connected sessions per channel, maintained from join/leave
@@ -50,14 +61,8 @@ pub struct Provisioner {
     horizon: f64,
     boot_seconds: f64,
     shutdown_seconds: f64,
-    vms_killed: u64,
     /// First control-path failure; the engine surfaces it after the run.
     error: Option<SimError>,
-    /// The configuration's fault schedule (its availability caps; the
-    /// control path reads the rest).
-    faults: FaultSchedule,
-    /// Broker retry policy for repair resubmissions.
-    retry: RetryPolicy,
     /// Fault-plane counters.
     stats: FaultStats,
 }
@@ -80,6 +85,9 @@ impl Provisioner {
         Ok(Self {
             cloud,
             site,
+            faults: FaultDriver::new(&cfg.faults, 0),
+            down: false,
+            next_tick: 0.0,
             tracker,
             provisioning_interval: cfg.provisioning_interval,
             counts: vec![0; cfg.catalog.len()],
@@ -87,10 +95,7 @@ impl Provisioner {
             horizon: cfg.trace.horizon_seconds,
             boot_seconds,
             shutdown_seconds,
-            vms_killed: 0,
             error: None,
-            faults: cfg.faults.clone(),
-            retry: RetryPolicy::paper_default(),
             stats: FaultStats::default(),
         })
     }
@@ -130,14 +135,8 @@ impl Provisioner {
         self.cloud.billing().storage_cost().as_dollars()
     }
 
-    /// Instances killed by failure injections.
-    pub(crate) fn vms_killed(&self) -> u64 {
-        self.vms_killed
-    }
-
     /// The fault-plane counters (consumes them).
     pub(crate) fn take_fault_stats(&mut self) -> FaultStats {
-        self.stats.vms_killed = self.vms_killed;
         std::mem::take(&mut self.stats)
     }
 
@@ -153,17 +152,25 @@ impl Provisioner {
         );
     }
 
-    /// One provisioning interval: measure, plan, submit, record.
+    /// One provisioning interval: measure, plan, rent, record. While the
+    /// site is down the plan rents nothing and places no storage.
     fn provision(&mut self, now: f64, kernel: &mut Kernel<CmEvent>) -> Result<(), SimError> {
         self.cloud.tick(now)?;
-        let record = self.site.provision(
+        let tel = Telemetry::disabled();
+        let Planned { plan, replayed } = self.site.plan(now, &tel, || {
+            self.tracker.interval_stats(self.provisioning_interval)
+        })?;
+        self.stats.fallback_intervals += u64::from(replayed);
+        self.down = self.faults.site_down(now);
+        self.faults.rent(
             now,
             &mut self.cloud,
+            plan.vm_targets.clone(),
+            plan.placement.clone(),
             &mut self.stats,
-            &Telemetry::disabled(),
-            self.counts.clone(),
-            || self.tracker.interval_stats(self.provisioning_interval),
+            &tel,
         )?;
+        let record = self.site.commit(now, plan, !self.down, self.counts.clone());
         self.intervals.push(record);
         // Reserved changed now; running changes when boots/shutdowns
         // complete — sync capacity at both lifecycle instants.
@@ -173,87 +180,54 @@ impl Provisioner {
         // Ticks fire strictly inside the horizon, like the round loop's
         // `while clock < horizon` — a tick *at* the horizon would plan a
         // fleet that never serves and record a phantom interval.
-        if now + self.provisioning_interval < self.horizon {
-            kernel.schedule_in(
-                self.provisioning_interval,
-                PROVISIONER,
-                CmEvent::ProvisionTick,
-            );
+        self.next_tick = now + self.provisioning_interval;
+        if self.next_tick < self.horizon {
+            kernel.schedule_at(self.next_tick, PROVISIONER, CmEvent::ProvisionTick);
+        } else {
+            self.next_tick = f64::INFINITY;
         }
         Ok(())
     }
 
-    /// Applies the fault schedule's availability cap for instant `now`
-    /// (full availability when no scheduled failure is active — scenario
-    /// failures never cap, preserving their historical semantics).
-    fn sync_availability(&mut self, now: f64) -> Result<(), SimError> {
-        let max_vms: Vec<usize> = self
-            .cloud
-            .vm_scheduler()
-            .specs()
-            .iter()
-            .map(|s| s.max_vms)
-            .collect();
-        match self.faults.fleet_caps_at(&max_vms, now) {
-            Some(caps) => self.cloud.set_availability(&caps)?,
-            None => self.cloud.restore_full_availability(),
-        }
-        Ok(())
-    }
-
-    /// Kills `fraction` of each cluster's active instances.
-    fn fail_vms(
+    /// A fault boundary: the site's due fleet failures and repairs, then,
+    /// if the site went down or came back since the last tick, an
+    /// emergency re-rent of the plan in force (nothing while down).
+    /// Capacity is announced now and again once the fleet has shut down
+    /// or, when `restores`, booted.
+    fn fault_boundary(
         &mut self,
         now: f64,
-        fraction: f64,
+        restores: bool,
         kernel: &mut Kernel<CmEvent>,
     ) -> Result<(), SimError> {
         self.cloud.tick(now)?;
-        self.sync_availability(now)?;
-        let fraction = fraction.clamp(0.0, 1.0);
-        let clusters = self.cloud.vm_scheduler().clusters();
-        let mut targets = Vec::with_capacity(clusters);
-        let mut killed = 0u64;
-        for c in 0..clusters {
-            let active = self.cloud.vm_scheduler().running(c);
-            let survivors = (((active as f64) * (1.0 - fraction)).floor() as usize)
-                .min(self.cloud.capacity_limit(c));
-            killed += (active - survivors) as u64;
-            targets.push(survivors);
-        }
-        self.vms_killed += killed;
-        self.cloud.submit_request(&ResourceRequest {
-            vm_targets: targets,
-            placement: None,
-        })?;
-        // Shutting-down instances stop serving immediately; announce the
-        // loss now and settle billing when they power off.
-        self.announce_capacity(kernel);
-        kernel.schedule_in(self.shutdown_seconds, PROVISIONER, CmEvent::CloudSync);
-        Ok(())
-    }
-
-    /// A scheduled repair: lift the availability cap (to whatever any
-    /// still-active failure allows) and relaunch the last planned VM
-    /// targets through the retry policy.
-    fn recover_vms(&mut self, now: f64, kernel: &mut Kernel<CmEvent>) -> Result<(), SimError> {
-        self.cloud.tick(now)?;
-        self.sync_availability(now)?;
-        if !self.site.last_targets().is_empty() {
-            let receipt = self.cloud.submit_with_retry(
-                &ResourceRequest {
-                    vm_targets: self.site.last_targets().to_vec(),
-                    placement: None,
-                },
-                &self.retry,
+        self.faults
+            .apply_due(now, &mut self.cloud, &mut self.stats)?;
+        let down = self.faults.site_down(now);
+        if down != self.down && now != self.next_tick {
+            let targets = self
+                .site
+                .last_plan()
+                .map(|p| p.vm_targets.clone())
+                .unwrap_or_default();
+            self.faults.rent(
+                now,
+                &mut self.cloud,
+                targets,
+                None,
+                &mut self.stats,
+                &Telemetry::disabled(),
             )?;
-            self.stats.vms_recovered += receipt.vm_targets.iter().map(|&t| t as u64).sum::<u64>();
-            self.stats.record_receipt(&receipt);
+            self.stats.emergency_replans += 1;
+            self.down = down;
         }
-        // Reserved capacity changed now; running capacity follows when
-        // the relaunched instances finish booting.
         self.announce_capacity(kernel);
-        kernel.schedule_in(self.boot_seconds, PROVISIONER, CmEvent::CloudSync);
+        let settle = if restores {
+            self.boot_seconds
+        } else {
+            self.shutdown_seconds
+        };
+        kernel.schedule_in(settle, PROVISIONER, CmEvent::CloudSync);
         Ok(())
     }
 }
@@ -271,8 +245,7 @@ impl Component<CmEvent> for Provisioner {
             CmEvent::CloudSync => self.cloud.tick(now).map_err(SimError::from).map(|()| {
                 self.announce_capacity(kernel);
             }),
-            CmEvent::VmFailure { fraction } => self.fail_vms(now, fraction, kernel),
-            CmEvent::VmRecovery => self.recover_vms(now, kernel),
+            CmEvent::FaultBoundary { restores } => self.fault_boundary(now, restores, kernel),
             CmEvent::TrackJoin {
                 channel,
                 chunk,

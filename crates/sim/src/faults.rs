@@ -4,15 +4,15 @@
 //! a list of *timed, typed* events — correlated VM-fleet failure bursts
 //! (with repair), site outages, tracker-measurement dropouts, and mid-run
 //! cost shocks (budget cut / VM-price change) — that every engine applies
-//! at the same simulated instants. Every round-engine run, one site or a
-//! federation of several, is a deployment on one host
-//! (`crate::federation`), so it applies every kind; the event-driven
-//! engine applies every kind but site outages, which its validation
-//! rejects. All fault mutation happens in serial coordinator code
-//! *before* any parallel fan-out, and the schedule itself is plain data,
-//! so the existing determinism contract holds: the same seed plus the
-//! same schedule produces bit-identical metrics serially and in
-//! parallel (see `docs/RESILIENCE.md`).
+//! at the same simulated instants. Every site, of a round-engine
+//! deployment (`crate::federation`) or of the event-driven engine, owns
+//! one `FaultDriver` that fails, repairs and rents its fleet, so every
+//! engine applies every kind through one code path. All fault mutation
+//! happens in serial coordinator code *before* any parallel fan-out, and
+//! the schedule itself is plain data, so the existing determinism
+//! contract holds: the same seed plus the same schedule produces
+//! bit-identical metrics serially and in parallel (see
+//! `docs/RESILIENCE.md`).
 //!
 //! Event semantics:
 //!
@@ -44,10 +44,13 @@
 //! being served.
 
 use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy, SubmitReceipt};
+use cloudmedia_cloud::scheduler::PlacementPlan;
+use cloudmedia_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{invalid_param, SimError};
 use crate::metrics::Metrics;
+use crate::telem;
 
 /// A correlated VM-fleet failure burst: at `at`, `fraction` of each
 /// cluster's running VMs dies and the same fraction of the fleet becomes
@@ -72,8 +75,7 @@ impl FleetFailure {
 
 /// A site outage: the site serves nothing for the duration and the
 /// placement optimizer must route its regions' demand elsewhere. Every
-/// round-engine deployment applies it; a single site has only site 0,
-/// and the event-driven engine rejects it.
+/// engine applies it; a single site has only site 0.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SiteOutage {
     /// Outage start, simulated seconds.
@@ -168,8 +170,7 @@ pub struct FaultSchedule {
     /// Correlated VM-fleet failure bursts (all engines; every site of a
     /// deployment).
     pub vm_failures: Vec<FleetFailure>,
-    /// Site outages (every round-engine deployment; rejected by the
-    /// event-driven engine).
+    /// Site outages (all engines; a single site has only site 0).
     pub site_outages: Vec<SiteOutage>,
     /// Tracker-measurement dropout windows (all engines).
     pub tracker_dropouts: Vec<TrackerDropout>,
@@ -460,26 +461,40 @@ pub struct FaultRun {
     pub fault_stats: FaultStats,
 }
 
-/// One boundary the round engines cross: a failure instant or a repair.
+/// One boundary a site's fleet crosses: a failure instant or a repair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Boundary {
     Failure(usize),
     Recovery,
 }
 
-/// Applies a [`FaultSchedule`]'s fleet failures and repairs to one
-/// site's [`Cloud`] in serial coordinator code. Every site of a
-/// round-engine deployment owns one. The driver is pure bookkeeping over
-/// the (sorted) schedule, so two engines stepping the same schedule at
-/// the same round boundaries mutate their clouds identically.
+/// Applies a [`FaultSchedule`] to one site's [`Cloud`] in serial
+/// coordinator code: its fleet failures and repairs, and, through
+/// [`FaultDriver::rent`], its outages. Every site of every engine owns
+/// one. The driver is pure bookkeeping over the (sorted) schedule, so two
+/// engines stepping the same schedule at the same instants mutate their
+/// clouds identically.
 #[derive(Debug)]
 pub(crate) struct FaultDriver {
     schedule: FaultSchedule,
-    /// The site whose fleet this driver fails and repairs.
+    /// The site whose fleet this driver fails, repairs and rents.
     site: usize,
     boundaries: Vec<(f64, Boundary)>,
     next: usize,
     retry: RetryPolicy,
+    /// The site's VM targets in force, per cluster: what a repair
+    /// resubmits. Empty before the first rent.
+    targets: Vec<usize>,
+}
+
+/// Each cluster's fleet size at `cloud`.
+fn fleet(cloud: &Cloud) -> Vec<usize> {
+    cloud
+        .vm_scheduler()
+        .specs()
+        .iter()
+        .map(|s| s.max_vms)
+        .collect()
 }
 
 impl FaultDriver {
@@ -508,31 +523,31 @@ impl FaultDriver {
             boundaries,
             next: 0,
             retry: RetryPolicy::paper_default(),
+            targets: Vec::new(),
         }
+    }
+
+    /// True while the site is down at `t`.
+    pub(crate) fn site_down(&self, t: f64) -> bool {
+        self.schedule.site_down(self.site, t)
     }
 
     /// Applies every boundary due at or before `clock`, counting into
     /// `stats`: failures kill the configured fraction of running VMs and
     /// cap the site's availability; repairs lift the cap and resubmit
-    /// `targets`, the site's aggregate VM targets in force, through the
-    /// retry policy (clamping again if another failure is still active).
-    /// Availability follows [`FaultSchedule::site_caps_at`].
+    /// the targets in force through the retry policy (clamping again if
+    /// another failure is still active). Availability follows
+    /// [`FaultSchedule::site_caps_at`].
     pub(crate) fn apply_due(
         &mut self,
         clock: f64,
         cloud: &mut Cloud,
-        targets: &[usize],
         stats: &mut FaultStats,
     ) -> Result<(), SimError> {
         while self.next < self.boundaries.len() && self.boundaries[self.next].0 <= clock {
             let (at, boundary) = self.boundaries[self.next];
             self.next += 1;
-            let max_vms: Vec<usize> = cloud
-                .vm_scheduler()
-                .specs()
-                .iter()
-                .map(|s| s.max_vms)
-                .collect();
+            let max_vms = fleet(cloud);
             let caps = self.schedule.site_caps_at(self.site, &max_vms, at);
             cloud.set_availability(&caps)?;
             match boundary {
@@ -556,10 +571,10 @@ impl FaultDriver {
                     })?;
                 }
                 Boundary::Recovery => {
-                    if targets.len() == max_vms.len() {
+                    if self.targets.len() == max_vms.len() {
                         let receipt = cloud.submit_with_retry(
                             &ResourceRequest {
-                                vm_targets: targets.to_vec(),
+                                vm_targets: self.targets.clone(),
                                 placement: None,
                             },
                             &self.retry,
@@ -571,6 +586,48 @@ impl FaultDriver {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// The site's rent step at `clock`, the same for every engine: sets
+    /// its availability by [`FaultSchedule::site_caps_at`], clamps
+    /// `targets` to its fleet (to nothing while the site is down, when
+    /// `placement` is dropped too), submits them through the retrying
+    /// broker, and keeps them as the targets in force.
+    ///
+    /// # Errors
+    ///
+    /// Propagates broker failures.
+    pub(crate) fn rent(
+        &mut self,
+        clock: f64,
+        cloud: &mut Cloud,
+        mut targets: Vec<usize>,
+        placement: Option<PlacementPlan>,
+        stats: &mut FaultStats,
+        tel: &Telemetry,
+    ) -> Result<(), SimError> {
+        let max_vms = fleet(cloud);
+        let down = self.site_down(clock);
+        // Respect the site's physical fleet: the paper fleet is far
+        // larger than any default-week plan, so this is a guard, not a
+        // steady-state path.
+        for (t, &max) in targets.iter_mut().zip(&max_vms) {
+            *t = if down { 0 } else { (*t).min(max) };
+        }
+        cloud.set_availability(&self.schedule.site_caps_at(self.site, &max_vms, clock))?;
+        let receipt = {
+            let _s = tel.span(telem::PROV_SUBMIT);
+            cloud.submit_with_retry(
+                &ResourceRequest {
+                    vm_targets: targets.clone(),
+                    placement: placement.filter(|_| !down),
+                },
+                &self.retry,
+            )?
+        };
+        stats.record_receipt(&receipt);
+        self.targets = targets;
         Ok(())
     }
 }
@@ -751,38 +808,52 @@ mod tests {
     #[test]
     fn driver_kills_and_repairs_deterministically() {
         let mut cloud = Cloud::paper_default().unwrap();
-        cloud
-            .submit_request(&ResourceRequest {
-                vm_targets: vec![40, 10, 0],
-                placement: None,
-            })
-            .unwrap();
-        cloud.tick(100.0).unwrap();
         let schedule = FaultSchedule::vm_outage(200.0, 0.5, 300.0);
         let mut driver = FaultDriver::new(&schedule, 0);
         let mut stats = FaultStats::default();
-        let targets = vec![40, 10, 0];
-        cloud.tick(200.0).unwrap();
+        let tel = Telemetry::disabled();
         driver
-            .apply_due(200.0, &mut cloud, &targets, &mut stats)
+            .rent(0.0, &mut cloud, vec![40, 10, 0], None, &mut stats, &tel)
             .unwrap();
+        cloud.tick(100.0).unwrap();
+        cloud.tick(200.0).unwrap();
+        driver.apply_due(200.0, &mut cloud, &mut stats).unwrap();
         assert_eq!(stats.vms_killed, 25, "half of 40 + half of 10");
         assert_eq!(cloud.availability(), &[37, 15, 22]);
         // Mid-outage nothing more happens.
         cloud.tick(400.0).unwrap();
-        driver
-            .apply_due(400.0, &mut cloud, &targets, &mut stats)
-            .unwrap();
+        driver.apply_due(400.0, &mut cloud, &mut stats).unwrap();
         assert_eq!(stats.vms_killed, 25);
         // Repair restores the fleet and resubmits the targets in force.
         cloud.tick(500.0).unwrap();
-        driver
-            .apply_due(500.0, &mut cloud, &targets, &mut stats)
-            .unwrap();
+        driver.apply_due(500.0, &mut cloud, &mut stats).unwrap();
         assert_eq!(cloud.availability(), &[75, 30, 45]);
         assert_eq!(stats.vms_recovered, 50);
         cloud.tick(600.0).unwrap();
         assert!((cloud.running_bandwidth() - 50.0 * 1.25e6).abs() < 1.0);
+    }
+
+    #[test]
+    fn a_down_site_rents_nothing_until_it_is_back() {
+        let mut cloud = Cloud::paper_default().unwrap();
+        let schedule = FaultSchedule::site_outage(100.0, 0, 200.0);
+        let mut driver = FaultDriver::new(&schedule, 0);
+        let mut stats = FaultStats::default();
+        let tel = Telemetry::disabled();
+        driver
+            .rent(150.0, &mut cloud, vec![40, 10, 0], None, &mut stats, &tel)
+            .unwrap();
+        assert_eq!(cloud.availability(), &[0, 0, 0]);
+        assert_eq!(
+            driver.targets,
+            vec![0, 0, 0],
+            "a repair would relaunch nothing"
+        );
+        driver
+            .rent(300.0, &mut cloud, vec![40, 10, 0], None, &mut stats, &tel)
+            .unwrap();
+        assert_eq!(cloud.availability(), &[75, 30, 45]);
+        assert_eq!(driver.targets, vec![40, 10, 0]);
     }
 
     #[test]

@@ -68,7 +68,7 @@
 //!   latency is outside the model (the paper's motivation for regional
 //!   sites in the first place).
 
-use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy};
+use cloudmedia_cloud::broker::Cloud;
 use cloudmedia_cloud::scheduler::PlacementPlan;
 use cloudmedia_core::federation::{paper_sites, plan_global_placement, FederationPolicy, SiteSpec};
 use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
@@ -392,12 +392,9 @@ fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
 struct RegionRuntime {
     /// The region's site (broker + schedulers + billing at its prices).
     cloud: Cloud,
-    /// Fails and repairs the site's fleet.
+    /// Fails, repairs and rents the site's fleet; holds the site's
+    /// aggregate VM targets in force (its own + imports).
     faults: FaultDriver,
-    /// The site's aggregate VM targets in force (its own + imports), per
-    /// cluster: what a fleet repair resubmits. Empty before the first
-    /// placement.
-    targets: Vec<usize>,
     /// The region's interval control path. Its plans and viewer-side
     /// reservation are the region's own; the VMs backing them run on
     /// the sites the global placement picks.
@@ -425,7 +422,6 @@ struct RegionRuntime {
 pub(crate) struct Deployment<'a> {
     fc: &'a FederatedConfig,
     regions: Vec<RegionRuntime>,
-    retry: RetryPolicy,
     stats: FaultStats,
     /// The site mask in force (true = down).
     site_mask: Vec<bool>,
@@ -453,8 +449,7 @@ impl Deployment<'_> {
         tel: &Telemetry,
     ) -> Result<(), SimError> {
         for r in &mut self.regions {
-            r.faults
-                .apply_due(clock, &mut r.cloud, &r.targets, &mut self.stats)?;
+            r.faults.apply_due(clock, &mut r.cloud, &mut self.stats)?;
         }
         let mask = self.fc.base.faults.site_mask(self.regions.len(), clock);
         if provision {
@@ -498,8 +493,7 @@ impl Deployment<'_> {
         running: &mut [f64],
     ) -> Result<(), SimError> {
         for r in &mut self.regions {
-            r.faults
-                .apply_due(t0, &mut r.cloud, &r.targets, &mut self.stats)?;
+            r.faults.apply_due(t0, &mut r.cloud, &mut self.stats)?;
         }
         let regions = &self.regions;
         self.site_online.clear();
@@ -666,15 +660,11 @@ impl Deployment<'_> {
         }
 
         // 2–3. Global placement, apportionment, and site submissions —
-        //    shared with the emergency re-plan path. A dark site never
-        //    receives a storage placement.
+        //    shared with the emergency re-plan path.
         let demands: Vec<f64> = plans.iter().map(|p| p.total_cloud_demand).collect();
         let region_targets: Vec<Vec<usize>> = plans.iter().map(|p| p.vm_targets.clone()).collect();
-        let storage: Vec<Option<PlacementPlan>> = plans
-            .iter()
-            .zip(mask)
-            .map(|(p, &down)| if down { None } else { p.placement.clone() })
-            .collect();
+        let storage: Vec<Option<PlacementPlan>> =
+            plans.iter().map(|p| p.placement.clone()).collect();
         self.place(clock, mask, &demands, &region_targets, &storage, tel)?;
 
         // 4. Put each region's plan in force: its viewer-side
@@ -712,15 +702,11 @@ impl Deployment<'_> {
     /// The placement machinery shared by the hourly boundary and the
     /// emergency re-plan: runs the global optimizer over the effective
     /// topology (a down site advertises no capacity), apportions each
-    /// region's integer VM targets across the sites serving it, sets
-    /// each site's availability by the one rule of
-    /// [`FaultSchedule::site_caps_at`], submits every site's aggregate
-    /// request through the retrying broker path, and refreshes each
-    /// region's redirection bookkeeping. Down sites are forced to zero
-    /// targets and zero availability so nothing bills or serves while
-    /// they are dark.
-    ///
-    /// [`FaultSchedule::site_caps_at`]: crate::faults::FaultSchedule::site_caps_at
+    /// region's integer VM targets across the sites serving it, rents
+    /// every site's aggregate targets through its
+    /// [`FaultDriver::rent`] (so down sites rent nothing and can host
+    /// nothing while they are dark), and refreshes each region's
+    /// redirection bookkeeping.
     fn place(
         &mut self,
         clock: f64,
@@ -762,34 +748,15 @@ impl Deployment<'_> {
             }
         }
 
-        for (j, (r, mut targets)) in self.regions.iter_mut().zip(site_targets).enumerate() {
-            let max_vms: Vec<usize> = r
-                .cloud
-                .vm_scheduler()
-                .specs()
-                .iter()
-                .map(|s| s.max_vms)
-                .collect();
-            // Respect each site's physical fleet: clamp to cluster maxima
-            // (the paper fleet is far larger than any default-week
-            // placement, so this is a guard, not a steady-state path).
-            for (t, &max) in targets.iter_mut().zip(&max_vms) {
-                *t = if mask[j] { 0 } else { (*t).min(max) };
-            }
-            r.cloud
-                .set_availability(&fc.base.faults.site_caps_at(j, &max_vms, clock))?;
-            let receipt = {
-                let _s = tel.span(telem::PROV_SUBMIT);
-                r.cloud.submit_with_retry(
-                    &ResourceRequest {
-                        vm_targets: targets.clone(),
-                        placement: storage[j].clone(),
-                    },
-                    &self.retry,
-                )?
-            };
-            self.stats.record_receipt(&receipt);
-            r.targets = targets;
+        for (j, (r, targets)) in self.regions.iter_mut().zip(site_targets).enumerate() {
+            r.faults.rent(
+                clock,
+                &mut r.cloud,
+                targets,
+                storage[j].clone(),
+                &mut self.stats,
+                tel,
+            )?;
 
             // Redirection bookkeeping: where region j's demand is served.
             let row = &placement.assignment[j];
@@ -902,7 +869,6 @@ pub(crate) fn run(
         regions.push(RegionRuntime {
             cloud,
             faults: FaultDriver::new(&fc.base.faults, idx),
-            targets: Vec::new(),
             control,
             serve_share,
             redirect_fraction: 0.0,
@@ -916,7 +882,6 @@ pub(crate) fn run(
     let host = Deployment {
         fc,
         regions,
-        retry: RetryPolicy::paper_default(),
         stats: FaultStats::default(),
         site_mask: vec![false; n_sites],
         site_online: Vec::with_capacity(n_sites),

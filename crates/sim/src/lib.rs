@@ -57,9 +57,7 @@ pub mod tracker;
 
 pub use config::{SimConfig, SimKernel, SimMode};
 pub use error::SimError;
-pub use event_driven::{
-    DesReport, DesRun, DesScenario, FlashCrowdSpec, RemoteOverflowSpec, VmFailureSpec,
-};
+pub use event_driven::{DesReport, DesRun, DesScenario, FlashCrowdSpec, RemoteOverflowSpec};
 pub use faults::{
     CostShock, DegradeMode, FaultRun, FaultSchedule, FaultStats, FleetFailure, ResilienceReport,
     SiteOutage, TrackerDropout,

@@ -180,16 +180,10 @@ impl Simulator {
     /// # Errors
     ///
     /// Propagates configuration validation failures, and rejects a site
-    /// outage naming any site but site 0 (a round-engine run is one
-    /// site) or any site outage on the event-driven engine.
+    /// outage naming any site but site 0 (every engine runs one site).
     pub fn new(config: SimConfig) -> Result<Self, SimError> {
-        match config.kernel {
-            SimKernel::EventDriven => crate::event_driven::validate(&config)?,
-            SimKernel::Scan | SimKernel::Indexed => {
-                config.validate()?;
-                config.faults.validate_sites(1)?;
-            }
-        }
+        config.validate()?;
+        config.faults.validate_sites(1)?;
         Ok(Self { config })
     }
 

@@ -17,7 +17,6 @@
 //! actually sheds (and counts) arrivals during the outage window.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::event_driven::{self, DesScenario};
 use cloudmedia_sim::faults::{DegradeMode, FaultSchedule, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 use cloudmedia_sim::simulator::Simulator;
@@ -201,25 +200,40 @@ fn a_single_site_rejects_an_outage_of_another_site() {
 }
 
 #[test]
-fn the_event_driven_engine_rejects_site_outages() {
-    let mut cfg = small_cfg(SimKernel::EventDriven, 2.0);
-    cfg.faults = FaultSchedule::site_outage(3600.0, 0, 600.0);
-    let rejected = |r: Result<(), SimError>| {
-        matches!(
-            r,
-            Err(SimError::InvalidParameter {
-                name: "site_outages",
-                ..
-            })
-        )
-    };
-    assert!(
-        rejected(Simulator::new(cfg.clone()).map(drop)),
-        "Simulator::new"
+fn the_event_driven_engine_applies_a_site_outage() {
+    // A 2 h outage of the one site, from 4 h 10 min to 6 h 10 min: both
+    // edges fall between hourly boundaries, and the ticks at 5 h and 6 h
+    // plan while the site is down.
+    let hours = 12.0;
+    let (at, duration) = (4.0 * 3600.0 + 600.0, 2.0 * 3600.0);
+    let cfg = small_cfg(SimKernel::EventDriven, hours);
+    let baseline = Simulator::new(cfg.clone()).unwrap().run().unwrap();
+    let mut faulted_cfg = cfg;
+    faulted_cfg.faults = FaultSchedule::site_outage(at, 0, duration);
+    let faulted = Simulator::new(faulted_cfg)
+        .unwrap()
+        .run_with_faults()
+        .unwrap();
+
+    assert_ne!(faulted.metrics, baseline, "the outage changed nothing");
+    assert_eq!(
+        faulted.fault_stats.emergency_replans, 2,
+        "the site went dark and came back between boundaries"
     );
+    let during = window_quality(&faulted.metrics, at, at + duration);
+    let during_base = window_quality(&baseline, at, at + duration);
     assert!(
-        rejected(event_driven::run(&cfg, &DesScenario::default()).map(drop)),
-        "event_driven::run"
+        during < during_base - 0.05,
+        "the outage dents quality: {during:.4} vs baseline {during_base:.4}"
+    );
+    // Stalled viewers stay connected through the outage, so the site
+    // comes back to a backlog; two intervals later it has drained.
+    let after = at + duration + 2.0 * 3600.0;
+    let after_fault = window_quality(&faulted.metrics, after, hours * 3600.0);
+    let after_base = window_quality(&baseline, after, hours * 3600.0);
+    assert!(
+        after_fault > after_base - 0.005,
+        "quality recovers: {after_fault:.4} vs baseline {after_base:.4}"
     );
 }
 

@@ -15,7 +15,8 @@
 //! `BENCH_sim.json` (observed ≈ 1 % on both metrics for both modes).
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::event_driven::{run, DesRun, DesScenario, FlashCrowdSpec, VmFailureSpec};
+use cloudmedia_sim::event_driven::{run, DesRun, DesScenario, FlashCrowdSpec};
+use cloudmedia_sim::faults::FaultSchedule;
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::Metrics;
 use cloudmedia_workload::catalog::Catalog;
@@ -153,18 +154,15 @@ fn des_reports_admission_latency_percentiles() {
 
 #[test]
 fn vm_failure_injection_dents_capacity_and_recovers() {
-    let cfg = small_cfg(SimMode::ClientServer, 12.0);
+    let mut cfg = small_cfg(SimMode::ClientServer, 12.0);
     let baseline = des(&cfg);
-    let scenario = DesScenario {
-        failures: vec![VmFailureSpec {
-            at: 6.5 * 3600.0,
-            fraction: 0.6,
-            recovery_seconds: 0.0,
-        }],
-        ..DesScenario::default()
-    };
-    let failed = run(&cfg, &scenario).unwrap();
-    assert!(failed.report.vms_killed > 0, "the burst killed instances");
+    // A permanent loss: the repair is scheduled past the horizon.
+    cfg.faults = FaultSchedule::vm_outage(6.5 * 3600.0, 0.6, 12.0 * 3600.0);
+    let failed = des(&cfg);
+    assert!(
+        failed.fault_stats.vms_killed > 0,
+        "the burst killed instances"
+    );
     // Reserved (running) bandwidth right after the failure is lower
     // than in the baseline run…
     let window = |m: &Metrics, from: f64, to: f64| -> f64 {
@@ -188,22 +186,18 @@ fn vm_failure_injection_dents_capacity_and_recovers() {
 
 #[test]
 fn vm_failure_repair_event_restores_capacity_before_the_next_plan() {
-    let cfg = small_cfg(SimMode::ClientServer, 12.0);
+    let mut cfg = small_cfg(SimMode::ClientServer, 12.0);
     let baseline = des(&cfg);
     // Burst mid-interval, repaired 10 minutes later — well before the
     // next hourly controller tick at 7 h, so any recovery seen in the
     // [repair, next tick) window is the repair event's doing.
     let (at, recovery) = (6.25 * 3600.0, 600.0);
-    let scenario = DesScenario {
-        failures: vec![VmFailureSpec {
-            at,
-            fraction: 0.6,
-            recovery_seconds: recovery,
-        }],
-        ..DesScenario::default()
-    };
-    let repaired = run(&cfg, &scenario).unwrap();
-    assert!(repaired.report.vms_killed > 0, "the burst killed instances");
+    cfg.faults = FaultSchedule::vm_outage(at, 0.6, recovery);
+    let repaired = des(&cfg);
+    assert!(
+        repaired.fault_stats.vms_killed > 0,
+        "the burst killed instances"
+    );
     assert!(
         repaired.fault_stats.vms_recovered > 0,
         "the repair event resubmitted the lost instances"

@@ -1,16 +1,17 @@
 //! VM failure injection on the event-driven engine.
 //!
 //! Runs a half-day CloudMedia deployment twice — once undisturbed, once
-//! with 60 % of the running VM fleet failing at hour 6 — and shows what
-//! only the event-driven engine can: the capacity dent at the failure's
-//! own timestamp, the admission-latency spike while requests queue on
-//! the survivors, and the hourly controller re-provisioning the fleet on
-//! its next tick.
+//! with 60 % of the running VM fleet failing at hour 6 and no repair
+//! before the run ends — and shows what only the event-driven engine
+//! can: the capacity dent at the failure's own timestamp, the
+//! admission-latency spike while requests queue on the survivors, and
+//! the hourly controller re-provisioning the fleet on its next tick.
 //!
 //! Run with: `cargo run --example vm_failure_injection`
 
 use cloudmedia_sim::config::{SimConfig, SimMode};
-use cloudmedia_sim::event_driven::{run, DesScenario, VmFailureSpec};
+use cloudmedia_sim::event_driven::{run, DesScenario};
+use cloudmedia_sim::faults::FaultSchedule;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::ViewingModel;
 
@@ -24,20 +25,16 @@ fn main() {
 
     let baseline = run(&cfg, &DesScenario::default()).expect("baseline run succeeds");
 
-    let failure_at = 6.0 * 3600.0 + 137.0; // mid-interval, not round-aligned
-    let scenario = DesScenario {
-        failures: vec![VmFailureSpec {
-            at: failure_at,
-            fraction: 0.6,
-            recovery_seconds: 0.0,
-        }],
-        ..DesScenario::default()
-    };
-    let failed = run(&cfg, &scenario).expect("failure run succeeds");
+    // Mid-interval, not round-aligned; a permanent loss is a repair
+    // scheduled past the horizon.
+    let failure_at = 6.0 * 3600.0 + 137.0;
+    let mut failing = cfg.clone();
+    failing.faults = FaultSchedule::vm_outage(failure_at, 0.6, cfg.trace.horizon_seconds);
+    let failed = run(&failing, &DesScenario::default()).expect("failure run succeeds");
 
     println!(
         "failure burst at t = {failure_at:.0} s killed {} running VM instances\n",
-        failed.report.vms_killed
+        failed.fault_stats.vms_killed
     );
     println!("hour | baseline running (Mbps) | with failures (Mbps)");
     for (a, b) in baseline
