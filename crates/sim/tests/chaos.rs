@@ -183,7 +183,7 @@ fn single_site_outage_dents_quality_serial_vs_parallel() {
 
 #[test]
 fn a_single_site_rejects_an_outage_of_another_site() {
-    for kernel in [SimKernel::Scan, SimKernel::Indexed] {
+    for kernel in [SimKernel::Scan, SimKernel::Indexed, SimKernel::EventDriven] {
         let mut cfg = small_cfg(kernel, 2.0);
         cfg.faults = FaultSchedule::site_outage(3600.0, 1, 600.0);
         assert!(

@@ -5,23 +5,25 @@
 //! points (`docs/SCALING.md`, "Segments"). The serial ≡ parallel suites
 //! cannot see an ordering change that both paths share, and every other
 //! golden runs fault-free on aligned 10 s / 300 s / 3600 s intervals, so
-//! this suite pins twelve runs whose boundaries never line up:
+//! this suite pins sixteen runs whose boundaries never line up:
 //!
 //! - 7 s rounds, 95 s samples, 1000 s provisioning intervals, and a
 //!   horizon that ends 3 s into a round;
 //! - a VM burst at 0.4 · horizon + 13 s, a tracker blackout, a budget
 //!   shock between boundaries, and `ShedNewArrivals`, all landing
 //!   mid-segment;
-//! - for the federated and independent deployments, a site outage from
-//!   3 h 10 min 13 s lasting 1.5 h + 11 s, so both emergency re-plans
-//!   fire between boundaries.
+//! - for the federated and independent deployments, an outage of site 1
+//!   from 3 h 10 min 13 s lasting 1.5 h + 11 s, and for the last four
+//!   single-site runs the same outage of site 0, so both emergency
+//!   re-plans fire between boundaries.
 //!
 //! The runs are client–server and P2P on a 6-channel Zipf catalog on the
 //! Indexed, event-driven and Scan engines, and the paper-default
 //! federated, independent and central deployments in both modes on
 //! Indexed regions (the central deployment's one region has no site 1,
-//! so it runs the single-site schedule only). Every engine's hourly
-//! control path is therefore pinned under faults.
+//! so it runs the single-site schedule only), then the Indexed and
+//! event-driven engines again with their one site going down. Every
+//! engine's hourly control path is therefore pinned under faults.
 //! Floats are recorded as IEEE-754 bit patterns; each interval's
 //! samples and per-channel vectors are recorded as a count plus an
 //! FNV-1a digest of every bit pattern, which keeps the fixture small
@@ -96,6 +98,15 @@ fn single_site(kernel: SimKernel, mode: SimMode) -> SimConfig {
     cfg
 }
 
+/// The site outage, of site `site`.
+fn outage(site: usize) -> Vec<SiteOutage> {
+    vec![SiteOutage {
+        at: OUTAGE_AT,
+        site,
+        duration_seconds: OUTAGE_FOR,
+    }]
+}
+
 /// A deployment under the single-site schedule plus, where it has a
 /// site 1, the site outage.
 fn deployment_config(kind: DeploymentKind, kernel: SimKernel, mode: SimMode) -> FederatedConfig {
@@ -103,11 +114,7 @@ fn deployment_config(kind: DeploymentKind, kernel: SimKernel, mode: SimMode) -> 
     fc.base.kernel = kernel;
     unaligned(&mut fc.base);
     if kind != DeploymentKind::Central {
-        fc.base.faults.site_outages = vec![SiteOutage {
-            at: OUTAGE_AT,
-            site: 1,
-            duration_seconds: OUTAGE_FOR,
-        }];
+        fc.base.faults.site_outages = outage(1);
     }
     fc
 }
@@ -252,6 +259,10 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         DeploymentKind::Central,
         indexed,
     );
+    // Appended last, so every line above stays byte-identical.
+    for (engine, kernel) in [("indexed", indexed), ("des", SimKernel::EventDriven)] {
+        single_site_runs(&mut out, &mut stats, &format!("{engine}_down"), kernel);
+    }
     (out, stats)
 }
 
@@ -298,7 +309,7 @@ fn deployment_runs(
 }
 
 /// A single-site engine's C/S and P2P runs on the faulted 6-channel
-/// config.
+/// config; a `*_down` engine label adds the outage of site 0.
 fn single_site_runs(
     out: &mut String,
     stats: &mut Vec<(String, FaultStats)>,
@@ -307,10 +318,11 @@ fn single_site_runs(
 ) {
     for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
         let label = format!("{engine}_{name}");
-        let run = Simulator::new(single_site(kernel, mode))
-            .unwrap()
-            .run_with_faults()
-            .unwrap();
+        let mut cfg = single_site(kernel, mode);
+        if engine.ends_with("_down") {
+            cfg.faults.site_outages = outage(0);
+        }
+        let run = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
         site_lines(out, &label, &run.metrics);
         fault_line(out, &label, &run.fault_stats);
         stats.push((label, run.fault_stats));
@@ -354,18 +366,21 @@ fn golden_covers_every_boundary_kind() {
     let (_, stats) = runs();
     assert_eq!(
         stats.len(),
-        12,
-        "six engines or deployments, two modes each"
+        16,
+        "eight engines or deployments, two modes each"
     );
     for (label, s) in &stats {
         assert!(s.fallback_intervals > 0, "{label}: blackout never replayed");
         assert!(s.shed_arrivals > 0, "{label}: nothing shed");
         assert!(s.vms_killed > 0, "{label}: burst killed nothing");
         assert!(s.vms_recovered > 0, "{label}: repair restored nothing");
-        let replans = if label.starts_with("federated") || label.starts_with("independent") {
+        let replans = if label.starts_with("federated")
+            || label.starts_with("independent")
+            || label.contains("_down_")
+        {
             2
         } else {
-            // One site, so no site 1 to take down.
+            // No outage, or a central deployment without a site 1.
             0
         };
         assert_eq!(s.emergency_replans, replans, "{label}: outage re-plans");
