@@ -12,6 +12,10 @@
 //! the original signature for tests and one-off callers. The in-place
 //! kernels are the *only* implementation; the wrappers delegate, so every
 //! caller computes bit-identical results.
+//!
+//! Whole units split by `apportion`, by largest remainder: a federated
+//! region's VM targets across the sites serving it, and the event-driven
+//! engine's online servers across channels.
 
 /// Max–min fair allocation of `pool` across entries with the given
 /// `demands`, written into `out`: everyone gets at most their demand, no
@@ -244,6 +248,42 @@ pub fn peer_allocation(round: &ChannelRound) -> Vec<f64> {
         &mut order,
     );
     served
+}
+
+/// Splits `total` integer units across `shares` (which need not be
+/// normalized) by largest remainder; the result sums to `total`.
+pub(crate) fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
+    let sum: f64 = shares.iter().sum();
+    if sum <= 0.0 || shares.is_empty() {
+        let mut out = vec![0; shares.len()];
+        if let Some(first) = out.first_mut() {
+            *first = total;
+        }
+        return out;
+    }
+    let exact: Vec<f64> = shares
+        .iter()
+        .map(|s| total as f64 * (s / sum).max(0.0))
+        .collect();
+    let mut out: Vec<usize> = exact.iter().map(|e| e.floor() as usize).collect();
+    let mut assigned: usize = out.iter().sum();
+    // Hand out the remainder to the largest fractional parts (stable on
+    // ties by index).
+    let mut order: Vec<usize> = (0..shares.len()).collect();
+    order.sort_by(|&a, &b| {
+        let fa = exact[a] - exact[a].floor();
+        let fb = exact[b] - exact[b].floor();
+        fb.partial_cmp(&fa)
+            .expect("finite fractions")
+            .then(a.cmp(&b))
+    });
+    let mut k = 0;
+    while assigned < total {
+        out[order[k % order.len()]] += 1;
+        assigned += 1;
+        k += 1;
+    }
+    out
 }
 
 #[cfg(test)]

@@ -2,8 +2,12 @@
 //!
 //! Implements, per *request*, exactly the queueing system the paper's
 //! controller provisions for: each channel's cloud reservation is a FIFO
-//! M/M/m server fleet (`m = ⌊online capacity / per-VM bandwidth⌋`,
-//! service time = chunk bytes at one VM's bandwidth ≈ 12 s), and in P2P
+//! M/M/m server fleet (service time = chunk bytes at one VM's bandwidth
+//! ≈ 12 s). The online fleet, `⌊min(running, reserved) / per-VM
+//! bandwidth⌋` servers, is split across channels by largest remainder
+//! of their reservations, so a fleet short of its plan idles no running
+//! VM (flooring each channel's share on its own would leave every
+//! one-VM channel without a server). In P2P
 //! mode the peer upload pool absorbs a share of the chunk-request stream
 //! before it reaches the cloud — the event-driven analogue of the round
 //! engines' "peers serve first, cloud covers the residual" allocation.
@@ -47,8 +51,8 @@
 //!   [`crate::federation`]'s overflow redirection.
 //!
 //! Used cloud bandwidth is integrated *exactly* between events: the
-//! channel's take is `busy servers × per-VM bandwidth` (capped at the
-//! online reservation while a shrinking fleet drains), piecewise
+//! channel's take is `busy servers × per-VM bandwidth` (capped at its
+//! online servers while a shrinking fleet drains), piecewise
 //! constant between service starts and completions, so over any window
 //! the integral equals the bytes the cloud actually served — the same
 //! quantity the round engines accumulate from their per-round served
@@ -61,6 +65,7 @@ use cloudmedia_queueing::erlang_c_wait_probability;
 
 use super::events::{CmEvent, ADMISSION, SESSIONS};
 use super::RemoteOverflowSpec;
+use crate::allocation::apportion;
 use crate::config::{SimConfig, SimMode};
 
 /// EWMA weight for the per-channel mean inter-request gap.
@@ -77,7 +82,8 @@ struct QueuedRequest {
 /// One channel's admission state.
 #[derive(Debug, Default)]
 struct ChannelQueue {
-    /// Online servers (`⌊reserved × online scale / per-VM bandwidth⌋`).
+    /// Online servers: the channel's largest-remainder share of the
+    /// online fleet.
     servers: usize,
     /// Servers currently serving a transfer. May transiently exceed
     /// `servers` while a shrunk fleet drains.
@@ -191,16 +197,6 @@ impl Admission {
         }
     }
 
-    /// `min(1, running / reserved)` — the same scale the round engines
-    /// apply while VMs boot toward the plan.
-    fn online_scale(&self) -> f64 {
-        if self.reserved_total > 0.0 {
-            (self.running / self.reserved_total).min(1.0)
-        } else {
-            0.0
-        }
-    }
-
     /// Integrates the piecewise-constant used rate up to `now`.
     fn advance(&mut self, now: f64) {
         debug_assert!(now >= self.last_t);
@@ -210,9 +206,8 @@ impl Admission {
 
     /// Recomputes channel `c`'s cloud take after a state change.
     fn refresh_channel(&mut self, c: usize) {
-        let cap = self.reserved[c] * self.online_scale();
         let ch = &mut self.channels[c];
-        let new = (ch.busy as f64 * self.vm_bandwidth).min(cap);
+        let new = ch.busy.min(ch.servers) as f64 * self.vm_bandwidth;
         self.used_rate_total += new - ch.used_rate;
         ch.used_rate = new;
     }
@@ -300,16 +295,19 @@ impl Admission {
         }
     }
 
-    /// Re-derives channel `c`'s server count from the current capacity
-    /// and serves whatever the new capacity admits.
-    fn resize_channel(&mut self, kernel: &mut Kernel<CmEvent>, c: usize) {
-        let cap = self.reserved[c] * self.online_scale();
-        // The epsilon absorbs float noise in `running / reserved`: a
-        // channel holding exactly one VM of a fully booted plan must see
-        // m = 1, not floor(0.99…).
-        self.channels[c].servers = (cap / self.vm_bandwidth + 1e-6).floor() as usize;
-        self.refresh_channel(c);
-        self.drain_queue(kernel, c);
+    /// Splits the online fleet, `⌊min(running, reserved) / per-VM
+    /// bandwidth⌋` servers, across channels by largest remainder of their
+    /// reservations, and serves whatever the new capacity admits.
+    fn resize_channels(&mut self, kernel: &mut Kernel<CmEvent>) {
+        // The epsilon absorbs float noise: a fully booted plan of k VMs
+        // must give k servers, not floor(k - 0.00…1).
+        let online = self.running.min(self.reserved_total);
+        let total = (online / self.vm_bandwidth + 1e-6).floor() as usize;
+        for (c, servers) in apportion(total, &self.reserved).into_iter().enumerate() {
+            self.channels[c].servers = servers;
+            self.refresh_channel(c);
+            self.drain_queue(kernel, c);
+        }
     }
 }
 
@@ -475,11 +473,43 @@ impl Component<CmEvent> for Admission {
                 self.reserved_total = channel_reserved.iter().sum();
                 self.reserved = channel_reserved;
                 self.running = running_bandwidth;
-                for c in 0..self.channels.len() {
-                    self.resize_channel(kernel, c);
-                }
+                self.resize_channels(kernel);
             }
             other => unreachable!("admission received {other:?}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cloudmedia_cloud::cluster::PAPER_VM_BANDWIDTH;
+
+    #[test]
+    fn a_fleet_short_of_its_plan_idles_no_running_vm() {
+        // 20 one-VM channels at online scale 0.925: 18.5 VMs' worth runs,
+        // so 18 whole servers. Flooring each channel's 0.925 on its own
+        // would give none.
+        let cfg = SimConfig::paper_default(SimMode::ClientServer);
+        assert_eq!(cfg.catalog.len(), 20);
+        let vm = PAPER_VM_BANDWIDTH;
+        let mut admission = Admission::new(&cfg, vm, None);
+        let mut kernel = Kernel::new();
+        kernel.schedule_at(
+            0.0,
+            ADMISSION,
+            CmEvent::CapacityUpdate {
+                channel_reserved: vec![vm; 20],
+                running_bandwidth: 0.925 * 20.0 * vm,
+            },
+        );
+        let update = kernel.pop().expect("scheduled");
+        admission.handle(update, &mut kernel);
+        let servers: Vec<usize> = admission.channels.iter().map(|c| c.servers).collect();
+        assert_eq!(servers.iter().sum::<usize>(), 18, "{servers:?}");
+        assert!(
+            servers.iter().all(|&m| m <= 1),
+            "beyond the plan: {servers:?}"
+        );
     }
 }

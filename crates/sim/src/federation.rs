@@ -76,6 +76,7 @@ use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::diurnal::DiurnalPattern;
 use cloudmedia_workload::trace::child_seed;
 
+use crate::allocation::apportion;
 use crate::config::{SimConfig, SimKernel, SimMode};
 use crate::control::{site_cloud, Planned, SiteControl};
 use crate::error::{invalid_param, SimError};
@@ -347,42 +348,6 @@ impl FederatedMetrics {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Splits `total` integer units across `shares` (which need not be
-/// normalized) by largest remainder; the result sums to `total`.
-fn apportion(total: usize, shares: &[f64]) -> Vec<usize> {
-    let sum: f64 = shares.iter().sum();
-    if sum <= 0.0 || shares.is_empty() {
-        let mut out = vec![0; shares.len()];
-        if let Some(first) = out.first_mut() {
-            *first = total;
-        }
-        return out;
-    }
-    let exact: Vec<f64> = shares
-        .iter()
-        .map(|s| total as f64 * (s / sum).max(0.0))
-        .collect();
-    let mut out: Vec<usize> = exact.iter().map(|e| e.floor() as usize).collect();
-    let mut assigned: usize = out.iter().sum();
-    // Hand out the remainder to the largest fractional parts (stable on
-    // ties by index).
-    let mut order: Vec<usize> = (0..shares.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = exact[a] - exact[a].floor();
-        let fb = exact[b] - exact[b].floor();
-        fb.partial_cmp(&fa)
-            .expect("finite fractions")
-            .then(a.cmp(&b))
-    });
-    let mut k = 0;
-    while assigned < total {
-        out[order[k % order.len()]] += 1;
-        assigned += 1;
-        k += 1;
-    }
-    out
 }
 
 /// One region's boundary state: its site's cloud and fault driver, its

@@ -16,7 +16,7 @@
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::event_driven::{run, DesRun, DesScenario, FlashCrowdSpec};
-use cloudmedia_sim::faults::FaultSchedule;
+use cloudmedia_sim::faults::{DegradeMode, FaultSchedule};
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::Metrics;
 use cloudmedia_workload::catalog::Catalog;
@@ -222,6 +222,26 @@ fn vm_failure_repair_event_restores_capacity_before_the_next_plan() {
         "repair restores capacity ahead of the controller: \
          {repaired_window:.3e} vs {base_window:.3e}"
     );
+}
+
+#[test]
+fn a_fleet_burst_keeps_quality_under_both_degrade_modes() {
+    // Paper-default C/S, 12 h, half the fleet down from 4 h to 7 h. The
+    // plan over-provisions, so the surviving VMs cover the demand as
+    // long as every running VM serves some channel.
+    let (at, recovery) = (4.0 * 3600.0, 3.0 * 3600.0);
+    for degrade in [DegradeMode::ShedNewArrivals, DegradeMode::DiluteAllStreams] {
+        let mut cfg = paper_cfg(SimMode::ClientServer, 12.0);
+        cfg.faults = FaultSchedule::vm_outage(at, 0.5, recovery);
+        cfg.faults.degrade = degrade;
+        let run = des(&cfg);
+        let window: Vec<_> = run.metrics.samples_in(at, at + recovery).collect();
+        let quality = window.iter().map(|s| s.quality).sum::<f64>() / window.len() as f64;
+        assert!(
+            quality >= 0.95,
+            "{degrade:?}: in-window quality {quality:.4}"
+        );
+    }
 }
 
 #[test]
