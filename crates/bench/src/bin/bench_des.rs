@@ -8,9 +8,9 @@
 //!
 //! Also emits an `engine_throughput` section: raw DES scheduler
 //! throughput (schedule/cancel/pop ns per op, binary heap vs timing
-//! wheel, on the hold and timer-churn operation mixes) plus full
-//! event-driven engine runs per scheduler (events/sec, ns/event) — the
-//! record of the timing wheel's edge over the heap.
+//! wheel, on the hold and timer-churn operation mixes) — the record of
+//! the timing wheel's edge over the heap — plus full event-driven engine
+//! runs, which always use the wheel (events/sec, ns/event).
 //!
 //! Usage: `bench_des [--hours N] [--out PATH]`
 //!   - `--hours` simulated horizon per run (default 24; use 168 for the
@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use cloudmedia_bench::geo_sim::append_section;
 use cloudmedia_des::{ComponentId, Kernel, SchedulerKind};
-use cloudmedia_sim::config::{SchedulerChoice, SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::event_driven::{run as des_run, DesScenario, LatencySummary};
 use cloudmedia_sim::simulator::Simulator;
 use serde::Serialize;
@@ -146,29 +146,25 @@ fn main() {
     let cancel_speedup = speedup(&kernel_ops, "schedule_cancel_16384");
     let mut engine_runs = Vec::new();
     for mode in [SimMode::ClientServer, SimMode::P2p] {
-        for scheduler in [SchedulerChoice::Heap, SchedulerChoice::Wheel] {
-            let mut cfg = SimConfig::paper_default(mode);
-            cfg.trace.horizon_seconds = hours * 3600.0;
-            cfg.scheduler = scheduler;
-            let start = Instant::now();
-            let run = des_run(&cfg, &DesScenario::default()).expect("engine run succeeds");
-            let wall = start.elapsed().as_secs_f64();
-            let events = run.report.events_delivered;
-            eprintln!(
-                "{mode:?}/{scheduler:?} engine: {wall:.3}s for {events} events \
-                 ({:.2}M events/s)",
-                events as f64 / wall / 1e6
-            );
-            engine_runs.push(EngineRun {
-                mode: format!("{mode:?}"),
-                scheduler: format!("{scheduler:?}"),
-                sim_hours: hours,
-                wall_seconds: wall,
-                events_delivered: events,
-                events_per_sec: events as f64 / wall,
-                ns_per_event: wall * 1e9 / events as f64,
-            });
-        }
+        let mut cfg = SimConfig::paper_default(mode);
+        cfg.trace.horizon_seconds = hours * 3600.0;
+        let start = Instant::now();
+        let run = des_run(&cfg, &DesScenario::default()).expect("engine run succeeds");
+        let wall = start.elapsed().as_secs_f64();
+        let events = run.report.events_delivered;
+        eprintln!(
+            "{mode:?} engine: {wall:.3}s for {events} events ({:.2}M events/s)",
+            events as f64 / wall / 1e6
+        );
+        engine_runs.push(EngineRun {
+            mode: format!("{mode:?}"),
+            scheduler: "Wheel".into(),
+            sim_hours: hours,
+            wall_seconds: wall,
+            events_delivered: events,
+            events_per_sec: events as f64 / wall,
+            ns_per_event: wall * 1e9 / events as f64,
+        });
     }
     let throughput = EngineThroughput {
         schema: "cloudmedia-bench-des-throughput/v1".into(),
@@ -176,7 +172,8 @@ fn main() {
             "kernel_ops are raw scheduler operations (no component handlers): the \
              hold model (pop + schedule at a steady pending-set size) and the \
              cancellable-timer churn mix. engine_runs are full event-driven \
-             CloudMedia runs, so handler work dilutes the scheduler gap."
+             CloudMedia runs on the timing wheel, the only queue the engine \
+             uses."
                 .into(),
         ],
         kernel_ops,
@@ -217,7 +214,7 @@ struct KernelOp {
     ops_per_sec: f64,
 }
 
-/// One full engine run under a named scheduler.
+/// One full engine run (its queue named).
 #[derive(Debug, Serialize)]
 struct EngineRun {
     mode: String,

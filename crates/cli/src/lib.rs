@@ -46,7 +46,7 @@ use cloudmedia_core::analysis::{
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::controller::{Controller, ControllerConfig, StreamingMode};
 use cloudmedia_core::predictor::{ChannelObservation, PredictorKind};
-use cloudmedia_sim::config::{SchedulerChoice, SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::event_driven::{DesScenario, FlashCrowdSpec};
 use cloudmedia_sim::faults::{DegradeMode, FaultSchedule, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
@@ -138,8 +138,6 @@ pub enum Command {
         mode: SimMode,
         /// Horizon in hours.
         hours: f64,
-        /// Event-queue scheduler (`--scheduler heap|wheel`).
-        scheduler: SchedulerChoice,
         /// Optional path to write the full `DesRun` JSON.
         out_path: Option<String>,
         /// Telemetry / trace output options.
@@ -366,7 +364,7 @@ USAGE:
                       [--kernel scan|indexed|event-driven]
                       [--config FILE] [--out FILE]
   cloudmedia des <baseline|boot-delay|vm-failure|flash-crowd>
-                 [--mode cs|p2p] [--hours H] [--scheduler heap|wheel] [--out FILE]
+                 [--mode cs|p2p] [--hours H] [--out FILE]
   cloudmedia geo <independent|federated|central> [--mode cs|p2p] [--hours H]
   cloudmedia chaos <vm-outage|site-outage|budget-cut|tracker-dropout>
                    [--mode cs|p2p] [--hours H]
@@ -406,18 +404,6 @@ fn parse_kernel(v: &str) -> Result<SimKernel, CliError> {
         "event-driven" | "des" => Ok(SimKernel::EventDriven),
         other => Err(CliError::Usage(format!(
             "unknown kernel `{other}` (use scan|indexed|event-driven)"
-        ))),
-    }
-}
-
-/// Parses a `--scheduler` value (the DES event-queue backend). Unknown
-/// names are usage errors, not fallbacks.
-fn parse_scheduler(v: &str) -> Result<SchedulerChoice, CliError> {
-    match v {
-        "heap" => Ok(SchedulerChoice::Heap),
-        "wheel" => Ok(SchedulerChoice::Wheel),
-        other => Err(CliError::Usage(format!(
-            "unknown scheduler `{other}` (use heap|wheel)"
         ))),
     }
 }
@@ -530,14 +516,12 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                 .and_then(DesScenarioKind::parse)?;
             let mut mode = SimMode::P2p;
             let mut hours = 24.0;
-            let mut scheduler = SchedulerChoice::default();
             let mut out_path = None;
             let mut telemetry = TelemetryOpts::default();
             while let Some(flag) = it.next() {
                 match flag {
                     "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
                     "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--scheduler" => scheduler = parse_scheduler(take_value(&mut it, flag)?)?,
                     "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
                     "--telemetry" => {
                         telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
@@ -552,7 +536,6 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                 scenario,
                 mode,
                 hours,
-                scheduler,
                 out_path,
                 telemetry,
             })
@@ -748,17 +731,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             scenario,
             mode,
             hours,
-            scheduler,
             out_path,
             telemetry,
-        } => des(
-            scenario,
-            mode,
-            hours,
-            scheduler,
-            out_path.as_deref(),
-            &telemetry,
-        ),
+        } => des(scenario, mode, hours, out_path.as_deref(), &telemetry),
         Command::Geo {
             deployment,
             mode,
@@ -981,13 +956,11 @@ fn des(
     scenario: DesScenarioKind,
     mode: SimMode,
     hours: f64,
-    scheduler: SchedulerChoice,
     out_path: Option<&str>,
     telemetry: &TelemetryOpts,
 ) -> Result<String, CliError> {
     let mut config = SimConfig::paper_default(mode);
     config.trace.horizon_seconds = hours * 3600.0;
-    config.scheduler = scheduler;
     let spec = scenario.build(&mut config);
     let tel = telemetry.registry();
     let run = cloudmedia_sim::event_driven::run_with_telemetry(&config, &spec, &tel)
@@ -1567,19 +1540,12 @@ mod tests {
     }
 
     #[test]
-    fn unknown_scheduler_string_is_a_usage_error_not_a_fallback() {
-        for bad in ["Wheel", "calendar", "binary-heap", ""] {
-            let err = parse(&["des", "baseline", "--scheduler", bad]).unwrap_err();
-            match err {
-                CliError::Usage(msg) => {
-                    assert!(
-                        msg.contains("unknown scheduler") && msg.contains("heap|wheel"),
-                        "unhelpful message for `{bad}`: {msg}"
-                    );
-                }
-                other => panic!("expected usage error for `{bad}`, got {other:?}"),
-            }
-        }
+    fn scheduler_is_an_unknown_flag() {
+        let err = parse(&["des", "baseline", "--scheduler", "heap"]).unwrap_err();
+        let CliError::Usage(msg) = &err else {
+            panic!("expected a usage error, got: {err}");
+        };
+        assert_eq!(msg, "unknown flag `--scheduler`");
     }
 
     #[test]
@@ -1591,29 +1557,17 @@ mod tests {
                 scenario: DesScenarioKind::Baseline,
                 mode: SimMode::P2p,
                 hours: 24.0,
-                scheduler: SchedulerChoice::Wheel,
                 out_path: None,
                 telemetry: TelemetryOpts::default(),
             }
         );
-        let c = parse(&[
-            "des",
-            "vm-failure",
-            "--mode",
-            "cs",
-            "--hours",
-            "6",
-            "--scheduler",
-            "heap",
-        ])
-        .unwrap();
+        let c = parse(&["des", "vm-failure", "--mode", "cs", "--hours", "6"]).unwrap();
         assert_eq!(
             c,
             Command::Des {
                 scenario: DesScenarioKind::VmFailure,
                 mode: SimMode::ClientServer,
                 hours: 6.0,
-                scheduler: SchedulerChoice::Heap,
                 out_path: None,
                 telemetry: TelemetryOpts::default(),
             }
@@ -1654,7 +1608,6 @@ mod tests {
             scenario: DesScenarioKind::Baseline,
             mode: SimMode::ClientServer,
             hours: 1.0,
-            scheduler: SchedulerChoice::Wheel,
             out_path: None,
             telemetry: TelemetryOpts::default(),
         })
@@ -2042,7 +1995,6 @@ mod tests {
             scenario: DesScenarioKind::Baseline,
             mode: SimMode::ClientServer,
             hours: 1.0,
-            scheduler: SchedulerChoice::Wheel,
             out_path: None,
             telemetry: TelemetryOpts::default(),
         })

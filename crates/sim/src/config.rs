@@ -57,55 +57,14 @@ pub enum SimKernel {
     EventDriven,
 }
 
-/// Which event-queue scheduler backs the DES kernel when
-/// [`SimKernel::EventDriven`] runs.
-///
-/// Both schedulers deliver **bit-identical** event sequences (the
-/// determinism contract is property-tested in `crates/des/tests`); they
-/// differ only in speed. The timing wheel is the default — O(1)
-/// amortized schedule/cancel/pop over slab-allocated events versus the
-/// heap's `O(log n)` sifts — and the `des_kernel` criterion bench plus
-/// the `engine_throughput` section of `BENCH_sim.json` track the gap.
-///
-/// ```
-/// use cloudmedia_sim::config::{SchedulerChoice, SimConfig, SimMode};
-///
-/// let mut cfg = SimConfig::paper_default(SimMode::P2p);
-/// assert_eq!(cfg.scheduler, SchedulerChoice::Wheel);
-/// // Select the reference heap (identical events, slower queue):
-/// cfg.scheduler = SchedulerChoice::Heap;
-/// assert_eq!(
-///     cloudmedia_des::SchedulerKind::from(cfg.scheduler),
-///     cloudmedia_des::SchedulerKind::BinaryHeap,
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SchedulerChoice {
-    /// Reference binary-heap queue with lazy cancellation.
-    Heap,
-    /// Hierarchical timing wheel (slab storage, free-list recycling,
-    /// eager O(1) cancellation).
-    #[default]
-    Wheel,
-}
-
-impl From<SchedulerChoice> for cloudmedia_des::SchedulerKind {
-    fn from(choice: SchedulerChoice) -> Self {
-        match choice {
-            SchedulerChoice::Heap => cloudmedia_des::SchedulerKind::BinaryHeap,
-            SchedulerChoice::Wheel => cloudmedia_des::SchedulerKind::TimingWheel,
-        }
-    }
-}
-
 /// Full configuration of one simulation run.
 ///
 /// `Deserialize` is implemented by hand (the vendored derive has no
-/// `#[serde(default)]`): the `scheduler` field is optional in JSON and
-/// defaults to [`SchedulerChoice::Wheel`], so config files written
-/// before the field existed keep loading, and a `"kernel": "Sharded"`
-/// written before that kernel was removed loads as
-/// [`SimKernel::Indexed`].
+/// `#[serde(default)]`): fields added after config files were in the
+/// wild are optional, unknown keys are ignored (a `"scheduler"` written
+/// before the event-driven engine's queue choice was removed still
+/// loads), and a `"kernel": "Sharded"` written before that kernel was
+/// removed loads as [`SimKernel::Indexed`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Channel catalog (popularity, viewing models, arrival rates).
@@ -149,10 +108,6 @@ pub struct SimConfig {
     pub peer_efficiency: f64,
     /// Round-engine implementation (identical results, different speed).
     pub kernel: SimKernel,
-    /// DES event-queue scheduler used by [`SimKernel::EventDriven`]
-    /// (identical event order, different speed). Ignored by the round
-    /// engines.
-    pub scheduler: SchedulerChoice,
     /// Let the segment driver fan its channel shards across the rayon
     /// worker pool (default): a site's shards once it holds at least
     /// 5,000 connected viewers (a measured threshold; smaller sites step
@@ -214,11 +169,6 @@ impl serde::Deserialize for SimConfig {
             },
             // Optional with a default: added after configs were already
             // in the wild.
-            scheduler: match v.get("scheduler") {
-                Some(value) => serde::Deserialize::from_value(value)?,
-                None => SchedulerChoice::default(),
-            },
-            // Same story: optional, defaulting to parallel execution.
             parallel_channels: match v.get("parallel_channels") {
                 Some(value) => serde::Deserialize::from_value(value)?,
                 None => true,
@@ -277,7 +227,6 @@ impl SimConfig {
             chunk_seconds: 300.0,
             peer_efficiency: 0.85,
             kernel: SimKernel::default(),
-            scheduler: SchedulerChoice::default(),
             parallel_channels: true,
             fleet_scale: 1.0,
             faults: FaultSchedule::default(),
@@ -431,18 +380,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_json_without_scheduler_field_still_loads() {
-        // `scheduler` was added after config files were already in the
-        // wild; a pre-existing JSON config (no such key) must load with
-        // the default instead of failing deserialization.
+    fn config_json_with_a_scheduler_field_still_loads() {
+        // The event-driven engine once took its queue from `scheduler`;
+        // config files written then (naming either queue) still load.
         let cfg = SimConfig::paper_default(SimMode::P2p);
         let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
             panic!("config serializes to an object");
         };
-        fields.retain(|(k, _)| k != "scheduler");
+        fields.push(("scheduler".into(), serde::Value::String("Heap".into())));
         let legacy = serde::Value::Object(fields);
         let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
-        assert_eq!(parsed.scheduler, SchedulerChoice::Wheel);
         assert_eq!(parsed, cfg);
     }
 

@@ -197,13 +197,13 @@ pub struct DesReport {
     /// Total events the kernel delivered.
     pub events_delivered: u64,
     /// High-water mark of the kernel's pending-event count — how deep
-    /// the future-event set got (heap size or timing-wheel occupancy).
+    /// the future-event set (the timing wheel) got.
     pub peak_pending_events: usize,
     /// Cancellations that hit a still-pending event (a session departing
     /// with a scheduled wake-up, a superseded timer).
     pub cancelled_events: u64,
-    /// Timing-wheel slot recycles (0 under the binary-heap scheduler):
-    /// how often the wheel's free list absorbed an allocation.
+    /// Timing-wheel slot recycles: how often the wheel's free list
+    /// absorbed an allocation.
     pub recycled_slots: u64,
     /// Sessions injected by flash-crowd bursts.
     pub injected_viewers: u64,
@@ -254,7 +254,8 @@ pub fn run_with_telemetry(
     let horizon = cfg.trace.horizon_seconds;
     let n_channels = cfg.catalog.len();
 
-    let mut kernel: Kernel<CmEvent> = Kernel::with_scheduler(cfg.scheduler.into());
+    // The timing wheel: the kernel's default queue.
+    let mut kernel: Kernel<CmEvent> = Kernel::new();
     let mut provisioner = provisioner::Provisioner::new(cfg, scenario)?;
     let mut admission =
         admission::Admission::new(cfg, provisioner.vm_bandwidth(), scenario.remote_overflow);
