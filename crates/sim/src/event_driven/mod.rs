@@ -57,14 +57,15 @@
 //! the *identical* provisioning control path, which reacts to tracker
 //! measurements of those equilibria. The residual differences are
 //! (a) trace sampling noise, (b) the frozen-share service model versus
-//! per-round max–min fair reallocation, and (c) the pooled peer-supply
-//! approximation (the DES pool ignores per-chunk ownership constraints,
-//! so P2P cloud usage reads slightly lower). Over the paper-default
-//! week these contribute a few percent each; the regression test
-//! (`crates/sim/tests/des_vs_indexed.rs`) pins **mean used cloud
-//! bandwidth, mean per-channel provisioned demand, and total VM cost to
-//! within 15 % of the Indexed engine**, and `bench_des` records the
-//! actual deltas in `BENCH_sim.json` so the gap is tracked PR to PR.
+//! per-round max–min fair reallocation, and (c) the peer mesh as a pool
+//! of transfer slots instead of a per-round rarest-first allocation.
+//! Over the paper-default week C/S used bandwidth and VM cost agree
+//! within 0.2 %, and P2P cloud usage reads 10.5 % higher; the
+//! regression test (`crates/sim/tests/des_vs_indexed.rs`) pins **mean
+//! used cloud bandwidth, mean per-channel provisioned demand, and total
+//! VM cost to within 15 % of the Indexed engine**, and `bench_des`
+//! records the actual deltas in `BENCH_sim.json` so the gap is tracked
+//! PR to PR.
 
 pub mod admission;
 mod events;
@@ -273,23 +274,21 @@ pub fn run_with_telemetry(
     );
     // Fault boundaries: each fleet failure and site outage that starts
     // inside the horizon takes capacity away at its start and restores
-    // it at its repair or end.
+    // it at its repair or end. Scheduled after the first tick, arrival
+    // and sample, a boundary runs after the tick at t = 0 and before any
+    // later tick at the same instant.
     let faults = &cfg.faults;
-    let windows = faults
+    let fleet = faults
         .vm_failures
         .iter()
-        .map(|f| (f.at, f.recovery_seconds))
-        .chain(
-            faults
-                .site_outages
-                .iter()
-                .map(|o| (o.at, o.duration_seconds)),
-        );
-    for (at, length) in windows {
-        if at < horizon {
-            let boundary = |restores| CmEvent::FaultBoundary { restores };
-            kernel.schedule_at(at, PROVISIONER, boundary(false));
-            kernel.schedule_at(at + length, PROVISIONER, boundary(true));
+        .map(|f| (f.at, f.recovery_seconds));
+    let sites = faults
+        .site_outages
+        .iter()
+        .map(|o| (o.at, o.duration_seconds));
+    for (at, length) in fleet.chain(sites).filter(|&(at, _)| at < horizon) {
+        for (t, restores) in [(at, false), (at + length, true)] {
+            kernel.schedule_at(t, PROVISIONER, CmEvent::FaultBoundary { restores });
         }
     }
     for fc in &scenario.flash_crowds {

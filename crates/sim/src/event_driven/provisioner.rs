@@ -180,12 +180,13 @@ impl Provisioner {
         // Ticks fire strictly inside the horizon, like the round loop's
         // `while clock < horizon` — a tick *at* the horizon would plan a
         // fleet that never serves and record a phantom interval.
-        self.next_tick = now + self.provisioning_interval;
-        if self.next_tick < self.horizon {
-            kernel.schedule_at(self.next_tick, PROVISIONER, CmEvent::ProvisionTick);
+        let next = now + self.provisioning_interval;
+        self.next_tick = if next < self.horizon {
+            kernel.schedule_at(next, PROVISIONER, CmEvent::ProvisionTick);
+            next
         } else {
-            self.next_tick = f64::INFINITY;
-        }
+            f64::INFINITY
+        };
         Ok(())
     }
 

@@ -238,6 +238,23 @@ fn the_event_driven_engine_applies_a_site_outage() {
 }
 
 #[test]
+fn an_outage_on_provisioning_boundaries_needs_no_emergency_replan() {
+    // From 2 h to 3 h: both edges fall on hourly boundaries, whose plans
+    // rent around the outage themselves.
+    let (at, duration) = (2.0 * 3600.0, 3600.0);
+    for kernel in [SimKernel::Indexed, SimKernel::EventDriven] {
+        let mut cfg = small_cfg(kernel, 4.0);
+        cfg.faults = FaultSchedule::site_outage(at, 0, duration);
+        let run = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
+        assert_eq!(run.fault_stats.emergency_replans, 0, "{kernel:?}");
+        // Past the shutdown latency, nothing runs until the site is back.
+        for s in run.metrics.samples_in(at + 60.0, at + duration) {
+            assert_eq!(s.reserved_bandwidth, 0.0, "{kernel:?} at {} s", s.time);
+        }
+    }
+}
+
+#[test]
 fn vm_outage_dents_quality_and_the_repair_restores_it() {
     let hours = 12.0;
     // Mid-interval burst: the dent is visible until the repair (at

@@ -242,9 +242,9 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         DeploymentKind::Federated,
         indexed,
     );
-    single_site_runs(&mut out, &mut stats, "indexed", indexed);
-    single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven);
-    single_site_runs(&mut out, &mut stats, "scan", SimKernel::Scan);
+    single_site_runs(&mut out, &mut stats, "indexed", indexed, &[]);
+    single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven, &[]);
+    single_site_runs(&mut out, &mut stats, "scan", SimKernel::Scan, &[]);
     deployment_runs(
         &mut out,
         &mut stats,
@@ -260,8 +260,11 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         indexed,
     );
     // Appended last, so every line above stays byte-identical.
-    for (engine, kernel) in [("indexed", indexed), ("des", SimKernel::EventDriven)] {
-        single_site_runs(&mut out, &mut stats, &format!("{engine}_down"), kernel);
+    for (engine, kernel) in [
+        ("indexed_down", indexed),
+        ("des_down", SimKernel::EventDriven),
+    ] {
+        single_site_runs(&mut out, &mut stats, engine, kernel, &outage(0));
     }
     (out, stats)
 }
@@ -309,19 +312,18 @@ fn deployment_runs(
 }
 
 /// A single-site engine's C/S and P2P runs on the faulted 6-channel
-/// config; a `*_down` engine label adds the outage of site 0.
+/// config, plus `site_outages`.
 fn single_site_runs(
     out: &mut String,
     stats: &mut Vec<(String, FaultStats)>,
     engine: &str,
     kernel: SimKernel,
+    site_outages: &[SiteOutage],
 ) {
     for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
         let label = format!("{engine}_{name}");
         let mut cfg = single_site(kernel, mode);
-        if engine.ends_with("_down") {
-            cfg.faults.site_outages = outage(0);
-        }
+        cfg.faults.site_outages = site_outages.to_vec();
         let run = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
         site_lines(out, &label, &run.metrics);
         fault_line(out, &label, &run.fault_stats);
