@@ -2,8 +2,9 @@
 //! `ProvisioningPlan`, bit for bit, over 24 hourly plans of the paper
 //! catalog under each controller configuration the simulators use —
 //! client–server, the P2P default, the path-based Ψ estimator, three
-//! upload classes, per-chunk pooling, the sojourn-quantile target, and a
-//! best-effort budget cut. Loads follow the paper's diurnal profile and
+//! upload classes, per-chunk pooling, the sojourn-quantile target, a
+//! best-effort budget cut, and the EWMA and moving-average predictors.
+//! Loads follow the paper's diurnal profile and
 //! every observed routing matrix is perturbed (some entries zeroed), so
 //! the solvers see a different system every hour.
 //!
@@ -64,12 +65,13 @@ fn p2p(psi: PsiEstimator) -> ControllerConfig {
     })
 }
 
-/// A named controller configuration, the number of (most popular)
-/// catalog channels it plans for, and the hour (if any) at which its VM
-/// budget is cut to a quarter.
+/// A named controller configuration, its predictor, the number of (most
+/// popular) catalog channels it plans for, and the hour (if any) at
+/// which its VM budget is cut to a quarter.
 struct Case {
     name: &'static str,
     config: ControllerConfig,
+    predictor: PredictorKind,
     channels: usize,
     budget_cut_hour: Option<usize>,
 }
@@ -78,6 +80,7 @@ fn cases() -> Vec<Case> {
     let case = |name, config| Case {
         name,
         config,
+        predictor: PredictorKind::LastInterval,
         channels: 20,
         budget_cut_hour: None,
     };
@@ -120,6 +123,19 @@ fn cases() -> Vec<Case> {
         Case {
             budget_cut_hour: Some(8),
             ..case("cs_best_effort_cut", best_effort)
+        },
+        // The smoothing predictors blend the skipped and perturbed
+        // observations, so the analysis sees averaged routing matrices.
+        Case {
+            predictor: PredictorKind::Ewma { weight: 0.5 },
+            ..case("p2p_ewma", p2p(PsiEstimator::Independent))
+        },
+        Case {
+            predictor: PredictorKind::MovingAverage { window: 3 },
+            ..case(
+                "cs_moving_average",
+                ControllerConfig::paper_default(StreamingMode::ClientServer),
+            )
         },
     ]
 }
@@ -271,7 +287,7 @@ fn plans() -> Vec<(&'static str, usize, Result<ProvisioningPlan, String>)> {
     };
     let mut out = Vec::new();
     for case in cases() {
-        let mut controller = Controller::new(case.config, PredictorKind::LastInterval).unwrap();
+        let mut controller = Controller::new(case.config, case.predictor).unwrap();
         for hour in 0..HOURS {
             if case.budget_cut_hour == Some(hour) {
                 controller.scale_vm_budget(0.25).unwrap();
