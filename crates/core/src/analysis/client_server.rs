@@ -12,7 +12,7 @@ use cloudmedia_queueing::mmm::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::analysis::pass::ChannelPass;
+use crate::analysis::pass::{ChannelPass, PassScratch};
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 
@@ -50,7 +50,7 @@ impl ProvisioningTarget {
 }
 
 /// Equilibrium capacity demand of one channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CapacityDemand {
     /// Channel this demand belongs to.
     pub channel: usize,
@@ -106,7 +106,9 @@ pub fn capacity_demand_with_target(
     channel: &ChannelModel,
     target: ProvisioningTarget,
 ) -> Result<CapacityDemand, CoreError> {
-    ChannelPass::new(channel, false)?.per_chunk(target)
+    let mut scratch = PassScratch::default();
+    ChannelPass::new(channel, false, &mut scratch)?.per_chunk(target)?;
+    Ok(scratch.demand)
 }
 
 /// Channel-pooled capacity demand: the paper allows a fractional VM to
@@ -137,7 +139,9 @@ pub fn pooled_capacity_demand_with_target(
     channel: &ChannelModel,
     target: ProvisioningTarget,
 ) -> Result<CapacityDemand, CoreError> {
-    ChannelPass::new(channel, false)?.pooled(target)
+    let mut scratch = PassScratch::default();
+    ChannelPass::new(channel, false, &mut scratch)?.pooled(target)?;
+    Ok(scratch.demand)
 }
 
 impl ChannelPass<'_> {
@@ -148,16 +152,20 @@ impl ChannelPass<'_> {
     ///
     /// Propagates queueing failures.
     pub(crate) fn per_chunk(
-        &self,
+        &mut self,
         target: ProvisioningTarget,
-    ) -> Result<CapacityDemand, CoreError> {
+    ) -> Result<&CapacityDemand, CoreError> {
         let channel = self.channel;
-        let lambdas = &self.traffic.arrival_rates;
+        let lambdas = self.scratch.traffic.arrival_rates();
         let mu = channel.service_rate();
         let t0 = channel.chunk_seconds;
-        let mut servers = Vec::with_capacity(lambdas.len());
-        let mut expected = Vec::with_capacity(lambdas.len());
-        let mut upload = Vec::with_capacity(lambdas.len());
+        let d = &mut self.scratch.demand;
+        d.channel = channel.id;
+        d.arrival_rates.clear();
+        d.arrival_rates.extend_from_slice(lambdas);
+        d.servers.clear();
+        d.expected_in_queue.clear();
+        d.upload_demand.clear();
         for &lambda in lambdas {
             let m = target.min_servers(lambda, mu, t0)?;
             let e_n = if m == 0 {
@@ -165,17 +173,11 @@ impl ChannelPass<'_> {
             } else {
                 MmmQueue::new(lambda, mu, m)?.expected_in_system()
             };
-            servers.push(m);
-            expected.push(e_n);
-            upload.push(m as f64 * channel.vm_bandwidth);
+            d.servers.push(m);
+            d.expected_in_queue.push(e_n);
+            d.upload_demand.push(m as f64 * channel.vm_bandwidth);
         }
-        Ok(CapacityDemand {
-            channel: channel.id,
-            arrival_rates: lambdas.clone(),
-            servers,
-            expected_in_queue: expected,
-            upload_demand: upload,
-        })
+        Ok(d)
     }
 
     /// Channel-pooled sizing: one M/M/m fleet for `Σ λ_i`, apportioned
@@ -184,37 +186,41 @@ impl ChannelPass<'_> {
     /// # Errors
     ///
     /// Propagates queueing failures.
-    pub(crate) fn pooled(&self, target: ProvisioningTarget) -> Result<CapacityDemand, CoreError> {
+    pub(crate) fn pooled(
+        &mut self,
+        target: ProvisioningTarget,
+    ) -> Result<&CapacityDemand, CoreError> {
         let channel = self.channel;
-        let lambdas = &self.traffic.arrival_rates;
+        let lambdas = self.scratch.traffic.arrival_rates();
         let mu = channel.service_rate();
         let t0 = channel.chunk_seconds;
         let total_lambda: f64 = lambdas.iter().sum();
         let pool_servers = target.min_servers(total_lambda, mu, t0)?;
         let pool_bandwidth = pool_servers as f64 * channel.vm_bandwidth;
 
-        let mut servers = vec![0usize; lambdas.len()];
-        let mut expected = vec![0.0; lambdas.len()];
-        let mut upload = vec![0.0; lambdas.len()];
+        let d = &mut self.scratch.demand;
+        d.channel = channel.id;
+        d.arrival_rates.clear();
+        d.arrival_rates.extend_from_slice(lambdas);
+        for v in [&mut d.expected_in_queue, &mut d.upload_demand] {
+            v.clear();
+            v.resize(lambdas.len(), 0.0);
+        }
+        d.servers.clear();
+        d.servers.resize(lambdas.len(), 0);
         if total_lambda > 0.0 {
             let pool = MmmQueue::new(total_lambda, mu, pool_servers)?;
             let total_expected = pool.expected_in_system();
             for (i, &lambda) in lambdas.iter().enumerate() {
                 let share = lambda / total_lambda;
-                upload[i] = pool_bandwidth * share;
-                expected[i] = total_expected * share;
+                d.upload_demand[i] = pool_bandwidth * share;
+                d.expected_in_queue[i] = total_expected * share;
                 // Integer bookkeeping: ceil of the fractional share, reported
                 // for diagnostics only.
-                servers[i] = (pool_servers as f64 * share).ceil() as usize;
+                d.servers[i] = (pool_servers as f64 * share).ceil() as usize;
             }
         }
-        Ok(CapacityDemand {
-            channel: channel.id,
-            arrival_rates: lambdas.clone(),
-            servers,
-            expected_in_queue: expected,
-            upload_demand: upload,
-        })
+        Ok(d)
     }
 }
 

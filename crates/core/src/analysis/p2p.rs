@@ -29,7 +29,7 @@ pub static SHERMAN_MORRISON_FALLBACKS: GlobalCounter = GlobalCounter::new();
 #[cfg(test)]
 use crate::analysis::client_server::{capacity_demand, pooled_capacity_demand};
 use crate::analysis::client_server::{CapacityDemand, ProvisioningTarget};
-use crate::analysis::pass::ChannelPass;
+use crate::analysis::pass::{ChannelPass, PassScratch};
 use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
@@ -116,44 +116,63 @@ pub fn replica_matrix(
     if j_count == 1 {
         return Ok(vec![vec![expected_in_queue[0]]]);
     }
+    let p = checked.as_matrix().as_slice();
+    let mut result = Vec::with_capacity(j_count);
     match checked.traffic_matrix().lu() {
-        Ok(lu) => replicas_from_inverse(routing, &lu.inverse_columns(), expected_in_queue),
+        Ok(lu) => replicas_from_inverse(
+            p,
+            &lu.inverse_columns(),
+            expected_in_queue,
+            (&mut Vec::new(), &mut Vec::new()),
+            |_, row| result.push(row.to_vec()),
+        )?,
         Err(_) => {
             // M = I − Pᵀ is singular for perfectly recirculating routing
             // (row sums exactly 1, no departures) — a valid input whose
             // *deleted* per-chunk systems are still well posed. Solve them
             // directly, as the original algorithm did.
-            let mut result = vec![vec![0.0; j_count]; j_count];
-            for (i, (out, &occupancy)) in result.iter_mut().zip(expected_in_queue).enumerate() {
+            for (i, &occupancy) in expected_in_queue.iter().enumerate() {
                 SHERMAN_MORRISON_FALLBACKS.inc();
-                replica_row_direct(routing, occupancy, i, out)?;
+                let mut row = vec![0.0; j_count];
+                replica_row_direct(p, occupancy, i, &mut row)?;
+                result.push(row);
             }
-            Ok(result)
         }
     }
+    Ok(result)
 }
 
 /// Proposition 1 from the columns of `M⁻¹` (`inv[i·n..(i + 1)·n]` is
-/// `M⁻¹ e_i`): one Sherman–Morrison deleted-row update per chunk.
+/// `M⁻¹ e_i`) and the row-major `n × n` routing `p`: one
+/// Sherman–Morrison deleted-row update per chunk, handing row `i` of the
+/// replica matrix to `each_row` in chunk order. `z` and `row` are
+/// working space. The solver counters are added once, when the rows are
+/// done or a fallback fails.
 fn replicas_from_inverse(
-    routing: &[Vec<f64>],
+    p: &[f64],
     inv: &[f64],
     expected_in_queue: &[f64],
-) -> Result<Vec<Vec<f64>>, CoreError> {
-    let n = routing.len();
-    let mut result = vec![vec![0.0; n]; n];
+    (z, row): (&mut Vec<f64>, &mut Vec<f64>),
+    mut each_row: impl FnMut(usize, &[f64]),
+) -> Result<(), CoreError> {
+    let n = expected_in_queue.len();
     if n == 1 {
-        result[0][0] = expected_in_queue[0];
-        return Ok(result);
+        each_row(0, expected_in_queue);
+        return Ok(());
     }
-    let mut z = vec![0.0; n];
-    for (i, (out, &occupancy)) in result.iter_mut().zip(expected_in_queue).enumerate() {
+    row.clear();
+    row.resize(n, 0.0);
+    z.clear();
+    z.resize(n, 0.0);
+    let (mut updates, mut fallbacks) = (0, 0);
+    let mut outcome = Ok(());
+    for (i, &occupancy) in expected_in_queue.iter().enumerate() {
         // Deleting row/column i of M equals replacing row i by e_iᵀ and
         // pinning x_i = 0: M' = M + e_i vᵀ with v_l = P_li (column i of
         // the routing matrix). Solve M' y = c, c_j = P_ij (j ≠ i),
         // c_i = 0, then scale by E(n_i) — the RHS is linear in it.
-        z.iter_mut().for_each(|x| *x = 0.0);
-        for (j, &c_j) in routing[i].iter().enumerate() {
+        z.fill(0.0);
+        for (j, &c_j) in p[i * n..(i + 1) * n].iter().enumerate() {
             if j == i || c_j == 0.0 {
                 continue;
             }
@@ -165,43 +184,49 @@ fn replicas_from_inverse(
         let inv_i = &inv[i * n..(i + 1) * n];
         let mut v_dot_z = 0.0;
         let mut v_dot_inv_i = 0.0;
-        for (l, row) in routing.iter().enumerate() {
-            let v_l = row[i];
-            v_dot_z += v_l * z[l];
-            v_dot_inv_i += v_l * inv_i[l];
+        for ((p_l, &z_l), &inv_l) in p.chunks_exact(n).zip(z.iter()).zip(inv_i) {
+            let v_l = p_l[i];
+            v_dot_z += v_l * z_l;
+            v_dot_inv_i += v_l * inv_l;
         }
         let denom = 1.0 + v_dot_inv_i;
         if denom.abs() < 1e-10 {
             // Rank-one update degenerate: solve this row's deleted
             // system directly (never hit for valid routing; kept as a
             // correctness backstop).
-            SHERMAN_MORRISON_FALLBACKS.inc();
-            replica_row_direct(routing, occupancy, i, out)?;
-            continue;
-        }
-        SHERMAN_MORRISON_UPDATES.inc();
-        let correction = v_dot_z / denom;
-        for (j, out_j) in out.iter_mut().enumerate() {
-            if j == i {
-                *out_j = occupancy;
-            } else {
-                *out_j = (occupancy * (z[j] - correction * inv_i[j])).max(0.0);
+            fallbacks += 1;
+            if let Err(e) = replica_row_direct(p, occupancy, i, row) {
+                outcome = Err(e);
+                break;
             }
+        } else {
+            updates += 1;
+            let correction = v_dot_z / denom;
+            for (out_j, (&z_j, &inv_ij)) in row.iter_mut().zip(z.iter().zip(inv_i)) {
+                *out_j = (occupancy * (z_j - correction * inv_ij)).max(0.0);
+            }
+            row[i] = occupancy;
         }
+        each_row(i, row);
     }
-    Ok(result)
+    SHERMAN_MORRISON_UPDATES.add(updates);
+    if fallbacks > 0 {
+        SHERMAN_MORRISON_FALLBACKS.add(fallbacks);
+    }
+    outcome
 }
 
 /// Direct elimination fallback for one row of [`replica_matrix`]: the
-/// original per-chunk deleted-system solve.
+/// original per-chunk deleted-system solve, on the row-major routing
+/// `p` of `out.len()` chunks.
 #[allow(clippy::needless_range_loop)] // index math mirrors the paper's equations
 fn replica_row_direct(
-    routing: &[Vec<f64>],
+    p: &[f64],
     occupancy: f64,
     i: usize,
     out: &mut [f64],
 ) -> Result<(), CoreError> {
-    let j_count = routing.len();
+    let j_count = out.len();
     let n = j_count - 1;
     let map = |j: usize| if j < i { j } else { j - 1 };
     let mut a = Matrix::identity(n);
@@ -216,9 +241,9 @@ fn replica_row_direct(
             if l == i {
                 continue;
             }
-            a[(row, map(l))] -= routing[l][j];
+            a[(row, map(l))] -= p[l * j_count + j];
         }
-        b[row] = occupancy * routing[i][j];
+        b[row] = occupancy * p[i * j_count + j];
     }
     let x = a.solve(&b).map_err(CoreError::from)?;
     out[i] = occupancy;
@@ -230,66 +255,64 @@ fn replica_row_direct(
     Ok(())
 }
 
+/// Expected total replica count of chunk `i` from row `i` of the replica
+/// matrix (see [`replica_counts`]).
+fn replica_count(i: usize, row: &[f64]) -> f64 {
+    row.iter()
+        .enumerate()
+        .filter(|&(j, _)| j != i)
+        .map(|(_, &v)| v)
+        .sum()
+}
+
 /// Expected total replica count per chunk: `E(ν_i) = Σ_{j≠i} E(ν_ij)`
 /// (paper Eqn. 4 — peers *currently downloading* chunk `i` are not
 /// counted as suppliers).
 pub fn replica_counts(matrix: &[Vec<f64>]) -> Vec<f64> {
-    let n = matrix.len();
-    (0..n)
-        .map(|i| (0..n).filter(|&j| j != i).map(|j| matrix[i][j]).sum())
+    matrix
+        .iter()
+        .enumerate()
+        .map(|(i, row)| replica_count(i, row))
         .collect()
 }
 
-/// Computes the expected number of peers owning **both** chunks of every
-/// pair, as `Ψ(j, k) · N`, under the chosen estimator.
-fn dual_ownership(
+/// Writes the path-based estimate of the expected number of peers owning
+/// **both** chunks of every pair, `Ψ(j, k) · N`, into `dual`, row-major
+/// `n × n`. (The independence estimate is a product the waterfilling
+/// evaluates where it needs it.)
+fn path_based_ownership(
     channel: &ChannelModel,
     replicas: &[f64],
     population: f64,
-    estimator: PsiEstimator,
-) -> Result<Vec<Vec<f64>>, CoreError> {
+    dual: &mut Vec<f64>,
+) -> Result<(), CoreError> {
     let j_count = channel.chunks();
-    let mut dual = vec![vec![0.0; j_count]; j_count];
-    match estimator {
-        PsiEstimator::Independent => {
-            if population <= 0.0 {
-                return Ok(dual);
-            }
-            for j in 0..j_count {
-                for k in 0..j_count {
-                    if j != k {
-                        dual[j][k] = replicas[j] * replicas[k] / population;
-                    }
-                }
-            }
-        }
-        PsiEstimator::PathBased => {
-            let routing = RoutingMatrix::from_rows(&channel.routing)?;
-            let chain = AbsorbingChain::new(routing)?;
-            // Start distribution: alpha at chunk 0, uniform elsewhere.
-            let mut start = vec![0.0; j_count];
-            if j_count == 1 {
-                start[0] = 1.0;
-            } else {
-                start[0] = channel.alpha;
-                let rest = (1.0 - channel.alpha) / (j_count - 1) as f64;
-                for s in start.iter_mut().skip(1) {
-                    *s = rest;
-                }
-            }
-            for j in 0..j_count {
-                for k in (j + 1)..j_count {
-                    let psi = chain.visits_both(&start, j, k)?;
-                    let owners = psi * population;
-                    // Cannot exceed either chunk's replica pool.
-                    let capped = owners.min(replicas[j]).min(replicas[k]);
-                    dual[j][k] = capped;
-                    dual[k][j] = capped;
-                }
-            }
+    dual.clear();
+    dual.resize(j_count * j_count, 0.0);
+    let routing = RoutingMatrix::from_rows(&channel.routing)?;
+    let chain = AbsorbingChain::new(routing)?;
+    // Start distribution: alpha at chunk 0, uniform elsewhere.
+    let mut start = vec![0.0; j_count];
+    if j_count == 1 {
+        start[0] = 1.0;
+    } else {
+        start[0] = channel.alpha;
+        let rest = (1.0 - channel.alpha) / (j_count - 1) as f64;
+        for s in start.iter_mut().skip(1) {
+            *s = rest;
         }
     }
-    Ok(dual)
+    for j in 0..j_count {
+        for k in (j + 1)..j_count {
+            let psi = chain.visits_both(&start, j, k)?;
+            let owners = psi * population;
+            // Cannot exceed either chunk's replica pool.
+            let capped = owners.min(replicas[j]).min(replicas[k]);
+            dual[j * j_count + k] = capped;
+            dual[k * j_count + j] = capped;
+        }
+    }
+    Ok(())
 }
 
 /// Full P2P capacity analysis of one channel: client–server demand, the
@@ -404,15 +427,21 @@ pub fn p2p_capacity_hetero(
     opts: P2pAnalysisOptions,
 ) -> Result<P2pCapacity, CoreError> {
     validate_classes(classes)?;
-    let pass = ChannelPass::new(channel, true)?;
-    let demand = pass.per_chunk(ProvisioningTarget::MeanSojourn)?;
-    let supply = pass.peer_supply(classes, opts.psi)?;
+    let mut scratch = PassScratch::default();
+    let mut pass = ChannelPass::new(channel, true, &mut scratch)?;
+    let demand = pass.per_chunk(ProvisioningTarget::MeanSojourn)?.clone();
+    pass.peer_supply(classes, opts.psi)?;
     let baseline = match (opts.pooling, opts.target) {
         (DemandPooling::PerChunk, ProvisioningTarget::MeanSojourn) => demand.upload_demand.clone(),
-        (pooling, target) => pass.baseline(pooling, target)?.upload_demand,
+        (pooling, target) => pass.baseline(pooling, target)?.upload_demand.clone(),
     };
+    let supply = std::mem::take(&mut scratch.supply);
     Ok(P2pCapacity {
-        cloud_demand: supply.cloud_demand(&baseline),
+        cloud_demand: baseline
+            .iter()
+            .zip(&supply.contribution)
+            .map(|(&b, &g)| cloud_share(b, g))
+            .collect(),
         demand,
         replicas: supply.replicas,
         peer_contribution: supply.contribution,
@@ -455,7 +484,7 @@ pub(crate) fn validate_classes(classes: &[UploadClass]) -> Result<(), CoreError>
 
 /// What the peers of one channel supply: the Proposition 1 replica
 /// counts and the Eqn. 5 waterfilled contribution per chunk.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct PeerSupply {
     /// Expected replica count `E(ν_i)` per chunk.
     pub(crate) replicas: Vec<f64>,
@@ -463,15 +492,10 @@ pub(crate) struct PeerSupply {
     pub(crate) contribution: Vec<f64>,
 }
 
-impl PeerSupply {
-    /// The cloud's share of a baseline capacity, `Δ_i = (s_i − Γ_i)⁺`.
-    pub(crate) fn cloud_demand(&self, baseline: &[f64]) -> Vec<f64> {
-        baseline
-            .iter()
-            .zip(&self.contribution)
-            .map(|(&b, &g)| (b - g).max(0.0))
-            .collect()
-    }
+/// The cloud's share of a chunk's baseline capacity `s_i` when its peers
+/// supply `Γ_i`: `Δ_i = (s_i − Γ_i)⁺`.
+pub(crate) fn cloud_share(baseline: f64, peers: f64) -> f64 {
+    (baseline - peers).max(0.0)
 }
 
 impl ChannelPass<'_> {
@@ -488,14 +512,15 @@ impl ChannelPass<'_> {
     ///
     /// Panics if the pass was built without the inverse columns.
     pub(crate) fn peer_supply(
-        &self,
+        &mut self,
         classes: &[UploadClass],
         estimator: PsiEstimator,
-    ) -> Result<PeerSupply, CoreError> {
+    ) -> Result<&PeerSupply, CoreError> {
         let channel = self.channel;
         let j_count = channel.chunks();
+        let s = &mut *self.scratch;
         assert_eq!(
-            self.traffic.inverse_columns.len(),
+            s.traffic.inverse_columns().len(),
             j_count * j_count,
             "peer supply needs a pass with the inverse columns"
         );
@@ -505,20 +530,39 @@ impl ChannelPass<'_> {
         // are the future owners Proposition 1 propagates. (Our integer m_i
         // gives sojourn ≤ T0, so the raw M/M/m occupancy would undercount
         // owners.)
-        let occupancy: Vec<f64> = self
-            .traffic
-            .arrival_rates
-            .iter()
-            .map(|&l| l * channel.chunk_seconds)
-            .collect();
-        let matrix =
-            replicas_from_inverse(&channel.routing, &self.traffic.inverse_columns, &occupancy)?;
-        let replicas = replica_counts(&matrix);
+        let occupancy = &mut s.occupancy;
+        occupancy.clear();
+        occupancy.extend(
+            s.traffic
+                .arrival_rates()
+                .iter()
+                .map(|&l| l * channel.chunk_seconds),
+        );
+        let replicas = &mut s.supply.replicas;
+        replicas.clear();
+        replicas_from_inverse(
+            &s.routing,
+            s.traffic.inverse_columns(),
+            occupancy,
+            (&mut s.z, &mut s.replica_row),
+            |i, row| replicas.push(replica_count(i, row)),
+        )?;
         let population: f64 = occupancy.iter().sum();
-        let dual = dual_ownership(channel, &replicas, population, estimator)?;
+        if estimator == PsiEstimator::PathBased {
+            path_based_ownership(channel, replicas, population, &mut s.dual)?;
+        }
+        let dual = &s.dual;
+        // Expected joint owners of chunks j ≠ k, `Ψ(j, k) · N`.
+        let joint = |j: usize, k: usize| match estimator {
+            PsiEstimator::Independent if population > 0.0 => replicas[j] * replicas[k] / population,
+            PsiEstimator::Independent => 0.0,
+            PsiEstimator::PathBased => dual[j * j_count + k],
+        };
 
         // Rarest first: ascending replica count.
-        let mut order: Vec<usize> = (0..j_count).collect();
+        let order = &mut s.order;
+        order.clear();
+        order.extend(0..j_count);
         order.sort_by(|&a, &b| {
             replicas[a]
                 .partial_cmp(&replicas[b])
@@ -527,16 +571,24 @@ impl ChannelPass<'_> {
 
         let r = channel.streaming_rate;
         // Richer classes are drawn from first at each chunk.
-        let mut class_order: Vec<usize> = (0..classes.len()).collect();
+        let class_order = &mut s.class_order;
+        class_order.clear();
+        class_order.extend(0..classes.len());
         class_order.sort_by(|&a, &b| {
             classes[b]
                 .upload
                 .partial_cmp(&classes[a].upload)
                 .expect("uploads are finite")
         });
-        // Per-class peer contribution to each chunk.
-        let mut gamma_class = vec![vec![0.0; classes.len()]; j_count];
-        let mut gamma = vec![0.0; j_count];
+        // Per-class peer contribution to each chunk: chunk k's share from
+        // class ci at `k·n_classes + ci`.
+        let n_classes = classes.len();
+        let gamma_class = &mut s.gamma_class;
+        gamma_class.clear();
+        gamma_class.resize(j_count * n_classes, 0.0);
+        let gamma = &mut s.supply.contribution;
+        gamma.clear();
+        gamma.resize(j_count, 0.0);
         for (pos, &k) in order.iter().enumerate() {
             // Demand-side cap (paper Eqn. 5's "bandwidth demand to address
             // its download requests"): the chunk's concurrent downloaders,
@@ -545,7 +597,7 @@ impl ChannelPass<'_> {
             // throughput; the cloud keeps the remaining capacity as the
             // quality margin.
             let mut room = occupancy[k] * r;
-            for &ci in &class_order {
+            for &ci in class_order.iter() {
                 if room <= 0.0 {
                     break;
                 }
@@ -553,24 +605,22 @@ impl ChannelPass<'_> {
                 // Supply from this class's owners of chunk k, minus
                 // bandwidth those owners already promised to rarer chunks.
                 let mut supply = replicas[k] * class.share * class.upload;
-                for &j in order.iter().take(pos) {
-                    if replicas[j] <= 0.0 || gamma_class[j][ci] <= 0.0 {
+                for &j in &order[..pos] {
+                    let promised = gamma_class[j * n_classes + ci];
+                    if replicas[j] <= 0.0 || promised <= 0.0 {
                         continue;
                     }
-                    // dual[j][k]·share peers of this class own both; each
-                    // gives gamma_class[j][ci] / (nu_j · share) to chunk j.
-                    supply -= dual[j][k] * gamma_class[j][ci] / replicas[j];
+                    // joint(j, k)·share peers of this class own both; each
+                    // gives promised / (nu_j · share) to chunk j.
+                    supply -= joint(j, k) * promised / replicas[j];
                 }
                 let take = supply.max(0.0).min(room);
-                gamma_class[k][ci] = take;
+                gamma_class[k * n_classes + ci] = take;
                 gamma[k] += take;
                 room -= take;
             }
         }
-        Ok(PeerSupply {
-            replicas,
-            contribution: gamma,
-        })
+        Ok(&s.supply)
     }
 }
 

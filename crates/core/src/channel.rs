@@ -5,7 +5,9 @@
 //! `R`, measured arrival rate `Λ(c)`, first-chunk fraction `α`, and the
 //! chunk transfer probability matrix `P(c)`.
 
-use cloudmedia_queueing::jackson::{solve_traffic, JacksonNetwork, RoutingMatrix, TrafficSolution};
+use cloudmedia_queueing::jackson::{
+    routing_rows_into, JacksonNetwork, RoutingMatrix, TrafficSolution,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{invalid_param, CoreError};
@@ -58,6 +60,13 @@ impl ChannelModel {
 
     /// Validates all parameters and returns the checked routing matrix.
     fn validated_routing(&self) -> Result<RoutingMatrix, CoreError> {
+        self.check_scalars()?;
+        // Delegate routing validation (squareness, substochastic rows).
+        Ok(RoutingMatrix::from_rows(&self.routing)?)
+    }
+
+    /// Every check but the routing matrix's own.
+    fn check_scalars(&self) -> Result<(), CoreError> {
         if self.routing.is_empty() {
             return Err(invalid_param(
                 "routing",
@@ -97,15 +106,16 @@ impl ChannelModel {
                 format!("must be in [0, 1], got {}", self.alpha),
             ));
         }
-        // Delegate routing validation (squareness, substochastic rows).
-        Ok(RoutingMatrix::from_rows(&self.routing)?)
+        Ok(())
     }
 
     /// External arrival rates per chunk: `α` of `Λ(c)` to chunk 0 and the
-    /// rest uniform over the other chunks (paper Sec. IV-A).
-    fn external_arrivals(&self) -> Vec<f64> {
+    /// rest uniform over the other chunks (paper Sec. IV-A), written into
+    /// `gamma`.
+    fn external_arrivals_into(&self, gamma: &mut Vec<f64>) {
         let j = self.chunks();
-        let mut gamma = vec![0.0; j];
+        gamma.clear();
+        gamma.resize(j, 0.0);
         if j == 1 {
             gamma[0] = self.arrival_rate;
         } else {
@@ -115,7 +125,6 @@ impl ChannelModel {
                 *g = rest;
             }
         }
-        gamma
     }
 
     /// Builds the open Jackson network of the channel: external arrivals
@@ -126,23 +135,29 @@ impl ChannelModel {
     /// Propagates validation failures.
     pub fn jackson_network(&self) -> Result<JacksonNetwork, CoreError> {
         let routing = self.validated_routing()?;
-        Ok(JacksonNetwork::new(routing, self.external_arrivals())?)
+        let mut gamma = Vec::new();
+        self.external_arrivals_into(&mut gamma);
+        Ok(JacksonNetwork::new(routing, gamma)?)
     }
 
     /// Validates the channel once and solves its traffic equations with
-    /// one factorization of `M = I − Pᵀ`; with `inverse_columns`, the
-    /// columns of `M⁻¹` come out of the same sweep (see
-    /// [`solve_traffic`]).
-    pub(crate) fn solve_traffic(
+    /// one factorization of `M = I − Pᵀ` into `traffic`; with
+    /// `inverse_columns`, the columns of `M⁻¹` come out of the same sweep
+    /// (see [`TrafficSolution::solve`]). The checked routing matrix is
+    /// left row-major in `routing` and the external arrivals in `gamma`;
+    /// all three keep their buffers, so a kept set of them re-solves a
+    /// channel of the same size without allocating.
+    pub(crate) fn solve_traffic_into(
         &self,
         inverse_columns: bool,
-    ) -> Result<TrafficSolution, CoreError> {
-        let routing = self.validated_routing()?;
-        Ok(solve_traffic(
-            &routing,
-            &self.external_arrivals(),
-            inverse_columns,
-        )?)
+        routing: &mut Vec<f64>,
+        gamma: &mut Vec<f64>,
+        traffic: &mut TrafficSolution,
+    ) -> Result<(), CoreError> {
+        self.check_scalars()?;
+        routing_rows_into(&self.routing, routing)?;
+        self.external_arrivals_into(gamma);
+        Ok(traffic.solve(routing, gamma, inverse_columns)?)
     }
 
     /// Per-chunk aggregate arrival rates `λ_i` from the traffic equations
@@ -152,7 +167,9 @@ impl ChannelModel {
     ///
     /// Propagates validation and solver failures.
     pub fn chunk_arrival_rates(&self) -> Result<Vec<f64>, CoreError> {
-        Ok(self.solve_traffic(false)?.arrival_rates)
+        let mut traffic = TrafficSolution::default();
+        self.solve_traffic_into(false, &mut Vec::new(), &mut Vec::new(), &mut traffic)?;
+        Ok(traffic.arrival_rates().to_vec())
     }
 
     /// The paper's experimental channel parameters: `r` = 50 KB/s

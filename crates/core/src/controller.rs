@@ -12,20 +12,22 @@
 //!    significantly since the current placement,
 //! 6. emits a [`ProvisioningPlan`] to submit through the cloud broker.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use cloudmedia_cloud::broker::SlaTerms;
-use cloudmedia_cloud::scheduler::{ChunkKey, PlacementPlan};
+use cloudmedia_cloud::scheduler::ChunkKey;
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::client_server::ProvisioningTarget;
-use crate::analysis::p2p::{validate_classes, PsiEstimator, UploadClass};
-use crate::analysis::pass::ChannelPass;
+use crate::analysis::p2p::{cloud_share, validate_classes, PsiEstimator, UploadClass};
+use crate::analysis::pass::{ChannelPass, PassScratch};
 use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 use crate::predictor::{ChannelObservation, DemandPredictor, PredictorKind};
-use crate::provisioning::storage::{ChunkDemand, StorageProblem};
+use crate::provisioning::storage::{
+    left_join, placement_utility, ChunkDemand, Placement, StorageProblem,
+};
 use crate::provisioning::vm::{VmPlan, VmProblem};
 
 /// Streaming architecture the controller provisions for.
@@ -153,8 +155,9 @@ pub struct ProvisioningPlan {
     /// Target VM counts per virtual cluster.
     pub vm_targets: Vec<usize>,
     /// New chunk placement, or `None` when the existing one is kept.
-    pub placement: Option<PlacementPlan>,
-    /// The per-chunk cloud demands `Δ_i` (after the safety factor).
+    pub placement: Option<Placement>,
+    /// The per-chunk cloud demands `Δ_i` (after the safety factor), in
+    /// chunk-key order.
     pub chunk_demands: Vec<ChunkDemand>,
     /// Total cloud demand, bytes per second.
     pub total_cloud_demand: f64,
@@ -167,13 +170,26 @@ pub struct ProvisioningPlan {
 }
 
 /// The dynamic provisioning controller.
+///
+/// Besides its prediction and placement state, it keeps the buffers one
+/// interval works in — a model per channel, the analysis pass's scratch,
+/// the channel list — so a steady-state interval allocates little beyond
+/// the plan it returns.
 #[derive(Debug)]
 pub struct Controller {
     config: ControllerConfig,
     predictor: DemandPredictor,
-    current_placement: Option<PlacementPlan>,
-    placement_demands: BTreeMap<ChunkKey, f64>,
-    last_good: Option<ProvisioningPlan>,
+    /// The storage placement in force, in key order.
+    placement: Option<Placement>,
+    /// The chunk demands the placement in force was solved for, in key
+    /// order.
+    placement_demands: Vec<ChunkDemand>,
+    /// One model per planned channel, refreshed from its prediction.
+    models: HashMap<usize, ChannelModel>,
+    /// The buffers every channel's analysis pass works in.
+    pass: PassScratch,
+    /// The channels planned this interval.
+    channels: Vec<usize>,
 }
 
 impl Controller {
@@ -187,9 +203,11 @@ impl Controller {
         Ok(Self {
             config,
             predictor: DemandPredictor::new(predictor)?,
-            current_placement: None,
-            placement_demands: BTreeMap::new(),
-            last_good: None,
+            placement: None,
+            placement_demands: Vec::new(),
+            models: HashMap::new(),
+            pass: PassScratch::default(),
+            channels: Vec::new(),
         })
     }
 
@@ -214,18 +232,6 @@ impl Controller {
         Ok(())
     }
 
-    /// The most recent successfully planned interval, if any — the
-    /// last-known-good plan the simulator falls back to when tracker
-    /// measurements drop out mid-run.
-    pub fn last_good_plan(&self) -> Option<&ProvisioningPlan> {
-        self.last_good.as_ref()
-    }
-
-    /// The current chunk placement, if any has been computed.
-    pub fn current_placement(&self) -> Option<&PlacementPlan> {
-        self.current_placement.as_ref()
-    }
-
     /// Runs one provisioning interval: ingest measured stats, predict,
     /// analyze, optimize. `stats` carries one entry per channel (channels
     /// with no entry reuse their previous prediction).
@@ -240,39 +246,58 @@ impl Controller {
         sla: &SlaTerms,
     ) -> Result<ProvisioningPlan, CoreError> {
         for (channel, obs) in stats {
-            self.predictor.observe(*channel, obs.clone());
+            self.predictor.observe(*channel, obs);
         }
         // Channels we have ever observed, in stable order.
-        let mut channels: Vec<usize> = stats.iter().map(|(c, _)| *c).collect();
-        channels.extend(self.placement_demands.keys().map(|k| k.channel));
-        channels.sort_unstable();
-        channels.dedup();
+        self.channels.clear();
+        self.channels.extend(stats.iter().map(|(c, _)| *c));
+        self.channels.extend(
+            self.placement_demands
+                .chunk_by(|a, b| a.key.channel == b.key.channel)
+                .map(|run| run[0].key.channel),
+        );
+        self.channels.sort_unstable();
+        self.channels.dedup();
 
-        let mut chunk_demands: Vec<ChunkDemand> = Vec::new();
+        // The last placement's chunk count is the usual plan size.
+        let mut chunk_demands: Vec<ChunkDemand> = Vec::with_capacity(self.placement_demands.len());
         let mut total_cloud = 0.0;
         let mut total_peer = 0.0;
-        for &channel in &channels {
+        for &channel in &self.channels {
             let Some(predicted) = self.predictor.predict(channel) else {
                 continue;
             };
-            let model = ChannelModel {
+            let model = self.models.entry(channel).or_insert_with(|| ChannelModel {
                 id: channel,
                 streaming_rate: self.config.streaming_rate,
                 chunk_seconds: self.config.chunk_seconds,
                 vm_bandwidth: self.config.vm_bandwidth,
-                arrival_rate: predicted.arrival_rate,
-                alpha: predicted.alpha,
-                routing: predicted.routing,
-            };
+                arrival_rate: 0.0,
+                alpha: 0.0,
+                routing: Vec::new(),
+            });
+            model.arrival_rate = predicted.arrival_rate;
+            model.alpha = predicted.alpha;
+            model.routing.clone_from(&predicted.routing);
             // One analysis pass per channel: the peer supply and the
             // baseline it offsets both read one solve of the traffic
             // equations.
             let (pooling, target) = (self.config.pooling, self.config.target);
-            let cloud_demand: Vec<f64> = match self.config.mode {
+            let safety = self.config.safety_factor;
+            let mut push = |chunk, demand: f64| {
+                let scaled = demand * safety;
+                total_cloud += scaled;
+                chunk_demands.push(ChunkDemand {
+                    key: ChunkKey { channel, chunk },
+                    demand: scaled,
+                });
+            };
+            match self.config.mode {
                 StreamingMode::ClientServer => {
-                    ChannelPass::new(&model, false)?
-                        .baseline(pooling, target)?
-                        .upload_demand
+                    ChannelPass::new(model, false, &mut self.pass)?.baseline(pooling, target)?;
+                    for (chunk, &demand) in self.pass.demand.upload_demand.iter().enumerate() {
+                        push(chunk, demand);
+                    }
                 }
                 StreamingMode::P2p { mean_upload, psi } => {
                     let mean = [UploadClass {
@@ -281,27 +306,26 @@ impl Controller {
                     }];
                     let classes = self.config.upload_classes.as_deref().unwrap_or(&mean);
                     validate_classes(classes)?;
-                    let pass = ChannelPass::new(&model, true)?;
-                    let supply = pass.peer_supply(classes, psi)?;
-                    total_peer += supply.contribution.iter().sum::<f64>();
-                    let baseline = pass.baseline(pooling, target)?.upload_demand;
+                    let mut pass = ChannelPass::new(model, true, &mut self.pass)?;
+                    total_peer += pass
+                        .peer_supply(classes, psi)?
+                        .contribution
+                        .iter()
+                        .sum::<f64>();
+                    pass.baseline(pooling, target)?;
+                    let scratch = &self.pass;
                     // Enforce the minimum fallback reserve per chunk.
                     let floor = self.config.p2p_cloud_floor;
-                    supply
-                        .cloud_demand(&baseline)
+                    for (chunk, (&b, &g)) in scratch
+                        .demand
+                        .upload_demand
                         .iter()
-                        .zip(&baseline)
-                        .map(|(&d, &b)| d.max(floor * b))
-                        .collect()
+                        .zip(&scratch.supply.contribution)
+                        .enumerate()
+                    {
+                        push(chunk, cloud_share(b, g).max(floor * b));
+                    }
                 }
-            };
-            for (chunk, &demand) in cloud_demand.iter().enumerate() {
-                let scaled = demand * self.config.safety_factor;
-                total_cloud += scaled;
-                chunk_demands.push(ChunkDemand {
-                    key: ChunkKey { channel, chunk },
-                    demand: scaled,
-                });
             }
         }
 
@@ -341,16 +365,12 @@ impl Controller {
 
         // Storage rental (Sec. V-A.1): recompute on first run or when the
         // demand profile shifted beyond the threshold.
-        let new_demand_map: BTreeMap<ChunkKey, f64> =
-            chunk_demands.iter().map(|d| (d.key, d.demand)).collect();
-        let needs_refresh = match &self.current_placement {
+        let needs_refresh = match &self.placement {
             None => true,
             Some(placement) => {
                 // New chunks (new videos) force a re-placement.
-                chunk_demands
-                    .iter()
-                    .any(|d| !placement.contains_key(&d.key))
-                    || demand_shift(&self.placement_demands, &new_demand_map)
+                left_join(&chunk_demands, placement).any(|(_, placed)| placed.is_none())
+                    || demand_shift(&self.placement_demands, &chunk_demands)
                         > self.config.placement_refresh_threshold
             }
         };
@@ -363,26 +383,22 @@ impl Controller {
                 budget_per_hour: self.config.storage_budget_per_hour,
             };
             let plan = storage_problem.greedy()?;
-            self.current_placement = Some(plan.placement.clone());
-            self.placement_demands = new_demand_map.clone();
+            self.placement
+                .get_or_insert_with(Vec::new)
+                .clone_from(&plan.placement);
+            self.placement_demands.clone_from(&chunk_demands);
             Some(plan.placement)
         } else {
             None
         };
 
         let storage_utility = self
-            .current_placement
+            .placement
             .as_ref()
-            .map(|p| {
-                crate::provisioning::storage::placement_utility(
-                    p,
-                    &sla.nfs_clusters,
-                    &new_demand_map,
-                )
-            })
+            .map(|p| placement_utility(p, &sla.nfs_clusters, &chunk_demands))
             .unwrap_or(0.0);
 
-        let plan = ProvisioningPlan {
+        Ok(ProvisioningPlan {
             vm_targets: vm_plan.vm_targets.clone(),
             placement: placement_out,
             chunk_demands,
@@ -390,23 +406,22 @@ impl Controller {
             expected_peer_contribution: total_peer,
             vm_plan,
             storage_utility,
-        };
-        self.last_good = Some(plan.clone());
-        Ok(plan)
+        })
     }
 }
 
-/// Relative L1 shift between two demand maps.
-fn demand_shift(old: &BTreeMap<ChunkKey, f64>, new: &BTreeMap<ChunkKey, f64>) -> f64 {
+/// Relative L1 shift between two key-ordered demand lists: the old
+/// entries in key order, then the new chunks the old list lacks.
+fn demand_shift(old: &[ChunkDemand], new: &[ChunkDemand]) -> f64 {
     let mut diff = 0.0;
     let mut base = 0.0;
-    for (k, &v) in old {
-        diff += (v - new.get(k).copied().unwrap_or(0.0)).abs();
-        base += v;
+    for (o, n) in left_join(old, new) {
+        diff += (o.demand - n.map_or(0.0, |n| n.demand)).abs();
+        base += o.demand;
     }
-    for (k, &v) in new {
-        if !old.contains_key(k) {
-            diff += v;
+    for (n, o) in left_join(new, old) {
+        if o.is_none() {
+            diff += n.demand;
         }
     }
     if base <= 0.0 {
@@ -501,7 +516,7 @@ mod tests {
             .unwrap();
         assert!(p2.placement.is_some(), "new video deployed: re-place");
         let placement = p2.placement.unwrap();
-        assert!(placement.keys().any(|k| k.channel == 1));
+        assert!(placement.iter().any(|(k, _)| k.channel == 1));
     }
 
     #[test]
@@ -635,19 +650,15 @@ mod tests {
     }
 
     #[test]
-    fn budget_shock_shrinks_the_plan_and_fallback_survives() {
+    fn budget_shock_shrinks_the_plan() {
         let mut cfg = ControllerConfig::paper_default(StreamingMode::ClientServer);
         cfg.budget_policy = BudgetPolicy::BestEffort;
         let mut c = Controller::new(cfg, PredictorKind::LastInterval).unwrap();
-        assert!(c.last_good_plan().is_none());
         let before = c.plan_interval(&[(0, observation(1.0))], &sla()).unwrap();
         // Cut the budget 10x: best-effort now degrades the same demand.
         c.scale_vm_budget(0.1).unwrap();
         let after = c.plan_interval(&[(0, observation(1.0))], &sla()).unwrap();
         assert!(after.vm_plan.integer_hourly_cost < before.vm_plan.integer_hourly_cost);
-        // The fallback tracks the most recent success.
-        let fallback = c.last_good_plan().unwrap();
-        assert_eq!(fallback.vm_targets, after.vm_targets);
         assert!(c.scale_vm_budget(0.0).is_err());
         assert!(c.scale_vm_budget(f64::NAN).is_err());
     }
@@ -680,36 +691,20 @@ mod tests {
 
     #[test]
     fn demand_shift_metric() {
-        let mut a = BTreeMap::new();
-        a.insert(
-            ChunkKey {
-                channel: 0,
-                chunk: 0,
-            },
-            10.0,
-        );
-        let mut b = a.clone();
-        assert_eq!(demand_shift(&a, &b), 0.0);
-        b.insert(
-            ChunkKey {
-                channel: 0,
-                chunk: 0,
-            },
-            15.0,
-        );
+        let demand = |chunk, demand| ChunkDemand {
+            key: ChunkKey { channel: 0, chunk },
+            demand,
+        };
+        let a = vec![demand(0, 10.0)];
+        assert_eq!(demand_shift(&a, &a), 0.0);
+        let b = vec![demand(0, 15.0)];
         assert!((demand_shift(&a, &b) - 0.5).abs() < 1e-12);
-        b.insert(
-            ChunkKey {
-                channel: 0,
-                chunk: 1,
-            },
-            10.0,
-        );
+        let b = vec![demand(0, 15.0), demand(1, 10.0)];
         assert!((demand_shift(&a, &b) - 1.5).abs() < 1e-12);
-        a.clear();
-        assert_eq!(demand_shift(&a, &b), f64::INFINITY);
-        b.clear();
-        assert_eq!(demand_shift(&a, &b), 0.0);
+        // A chunk the new list lacks counts its whole old demand.
+        assert!((demand_shift(&b, &a) - 15.0 / 25.0).abs() < 1e-12);
+        assert_eq!(demand_shift(&[], &b), f64::INFINITY);
+        assert_eq!(demand_shift(&[], &[]), 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::error::{invalid_param, CoreError};
 
 /// One interval's measured statistics for a channel, as reported by the
 /// tracker (paper Sec. V-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ChannelObservation {
     /// Measured external arrival rate `Λ(c)`, users per second.
     pub arrival_rate: f64,
@@ -23,6 +23,24 @@ pub struct ChannelObservation {
     pub alpha: f64,
     /// Measured chunk transfer probability matrix.
     pub routing: Vec<Vec<f64>>,
+}
+
+impl Clone for ChannelObservation {
+    fn clone(&self) -> Self {
+        Self {
+            arrival_rate: self.arrival_rate,
+            alpha: self.alpha,
+            routing: self.routing.clone(),
+        }
+    }
+
+    /// Copies `source` into this observation's routing rows, which
+    /// allocates nothing when the shapes match.
+    fn clone_from(&mut self, source: &Self) {
+        self.arrival_rate = source.arrival_rate;
+        self.alpha = source.alpha;
+        self.routing.clone_from(&source.routing);
+    }
 }
 
 impl ChannelObservation {
@@ -56,11 +74,16 @@ pub enum PredictorKind {
     },
 }
 
-/// Per-channel demand predictor.
+/// Per-channel demand predictor. Observations are stored in place and
+/// predictions are lent, so a channel observed before costs no
+/// allocation.
 #[derive(Debug, Clone)]
 pub struct DemandPredictor {
     kind: PredictorKind,
+    /// The last `window` observations per channel, oldest first (moving
+    /// average only).
     history: HashMap<usize, VecDeque<ChannelObservation>>,
+    /// The current prediction per channel.
     smoothed: HashMap<usize, ChannelObservation>,
 }
 
@@ -95,23 +118,34 @@ impl DemandPredictor {
         self.kind
     }
 
-    /// Ingests one interval's measurement for `channel`.
-    pub fn observe(&mut self, channel: usize, obs: ChannelObservation) {
+    /// Ingests one interval's measurement for `channel`, copying it into
+    /// the entry kept for the channel.
+    pub fn observe(&mut self, channel: usize, obs: &ChannelObservation) {
         match self.kind {
-            PredictorKind::LastInterval => {
-                self.smoothed.insert(channel, obs);
-            }
+            PredictorKind::LastInterval => match self.smoothed.get_mut(&channel) {
+                Some(s) => s.clone_from(obs),
+                None => {
+                    self.smoothed.insert(channel, obs.clone());
+                }
+            },
             PredictorKind::MovingAverage { window } => {
                 let h = self.history.entry(channel).or_default();
-                h.push_back(obs);
-                while h.len() > window {
-                    h.pop_front();
+                if h.len() == window {
+                    // The oldest entry leaves the window; its buffers
+                    // take the newest.
+                    let mut slot = h.pop_front().expect("window is positive");
+                    slot.clone_from(obs);
+                    h.push_back(slot);
+                } else {
+                    h.push_back(obs.clone());
                 }
+                let mean = self.smoothed.entry(channel).or_insert_with(|| obs.clone());
+                mean_into(h, mean);
             }
             PredictorKind::Ewma { weight } => match self.smoothed.get_mut(&channel) {
-                Some(s) => s.blend(&obs, weight),
+                Some(s) => s.blend(obs, weight),
                 None => {
-                    self.smoothed.insert(channel, obs);
+                    self.smoothed.insert(channel, obs.clone());
                 }
             },
         }
@@ -119,33 +153,28 @@ impl DemandPredictor {
 
     /// Predicts the next interval's statistics for `channel`; `None`
     /// before any observation.
-    pub fn predict(&self, channel: usize) -> Option<ChannelObservation> {
-        match self.kind {
-            PredictorKind::LastInterval | PredictorKind::Ewma { .. } => {
-                self.smoothed.get(&channel).cloned()
-            }
-            PredictorKind::MovingAverage { .. } => {
-                let h = self.history.get(&channel)?;
-                if h.is_empty() {
-                    return None;
-                }
-                let n = h.len() as f64;
-                let mut acc = h.front().expect("non-empty").clone();
-                acc.arrival_rate = 0.0;
-                acc.alpha = 0.0;
-                for row in &mut acc.routing {
-                    row.iter_mut().for_each(|p| *p = 0.0);
-                }
-                for obs in h {
-                    acc.arrival_rate += obs.arrival_rate / n;
-                    acc.alpha += obs.alpha / n;
-                    for (row, orow) in acc.routing.iter_mut().zip(&obs.routing) {
-                        for (p, op) in row.iter_mut().zip(orow) {
-                            *p += *op / n;
-                        }
-                    }
-                }
-                Some(acc)
+    pub fn predict(&self, channel: usize) -> Option<&ChannelObservation> {
+        self.smoothed.get(&channel)
+    }
+}
+
+/// Element-wise mean of the (non-empty) `history`, written into `acc`,
+/// which takes the shape of the oldest observation.
+fn mean_into(history: &VecDeque<ChannelObservation>, acc: &mut ChannelObservation) {
+    let n = history.len() as f64;
+    acc.routing
+        .clone_from(&history.front().expect("non-empty").routing);
+    acc.arrival_rate = 0.0;
+    acc.alpha = 0.0;
+    for row in &mut acc.routing {
+        row.iter_mut().for_each(|p| *p = 0.0);
+    }
+    for obs in history {
+        acc.arrival_rate += obs.arrival_rate / n;
+        acc.alpha += obs.alpha / n;
+        for (row, orow) in acc.routing.iter_mut().zip(&obs.routing) {
+            for (p, op) in row.iter_mut().zip(orow) {
+                *p += *op / n;
             }
         }
     }
@@ -167,8 +196,8 @@ mod tests {
     fn last_interval_echoes_latest() {
         let mut p = DemandPredictor::new(PredictorKind::LastInterval).unwrap();
         assert!(p.predict(0).is_none());
-        p.observe(0, obs(1.0));
-        p.observe(0, obs(3.0));
+        p.observe(0, &obs(1.0));
+        p.observe(0, &obs(3.0));
         assert_eq!(p.predict(0).unwrap().arrival_rate, 3.0);
     }
 
@@ -176,7 +205,7 @@ mod tests {
     fn moving_average_averages_window() {
         let mut p = DemandPredictor::new(PredictorKind::MovingAverage { window: 3 }).unwrap();
         for r in [1.0, 2.0, 3.0, 4.0] {
-            p.observe(0, obs(r));
+            p.observe(0, &obs(r));
         }
         // Window keeps [2, 3, 4]; mean 3.
         assert!((p.predict(0).unwrap().arrival_rate - 3.0).abs() < 1e-12);
@@ -185,19 +214,19 @@ mod tests {
     #[test]
     fn moving_average_partial_window() {
         let mut p = DemandPredictor::new(PredictorKind::MovingAverage { window: 5 }).unwrap();
-        p.observe(0, obs(2.0));
-        p.observe(0, obs(4.0));
+        p.observe(0, &obs(2.0));
+        p.observe(0, &obs(4.0));
         assert!((p.predict(0).unwrap().arrival_rate - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn ewma_blends_toward_new_observations() {
         let mut p = DemandPredictor::new(PredictorKind::Ewma { weight: 0.5 }).unwrap();
-        p.observe(0, obs(1.0));
-        p.observe(0, obs(3.0));
+        p.observe(0, &obs(1.0));
+        p.observe(0, &obs(3.0));
         // 0.5*1 + 0.5*3 = 2.
         assert!((p.predict(0).unwrap().arrival_rate - 2.0).abs() < 1e-12);
-        p.observe(0, obs(2.0));
+        p.observe(0, &obs(2.0));
         assert!((p.predict(0).unwrap().arrival_rate - 2.0).abs() < 1e-12);
     }
 
@@ -208,16 +237,16 @@ mod tests {
         o1.routing[0][1] = 0.4;
         let mut o2 = obs(1.0);
         o2.routing[0][1] = 0.8;
-        p.observe(0, o1);
-        p.observe(0, o2);
+        p.observe(0, &o1);
+        p.observe(0, &o2);
         assert!((p.predict(0).unwrap().routing[0][1] - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn channels_are_independent() {
         let mut p = DemandPredictor::new(PredictorKind::LastInterval).unwrap();
-        p.observe(0, obs(1.0));
-        p.observe(1, obs(9.0));
+        p.observe(0, &obs(1.0));
+        p.observe(1, &obs(9.0));
         assert_eq!(p.predict(0).unwrap().arrival_rate, 1.0);
         assert_eq!(p.predict(1).unwrap().arrival_rate, 9.0);
         assert!(p.predict(2).is_none());
@@ -235,8 +264,8 @@ mod tests {
         let mut a = DemandPredictor::new(PredictorKind::Ewma { weight: 1.0 }).unwrap();
         let mut b = DemandPredictor::new(PredictorKind::LastInterval).unwrap();
         for r in [1.0, 5.0, 2.0] {
-            a.observe(0, obs(r));
-            b.observe(0, obs(r));
+            a.observe(0, &obs(r));
+            b.observe(0, &obs(r));
         }
         assert_eq!(a.predict(0), b.predict(0));
     }

@@ -7,6 +7,6 @@ pub mod storage;
 pub mod vm;
 
 pub use storage::{
-    demands_from_channels, placement_utility, ChunkDemand, StoragePlan, StorageProblem,
+    demands_from_channels, placement_utility, ChunkDemand, Placement, StoragePlan, StorageProblem,
 };
-pub use vm::{ChunkAllocation, VmPlan, VmProblem};
+pub use vm::{ChunkAllocation, ChunkAllocations, ChunkAllocationsIter, VmPlan, VmProblem};

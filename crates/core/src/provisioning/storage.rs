@@ -8,10 +8,8 @@
 //! implement alongside an exact enumerator used to measure the heuristic's
 //! optimality gap.
 
-use std::collections::BTreeMap;
-
 use cloudmedia_cloud::cluster::{NfsClusterSpec, GIB};
-use cloudmedia_cloud::scheduler::{ChunkKey, PlacementPlan};
+use cloudmedia_cloud::scheduler::ChunkKey;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{invalid_param, CoreError, ProblemKind};
@@ -25,11 +23,54 @@ pub struct ChunkDemand {
     pub demand: f64,
 }
 
+/// A chunk placement: each placed chunk and the NFS cluster that stores
+/// it, in chunk-key order, one entry per chunk. (The cloud broker takes
+/// it as a map, a `PlacementPlan`; collecting the entries builds one.)
+pub type Placement = Vec<(ChunkKey, usize)>;
+
+/// An entry of a key-ordered collection.
+pub(crate) trait Keyed {
+    /// The entry's chunk.
+    fn key(&self) -> ChunkKey;
+}
+
+impl Keyed for ChunkDemand {
+    fn key(&self) -> ChunkKey {
+        self.key
+    }
+}
+
+impl Keyed for (ChunkKey, usize) {
+    fn key(&self) -> ChunkKey {
+        self.0
+    }
+}
+
+/// Pairs each entry of `left` with the entry of `right` that has the
+/// same chunk, if any. Both must be in key order with one entry per
+/// chunk; one merge pass walks them, visiting `left` in the order a
+/// `BTreeMap` keyed by chunk would and finding what its `get` would.
+pub(crate) fn left_join<'a, L: Keyed, R: Keyed>(
+    left: &'a [L],
+    mut right: &'a [R],
+) -> impl Iterator<Item = (&'a L, Option<&'a R>)> {
+    left.iter().map(move |l| {
+        let key = l.key();
+        while let Some((first, rest)) = right.split_first() {
+            if first.key() >= key {
+                break;
+            }
+            right = rest;
+        }
+        (l, right.first().filter(|r| r.key() == key))
+    })
+}
+
 /// A solved storage rental plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoragePlan {
     /// Chunk → NFS cluster assignment.
-    pub placement: PlacementPlan,
+    pub placement: Placement,
     /// Objective value `Σ u_f Δ_i x_if`.
     pub total_utility: f64,
     /// Hourly storage cost of the placement, dollars.
@@ -162,7 +203,7 @@ impl StorageProblem<'_> {
             .map(|f| self.capacity_chunks(f))
             .collect();
         let mut spent = 0.0;
-        let mut placement = PlacementPlan::new();
+        let mut assigned = vec![0; self.demands.len()];
         let mut total_utility = 0.0;
         for &ci in &chunk_order {
             let d = &self.demands[ci];
@@ -179,7 +220,7 @@ impl StorageProblem<'_> {
                 free[f] -= 1;
                 spent += cost;
                 total_utility += self.clusters[f].utility * d.demand;
-                placement.insert(d.key, f);
+                assigned[ci] = f;
                 placed = true;
                 break;
             }
@@ -192,10 +233,38 @@ impl StorageProblem<'_> {
             }
         }
         Ok(StoragePlan {
-            placement,
+            placement: self.key_ordered(&assigned, &chunk_order),
             total_utility,
             hourly_cost: spent,
         })
+    }
+
+    /// The placement of the demands in key order, one entry per chunk,
+    /// from each demand's cluster (`assigned[i]` for `demands[i]`) and
+    /// the order in which they were `placed`: a chunk listed twice keeps
+    /// the cluster it was placed on last, as inserting into a map would.
+    fn key_ordered(&self, assigned: &[usize], placed: &[usize]) -> Placement {
+        let demands = self.demands;
+        if demands.is_sorted_by(|a, b| a.key < b.key) {
+            return demands
+                .iter()
+                .zip(assigned)
+                .map(|(d, &f)| (d.key, f))
+                .collect();
+        }
+        let mut placement: Placement = placed
+            .iter()
+            .map(|&i| (demands[i].key, assigned[i]))
+            .collect();
+        placement.sort_by_key(|&(key, _)| key);
+        placement.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        placement
     }
 
     fn cheapest_available_cost(&self, free: &[usize]) -> f64 {
@@ -262,7 +331,7 @@ impl StorageProblem<'_> {
         })?;
 
         // Materialize the placement from the winning counts.
-        let mut placement = PlacementPlan::new();
+        let mut assigned = vec![0; n_chunks];
         let mut total_utility = 0.0;
         let mut cost = 0.0;
         let mut cursor = 0usize;
@@ -270,13 +339,13 @@ impl StorageProblem<'_> {
             for _ in 0..counts[f] {
                 let ci = chunk_order[cursor];
                 cursor += 1;
-                placement.insert(self.demands[ci].key, f);
+                assigned[ci] = f;
                 total_utility += self.clusters[f].utility * self.demands[ci].demand;
                 cost += self.chunk_cost(f);
             }
         }
         Ok(StoragePlan {
-            placement,
+            placement: self.key_ordered(&assigned, &chunk_order[..cursor]),
             total_utility,
             hourly_cost: cost,
         })
@@ -359,15 +428,16 @@ pub fn demands_from_channels(per_channel: &[(usize, Vec<f64>)]) -> Vec<ChunkDema
 }
 
 /// Computes the aggregate utility of an existing placement under new
-/// demands (the paper's Fig. 8 metric, re-evaluated each hour).
+/// demands (the paper's Fig. 8 metric, re-evaluated each hour). Both
+/// must be in key order with one entry per chunk; a placed chunk without
+/// a demand counts as zero.
 pub fn placement_utility(
-    placement: &PlacementPlan,
+    placement: &[(ChunkKey, usize)],
     clusters: &[NfsClusterSpec],
-    demands: &BTreeMap<ChunkKey, f64>,
+    demands: &[ChunkDemand],
 ) -> f64 {
-    placement
-        .iter()
-        .map(|(key, &f)| clusters[f].utility * demands.get(key).copied().unwrap_or(0.0))
+    left_join(placement, demands)
+        .map(|(&(_, f), d)| clusters[f].utility * d.map_or(0.0, |d| d.demand))
         .sum()
 }
 
@@ -391,6 +461,16 @@ mod tests {
             .collect()
     }
 
+    /// The cluster `plan` stores chunk `chunk` of channel 0 on.
+    fn cluster_of(plan: &StoragePlan, chunk: usize) -> usize {
+        let key = ChunkKey { channel: 0, chunk };
+        let i = plan
+            .placement
+            .binary_search_by_key(&key, |&(k, _)| k)
+            .expect("chunk placed");
+        plan.placement[i].1
+    }
+
     fn problem<'a>(
         d: &'a [ChunkDemand],
         c: &'a [NfsClusterSpec],
@@ -412,13 +492,7 @@ mod tests {
         // Standard (u/p = 0.8/1.11e-4) beats High (1.0/2.08e-4); greedy
         // sends everything to Standard while it has space.
         for i in 0..3 {
-            assert_eq!(
-                plan.placement[&ChunkKey {
-                    channel: 0,
-                    chunk: i
-                }],
-                0
-            );
+            assert_eq!(cluster_of(&plan, i), 0);
         }
         assert!((plan.total_utility - 0.8 * 16.0).abs() < 1e-9);
     }
@@ -443,34 +517,10 @@ mod tests {
         let d = demands(&[4.0, 3.0, 2.0, 1.0]);
         let plan = problem(&d, &clusters, 1.0).greedy().unwrap();
         // Hot chunks 0,1 on A; 2,3 spill to B.
-        assert_eq!(
-            plan.placement[&ChunkKey {
-                channel: 0,
-                chunk: 0
-            }],
-            0
-        );
-        assert_eq!(
-            plan.placement[&ChunkKey {
-                channel: 0,
-                chunk: 1
-            }],
-            0
-        );
-        assert_eq!(
-            plan.placement[&ChunkKey {
-                channel: 0,
-                chunk: 2
-            }],
-            1
-        );
-        assert_eq!(
-            plan.placement[&ChunkKey {
-                channel: 0,
-                chunk: 3
-            }],
-            1
-        );
+        assert_eq!(cluster_of(&plan, 0), 0);
+        assert_eq!(cluster_of(&plan, 1), 0);
+        assert_eq!(cluster_of(&plan, 2), 1);
+        assert_eq!(cluster_of(&plan, 3), 1);
         assert!((plan.total_utility - (7.0 + 1.5)).abs() < 1e-9);
     }
 
@@ -605,7 +655,7 @@ mod tests {
         let plan = problem(&d, &clusters, budget).greedy().unwrap();
         assert!(plan.hourly_cost <= budget + 1e-12);
         let mut counts = [0usize; 2];
-        for &f in plan.placement.values() {
+        for &(_, f) in &plan.placement {
             counts[f] += 1;
         }
         assert!(counts[0] <= 1333);
@@ -618,21 +668,7 @@ mod tests {
         let clusters = paper_nfs_clusters();
         let d = demands(&[10.0, 1.0]);
         let plan = problem(&d, &clusters, 1.0).greedy().unwrap();
-        let mut new_demand = BTreeMap::new();
-        new_demand.insert(
-            ChunkKey {
-                channel: 0,
-                chunk: 0,
-            },
-            2.0,
-        );
-        new_demand.insert(
-            ChunkKey {
-                channel: 0,
-                chunk: 1,
-            },
-            20.0,
-        );
+        let new_demand = demands(&[2.0, 20.0]);
         let u = placement_utility(&plan.placement, &clusters, &new_demand);
         assert!((u - 0.8 * 22.0).abs() < 1e-9);
     }

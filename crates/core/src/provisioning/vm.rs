@@ -9,7 +9,7 @@
 //! utility-per-dollar cluster; an exact LP vertex enumerator measures its
 //! optimality gap.
 
-use std::collections::BTreeMap;
+use std::slice;
 
 use cloudmedia_cloud::cluster::VirtualClusterSpec;
 use cloudmedia_cloud::scheduler::ChunkKey;
@@ -27,11 +27,128 @@ pub struct ChunkAllocation {
     pub vms: f64,
 }
 
+/// Per-chunk VM allocations in chunk-key order, stored flat: one entry
+/// per chunk the plan served, each with its allocations in the order the
+/// solver made them (possibly none, for a demand too small to draw a
+/// VM fraction).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChunkAllocations {
+    keys: Vec<ChunkKey>,
+    /// One past each chunk's last allocation in `allocs`.
+    ends: Vec<usize>,
+    allocs: Vec<ChunkAllocation>,
+}
+
+impl ChunkAllocations {
+    /// Groups allocations made chunk by chunk into key order: `made`
+    /// holds every allocation in the order the solver made it, and
+    /// `spans` each served demand's index and range in `made`, in that
+    /// order. A chunk served twice keeps both lists, in the order made,
+    /// as appending to a map entry would.
+    fn from_spans(
+        demands: &[ChunkDemand],
+        spans: &mut [(usize, usize, usize)],
+        made: &[ChunkAllocation],
+    ) -> Self {
+        let mut grouped = Self {
+            keys: Vec::with_capacity(spans.len()),
+            ends: Vec::with_capacity(spans.len()),
+            allocs: Vec::with_capacity(made.len()),
+        };
+        if demands.is_sorted_by(|a, b| a.key < b.key) {
+            // One demand per chunk, already in key order: no sort needed.
+            let mut range = vec![None; demands.len()];
+            for &(i, start, end) in spans.iter() {
+                range[i] = Some(start..end);
+            }
+            for (d, r) in demands.iter().zip(range) {
+                if let Some(r) = r {
+                    grouped.push(d.key, &made[r]);
+                }
+            }
+        } else {
+            spans.sort_unstable_by_key(|&(i, start, _)| (demands[i].key, start));
+            for &(i, start, end) in spans.iter() {
+                grouped.push(demands[i].key, &made[start..end]);
+            }
+        }
+        grouped
+    }
+
+    /// Appends `allocs` to the entry of `key`, which is the last entry or
+    /// follows it in key order.
+    fn push(&mut self, key: ChunkKey, allocs: &[ChunkAllocation]) {
+        if self.keys.last() != Some(&key) {
+            self.keys.push(key);
+            self.ends.push(0);
+        }
+        self.allocs.extend_from_slice(allocs);
+        *self.ends.last_mut().expect("pushed above") = self.allocs.len();
+    }
+
+    /// Number of chunks with an entry.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True if no chunk has an entry.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The allocations of `key`, if the chunk has an entry.
+    pub fn get(&self, key: &ChunkKey) -> Option<&[ChunkAllocation]> {
+        let i = self.keys.binary_search(key).ok()?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.allocs[start..self.ends[i]])
+    }
+
+    /// Every chunk with an entry and its allocations, in key order.
+    pub fn iter(&self) -> ChunkAllocationsIter<'_> {
+        ChunkAllocationsIter {
+            keys: self.keys.iter(),
+            ends: self.ends.iter(),
+            allocs: &self.allocs,
+            start: 0,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a ChunkAllocations {
+    type Item = (&'a ChunkKey, &'a [ChunkAllocation]);
+    type IntoIter = ChunkAllocationsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Iterator over [`ChunkAllocations`] in key order.
+#[derive(Debug, Clone)]
+pub struct ChunkAllocationsIter<'a> {
+    keys: slice::Iter<'a, ChunkKey>,
+    ends: slice::Iter<'a, usize>,
+    allocs: &'a [ChunkAllocation],
+    start: usize,
+}
+
+impl<'a> Iterator for ChunkAllocationsIter<'a> {
+    type Item = (&'a ChunkKey, &'a [ChunkAllocation]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = self.keys.next()?;
+        let end = *self.ends.next()?;
+        let allocs = &self.allocs[self.start..end];
+        self.start = end;
+        Some((key, allocs))
+    }
+}
+
 /// A solved VM configuration plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmPlan {
     /// Per-chunk allocations across clusters.
-    pub allocations: BTreeMap<ChunkKey, Vec<ChunkAllocation>>,
+    pub allocations: ChunkAllocations,
     /// Total (fractional) VMs requested per cluster, `y_v = Σ_i z_iv`.
     pub vm_fractions: Vec<f64>,
     /// Integer VM targets per cluster (ceiling of the fractional totals:
@@ -197,7 +314,9 @@ impl VmProblem<'_> {
 
         let mut free: Vec<f64> = self.clusters.iter().map(|c| c.max_vms as f64).collect();
         let mut budget = self.budget_per_hour;
-        let mut allocations: BTreeMap<ChunkKey, Vec<ChunkAllocation>> = BTreeMap::new();
+        // Allocations in the order made, and each served chunk's range.
+        let mut made = Vec::with_capacity(self.demands.len());
+        let mut spans = Vec::with_capacity(self.demands.len());
         let mut fractions = vec![0.0; self.clusters.len()];
         let mut utility = 0.0;
         let mut cost = 0.0;
@@ -208,7 +327,7 @@ impl VmProblem<'_> {
             if need <= 0.0 {
                 continue;
             }
-            let entry = allocations.entry(d.key).or_default();
+            let start = made.len();
             // Pass 1: best utility-per-dollar clusters while budget allows.
             for &v in &order {
                 if need <= 1e-12 {
@@ -230,7 +349,7 @@ impl VmProblem<'_> {
                 fractions[v] += take;
                 utility += self.clusters[v].utility * take;
                 cost += take * price;
-                entry.push(ChunkAllocation {
+                made.push(ChunkAllocation {
                     cluster: v,
                     vms: take,
                 });
@@ -267,12 +386,13 @@ impl VmProblem<'_> {
                     fractions[v] += take;
                     utility += self.clusters[v].utility * take;
                     cost += take * price;
-                    entry.push(ChunkAllocation {
+                    made.push(ChunkAllocation {
                         cluster: v,
                         vms: take,
                     });
                 }
             }
+            spans.push((ci, start, made.len()));
             if need > 1e-9 {
                 return Err(CoreError::Infeasible {
                     problem: ProblemKind::VmConfiguration,
@@ -293,7 +413,7 @@ impl VmProblem<'_> {
             .map(|(&n, c)| n as f64 * c.price.dollars_per_hour)
             .sum();
         Ok(VmPlan {
-            allocations,
+            allocations: ChunkAllocations::from_spans(self.demands, &mut spans, &made),
             vm_fractions: fractions,
             vm_targets,
             total_utility: utility,
@@ -412,19 +532,20 @@ impl VmProblem<'_> {
         let mut util_order: Vec<usize> = (0..n).collect();
         util_order.sort_by(|&a, &b| utils[b].partial_cmp(&utils[a]).expect("finite"));
         let mut remaining = y.clone();
-        let mut allocations: BTreeMap<ChunkKey, Vec<ChunkAllocation>> = BTreeMap::new();
+        let mut made = Vec::with_capacity(self.demands.len());
+        let mut spans = Vec::with_capacity(self.demands.len());
         let mut cursor = 0usize;
         for &ci in &chunk_order {
             let d = &self.demands[ci];
             let mut need = d.demand / r;
-            let entry = allocations.entry(d.key).or_default();
+            let start = made.len();
             while need > 1e-12 && cursor < n {
                 let v = util_order[cursor];
                 let take = need.min(remaining[v]);
                 if take > 1e-12 {
                     remaining[v] -= take;
                     need -= take;
-                    entry.push(ChunkAllocation {
+                    made.push(ChunkAllocation {
                         cluster: v,
                         vms: take,
                     });
@@ -435,6 +556,7 @@ impl VmProblem<'_> {
                     break;
                 }
             }
+            spans.push((ci, start, made.len()));
         }
 
         let vm_targets: Vec<usize> = y
@@ -449,7 +571,7 @@ impl VmProblem<'_> {
             .sum();
         let fractional_cost: f64 = y.iter().zip(&prices).map(|(&f, &p)| f * p).sum();
         Ok(VmPlan {
-            allocations,
+            allocations: ChunkAllocations::from_spans(self.demands, &mut spans, &made),
             vm_fractions: y,
             vm_targets,
             total_utility: utility,
@@ -509,7 +631,13 @@ mod tests {
         let plan = problem(&d, &clusters, 100.0).greedy().unwrap();
         assert!((plan.total_vms() - 7.0).abs() < 1e-9);
         for dd in &d {
-            let got: f64 = plan.allocations[&dd.key].iter().map(|a| a.vms).sum();
+            let got: f64 = plan
+                .allocations
+                .get(&dd.key)
+                .unwrap()
+                .iter()
+                .map(|a| a.vms)
+                .sum();
             assert!(
                 (got - dd.demand / PAPER_VM_BANDWIDTH).abs() < 1e-9,
                 "chunk {:?}: {got}",

@@ -12,7 +12,7 @@
 //! are solved as the dense linear system `(I - P^T) lambda = gamma`.
 
 use crate::error::{invalid_param, QueueingError};
-use crate::linalg::Matrix;
+use crate::linalg::{LuFactors, Matrix};
 use crate::mmm::MmmQueue;
 
 /// Maximum tolerated violation when validating that routing rows sum to at
@@ -35,28 +35,8 @@ impl RoutingMatrix {
     /// Returns [`QueueingError::InvalidRouting`] if any entry is negative
     /// or any row sums to more than one.
     pub fn new(matrix: Matrix) -> Result<Self, QueueingError> {
-        if matrix.rows() != matrix.cols() {
-            return Err(invalid_param(
-                "matrix",
-                format!(
-                    "routing matrix must be square, got {}x{}",
-                    matrix.rows(),
-                    matrix.cols()
-                ),
-            ));
-        }
-        for i in 0..matrix.rows() {
-            let mut row_sum = 0.0;
-            for &p in matrix.row(i) {
-                if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                    return Err(QueueingError::InvalidRouting { row: i, row_sum: p });
-                }
-                row_sum += p;
-            }
-            if row_sum > 1.0 + ROW_SUM_TOL {
-                return Err(QueueingError::InvalidRouting { row: i, row_sum });
-            }
-        }
+        check_square(matrix.rows(), matrix.cols())?;
+        check_substochastic(matrix.as_slice(), matrix.cols())?;
         Ok(Self { inner: matrix })
     }
 
@@ -96,37 +76,155 @@ impl RoutingMatrix {
     /// `δ_ij − P_ji`.
     pub fn traffic_matrix(&self) -> Matrix {
         let n = self.len();
-        let mut a = Matrix::identity(n);
-        for i in 0..n {
-            for j in 0..n {
-                a[(i, j)] -= self.inner[(j, i)];
+        let mut m = Matrix::zeros(n, n);
+        write_traffic_matrix(self.inner.as_slice(), n, m.as_mut_slice());
+        m
+    }
+}
+
+/// Checks `rows` as [`RoutingMatrix::from_rows`] does — the same panics
+/// and the same errors, in the same order — and copies them row-major
+/// into `flat`, reusing its buffer: a validated routing matrix without
+/// the allocation of a new [`RoutingMatrix`].
+///
+/// # Errors
+///
+/// Returns an error for a non-square matrix and
+/// [`QueueingError::InvalidRouting`] if any entry is negative or any row
+/// sums to more than one.
+///
+/// # Panics
+///
+/// Panics if the rows are empty or ragged.
+pub fn routing_rows_into(rows: &[Vec<f64>], flat: &mut Vec<f64>) -> Result<(), QueueingError> {
+    let cols = Matrix::row_shape(rows);
+    check_square(rows.len(), cols)?;
+    flat.clear();
+    for row in rows {
+        flat.extend_from_slice(row);
+    }
+    check_substochastic(flat, cols)
+}
+
+fn check_square(rows: usize, cols: usize) -> Result<(), QueueingError> {
+    if rows != cols {
+        return Err(invalid_param(
+            "matrix",
+            format!("routing matrix must be square, got {rows}x{cols}"),
+        ));
+    }
+    Ok(())
+}
+
+/// Rejects a negative or non-finite entry, or a row summing to more
+/// than one, in the `n`-column row-major matrix `p`.
+fn check_substochastic(p: &[f64], n: usize) -> Result<(), QueueingError> {
+    for (i, row) in p.chunks_exact(n).enumerate() {
+        let mut row_sum = 0.0;
+        for &p in row {
+            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
+                return Err(QueueingError::InvalidRouting { row: i, row_sum: p });
             }
+            row_sum += p;
         }
-        a
+        if row_sum > 1.0 + ROW_SUM_TOL {
+            return Err(QueueingError::InvalidRouting { row: i, row_sum });
+        }
+    }
+    Ok(())
+}
+
+/// Writes `M = I − Pᵀ` for the `n × n` row-major routing `p` into `m`,
+/// row-major: row `i` of `M` is `e_i` minus column `i` of `P`, each
+/// entry computed as `δ_ij − P_ji`.
+fn write_traffic_matrix(p: &[f64], n: usize, m: &mut [f64]) {
+    for (i, row) in m.chunks_exact_mut(n).enumerate() {
+        for (x, p_j) in row.iter_mut().zip(p.chunks_exact(n)) {
+            *x = 0.0 - p_j[i];
+        }
+        row[i] = 1.0 - p[i * n + i];
     }
 }
 
 /// The traffic equations of a network solved against one factorization
-/// of `M = I − Pᵀ` ([`solve_traffic`]).
-#[derive(Debug, Clone, PartialEq)]
+/// of `M = I − Pᵀ` ([`solve_traffic`]). A kept solution is re-solved in
+/// place by [`TrafficSolution::solve`], which reuses its buffers.
+#[derive(Debug, Clone, Default)]
 pub struct TrafficSolution {
-    /// Aggregate arrival rate `λ_i` at each queue (paper Eqn. 1).
-    pub arrival_rates: Vec<f64>,
-    /// The columns of `M⁻¹` back to back — column `j` is
-    /// `[j·n..(j + 1)·n]` — when requested, else empty.
-    pub inverse_columns: Vec<f64>,
+    /// The factorization of `M`.
+    lu: LuFactors,
+    /// `λ` followed by the columns of `M⁻¹` when requested.
+    columns: Vec<f64>,
+    /// Substitution scratch.
+    scratch: Vec<f64>,
+    n: usize,
 }
 
-/// Solves the traffic equations `(I − Pᵀ) λ = γ` for the external
-/// arrival rates `gamma` with one LU factorization of `M = I − Pᵀ`. With
-/// `inverse_columns`, the `n` columns of `M⁻¹` — which the P2P
-/// replica-balance systems (Proposition 1) are solved from — come out of
-/// the same multi-right-hand-side sweep.
-///
-/// The rates are bitwise those of [`JacksonNetwork::arrival_rates`] for
-/// the same routing and `gamma`: the factorization pivots exactly as its
-/// elimination does, and each column sees the same arithmetic. Failures
-/// are the same errors too.
+impl TrafficSolution {
+    /// Solves the traffic equations `(I − Pᵀ) λ = γ` for the external
+    /// arrival rates `gamma` and the `n × n` routing matrix `routing`,
+    /// given row-major and already validated (see
+    /// [`routing_rows_into`]), with one LU factorization of `M = I − Pᵀ`.
+    /// With `inverse_columns`, the `n` columns of `M⁻¹` — which the P2P
+    /// replica-balance systems (Proposition 1) are solved from — come out
+    /// of the same multi-right-hand-side sweep. Every buffer of the
+    /// previous solve is reused, so re-solving systems of one size never
+    /// allocates.
+    ///
+    /// The rates are bitwise those of [`JacksonNetwork::arrival_rates`]
+    /// for the same routing and `gamma`: the factorization pivots exactly
+    /// as its elimination does, and each column sees the same arithmetic.
+    /// Failures are the same errors too; after one, the solution is
+    /// unusable until the next successful solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueueingError::SingularSystem`] if `M` is singular or
+    /// [`QueueingError::NoEquilibrium`] if a computed rate is
+    /// negative/non-finite.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routing` does not hold `gamma.len()²` entries.
+    pub fn solve(
+        &mut self,
+        routing: &[f64],
+        gamma: &[f64],
+        inverse_columns: bool,
+    ) -> Result<(), QueueingError> {
+        let n = gamma.len();
+        assert_eq!(routing.len(), n * n, "dimension mismatch in solve_traffic");
+        self.n = n;
+        self.lu
+            .refactor(n, |m| write_traffic_matrix(routing, n, m))?;
+        self.columns.clear();
+        self.columns.extend_from_slice(gamma);
+        if inverse_columns {
+            self.columns.resize(n * (n + 1), 0.0);
+            for (j, column) in self.columns[n..].chunks_exact_mut(n).enumerate() {
+                column[j] = 1.0;
+            }
+        }
+        self.lu
+            .solve_columns_into(&mut self.columns, &mut self.scratch);
+        equilibrium_rates(&mut self.columns[..n])
+    }
+
+    /// Aggregate arrival rate `λ_i` at each queue (paper Eqn. 1).
+    pub fn arrival_rates(&self) -> &[f64] {
+        &self.columns[..self.n]
+    }
+
+    /// The columns of `M⁻¹` back to back — column `j` is
+    /// `[j·n..(j + 1)·n]` — when requested, else empty.
+    pub fn inverse_columns(&self) -> &[f64] {
+        &self.columns[self.n..]
+    }
+}
+
+/// Solves the traffic equations of `routing` for the external arrival
+/// rates `gamma` into a new [`TrafficSolution`] (see
+/// [`TrafficSolution::solve`]).
 ///
 /// # Errors
 ///
@@ -142,34 +240,24 @@ pub fn solve_traffic(
     gamma: &[f64],
     inverse_columns: bool,
 ) -> Result<TrafficSolution, QueueingError> {
-    let n = routing.len();
-    assert_eq!(gamma.len(), n, "dimension mismatch in solve_traffic");
-    let lu = routing.traffic_matrix().lu()?;
-    let mut columns = gamma.to_vec();
-    if inverse_columns {
-        columns.resize(n * (n + 1), 0.0);
-        for (j, column) in columns[n..].chunks_exact_mut(n).enumerate() {
-            column[j] = 1.0;
-        }
-    }
-    lu.solve_columns_into(&mut columns, &mut Vec::new());
-    let inverse_columns = columns.split_off(n);
-    Ok(TrafficSolution {
-        arrival_rates: equilibrium_rates(columns)?,
-        inverse_columns,
-    })
+    let mut solution = TrafficSolution::default();
+    solution.solve(routing.as_matrix().as_slice(), gamma, inverse_columns)?;
+    Ok(solution)
 }
 
 /// Accepts a traffic-equation solution as equilibrium arrival rates:
 /// rejects negative or non-finite entries and clamps rounding-level
-/// negatives to zero.
-fn equilibrium_rates(lambda: Vec<f64>) -> Result<Vec<f64>, QueueingError> {
+/// negatives to zero, in place.
+fn equilibrium_rates(lambda: &mut [f64]) -> Result<(), QueueingError> {
     for (i, &l) in lambda.iter().enumerate() {
         if !l.is_finite() || l < -1e-9 {
             return Err(QueueingError::NoEquilibrium { queue: i, rate: l });
         }
     }
-    Ok(lambda.into_iter().map(|l| l.max(0.0)).collect())
+    for l in lambda {
+        *l = l.max(0.0);
+    }
+    Ok(())
 }
 
 /// An open Jackson network specification: routing plus external arrival
@@ -250,11 +338,12 @@ impl JacksonNetwork {
     /// (the routing traps jobs forever) or [`QueueingError::NoEquilibrium`]
     /// if a computed rate is negative/non-finite.
     pub fn arrival_rates(&self) -> Result<Vec<f64>, QueueingError> {
-        let lambda = self
+        let mut lambda = self
             .routing
             .traffic_matrix()
             .solve(&self.external_arrivals)?;
-        equilibrium_rates(lambda)
+        equilibrium_rates(&mut lambda)?;
+        Ok(lambda)
     }
 
     /// Builds the per-queue M/M/m queues for the given service rate and
@@ -423,9 +512,9 @@ mod tests {
         let gamma = vec![1.0, 2.0, 0.5];
         let net = JacksonNetwork::new(routing.clone(), gamma.clone()).unwrap();
         let solved = solve_traffic(&routing, &gamma, true).unwrap();
-        assert_eq!(solved.arrival_rates, net.arrival_rates().unwrap());
+        assert_eq!(solved.arrival_rates(), net.arrival_rates().unwrap());
         let m = routing.traffic_matrix();
-        for (j, column) in solved.inverse_columns.chunks_exact(3).enumerate() {
+        for (j, column) in solved.inverse_columns().chunks_exact(3).enumerate() {
             let e = m.mul_vec(column);
             for (i, v) in e.iter().enumerate() {
                 assert_close(*v, if i == j { 1.0 } else { 0.0 }, 1e-12);
@@ -433,7 +522,7 @@ mod tests {
         }
         assert!(solve_traffic(&routing, &gamma, false)
             .unwrap()
-            .inverse_columns
+            .inverse_columns()
             .is_empty());
 
         // Trapping routing fails the same way in both.

@@ -65,13 +65,7 @@ impl Matrix {
     ///
     /// Panics if the rows are empty or ragged.
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "matrix must have at least one row");
-        let cols = rows[0].len();
-        assert!(cols > 0, "matrix must have at least one column");
-        assert!(
-            rows.iter().all(|r| r.len() == cols),
-            "all rows must have the same length"
-        );
+        let cols = Self::row_shape(rows);
         let mut data = Vec::with_capacity(rows.len() * cols);
         for row in rows {
             data.extend_from_slice(row);
@@ -81,6 +75,22 @@ impl Matrix {
             cols,
             data,
         }
+    }
+
+    /// The column count of `rows` as [`Matrix::from_rows`] reads them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows are empty or ragged.
+    pub(crate) fn row_shape(rows: &[Vec<f64>]) -> usize {
+        assert!(!rows.is_empty(), "matrix must have at least one row");
+        let cols = rows[0].len();
+        assert!(cols > 0, "matrix must have at least one column");
+        assert!(
+            rows.iter().all(|r| r.len() == cols),
+            "all rows must have the same length"
+        );
+        cols
     }
 
     /// Number of rows.
@@ -101,6 +111,16 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "matrix row out of bounds");
         &self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// The entries, row-major.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The entries, row-major, for writing.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Returns the transpose of this matrix.
@@ -250,9 +270,58 @@ impl Matrix {
     /// Panics if the matrix is not square.
     pub fn lu(&self) -> Result<LuFactors, QueueingError> {
         assert_eq!(self.rows, self.cols, "lu requires a square matrix");
-        let n = self.rows;
-        let mut lu = self.data.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        let mut factors = LuFactors::default();
+        factors.refactor(self.rows, |a| a.copy_from_slice(&self.data))?;
+        Ok(factors)
+    }
+
+    /// Maximum absolute entry; useful for residual checks in tests.
+    pub fn max_abs(&self) -> f64 {
+        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
+    }
+}
+
+/// An LU factorization with partial pivoting (`P A = L U`), produced by
+/// [`Matrix::lu`]. `L` is unit lower triangular (stored below the
+/// diagonal), `U` upper triangular (diagonal and above), packed in one
+/// row-major array.
+///
+/// The default value is the factorization of the empty system; a kept
+/// `LuFactors` is refactored in place by [`LuFactors::refactor`], which
+/// reuses its buffers.
+#[derive(Debug, Clone, Default)]
+pub struct LuFactors {
+    n: usize,
+    lu: Vec<f64>,
+    perm: Vec<usize>,
+}
+
+impl LuFactors {
+    /// System dimension.
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// Factorizes the `n × n` matrix that `fill` writes, row-major, into
+    /// the zeroed slice it is given, as `P A = L U` with partial
+    /// pivoting. The buffers of the previous factorization are reused,
+    /// so refactoring systems of one size never allocates.
+    ///
+    /// Returns [`QueueingError::SingularSystem`] if the matrix is
+    /// (numerically) singular; the factors are then unusable until the
+    /// next successful refactorization.
+    pub fn refactor(
+        &mut self,
+        n: usize,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> Result<(), QueueingError> {
+        self.n = n;
+        self.lu.clear();
+        self.lu.resize(n * n, 0.0);
+        fill(&mut self.lu);
+        self.perm.clear();
+        self.perm.extend(0..n);
+        let lu = &mut self.lu;
         for col in 0..n {
             let mut pivot_row = col;
             let mut pivot_mag = lu[col * n + col].abs();
@@ -269,7 +338,7 @@ impl Matrix {
             if pivot_row != col {
                 let (above, below) = lu.split_at_mut(pivot_row * n);
                 above[col * n..(col + 1) * n].swap_with_slice(&mut below[..n]);
-                perm.swap(col, pivot_row);
+                self.perm.swap(col, pivot_row);
             }
             let (upper, lower) = lu.split_at_mut((col + 1) * n);
             let pivot = upper[col * n + col];
@@ -285,30 +354,7 @@ impl Matrix {
             }
         }
         LU_FACTORIZATIONS.inc();
-        Ok(LuFactors { n, lu, perm })
-    }
-
-    /// Maximum absolute entry; useful for residual checks in tests.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
-    }
-}
-
-/// An LU factorization with partial pivoting (`P A = L U`), produced by
-/// [`Matrix::lu`]. `L` is unit lower triangular (stored below the
-/// diagonal), `U` upper triangular (diagonal and above), packed in one
-/// row-major array.
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    n: usize,
-    lu: Vec<f64>,
-    perm: Vec<usize>,
-}
-
-impl LuFactors {
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        self.n
+        Ok(())
     }
 
     /// Solves `A x = b` in place (`b` becomes `x`), using `scratch` for
@@ -380,25 +426,13 @@ impl LuFactors {
         // Forward substitution with unit-diagonal L.
         for i in 1..n {
             let (solved, rest) = scratch.split_at_mut(i * k);
-            let row = &mut rest[..k];
-            for (&l, src) in self.lu[i * n..i * n + i].iter().zip(solved.chunks_exact(k)) {
-                for (x, &y) in row.iter_mut().zip(src) {
-                    *x -= l * y;
-                }
-            }
+            subtract_combination(&mut rest[..k], &self.lu[i * n..i * n + i], solved);
         }
         // Back substitution with U.
         for i in (0..n).rev() {
             let (head, solved) = scratch.split_at_mut((i + 1) * k);
             let row = &mut head[i * k..];
-            for (&u, src) in self.lu[i * n + i + 1..(i + 1) * n]
-                .iter()
-                .zip(solved.chunks_exact(k))
-            {
-                for (x, &y) in row.iter_mut().zip(src) {
-                    *x -= u * y;
-                }
-            }
+            subtract_combination(row, &self.lu[i * n + i + 1..(i + 1) * n], solved);
             let pivot = self.lu[i * n + i];
             for x in row.iter_mut() {
                 *x /= pivot;
@@ -434,6 +468,34 @@ impl LuFactors {
         let mut scratch = Vec::with_capacity(self.n);
         self.solve_into(&mut x, &mut scratch);
         x
+    }
+}
+
+/// `row[c] -= coefs[l] · rows[l][c]` for every column `c`, over `l` in
+/// order, where `rows` holds `coefs.len()` rows of `row.len()` entries
+/// back to back. Each entry sees its subtractions in `l` order, exactly
+/// as in a loop over `l` outside a loop over the columns; the columns go
+/// four at a time so that a block stays in registers while `l` sweeps.
+fn subtract_combination(row: &mut [f64], coefs: &[f64], rows: &[f64]) {
+    let k = row.len();
+    let mut blocks = row.chunks_exact_mut(4);
+    for (b, block) in (&mut blocks).enumerate() {
+        let mut acc = [block[0], block[1], block[2], block[3]];
+        for (&c, src) in coefs.iter().zip(rows.chunks_exact(k)) {
+            let y = &src[4 * b..4 * b + 4];
+            acc[0] -= c * y[0];
+            acc[1] -= c * y[1];
+            acc[2] -= c * y[2];
+            acc[3] -= c * y[3];
+        }
+        block.copy_from_slice(&acc);
+    }
+    let tail = blocks.into_remainder();
+    let first = k - tail.len();
+    for (col, x) in (first..).zip(tail) {
+        for (&c, src) in coefs.iter().zip(rows.chunks_exact(k)) {
+            *x -= c * src[col];
+        }
     }
 }
 

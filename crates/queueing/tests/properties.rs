@@ -226,12 +226,12 @@ proptest! {
         let lu = solve_traffic(&routing, &gamma, inverse);
         match (direct, lu) {
             (Ok(want), Ok(got)) => {
-                prop_assert_eq!(bits(&want), bits(&got.arrival_rates));
-                prop_assert_eq!(got.inverse_columns.len(), if inverse { n * n } else { 0 });
+                prop_assert_eq!(bits(&want), bits(got.arrival_rates()));
+                prop_assert_eq!(got.inverse_columns().len(), if inverse { n * n } else { 0 });
                 // The inverse columns are bitwise the direct solves of the
                 // identity columns.
                 let m = routing.traffic_matrix();
-                for (j, column) in got.inverse_columns.chunks_exact(n).enumerate() {
+                for (j, column) in got.inverse_columns().chunks_exact(n).enumerate() {
                     let mut e = vec![0.0; n];
                     e[j] = 1.0;
                     prop_assert_eq!(bits(&m.solve(&e).unwrap()), bits(column), "column {}", j);

@@ -29,10 +29,10 @@ use cloudmedia_cloud::broker::{
     scale_fleet_capacity, scale_nfs_capacity, scale_vm_prices, Cloud, SlaTerms,
 };
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_cloud::scheduler::PlacementPlan;
 use cloudmedia_core::baseline::{BaselinePlanner, ProvisionerKind};
 use cloudmedia_core::controller::{BudgetPolicy, Controller, ControllerConfig, ProvisioningPlan};
 use cloudmedia_core::predictor::ChannelObservation;
+use cloudmedia_core::provisioning::Placement;
 use cloudmedia_telemetry::Telemetry;
 
 use crate::config::SimConfig;
@@ -78,9 +78,9 @@ pub(crate) struct SiteControl {
     bootstrap: Option<Observations>,
     /// Budget-shock factor already folded into the planner's budget.
     applied_budget_factor: f64,
-    /// The storage placement in force (kept across intervals that do
-    /// not refresh it).
-    placement: Option<PlacementPlan>,
+    /// The storage placement in force, in key order (kept across
+    /// intervals that do not refresh it).
+    placement: Option<Placement>,
     /// The last plan put in force, placement stripped: re-placing
     /// chunks is not part of replaying a stale plan.
     last_plan: Option<ProvisioningPlan>,
@@ -243,7 +243,11 @@ impl SiteControl {
                 continue;
             }
             per_channel_demand[c] += d.demand;
-            if let Some(&f) = self.placement.as_ref().and_then(|pl| pl.get(&d.key)) {
+            let placed = self.placement.as_deref().and_then(|pl| {
+                let i = pl.binary_search_by_key(&d.key, |&(key, _)| key).ok()?;
+                Some(pl[i].1)
+            });
+            if let Some(f) = placed {
                 per_channel_storage[c] += self.sla.nfs_clusters[f].utility * d.demand;
             }
         }

@@ -166,7 +166,7 @@ impl Provisioner {
             now,
             &mut self.cloud,
             plan.vm_targets.clone(),
-            plan.placement.clone(),
+            plan.placement.as_ref(),
             &mut self.stats,
             &tel,
         )?;

@@ -45,6 +45,7 @@
 
 use cloudmedia_cloud::broker::{Cloud, ResourceRequest, RetryPolicy, SubmitReceipt};
 use cloudmedia_cloud::scheduler::PlacementPlan;
+use cloudmedia_core::provisioning::Placement;
 use cloudmedia_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -592,8 +593,9 @@ impl FaultDriver {
     /// The site's rent step at `clock`, the same for every engine: sets
     /// its availability by [`FaultSchedule::site_caps_at`], clamps
     /// `targets` to its fleet (to nothing while the site is down, when
-    /// `placement` is dropped too), submits them through the retrying
-    /// broker, and keeps them as the targets in force.
+    /// `placement` is dropped too), submits them — and the placement as
+    /// the broker's map — through the retrying broker, and keeps them as
+    /// the targets in force.
     ///
     /// # Errors
     ///
@@ -603,7 +605,7 @@ impl FaultDriver {
         clock: f64,
         cloud: &mut Cloud,
         mut targets: Vec<usize>,
-        placement: Option<PlacementPlan>,
+        placement: Option<&Placement>,
         stats: &mut FaultStats,
         tel: &Telemetry,
     ) -> Result<(), SimError> {
@@ -621,7 +623,9 @@ impl FaultDriver {
             cloud.submit_with_retry(
                 &ResourceRequest {
                     vm_targets: targets.clone(),
-                    placement: placement.filter(|_| !down),
+                    placement: placement
+                        .filter(|_| !down)
+                        .map(|p| p.iter().copied().collect::<PlacementPlan>()),
                 },
                 &self.retry,
             )?

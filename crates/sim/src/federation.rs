@@ -69,9 +69,9 @@
 //!   sites in the first place).
 
 use cloudmedia_cloud::broker::Cloud;
-use cloudmedia_cloud::scheduler::PlacementPlan;
 use cloudmedia_core::federation::{paper_sites, plan_global_placement, FederationPolicy, SiteSpec};
 use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
+use cloudmedia_core::provisioning::Placement;
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::diurnal::DiurnalPattern;
 use cloudmedia_workload::trace::child_seed;
@@ -628,8 +628,7 @@ impl Deployment<'_> {
         //    shared with the emergency re-plan path.
         let demands: Vec<f64> = plans.iter().map(|p| p.total_cloud_demand).collect();
         let region_targets: Vec<Vec<usize>> = plans.iter().map(|p| p.vm_targets.clone()).collect();
-        let storage: Vec<Option<PlacementPlan>> =
-            plans.iter().map(|p| p.placement.clone()).collect();
+        let storage: Vec<Option<&Placement>> = plans.iter().map(|p| p.placement.as_ref()).collect();
         self.place(clock, mask, &demands, &region_targets, &storage, tel)?;
 
         // 4. Put each region's plan in force: its viewer-side
@@ -678,7 +677,7 @@ impl Deployment<'_> {
         mask: &[bool],
         demands: &[f64],
         region_targets: &[Vec<usize>],
-        storage: &[Option<PlacementPlan>],
+        storage: &[Option<&Placement>],
         tel: &Telemetry,
     ) -> Result<(), SimError> {
         let fc = self.fc;
@@ -718,7 +717,7 @@ impl Deployment<'_> {
                 clock,
                 &mut r.cloud,
                 targets,
-                storage[j].clone(),
+                storage[j],
                 &mut self.stats,
                 tel,
             )?;

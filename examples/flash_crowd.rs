@@ -39,7 +39,7 @@ fn main() {
         cloud
             .submit_request(&ResourceRequest {
                 vm_targets: plan.vm_targets.clone(),
-                placement: plan.placement.clone(),
+                placement: plan.placement.as_ref().map(|p| p.iter().copied().collect()),
             })
             .expect("targets fit the fleet");
         // Boot latency: capacity is online ~25 s into the hour.

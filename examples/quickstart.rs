@@ -95,7 +95,11 @@ fn main() {
     }
     .greedy()
     .expect("within budget");
-    let on_standard = storage_plan.placement.values().filter(|&&f| f == 0).count();
+    let on_standard = storage_plan
+        .placement
+        .iter()
+        .filter(|&&(_, f)| f == 0)
+        .count();
     println!("\nstorage rental (greedy heuristic):");
     println!(
         "  {} chunks placed ({} on Standard, {} on High), ${:.6}/hour",

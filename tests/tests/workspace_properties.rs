@@ -127,7 +127,7 @@ proptest! {
             prop_assert_eq!(plan.placement.len(), demands.len());
             prop_assert!(plan.hourly_cost <= budget + 1e-9);
             let mut counts = vec![0usize; clusters.len()];
-            for &f in plan.placement.values() {
+            for &(_, f) in &plan.placement {
                 counts[f] += 1;
             }
             for (count, c) in counts.iter().zip(&clusters) {
