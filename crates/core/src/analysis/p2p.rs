@@ -123,7 +123,8 @@ pub fn replica_matrix(
             p,
             &lu.inverse_columns(),
             expected_in_queue,
-            (&mut Vec::new(), &mut Vec::new()),
+            &mut Vec::new(),
+            &mut Vec::new(),
             |_, row| result.push(row.to_vec()),
         )?,
         Err(_) => {
@@ -152,7 +153,8 @@ fn replicas_from_inverse(
     p: &[f64],
     inv: &[f64],
     expected_in_queue: &[f64],
-    (z, row): (&mut Vec<f64>, &mut Vec<f64>),
+    z: &mut Vec<f64>,
+    row: &mut Vec<f64>,
     mut each_row: impl FnMut(usize, &[f64]),
 ) -> Result<(), CoreError> {
     let n = expected_in_queue.len();
@@ -256,24 +258,14 @@ fn replica_row_direct(
 }
 
 /// Expected total replica count of chunk `i` from row `i` of the replica
-/// matrix (see [`replica_counts`]).
+/// matrix: `E(ν_i) = Σ_{j≠i} E(ν_ij)` (paper Eqn. 4 — peers *currently
+/// downloading* chunk `i` are not counted as suppliers).
 fn replica_count(i: usize, row: &[f64]) -> f64 {
     row.iter()
         .enumerate()
         .filter(|&(j, _)| j != i)
         .map(|(_, &v)| v)
         .sum()
-}
-
-/// Expected total replica count per chunk: `E(ν_i) = Σ_{j≠i} E(ν_ij)`
-/// (paper Eqn. 4 — peers *currently downloading* chunk `i` are not
-/// counted as suppliers).
-pub fn replica_counts(matrix: &[Vec<f64>]) -> Vec<f64> {
-    matrix
-        .iter()
-        .enumerate()
-        .map(|(i, row)| replica_count(i, row))
-        .collect()
 }
 
 /// Writes the path-based estimate of the expected number of peers owning
@@ -544,7 +536,8 @@ impl ChannelPass<'_> {
             &s.routing,
             s.traffic.inverse_columns(),
             occupancy,
-            (&mut s.z, &mut s.replica_row),
+            &mut s.z,
+            &mut s.replica_row,
             |i, row| replicas.push(replica_count(i, row)),
         )?;
         let population: f64 = occupancy.iter().sum();
