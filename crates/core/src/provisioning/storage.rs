@@ -54,6 +54,8 @@ pub(crate) fn left_join<'a, L: Keyed, R: Keyed>(
     left: &'a [L],
     mut right: &'a [R],
 ) -> impl Iterator<Item = (&'a L, Option<&'a R>)> {
+    debug_assert!(left.is_sorted_by(|a, b| a.key() < b.key()));
+    debug_assert!(right.is_sorted_by(|a, b| a.key() < b.key()));
     left.iter().map(move |l| {
         let key = l.key();
         while let Some((first, rest)) = right.split_first() {
@@ -671,6 +673,33 @@ mod tests {
         let new_demand = demands(&[2.0, 20.0]);
         let u = placement_utility(&plan.placement, &clusters, &new_demand);
         assert!((u - 0.8 * 22.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn placement_comes_out_in_key_order_one_entry_per_chunk() {
+        let clusters = paper_nfs_clusters();
+        let key = |channel, chunk| ChunkKey { channel, chunk };
+        let demand = |k, demand| ChunkDemand { key: k, demand };
+        // Out of key order, with chunk (0, 1) listed twice: the map the
+        // placement used to be kept the cluster placed last.
+        let d = [
+            demand(key(1, 0), 3.0),
+            demand(key(0, 1), 5.0),
+            demand(key(0, 0), 1.0),
+            demand(key(0, 1), 2.0),
+        ];
+        for plan in [
+            problem(&d, &clusters, 1.0).greedy().unwrap(),
+            problem(&d, &clusters, 1.0).exact().unwrap(),
+        ] {
+            let keys: Vec<ChunkKey> = plan.placement.iter().map(|&(k, _)| k).collect();
+            assert_eq!(keys, [key(0, 0), key(0, 1), key(1, 0)]);
+        }
+        // In key order, the placement follows the demands one to one.
+        let sorted = [d[2], d[1], d[0]];
+        let plan = problem(&sorted, &clusters, 1.0).greedy().unwrap();
+        let keys: Vec<ChunkKey> = plan.placement.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, [key(0, 0), key(0, 1), key(1, 0)]);
     }
 
     #[test]

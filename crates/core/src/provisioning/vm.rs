@@ -33,9 +33,8 @@ pub struct ChunkAllocation {
 /// VM fraction).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChunkAllocations {
-    keys: Vec<ChunkKey>,
-    /// One past each chunk's last allocation in `allocs`.
-    ends: Vec<usize>,
+    /// Each chunk's key and one past its last allocation in `allocs`.
+    chunks: Vec<(ChunkKey, usize)>,
     allocs: Vec<ChunkAllocation>,
 }
 
@@ -51,8 +50,7 @@ impl ChunkAllocations {
         made: &[ChunkAllocation],
     ) -> Self {
         let mut grouped = Self {
-            keys: Vec::with_capacity(spans.len()),
-            ends: Vec::with_capacity(spans.len()),
+            chunks: Vec::with_capacity(spans.len()),
             allocs: Vec::with_capacity(made.len()),
         };
         if demands.is_sorted_by(|a, b| a.key < b.key) {
@@ -78,36 +76,35 @@ impl ChunkAllocations {
     /// Appends `allocs` to the entry of `key`, which is the last entry or
     /// follows it in key order.
     fn push(&mut self, key: ChunkKey, allocs: &[ChunkAllocation]) {
-        if self.keys.last() != Some(&key) {
-            self.keys.push(key);
-            self.ends.push(0);
-        }
         self.allocs.extend_from_slice(allocs);
-        *self.ends.last_mut().expect("pushed above") = self.allocs.len();
+        let end = self.allocs.len();
+        match self.chunks.last_mut() {
+            Some(last) if last.0 == key => last.1 = end,
+            _ => self.chunks.push((key, end)),
+        }
     }
 
     /// Number of chunks with an entry.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.chunks.len()
     }
 
     /// True if no chunk has an entry.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.chunks.is_empty()
     }
 
     /// The allocations of `key`, if the chunk has an entry.
     pub fn get(&self, key: &ChunkKey) -> Option<&[ChunkAllocation]> {
-        let i = self.keys.binary_search(key).ok()?;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        Some(&self.allocs[start..self.ends[i]])
+        let i = self.chunks.binary_search_by_key(key, |&(k, _)| k).ok()?;
+        let start = if i == 0 { 0 } else { self.chunks[i - 1].1 };
+        Some(&self.allocs[start..self.chunks[i].1])
     }
 
     /// Every chunk with an entry and its allocations, in key order.
     pub fn iter(&self) -> ChunkAllocationsIter<'_> {
         ChunkAllocationsIter {
-            keys: self.keys.iter(),
-            ends: self.ends.iter(),
+            chunks: self.chunks.iter(),
             allocs: &self.allocs,
             start: 0,
         }
@@ -126,8 +123,7 @@ impl<'a> IntoIterator for &'a ChunkAllocations {
 /// Iterator over [`ChunkAllocations`] in key order.
 #[derive(Debug, Clone)]
 pub struct ChunkAllocationsIter<'a> {
-    keys: slice::Iter<'a, ChunkKey>,
-    ends: slice::Iter<'a, usize>,
+    chunks: slice::Iter<'a, (ChunkKey, usize)>,
     allocs: &'a [ChunkAllocation],
     start: usize,
 }
@@ -136,10 +132,9 @@ impl<'a> Iterator for ChunkAllocationsIter<'a> {
     type Item = (&'a ChunkKey, &'a [ChunkAllocation]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let key = self.keys.next()?;
-        let end = *self.ends.next()?;
-        let allocs = &self.allocs[self.start..end];
-        self.start = end;
+        let (key, end) = self.chunks.next()?;
+        let allocs = &self.allocs[self.start..*end];
+        self.start = *end;
         Some((key, allocs))
     }
 }
@@ -811,5 +806,32 @@ mod tests {
         let d = demands(&[1.9e6]);
         let plan = problem(&d, &clusters, 100.0).greedy().unwrap();
         assert!((plan.reserved_bandwidth(&clusters) - 2.0 * PAPER_VM_BANDWIDTH).abs() < 1e-6);
+    }
+
+    #[test]
+    fn allocations_come_out_in_key_order_one_entry_per_chunk() {
+        // 80 VMs fill Standard (75) and spill onto a second cluster, so a
+        // chunk can hold two allocations; chunk 1 is listed twice and
+        // keeps both lists, in the order made, as a map entry did.
+        let mut d = demands(&[2.5e6, 90.0 * PAPER_VM_BANDWIDTH, 1.25e6]);
+        d.push(ChunkDemand {
+            key: ChunkKey {
+                channel: 0,
+                chunk: 1,
+            },
+            demand: 1.25e6,
+        });
+        d.swap(0, 2);
+        let clusters = paper_virtual_clusters();
+        for plan in [
+            problem(&d, &clusters, 100.0).greedy().unwrap(),
+            problem(&d, &clusters, 100.0).exact().unwrap(),
+        ] {
+            let keys: Vec<usize> = plan.allocations.iter().map(|(k, _)| k.chunk).collect();
+            assert_eq!(keys, [0, 1, 2]);
+            let chunk_1 = plan.allocations.get(&d[1].key).unwrap();
+            let vms: f64 = chunk_1.iter().map(|a| a.vms).sum();
+            assert!((vms - 91.0).abs() < 1e-9, "both listings served: {vms}");
+        }
     }
 }

@@ -135,8 +135,9 @@ fn check_substochastic(p: &[f64], n: usize) -> Result<(), QueueingError> {
 }
 
 /// Writes `M = I − Pᵀ` for the `n × n` row-major routing `p` into `m`,
-/// row-major: row `i` of `M` is `e_i` minus column `i` of `P`, each
-/// entry computed as `δ_ij − P_ji`.
+/// row-major: row `i` of `M` is `e_i` minus column `i` of `P`. Each
+/// entry is computed as `δ_ij − P_ji`; `0 − P_ji` rather than `−P_ji`
+/// keeps a zero entry `+0`, as subtracting from the identity did.
 fn write_traffic_matrix(p: &[f64], n: usize, m: &mut [f64]) {
     for (i, row) in m.chunks_exact_mut(n).enumerate() {
         for (x, p_j) in row.iter_mut().zip(p.chunks_exact(n)) {
