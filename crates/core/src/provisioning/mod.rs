@@ -6,7 +6,5 @@
 pub mod storage;
 pub mod vm;
 
-pub use storage::{
-    demands_from_channels, placement_utility, ChunkDemand, Placement, StoragePlan, StorageProblem,
-};
+pub use storage::{demands_from_channels, ChunkDemand, Placement, StoragePlan, StorageProblem};
 pub use vm::{ChunkAllocation, ChunkAllocations, ChunkAllocationsIter, VmPlan, VmProblem};

@@ -431,9 +431,9 @@ pub fn demands_from_channels(per_channel: &[(usize, Vec<f64>)]) -> Vec<ChunkDema
 
 /// Computes the aggregate utility of an existing placement under new
 /// demands (the paper's Fig. 8 metric, re-evaluated each hour). Both
-/// must be in key order with one entry per chunk; a placed chunk without
-/// a demand counts as zero.
-pub fn placement_utility(
+/// must be in key order with one entry per chunk, as the controller
+/// keeps them; a placed chunk without a demand counts as zero.
+pub(crate) fn placement_utility(
     placement: &[(ChunkKey, usize)],
     clusters: &[NfsClusterSpec],
     demands: &[ChunkDemand],
