@@ -246,17 +246,9 @@ impl StorageProblem<'_> {
     /// the order in which they were `placed`: a chunk listed twice keeps
     /// the cluster it was placed on last, as inserting into a map would.
     fn key_ordered(&self, assigned: &[usize], placed: &[usize]) -> Placement {
-        let demands = self.demands;
-        if demands.is_sorted_by(|a, b| a.key < b.key) {
-            return demands
-                .iter()
-                .zip(assigned)
-                .map(|(d, &f)| (d.key, f))
-                .collect();
-        }
         let mut placement: Placement = placed
             .iter()
-            .map(|&i| (demands[i].key, assigned[i]))
+            .map(|&i| (self.demands[i].key, assigned[i]))
             .collect();
         placement.sort_by_key(|&(key, _)| key);
         placement.dedup_by(|later, kept| {

@@ -53,22 +53,9 @@ impl ChunkAllocations {
             chunks: Vec::with_capacity(spans.len()),
             allocs: Vec::with_capacity(made.len()),
         };
-        if demands.is_sorted_by(|a, b| a.key < b.key) {
-            // One demand per chunk, already in key order: no sort needed.
-            let mut range = vec![None; demands.len()];
-            for &(i, start, end) in spans.iter() {
-                range[i] = Some(start..end);
-            }
-            for (d, r) in demands.iter().zip(range) {
-                if let Some(r) = r {
-                    grouped.push(d.key, &made[r]);
-                }
-            }
-        } else {
-            spans.sort_unstable_by_key(|&(i, start, _)| (demands[i].key, start));
-            for &(i, start, end) in spans.iter() {
-                grouped.push(demands[i].key, &made[start..end]);
-            }
+        spans.sort_unstable_by_key(|&(i, start, _)| (demands[i].key, start));
+        for &(i, start, end) in spans.iter() {
+            grouped.push(demands[i].key, &made[start..end]);
         }
         grouped
     }
