@@ -155,7 +155,7 @@ impl ChannelModel {
         traffic: &mut TrafficSolution,
     ) -> Result<(), CoreError> {
         self.check_scalars()?;
-        routing_rows_into(&self.routing, routing)?;
+        let routing = routing_rows_into(&self.routing, routing)?;
         self.external_arrivals_into(gamma);
         Ok(traffic.solve(routing, gamma, inverse_columns)?)
     }

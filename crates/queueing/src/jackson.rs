@@ -82,6 +82,15 @@ impl RoutingMatrix {
     }
 }
 
+/// A validated `n × n` routing matrix borrowed row-major, as
+/// [`TrafficSolution::solve`] takes it: every entry in `[0, 1]` and every
+/// row summing to at most one. [`routing_rows_into`] makes one.
+#[derive(Debug, Clone, Copy)]
+pub struct RoutingView<'a> {
+    p: &'a [f64],
+    n: usize,
+}
+
 /// Checks `rows` as [`RoutingMatrix::from_rows`] does — the same panics
 /// and the same errors, in the same order — and copies them row-major
 /// into `flat`, reusing its buffer: a validated routing matrix without
@@ -96,14 +105,18 @@ impl RoutingMatrix {
 /// # Panics
 ///
 /// Panics if the rows are empty or ragged.
-pub fn routing_rows_into(rows: &[Vec<f64>], flat: &mut Vec<f64>) -> Result<(), QueueingError> {
-    let cols = Matrix::row_shape(rows);
-    check_square(rows.len(), cols)?;
+pub fn routing_rows_into<'a>(
+    rows: &[Vec<f64>],
+    flat: &'a mut Vec<f64>,
+) -> Result<RoutingView<'a>, QueueingError> {
+    let n = Matrix::row_shape(rows);
+    check_square(rows.len(), n)?;
     flat.clear();
     for row in rows {
         flat.extend_from_slice(row);
     }
-    check_substochastic(flat, cols)
+    check_substochastic(flat, n)?;
+    Ok(RoutingView { p: flat, n })
 }
 
 fn check_square(rows: usize, cols: usize) -> Result<(), QueueingError> {
@@ -163,10 +176,9 @@ pub struct TrafficSolution {
 
 impl TrafficSolution {
     /// Solves the traffic equations `(I − Pᵀ) λ = γ` for the external
-    /// arrival rates `gamma` and the `n × n` routing matrix `routing`,
-    /// given row-major and already validated (see
-    /// [`routing_rows_into`]), with one LU factorization of `M = I − Pᵀ`.
-    /// With `inverse_columns`, the `n` columns of `M⁻¹` — which the P2P
+    /// arrival rates `gamma` and the validated routing matrix `routing`,
+    /// with one LU factorization of `M = I − Pᵀ`. With
+    /// `inverse_columns`, the `n` columns of `M⁻¹` — which the P2P
     /// replica-balance systems (Proposition 1) are solved from — come out
     /// of the same multi-right-hand-side sweep. Every buffer of the
     /// previous solve is reused, so re-solving systems of one size never
@@ -175,8 +187,8 @@ impl TrafficSolution {
     /// The rates are bitwise those of [`JacksonNetwork::arrival_rates`]
     /// for the same routing and `gamma`: the factorization pivots exactly
     /// as its elimination does, and each column sees the same arithmetic.
-    /// Failures are the same errors too; after one, the solution is
-    /// unusable until the next successful solve.
+    /// Failures are the same errors too; after one, the solution is empty
+    /// until the next successful solve.
     ///
     /// # Errors
     ///
@@ -186,19 +198,19 @@ impl TrafficSolution {
     ///
     /// # Panics
     ///
-    /// Panics if `routing` does not hold `gamma.len()²` entries.
+    /// Panics if `gamma.len()` differs from the number of queues.
     pub fn solve(
         &mut self,
-        routing: &[f64],
+        routing: RoutingView<'_>,
         gamma: &[f64],
         inverse_columns: bool,
     ) -> Result<(), QueueingError> {
-        let n = gamma.len();
-        assert_eq!(routing.len(), n * n, "dimension mismatch in solve_traffic");
-        self.n = n;
-        self.lu
-            .refactor(n, |m| write_traffic_matrix(routing, n, m))?;
+        let n = routing.n;
+        assert_eq!(gamma.len(), n, "dimension mismatch in solve_traffic");
+        self.n = 0;
         self.columns.clear();
+        self.lu
+            .refactor(n, |m| write_traffic_matrix(routing.p, n, m))?;
         self.columns.extend_from_slice(gamma);
         if inverse_columns {
             self.columns.resize(n * (n + 1), 0.0);
@@ -208,7 +220,12 @@ impl TrafficSolution {
         }
         self.lu
             .solve_columns_into(&mut self.columns, &mut self.scratch);
-        equilibrium_rates(&mut self.columns[..n])
+        if let Err(e) = equilibrium_rates(&mut self.columns[..n]) {
+            self.columns.clear();
+            return Err(e);
+        }
+        self.n = n;
+        Ok(())
     }
 
     /// Aggregate arrival rate `λ_i` at each queue (paper Eqn. 1).
@@ -241,8 +258,12 @@ pub fn solve_traffic(
     gamma: &[f64],
     inverse_columns: bool,
 ) -> Result<TrafficSolution, QueueingError> {
+    let routing = RoutingView {
+        p: routing.as_matrix().as_slice(),
+        n: routing.len(),
+    };
     let mut solution = TrafficSolution::default();
-    solution.solve(routing.as_matrix().as_slice(), gamma, inverse_columns)?;
+    solution.solve(routing, gamma, inverse_columns)?;
     Ok(solution)
 }
 
@@ -533,6 +554,55 @@ mod tests {
             solve_traffic(&trap, &[1.0, 0.0], true).unwrap_err(),
             net.arrival_rates().unwrap_err()
         );
+    }
+
+    #[test]
+    fn failed_resolve_leaves_an_empty_solution() {
+        let mut flat = Vec::new();
+        let mut solution = TrafficSolution::default();
+        let small = [vec![0.0, 0.5], vec![0.2, 0.0]];
+        let view = routing_rows_into(&small, &mut flat).unwrap();
+        solution.solve(view, &[1.0, 1.0], true).unwrap();
+        let (rates, inverse) = (
+            solution.arrival_rates().to_vec(),
+            solution.inverse_columns().to_vec(),
+        );
+        assert_eq!((rates.len(), inverse.len()), (2, 4));
+
+        // A larger system whose chunk 1 feeds itself forever is singular:
+        // nothing of the smaller solution is left to read.
+        let trap = [
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 0.0],
+        ];
+        let view = routing_rows_into(&trap, &mut flat).unwrap();
+        assert!(matches!(
+            solution.solve(view, &[1.0, 0.0, 1.0], true),
+            Err(QueueingError::SingularSystem { .. })
+        ));
+        assert!(solution.arrival_rates().is_empty());
+        assert!(solution.inverse_columns().is_empty());
+
+        let view = routing_rows_into(&small, &mut flat).unwrap();
+        solution.solve(view, &[1.0, 1.0], true).unwrap();
+        assert_eq!(solution.arrival_rates(), rates);
+        assert_eq!(solution.inverse_columns(), inverse);
+    }
+
+    #[test]
+    fn routing_rows_into_checks_as_from_rows() {
+        let mut flat = Vec::new();
+        for rows in [
+            vec![vec![0.7, 0.7], vec![0.0, 0.0]],
+            vec![vec![0.0, -0.1], vec![0.0, 0.0]],
+            vec![vec![0.0, 0.5]],
+        ] {
+            assert_eq!(
+                routing_rows_into(&rows, &mut flat).unwrap_err(),
+                RoutingMatrix::from_rows(&rows).unwrap_err()
+            );
+        }
     }
 
     #[test]
