@@ -426,13 +426,25 @@ impl LuFactors {
         // Forward substitution with unit-diagonal L.
         for i in 1..n {
             let (solved, rest) = scratch.split_at_mut(i * k);
-            subtract_combination(&mut rest[..k], &self.lu[i * n..i * n + i], solved);
+            let row = &mut rest[..k];
+            for (&l, src) in self.lu[i * n..i * n + i].iter().zip(solved.chunks_exact(k)) {
+                for (x, &y) in row.iter_mut().zip(src) {
+                    *x -= l * y;
+                }
+            }
         }
         // Back substitution with U.
         for i in (0..n).rev() {
             let (head, solved) = scratch.split_at_mut((i + 1) * k);
             let row = &mut head[i * k..];
-            subtract_combination(row, &self.lu[i * n + i + 1..(i + 1) * n], solved);
+            for (&u, src) in self.lu[i * n + i + 1..(i + 1) * n]
+                .iter()
+                .zip(solved.chunks_exact(k))
+            {
+                for (x, &y) in row.iter_mut().zip(src) {
+                    *x -= u * y;
+                }
+            }
             let pivot = self.lu[i * n + i];
             for x in row.iter_mut() {
                 *x /= pivot;
@@ -468,34 +480,6 @@ impl LuFactors {
         let mut scratch = Vec::with_capacity(self.n);
         self.solve_into(&mut x, &mut scratch);
         x
-    }
-}
-
-/// `row[c] -= coefs[l] · rows[l][c]` for every column `c`, over `l` in
-/// order, where `rows` holds `coefs.len()` rows of `row.len()` entries
-/// back to back. Each entry sees its subtractions in `l` order, exactly
-/// as in a loop over `l` outside a loop over the columns; the columns go
-/// four at a time so that a block stays in registers while `l` sweeps.
-fn subtract_combination(row: &mut [f64], coefs: &[f64], rows: &[f64]) {
-    let k = row.len();
-    let mut blocks = row.chunks_exact_mut(4);
-    for (b, block) in (&mut blocks).enumerate() {
-        let mut acc = [block[0], block[1], block[2], block[3]];
-        for (&c, src) in coefs.iter().zip(rows.chunks_exact(k)) {
-            let y = &src[4 * b..4 * b + 4];
-            acc[0] -= c * y[0];
-            acc[1] -= c * y[1];
-            acc[2] -= c * y[2];
-            acc[3] -= c * y[3];
-        }
-        block.copy_from_slice(&acc);
-    }
-    let tail = blocks.into_remainder();
-    let first = k - tail.len();
-    for (col, x) in (first..).zip(tail) {
-        for (&c, src) in coefs.iter().zip(rows.chunks_exact(k)) {
-            *x -= c * src[col];
-        }
     }
 }
 
