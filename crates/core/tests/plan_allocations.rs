@@ -11,7 +11,7 @@
 //! 2,045–2,273 per client–server plan on this catalog, read with this
 //! test's counter over hours 2–5 (2,273 is the client–server hour that
 //! refreshes the placement). The bounds below are the smaller counts.
-//! The flat-buffer controller makes 13–20 per plan, chiefly the plan it
+//! The flat-buffer controller makes 12–20 per plan, chiefly the plan it
 //! returns: its chunk demands, VM allocations and, when the placement is
 //! refreshed, the new placement.
 
