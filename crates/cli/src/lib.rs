@@ -18,16 +18,22 @@
 //!   federated site outage, mid-run budget cut, tracker dropout) run
 //!   against a fault-free baseline, reporting time-to-recover, quality
 //!   dip, and cost overshoot,
+//! - `cloudmedia scale` — a scale-out mega-catalog run,
 //! - `cloudmedia profile` — a telemetry-instrumented run that prints the
 //!   per-stage wall-time table (sorted, with shares) for any kernel,
 //! - `cloudmedia default-config` — prints the paper-default simulation
 //!   configuration as editable JSON.
 //!
-//! The run-style subcommands (`simulate`, `des`, `geo`, `chaos`, `scale`)
-//! all accept `--telemetry FILE` (metrics-registry snapshot JSON) and
-//! `--trace FILE` (Chrome trace-event JSON, loadable in Perfetto or
-//! `chrome://tracing`). Telemetry is a pure side channel: the simulation
-//! output is bit-identical with the flags on or off.
+//! The run subcommands (`simulate`, `des`, `geo`, `chaos`, `scale`,
+//! `profile`) share one set of flags, a [`RunSpec`], and build the config
+//! they run one way: the subcommand's preset, then the `--config` file in
+//! its place, then `--mode`, `--hours` and `--kernel`. A shared flag a
+//! subcommand cannot apply is a usage error naming it, never silently
+//! dropped. `--out FILE` writes the run's result JSON, `--telemetry FILE`
+//! the metrics-registry snapshot JSON and `--trace FILE` Chrome
+//! trace-event JSON (loadable in Perfetto or `chrome://tracing`).
+//! Telemetry is a pure side channel: the simulation output is
+//! bit-identical with the flags on or off.
 //!
 //! The parsing and command logic live here so they are unit-testable; the
 //! binary in `main.rs` is a thin wrapper.
@@ -47,52 +53,287 @@ use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::controller::{Controller, ControllerConfig, StreamingMode};
 use cloudmedia_core::predictor::{ChannelObservation, PredictorKind};
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::event_driven::{DesScenario, FlashCrowdSpec};
-use cloudmedia_sim::faults::{DegradeMode, FaultSchedule, ResilienceReport};
+use cloudmedia_sim::event_driven::{DesRun, DesScenario, FlashCrowdSpec};
+use cloudmedia_sim::faults::{DegradeMode, FaultRun, FaultSchedule, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
+use cloudmedia_sim::metrics::Metrics;
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
 use cloudmedia_telemetry::Telemetry;
 
-/// Telemetry output options shared by the run-style subcommands.
-///
-/// Both paths are optional; when neither is set the run uses the no-op
-/// telemetry sink and pays one predicted branch per recording site.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TelemetryOpts {
-    /// `--telemetry FILE`: write the metrics-registry snapshot JSON here.
-    pub metrics_path: Option<String>,
-    /// `--trace FILE`: write Chrome trace-event JSON here (Perfetto /
+/// The flags every run subcommand shares. An unset flag leaves the
+/// subcommand's preset (or the `--config` file) in force.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunSpec {
+    /// `--mode cs|p2p`: the streaming architecture.
+    pub mode: Option<SimMode>,
+    /// `--hours H`: the horizon.
+    pub hours: Option<f64>,
+    /// `--kernel scan|indexed|event-driven`: the engine.
+    pub kernel: Option<SimKernel>,
+    /// `--config FILE`: a JSON [`SimConfig`] that replaces the preset.
+    pub config: Option<String>,
+    /// `--out FILE`: where to write the run's result JSON.
+    pub out: Option<String>,
+    /// `--telemetry FILE`: where to write the metrics-registry snapshot
+    /// JSON.
+    pub telemetry: Option<String>,
+    /// `--trace FILE`: where to write Chrome trace-event JSON (Perfetto /
     /// `chrome://tracing`).
-    pub trace_path: Option<String>,
+    pub trace: Option<String>,
 }
 
-impl TelemetryOpts {
-    /// Builds the registry for a run: enabled iff either output was
-    /// requested, tracing iff `--trace` was.
-    fn registry(&self) -> Telemetry {
-        if self.metrics_path.is_some() || self.trace_path.is_some() {
-            telem::new_registry(self.trace_path.is_some())
+impl RunSpec {
+    /// Takes `flag`, with its value from `args`, if it is a shared run
+    /// flag; returns false if it is not one.
+    fn take<'a>(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = &'a str>,
+    ) -> Result<bool, CliError> {
+        match flag {
+            "--mode" => self.mode = Some(parse_mode(take_value(args, flag)?)?),
+            "--hours" => self.hours = Some(parse_f64(take_value(args, flag)?, flag)?),
+            "--kernel" => self.kernel = Some(parse_kernel(take_value(args, flag)?)?),
+            "--config" => self.config = Some(take_value(args, flag)?.to_owned()),
+            "--out" => self.out = Some(take_value(args, flag)?.to_owned()),
+            "--telemetry" => self.telemetry = Some(take_value(args, flag)?.to_owned()),
+            "--trace" => self.trace = Some(take_value(args, flag)?.to_owned()),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The run's registry: enabled if `always` or if either telemetry
+    /// file was requested (otherwise the no-op sink, one predicted branch
+    /// per recording site), tracing iff `--trace` was.
+    fn registry(&self, always: bool) -> Telemetry {
+        if always || self.telemetry.is_some() || self.trace.is_some() {
+            telem::new_registry(self.trace.is_some())
         } else {
             Telemetry::disabled()
         }
     }
 
-    /// Writes the requested outputs and appends a confirmation line per
-    /// file to `out`.
-    fn write(&self, tel: &Telemetry, out: &mut String) -> Result<(), CliError> {
-        if let Some(path) = &self.metrics_path {
-            std::fs::write(path, tel.snapshot().metrics_json())
-                .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-            let _ = writeln!(out, "telemetry snapshot written to {path}");
+    /// Writes the files this spec asks for — the run's result, the
+    /// registry snapshot, the trace — with a confirmation line each.
+    fn write(
+        &self,
+        result: Option<&Outcome>,
+        tel: &Telemetry,
+        out: &mut String,
+    ) -> Result<(), CliError> {
+        let mut files = Vec::new();
+        if let (Some(path), Some(result)) = (&self.out, result) {
+            files.push((path, result.what(), result.json()?));
         }
-        if let Some(path) = &self.trace_path {
-            std::fs::write(path, tel.trace_json())
+        if let Some(path) = &self.telemetry {
+            files.push((path, "telemetry snapshot", tel.snapshot().metrics_json()));
+        }
+        if let Some(path) = &self.trace {
+            files.push((path, "trace", tel.trace_json()));
+        }
+        for (path, what, text) in files {
+            std::fs::write(path, text)
                 .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-            let _ = writeln!(out, "trace written to {path}");
+            let _ = writeln!(out, "{what} written to {path}");
         }
         Ok(())
     }
+}
+
+/// A run subcommand with its own arguments. Each is a preset (the
+/// config it runs without `--config`), a runner and a reporter.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Run {
+    /// `simulate`: one simulation. Preset: P2P, 24 h.
+    Simulate,
+    /// `des <scenario>`: an event-driven scenario on the DES kernel.
+    /// Preset: P2P, 24 h.
+    Des(DesScenarioKind),
+    /// `geo <deployment>`: a three-region deployment. Preset: C/S, 24 h.
+    Geo(DeploymentKind),
+    /// `chaos <scenario>`: a fault-injection scenario against a
+    /// fault-free baseline. Preset: C/S, 24 h.
+    Chaos {
+        /// Which fault to inject.
+        scenario: ChaosScenarioKind,
+        /// `--shed`: shed new arrivals during the fleet outage instead
+        /// of diluting every stream (`vm-outage` only).
+        shed: bool,
+    },
+    /// `scale`: a scale-out mega-catalog run (the Indexed engine fans
+    /// the channel shards out over the pool). Preset: C/S, 1 h.
+    Scale {
+        /// `--peers N`: target steady-state concurrent viewers.
+        peers: f64,
+        /// `--channels C`: number of Zipf channels in the mega catalog.
+        channels: usize,
+    },
+    /// `profile`: one telemetry-instrumented simulation and its sorted
+    /// per-stage wall-time table. Preset: P2P, 24 h.
+    Profile,
+}
+
+impl Run {
+    /// The subcommand as usage errors name it.
+    fn name(self) -> String {
+        match self {
+            Self::Simulate => "simulate".into(),
+            Self::Des(_) => "des".into(),
+            Self::Geo(_) => "geo".into(),
+            Self::Chaos { scenario, .. } => format!("chaos {}", scenario.name()),
+            Self::Scale { .. } => "scale".into(),
+            Self::Profile => "profile".into(),
+        }
+    }
+
+    /// The first flag of `spec` this run cannot apply, and why: its
+    /// effect would need a config or a result file the run does not have.
+    fn refusal(self, spec: &RunSpec) -> Option<(&'static str, &'static str)> {
+        use ChaosScenarioKind::{SiteOutage, VmOutage};
+        Some(match self {
+            Self::Geo(_)
+            | Self::Chaos {
+                scenario: SiteOutage,
+                ..
+            } if spec.config.is_some() => (
+                "--config",
+                "the deployment preset would contradict the file",
+            ),
+            Self::Scale { .. } if spec.config.is_some() => (
+                "--config",
+                "the --peers/--channels catalog would contradict the file",
+            ),
+            Self::Des(_) if spec.kernel.is_some() => {
+                ("--kernel", "des always runs the event-driven engine")
+            }
+            Self::Chaos {
+                scenario: SiteOutage,
+                ..
+            } if spec.kernel.is_some() => (
+                "--kernel",
+                "site-outage always runs the federated simulator",
+            ),
+            Self::Geo(_) if spec.out.is_some() => ("--out", "a federated run has no result file"),
+            Self::Chaos {
+                scenario,
+                shed: true,
+            } if scenario != VmOutage => (
+                "--shed",
+                "only vm-outage has a fleet outage to shed arrivals during",
+            ),
+            _ => return None,
+        })
+    }
+
+    /// The config this subcommand runs when no `--config` file replaces
+    /// it.
+    fn preset(self) -> Result<SimConfig, CliError> {
+        let (mode, hours) = match self {
+            Self::Simulate | Self::Des(_) | Self::Profile => (SimMode::P2p, 24.0),
+            Self::Geo(_) | Self::Chaos { .. } => (SimMode::ClientServer, 24.0),
+            Self::Scale { .. } => (SimMode::ClientServer, 1.0),
+        };
+        let mut config = match self {
+            Self::Scale { peers, channels } => SimConfig::scale_out(mode, channels, peers)
+                .map_err(|e| CliError::Run(format!("invalid scale configuration: {e}")))?,
+            _ => SimConfig::paper_default(mode),
+        };
+        config.trace.horizon_seconds = hours * 3600.0;
+        Ok(config)
+    }
+
+    /// The config this run executes: the subcommand's preset, then the
+    /// `--config` file in its place, then `--mode`, `--hours` and
+    /// `--kernel`. A shared flag the subcommand cannot apply is a usage
+    /// error naming the flag and the subcommand.
+    fn compose(self, spec: &RunSpec) -> Result<SimConfig, CliError> {
+        if let Some((flag, why)) = self.refusal(spec) {
+            return Err(CliError::Usage(format!(
+                "{flag} does not apply to {}: {why}",
+                self.name()
+            )));
+        }
+        let mut config = match &spec.config {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| CliError::Run(format!("cannot read {path}: {e}")))?;
+                serde_json::from_str::<SimConfig>(&text)
+                    .map_err(|e| CliError::Run(format!("bad config {path}: {e}")))?
+            }
+            None => self.preset()?,
+        };
+        if let Some(mode) = spec.mode {
+            config.mode = mode;
+        }
+        if let Some(hours) = spec.hours {
+            config.trace.horizon_seconds = hours * 3600.0;
+        }
+        if let Some(kernel) = spec.kernel {
+            config.kernel = kernel;
+        }
+        Ok(config)
+    }
+
+    /// Composes the config, runs it, reports, and writes the files
+    /// `spec` asks for.
+    fn execute(self, spec: &RunSpec) -> Result<String, CliError> {
+        let config = self.compose(spec)?;
+        let tel = spec.registry(self == Self::Profile);
+        let (mut out, result) = match self {
+            Self::Simulate => simulate(config, &tel)?,
+            Self::Des(scenario) => des(scenario, config, &tel)?,
+            Self::Geo(deployment) => (geo(deployment, &config, &tel)?, None),
+            Self::Chaos { scenario, shed } => chaos(scenario, shed, config, &tel)?,
+            Self::Scale { peers, channels } => scale(peers, channels, config, &tel)?,
+            Self::Profile => profile(config, &tel)?,
+        };
+        spec.write(result.as_ref(), &tel, &mut out)?;
+        Ok(out)
+    }
+}
+
+/// The result a run writes with `--out`.
+enum Outcome {
+    /// The full metrics (`simulate`, `scale`, `profile`).
+    Metrics(Metrics),
+    /// The full event-driven run (`des`).
+    Des(DesRun),
+    /// The resilience report (`chaos`).
+    Resilience(ResilienceReport),
+}
+
+impl Outcome {
+    /// What the confirmation line calls the result.
+    fn what(&self) -> &'static str {
+        match self {
+            Self::Metrics(_) => "full metrics",
+            Self::Des(_) => "full run",
+            Self::Resilience(_) => "resilience report",
+        }
+    }
+
+    fn json(&self) -> Result<String, CliError> {
+        match self {
+            Self::Metrics(m) => serde_json::to_string(m),
+            Self::Des(run) => serde_json::to_string(run),
+            Self::Resilience(report) => serde_json::to_string_pretty(report),
+        }
+        .map_err(|e| CliError::Run(format!("serializing the {} failed: {e}", self.what())))
+    }
+}
+
+/// A reporter's stdout lines and the result `--out` writes.
+type Report = (String, Option<Outcome>);
+
+/// What ran, read from the composed config: horizon, mode and engine.
+fn ran(config: &SimConfig, engine: SimKernel) -> String {
+    format!(
+        "{:.1} h in {:?} mode on the {engine:?} engine",
+        config.trace.horizon_seconds / 3600.0,
+        config.mode
+    )
 }
 
 /// A parsed CLI invocation.
@@ -114,101 +355,8 @@ pub enum Command {
         /// VM budget, dollars per hour.
         budget: f64,
     },
-    /// Run a full simulation.
-    Simulate {
-        /// Streaming architecture.
-        mode: SimMode,
-        /// Horizon in hours.
-        hours: f64,
-        /// Simulation engine override
-        /// (`--kernel scan|indexed|event-driven`).
-        kernel: Option<SimKernel>,
-        /// Optional JSON config file overriding the paper defaults.
-        config_path: Option<String>,
-        /// Optional path to write the full metrics JSON.
-        out_path: Option<String>,
-        /// Telemetry / trace output options.
-        telemetry: TelemetryOpts,
-    },
-    /// Run an event-driven scenario on the DES kernel.
-    Des {
-        /// Scenario name.
-        scenario: DesScenarioKind,
-        /// Streaming architecture.
-        mode: SimMode,
-        /// Horizon in hours.
-        hours: f64,
-        /// Optional path to write the full `DesRun` JSON.
-        out_path: Option<String>,
-        /// Telemetry / trace output options.
-        telemetry: TelemetryOpts,
-    },
-    /// Run a multi-region deployment.
-    Geo {
-        /// Which deployment to run.
-        deployment: DeploymentKind,
-        /// Streaming architecture.
-        mode: SimMode,
-        /// Horizon in hours.
-        hours: f64,
-        /// Telemetry / trace output options.
-        telemetry: TelemetryOpts,
-    },
-    /// Run a fault-injection scenario against a fault-free baseline and
-    /// report the resilience metrics.
-    Chaos {
-        /// Which fault to inject.
-        scenario: ChaosScenarioKind,
-        /// Streaming architecture.
-        mode: SimMode,
-        /// Horizon in hours.
-        hours: f64,
-        /// Engine override for the single-site scenarios
-        /// (`--kernel scan|indexed|event-driven`); `site-outage`
-        /// always runs the federated simulator.
-        kernel: Option<SimKernel>,
-        /// Force serial execution (`--serial`): no channel sharding, no
-        /// parallel regions. The report must be bit-identical either way.
-        serial: bool,
-        /// Shed new arrivals during fleet outages instead of diluting
-        /// every stream (`--shed`).
-        shed: bool,
-        /// Optional path to write the resilience report JSON.
-        out_path: Option<String>,
-        /// Telemetry / trace output options (recorded on the faulted run).
-        telemetry: TelemetryOpts,
-    },
-    /// Run a scale-out mega-catalog scenario (the Indexed engine fans the
-    /// channel shards out over the pool).
-    Scale {
-        /// Target steady-state concurrent viewers.
-        peers: f64,
-        /// Number of Zipf channels in the mega catalog.
-        channels: usize,
-        /// Streaming architecture.
-        mode: SimMode,
-        /// Horizon in hours.
-        hours: f64,
-        /// Force serial shard stepping (`--serial`).
-        serial: bool,
-        /// Optional path to write the full metrics JSON.
-        out_path: Option<String>,
-        /// Telemetry / trace output options.
-        telemetry: TelemetryOpts,
-    },
-    /// Run one telemetry-instrumented simulation and print the sorted
-    /// per-stage wall-time table.
-    Profile {
-        /// Streaming architecture.
-        mode: SimMode,
-        /// Horizon in hours.
-        hours: f64,
-        /// Simulation engine override
-        /// (`--kernel scan|indexed|event-driven`).
-        kernel: Option<SimKernel>,
-        /// Optional path to also write the metrics snapshot JSON.
-        out_path: Option<String>,
-    },
+    /// A run subcommand and its shared flags.
+    Run(Run, RunSpec),
     /// Print the paper-default simulation config as JSON.
     DefaultConfig {
         /// Streaming architecture.
@@ -257,7 +405,7 @@ impl DesScenarioKind {
     }
 
     /// Builds the scenario spec for a run of `config`; `vm-failure`
-    /// sets its fault schedule instead.
+    /// adds its burst to the config's faults instead.
     fn build(self, config: &mut SimConfig) -> DesScenario {
         let horizon = config.trace.horizon_seconds;
         match self {
@@ -267,7 +415,10 @@ impl DesScenarioKind {
                 ..DesScenario::default()
             },
             Self::VmFailure => {
-                config.faults = ChaosScenarioKind::VmOutage.build(horizon, false);
+                add_faults(
+                    &mut config.faults,
+                    ChaosScenarioKind::VmOutage.build(horizon, false),
+                );
                 DesScenario::default()
             }
             Self::FlashCrowd => DesScenario {
@@ -315,6 +466,15 @@ impl ChaosScenarioKind {
         }
     }
 
+    fn name(self) -> &'static str {
+        match self {
+            Self::VmOutage => "vm-outage",
+            Self::SiteOutage => "site-outage",
+            Self::BudgetCut => "budget-cut",
+            Self::TrackerDropout => "tracker-dropout",
+        }
+    }
+
     /// Builds the fault schedule for a run of `horizon` seconds.
     fn build(self, horizon: f64, shed: bool) -> FaultSchedule {
         let mut schedule = match self {
@@ -330,6 +490,18 @@ impl ChaosScenarioKind {
             schedule.degrade = DegradeMode::ShedNewArrivals;
         }
         schedule
+    }
+}
+
+/// Adds `extra`'s events to `faults`, and its policy if it sheds, so a
+/// `--config` file's own faults stay in force beside a scenario's.
+fn add_faults(faults: &mut FaultSchedule, extra: FaultSchedule) {
+    faults.vm_failures.extend(extra.vm_failures);
+    faults.site_outages.extend(extra.site_outages);
+    faults.tracker_dropouts.extend(extra.tracker_dropouts);
+    faults.cost_shocks.extend(extra.cost_shocks);
+    if extra.degrade == DegradeMode::ShedNewArrivals {
+        faults.degrade = extra.degrade;
     }
 }
 
@@ -360,28 +532,33 @@ cloudmedia — CloudMedia VoD cloud-provisioning toolkit (ICDCS 2011 reproductio
 USAGE:
   cloudmedia analyze --arrival-rate R [--upload BYTES_PER_S]
   cloudmedia plan --arrival-rates R1,R2,... [--mode cs|p2p] [--budget DOLLARS]
-  cloudmedia simulate [--mode cs|p2p] [--hours H]
-                      [--kernel scan|indexed|event-driven]
-                      [--config FILE] [--out FILE]
-  cloudmedia des <baseline|boot-delay|vm-failure|flash-crowd>
-                 [--mode cs|p2p] [--hours H] [--out FILE]
-  cloudmedia geo <independent|federated|central> [--mode cs|p2p] [--hours H]
+  cloudmedia simulate [RUN FLAGS]
+  cloudmedia des <baseline|boot-delay|vm-failure|flash-crowd> [RUN FLAGS]
+  cloudmedia geo <independent|federated|central> [RUN FLAGS]
   cloudmedia chaos <vm-outage|site-outage|budget-cut|tracker-dropout>
-                   [--mode cs|p2p] [--hours H]
-                   [--kernel scan|indexed|event-driven]
-                   [--serial] [--shed] [--out FILE]
-  cloudmedia scale [--peers N] [--channels C] [--mode cs|p2p] [--hours H]
-                   [--serial] [--out FILE]
-  cloudmedia profile [--mode cs|p2p] [--hours H]
-                     [--kernel scan|indexed|event-driven] [--out FILE]
+                   [--shed] [RUN FLAGS]
+  cloudmedia scale [--peers N] [--channels C] [RUN FLAGS]
+  cloudmedia profile [RUN FLAGS]
   cloudmedia default-config [--mode cs|p2p]
   cloudmedia help
 
-Every run-style subcommand (simulate, des, geo, chaos, scale) also accepts:
-  --telemetry FILE   write the metrics-registry snapshot as JSON
-  --trace FILE       write Chrome trace-event JSON (Perfetto / chrome://tracing)
-Telemetry never changes simulation results: outputs are bit-identical
-with the flags on or off.
+RUN FLAGS, shared by simulate, des, geo, chaos, scale and profile. A run's
+config is its preset, then the --config file in its place, then --mode,
+--hours and --kernel:
+  --mode cs|p2p       streaming mode (preset: p2p for simulate, des and
+                      profile; cs for geo, chaos and scale)
+  --hours H           horizon (preset: 24; scale: 1)
+  --kernel scan|indexed|event-driven
+                      engine (not on des or chaos site-outage)
+  --config FILE       JSON config, e.g. from default-config (not on geo,
+                      scale or chaos site-outage)
+  --out FILE          write the run's result JSON (not on geo)
+  --telemetry FILE    write the metrics-registry snapshot as JSON
+  --trace FILE        write Chrome trace-event JSON (Perfetto / chrome://tracing)
+A flag a subcommand cannot apply is a usage error. Telemetry never changes
+simulation results: outputs are bit-identical with the flags on or off.
+chaos --shed (vm-outage only) sheds new arrivals during the fleet outage
+instead of diluting every stream.
 ";
 
 fn parse_mode(v: &str) -> Result<SimMode, CliError> {
@@ -414,6 +591,23 @@ fn take_value<'a>(
 ) -> Result<&'a str, CliError> {
     args.next()
         .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))
+}
+
+/// Takes `flag` into `mode` if it is `--mode`, the one shared run flag
+/// `plan` and `default-config` take; any other is unknown to them.
+fn take_mode<'a>(
+    mode: &mut SimMode,
+    flag: &str,
+    args: &mut impl Iterator<Item = &'a str>,
+) -> Result<bool, CliError> {
+    let mut spec = RunSpec::default();
+    if !spec.take(flag, args)? {
+        return Ok(false);
+    }
+    *mode = spec
+        .mode
+        .ok_or_else(|| CliError::Usage(format!("unknown flag `{flag}`")))?;
+    Ok(true)
 }
 
 /// Parses argv (without the program name) into a [`Command`].
@@ -461,8 +655,8 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                             CliError::Usage(format!("bad --arrival-rates value `{v}`"))
                         })?);
                     }
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
                     "--budget" => budget = parse_f64(take_value(&mut it, flag)?, flag)?,
+                    _ if take_mode(&mut mode, flag, &mut it)? => {}
                     other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
                 }
             }
@@ -477,210 +671,61 @@ pub fn parse(args: &[&str]) -> Result<Command, CliError> {
                 budget,
             })
         }
-        "simulate" => {
-            let mut mode = SimMode::P2p;
-            let mut hours = 24.0;
-            let mut kernel = None;
-            let mut config_path = None;
-            let mut out_path = None;
-            let mut telemetry = TelemetryOpts::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--kernel" => kernel = Some(parse_kernel(take_value(&mut it, flag)?)?),
-                    "--config" => config_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--telemetry" => {
-                        telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    "--trace" => {
-                        telemetry.trace_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Simulate {
-                mode,
-                hours,
-                kernel,
-                config_path,
-                out_path,
-                telemetry,
-            })
-        }
-        "des" => {
-            let scenario = it
-                .next()
-                .ok_or_else(|| CliError::Usage("des requires a scenario".into()))
-                .and_then(DesScenarioKind::parse)?;
-            let mut mode = SimMode::P2p;
-            let mut hours = 24.0;
-            let mut out_path = None;
-            let mut telemetry = TelemetryOpts::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--telemetry" => {
-                        telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    "--trace" => {
-                        telemetry.trace_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Des {
-                scenario,
-                mode,
-                hours,
-                out_path,
-                telemetry,
-            })
-        }
-        "geo" => {
-            let deployment = it
-                .next()
-                .ok_or_else(|| CliError::Usage("geo requires a deployment".into()))
-                .and_then(parse_deployment)?;
-            let mut mode = SimMode::ClientServer;
-            let mut hours = 24.0;
-            let mut telemetry = TelemetryOpts::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--telemetry" => {
-                        telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    "--trace" => {
-                        telemetry.trace_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Geo {
-                deployment,
-                mode,
-                hours,
-                telemetry,
-            })
-        }
-        "chaos" => {
-            let scenario = it
-                .next()
-                .ok_or_else(|| CliError::Usage("chaos requires a scenario".into()))
-                .and_then(ChaosScenarioKind::parse)?;
-            let mut mode = SimMode::ClientServer;
-            let mut hours = 24.0;
-            let mut kernel = None;
-            let mut serial = false;
-            let mut shed = false;
-            let mut out_path = None;
-            let mut telemetry = TelemetryOpts::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--kernel" => kernel = Some(parse_kernel(take_value(&mut it, flag)?)?),
-                    "--serial" => serial = true,
-                    "--shed" => shed = true,
-                    "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--telemetry" => {
-                        telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    "--trace" => {
-                        telemetry.trace_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Chaos {
-                scenario,
-                mode,
-                hours,
-                kernel,
-                serial,
-                shed,
-                out_path,
-                telemetry,
-            })
-        }
-        "scale" => {
-            let mut peers = 1_000_000.0_f64;
-            let mut channels = 2000usize;
-            let mut mode = SimMode::ClientServer;
-            let mut hours = 1.0;
-            let mut serial = false;
-            let mut out_path = None;
-            let mut telemetry = TelemetryOpts::default();
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--peers" => peers = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--channels" => {
-                        let v = take_value(&mut it, flag)?;
-                        channels = v.parse().map_err(|_| {
-                            CliError::Usage(format!("bad value `{v}` for --channels"))
-                        })?;
-                    }
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--serial" => serial = true,
-                    "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    "--telemetry" => {
-                        telemetry.metrics_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    "--trace" => {
-                        telemetry.trace_path = Some(take_value(&mut it, flag)?.to_owned());
-                    }
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Scale {
-                peers,
-                channels,
-                mode,
-                hours,
-                serial,
-                out_path,
-                telemetry,
-            })
-        }
-        "profile" => {
-            let mut mode = SimMode::P2p;
-            let mut hours = 24.0;
-            let mut kernel = None;
-            let mut out_path = None;
-            while let Some(flag) = it.next() {
-                match flag {
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    "--hours" => hours = parse_f64(take_value(&mut it, flag)?, flag)?,
-                    "--kernel" => kernel = Some(parse_kernel(take_value(&mut it, flag)?)?),
-                    "--out" => out_path = Some(take_value(&mut it, flag)?.to_owned()),
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::Profile {
-                mode,
-                hours,
-                kernel,
-                out_path,
-            })
-        }
+        "simulate" | "des" | "geo" | "chaos" | "scale" | "profile" => parse_run(cmd, it),
         "default-config" => {
             let mut mode = SimMode::P2p;
             while let Some(flag) = it.next() {
-                match flag {
-                    "--mode" => mode = parse_mode(take_value(&mut it, flag)?)?,
-                    other => return Err(CliError::Usage(format!("unknown flag `{other}`"))),
+                if !take_mode(&mut mode, flag, &mut it)? {
+                    return Err(CliError::Usage(format!("unknown flag `{flag}`")));
                 }
             }
             Ok(Command::DefaultConfig { mode })
         }
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
     }
+}
+
+/// Parses run subcommand `cmd`: its positional argument, then the shared
+/// flags (into a [`RunSpec`]) and its own.
+fn parse_run<'a>(cmd: &str, mut args: impl Iterator<Item = &'a str>) -> Result<Command, CliError> {
+    let mut positional = |what: &str| {
+        args.next()
+            .ok_or_else(|| CliError::Usage(format!("{cmd} requires {what}")))
+    };
+    let mut run = match cmd {
+        "simulate" => Run::Simulate,
+        "des" => Run::Des(DesScenarioKind::parse(positional("a scenario")?)?),
+        "geo" => Run::Geo(parse_deployment(positional("a deployment")?)?),
+        "chaos" => Run::Chaos {
+            scenario: ChaosScenarioKind::parse(positional("a scenario")?)?,
+            shed: false,
+        },
+        "scale" => Run::Scale {
+            peers: 1_000_000.0,
+            channels: 2000,
+        },
+        _ => Run::Profile,
+    };
+    let mut spec = RunSpec::default();
+    while let Some(flag) = args.next() {
+        if spec.take(flag, &mut args)? {
+            continue;
+        }
+        match (&mut run, flag) {
+            (Run::Chaos { shed, .. }, "--shed") => *shed = true,
+            (Run::Scale { peers, .. }, "--peers") => {
+                *peers = parse_f64(take_value(&mut args, flag)?, flag)?;
+            }
+            (Run::Scale { channels, .. }, "--channels") => {
+                let v = take_value(&mut args, flag)?;
+                *channels = v
+                    .parse()
+                    .map_err(|_| CliError::Usage(format!("bad value `{v}` for --channels")))?;
+            }
+            _ => return Err(CliError::Usage(format!("unknown flag `{flag}`"))),
+        }
+    }
+    Ok(Command::Run(run, spec))
 }
 
 fn parse_f64(v: &str, flag: &str) -> Result<f64, CliError> {
@@ -699,7 +744,8 @@ fn paper_sla() -> SlaTerms {
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Run`] with a user-facing message on failure.
+/// Returns [`CliError::Run`] with a user-facing message on failure, and
+/// [`CliError::Usage`] for a shared flag the run subcommand cannot apply.
 pub fn run(cmd: Command) -> Result<String, CliError> {
     match cmd {
         Command::Help => Ok(USAGE.to_owned()),
@@ -712,76 +758,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             mode,
             budget,
         } => plan(&arrival_rates, mode, budget),
-        Command::Simulate {
-            mode,
-            hours,
-            kernel,
-            config_path,
-            out_path,
-            telemetry,
-        } => simulate(
-            mode,
-            hours,
-            kernel,
-            config_path.as_deref(),
-            out_path.as_deref(),
-            &telemetry,
-        ),
-        Command::Des {
-            scenario,
-            mode,
-            hours,
-            out_path,
-            telemetry,
-        } => des(scenario, mode, hours, out_path.as_deref(), &telemetry),
-        Command::Geo {
-            deployment,
-            mode,
-            hours,
-            telemetry,
-        } => geo(deployment, mode, hours, &telemetry),
-        Command::Chaos {
-            scenario,
-            mode,
-            hours,
-            kernel,
-            serial,
-            shed,
-            out_path,
-            telemetry,
-        } => chaos(
-            scenario,
-            mode,
-            hours,
-            kernel,
-            serial,
-            shed,
-            out_path.as_deref(),
-            &telemetry,
-        ),
-        Command::Scale {
-            peers,
-            channels,
-            mode,
-            hours,
-            serial,
-            out_path,
-            telemetry,
-        } => scale(
-            peers,
-            channels,
-            mode,
-            hours,
-            serial,
-            out_path.as_deref(),
-            &telemetry,
-        ),
-        Command::Profile {
-            mode,
-            hours,
-            kernel,
-            out_path,
-        } => profile(mode, hours, kernel, out_path.as_deref()),
+        Command::Run(run, spec) => run.execute(&spec),
         Command::DefaultConfig { mode } => {
             serde_json::to_string_pretty(&SimConfig::paper_default(mode))
                 .map(|mut s| {
@@ -892,51 +869,40 @@ fn plan(rates: &[f64], mode: SimMode, budget: f64) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn simulate(
-    mode: SimMode,
-    hours: f64,
-    kernel: Option<SimKernel>,
-    config_path: Option<&str>,
-    out_path: Option<&str>,
-    telemetry: &TelemetryOpts,
-) -> Result<String, CliError> {
-    let mut config = match config_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| CliError::Run(format!("cannot read {path}: {e}")))?;
-            serde_json::from_str::<SimConfig>(&text)
-                .map_err(|e| CliError::Run(format!("bad config {path}: {e}")))?
-        }
-        None => SimConfig::paper_default(mode),
-    };
-    if config_path.is_none() {
-        config.trace.horizon_seconds = hours * 3600.0;
-    }
-    if let Some(kernel) = kernel {
-        config.kernel = kernel;
-    }
-    let tel = telemetry.registry();
-    let metrics = Simulator::new(config)
+/// Runs `config` on the engine it names.
+fn run_sim(config: SimConfig, tel: &Telemetry) -> Result<FaultRun, CliError> {
+    Simulator::new(config)
         .map_err(|e| CliError::Run(format!("invalid configuration: {e}")))?
-        .run_with_telemetry(&tel)
-        .map_err(|e| CliError::Run(format!("simulation failed: {e}")))?
-        .metrics;
-    if let Some(path) = out_path {
-        let json = serde_json::to_string(&metrics)
-            .map_err(|e| CliError::Run(format!("serializing metrics failed: {e}")))?;
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "simulated {:.1} h in {mode:?} mode", hours);
-    let _ = writeln!(out, "mean streaming quality: {:.4}", metrics.mean_quality());
+        .run_with_telemetry(tel)
+        .map_err(|e| CliError::Run(format!("simulation failed: {e}")))
+}
+
+/// `kind`'s three-region preset at the composed config's mode, horizon
+/// and engine.
+fn deployment(kind: DeploymentKind, config: &SimConfig) -> FederatedConfig {
+    let hours = config.trace.horizon_seconds / 3600.0;
+    let mut fc = FederatedConfig::paper_default(kind, config.mode, hours);
+    // The exact horizon: the division above may round.
+    fc.base.trace.horizon_seconds = config.trace.horizon_seconds;
+    fc.base.kernel = config.kernel;
+    fc
+}
+
+fn bandwidth_line(out: &mut String, m: &Metrics) {
     let _ = writeln!(
         out,
         "cloud bandwidth: reserved {:.1} Mbps, used {:.1} Mbps (coverage {:.3})",
-        metrics.mean_reserved_bandwidth() * 8.0 / 1e6,
-        metrics.mean_used_bandwidth() * 8.0 / 1e6,
-        metrics.provision_coverage(),
+        m.mean_reserved_bandwidth() * 8.0 / 1e6,
+        m.mean_used_bandwidth() * 8.0 / 1e6,
+        m.provision_coverage(),
     );
+}
+
+fn simulate(config: SimConfig, tel: &Telemetry) -> Result<Report, CliError> {
+    let mut out = format!("simulated {}\n", ran(&config, config.kernel));
+    let metrics = run_sim(config, tel)?.metrics;
+    let _ = writeln!(out, "mean streaming quality: {:.4}", metrics.mean_quality());
+    bandwidth_line(&mut out, &metrics);
     let _ = writeln!(
         out,
         "VM rental: ${:.2} total (${:.2}/h mean); storage: ${:.4} total",
@@ -945,49 +911,28 @@ fn simulate(
         metrics.total_storage_cost,
     );
     let _ = writeln!(out, "peak concurrent viewers: {}", metrics.peak_peers());
-    if let Some(path) = out_path {
-        let _ = writeln!(out, "full metrics written to {path}");
-    }
-    telemetry.write(&tel, &mut out)?;
-    Ok(out)
+    Ok((out, Some(Outcome::Metrics(metrics))))
 }
 
 fn des(
     scenario: DesScenarioKind,
-    mode: SimMode,
-    hours: f64,
-    out_path: Option<&str>,
-    telemetry: &TelemetryOpts,
-) -> Result<String, CliError> {
-    let mut config = SimConfig::paper_default(mode);
-    config.trace.horizon_seconds = hours * 3600.0;
+    mut config: SimConfig,
+    tel: &Telemetry,
+) -> Result<Report, CliError> {
     let spec = scenario.build(&mut config);
-    let tel = telemetry.registry();
-    let run = cloudmedia_sim::event_driven::run_with_telemetry(&config, &spec, &tel)
+    let run = cloudmedia_sim::event_driven::run_with_telemetry(&config, &spec, tel)
         .map_err(|e| CliError::Run(format!("event-driven run failed: {e}")))?;
-    if let Some(path) = out_path {
-        let json = serde_json::to_string(&run)
-            .map_err(|e| CliError::Run(format!("serializing run failed: {e}")))?;
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-    }
     let m = &run.metrics;
     let r = &run.report;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "event-driven run: {scenario:?} scenario, {hours:.1} h in {mode:?} mode \
-         ({} events)",
+        "event-driven run: {scenario:?} scenario, {} ({} events)",
+        ran(&config, SimKernel::EventDriven),
         r.events_delivered
     );
     let _ = writeln!(out, "mean streaming quality: {:.4}", m.mean_quality());
-    let _ = writeln!(
-        out,
-        "cloud bandwidth: reserved {:.1} Mbps, used {:.1} Mbps (coverage {:.3})",
-        m.mean_reserved_bandwidth() * 8.0 / 1e6,
-        m.mean_used_bandwidth() * 8.0 / 1e6,
-        m.provision_coverage(),
-    );
+    bandwidth_line(&mut out, m);
     let _ = writeln!(
         out,
         "VM rental: ${:.2} total (${:.2}/h mean)",
@@ -1034,29 +979,19 @@ fn des(
             r.redirected_requests
         );
     }
-    if let Some(path) = out_path {
-        let _ = writeln!(out, "full run written to {path}");
-    }
-    telemetry.write(&tel, &mut out)?;
-    Ok(out)
+    Ok((out, Some(Outcome::Des(run))))
 }
 
-fn geo(
-    deployment: DeploymentKind,
-    mode: SimMode,
-    hours: f64,
-    telemetry: &TelemetryOpts,
-) -> Result<String, CliError> {
-    let config = FederatedConfig::paper_default(deployment, mode, hours);
-    let tel = telemetry.registry();
-    let m = FederatedSimulator::new(config)
+fn geo(kind: DeploymentKind, config: &SimConfig, tel: &Telemetry) -> Result<String, CliError> {
+    let m = FederatedSimulator::new(deployment(kind, config))
         .map_err(|e| CliError::Run(format!("invalid federation config: {e}")))?
-        .run_with_telemetry(&tel)
+        .run_with_telemetry(tel)
         .map_err(|e| CliError::Run(format!("federated run failed: {e}")))?;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "geo {deployment:?} deployment: {hours:.1} h in {mode:?} mode, {} region(s)",
+        "geo {kind:?} deployment: {}, {} region(s)",
+        ran(config, config.kernel),
         m.per_region.len()
     );
     for r in &m.per_region {
@@ -1090,35 +1025,27 @@ fn geo(
         m.mean_quality(),
         m.peak_peers(),
     );
-    telemetry.write(&tel, &mut out)?;
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)] // mirrors Command::Chaos's fields one-to-one
+/// Runs `config` with the scenario's fault added against `config` with
+/// no faults at all, and reports the resilience metrics.
 fn chaos(
     scenario: ChaosScenarioKind,
-    mode: SimMode,
-    hours: f64,
-    kernel: Option<SimKernel>,
-    serial: bool,
     shed: bool,
-    out_path: Option<&str>,
-    telemetry: &TelemetryOpts,
-) -> Result<String, CliError> {
-    let horizon = hours * 3600.0;
-    let schedule = scenario.build(horizon, shed);
+    config: SimConfig,
+    tel: &Telemetry,
+) -> Result<Report, CliError> {
+    let schedule = scenario.build(config.trace.horizon_seconds, shed);
     let fault_start = schedule.first_fault_at().unwrap_or(0.0);
+    let mut out = format!(
+        "chaos {scenario:?}: {}, fault at t = {fault_start:.0} s\n",
+        ran(&config, config.kernel)
+    );
     // Telemetry records the faulted run — the one whose fault plane the
     // registry's `faults/*` counters mirror. The baseline runs dark.
-    let tel = telemetry.registry();
     let report = if scenario == ChaosScenarioKind::SiteOutage {
-        if kernel.is_some() {
-            return Err(CliError::Usage(
-                "site-outage always runs the federated simulator; --kernel does not apply".into(),
-            ));
-        }
-        let mut fc = FederatedConfig::paper_default(DeploymentKind::Federated, mode, hours);
-        fc.base.parallel_channels = !serial;
+        let mut fc = deployment(DeploymentKind::Federated, &config);
         let baseline = FederatedSimulator::new(fc.clone())
             .map_err(|e| CliError::Run(format!("invalid federation config: {e}")))?
             .run()
@@ -1127,7 +1054,7 @@ fn chaos(
         fc.base.faults = schedule;
         let faulted = FederatedSimulator::new(fc)
             .map_err(|e| CliError::Run(format!("invalid fault schedule: {e}")))?
-            .run_with_telemetry(&tel)
+            .run_with_telemetry(tel)
             .map_err(|e| CliError::Run(format!("faulted run failed: {e}")))?;
         // Quality observables come from the outaged site's own region —
         // the viewers the lost site was serving — while the cost
@@ -1142,20 +1069,17 @@ fn chaos(
         report.cost_overshoot_dollars = faulted.total_cost() - baseline.total_cost();
         report
     } else {
-        let mut cfg = SimConfig::paper_default(mode);
-        cfg.trace.horizon_seconds = horizon;
-        if let Some(kernel) = kernel {
-            cfg.kernel = kernel;
-        }
-        cfg.parallel_channels = !serial;
-        let baseline = Simulator::new(cfg.clone())
+        let mut baseline = config.clone();
+        baseline.faults = FaultSchedule::default();
+        let baseline = Simulator::new(baseline)
             .map_err(|e| CliError::Run(format!("invalid configuration: {e}")))?
             .run()
             .map_err(|e| CliError::Run(format!("baseline run failed: {e}")))?;
-        cfg.faults = schedule;
-        let faulted = Simulator::new(cfg)
+        let mut faulted = config;
+        add_faults(&mut faulted.faults, schedule);
+        let faulted = Simulator::new(faulted)
             .map_err(|e| CliError::Run(format!("invalid fault schedule: {e}")))?
-            .run_with_telemetry(&tel)
+            .run_with_telemetry(tel)
             .map_err(|e| CliError::Run(format!("faulted run failed: {e}")))?;
         ResilienceReport::from_runs(
             &baseline,
@@ -1164,17 +1088,6 @@ fn chaos(
             faulted.fault_stats,
         )
     };
-    if let Some(path) = out_path {
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| CliError::Run(format!("serializing report failed: {e}")))?;
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "chaos {scenario:?}: {hours:.1} h in {mode:?} mode, fault at t = {fault_start:.0} s"
-    );
     let _ = writeln!(
         out,
         "quality: baseline mean {:.4}, faulted mean {:.4}, floor {:.4}",
@@ -1201,61 +1114,32 @@ fn chaos(
         s.fallback_intervals,
         s.emergency_replans,
     );
-    if let Some(path) = out_path {
-        let _ = writeln!(out, "resilience report written to {path}");
-    }
-    telemetry.write(&tel, &mut out)?;
-    Ok(out)
+    Ok((out, Some(Outcome::Resilience(report))))
 }
 
 fn scale(
     peers: f64,
     channels: usize,
-    mode: SimMode,
-    hours: f64,
-    serial: bool,
-    out_path: Option<&str>,
-    telemetry: &TelemetryOpts,
-) -> Result<String, CliError> {
-    let mut config = SimConfig::scale_out(mode, channels, peers)
-        .map_err(|e| CliError::Run(format!("invalid scale configuration: {e}")))?;
-    config.trace.horizon_seconds = hours * 3600.0;
-    config.parallel_channels = !serial;
-    let tel = telemetry.registry();
-    let started = std::time::Instant::now();
-    let metrics = Simulator::new(config)
-        .map_err(|e| CliError::Run(format!("invalid configuration: {e}")))?
-        .run_with_telemetry(&tel)
-        .map_err(|e| CliError::Run(format!("simulation failed: {e}")))?
-        .metrics;
-    let wall = started.elapsed().as_secs_f64();
-    if let Some(path) = out_path {
-        let json = serde_json::to_string(&metrics)
-            .map_err(|e| CliError::Run(format!("serializing metrics failed: {e}")))?;
-        std::fs::write(path, json)
-            .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "scale run: {channels} channels, target {peers:.0} concurrent viewers, \
-         {hours:.1} h in {mode:?} mode ({} shard stepping, {} pool threads)",
-        if serial { "serial" } else { "parallel" },
-        rayon_threads(),
+    config: SimConfig,
+    tel: &Telemetry,
+) -> Result<Report, CliError> {
+    let mut out = format!(
+        "scale run: {channels} channels, target {peers:.0} concurrent viewers, {} \
+         ({} pool threads)\n",
+        ran(&config, config.kernel),
+        rayon::current_num_threads(),
     );
+    let hours = config.trace.horizon_seconds / 3600.0;
+    let started = std::time::Instant::now();
+    let metrics = run_sim(config, tel)?.metrics;
+    let wall = started.elapsed().as_secs_f64();
     let _ = writeln!(
         out,
         "peak concurrent viewers: {}; mean streaming quality: {:.4}",
         metrics.peak_peers(),
         metrics.mean_quality()
     );
-    let _ = writeln!(
-        out,
-        "cloud bandwidth: reserved {:.1} Mbps, used {:.1} Mbps (coverage {:.3})",
-        metrics.mean_reserved_bandwidth() * 8.0 / 1e6,
-        metrics.mean_used_bandwidth() * 8.0 / 1e6,
-        metrics.provision_coverage(),
-    );
+    bandwidth_line(&mut out, &metrics);
     let _ = writeln!(
         out,
         "wall time: {wall:.2}s ({:.1} sim-hours per wall-second)",
@@ -1264,51 +1148,25 @@ fn scale(
     if let Some(rss) = cloudmedia_sim::peak_rss_bytes() {
         let _ = writeln!(out, "peak RSS: {:.0} MB", rss as f64 / 1e6);
     }
-    if let Some(path) = out_path {
-        let _ = writeln!(out, "full metrics written to {path}");
-    }
-    telemetry.write(&tel, &mut out)?;
-    Ok(out)
+    Ok((out, Some(Outcome::Metrics(metrics))))
 }
 
-/// Runs one simulation with an enabled metrics registry and prints the
-/// per-stage wall-time table, sorted by time spent.
+/// Runs one simulation on an enabled registry and prints the per-stage
+/// wall-time table, sorted by time spent.
 ///
 /// Stage times come from the `stage/*` counters, which partition the
 /// round loop without overlap — `prov/*` sub-stages are nested inside
 /// `stage/provisioning` and are listed separately so nothing is counted
 /// twice in the share column.
-fn profile(
-    mode: SimMode,
-    hours: f64,
-    kernel: Option<SimKernel>,
-    out_path: Option<&str>,
-) -> Result<String, CliError> {
-    let mut config = SimConfig::paper_default(mode);
-    config.trace.horizon_seconds = hours * 3600.0;
-    if let Some(kernel) = kernel {
-        config.kernel = kernel;
-    }
-    let kernel_name = format!("{:?}", config.kernel);
-    let tel = telem::new_registry(false);
-    let run = Simulator::new(config)
-        .map_err(|e| CliError::Run(format!("invalid configuration: {e}")))?
-        .run_with_telemetry(&tel)
-        .map_err(|e| CliError::Run(format!("simulation failed: {e}")))?;
+fn profile(config: SimConfig, tel: &Telemetry) -> Result<Report, CliError> {
+    let what = ran(&config, config.kernel);
+    let run = run_sim(config, tel)?;
     let snap = tel.snapshot();
-    if let Some(path) = out_path {
-        std::fs::write(path, snap.metrics_json())
-            .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-    }
     let stages = snap.sorted_by_value("stage/");
     let staged_ns: u64 = stages.iter().map(|&(_, v)| v).sum();
     let run_ns = snap.value(telem::RUN_WALL);
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "profile: {kernel_name} kernel, {hours:.1} h in {mode:?} mode, {} rounds",
-        snap.value(telem::ROUNDS)
-    );
+    let _ = writeln!(out, "profile: {what}, {} rounds", snap.value(telem::ROUNDS));
     let _ = writeln!(out, "{:<24} {:>12} {:>8}", "stage", "time", "share");
     for &(name, ns) in &stages {
         if ns == 0 {
@@ -1334,35 +1192,69 @@ fn profile(
         "mean streaming quality: {:.4} (telemetry never changes results)",
         run.metrics.mean_quality()
     );
-    if let Some(path) = out_path {
-        let _ = writeln!(out, "telemetry snapshot written to {path}");
-    }
-    Ok(out)
+    Ok((out, Some(Outcome::Metrics(run.metrics))))
 }
-
-fn rayon_threads() -> usize {
-    rayon::current_num_threads()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    /// A directory of its own for one test's files.
+    fn scratch(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("cloudmedia-cli-{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn file(dir: &Path, name: &str) -> String {
+        dir.join(name).to_string_lossy().into_owned()
+    }
+
+    /// A two-channel, one-hour C/S config: quick in a debug build.
+    fn small_config() -> SimConfig {
+        let mut cfg = SimConfig::paper_default(SimMode::ClientServer);
+        cfg.catalog = cloudmedia_workload::catalog::Catalog::zipf(
+            2,
+            0.8,
+            cloudmedia_workload::viewing::ViewingModel::paper_default(),
+            40.0,
+            300.0,
+        )
+        .unwrap();
+        cfg.trace.horizon_seconds = 3600.0;
+        cfg
+    }
+
+    fn write_config(path: &str, cfg: &SimConfig) {
+        std::fs::write(path, serde_json::to_string(cfg).unwrap()).unwrap();
+    }
+
+    fn usage_message(result: Result<impl std::fmt::Debug, CliError>) -> String {
+        match result {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    fn spec(hours: f64) -> RunSpec {
+        RunSpec {
+            hours: Some(hours),
+            ..RunSpec::default()
+        }
+    }
 
     #[test]
     fn parse_chaos() {
         let c = parse(&["chaos", "vm-outage"]).unwrap();
         assert_eq!(
             c,
-            Command::Chaos {
-                scenario: ChaosScenarioKind::VmOutage,
-                mode: SimMode::ClientServer,
-                hours: 24.0,
-                kernel: None,
-                serial: false,
-                shed: false,
-                out_path: None,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(
+                Run::Chaos {
+                    scenario: ChaosScenarioKind::VmOutage,
+                    shed: false,
+                },
+                RunSpec::default()
+            )
         );
         let c = parse(&[
             "chaos",
@@ -1373,7 +1265,6 @@ mod tests {
             "6",
             "--kernel",
             "indexed",
-            "--serial",
             "--shed",
             "--out",
             "r.json",
@@ -1381,16 +1272,19 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Chaos {
-                scenario: ChaosScenarioKind::BudgetCut,
-                mode: SimMode::P2p,
-                hours: 6.0,
-                kernel: Some(SimKernel::Indexed),
-                serial: true,
-                shed: true,
-                out_path: Some("r.json".into()),
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(
+                Run::Chaos {
+                    scenario: ChaosScenarioKind::BudgetCut,
+                    shed: true,
+                },
+                RunSpec {
+                    mode: Some(SimMode::P2p),
+                    hours: Some(6.0),
+                    kernel: Some(SimKernel::Indexed),
+                    out: Some("r.json".into()),
+                    ..RunSpec::default()
+                }
+            )
         );
         assert!(parse(&["chaos"]).is_err(), "scenario required");
         assert!(parse(&["chaos", "meteor-strike"]).is_err());
@@ -1419,18 +1313,38 @@ mod tests {
 
     #[test]
     fn chaos_site_outage_rejects_kernel_override() {
-        let err = run(Command::Chaos {
-            scenario: ChaosScenarioKind::SiteOutage,
-            mode: SimMode::ClientServer,
-            hours: 2.0,
-            kernel: Some(SimKernel::Indexed),
-            serial: true,
-            shed: false,
-            out_path: None,
-            telemetry: TelemetryOpts::default(),
-        })
+        let err = run(Command::Run(
+            Run::Chaos {
+                scenario: ChaosScenarioKind::SiteOutage,
+                shed: false,
+            },
+            RunSpec {
+                kernel: Some(SimKernel::Indexed),
+                ..spec(2.0)
+            },
+        ))
         .unwrap_err();
         assert!(matches!(err, CliError::Usage(_)), "got {err:?}");
+    }
+
+    /// `--shed` acts only during a fleet outage, and only vm-outage has
+    /// one: on every other scenario the flag is a usage error, not a
+    /// silent no-op.
+    #[test]
+    fn shed_without_a_fleet_outage_is_a_usage_error() {
+        for scenario in ["budget-cut", "tracker-dropout", "site-outage"] {
+            let msg =
+                usage_message(parse(&["chaos", scenario, "--shed", "--hours", "1"]).and_then(run));
+            assert!(
+                msg.contains("--shed") && msg.contains(scenario),
+                "unhelpful message for {scenario}: {msg}"
+            );
+        }
+        let vm_outage = Run::Chaos {
+            scenario: ChaosScenarioKind::VmOutage,
+            shed: true,
+        };
+        assert!(vm_outage.compose(&RunSpec::default()).is_ok());
     }
 
     #[test]
@@ -1485,17 +1399,10 @@ mod tests {
     #[test]
     fn parse_simulate_defaults() {
         let c = parse(&["simulate"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Simulate {
-                mode: SimMode::P2p,
-                hours: 24.0,
-                kernel: None,
-                config_path: None,
-                out_path: None,
-                telemetry: TelemetryOpts::default(),
-            }
-        );
+        assert_eq!(c, Command::Run(Run::Simulate, RunSpec::default()));
+        let config = Run::Simulate.compose(&RunSpec::default()).unwrap();
+        assert_eq!(config.mode, SimMode::P2p);
+        assert_eq!(config.trace.horizon_seconds, 24.0 * 3600.0);
     }
 
     #[test]
@@ -1508,7 +1415,10 @@ mod tests {
         ] {
             let c = parse(&["simulate", "--kernel", name]).unwrap();
             assert!(
-                matches!(c, Command::Simulate { kernel: Some(k), .. } if k == kernel),
+                matches!(
+                    c,
+                    Command::Run(Run::Simulate, RunSpec { kernel: Some(k), .. }) if k == kernel
+                ),
                 "--kernel {name} parsed wrong"
             );
         }
@@ -1553,24 +1463,18 @@ mod tests {
         let c = parse(&["des", "baseline"]).unwrap();
         assert_eq!(
             c,
-            Command::Des {
-                scenario: DesScenarioKind::Baseline,
-                mode: SimMode::P2p,
-                hours: 24.0,
-                out_path: None,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(Run::Des(DesScenarioKind::Baseline), RunSpec::default())
         );
         let c = parse(&["des", "vm-failure", "--mode", "cs", "--hours", "6"]).unwrap();
         assert_eq!(
             c,
-            Command::Des {
-                scenario: DesScenarioKind::VmFailure,
-                mode: SimMode::ClientServer,
-                hours: 6.0,
-                out_path: None,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(
+                Run::Des(DesScenarioKind::VmFailure),
+                RunSpec {
+                    mode: Some(SimMode::ClientServer),
+                    ..spec(6.0)
+                }
+            )
         );
         assert!(matches!(parse(&["des"]), Err(CliError::Usage(_))));
         assert!(matches!(parse(&["des", "meteor"]), Err(CliError::Usage(_))));
@@ -1604,13 +1508,13 @@ mod tests {
 
     #[test]
     fn des_baseline_short_run_reports_latency() {
-        let out = run(Command::Des {
-            scenario: DesScenarioKind::Baseline,
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            out_path: None,
-            telemetry: TelemetryOpts::default(),
-        })
+        let out = run(Command::Run(
+            Run::Des(DesScenarioKind::Baseline),
+            RunSpec {
+                mode: Some(SimMode::ClientServer),
+                ..spec(1.0)
+            },
+        ))
         .unwrap();
         assert!(out.contains("admission latency"), "got: {out}");
         assert!(out.contains("Erlang-C predicted wait fraction"));
@@ -1622,22 +1526,18 @@ mod tests {
         let c = parse(&["geo", "federated"]).unwrap();
         assert_eq!(
             c,
-            Command::Geo {
-                deployment: DeploymentKind::Federated,
-                mode: SimMode::ClientServer,
-                hours: 24.0,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(Run::Geo(DeploymentKind::Federated), RunSpec::default())
         );
         let c = parse(&["geo", "central", "--mode", "p2p", "--hours", "6"]).unwrap();
         assert_eq!(
             c,
-            Command::Geo {
-                deployment: DeploymentKind::Central,
-                mode: SimMode::P2p,
-                hours: 6.0,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(
+                Run::Geo(DeploymentKind::Central),
+                RunSpec {
+                    mode: Some(SimMode::P2p),
+                    ..spec(6.0)
+                }
+            )
         );
         assert!(matches!(parse(&["geo"]), Err(CliError::Usage(_))));
         assert!(matches!(parse(&["geo", "mars"]), Err(CliError::Usage(_))));
@@ -1645,13 +1545,7 @@ mod tests {
 
     #[test]
     fn geo_federated_short_run_reports_redirection() {
-        let out = run(Command::Geo {
-            deployment: DeploymentKind::Federated,
-            mode: SimMode::ClientServer,
-            hours: 2.0,
-            telemetry: TelemetryOpts::default(),
-        })
-        .unwrap();
+        let out = run(Command::Run(Run::Geo(DeploymentKind::Federated), spec(2.0))).unwrap();
         assert!(out.contains("total cost"), "got: {out}");
         assert!(out.contains("redirected share"));
         assert!(out.contains("americas"));
@@ -1662,15 +1556,13 @@ mod tests {
         let c = parse(&["scale"]).unwrap();
         assert_eq!(
             c,
-            Command::Scale {
-                peers: 1_000_000.0,
-                channels: 2000,
-                mode: SimMode::ClientServer,
-                hours: 1.0,
-                serial: false,
-                out_path: None,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(
+                Run::Scale {
+                    peers: 1_000_000.0,
+                    channels: 2000,
+                },
+                RunSpec::default()
+            )
         );
         let c = parse(&[
             "scale",
@@ -1682,20 +1574,20 @@ mod tests {
             "p2p",
             "--hours",
             "0.5",
-            "--serial",
         ])
         .unwrap();
         assert_eq!(
             c,
-            Command::Scale {
-                peers: 200_000.0,
-                channels: 500,
-                mode: SimMode::P2p,
-                hours: 0.5,
-                serial: true,
-                out_path: None,
-                telemetry: TelemetryOpts::default(),
-            }
+            Command::Run(
+                Run::Scale {
+                    peers: 200_000.0,
+                    channels: 500,
+                },
+                RunSpec {
+                    mode: Some(SimMode::P2p),
+                    ..spec(0.5)
+                }
+            )
         );
         assert!(matches!(
             parse(&["scale", "--channels", "many"]),
@@ -1724,6 +1616,24 @@ mod tests {
         }
     }
 
+    /// The removed `--serial` flag is an ordinary unknown flag on the two
+    /// subcommands that once accepted it: `RAYON_NUM_THREADS=1` steps the
+    /// shards inline the same way.
+    #[test]
+    fn serial_is_an_unknown_flag_on_chaos_and_scale() {
+        for argv in [
+            &["chaos", "site-outage", "--serial"][..],
+            &["chaos", "vm-outage", "--serial"][..],
+            &["scale", "--serial"][..],
+        ] {
+            let err = parse(argv).unwrap_err();
+            let CliError::Usage(msg) = &err else {
+                panic!("expected a usage error, got: {err}");
+            };
+            assert_eq!(msg, "unknown flag `--serial`", "argv {argv:?}");
+        }
+    }
+
     /// The removed sub-channel `--lanes` flag is an ordinary unknown
     /// flag.
     #[test]
@@ -1738,32 +1648,29 @@ mod tests {
     #[test]
     fn scale_short_run_reports_throughput() {
         // Population and channel count kept tiny so the test stays fast.
-        let out = run(Command::Scale {
-            peers: 300.0,
-            channels: 6,
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            serial: false,
-            out_path: None,
-            telemetry: TelemetryOpts::default(),
-        })
+        let out = run(Command::Run(
+            Run::Scale {
+                peers: 300.0,
+                channels: 6,
+            },
+            RunSpec::default(),
+        ))
         .unwrap();
         assert!(out.contains("scale run: 6 channels"), "got: {out}");
+        assert!(out.contains("1.0 h in ClientServer mode"), "got: {out}");
         assert!(out.contains("sim-hours per wall-second"));
         assert!(out.contains("peak concurrent viewers"));
     }
 
     #[test]
     fn scale_rejects_bad_configs() {
-        let err = run(Command::Scale {
-            peers: -5.0,
-            channels: 6,
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            serial: false,
-            out_path: None,
-            telemetry: TelemetryOpts::default(),
-        })
+        let err = run(Command::Run(
+            Run::Scale {
+                peers: -5.0,
+                channels: 6,
+            },
+            RunSpec::default(),
+        ))
         .unwrap_err();
         assert!(
             err.to_string().contains("invalid scale configuration"),
@@ -1839,9 +1746,10 @@ mod tests {
 
     #[test]
     fn parse_telemetry_flags_on_every_run_subcommand() {
-        let opts = TelemetryOpts {
-            metrics_path: Some("m.json".into()),
-            trace_path: Some("t.json".into()),
+        let files = RunSpec {
+            telemetry: Some("m.json".into()),
+            trace: Some("t.json".into()),
+            ..RunSpec::default()
         };
         let cases: &[&[&str]] = &[
             &["simulate", "--telemetry", "m.json", "--trace", "t.json"],
@@ -1870,17 +1778,13 @@ mod tests {
                 "t.json",
             ],
             &["scale", "--telemetry", "m.json", "--trace", "t.json"],
+            &["profile", "--telemetry", "m.json", "--trace", "t.json"],
         ];
         for args in cases {
-            let parsed = match parse(args).unwrap() {
-                Command::Simulate { telemetry, .. }
-                | Command::Des { telemetry, .. }
-                | Command::Geo { telemetry, .. }
-                | Command::Chaos { telemetry, .. }
-                | Command::Scale { telemetry, .. } => telemetry,
-                other => panic!("unexpected parse for {args:?}: {other:?}"),
+            let Command::Run(_, parsed) = parse(args).unwrap() else {
+                panic!("{args:?} is not a run subcommand");
             };
-            assert_eq!(parsed, opts, "args: {args:?}");
+            assert_eq!(parsed, files, "args: {args:?}");
         }
         // A missing value is a usage error, as for every other flag.
         assert!(matches!(
@@ -1896,27 +1800,22 @@ mod tests {
     #[test]
     fn parse_profile() {
         let c = parse(&["profile"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Profile {
-                mode: SimMode::P2p,
-                hours: 24.0,
-                kernel: None,
-                out_path: None,
-            }
-        );
+        assert_eq!(c, Command::Run(Run::Profile, RunSpec::default()));
         let c = parse(&[
             "profile", "--mode", "cs", "--hours", "2", "--kernel", "scan", "--out", "p.json",
         ])
         .unwrap();
         assert_eq!(
             c,
-            Command::Profile {
-                mode: SimMode::ClientServer,
-                hours: 2.0,
-                kernel: Some(SimKernel::Scan),
-                out_path: Some("p.json".into()),
-            }
+            Command::Run(
+                Run::Profile,
+                RunSpec {
+                    mode: Some(SimMode::ClientServer),
+                    kernel: Some(SimKernel::Scan),
+                    out: Some("p.json".into()),
+                    ..spec(2.0)
+                }
+            )
         );
         assert!(matches!(
             parse(&["profile", "--kernel", "quantum"]),
@@ -1924,40 +1823,55 @@ mod tests {
         ));
     }
 
+    /// `profile` prints the stage table on its own registry; `--out`
+    /// writes the metrics as `simulate --out` does, and `--telemetry`
+    /// the registry snapshot.
     #[test]
     fn profile_short_run_prints_stage_table() {
-        let out = run(Command::Profile {
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            kernel: Some(SimKernel::Indexed),
-            out_path: None,
-        })
+        let dir = scratch("profile");
+        let (metrics_path, snapshot_path) = (file(&dir, "metrics.json"), file(&dir, "snap.json"));
+        let out = run(Command::Run(
+            Run::Profile,
+            RunSpec {
+                mode: Some(SimMode::ClientServer),
+                kernel: Some(SimKernel::Indexed),
+                out: Some(metrics_path.clone()),
+                telemetry: Some(snapshot_path.clone()),
+                ..spec(1.0)
+            },
+        ))
         .unwrap();
-        assert!(out.contains("profile: Indexed kernel"), "got: {out}");
+        assert!(
+            out.contains("profile: 1.0 h in ClientServer mode on the Indexed engine"),
+            "got: {out}"
+        );
         assert!(out.contains("stage/advance"), "got: {out}");
         assert!(out.contains("total staged"), "got: {out}");
         assert!(out.contains("run wall"), "got: {out}");
         // Shares are printed per stage; at least one line carries one.
         assert!(out.contains('%'), "got: {out}");
+        let metrics: cloudmedia_sim::metrics::Metrics =
+            serde_json::from_str(&std::fs::read_to_string(&metrics_path).unwrap()).unwrap();
+        assert!(!metrics.samples.is_empty());
+        let snapshot = std::fs::read_to_string(&snapshot_path).unwrap();
+        assert!(snapshot.contains("cloudmedia-telemetry/v1"), "{snapshot}");
     }
 
     #[test]
     fn simulate_writes_telemetry_and_trace_files() {
-        let dir = std::env::temp_dir().join("cloudmedia-cli-telemetry-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch("telemetry");
         let m_path = dir.join("metrics-snapshot.json");
         let t_path = dir.join("run.trace.json");
-        let out = run(Command::Simulate {
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            kernel: Some(SimKernel::Indexed),
-            config_path: None,
-            out_path: None,
-            telemetry: TelemetryOpts {
-                metrics_path: Some(m_path.to_string_lossy().into_owned()),
-                trace_path: Some(t_path.to_string_lossy().into_owned()),
+        let out = run(Command::Run(
+            Run::Simulate,
+            RunSpec {
+                mode: Some(SimMode::ClientServer),
+                kernel: Some(SimKernel::Indexed),
+                telemetry: Some(m_path.to_string_lossy().into_owned()),
+                trace: Some(t_path.to_string_lossy().into_owned()),
+                ..spec(1.0)
             },
-        })
+        ))
         .unwrap();
         assert!(out.contains("telemetry snapshot written to"), "got: {out}");
         assert!(out.contains("trace written to"), "got: {out}");
@@ -1991,13 +1905,13 @@ mod tests {
 
     #[test]
     fn des_reports_kernel_health() {
-        let out = run(Command::Des {
-            scenario: DesScenarioKind::Baseline,
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            out_path: None,
-            telemetry: TelemetryOpts::default(),
-        })
+        let out = run(Command::Run(
+            Run::Des(DesScenarioKind::Baseline),
+            RunSpec {
+                mode: Some(SimMode::ClientServer),
+                ..spec(1.0)
+            },
+        ))
         .unwrap();
         assert!(out.contains("kernel health:"), "got: {out}");
         assert!(out.contains("peak"), "got: {out}");
@@ -2006,35 +1920,225 @@ mod tests {
 
     #[test]
     fn simulate_short_run_with_json_output() {
-        let dir = std::env::temp_dir().join("cloudmedia-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out_path = dir.join("metrics.json");
-        // Build a tiny config file to exercise --config too.
-        let mut cfg = SimConfig::paper_default(SimMode::ClientServer);
-        cfg.catalog = cloudmedia_workload::catalog::Catalog::zipf(
-            2,
-            0.8,
-            cloudmedia_workload::viewing::ViewingModel::paper_default(),
-            40.0,
-            300.0,
-        )
-        .unwrap();
-        cfg.trace.horizon_seconds = 3600.0;
-        let cfg_path = dir.join("config.json");
-        std::fs::write(&cfg_path, serde_json::to_string(&cfg).unwrap()).unwrap();
-
-        let out = run(Command::Simulate {
-            mode: SimMode::ClientServer,
-            hours: 1.0,
-            kernel: None,
-            config_path: Some(cfg_path.to_string_lossy().into_owned()),
-            out_path: Some(out_path.to_string_lossy().into_owned()),
-            telemetry: TelemetryOpts::default(),
-        })
+        let dir = scratch("simulate");
+        let out_path = file(&dir, "metrics.json");
+        // A tiny config file exercises --config too.
+        let cfg_path = file(&dir, "config.json");
+        write_config(&cfg_path, &small_config());
+        let out = run(Command::Run(
+            Run::Simulate,
+            RunSpec {
+                config: Some(cfg_path),
+                out: Some(out_path.clone()),
+                ..RunSpec::default()
+            },
+        ))
         .unwrap();
         assert!(out.contains("mean streaming quality"));
+        assert!(
+            out.contains("simulated 1.0 h in ClientServer mode"),
+            "{out}"
+        );
         let metrics: cloudmedia_sim::metrics::Metrics =
             serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
         assert!(!metrics.samples.is_empty());
+    }
+
+    /// Every shared flag on every run subcommand either shows in the
+    /// composed config or the run's files, or is a usage error that
+    /// names the flag and the subcommand. The refused pairs are pinned.
+    #[test]
+    fn every_shared_flag_applies_or_is_refused_by_name() {
+        let dir = scratch("every-flag");
+        let mut from_file = small_config();
+        from_file.behaviour_seed = 4242;
+        let config = file(&dir, "config.json");
+        write_config(&config, &from_file);
+        let runs = [
+            Run::Simulate,
+            Run::Des(DesScenarioKind::Baseline),
+            Run::Geo(DeploymentKind::Federated),
+            Run::Chaos {
+                scenario: ChaosScenarioKind::VmOutage,
+                shed: false,
+            },
+            Run::Chaos {
+                scenario: ChaosScenarioKind::SiteOutage,
+                shed: false,
+            },
+            Run::Scale {
+                peers: 300.0,
+                channels: 6,
+            },
+            Run::Profile,
+        ];
+        let mut refused = Vec::new();
+        for run in runs {
+            let preset = run.compose(&RunSpec::default()).unwrap();
+            let mode = match preset.mode {
+                SimMode::P2p => SimMode::ClientServer,
+                SimMode::ClientServer => SimMode::P2p,
+            };
+            let mut hours = preset.clone();
+            hours.trace.horizon_seconds = 1800.0;
+            let written = |name: &str| Some(file(&dir, name));
+            let flags = [
+                (
+                    "--mode",
+                    RunSpec {
+                        mode: Some(mode),
+                        ..RunSpec::default()
+                    },
+                    Some(SimConfig {
+                        mode,
+                        ..preset.clone()
+                    }),
+                ),
+                ("--hours", spec(0.5), Some(hours)),
+                (
+                    "--kernel",
+                    RunSpec {
+                        kernel: Some(SimKernel::Scan),
+                        ..RunSpec::default()
+                    },
+                    Some(SimConfig {
+                        kernel: SimKernel::Scan,
+                        ..preset.clone()
+                    }),
+                ),
+                (
+                    "--config",
+                    RunSpec {
+                        config: Some(config.clone()),
+                        ..RunSpec::default()
+                    },
+                    Some(from_file.clone()),
+                ),
+                (
+                    "--out",
+                    RunSpec {
+                        out: written("out.json"),
+                        ..spec(0.25)
+                    },
+                    None,
+                ),
+                (
+                    "--telemetry",
+                    RunSpec {
+                        telemetry: written("snap.json"),
+                        ..spec(0.25)
+                    },
+                    None,
+                ),
+                (
+                    "--trace",
+                    RunSpec {
+                        trace: written("trace.json"),
+                        ..spec(0.25)
+                    },
+                    None,
+                ),
+            ];
+            for (flag, spec, composed) in flags {
+                let name = format!("{} {flag}", run.name());
+                match (run.compose(&spec), composed) {
+                    (Err(CliError::Usage(msg)), _) => {
+                        assert!(
+                            msg.contains(flag) && msg.contains(&run.name()),
+                            "{name}: {msg}"
+                        );
+                        refused.push(name);
+                    }
+                    (Ok(got), Some(want)) => assert_eq!(got, want, "{name}"),
+                    // A file flag: a short run writes the file and says so.
+                    (Ok(_), None) => {
+                        let path = [&spec.out, &spec.telemetry, &spec.trace]
+                            .into_iter()
+                            .flatten()
+                            .next()
+                            .unwrap();
+                        let out = run.execute(&spec).unwrap();
+                        assert!(out.contains(&format!("written to {path}")), "{name}: {out}");
+                        let text = std::fs::read_to_string(path).unwrap();
+                        assert!(text.starts_with('{'), "{name}: {text}");
+                        std::fs::remove_file(path).unwrap();
+                    }
+                    (Err(e), _) => panic!("{name}: {e}"),
+                }
+            }
+        }
+        assert_eq!(
+            refused,
+            [
+                "des --kernel",
+                "geo --config",
+                "geo --out",
+                "chaos site-outage --kernel",
+                "chaos site-outage --config",
+                "scale --config",
+            ]
+        );
+    }
+
+    /// `--mode` and `--hours` apply over a `--config` file: the
+    /// `default-config` week with `--hours 2 --mode cs` runs exactly what
+    /// the flags alone run, and the header says what ran.
+    #[test]
+    fn flags_apply_over_a_config_file() {
+        let dir = scratch("config-then-flags");
+        let config = file(&dir, "paper.json");
+        let default_config = run(parse(&["default-config"]).unwrap()).unwrap();
+        std::fs::write(&config, default_config).unwrap();
+        let (a, b) = (file(&dir, "a.json"), file(&dir, "b.json"));
+        let via_file = parse(&[
+            "simulate", "--config", &config, "--hours", "2", "--mode", "cs", "--out", &a,
+        ])
+        .and_then(run)
+        .unwrap();
+        parse(&["simulate", "--hours", "2", "--mode", "cs", "--out", &b])
+            .and_then(run)
+            .unwrap();
+        assert!(
+            std::fs::read(&a).unwrap() == std::fs::read(&b).unwrap(),
+            "the config file's week ran instead of the flags' 2 h"
+        );
+        let header = via_file.lines().next().unwrap();
+        assert!(
+            header.contains("2.0 h") && header.contains("ClientServer"),
+            "{header}"
+        );
+    }
+
+    /// A `--config` file's faults stay in chaos's faulted run, beside
+    /// the scenario's, and its baseline runs with no faults at all.
+    #[test]
+    fn chaos_config_keeps_a_fault_free_baseline() {
+        let dir = scratch("chaos-config");
+        let mut faulted = small_config();
+        faulted.faults = FaultSchedule::vm_outage(900.0, 0.5, 900.0);
+        let config = file(&dir, "faulted.json");
+        write_config(&config, &faulted);
+        let run = Run::Chaos {
+            scenario: ChaosScenarioKind::BudgetCut,
+            shed: false,
+        };
+        let spec = RunSpec {
+            config: Some(config),
+            ..RunSpec::default()
+        };
+        let composed = run.compose(&spec).unwrap();
+        assert_eq!(composed, faulted);
+        let tel = Telemetry::disabled();
+        let Ok((_, Some(Outcome::Resilience(report)))) =
+            chaos(ChaosScenarioKind::BudgetCut, false, composed, &tel)
+        else {
+            panic!("chaos returns its resilience report");
+        };
+        let mut clean = faulted;
+        clean.faults = FaultSchedule::default();
+        let fault_free = run_sim(clean, &tel).unwrap().metrics;
+        assert_eq!(report.baseline_mean_quality, fault_free.mean_quality());
+        // The budget cut kills no VM; the file's fleet outage does.
+        assert!(report.fault_stats.vms_killed > 0, "{report:?}");
     }
 }
