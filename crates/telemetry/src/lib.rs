@@ -15,11 +15,7 @@
 //!   single predictable branch and *no* clock read.
 //! - Counter and histogram cells are `u64`s combined with wrapping
 //!   addition, which is commutative and associative — totals are
-//!   independent of thread interleaving. Parallel stages additionally
-//!   record into private [`LocalSink`] accumulators that the
-//!   coordinator merges in a fixed slot order
-//!   ([`Telemetry::merge_local`]), so even the merge sequence is
-//!   deterministic.
+//!   independent of thread interleaving.
 //! - Wall-clock *values* (stage timers) are inherently run-to-run
 //!   noisy; only their existence, never their magnitude, may feed back
 //!   into the run. Nothing in this crate is read by simulation code.
@@ -296,47 +292,16 @@ impl Telemetry {
         self.stage_clock_sampled(1)
     }
 
-    /// A lap clock that times only every `period`-th round (see
-    /// [`StageClock::begin_round`]) and scales each recorded lap by
-    /// `period`, making the stage counters unbiased estimates of the
-    /// true totals at `1/period` of the clock-read cost. With
-    /// `period == 1` every lap records (and [`StageClock::begin_round`]
-    /// is optional).
+    /// A lap clock that scales each recorded lap by `period`. A caller
+    /// that builds one for only one round in `period` (as the segment
+    /// driver does) gets stage counters that are unbiased estimates of
+    /// the true totals at `1/period` of the clock-read cost.
     #[inline]
     pub fn stage_clock_sampled(&self, period: u64) -> StageClock<'_> {
-        let period = period.max(1);
         StageClock {
             tel: self,
             last: self.enabled.then(Instant::now),
-            period,
-            rounds: 0,
-            active: self.enabled,
-        }
-    }
-
-    /// A private accumulator with the same slot layout, for parallel
-    /// workers; merge with [`Telemetry::merge_local`]. For a disabled
-    /// handle the sink is inert.
-    pub fn local(&self) -> LocalSink {
-        LocalSink {
-            live: self.enabled,
-            offsets: self.offsets.clone(),
-            specs: self.specs,
-            cells: vec![0; if self.enabled { self.cells.len() } else { 0 }],
-        }
-    }
-
-    /// Folds a [`LocalSink`] into the registry, cell by cell in slot
-    /// order. Call from the coordinator in a fixed worker order so the
-    /// merge sequence itself is deterministic.
-    pub fn merge_local(&self, local: &LocalSink) {
-        if !self.enabled || !local.live {
-            return;
-        }
-        for (cell, &v) in self.cells.iter().zip(&local.cells) {
-            if v != 0 {
-                cell.fetch_add(v, Ordering::Relaxed);
-            }
+            period: period.max(1),
         }
     }
 
@@ -476,47 +441,23 @@ impl Drop for Span<'_> {
 /// counters only — they never emit trace events, so a per-round lap in
 /// a million-round loop costs one clock read and one relaxed add, and
 /// trace files stay bounded by the explicit [`Telemetry::span`] call
-/// sites. A sampled
-/// clock cuts even the clock reads to `1/period` of the rounds and
-/// scales each recorded lap up by `period`, keeping the counters
-/// unbiased estimates of the true stage totals.
+/// sites. A sampled clock scales each recorded lap up by `period`, so
+/// timing one round in `period` keeps the counters unbiased estimates
+/// of the true stage totals.
 #[derive(Debug)]
 pub struct StageClock<'a> {
     tel: &'a Telemetry,
+    /// The previous boundary; `None` on a disabled registry.
     last: Option<Instant>,
     period: u64,
-    rounds: u64,
-    active: bool,
 }
 
 impl StageClock<'_> {
-    /// Marks a round boundary for a sampled clock (see
-    /// [`Telemetry::stage_clock_sampled`]): every `period`-th round is
-    /// timed, the rest cost one branch. Calling this on a `period == 1`
-    /// clock is a no-op beyond the branch.
-    #[inline]
-    pub fn begin_round(&mut self) {
-        if self.last.is_none() {
-            return;
-        }
-        let timed = self.rounds.is_multiple_of(self.period);
-        self.rounds = self.rounds.wrapping_add(1);
-        if self.period > 1 {
-            self.active = timed;
-            if timed {
-                self.last = Some(Instant::now());
-            }
-        }
-    }
-
     /// Ends the current stage, crediting its duration less one empty
     /// lap (scaled by the sampling period) to `id`, and starts the next
-    /// one. Unrecorded on rounds the sampler skipped.
+    /// one.
     #[inline]
     pub fn lap(&mut self, id: MetricId) {
-        if !self.active {
-            return;
-        }
         let Some(last) = self.last else { return };
         let now = Instant::now();
         let ns = u64::try_from(now.duration_since(last).as_nanos())
@@ -532,57 +473,9 @@ impl StageClock<'_> {
     /// any stage (for gaps that should not be counted).
     #[inline]
     pub fn skip(&mut self) {
-        if self.active && self.last.is_some() {
+        if self.last.is_some() {
             self.last = Some(Instant::now());
         }
-    }
-}
-
-/// A worker-private accumulator matching a registry's slot layout.
-/// All operations are plain (non-atomic) `u64` arithmetic.
-#[derive(Debug, Clone)]
-pub struct LocalSink {
-    live: bool,
-    offsets: Vec<u32>,
-    specs: &'static [Spec],
-    cells: Vec<u64>,
-}
-
-impl LocalSink {
-    /// Adds `v` to a counter slot.
-    #[inline]
-    pub fn add(&mut self, id: MetricId, v: u64) {
-        if !self.live {
-            return;
-        }
-        self.cells[self.offsets[id.0] as usize] =
-            self.cells[self.offsets[id.0] as usize].wrapping_add(v);
-    }
-
-    /// Records `v` into a histogram slot's log2 bucket.
-    #[inline]
-    pub fn observe(&mut self, id: MetricId, v: u64) {
-        if !self.live {
-            return;
-        }
-        let base = self.offsets[id.0] as usize;
-        self.cells[base + bucket_index(v)] += 1;
-    }
-
-    /// Folds another sink of the same layout into this one (slot
-    /// order), so worker results can be reduced hierarchically.
-    pub fn merge(&mut self, other: &LocalSink) {
-        if !self.live || !other.live {
-            return;
-        }
-        for (a, &b) in self.cells.iter_mut().zip(&other.cells) {
-            *a = a.wrapping_add(b);
-        }
-    }
-
-    /// The specs this sink was laid out from.
-    pub fn specs(&self) -> &'static [Spec] {
-        self.specs
     }
 }
 
@@ -811,23 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn local_sink_merges_in_slot_order() {
-        let tel = Telemetry::new(SPECS);
-        let mut l1 = tel.local();
-        let mut l2 = tel.local();
-        l1.add(A, 3);
-        l1.observe(HIST, 8);
-        l2.add(A, 4);
-        l2.add(B, 1);
-        tel.merge_local(&l1);
-        tel.merge_local(&l2);
-        let snap = tel.snapshot();
-        assert_eq!(snap.value(A), 7);
-        assert_eq!(snap.value(B), 1);
-        assert_eq!(snap.buckets(HIST)[4], 1);
-    }
-
-    #[test]
     fn spans_feed_counters_and_trace_pairs_match() {
         let tel = Telemetry::with_trace(SPECS);
         {
@@ -880,25 +756,28 @@ mod tests {
 
     #[test]
     fn sampled_stage_clock_times_one_round_in_period() {
+        // The segment driver builds a clock with the sampling period for
+        // the one round in `period` it times: each of its laps stands for
+        // `period` laps, so it credits `period` times its interval less
+        // one empty lap. The interval lies between the sleep and the
+        // wall time measured around the clock.
         let tel = Telemetry::new(SPECS);
-        let mut clk = tel.stage_clock_sampled(4);
-        for round in 0..8 {
-            clk.begin_round();
-            if round % 4 == 0 {
-                // Only sampled rounds should pay for (and record) laps;
-                // make the timed rounds measurably long.
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            clk.lap(A);
+        for (period, id) in [(4, A), (1, B)] {
+            let start = Instant::now();
+            let mut clk = tel.stage_clock_sampled(period);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            clk.lap(id);
+            let outer = u64::try_from(start.elapsed().as_nanos()).unwrap();
+            let credited = tel.snapshot().value(id);
+            assert!(
+                (period * (1_000_000 - tel.lap_ns)..=period * outer).contains(&credited),
+                "period {period}: credited {credited} ns over {outer} ns"
+            );
         }
-        let snap = tel.snapshot();
-        // Two sampled rounds of >= 1 ms each, scaled by the period of 4.
-        assert!(snap.value(A) >= 2 * 4_000_000, "got {}", snap.value(A));
 
         // A disabled registry's sampled clock records nothing.
         let off = Telemetry::disabled();
         let mut clk = off.stage_clock_sampled(4);
-        clk.begin_round();
         clk.lap(A);
     }
 

@@ -1,36 +1,8 @@
-//! Property tests of the registry's two telemetry-specific contracts:
-//! log2 bucket boundaries partition `u64` exactly, and merging
-//! worker-local accumulators is order-independent (so the fixed merge
-//! order the engines use yields the same totals as any interleaving).
+//! Property tests of the registry's log2 histogram: bucket boundaries
+//! partition `u64` exactly.
 
-use cloudmedia_telemetry::{
-    bucket_bounds, bucket_index, Kind, LocalSink, MetricId, Spec, Telemetry, HIST_BUCKETS,
-};
+use cloudmedia_telemetry::{bucket_bounds, bucket_index, HIST_BUCKETS};
 use proptest::prelude::*;
-
-const SPECS: &[Spec] = &[
-    Spec::new("counter/a", Kind::Counter, "count"),
-    Spec::new("hist/v", Kind::Histogram, "count"),
-    Spec::new("counter/b", Kind::Counter, "ns"),
-];
-const A: MetricId = MetricId(0);
-const H: MetricId = MetricId(1);
-const B: MetricId = MetricId(2);
-
-/// Worker op stream: (slot selector, value).
-fn ops_strategy() -> impl Strategy<Value = Vec<Vec<(u8, u64)>>> {
-    collection::vec(collection::vec((0u8..3, 0u64..u64::MAX), 0..40), 1..8)
-}
-
-fn apply(sink: &mut LocalSink, ops: &[(u8, u64)]) {
-    for &(sel, v) in ops {
-        match sel {
-            0 => sink.add(A, v),
-            1 => sink.observe(H, v),
-            _ => sink.add(B, v),
-        }
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -54,52 +26,5 @@ proptest! {
         prop_assert_eq!(bucket_index(hi), b);
         prop_assert_eq!(bucket_index(lo - 1), b - 1);
         prop_assert_eq!(bucket_index(hi + 1), b + 1);
-    }
-
-    /// Merging worker sinks into the registry produces identical
-    /// snapshots in forward and reverse worker order: totals depend
-    /// only on the multiset of recorded operations.
-    #[test]
-    fn merge_order_is_irrelevant(workers in ops_strategy()) {
-        let forward = Telemetry::new(SPECS);
-        let reverse = Telemetry::new(SPECS);
-        let sinks: Vec<LocalSink> = workers
-            .iter()
-            .map(|ops| {
-                let mut sink = forward.local();
-                apply(&mut sink, ops);
-                sink
-            })
-            .collect();
-        for sink in &sinks {
-            forward.merge_local(sink);
-        }
-        for sink in sinks.iter().rev() {
-            reverse.merge_local(sink);
-        }
-        let (fs, rs) = (forward.snapshot(), reverse.snapshot());
-        prop_assert_eq!(fs.value(A), rs.value(A));
-        prop_assert_eq!(fs.value(B), rs.value(B));
-        prop_assert_eq!(fs.buckets(H), rs.buckets(H));
-    }
-
-    /// Hierarchical reduction (`LocalSink::merge`) agrees with flat
-    /// registry merges, so shard trees can fold either way.
-    #[test]
-    fn hierarchical_merge_agrees_with_flat(workers in ops_strategy()) {
-        let flat = Telemetry::new(SPECS);
-        let tree = Telemetry::new(SPECS);
-        let mut combined = tree.local();
-        for ops in &workers {
-            let mut sink = flat.local();
-            apply(&mut sink, ops);
-            flat.merge_local(&sink);
-            combined.merge(&sink);
-        }
-        tree.merge_local(&combined);
-        let (fs, ts) = (flat.snapshot(), tree.snapshot());
-        prop_assert_eq!(fs.value(A), ts.value(A));
-        prop_assert_eq!(fs.value(B), ts.value(B));
-        prop_assert_eq!(fs.buckets(H), ts.buckets(H));
     }
 }
