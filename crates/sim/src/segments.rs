@@ -112,11 +112,10 @@ pub(crate) const MAX_SEGMENT_ROUNDS: usize = 128;
 ///
 /// Measured on a 2-vCPU host with `cloudmedia scale --hours 2` on 20
 /// channels, the default pool against serial stepping (`--serial` then;
-/// `RAYON_NUM_THREADS=1` steps the shards inline the same way), 11
-/// runs per point
-/// (`docs/SCALING.md` has the table). The pool won on wall time at
-/// every population from 2,500 viewers up. The extra CPU it spent
-/// (+11 % at 2,500, −6 % at 5,000, −9 % at 10,000) lies inside the
+/// `RAYON_NUM_THREADS=1` steps the shards inline the same way), 11 runs
+/// per point (`docs/SCALING.md` has the table). The pool won on wall
+/// time at every population from 2,500 viewers up. The extra CPU it
+/// spent (+11 % at 2,500, −6 % at 5,000, −9 % at 10,000) lies inside the
 /// noise of runs that short: an 8-hour rerun read +16 %, +9 % and
 /// +16 %. So the 10 % CPU criterion does not single out 5,000, and the
 /// channel count was not varied (400 channels was measured at 50,000
