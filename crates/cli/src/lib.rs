@@ -123,20 +123,20 @@ impl RunSpec {
         tel: &Telemetry,
         out: &mut String,
     ) -> Result<(), CliError> {
-        let mut files = Vec::new();
-        if let (Some(path), Some(result)) = (&self.out, result) {
-            files.push((path, result.what(), result.json()?));
-        }
-        if let Some(path) = &self.telemetry {
-            files.push((path, "telemetry snapshot", tel.snapshot().metrics_json()));
-        }
-        if let Some(path) = &self.trace {
-            files.push((path, "trace", tel.trace_json()));
-        }
-        for (path, what, text) in files {
+        let mut save = |path: &str, what: &str, text: String| {
             std::fs::write(path, text)
                 .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
             let _ = writeln!(out, "{what} written to {path}");
+            Ok(())
+        };
+        if let (Some(path), Some(result)) = (&self.out, result) {
+            save(path, result.what(), result.json()?)?;
+        }
+        if let Some(path) = &self.telemetry {
+            save(path, "telemetry snapshot", tel.snapshot().metrics_json())?;
+        }
+        if let Some(path) = &self.trace {
+            save(path, "trace", tel.trace_json())?;
         }
         Ok(())
     }
@@ -1229,13 +1229,6 @@ mod tests {
         std::fs::write(path, serde_json::to_string(cfg).unwrap()).unwrap();
     }
 
-    fn usage_message(result: Result<impl std::fmt::Debug, CliError>) -> String {
-        match result {
-            Err(CliError::Usage(msg)) => msg,
-            other => panic!("expected a usage error, got {other:?}"),
-        }
-    }
-
     fn spec(hours: f64) -> RunSpec {
         RunSpec {
             hours: Some(hours),
@@ -1333,8 +1326,10 @@ mod tests {
     #[test]
     fn shed_without_a_fleet_outage_is_a_usage_error() {
         for scenario in ["budget-cut", "tracker-dropout", "site-outage"] {
-            let msg =
-                usage_message(parse(&["chaos", scenario, "--shed", "--hours", "1"]).and_then(run));
+            let result = parse(&["chaos", scenario, "--shed", "--hours", "1"]).and_then(run);
+            let Err(CliError::Usage(msg)) = result else {
+                panic!("chaos {scenario} --shed: expected a usage error, got {result:?}");
+            };
             assert!(
                 msg.contains("--shed") && msg.contains(scenario),
                 "unhelpful message for {scenario}: {msg}"
