@@ -1200,7 +1200,7 @@ mod tests {
     use std::path::Path;
 
     /// A directory of its own for one test's files.
-    fn scratch(test: &str) -> std::path::PathBuf {
+    fn test_dir(test: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("cloudmedia-cli-{test}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -1823,7 +1823,7 @@ mod tests {
     /// the registry snapshot.
     #[test]
     fn profile_short_run_prints_stage_table() {
-        let dir = scratch("profile");
+        let dir = test_dir("profile");
         let (metrics_path, snapshot_path) = (file(&dir, "metrics.json"), file(&dir, "snap.json"));
         let out = run(Command::Run(
             Run::Profile,
@@ -1854,7 +1854,7 @@ mod tests {
 
     #[test]
     fn simulate_writes_telemetry_and_trace_files() {
-        let dir = scratch("telemetry");
+        let dir = test_dir("telemetry");
         let m_path = dir.join("metrics-snapshot.json");
         let t_path = dir.join("run.trace.json");
         let out = run(Command::Run(
@@ -1915,7 +1915,7 @@ mod tests {
 
     #[test]
     fn simulate_short_run_with_json_output() {
-        let dir = scratch("simulate");
+        let dir = test_dir("simulate");
         let out_path = file(&dir, "metrics.json");
         // A tiny config file exercises --config too.
         let cfg_path = file(&dir, "config.json");
@@ -1944,7 +1944,7 @@ mod tests {
     /// names the flag and the subcommand. The refused pairs are pinned.
     #[test]
     fn every_shared_flag_applies_or_is_refused_by_name() {
-        let dir = scratch("every-flag");
+        let dir = test_dir("every-flag");
         let mut from_file = small_config();
         from_file.behaviour_seed = 4242;
         let config = file(&dir, "config.json");
@@ -2080,7 +2080,7 @@ mod tests {
     /// the flags alone run, and the header says what ran.
     #[test]
     fn flags_apply_over_a_config_file() {
-        let dir = scratch("config-then-flags");
+        let dir = test_dir("config-then-flags");
         let config = file(&dir, "paper.json");
         let default_config = run(parse(&["default-config"]).unwrap()).unwrap();
         std::fs::write(&config, default_config).unwrap();
@@ -2108,7 +2108,7 @@ mod tests {
     /// the scenario's, and its baseline runs with no faults at all.
     #[test]
     fn chaos_config_keeps_a_fault_free_baseline() {
-        let dir = scratch("chaos-config");
+        let dir = test_dir("chaos-config");
         let mut faulted = small_config();
         faulted.faults = FaultSchedule::vm_outage(900.0, 0.5, 900.0);
         let config = file(&dir, "faulted.json");
