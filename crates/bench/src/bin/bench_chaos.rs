@@ -12,7 +12,8 @@
 
 use cloudmedia_bench::geo_sim::append_section;
 use cloudmedia_bench::resilience::{run_federated, run_single_site, section, ResilienceRow};
-use cloudmedia_sim::config::{SimKernel, SimMode};
+use cloudmedia_sim::config::SimMode;
+use cloudmedia_sim::faults::ChaosPreset;
 
 fn main() {
     let mut hours = 12.0_f64;
@@ -36,13 +37,18 @@ fn main() {
     }
 
     let mut rows: Vec<ResilienceRow> = Vec::new();
-    for scenario in ["vm-outage", "budget-cut", "tracker-dropout"] {
-        let row = run_single_site(scenario, SimKernel::Indexed, SimMode::ClientServer, hours)
-            .expect("chaos scenario runs");
+    for scenario in [
+        ChaosPreset::VmOutage,
+        ChaosPreset::BudgetCut,
+        ChaosPreset::TrackerDropout,
+    ] {
+        let row =
+            run_single_site(scenario, SimMode::ClientServer, hours).expect("chaos scenario runs");
         print_row(&row);
         rows.push(row);
     }
-    let row = run_federated("site-outage", SimMode::ClientServer, hours).expect("site outage runs");
+    let row = run_federated(ChaosPreset::SiteOutage, SimMode::ClientServer, hours)
+        .expect("site outage runs");
     print_row(&row);
     rows.push(row);
 

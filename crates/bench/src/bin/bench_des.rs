@@ -22,6 +22,7 @@
 use std::time::Instant;
 
 use cloudmedia_bench::geo_sim::append_section;
+use cloudmedia_bench::{DES_SCHEMA, DES_THROUGHPUT_SCHEMA};
 use cloudmedia_des::{ComponentId, Kernel, SchedulerKind};
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::event_driven::{run as des_run, DesScenario, LatencySummary};
@@ -167,7 +168,7 @@ fn main() {
         });
     }
     let throughput = EngineThroughput {
-        schema: "cloudmedia-bench-des-throughput/v1".into(),
+        schema: DES_THROUGHPUT_SCHEMA.into(),
         notes: vec![
             "kernel_ops are raw scheduler operations (no component handlers): the \
              hold model (pop + schedule at a steady pending-set size) and the \
@@ -183,7 +184,7 @@ fn main() {
     };
 
     let comparison = DesComparison {
-        schema: "cloudmedia-bench-des/v1".into(),
+        schema: DES_SCHEMA.into(),
         notes: vec![
             "EventDriven is a different microscopic model (per-request FIFO \
              M/M/m service on the cloudmedia-des kernel); agreement with the \

@@ -12,7 +12,7 @@
 
 use cloudmedia_bench::geo_sim::append_section;
 use cloudmedia_bench::profile::{profile_kernel, section, KernelStageProfile};
-use cloudmedia_sim::config::{SimKernel, SimMode};
+use cloudmedia_sim::config::SimMode;
 
 fn main() {
     let mut hours = 168.0_f64;
@@ -42,8 +42,7 @@ fn main() {
         }
     }
 
-    let p = profile_kernel(SimKernel::Indexed, SimMode::ClientServer, hours, reps)
-        .expect("profiled run succeeds");
+    let p = profile_kernel(SimMode::ClientServer, hours, reps).expect("profiled run succeeds");
     print_profile(&p);
     let kernels = vec![p];
 

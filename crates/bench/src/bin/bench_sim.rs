@@ -1,9 +1,9 @@
-//! Simulator performance benchmark: measures the reference (`Scan`) and
-//! production (`Indexed`) round engines end-to-end in both streaming
-//! modes, plus the allocation-kernel microbenchmarks, and merges the
-//! results into the machine-readable `BENCH_sim.json` so the perf
-//! trajectory is tracked from PR to PR. Only its own top-level keys are
-//! rewritten; the sections other bench binaries own are kept.
+//! Simulator performance benchmark: measures the production round
+//! engine (`Indexed`) end-to-end in both streaming modes, plus the
+//! mask-sparse allocation kernel it runs, and merges the results into
+//! the machine-readable `BENCH_sim.json` so the perf trajectory is
+//! tracked from PR to PR. Only its own top-level keys are rewritten;
+//! the sections other bench binaries own are kept.
 //!
 //! Usage: `bench_sim [--hours N] [--out PATH]`
 //!   - `--hours` simulated horizon per run (default 24; use 168 for the
@@ -14,8 +14,9 @@
 use std::time::Instant;
 
 use cloudmedia_bench::geo_sim::merge_record;
-use cloudmedia_sim::allocation::{allocate_pool, allocate_pool_into, allocate_pool_sparse};
-use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_bench::SIM_SCHEMA;
+use cloudmedia_sim::allocation::allocate_pool_sparse;
+use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
 use cloudmedia_telemetry::Telemetry;
@@ -58,7 +59,6 @@ impl PhaseProfile {
 #[derive(Debug, Serialize)]
 struct E2eResult {
     mode: String,
-    kernel: String,
     sim_hours: f64,
     wall_seconds: f64,
     sim_hours_per_wall_second: f64,
@@ -76,17 +76,6 @@ struct KernelResult {
     ns_per_call: f64,
 }
 
-/// Speedup summary of indexed over scan.
-#[derive(Debug, Serialize)]
-struct Speedups {
-    client_server_e2e: f64,
-    p2p_e2e: f64,
-    client_server_allocation_stage: f64,
-    p2p_allocation_stage: f64,
-    allocate_pool_inplace_vs_naive: f64,
-    allocate_pool_sparse_vs_naive: f64,
-}
-
 /// `bench_sim`'s top-level keys of `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
 struct Report {
@@ -95,7 +84,6 @@ struct Report {
     host_threads: usize,
     e2e: Vec<E2eResult>,
     kernels: Vec<KernelResult>,
-    speedups: Speedups,
     notes: Vec<String>,
 }
 
@@ -123,92 +111,66 @@ fn main() {
     }
 
     let mut e2e = Vec::new();
-    let mut wall = [[0.0_f64; 2]; 2];
-    let mut alloc_stage = [[0.0_f64; 2]; 2];
-    for (mi, mode) in [SimMode::ClientServer, SimMode::P2p]
-        .into_iter()
-        .enumerate()
-    {
-        for (ki, kernel) in [SimKernel::Scan, SimKernel::Indexed]
-            .into_iter()
-            .enumerate()
-        {
-            let mut cfg = SimConfig::paper_default(mode);
-            cfg.trace.horizon_seconds = hours * 3600.0;
-            cfg.kernel = kernel;
-            let rounds = (cfg.trace.horizon_seconds / cfg.round_seconds).ceil() as u64;
-            // A fresh registry per run: its stage counters are the
-            // run's phase breakdown.
-            let tel = telem::new_registry(false);
-            let start = Instant::now();
-            let metrics = Simulator::new(cfg)
-                .expect("paper config is valid")
-                .run_with_telemetry(&tel)
-                .expect("benchmark run succeeds")
-                .metrics;
-            let secs = start.elapsed().as_secs_f64();
-            wall[mi][ki] = secs;
-            let phases = PhaseProfile::from_registry(&tel);
-            alloc_stage[mi][ki] = phases.allocation;
-            eprintln!(
-                "{mode:?}/{kernel:?} {hours}h: {secs:.3}s wall ({:.0} sim-hours/s)",
-                hours / secs
-            );
-            e2e.push(E2eResult {
-                mode: format!("{mode:?}"),
-                kernel: format!("{kernel:?}"),
-                sim_hours: hours,
-                wall_seconds: secs,
-                sim_hours_per_wall_second: hours / secs,
-                rounds,
-                ns_per_round: secs * 1e9 / rounds as f64,
-                mean_quality: metrics.mean_quality(),
-                peak_peers: metrics.peak_peers(),
-                phases,
-            });
-        }
+    for mode in [SimMode::ClientServer, SimMode::P2p] {
+        let mut cfg = SimConfig::paper_default(mode);
+        cfg.trace.horizon_seconds = hours * 3600.0;
+        let rounds = (cfg.trace.horizon_seconds / cfg.round_seconds).ceil() as u64;
+        // A fresh registry per run: its stage counters are the run's
+        // phase breakdown.
+        let tel = telem::new_registry(false);
+        let start = Instant::now();
+        let metrics = Simulator::new(cfg)
+            .expect("paper config is valid")
+            .run_with_telemetry(&tel)
+            .expect("benchmark run succeeds")
+            .metrics;
+        let secs = start.elapsed().as_secs_f64();
+        eprintln!(
+            "{mode:?} {hours}h: {secs:.3}s wall ({:.0} sim-hours/s)",
+            hours / secs
+        );
+        e2e.push(E2eResult {
+            mode: format!("{mode:?}"),
+            sim_hours: hours,
+            wall_seconds: secs,
+            sim_hours_per_wall_second: hours / secs,
+            rounds,
+            ns_per_round: secs * 1e9 / rounds as f64,
+            mean_quality: metrics.mean_quality(),
+            peak_peers: metrics.peak_peers(),
+            phases: PhaseProfile::from_registry(&tel),
+        });
     }
 
-    let (kernels, naive_ns, inplace_ns, sparse_ns) = kernel_micro();
-
     let report = Report {
-        schema: "cloudmedia-bench-sim/v1".into(),
+        schema: SIM_SCHEMA.into(),
         sim_hours: hours,
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         e2e,
-        kernels,
-        speedups: Speedups {
-            client_server_e2e: wall[0][0] / wall[0][1],
-            p2p_e2e: wall[1][0] / wall[1][1],
-            client_server_allocation_stage: alloc_stage[0][0] / alloc_stage[0][1].max(1e-12),
-            p2p_allocation_stage: alloc_stage[1][0] / alloc_stage[1][1].max(1e-12),
-            allocate_pool_inplace_vs_naive: naive_ns / inplace_ns,
-            allocate_pool_sparse_vs_naive: naive_ns / sparse_ns,
-        },
+        kernels: vec![KernelResult {
+            name: "allocate_pool/sparse_mask".into(),
+            ns_per_call: sparse_kernel_ns(),
+        }],
         notes: vec![
-            "Scan is the pre-refactor reference engine (full-population scans, \
-             per-round allocations); Indexed is the production engine. Both \
-             produce bit-identical metrics for the same seed."
-                .into(),
-            "End-to-end ratios are Amdahl-capped by work shared between the \
-             engines (viewing-model event processing, hourly provisioning, \
-             trace generation); the kernel and per-stage ratios show the \
-             refactor's effect in isolation. Each row's phases are its \
-             run's stage/* telemetry counters (sampled stage clocks)."
+            "Each e2e row is one paper-default run on the Indexed engine, the \
+             production round engine; its phases are the run's stage/* telemetry \
+             counters (sampled stage clocks). The kernels row times the \
+             mask-sparse cloud allocation the engine runs, on a 64-chunk demand \
+             vector with four requested chunks and a scarce pool."
                 .into(),
         ],
     };
     let json = serde_json::to_string(&report).expect("report serializes");
     merge_record(&out_path, &json).expect("write benchmark file");
     println!(
-        "wrote {out_path}: C/S {:.2}x, P2P {:.2}x end-to-end (indexed vs scan)",
-        report.speedups.client_server_e2e, report.speedups.p2p_e2e
+        "wrote {out_path}: C/S {:.0}, P2P {:.0} sim-hours/s",
+        report.e2e[0].sim_hours_per_wall_second, report.e2e[1].sim_hours_per_wall_second
     );
 }
 
-/// Times the allocation kernels on the sparse demand shape the simulator
-/// produces; returns the per-call nanoseconds for the summary ratios.
-fn kernel_micro() -> (Vec<KernelResult>, f64, f64, f64) {
+/// Times the mask-sparse allocation kernel on the sparse demand shape
+/// the simulator produces; returns nanoseconds per call.
+fn sparse_kernel_ns() -> f64 {
     let mut demands = vec![0.0_f64; 64];
     let mut mask = 0u64;
     for &(k, d) in &[(0usize, 2.5e6), (7, 1.25e6), (13, 4.0e5), (40, 9.0e5)] {
@@ -217,22 +179,8 @@ fn kernel_micro() -> (Vec<KernelResult>, f64, f64, f64) {
     }
     let pool = 2.0e6;
     let iters = 2_000_000u64;
-
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(allocate_pool(std::hint::black_box(&demands), pool));
-    }
-    let naive_ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
     let mut out = vec![0.0; 64];
     let mut order = Vec::new();
-    let start = Instant::now();
-    for _ in 0..iters {
-        allocate_pool_into(std::hint::black_box(&demands), pool, &mut out, &mut order);
-    }
-    let inplace_ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    out.fill(0.0);
     let start = Instant::now();
     for _ in 0..iters {
         allocate_pool_sparse(
@@ -249,23 +197,7 @@ fn kernel_micro() -> (Vec<KernelResult>, f64, f64, f64) {
             out[k] = 0.0;
         }
     }
-    let sparse_ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    let kernels = vec![
-        KernelResult {
-            name: "allocate_pool/naive_alloc".into(),
-            ns_per_call: naive_ns,
-        },
-        KernelResult {
-            name: "allocate_pool/inplace".into(),
-            ns_per_call: inplace_ns,
-        },
-        KernelResult {
-            name: "allocate_pool/sparse_mask".into(),
-            ns_per_call: sparse_ns,
-        },
-    ];
-    (kernels, naive_ns, inplace_ns, sparse_ns)
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
 fn usage() -> ! {

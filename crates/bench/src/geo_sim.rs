@@ -259,7 +259,7 @@ fn merge_fields(out_path: &str, new: Vec<(String, serde::Value)>) -> std::io::Re
         },
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => vec![(
             "schema".to_owned(),
-            serde::Value::String("cloudmedia-bench-sim/v1".into()),
+            serde::Value::String(crate::SIM_SCHEMA.into()),
         )],
         Err(e) => return Err(e),
     };

@@ -54,10 +54,6 @@ pub struct PaperRuns {
     pub cs: Metrics,
     /// P2P mode metrics.
     pub p2p: Metrics,
-    /// The engine that produced both runs; every emitted result row is
-    /// tagged with it so CSV/JSON consumers can tell Scan / Indexed /
-    /// EventDriven numbers apart without guessing.
-    pub kernel: cloudmedia_sim::config::SimKernel,
 }
 
 /// Runs the paper's experiment in both streaming modes over `hours` hours
@@ -67,18 +63,16 @@ pub struct PaperRuns {
 ///
 /// Panics if a simulation fails — experiment binaries treat that as fatal.
 pub fn paper_runs(hours: f64) -> PaperRuns {
-    let kernel = cloudmedia_sim::config::SimKernel::default();
     let run = |mode: SimMode| -> Metrics {
         let mut cfg = SimConfig::paper_default(mode);
         cfg.trace.horizon_seconds = hours * 3600.0;
-        cfg.kernel = kernel;
         Simulator::new(cfg)
             .expect("paper config is valid")
             .run()
             .expect("paper-scale run succeeds")
     };
     let (cs, p2p) = rayon::join(|| run(SimMode::ClientServer), || run(SimMode::P2p));
-    PaperRuns { cs, p2p, kernel }
+    PaperRuns { cs, p2p }
 }
 
 /// Formats a bandwidth in Mbps with two decimals (the paper's figures are

@@ -32,3 +32,13 @@ pub mod scale;
 pub mod tables;
 
 pub use harness::{paper_runs, HarnessArgs, PaperRuns};
+
+/// Schema tag of `bench_sim`'s top-level keys of `BENCH_sim.json` (the
+/// record's own `schema`, `e2e` and `kernels`).
+pub const SIM_SCHEMA: &str = "cloudmedia-bench-sim/v2";
+
+/// Schema tag of `bench_des`'s `des_comparison` section.
+pub const DES_SCHEMA: &str = "cloudmedia-bench-des/v1";
+
+/// Schema tag of `bench_des`'s `engine_throughput` section.
+pub const DES_THROUGHPUT_SCHEMA: &str = "cloudmedia-bench-des-throughput/v1";

@@ -2,7 +2,7 @@
 //! producing the `stage_profile` section of `BENCH_sim.json` (binary:
 //! `bench_profile`).
 //!
-//! Each kernel is run twice per repetition — once with the no-op
+//! The Indexed engine is run twice per repetition — once with the no-op
 //! telemetry sink, once with a live metrics registry — and the minimum
 //! wall time of each side is kept. The relative overhead of the live
 //! registry is recorded alongside the per-stage wall-time shares; the
@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
 use cloudmedia_sim::SimError;
@@ -33,7 +33,7 @@ pub struct StageRow {
 /// The stage profile of one kernel over the paper week.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelStageProfile {
-    /// Engine name (`indexed`, `scan`, ...).
+    /// Engine name (`indexed`).
     pub engine: String,
     /// Rounds the telemetry-on run executed.
     pub rounds: u64,
@@ -71,31 +71,21 @@ pub struct StageProfileSection {
     pub kernels: Vec<KernelStageProfile>,
 }
 
-fn engine_name(kernel: SimKernel) -> &'static str {
-    match kernel {
-        SimKernel::Scan => "scan",
-        SimKernel::Indexed => "indexed",
-        SimKernel::EventDriven => "event-driven",
-    }
-}
-
-/// Profiles one kernel: `reps` telemetry-off runs, `reps` telemetry-on
-/// runs, minimum wall time on each side, stage table from the last
-/// telemetry-on registry (counters are deterministic across reps; only
-/// the wall-clock values jitter).
+/// Profiles the Indexed engine: `reps` telemetry-off runs, `reps`
+/// telemetry-on runs, minimum wall time on each side, stage table from
+/// the last telemetry-on registry (counters are deterministic across
+/// reps; only the wall-clock values jitter).
 ///
 /// # Errors
 ///
 /// Propagates configuration and simulation failures.
 pub fn profile_kernel(
-    kernel: SimKernel,
     mode: SimMode,
     hours: f64,
     reps: usize,
 ) -> Result<KernelStageProfile, SimError> {
     let mut cfg = SimConfig::paper_default(mode);
     cfg.trace.horizon_seconds = hours * 3600.0;
-    cfg.kernel = kernel;
     let sim = Simulator::new(cfg)?;
 
     // One untimed warm-up run so allocator pools and caches are hot
@@ -149,7 +139,7 @@ pub fn profile_kernel(
         .collect();
 
     Ok(KernelStageProfile {
-        engine: engine_name(kernel).to_owned(),
+        engine: "indexed".to_owned(),
         rounds: snapshot.value(telem::ROUNDS),
         wall_seconds_telemetry_off: wall_off,
         wall_seconds_telemetry_on: wall_on,
@@ -185,7 +175,7 @@ mod tests {
 
     #[test]
     fn short_profile_partitions_the_round_loop() {
-        let p = profile_kernel(SimKernel::Indexed, SimMode::ClientServer, 2.0, 1).unwrap();
+        let p = profile_kernel(SimMode::ClientServer, 2.0, 1).unwrap();
         assert_eq!(p.engine, "indexed");
         assert!(p.rounds > 0);
         assert!(p.metrics_identical, "telemetry changed the results");

@@ -27,10 +27,8 @@ pub fn fig4(runs: &PaperRuns) -> String {
 /// exceeds used in the majority of time").
 pub fn fig4_summary(runs: &PaperRuns) -> String {
     format!(
-        "# kernel: {:?}\n\
-         # C/S: mean reserved {} Mbps, mean used {} Mbps, coverage {:.3}\n\
+        "# C/S: mean reserved {} Mbps, mean used {} Mbps, coverage {:.3}\n\
          # P2P: mean reserved {} Mbps, mean used {} Mbps, coverage {:.3}\n",
-        runs.kernel,
         mbps(runs.cs.mean_reserved_bandwidth()),
         mbps(runs.cs.mean_used_bandwidth()),
         runs.cs.provision_coverage(),
@@ -57,8 +55,7 @@ pub fn fig5(runs: &PaperRuns) -> String {
 /// Summary for Fig. 5 (the paper reports C/S avg 0.97, P2P avg 0.95).
 pub fn fig5_summary(runs: &PaperRuns) -> String {
     format!(
-        "# kernel: {:?}\n# mean quality: C/S {:.3}, P2P {:.3}\n",
-        runs.kernel,
+        "# mean quality: C/S {:.3}, P2P {:.3}\n",
         runs.cs.mean_quality(),
         runs.p2p.mean_quality()
     )
@@ -138,10 +135,8 @@ pub fn fig10_summary(runs: &PaperRuns) -> String {
         .unwrap_or(1.0)
         .max(1e-9);
     format!(
-        "# kernel: {:?}\n\
-         # mean VM cost: C/S ${:.2}/h, P2P ${:.2}/h (ratio {:.1}x)\n\
+        "# mean VM cost: C/S ${:.2}/h, P2P ${:.2}/h (ratio {:.1}x)\n\
          # storage cost: C/S ${:.4}/day (negligible vs VM rental)\n",
-        runs.kernel,
         runs.cs.mean_vm_hourly_cost(),
         runs.p2p.mean_vm_hourly_cost(),
         runs.cs.mean_vm_hourly_cost() / runs.p2p.mean_vm_hourly_cost().max(1e-9),

@@ -7,8 +7,8 @@
 //! plane is seeded config data, so they must be. A `false` in the
 //! checked-in benchmark file is a regression, not noise.
 
-use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::faults::{FaultSchedule, ResilienceReport};
+use cloudmedia_sim::config::{SimConfig, SimMode};
+use cloudmedia_sim::faults::{ChaosPreset, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::SimError;
@@ -45,46 +45,24 @@ pub struct ResilienceSection {
     pub rows: Vec<ResilienceRow>,
 }
 
-/// The benchmark's fault presets, scaled to the horizon like the
-/// `cloudmedia chaos` CLI scenarios.
-pub fn preset(name: &str, horizon: f64) -> FaultSchedule {
-    match name {
-        "vm-outage" => FaultSchedule::vm_outage(0.5 * horizon, 0.5, 0.25 * horizon),
-        "budget-cut" => FaultSchedule::budget_shock(0.5 * horizon, 0.2),
-        "tracker-dropout" => FaultSchedule::tracker_blackout(0.35 * horizon, 0.3 * horizon),
-        "site-outage" => FaultSchedule::site_outage(0.4 * horizon, 1, 0.25 * horizon),
-        other => panic!("unknown chaos preset `{other}`"),
-    }
-}
-
-fn engine_name(kernel: SimKernel) -> &'static str {
-    match kernel {
-        SimKernel::Scan => "scan",
-        SimKernel::Indexed => "indexed",
-        SimKernel::EventDriven => "event-driven",
-    }
-}
-
-/// Runs one single-site scenario on `kernel`: a fault-free baseline,
-/// the faulted run in parallel, and the faulted run again serially for
-/// the bit-equality check.
+/// Runs one single-site scenario on the Indexed engine: a fault-free
+/// baseline, the faulted run in parallel, and the faulted run again
+/// serially for the bit-equality check.
 ///
 /// # Errors
 ///
 /// Propagates configuration and simulation failures.
 pub fn run_single_site(
-    scenario: &str,
-    kernel: SimKernel,
+    scenario: ChaosPreset,
     mode: SimMode,
     hours: f64,
 ) -> Result<ResilienceRow, SimError> {
     let horizon = hours * 3600.0;
-    let schedule = preset(scenario, horizon);
+    let schedule = scenario.schedule(horizon);
     let fault_start = schedule.first_fault_at().unwrap_or(0.0);
 
     let mut cfg = SimConfig::paper_default(mode);
     cfg.trace.horizon_seconds = horizon;
-    cfg.kernel = kernel;
     let baseline = Simulator::new(cfg.clone())?.run()?;
 
     cfg.faults = schedule;
@@ -102,8 +80,8 @@ pub fn run_single_site(
         parallel.fault_stats,
     );
     Ok(ResilienceRow {
-        scenario: scenario.to_owned(),
-        engine: engine_name(kernel).to_owned(),
+        scenario: scenario.name().to_owned(),
+        engine: "indexed".to_owned(),
         serial_parallel_identical: identical,
         report,
     })
@@ -115,9 +93,13 @@ pub fn run_single_site(
 /// # Errors
 ///
 /// Propagates configuration and simulation failures.
-pub fn run_federated(scenario: &str, mode: SimMode, hours: f64) -> Result<ResilienceRow, SimError> {
+pub fn run_federated(
+    scenario: ChaosPreset,
+    mode: SimMode,
+    hours: f64,
+) -> Result<ResilienceRow, SimError> {
     let horizon = hours * 3600.0;
-    let schedule = preset(scenario, horizon);
+    let schedule = scenario.schedule(horizon);
     let fault_start = schedule.first_fault_at().unwrap_or(0.0);
     let observed_site = schedule
         .site_outages
@@ -151,7 +133,7 @@ pub fn run_federated(scenario: &str, mode: SimMode, hours: f64) -> Result<Resili
     );
     report.cost_overshoot_dollars = parallel.total_cost() - baseline.total_cost();
     Ok(ResilienceRow {
-        scenario: scenario.to_owned(),
+        scenario: scenario.name().to_owned(),
         engine: "federated".to_owned(),
         serial_parallel_identical: identical,
         report,
@@ -184,17 +166,14 @@ mod tests {
 
     #[test]
     fn presets_validate_and_scale() {
-        for name in ["vm-outage", "budget-cut", "tracker-dropout", "site-outage"] {
-            let s = preset(name, 43_200.0);
+        for preset in ChaosPreset::ALL {
+            let s = preset.schedule(43_200.0);
             s.validate().unwrap();
             assert!(s.first_fault_at().unwrap() > 0.0);
         }
-        assert_eq!(preset("vm-outage", 43_200.0).vm_failures[0].at, 21_600.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown chaos preset")]
-    fn unknown_preset_panics() {
-        let _ = preset("meteor-strike", 3600.0);
+        assert_eq!(
+            ChaosPreset::VmOutage.schedule(43_200.0).vm_failures[0].at,
+            21_600.0
+        );
     }
 }

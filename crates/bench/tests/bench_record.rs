@@ -5,6 +5,7 @@
 //! here.
 
 use cloudmedia_bench::{geo_sim, profile, resilience, scale};
+use cloudmedia_bench::{DES_SCHEMA, DES_THROUGHPUT_SCHEMA, SIM_SCHEMA};
 use serde::Value;
 
 fn schema_of(value: &Value) -> Option<&str> {
@@ -20,11 +21,11 @@ fn committed_record_holds_every_section_at_its_current_schema() {
     let text = std::fs::read_to_string(path).expect("the committed BENCH_sim.json");
     let record: Value = serde_json::from_str(&text).expect("BENCH_sim.json is JSON");
     // Written by `bench_sim`, which owns the top level.
-    assert_eq!(schema_of(&record), Some("cloudmedia-bench-sim/v1"));
+    assert_eq!(schema_of(&record), Some(SIM_SCHEMA));
     let sections = [
         // Both written by `bench_des`.
-        ("des_comparison", "cloudmedia-bench-des/v1"),
-        ("engine_throughput", "cloudmedia-bench-des-throughput/v1"),
+        ("des_comparison", DES_SCHEMA),
+        ("engine_throughput", DES_THROUGHPUT_SCHEMA),
         ("geo_federation", geo_sim::SCHEMA),
         ("scale_sweep", scale::SCHEMA),
         ("resilience", resilience::SCHEMA),

@@ -54,7 +54,7 @@ use cloudmedia_core::controller::{Controller, ControllerConfig, StreamingMode};
 use cloudmedia_core::predictor::{ChannelObservation, PredictorKind};
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::event_driven::{DesRun, DesScenario, FlashCrowdSpec};
-use cloudmedia_sim::faults::{DegradeMode, FaultRun, FaultSchedule, ResilienceReport};
+use cloudmedia_sim::faults::{ChaosPreset, DegradeMode, FaultRun, FaultSchedule, ResilienceReport};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 use cloudmedia_sim::metrics::Metrics;
 use cloudmedia_sim::simulator::Simulator;
@@ -69,7 +69,7 @@ pub struct RunSpec {
     pub mode: Option<SimMode>,
     /// `--hours H`: the horizon.
     pub hours: Option<f64>,
-    /// `--kernel scan|indexed|event-driven`: the engine.
+    /// `--kernel indexed|event-driven`: the engine.
     pub kernel: Option<SimKernel>,
     /// `--config FILE`: a JSON [`SimConfig`] that replaces the preset.
     pub config: Option<String>,
@@ -157,7 +157,7 @@ pub enum Run {
     /// fault-free baseline. Preset: C/S, 24 h.
     Chaos {
         /// Which fault to inject.
-        scenario: ChaosScenarioKind,
+        scenario: ChaosPreset,
         /// `--shed`: shed new arrivals during the fleet outage instead
         /// of diluting every stream (`vm-outage` only).
         shed: bool,
@@ -191,7 +191,7 @@ impl Run {
     /// The first flag of `spec` this run cannot apply, and why: its
     /// effect would need a config or a result file the run does not have.
     fn refusal(self, spec: &RunSpec) -> Option<(&'static str, &'static str)> {
-        use ChaosScenarioKind::{SiteOutage, VmOutage};
+        use ChaosPreset::{SiteOutage, VmOutage};
         Some(match self {
             Self::Geo(_)
             | Self::Chaos {
@@ -415,10 +415,7 @@ impl DesScenarioKind {
                 ..DesScenario::default()
             },
             Self::VmFailure => {
-                add_faults(
-                    &mut config.faults,
-                    ChaosScenarioKind::VmOutage.build(horizon, false),
-                );
+                add_faults(&mut config.faults, ChaosPreset::VmOutage.schedule(horizon));
                 DesScenario::default()
             }
             Self::FlashCrowd => DesScenario {
@@ -434,63 +431,26 @@ impl DesScenarioKind {
     }
 }
 
-/// The named fault scenarios `cloudmedia chaos` offers. Every fault
-/// instant is a fixed fraction of the horizon so any `--hours` value
-/// exercises the full fault-and-recovery arc.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosScenarioKind {
-    /// Half the VM fleet fails at mid-run and is repaired a quarter
-    /// horizon later.
-    VmOutage,
-    /// Federated deployment: site 1 goes dark at 40 % of the horizon for
-    /// a quarter horizon; the placement optimizer re-plans around it.
-    SiteOutage,
-    /// The VM rental budget is cut in half at mid-run.
-    BudgetCut,
-    /// Tracker measurements go dark from 35 % to 65 % of the horizon;
-    /// the controller replays its last-known-good plan.
-    TrackerDropout,
+/// Parses a `cloudmedia chaos` scenario name.
+fn parse_chaos(v: &str) -> Result<ChaosPreset, CliError> {
+    ChaosPreset::ALL
+        .into_iter()
+        .find(|preset| preset.name() == v)
+        .ok_or_else(|| {
+            let names = ChaosPreset::ALL.map(ChaosPreset::name).join("|");
+            CliError::Usage(format!("unknown chaos scenario `{v}` (use {names})"))
+        })
 }
 
-impl ChaosScenarioKind {
-    fn parse(v: &str) -> Result<Self, CliError> {
-        match v {
-            "vm-outage" => Ok(Self::VmOutage),
-            "site-outage" => Ok(Self::SiteOutage),
-            "budget-cut" => Ok(Self::BudgetCut),
-            "tracker-dropout" => Ok(Self::TrackerDropout),
-            other => Err(CliError::Usage(format!(
-                "unknown chaos scenario `{other}` \
-                 (use vm-outage|site-outage|budget-cut|tracker-dropout)"
-            ))),
-        }
+/// `preset`'s fault schedule for a run of `horizon` seconds; with
+/// `shed`, new arrivals are shed during its fleet outage instead of
+/// diluting every stream.
+fn chaos_schedule(preset: ChaosPreset, horizon: f64, shed: bool) -> FaultSchedule {
+    let mut schedule = preset.schedule(horizon);
+    if shed {
+        schedule.degrade = DegradeMode::ShedNewArrivals;
     }
-
-    fn name(self) -> &'static str {
-        match self {
-            Self::VmOutage => "vm-outage",
-            Self::SiteOutage => "site-outage",
-            Self::BudgetCut => "budget-cut",
-            Self::TrackerDropout => "tracker-dropout",
-        }
-    }
-
-    /// Builds the fault schedule for a run of `horizon` seconds.
-    fn build(self, horizon: f64, shed: bool) -> FaultSchedule {
-        let mut schedule = match self {
-            Self::VmOutage => FaultSchedule::vm_outage(0.5 * horizon, 0.5, 0.25 * horizon),
-            Self::SiteOutage => FaultSchedule::site_outage(0.4 * horizon, 1, 0.25 * horizon),
-            // 0.2 of the paper's $100/h ceiling undercuts the ~$29/h the
-            // client-server deployment actually spends, so the cut binds
-            // and the planner dilutes streams best-effort.
-            Self::BudgetCut => FaultSchedule::budget_shock(0.5 * horizon, 0.2),
-            Self::TrackerDropout => FaultSchedule::tracker_blackout(0.35 * horizon, 0.3 * horizon),
-        };
-        if shed {
-            schedule.degrade = DegradeMode::ShedNewArrivals;
-        }
-        schedule
-    }
+    schedule
 }
 
 /// Adds `extra`'s events to `faults`, and its policy if it sheds, so a
@@ -548,7 +508,7 @@ config is its preset, then the --config file in its place, then --mode,
   --mode cs|p2p       streaming mode (preset: p2p for simulate, des and
                       profile; cs for geo, chaos and scale)
   --hours H           horizon (preset: 24; scale: 1)
-  --kernel scan|indexed|event-driven
+  --kernel indexed|event-driven
                       engine (not on des or chaos site-outage)
   --config FILE       JSON config, e.g. from default-config (not on geo,
                       scale or chaos site-outage)
@@ -576,11 +536,10 @@ fn parse_mode(v: &str) -> Result<SimMode, CliError> {
 /// quietly benchmark or validate the wrong implementation.
 fn parse_kernel(v: &str) -> Result<SimKernel, CliError> {
     match v {
-        "scan" => Ok(SimKernel::Scan),
         "indexed" => Ok(SimKernel::Indexed),
         "event-driven" | "des" => Ok(SimKernel::EventDriven),
         other => Err(CliError::Usage(format!(
-            "unknown kernel `{other}` (use scan|indexed|event-driven)"
+            "unknown kernel `{other}` (use indexed|event-driven)"
         ))),
     }
 }
@@ -697,7 +656,7 @@ fn parse_run<'a>(cmd: &str, mut args: impl Iterator<Item = &'a str>) -> Result<C
         "des" => Run::Des(DesScenarioKind::parse(positional("a scenario")?)?),
         "geo" => Run::Geo(parse_deployment(positional("a deployment")?)?),
         "chaos" => Run::Chaos {
-            scenario: ChaosScenarioKind::parse(positional("a scenario")?)?,
+            scenario: parse_chaos(positional("a scenario")?)?,
             shed: false,
         },
         "scale" => Run::Scale {
@@ -1031,12 +990,12 @@ fn geo(kind: DeploymentKind, config: &SimConfig, tel: &Telemetry) -> Result<Stri
 /// Runs `config` with the scenario's fault added against `config` with
 /// no faults at all, and reports the resilience metrics.
 fn chaos(
-    scenario: ChaosScenarioKind,
+    scenario: ChaosPreset,
     shed: bool,
     config: SimConfig,
     tel: &Telemetry,
 ) -> Result<Report, CliError> {
-    let schedule = scenario.build(config.trace.horizon_seconds, shed);
+    let schedule = chaos_schedule(scenario, config.trace.horizon_seconds, shed);
     let fault_start = schedule.first_fault_at().unwrap_or(0.0);
     let mut out = format!(
         "chaos {scenario:?}: {}, fault at t = {fault_start:.0} s\n",
@@ -1044,7 +1003,7 @@ fn chaos(
     );
     // Telemetry records the faulted run — the one whose fault plane the
     // registry's `faults/*` counters mirror. The baseline runs dark.
-    let report = if scenario == ChaosScenarioKind::SiteOutage {
+    let report = if scenario == ChaosPreset::SiteOutage {
         let mut fc = deployment(DeploymentKind::Federated, &config);
         let baseline = FederatedSimulator::new(fc.clone())
             .map_err(|e| CliError::Run(format!("invalid federation config: {e}")))?
@@ -1243,7 +1202,7 @@ mod tests {
             c,
             Command::Run(
                 Run::Chaos {
-                    scenario: ChaosScenarioKind::VmOutage,
+                    scenario: ChaosPreset::VmOutage,
                     shed: false,
                 },
                 RunSpec::default()
@@ -1267,7 +1226,7 @@ mod tests {
             c,
             Command::Run(
                 Run::Chaos {
-                    scenario: ChaosScenarioKind::BudgetCut,
+                    scenario: ChaosPreset::BudgetCut,
                     shed: true,
                 },
                 RunSpec {
@@ -1285,21 +1244,19 @@ mod tests {
 
     #[test]
     fn chaos_schedules_scale_with_the_horizon() {
-        let s = ChaosScenarioKind::VmOutage.build(36_000.0, false);
+        let s = chaos_schedule(ChaosPreset::VmOutage, 36_000.0, false);
         assert_eq!(s.vm_failures[0].at, 18_000.0);
         assert_eq!(s.vm_failures[0].recovery_seconds, 9_000.0);
         assert_eq!(s.degrade, DegradeMode::DiluteAllStreams);
-        let s = ChaosScenarioKind::VmOutage.build(36_000.0, true);
+        let s = chaos_schedule(ChaosPreset::VmOutage, 36_000.0, true);
         assert_eq!(s.degrade, DegradeMode::ShedNewArrivals);
-        let s = ChaosScenarioKind::SiteOutage.build(36_000.0, false);
+        let s = chaos_schedule(ChaosPreset::SiteOutage, 36_000.0, false);
         assert_eq!(s.site_outages[0].site, 1);
         s.validate().unwrap();
-        ChaosScenarioKind::BudgetCut
-            .build(36_000.0, false)
+        chaos_schedule(ChaosPreset::BudgetCut, 36_000.0, false)
             .validate()
             .unwrap();
-        ChaosScenarioKind::TrackerDropout
-            .build(36_000.0, false)
+        chaos_schedule(ChaosPreset::TrackerDropout, 36_000.0, false)
             .validate()
             .unwrap();
     }
@@ -1308,7 +1265,7 @@ mod tests {
     fn chaos_site_outage_rejects_kernel_override() {
         let err = run(Command::Run(
             Run::Chaos {
-                scenario: ChaosScenarioKind::SiteOutage,
+                scenario: ChaosPreset::SiteOutage,
                 shed: false,
             },
             RunSpec {
@@ -1336,7 +1293,7 @@ mod tests {
             );
         }
         let vm_outage = Run::Chaos {
-            scenario: ChaosScenarioKind::VmOutage,
+            scenario: ChaosPreset::VmOutage,
             shed: true,
         };
         assert!(vm_outage.compose(&RunSpec::default()).is_ok());
@@ -1403,7 +1360,6 @@ mod tests {
     #[test]
     fn parse_simulate_kernel_selection() {
         for (name, kernel) in [
-            ("scan", SimKernel::Scan),
             ("indexed", SimKernel::Indexed),
             ("event-driven", SimKernel::EventDriven),
             ("des", SimKernel::EventDriven),
@@ -1424,13 +1380,17 @@ mod tests {
         // The whole point: a typo must never silently run the default
         // engine (which would e.g. benchmark the wrong kernel).
         // `sharded` named the kernel whose partition every round engine
-        // now runs; it is gone from the surface like any unknown name.
-        for bad in ["Indexed", "quantum", "scan2", "sharded", ""] {
+        // now runs, and `scan` the reference engine the tests keep as
+        // their oracle; both are gone from the surface like any unknown
+        // name.
+        for bad in ["Indexed", "quantum", "scan2", "sharded", "scan", ""] {
             let err = parse(&["simulate", "--kernel", bad]).unwrap_err();
             match err {
                 CliError::Usage(msg) => {
                     assert!(
-                        msg.contains("unknown kernel") && msg.contains("scan|indexed"),
+                        msg.contains("unknown kernel")
+                            && msg.contains(&format!("`{bad}`"))
+                            && msg.contains("indexed|event-driven"),
                         "unhelpful message for `{bad}`: {msg}"
                     );
                 }
@@ -1797,7 +1757,15 @@ mod tests {
         let c = parse(&["profile"]).unwrap();
         assert_eq!(c, Command::Run(Run::Profile, RunSpec::default()));
         let c = parse(&[
-            "profile", "--mode", "cs", "--hours", "2", "--kernel", "scan", "--out", "p.json",
+            "profile",
+            "--mode",
+            "cs",
+            "--hours",
+            "2",
+            "--kernel",
+            "event-driven",
+            "--out",
+            "p.json",
         ])
         .unwrap();
         assert_eq!(
@@ -1806,7 +1774,7 @@ mod tests {
                 Run::Profile,
                 RunSpec {
                     mode: Some(SimMode::ClientServer),
-                    kernel: Some(SimKernel::Scan),
+                    kernel: Some(SimKernel::EventDriven),
                     out: Some("p.json".into()),
                     ..spec(2.0)
                 }
@@ -1954,11 +1922,11 @@ mod tests {
             Run::Des(DesScenarioKind::Baseline),
             Run::Geo(DeploymentKind::Federated),
             Run::Chaos {
-                scenario: ChaosScenarioKind::VmOutage,
+                scenario: ChaosPreset::VmOutage,
                 shed: false,
             },
             Run::Chaos {
-                scenario: ChaosScenarioKind::SiteOutage,
+                scenario: ChaosPreset::SiteOutage,
                 shed: false,
             },
             Run::Scale {
@@ -1993,11 +1961,11 @@ mod tests {
                 (
                     "--kernel",
                     RunSpec {
-                        kernel: Some(SimKernel::Scan),
+                        kernel: Some(SimKernel::EventDriven),
                         ..RunSpec::default()
                     },
                     Some(SimConfig {
-                        kernel: SimKernel::Scan,
+                        kernel: SimKernel::EventDriven,
                         ..preset.clone()
                     }),
                 ),
@@ -2114,7 +2082,7 @@ mod tests {
         let config = file(&dir, "faulted.json");
         write_config(&config, &faulted);
         let run = Run::Chaos {
-            scenario: ChaosScenarioKind::BudgetCut,
+            scenario: ChaosPreset::BudgetCut,
             shed: false,
         };
         let spec = RunSpec {
@@ -2125,7 +2093,7 @@ mod tests {
         assert_eq!(composed, faulted);
         let tel = Telemetry::disabled();
         let Ok((_, Some(Outcome::Resilience(report)))) =
-            chaos(ChaosScenarioKind::BudgetCut, false, composed, &tel)
+            chaos(ChaosPreset::BudgetCut, false, composed, &tel)
         else {
             panic!("chaos returns its resilience report");
         };

@@ -46,10 +46,10 @@
 //! identical outputs — the property `cloudmedia-sim`'s event-driven
 //! engine relies on and its regression tests enforce.
 //!
-//! # Accuracy vs the round engines
+//! # Accuracy vs the round engine
 //!
 //! The event-driven CloudMedia engine built on this kernel is *not*
-//! bit-identical to the `Scan`/`Indexed` round engines — it is a
+//! bit-identical to the `Indexed` round engine — it is a
 //! different microscopic model (per-request service times instead of
 //! fluid bandwidth sharing; an independently sampled arrival stream).
 //! The two models agree in the mean: over a steady-state horizon both are

@@ -6,53 +6,48 @@
 //! rarest-first discipline (requests for the rarest chunk are served
 //! first), and only the deficit falls through to the cloud.
 //!
-//! Both kernels come in two forms: an `_into` variant that writes into
-//! caller-owned output and sort-scratch buffers (the simulator's hot path
-//! — zero heap allocation per call), and an allocating wrapper keeping
-//! the original signature for tests and one-off callers. The in-place
-//! kernels are the *only* implementation; the wrappers delegate, so every
-//! caller computes bit-identical results.
+//! Both kernels come in two forms: the dense reference (`allocate_pool`,
+//! `peer_allocation`), which returns a fresh vector over every chunk
+//! slot and is what the reference engine and the property tests call,
+//! and the mask-sparse in-place kernel (`_sparse`), the production
+//! engine's hot path, which writes only the requested chunks into
+//! caller-owned buffers (zero heap allocation per call). The two forms
+//! compute bit-identical values.
 //!
 //! Whole units split by `apportion`, by largest remainder: a federated
 //! region's VM targets across the sites serving it, and the event-driven
 //! engine's online servers across channels.
 
 /// Max–min fair allocation of `pool` across entries with the given
-/// `demands`, written into `out`: everyone gets at most their demand, no
-/// entry can gain without a larger entry losing.
+/// `demands`: everyone gets at most their demand, no entry can gain
+/// without a larger entry losing. The dense reference of
+/// [`allocate_pool_sparse`].
 ///
-/// `order` is caller-owned sort scratch, reused across calls. The kernel
-/// runs progressive filling over only the *positive* demands (zero
+/// Progressive filling runs over only the *positive* demands (zero
 /// entries receive zero without participating in the sort) and exits as
 /// soon as the pool drains; when total demand fits in the pool the sort
 /// is skipped entirely. Demands must be non-negative and finite.
-///
-/// # Panics
-///
-/// Panics if `out.len() != demands.len()`.
-pub fn allocate_pool_into(demands: &[f64], pool: f64, out: &mut [f64], order: &mut Vec<usize>) {
+pub fn allocate_pool(demands: &[f64], pool: f64) -> Vec<f64> {
     let n = demands.len();
-    assert_eq!(out.len(), n, "output buffer must match demand count");
-    out.fill(0.0);
+    let mut out = vec![0.0; n];
     if n == 0 || pool <= 0.0 {
-        return;
+        return out;
     }
     let total: f64 = demands.iter().sum();
     if total <= pool {
         out.copy_from_slice(demands);
-        return;
+        return out;
     }
     // Progressive filling over positive demands, ascending. Ties break by
     // index, which reproduces a stable sort over the full demand vector:
     // the zero entries it would place first all receive zero and only
     // decrement the active count, so starting from `active =
     // positive_count` is arithmetically identical.
-    order.clear();
-    order.extend((0..n).filter(|&i| demands[i] > 0.0));
+    let mut order: Vec<usize> = (0..n).filter(|&i| demands[i] > 0.0).collect();
     order.sort_unstable_by(|&a, &b| demands[a].total_cmp(&demands[b]).then(a.cmp(&b)));
     let mut remaining = pool;
     let mut active = order.len();
-    for &i in order.iter() {
+    for &i in &order {
         if remaining <= 0.0 {
             // Pool drained: every later (larger) demand gets zero, which
             // `out` already holds.
@@ -64,18 +59,21 @@ pub fn allocate_pool_into(demands: &[f64], pool: f64, out: &mut [f64], order: &m
         remaining -= give;
         active -= 1;
     }
+    out
 }
 
-/// Mask-sparse max–min fair allocation: like [`allocate_pool_into`], but
-/// touches only the chunk slots whose bit is set in `mask` (ascending).
+/// Mask-sparse max–min fair allocation: like [`allocate_pool`], but
+/// writes into `out`, with `order` as caller-owned sort scratch reused
+/// across calls, and touches only the chunk slots whose bit is set in
+/// `mask` (ascending).
 ///
 /// Contract: slots outside `mask` are neither read nor written — the
 /// caller guarantees `out` is already zero wherever it will later be read
 /// densely. Because a zero demand contributes exactly nothing to the
 /// progressive fill (it sorts first, receives zero, and leaves both the
 /// remaining pool and the share arithmetic untouched), the values written
-/// for in-mask slots are bit-identical to a dense
-/// [`allocate_pool_into`] call over the full slice.
+/// for in-mask slots are bit-identical to a dense [`allocate_pool`]
+/// call over the full slice.
 ///
 /// The `total <= pool` branch copies `out[k] = demands[k]` *verbatim* —
 /// not a proportional share that merely rounds to it — so an
@@ -131,14 +129,6 @@ pub fn allocate_pool_sparse(
     }
 }
 
-/// Allocating wrapper over [`allocate_pool_into`].
-pub fn allocate_pool(demands: &[f64], pool: f64) -> Vec<f64> {
-    let mut out = vec![0.0; demands.len()];
-    let mut order = Vec::new();
-    allocate_pool_into(demands, pool, &mut out, &mut order);
-    out
-}
-
 /// One channel's state for a P2P allocation round.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelRound {
@@ -155,51 +145,47 @@ pub struct ChannelRound {
     pub upload_pool: f64,
 }
 
-/// Rarest-first peer bandwidth allocation for one channel, written into
-/// `served`: chunks are served in increasing order of owner count (ties
-/// by chunk index); each chunk receives at most its requested rate, at
-/// most its owners' upload capacity, and at most what remains of the
-/// channel-wide upload pool. Unrequested chunks are skipped before the
-/// sort, and the fill loop exits once the pool drains.
-///
-/// `order` is caller-owned sort scratch, reused across calls.
+/// Rarest-first peer bandwidth allocation for one channel: chunks are
+/// served in increasing order of owner count (ties by chunk index);
+/// each chunk receives at most its requested rate, at most its owners'
+/// upload capacity, and at most what remains of the channel-wide upload
+/// pool. Unrequested chunks are skipped before the sort, and the fill
+/// loop exits once the pool drains. The dense reference of
+/// [`peer_allocation_sparse`].
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths disagree.
-pub fn peer_allocation_into(
-    requested_rate: &[f64],
-    owners: &[usize],
-    owner_upload: &[f64],
-    upload_pool: f64,
-    served: &mut [f64],
-    order: &mut Vec<usize>,
-) {
-    let j = requested_rate.len();
-    assert_eq!(owners.len(), j, "owners length must match chunk count");
+pub fn peer_allocation(round: &ChannelRound) -> Vec<f64> {
+    let j = round.requested_rate.len();
     assert_eq!(
-        owner_upload.len(),
+        round.owners.len(),
+        j,
+        "owners length must match chunk count"
+    );
+    assert_eq!(
+        round.owner_upload.len(),
         j,
         "owner_upload length must match chunk count"
     );
-    assert_eq!(served.len(), j, "output buffer must match chunk count");
-    served.fill(0.0);
-    order.clear();
-    order.extend((0..j).filter(|&i| requested_rate[i] > 0.0));
-    order.sort_unstable_by_key(|&i| (owners[i], i));
-    let mut pool = upload_pool;
-    for &i in order.iter() {
+    let mut served = vec![0.0; j];
+    let mut order: Vec<usize> = (0..j).filter(|&i| round.requested_rate[i] > 0.0).collect();
+    order.sort_unstable_by_key(|&i| (round.owners[i], i));
+    let mut pool = round.upload_pool;
+    for &i in &order {
         if pool <= 0.0 {
             break;
         }
-        let give = requested_rate[i].min(owner_upload[i]).min(pool);
+        let give = round.requested_rate[i].min(round.owner_upload[i]).min(pool);
         served[i] = give;
         pool -= give;
     }
+    served
 }
 
-/// Mask-sparse rarest-first allocation: like [`peer_allocation_into`],
-/// but touches only the chunk slots whose bit is set in `mask`.
+/// Mask-sparse rarest-first allocation: like [`peer_allocation`], but
+/// writes into `served`, with `order` as caller-owned sort scratch, and
+/// touches only the chunk slots whose bit is set in `mask`.
 ///
 /// Same contract as [`allocate_pool_sparse`]: out-of-mask slots are
 /// neither read nor written, and in-mask results are bit-identical to
@@ -233,21 +219,6 @@ pub fn peer_allocation_sparse(
         served[i] = give;
         pool -= give;
     }
-}
-
-/// Allocating wrapper over [`peer_allocation_into`].
-pub fn peer_allocation(round: &ChannelRound) -> Vec<f64> {
-    let mut served = vec![0.0; round.requested_rate.len()];
-    let mut order = Vec::new();
-    peer_allocation_into(
-        &round.requested_rate,
-        &round.owners,
-        &round.owner_upload,
-        round.upload_pool,
-        &mut served,
-        &mut order,
-    );
-    served
 }
 
 /// Splits `total` integer units across `shares` (which need not be
@@ -336,22 +307,6 @@ mod tests {
         for x in a {
             assert_close(x, 2.0, 1e-12);
         }
-    }
-
-    #[test]
-    fn into_kernel_reuses_scratch_across_calls() {
-        let mut out = vec![9.9; 3];
-        let mut order = Vec::new();
-        allocate_pool_into(&[10.0, 1.0, 10.0], 9.0, &mut out, &mut order);
-        assert_close(out[1], 1.0, 1e-12);
-        // Second call with different shape of positive demands: stale
-        // scratch contents must not leak through.
-        let mut out2 = vec![9.9; 4];
-        allocate_pool_into(&[0.0, 2.0, 0.0, 2.0], 1.0, &mut out2, &mut order);
-        assert_eq!(out2[0], 0.0);
-        assert_eq!(out2[2], 0.0);
-        assert_close(out2[1], 0.5, 1e-12);
-        assert_close(out2[3], 0.5, 1e-12);
     }
 
     #[test]

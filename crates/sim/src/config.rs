@@ -21,31 +21,26 @@ pub enum SimMode {
     P2p,
 }
 
-/// Which simulation engine drives the run.
+/// Which simulation model drives the run.
 ///
-/// The two *round* engines (`Scan`, `Indexed`) run on one segment
-/// driver, one shard per channel, each channel with its own arrival
-/// sub-stream and behaviour RNG stream. They produce **bit-identical**
-/// metrics for the same seed and differ only in speed. Config files
-/// that name the removed `Sharded` kernel load as `Indexed`, which runs
-/// exactly what `Sharded` ran. The *event-driven* engine is a
-/// different microscopic model on the `cloudmedia-des` kernel: it
-/// agrees with the round engines in steady-state means (see
+/// The *round* model (`Indexed`) runs on the segment driver, one shard
+/// per channel, each channel with its own arrival sub-stream and
+/// behaviour RNG stream. Config files that name the removed `Sharded`
+/// or `Scan` kernels load as `Indexed`, which runs their results bit
+/// for bit; the reference round engine stays as the tests' oracle
+/// ([`crate::Simulator::run_reference`]). The *event-driven* engine is
+/// a different microscopic model on the `cloudmedia-des` kernel: it
+/// agrees with the round model in steady-state means (see
 /// [`crate::event_driven`] for the tolerance argument) and additionally
 /// models per-request admission latency, VM boot delay, and failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SimKernel {
-    /// Reference round engine: rescans the full peer population every
-    /// round and allocates fresh buffers per round, as the original
-    /// implementation did. Kept as the baseline for benchmarks and as
-    /// the oracle for the indexed engine's regression test.
-    Scan,
-    /// Production round engine: per-channel download cohorts (one
-    /// record per group of downloads that advance in lockstep),
+    /// The round engine: per-channel download cohorts (one record per
+    /// group of downloads that advance in lockstep),
     /// incrementally-tracked chunk-owner counts and supply aggregates,
     /// fused single-pass per-channel aggregation into reusable scratch,
-    /// and in-place allocation kernels. Large sites fan their channel
-    /// shards out over the rayon pool (see
+    /// and mask-sparse in-place allocation kernels. Large sites fan
+    /// their channel shards out over the rayon pool (see
     /// [`SimConfig::parallel_channels`]).
     #[default]
     Indexed,
@@ -63,8 +58,9 @@ pub enum SimKernel {
 /// `#[serde(default)]`): fields added after config files were in the
 /// wild are optional, unknown keys are ignored (a `"scheduler"` written
 /// before the event-driven engine's queue choice was removed still
-/// loads), and a `"kernel": "Sharded"` written before that kernel was
-/// removed loads as [`SimKernel::Indexed`].
+/// loads), and a `"kernel"` of `"Sharded"` or `"Scan"`, written before
+/// those kernels left the configuration, loads as
+/// [`SimKernel::Indexed`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Channel catalog (popularity, viewing models, arrival rates).
@@ -106,7 +102,7 @@ pub struct SimConfig {
     /// — stale buffer maps, neighbor fan-out limits, request pipelining
     /// gaps.
     pub peer_efficiency: f64,
-    /// Round-engine implementation (identical results, different speed).
+    /// Simulation model: the round engine or the event-driven model.
     pub kernel: SimKernel,
     /// Let the segment driver fan its channel shards across the rayon
     /// worker pool (default): a site's shards once it holds at least
@@ -162,9 +158,12 @@ impl serde::Deserialize for SimConfig {
             chunk_seconds: req(v, "chunk_seconds")?,
             peer_efficiency: req(v, "peer_efficiency")?,
             // `Sharded` was the one-shard-per-channel partition every
-            // round engine now runs; Indexed runs it bit for bit.
+            // round engine now runs, and `Scan` the reference engine;
+            // Indexed runs both bit for bit.
             kernel: match v.get("kernel") {
-                Some(serde::Value::String(name)) if name == "Sharded" => SimKernel::Indexed,
+                Some(serde::Value::String(name)) if name == "Sharded" || name == "Scan" => {
+                    SimKernel::Indexed
+                }
                 _ => req(v, "kernel")?,
             },
             // Optional with a default: added after configs were already
@@ -475,23 +474,26 @@ mod tests {
         assert_eq!(parsed.fleet_scale, 40.0);
     }
 
-    /// Configs written while the `Sharded` kernel existed load as the
-    /// same config with `Indexed`, which runs what `Sharded` ran.
+    /// Configs written while the `Sharded` or `Scan` kernel was a
+    /// config value load as the same config with `Indexed`, which runs
+    /// what either ran.
     #[test]
     fn legacy_sharded_kernel_loads_as_indexed() {
         let cfg = SimConfig::scale_out(SimMode::ClientServer, 400, 200_000.0).unwrap();
         assert_eq!(cfg.kernel, SimKernel::Indexed);
-        let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
-            panic!("config serializes to an object");
-        };
-        for (key, value) in &mut fields {
-            if key == "kernel" {
-                *value = serde::Value::String("Sharded".into());
+        for legacy_kernel in ["Sharded", "Scan"] {
+            let serde::Value::Object(mut fields) = serde::Serialize::to_value(&cfg) else {
+                panic!("config serializes to an object");
+            };
+            for (key, value) in &mut fields {
+                if key == "kernel" {
+                    *value = serde::Value::String(legacy_kernel.into());
+                }
             }
+            let legacy = serde::Value::Object(fields);
+            let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
+            assert_eq!(parsed, cfg, "{legacy_kernel}");
         }
-        let legacy = serde::Value::Object(fields);
-        let parsed = <SimConfig as serde::Deserialize>::from_value(&legacy).unwrap();
-        assert_eq!(parsed, cfg);
     }
 
     #[test]

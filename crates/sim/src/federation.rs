@@ -15,9 +15,9 @@
 //! # What redirection means mechanically
 //!
 //! The viewer-facing side of a region is unchanged: its channels keep
-//! the reservation its controller planned, and its round kernel (the
-//! [`SimKernel::Scan`] or [`SimKernel::Indexed`] engine the single-site
-//! [`crate::Simulator`] uses) allocates bandwidth per round as always.
+//! the reservation its controller planned, and its round engine (the
+//! [`SimKernel::Indexed`] engine the single-site [`crate::Simulator`]
+//! uses) allocates bandwidth per round as always.
 //! What moves is *where the VMs backing that reservation run*: region
 //! `i`'s integer VM targets are apportioned across sites according to
 //! the placement (largest-remainder per cluster, so totals are
@@ -104,8 +104,8 @@ pub enum DeploymentKind {
 pub struct FederatedConfig {
     /// Template configuration; each region derives its own copy (catalog
     /// scaled by population share, diurnal shifted to local time,
-    /// distinct trace and behaviour seeds). The `kernel` must be a round
-    /// engine (Scan or Indexed). `parallel_channels` (the default) steps
+    /// distinct trace and behaviour seeds). The `kernel` must be the
+    /// round engine (Indexed). `parallel_channels` (the default) steps
     /// the regions on the rayon pool and fans their plans out; shards
     /// never share an accumulator inside a segment of rounds and every
     /// cross-region coupling (global placement, site online fractions)
@@ -212,7 +212,7 @@ impl FederatedConfig {
         if self.base.kernel == SimKernel::EventDriven {
             return Err(invalid_param(
                 "kernel",
-                "the federated simulator drives round engines; use Indexed or Scan \
+                "the federated simulator drives the round engine; use Indexed \
                  (the event-driven engine models single-site redirection via \
                  DesScenario::remote_overflow)",
             ));
@@ -799,25 +799,27 @@ impl FederatedSimulator {
         let cfgs: Vec<SimConfig> = (0..fc.regions.len())
             .map(|idx| fc.region_config(idx))
             .collect();
-        run(fc, &cfgs, tel, None)
+        run(fc, &cfgs, tel, None, Site::indexed)
     }
 }
 
 /// Runs `fc`'s deployment on `cfgs`, one configuration per site in site
 /// order (the federation derives them from `fc.base`; a single site
-/// passes its own), recording telemetry into `tel`; with `footprint`,
-/// also measures the end-of-run per-peer resident footprint
-/// (`crate::footprint`).
+/// passes its own), with the round engine `site` builds each site on
+/// (`Site::indexed` in production), recording telemetry into `tel`;
+/// with `footprint`, also measures the end-of-run per-peer resident
+/// footprint (`crate::footprint`).
 ///
 /// # Errors
 ///
 /// Propagates trace generation, provisioning, placement, and cloud
 /// failures.
-pub(crate) fn run(
+pub(crate) fn run<'a, E: RoundEngine>(
     fc: &FederatedConfig,
-    cfgs: &[SimConfig],
+    cfgs: &'a [SimConfig],
     tel: &Telemetry,
     footprint: Option<&mut PeerFootprint>,
+    site: impl Fn(&'a SimConfig) -> Result<Site<'a, E>, SimError>,
 ) -> Result<FederatedMetrics, SimError> {
     // Process-wide counter baseline, taken before the arrival streams
     // exist so their lazy draws are attributed to this run.
@@ -850,20 +852,8 @@ pub(crate) fn run(
         site_mask: vec![false; n_sites],
         site_online: Vec::with_capacity(n_sites),
     };
-    let sites = cfgs.iter();
-    let metrics = match fc.base.kernel {
-        SimKernel::Scan => host.run(
-            sites.map(Site::scan).collect::<Result<_, _>>()?,
-            tel,
-            footprint,
-        )?,
-        SimKernel::Indexed => host.run(
-            sites.map(Site::indexed).collect::<Result<_, _>>()?,
-            tel,
-            footprint,
-        )?,
-        SimKernel::EventDriven => unreachable!("the event-driven engine has its own loop"),
-    };
+    let sites = cfgs.iter().map(site).collect::<Result<_, _>>()?;
+    let metrics = host.run(sites, tel, footprint)?;
     drop(run_span);
     telem::record_fault_stats(tel, &metrics.fault_stats);
     globals.record_delta(tel);
@@ -967,14 +957,16 @@ mod tests {
         assert!(FederatedSimulator::new(fc).is_err(), "shares must sum to 1");
     }
 
+    /// The federation on the reference engine: the same deployment
+    /// with every region's site built on `Site::scan`.
     #[test]
     fn scan_and_indexed_federations_agree() {
-        let mut a_cfg = small(DeploymentKind::Federated, 3.0);
-        a_cfg.base.kernel = SimKernel::Indexed;
-        let mut b_cfg = small(DeploymentKind::Federated, 3.0);
-        b_cfg.base.kernel = SimKernel::Scan;
-        let a = FederatedSimulator::new(a_cfg).unwrap().run().unwrap();
-        let b = FederatedSimulator::new(b_cfg).unwrap().run().unwrap();
+        let fc = small(DeploymentKind::Federated, 3.0);
+        let a = FederatedSimulator::new(fc.clone()).unwrap().run().unwrap();
+        let cfgs: Vec<SimConfig> = (0..fc.regions.len())
+            .map(|idx| fc.region_config(idx))
+            .collect();
+        let b = run(&fc, &cfgs, &Telemetry::disabled(), None, Site::scan).unwrap();
         for (x, y) in a.per_region.iter().zip(&b.per_region) {
             assert_eq!(x.metrics, y.metrics, "engines diverged");
         }

@@ -26,8 +26,9 @@
 
 use cloudmedia_telemetry::Telemetry;
 
-use crate::config::{SimConfig, SimKernel};
+use crate::config::SimConfig;
 use crate::error::SimError;
+use crate::segments::Site;
 
 /// The per-viewer resident-memory budget, bytes. The worst case must
 /// fit: 72 (packed `Peer`) + 4 (usable upload) + 4 (slot map) + 8
@@ -78,11 +79,7 @@ pub fn worst_case_bytes_per_peer() -> usize {
 /// Propagates configuration validation and simulation failures.
 pub fn measure(cfg: &SimConfig) -> Result<PeerFootprint, SimError> {
     cfg.validate()?;
-    let cfg = SimConfig {
-        kernel: SimKernel::Indexed,
-        ..cfg.clone()
-    };
     let mut fp = PeerFootprint::default();
-    crate::simulator::run_site(&cfg, &Telemetry::disabled(), Some(&mut fp))?;
+    crate::simulator::run_site(cfg, &Telemetry::disabled(), Some(&mut fp), Site::indexed)?;
     Ok(fp)
 }

@@ -59,8 +59,8 @@ pub use config::{SimConfig, SimKernel, SimMode};
 pub use error::SimError;
 pub use event_driven::{DesReport, DesRun, DesScenario, FlashCrowdSpec, RemoteOverflowSpec};
 pub use faults::{
-    CostShock, DegradeMode, FaultRun, FaultSchedule, FaultStats, FleetFailure, ResilienceReport,
-    SiteOutage, TrackerDropout,
+    ChaosPreset, CostShock, DegradeMode, FaultRun, FaultSchedule, FaultStats, FleetFailure,
+    ResilienceReport, SiteOutage, TrackerDropout,
 };
 pub use federation::{DeploymentKind, FederatedConfig, FederatedMetrics, FederatedSimulator};
 pub use footprint::{PeerFootprint, PEER_BUDGET_BYTES};

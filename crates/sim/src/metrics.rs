@@ -57,13 +57,14 @@ pub struct IntervalRecord {
 
 /// Full metrics of one run.
 ///
-/// The simulator's bit-identity contracts are stated on this type:
-/// Scan ≡ Indexed, serial ≡ parallel at any pool width, and telemetry
-/// on ≡ off must produce equal `Metrics` — every sample, interval
-/// record, and cost accumulator — for the same config (pinned by
-/// `crates/sim/tests/sharding.rs`, `hot_shard_invariance.rs`,
-/// `telemetry_determinism.rs`, and the committed goldens such as
-/// `crates/sim/tests/golden_steady.rs`).
+/// The simulator's bit-identity contracts are stated on this type: the
+/// production engine ≡ the reference engine
+/// ([`crate::Simulator::run_reference`]), serial ≡ parallel at any pool
+/// width, and telemetry on ≡ off must produce equal `Metrics` — every
+/// sample, interval record, and cost accumulator — for the same config
+/// (pinned by `crates/sim/tests/engine_regression.rs`, `sharding.rs`,
+/// `hot_shard_invariance.rs`, `telemetry_determinism.rs`, and the
+/// committed goldens such as `crates/sim/tests/golden_steady.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Fine-grained samples.

@@ -82,9 +82,9 @@ const TAG_WAIT_LEAVE: u8 = 2;
 /// download's start — the engine's download cohort holds the live
 /// value.
 /// No code outside the engine may read a downloading peer's `f_a`
-/// between rounds; the Scan reference engine writes it back every
-/// round, so the Scan ≡ Indexed tests would catch a reader that depends
-/// on it.
+/// between rounds; the reference engine writes it back every round, so
+/// the tests that pin Indexed against it would catch a reader that
+/// depends on it.
 #[derive(Debug, Clone)]
 pub struct Peer {
     /// Stable identifier from the arrival trace.

@@ -1,6 +1,8 @@
 //! The segment driver: the one round loop every round engine runs on.
 //!
-//! Scan and Indexed replay one per-round model: arrivals (shed under
+//! The production engine (Indexed) and the tests' reference engine
+//! (Scan, reached through [`crate::Simulator::run_reference`]) replay
+//! one per-round model: arrivals (shed under
 //! [`crate::faults::DegradeMode::ShedNewArrivals`]), allocation, download
 //! advance, viewing-model events, metering and sampling. This module
 //! holds that model once. A run is a list of **sites** (one for a
@@ -9,8 +11,9 @@
 //! only ever meets its own channel's swarm and its own channel's
 //! reservation:
 //!
-//! - A [`Shard`] owns one channel's round engine (Scan or Indexed,
-//!   statically dispatched), its peers, its lazy [`ChannelArrivals`]
+//! - A [`Shard`] owns one channel's round engine (a type parameter the
+//!   caller picks when it builds the sites, so it is statically
+//!   dispatched), its peers, its lazy [`ChannelArrivals`]
 //!   sub-stream, its behaviour RNG (seeded with the channel's splitmix
 //!   child of [`SimConfig::behaviour_seed`],
 //!   [`cloudmedia_workload::trace::child_seed`]), its tracker collector,
@@ -59,7 +62,7 @@
 //!    scheduling, shard grouping, or thread count.
 //!
 //! Scan and Indexed shards make the same draws, events and sums, so the
-//! two engines stay bit-identical to each other and to their goldens.
+//! two engines stay bit-identical to each other and to the goldens.
 //!
 //! # One thread per shard
 //!
@@ -412,7 +415,7 @@ pub(crate) struct Site<'a, E> {
 }
 
 impl<'a> Site<'a, ScanEngine> {
-    /// A Scan site.
+    /// A site on the reference engine, the tests' oracle.
     pub(crate) fn scan(cfg: &'a SimConfig) -> Result<Self, SimError> {
         Site::new(cfg, |spec| ScanEngine::new(spec.viewing.chunks))
     }

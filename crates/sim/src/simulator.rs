@@ -12,7 +12,7 @@
 //! completed chunks trigger viewing-model transitions. The rounds run on
 //! the segment driver (`crate::segments`), which every round engine
 //! shares, under its one host (`crate::federation`): this module's
-//! [`Simulator`] builds a Scan or Indexed configuration into a one-site
+//! [`Simulator`] builds a round-engine configuration into a one-site
 //! deployment of that host — its own configuration, one uncapped
 //! reference-priced site, no redirection — so it applies every fault
 //! kind a federation applies. The event-driven kernel runs its own loop
@@ -22,9 +22,10 @@
 //!
 //! The driver runs one shard per channel. Inside each shard, the
 //! per-round work is done by one of two interchangeable one-channel
-//! engines selected by [`SimKernel`]:
+//! engines; the caller picks one when it builds the sites:
 //!
-//! - [`SimKernel::Indexed`] (production): round cost scales with *what
+//! - The indexed engine ([`SimKernel::Indexed`], the production
+//!   engine, which [`Simulator::run`] runs): round cost scales with *what
 //!   happens*, not with how many viewers are connected. It groups the
 //!   channel's in-flight downloads into **download cohorts** —
 //!   downloads of one chunk that entered in the same round with equal
@@ -48,10 +49,11 @@
 //!   Arrivals are pulled lazily from the channel's streaming
 //!   [`cloudmedia_workload::trace::ChannelArrivals`], so a full
 //!   simulated week (or year) never materializes its trace.
-//! - [`SimKernel::Scan`] (reference): the original engine — three full
+//! - The scan engine (the reference, reached only through
+//!   [`Simulator::run_reference`]): the original engine — three full
 //!   peer-population scans per round and fresh `Vec`s for every cloud
-//!   allocation. Kept as the benchmark baseline and as the oracle the
-//!   indexed engine is tested against.
+//!   allocation, through the dense [`crate::allocation`] kernels. Kept
+//!   as the oracle the indexed engine is tested against.
 //!
 //! Both engines produce **bit-identical** [`Metrics`] for the same seed.
 //! This is by construction:
@@ -97,6 +99,7 @@ use crate::federation::{self, FederatedConfig};
 use crate::footprint::PeerFootprint;
 use crate::metrics::Metrics;
 use crate::peer::{Peer, PeerState, PendingChunk};
+use crate::segments::Site;
 use crate::tracker::Tracker;
 
 /// Fixed-point scale for peer upload-supply aggregation: 1/1024 byte/s
@@ -236,8 +239,23 @@ impl Simulator {
                 metrics: run.metrics,
                 fault_stats: run.fault_stats,
             }),
-            SimKernel::Scan | SimKernel::Indexed => run_site(cfg, tel, None),
+            SimKernel::Indexed => run_site(cfg, tel, None, Site::indexed),
         }
+    }
+
+    /// Runs the configuration on the reference round engine: the oracle
+    /// the production engine is pinned against. The reference is the
+    /// original implementation, which rescans each channel's whole
+    /// population every round; it runs the round model through the same
+    /// one-site deployment as [`Simulator::run`], whatever
+    /// [`SimConfig::kernel`] names, and its results are bit-identical
+    /// to an `Indexed` run of the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Propagates trace generation, provisioning, and cloud failures.
+    pub fn run_reference(&self, tel: &Telemetry) -> Result<FaultRun, SimError> {
+        run_site(&self.config, tel, None, Site::scan)
     }
 }
 
@@ -988,16 +1006,17 @@ impl RoundEngine for IndexedEngine {
     }
 }
 
-/// Runs a Scan or Indexed configuration as a one-site deployment
-/// (`crate::federation`): its own configuration, one uncapped
-/// reference-priced site without egress, and no redirection. Returns
-/// the metrics plus the fault-plane counters and records telemetry into
-/// `tel`; with `footprint`, also measures the end-of-run per-peer
-/// resident footprint (`crate::footprint`).
-pub(crate) fn run_site(
-    cfg: &SimConfig,
+/// Runs `cfg` on the round engine `site` builds as a one-site
+/// deployment (`crate::federation`): its own configuration, one
+/// uncapped reference-priced site without egress, and no redirection.
+/// Returns the metrics plus the fault-plane counters and records
+/// telemetry into `tel`; with `footprint`, also measures the end-of-run
+/// per-peer resident footprint (`crate::footprint`).
+pub(crate) fn run_site<'a, E: RoundEngine>(
+    cfg: &'a SimConfig,
     tel: &Telemetry,
     footprint: Option<&mut PeerFootprint>,
+    site: impl Fn(&'a SimConfig) -> Result<Site<'a, E>, SimError>,
 ) -> Result<FaultRun, SimError> {
     let fc = FederatedConfig {
         base: cfg.clone(),
@@ -1009,7 +1028,7 @@ pub(crate) fn run_site(
         sites: vec![SiteSpec::reference(0.0)],
         policy: FederationPolicy::independent(),
     };
-    let mut run = federation::run(&fc, std::slice::from_ref(cfg), tel, footprint)?;
+    let mut run = federation::run(&fc, std::slice::from_ref(cfg), tel, footprint, site)?;
     Ok(FaultRun {
         metrics: run.per_region.swap_remove(0).metrics,
         fault_stats: run.fault_stats,
@@ -1383,12 +1402,9 @@ mod tests {
     #[test]
     fn scan_and_indexed_engines_agree_exactly() {
         for mode in [SimMode::ClientServer, SimMode::P2p] {
-            let mut scan_cfg = small_config(mode);
-            scan_cfg.kernel = SimKernel::Scan;
-            let mut indexed_cfg = small_config(mode);
-            indexed_cfg.kernel = SimKernel::Indexed;
-            let scan = Simulator::new(scan_cfg).unwrap().run().unwrap();
-            let indexed = Simulator::new(indexed_cfg).unwrap().run().unwrap();
+            let sim = Simulator::new(small_config(mode)).unwrap();
+            let scan = sim.run_reference(&Telemetry::disabled()).unwrap().metrics;
+            let indexed = sim.run().unwrap();
             assert_eq!(scan, indexed, "engines diverged in {mode:?}");
         }
     }

@@ -136,7 +136,7 @@ pub const STAGE_EVENTS: MetricId = MetricId(4);
 /// boundaries, online fractions, cloud lifecycle + billing ticks.
 pub const STAGE_CLOUD: MetricId = MetricId(5);
 /// `stage/sampling` — metric sampling: the driver's fold of the
-/// shards' sample partials, plus (Scan/Indexed) the shard's sampled
+/// shards' sample partials, plus (round engine) the shard's sampled
 /// partial writes.
 pub const STAGE_SAMPLING: MetricId = MetricId(6);
 /// `stage/reduce` — the round-by-round fold of the shards' used cloud

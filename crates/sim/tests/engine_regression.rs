@@ -1,30 +1,27 @@
 //! Regression tests pinning the indexed engine to the scan-based
-//! reference: for the same seeded configuration, `SimKernel::Indexed`
-//! must reproduce `SimKernel::Scan`'s `Metrics` **exactly** (full
-//! structural equality, every float bit farmed through the run) — the
-//! indexed engine is an optimization, never a behavior change.
+//! reference: for the same seeded configuration, [`Simulator::run`]
+//! (the Indexed engine) must reproduce [`Simulator::run_reference`]'s
+//! `Metrics` **exactly** (full structural equality, every float bit
+//! farmed through the run) — the indexed engine is an optimization,
+//! never a behavior change.
 
-use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::faults::FaultSchedule;
 use cloudmedia_sim::simulator::Simulator;
+use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::diurnal::{DiurnalPattern, FlashCrowd};
 use cloudmedia_workload::viewing::ViewingModel;
 
-fn run(cfg: SimConfig) -> cloudmedia_sim::Metrics {
-    Simulator::new(cfg)
-        .expect("config valid")
-        .run()
-        .expect("run succeeds")
-}
-
 /// Runs `cfg` on both engines, asserts they agree exactly, and returns
 /// the (shared) metrics for scenario checks.
-fn assert_engines_agree(mut cfg: SimConfig, label: &str) -> cloudmedia_sim::Metrics {
-    cfg.kernel = SimKernel::Scan;
-    let scan = run(cfg.clone());
-    cfg.kernel = SimKernel::Indexed;
-    let indexed = run(cfg);
+fn assert_engines_agree(cfg: SimConfig, label: &str) -> cloudmedia_sim::Metrics {
+    let sim = Simulator::new(cfg).expect("config valid");
+    let scan = sim
+        .run_reference(&Telemetry::disabled())
+        .expect("run succeeds")
+        .metrics;
+    let indexed = sim.run().expect("run succeeds");
     assert_eq!(scan, indexed, "engines diverged: {label}");
     assert!(
         scan.peak_peers() > 0,

@@ -1,10 +1,10 @@
 //! Golden-run pinning for the giant-channel flash-crowd scenario: a
 //! committed single-channel config with a sharp arrival bump, plus the
-//! exact `Metrics` JSON both round engines must reproduce (Scan and
-//! Indexed are bit-identical by contract). Any change to allocation
-//! arithmetic, RNG consumption order, the packed peer layout's
-//! semantics, or the download cohorts shows up here as a diff against a
-//! checked-in file.
+//! exact `Metrics` JSON both round engines must reproduce (the Indexed
+//! engine and the reference Scan engine are bit-identical by contract).
+//! Any change to allocation arithmetic, RNG consumption order, the
+//! packed peer layout's semantics, or the download cohorts shows up
+//! here as a diff against a checked-in file.
 //!
 //! To re-bless after an *intentional* behavior change:
 //!
@@ -17,9 +17,10 @@
 
 use std::path::PathBuf;
 
-use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
+use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::metrics::Metrics;
 use cloudmedia_sim::simulator::Simulator;
+use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::diurnal::{DiurnalPattern, FlashCrowd};
 use cloudmedia_workload::viewing::ViewingModel;
@@ -54,11 +55,6 @@ fn fixture_config() -> SimConfig {
     .unwrap();
     cfg.behaviour_seed = 0x5EED_F1A5;
     cfg
-}
-
-fn run(mut cfg: SimConfig, kernel: SimKernel) -> Metrics {
-    cfg.kernel = kernel;
-    Simulator::new(cfg).unwrap().run().unwrap()
 }
 
 /// Compares `got` against the committed golden (or rewrites it under
@@ -102,12 +98,14 @@ fn fixture_config_matches_the_committed_json() {
     committed.validate().unwrap();
 }
 
-/// Scan and Indexed agree with each other *and* with the committed
-/// golden for the flash-crowd scenario.
+/// Scan (the reference, through [`Simulator::run_reference`]) and
+/// Indexed agree with each other *and* with the committed golden for
+/// the flash-crowd scenario.
 #[test]
 fn round_engines_match_the_flash_crowd_golden() {
-    let scan = run(fixture_config(), SimKernel::Scan);
-    let indexed = run(fixture_config(), SimKernel::Indexed);
+    let sim = Simulator::new(fixture_config()).unwrap();
+    let scan = sim.run_reference(&Telemetry::disabled()).unwrap().metrics;
+    let indexed = sim.run().unwrap();
     assert_eq!(scan, indexed, "Scan and Indexed diverged");
     assert!(scan.peak_peers() > 0, "the scenario exercised nobody");
     assert_matches_golden(&indexed, "flash_crowd_metrics.json");

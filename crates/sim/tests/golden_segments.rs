@@ -18,7 +18,8 @@
 //!   re-plans fire between boundaries.
 //!
 //! The runs are client–server and P2P on a 6-channel Zipf catalog on the
-//! Indexed, event-driven and Scan engines, and the paper-default
+//! Indexed and event-driven engines and on the reference Scan engine
+//! (through `Simulator::run_reference`), and the paper-default
 //! federated, independent and central deployments in both modes on
 //! Indexed regions (the central deployment's one region has no site 1,
 //! so it runs the single-site schedule only), then the Indexed and
@@ -42,10 +43,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
-use cloudmedia_sim::faults::{DegradeMode, FaultSchedule, FaultStats, SiteOutage};
+use cloudmedia_sim::faults::{DegradeMode, FaultRun, FaultSchedule, FaultStats, SiteOutage};
 use cloudmedia_sim::federation::{DeploymentKind, FederatedConfig, FederatedSimulator};
 use cloudmedia_sim::metrics::{IntervalRecord, Metrics, Sample};
 use cloudmedia_sim::simulator::Simulator;
+use cloudmedia_sim::SimError;
+use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::ViewingModel;
 
@@ -242,9 +245,10 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         DeploymentKind::Federated,
         indexed,
     );
-    single_site_runs(&mut out, &mut stats, "indexed", indexed, &[]);
-    single_site_runs(&mut out, &mut stats, "des", SimKernel::EventDriven, &[]);
-    single_site_runs(&mut out, &mut stats, "scan", SimKernel::Scan, &[]);
+    let (des, run) = (SimKernel::EventDriven, Simulator::run_with_faults);
+    single_site_runs(&mut out, &mut stats, "indexed", indexed, run, &[]);
+    single_site_runs(&mut out, &mut stats, "des", des, run, &[]);
+    single_site_runs(&mut out, &mut stats, "scan", indexed, reference, &[]);
     deployment_runs(
         &mut out,
         &mut stats,
@@ -260,13 +264,15 @@ fn runs() -> (String, Vec<(String, FaultStats)>) {
         indexed,
     );
     // Appended last, so every line above stays byte-identical.
-    for (engine, kernel) in [
-        ("indexed_down", indexed),
-        ("des_down", SimKernel::EventDriven),
-    ] {
-        single_site_runs(&mut out, &mut stats, engine, kernel, &outage(0));
+    for (engine, kernel) in [("indexed_down", indexed), ("des_down", des)] {
+        single_site_runs(&mut out, &mut stats, engine, kernel, run, &outage(0));
     }
     (out, stats)
+}
+
+/// The reference engine's run of a simulator's config.
+fn reference(sim: &Simulator) -> Result<FaultRun, SimError> {
+    sim.run_reference(&Telemetry::disabled())
 }
 
 /// A deployment's C/S and P2P runs with `kernel` in every region: each
@@ -312,19 +318,20 @@ fn deployment_runs(
 }
 
 /// A single-site engine's C/S and P2P runs on the faulted 6-channel
-/// config, plus `site_outages`.
+/// config with `kernel`, plus `site_outages`, each executed by `run`.
 fn single_site_runs(
     out: &mut String,
     stats: &mut Vec<(String, FaultStats)>,
     engine: &str,
     kernel: SimKernel,
+    run: fn(&Simulator) -> Result<FaultRun, SimError>,
     site_outages: &[SiteOutage],
 ) {
     for (name, mode) in [("cs", SimMode::ClientServer), ("p2p", SimMode::P2p)] {
         let label = format!("{engine}_{name}");
         let mut cfg = single_site(kernel, mode);
         cfg.faults.site_outages = site_outages.to_vec();
-        let run = Simulator::new(cfg).unwrap().run_with_faults().unwrap();
+        let run = run(&Simulator::new(cfg).unwrap()).unwrap();
         site_lines(out, &label, &run.metrics);
         fault_line(out, &label, &run.fault_stats);
         stats.push((label, run.fault_stats));

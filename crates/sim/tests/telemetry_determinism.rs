@@ -12,8 +12,10 @@
 //! simulation (not just measurement) logic. Both would show up here as
 //! a metrics mismatch. The last tests pin what the round-loop counters
 //! read: non-zero, equal between serial and parallel federated runs and
-//! between Scan and Indexed, `peers_peak` summed per sample, and which
-//! stages a run times inline and which as one fan-out stage.
+//! between Scan (the reference engine, through
+//! `Simulator::run_reference`) and Indexed, `peers_peak` summed per
+//! sample, and which stages a run times inline and which as one fan-out
+//! stage.
 
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
 use cloudmedia_sim::faults::FaultRun;
@@ -22,7 +24,19 @@ use cloudmedia_sim::federation::{
 };
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_sim::telem;
+use cloudmedia_sim::SimError;
 use cloudmedia_telemetry::{MetricId, Snapshot, Telemetry};
+
+/// How a test runs a simulator's config while recording into a
+/// registry.
+type Runner = fn(&Simulator, &Telemetry) -> Result<FaultRun, SimError>;
+
+/// The round engines: the reference, which the tests reach through
+/// `Simulator::run_reference`, and the production engine.
+const ROUND_ENGINES: [(&str, Runner); 2] = [
+    ("Scan", Simulator::run_reference),
+    ("Indexed", Simulator::run_with_telemetry),
+];
 
 /// Short enough to keep the suite fast, long enough to cross several
 /// provisioning intervals, diurnal phases, and (for the sampled stage
@@ -36,16 +50,16 @@ fn config(kernel: SimKernel, mode: SimMode) -> SimConfig {
     cfg
 }
 
-/// Runs `cfg` three ways — telemetry off, metrics-only registry, and
-/// metrics + trace registry — and asserts the metrics and fault
-/// counters are bit-identical across all three. Returns the run and the
-/// metrics-only registry's snapshot.
-fn assert_single_site_deterministic(cfg: SimConfig) -> (FaultRun, Snapshot) {
+/// Runs `cfg` with `run` three ways — telemetry off, metrics-only
+/// registry, and metrics + trace registry — and asserts the metrics and
+/// fault counters are bit-identical across all three. Returns the run
+/// and the metrics-only registry's snapshot.
+fn assert_single_site_deterministic(cfg: SimConfig, run: Runner) -> (FaultRun, Snapshot) {
     let sim = Simulator::new(cfg).unwrap();
-    let dark = sim.run_with_faults().unwrap();
+    let dark = run(&sim, &Telemetry::disabled()).unwrap();
 
     let metrics_tel = telem::new_registry(false);
-    let lit = sim.run_with_telemetry(&metrics_tel).unwrap();
+    let lit = run(&sim, &metrics_tel).unwrap();
     assert_eq!(
         dark.metrics, lit.metrics,
         "metrics registry changed the results"
@@ -58,7 +72,7 @@ fn assert_single_site_deterministic(cfg: SimConfig) -> (FaultRun, Snapshot) {
     );
 
     let trace_tel = telem::new_registry(true);
-    let traced = sim.run_with_telemetry(&trace_tel).unwrap();
+    let traced = run(&sim, &trace_tel).unwrap();
     assert_eq!(
         dark.metrics, traced.metrics,
         "trace recording changed the results"
@@ -69,18 +83,22 @@ fn assert_single_site_deterministic(cfg: SimConfig) -> (FaultRun, Snapshot) {
 
 #[test]
 fn scan_kernel_is_telemetry_invariant() {
-    assert_single_site_deterministic(config(SimKernel::Scan, SimMode::ClientServer));
+    let cfg = config(SimKernel::Indexed, SimMode::ClientServer);
+    assert_single_site_deterministic(cfg, Simulator::run_reference);
 }
 
 #[test]
 fn indexed_kernel_is_telemetry_invariant() {
-    assert_single_site_deterministic(config(SimKernel::Indexed, SimMode::ClientServer));
-    assert_single_site_deterministic(config(SimKernel::Indexed, SimMode::P2p));
+    for mode in [SimMode::ClientServer, SimMode::P2p] {
+        let cfg = config(SimKernel::Indexed, mode);
+        assert_single_site_deterministic(cfg, Simulator::run_with_telemetry);
+    }
 }
 
 #[test]
 fn event_driven_kernel_is_telemetry_invariant() {
-    assert_single_site_deterministic(config(SimKernel::EventDriven, SimMode::ClientServer));
+    let cfg = config(SimKernel::EventDriven, SimMode::ClientServer);
+    assert_single_site_deterministic(cfg, Simulator::run_with_telemetry);
 }
 
 /// A site past the driver's fan-out threshold: serial it steps inline
@@ -94,7 +112,7 @@ fn sharded_kernel_is_telemetry_invariant_serial_and_parallel() {
         let mut cfg = SimConfig::scale_out(SimMode::ClientServer, 30, 8_000.0).unwrap();
         cfg.trace.horizon_seconds = 2.0 * 3600.0;
         cfg.parallel_channels = parallel;
-        let (run, snap) = assert_single_site_deterministic(cfg);
+        let (run, snap) = assert_single_site_deterministic(cfg, Simulator::run_with_telemetry);
         let shard_step = snap.value(telem::STAGE_SHARD_STEP);
         if parallel {
             assert!(shard_step > 0, "the parallel run fanned out");
@@ -216,15 +234,13 @@ fn federated_simulator_is_telemetry_invariant_serial_and_parallel() {
 /// Scan and Indexed replay the same events, so they count the same.
 #[test]
 fn scan_and_indexed_record_equal_event_counts() {
-    let counts: Vec<Vec<u64>> = [SimKernel::Scan, SimKernel::Indexed]
+    let sim = Simulator::new(config(SimKernel::Indexed, SimMode::P2p)).unwrap();
+    let counts: Vec<Vec<u64>> = ROUND_ENGINES
         .into_iter()
-        .map(|kernel| {
+        .map(|(engine, run)| {
             let tel = telem::new_registry(false);
-            Simulator::new(config(kernel, SimMode::P2p))
-                .unwrap()
-                .run_with_telemetry(&tel)
-                .unwrap();
-            event_counts(&tel, &format!("{kernel:?}"))
+            run(&sim, &tel).unwrap();
+            event_counts(&tel, engine)
         })
         .collect();
     assert_eq!(counts[0], counts[1], "Scan and Indexed counted differently");
@@ -236,16 +252,14 @@ fn scan_and_indexed_record_equal_event_counts() {
 /// `peak_peers()` rather than, say, the end-of-run population.
 #[test]
 fn peers_peak_gauge_is_the_sampled_high_water_mark() {
-    for kernel in [SimKernel::Scan, SimKernel::Indexed] {
+    let sim = Simulator::new(config(SimKernel::Indexed, SimMode::P2p)).unwrap();
+    for (engine, run) in ROUND_ENGINES {
         let tel = telem::new_registry(false);
-        let run = Simulator::new(config(kernel, SimMode::P2p))
-            .unwrap()
-            .run_with_telemetry(&tel)
-            .unwrap();
+        let run = run(&sim, &tel).unwrap();
         assert_eq!(
             tel.snapshot().value(telem::PEERS_PEAK),
             run.metrics.peak_peers() as u64,
-            "{kernel:?}"
+            "{engine}"
         );
     }
 
