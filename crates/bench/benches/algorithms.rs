@@ -20,7 +20,6 @@ use cloudmedia_core::provisioning::storage::{ChunkDemand, StorageProblem};
 use cloudmedia_core::provisioning::vm::VmProblem;
 use cloudmedia_queueing::erlang::erlang_c;
 use cloudmedia_queueing::mmm::{min_servers_for_sojourn, min_servers_for_sojourn_quantile};
-use cloudmedia_queueing::mmmk::MmmkQueue;
 use cloudmedia_sim::config::{SimConfig, SimMode};
 
 fn bench_erlang(c: &mut Criterion) {
@@ -34,13 +33,6 @@ fn bench_erlang(c: &mut Criterion) {
         b.iter(|| {
             min_servers_for_sojourn_quantile(black_box(500.0), black_box(1.0 / 12.0), 300.0, 0.05)
                 .unwrap()
-        })
-    });
-    c.bench_function("mmmk_blocking_k500", |b| {
-        b.iter(|| {
-            MmmkQueue::new(black_box(45.0), 1.0, 50, 500)
-                .unwrap()
-                .blocking_probability()
         })
     });
 }

@@ -11,6 +11,7 @@
 //!   - `--out` benchmark JSON to append to (default `BENCH_sim.json`).
 
 use cloudmedia_bench::geo_sim::append_section;
+use cloudmedia_bench::harness::parse_hours;
 use cloudmedia_bench::resilience::{run_federated, run_single_site, section, ResilienceRow};
 use cloudmedia_sim::config::SimMode;
 use cloudmedia_sim::faults::ChaosPreset;
@@ -24,7 +25,7 @@ fn main() {
             "--hours" => {
                 hours = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| parse_hours(&v))
                     .unwrap_or_else(|| usage());
             }
             "--out" => out_path = args.next().unwrap_or_else(|| usage()),

@@ -22,6 +22,7 @@
 use std::time::Instant;
 
 use cloudmedia_bench::geo_sim::append_section;
+use cloudmedia_bench::harness::parse_hours;
 use cloudmedia_bench::{DES_SCHEMA, DES_THROUGHPUT_SCHEMA};
 use cloudmedia_des::{ComponentId, Kernel, SchedulerKind};
 use cloudmedia_sim::config::{SimConfig, SimKernel, SimMode};
@@ -74,7 +75,7 @@ fn main() {
             "--hours" => {
                 hours = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| parse_hours(&v))
                     .unwrap_or_else(|| usage());
             }
             "--out" => {

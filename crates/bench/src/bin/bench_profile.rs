@@ -6,12 +6,13 @@
 //!
 //! Usage: `bench_profile [--hours H] [--reps N] [--out PATH]`
 //!   - `--hours` horizon of every run (default 168 — the paper week),
-//!   - `--reps` repetitions per (kernel, telemetry) pair; the minimum
-//!     wall time is kept (default 5),
+//!   - `--reps` repetitions per telemetry setting; the minimum wall time
+//!     is kept (default 5),
 //!   - `--out` benchmark JSON to append to (default `BENCH_sim.json`).
 
 use cloudmedia_bench::geo_sim::append_section;
-use cloudmedia_bench::profile::{profile_kernel, section, KernelStageProfile};
+use cloudmedia_bench::harness::parse_hours;
+use cloudmedia_bench::profile::{self, StageProfileSection};
 use cloudmedia_sim::config::SimMode;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
             "--hours" => {
                 hours = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| parse_hours(&v))
                     .unwrap_or_else(|| usage());
             }
             "--reps" => {
@@ -42,34 +43,28 @@ fn main() {
         }
     }
 
-    let p = profile_kernel(SimMode::ClientServer, hours, reps).expect("profiled run succeeds");
+    let p = profile::run(SimMode::ClientServer, hours, reps).expect("profiled run succeeds");
     print_profile(&p);
-    let kernels = vec![p];
-
     assert!(
-        kernels.iter().all(|p| p.metrics_identical),
+        p.metrics_identical,
         "telemetry-on and telemetry-off runs diverged"
     );
-    for p in &kernels {
-        if p.overhead_pct > 2.0 {
-            eprintln!(
-                "WARNING: {} telemetry overhead {:.2}% exceeds the 2% budget",
-                p.engine, p.overhead_pct
-            );
-        }
+    if p.overhead_pct > 2.0 {
+        eprintln!(
+            "WARNING: telemetry overhead {:.2}% exceeds the 2% budget",
+            p.overhead_pct
+        );
     }
 
-    let json =
-        serde_json::to_string_pretty(&section(hours, reps, kernels)).expect("section serializes");
+    let json = serde_json::to_string_pretty(&p).expect("section serializes");
     append_section(&out_path, "stage_profile", &json).expect("write benchmark file");
     println!("appended `stage_profile` section to {out_path}");
 }
 
-fn print_profile(p: &KernelStageProfile) {
+fn print_profile(p: &StageProfileSection) {
     println!(
-        "{:<8} {} rounds, wall off {:.3}s / on {:.3}s, overhead {:+.2}%, \
+        "indexed {} rounds, wall off {:.3}s / on {:.3}s, overhead {:+.2}%, \
          identical: {}",
-        p.engine,
         p.rounds,
         p.wall_seconds_telemetry_off,
         p.wall_seconds_telemetry_on,

@@ -19,6 +19,7 @@
 //! oversubscription rather than the engine.
 
 use cloudmedia_bench::geo_sim::append_section;
+use cloudmedia_bench::harness::parse_hours;
 use cloudmedia_bench::scale::{
     equality_check, flash_equality_check, run_flash_point, run_point, section, ScaleRow,
 };
@@ -50,7 +51,7 @@ fn main() {
             "--hours" => {
                 hours = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| parse_hours(&v))
                     .unwrap_or_else(|| usage());
             }
             "--flash-peers" => {

@@ -10,6 +10,7 @@
 //! Usage: `ext_multi_region_sim [--hours N] [--out PATH]`
 
 use cloudmedia_bench::geo_sim;
+use cloudmedia_bench::harness::parse_hours;
 use cloudmedia_sim::config::SimMode;
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
             "--hours" => {
                 hours = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| parse_hours(&v))
                     .unwrap_or_else(|| usage());
             }
             "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),

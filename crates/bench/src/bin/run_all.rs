@@ -1,6 +1,8 @@
 //! Regenerates every table and figure of the paper in one process and
-//! writes the CSVs to `results/` (see EXPERIMENTS.md for the recorded
-//! outputs and paper-vs-measured comparison).
+//! writes the CSVs to `results/` (PAPER.md maps each file to its figure
+//! and module).
+//!
+//! Usage: `run_all [--hours N]` (default 168, the paper's week).
 //!
 //! The four independent experiment groups — the paper-scale week runs,
 //! the 4-channel utility experiment, the upload-sufficiency sweep, and

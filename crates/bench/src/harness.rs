@@ -14,20 +14,18 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses `--hours N` from the process arguments; defaults to 168.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// Malformed arguments, including a horizon [`parse_hours`] rejects,
+    /// print the usage message and exit with status 2.
     pub fn parse() -> Self {
         let mut hours = 168.0;
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--hours" => {
-                    let v = args.next().unwrap_or_else(|| usage());
-                    hours = v.parse().unwrap_or_else(|_| {
-                        usage();
-                    });
+                    hours = args
+                        .next()
+                        .and_then(|v| parse_hours(&v))
+                        .unwrap_or_else(|| usage());
                 }
                 "--help" | "-h" => {
                     usage();
@@ -45,6 +43,16 @@ impl HarnessArgs {
 fn usage() -> ! {
     eprintln!("usage: <experiment> [--hours N]   (default: 168 = the paper's week)");
     std::process::exit(2)
+}
+
+/// Parses a `--hours` value: a finite, positive number of simulated
+/// hours. Anything else is `None`, which the bench binaries report as a
+/// usage error before they run or write anything.
+pub fn parse_hours(value: &str) -> Option<f64> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|h| h.is_finite() && *h > 0.0)
 }
 
 /// The two paper-scale runs most figures consume.
@@ -100,6 +108,14 @@ mod tests {
     fn q3_rounds() {
         assert_eq!(q3(0.97349), 0.973);
         assert_eq!(q3(1.0), 1.0);
+    }
+
+    #[test]
+    fn parse_hours_accepts_only_positive_finite_horizons() {
+        for bad in ["0", "-1", "nan", "inf", "", "two"] {
+            assert_eq!(parse_hours(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_hours("2"), Some(2.0));
     }
 
     #[test]

@@ -1,23 +1,23 @@
 //! Experiment harness for the CloudMedia reproduction.
 //!
-//! Each table and figure of the paper's evaluation (Sec. VI) has a binary
-//! in `src/bin/` that prints the corresponding series as CSV; the shared
-//! logic lives here so `run_all` can regenerate everything in one process
-//! (reusing the expensive week-long simulations across figures).
+//! The `run_all` binary regenerates every table and figure of the
+//! paper's evaluation (Sec. VI) in one process, reusing the expensive
+//! week-long simulations across figures, and writes each as a CSV in
+//! `results/`. The logic lives in these modules:
 //!
-//! | Paper artifact | Module / binary |
-//! |---|---|
-//! | Table II & III | [`tables`] / `tables` |
-//! | Fig. 4 provisioned vs used | [`report`] / `fig4_provision_vs_usage` |
-//! | Fig. 5 streaming quality | [`report`] / `fig5_streaming_quality` |
-//! | Fig. 6 quality vs channel size | [`report`] / `fig6_quality_vs_channel_size` |
-//! | Fig. 7 bandwidth vs channel size | [`report`] / `fig7_bandwidth_vs_channel_size` |
-//! | Fig. 8 storage utility | [`four_channel`] / `fig8_storage_utility` |
-//! | Fig. 9 VM utility | [`four_channel`] / `fig9_vm_utility` |
-//! | Fig. 10 VM cost | [`report`] / `fig10_vm_cost` |
-//! | Fig. 11 upload sufficiency | [`fig11`] / `fig11_upload_sufficiency` |
-//! | Sec. VI-C VM latency | [`latency`] / `provisioning_latency` |
-//! | Footnote 3 chunk size | [`chunk_size`] / `ablation_chunk_size` |
+//! | Paper artifact | Module | `run_all` output |
+//! |---|---|---|
+//! | Table II & III | [`tables`] | `table2.csv`, `table3.csv` |
+//! | Fig. 4 provisioned vs used | [`report`] | `fig4.csv` |
+//! | Fig. 5 streaming quality | [`report`] | `fig5.csv` |
+//! | Fig. 6 quality vs channel size | [`report`] | `fig6.csv` |
+//! | Fig. 7 bandwidth vs channel size | [`report`] | `fig7.csv` |
+//! | Fig. 8 storage utility | [`four_channel`] | `fig8.csv` |
+//! | Fig. 9 VM utility | [`four_channel`] | `fig9.csv` |
+//! | Fig. 10 VM cost | [`report`] | `fig10.csv` |
+//! | Fig. 11 upload sufficiency | [`fig11`] | `fig11.csv` |
+//! | Sec. VI-C VM latency | [`latency`] | `provisioning_latency.csv` |
+//! | Footnote 3 chunk size | [`chunk_size`] | `ablation_chunk_size.csv` |
 
 pub mod chunk_size;
 pub mod fig11;

@@ -30,11 +30,21 @@ pub struct StageRow {
     pub share: f64,
 }
 
-/// The stage profile of one kernel over the paper week.
+/// Schema tag of the `stage_profile` section.
+pub const SCHEMA: &str = "cloudmedia-bench-stage-profile/v2";
+
+/// The `stage_profile` benchmark section: the stage profile of the
+/// Indexed engine over the paper week.
 #[derive(Debug, Clone, Serialize)]
-pub struct KernelStageProfile {
-    /// Engine name (`indexed`).
-    pub engine: String,
+pub struct StageProfileSection {
+    /// Schema tag for downstream readers.
+    pub schema: String,
+    /// Horizon every run covered, hours.
+    pub sim_hours: f64,
+    /// Repetitions per telemetry setting; the minimum wall time is kept.
+    pub reps: usize,
+    /// Free-text provenance notes.
+    pub notes: Vec<String>,
     /// Rounds the telemetry-on run executed.
     pub rounds: u64,
     /// Best-of-reps wall time with the no-op sink, seconds.
@@ -52,38 +62,17 @@ pub struct KernelStageProfile {
     pub stages: Vec<StageRow>,
 }
 
-/// Schema tag of the `stage_profile` section.
-pub const SCHEMA: &str = "cloudmedia-bench-stage-profile/v1";
-
-/// The `stage_profile` benchmark section.
-#[derive(Debug, Clone, Serialize)]
-pub struct StageProfileSection {
-    /// Schema tag for downstream readers.
-    pub schema: String,
-    /// Horizon every run covered, hours.
-    pub sim_hours: f64,
-    /// Repetitions per (kernel, telemetry) pair; the minimum wall time
-    /// is kept.
-    pub reps: usize,
-    /// Free-text provenance notes.
-    pub notes: Vec<String>,
-    /// One profile per kernel.
-    pub kernels: Vec<KernelStageProfile>,
-}
-
-/// Profiles the Indexed engine: `reps` telemetry-off runs, `reps`
-/// telemetry-on runs, minimum wall time on each side, stage table from
+/// Profiles the Indexed engine: `reps` (at least one, and the section
+/// records how many ran) telemetry-off runs, as many telemetry-on runs,
+/// minimum wall time on each side, stage table from
 /// the last telemetry-on registry (counters are deterministic across
 /// reps; only the wall-clock values jitter).
 ///
 /// # Errors
 ///
 /// Propagates configuration and simulation failures.
-pub fn profile_kernel(
-    mode: SimMode,
-    hours: f64,
-    reps: usize,
-) -> Result<KernelStageProfile, SimError> {
+pub fn run(mode: SimMode, hours: f64, reps: usize) -> Result<StageProfileSection, SimError> {
+    let reps = reps.max(1);
     let mut cfg = SimConfig::paper_default(mode);
     cfg.trace.horizon_seconds = hours * 3600.0;
     let sim = Simulator::new(cfg)?;
@@ -101,11 +90,11 @@ pub fn profile_kernel(
     // sides independently.
     let mut wall_off = f64::INFINITY;
     let mut wall_on = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(reps.max(1));
+    let mut ratios = Vec::with_capacity(reps);
     let mut metrics_off = None;
     let mut metrics_on = None;
     let mut snapshot = None;
-    for _ in 0..reps.max(1) {
+    for _ in 0..reps {
         let t0 = Instant::now();
         let run = sim.run_with_faults()?;
         let off = t0.elapsed().as_secs_f64();
@@ -138,20 +127,7 @@ pub fn profile_kernel(
         })
         .collect();
 
-    Ok(KernelStageProfile {
-        engine: "indexed".to_owned(),
-        rounds: snapshot.value(telem::ROUNDS),
-        wall_seconds_telemetry_off: wall_off,
-        wall_seconds_telemetry_on: wall_on,
-        overhead_pct: (median_ratio - 1.0) * 100.0,
-        metrics_identical: metrics_on == metrics_off,
-        stages,
-    })
-}
-
-/// Wraps the kernel profiles into the full section.
-pub fn section(hours: f64, reps: usize, kernels: Vec<KernelStageProfile>) -> StageProfileSection {
-    StageProfileSection {
+    Ok(StageProfileSection {
         schema: SCHEMA.into(),
         sim_hours: hours,
         reps,
@@ -165,8 +141,13 @@ pub fn section(hours: f64, reps: usize, kernels: Vec<KernelStageProfile>) -> Sta
              crates/sim/tests/telemetry_determinism.rs."
                 .into(),
         ],
-        kernels,
-    }
+        rounds: snapshot.value(telem::ROUNDS),
+        wall_seconds_telemetry_off: wall_off,
+        wall_seconds_telemetry_on: wall_on,
+        overhead_pct: (median_ratio - 1.0) * 100.0,
+        metrics_identical: metrics_on == metrics_off,
+        stages,
+    })
 }
 
 #[cfg(test)]
@@ -175,8 +156,8 @@ mod tests {
 
     #[test]
     fn short_profile_partitions_the_round_loop() {
-        let p = profile_kernel(SimMode::ClientServer, 2.0, 1).unwrap();
-        assert_eq!(p.engine, "indexed");
+        let p = run(SimMode::ClientServer, 2.0, 1).unwrap();
+        assert_eq!(p.schema, SCHEMA);
         assert!(p.rounds > 0);
         assert!(p.metrics_identical, "telemetry changed the results");
         assert!(!p.stages.is_empty());
@@ -186,7 +167,7 @@ mod tests {
             "shares sum to {total_share}"
         );
         assert!(p.stages.iter().any(|s| s.stage == "stage/advance"));
-        let json = serde_json::to_string(&section(2.0, 1, vec![p])).unwrap();
-        assert!(json.contains("stage_profile") || json.contains("stage/"));
+        let json = serde_json::to_string(&p).unwrap();
+        assert!(json.contains("stage/advance"));
     }
 }

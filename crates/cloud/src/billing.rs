@@ -159,15 +159,6 @@ impl BillingMeter {
     pub fn last_accrual(&self) -> f64 {
         self.last_accrual
     }
-
-    /// Cost accrued in the window `[from, to)`, summed from the ledger.
-    pub fn cost_in_window(&self, from: f64, to: f64) -> Money {
-        self.ledger
-            .iter()
-            .filter(|e| e.time > from && e.time <= to)
-            .map(|e| e.vm_cost + e.storage_cost)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -223,14 +214,21 @@ mod tests {
     }
 
     #[test]
-    fn ledger_records_every_accrual_and_window_query_works() {
+    fn ledger_records_every_accrual() {
         let mut m = meter();
         m.accrue(3600.0, &[1, 0, 0], &[0, 0]).unwrap();
         m.accrue(7200.0, &[2, 0, 0], &[0, 0]).unwrap();
         m.accrue(10800.0, &[1, 0, 0], &[0, 0]).unwrap();
-        assert_eq!(m.ledger().len(), 3);
-        let w = m.cost_in_window(3600.0, 10800.0);
-        assert!((w.as_dollars() - (0.9 + 0.45)).abs() < 1e-12);
+        let ledger = m.ledger();
+        assert_eq!(ledger.len(), 3);
+        for (entry, (time, cost)) in
+            ledger
+                .iter()
+                .zip([(3600.0, 0.45), (7200.0, 0.9), (10800.0, 0.45)])
+        {
+            assert_eq!(entry.time, time);
+            assert!((entry.vm_cost.as_dollars() - cost).abs() < 1e-12);
+        }
     }
 
     #[test]

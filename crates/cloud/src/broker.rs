@@ -341,7 +341,9 @@ impl Cloud {
         &self.vms
     }
 
-    /// The NFS scheduler (read access for monitoring).
+    /// The NFS scheduler. `rejected_cloud_request_changes_nothing`
+    /// (`tests/tests/failure_injection.rs`) reads the placement through
+    /// it.
     pub fn nfs_scheduler(&self) -> &NfsScheduler {
         &self.nfs
     }
@@ -364,7 +366,10 @@ impl Cloud {
             .min(self.available[cluster])
     }
 
-    /// Current per-cluster availability caps.
+    /// Current per-cluster availability caps. The fault driver's tests
+    /// (`driver_kills_and_repairs_deterministically`,
+    /// `a_down_site_rents_nothing_until_it_is_back` in the sim crate's
+    /// `faults` module) read the caps it sets through this.
     pub fn availability(&self) -> &[usize] {
         &self.available
     }

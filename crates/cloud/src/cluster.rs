@@ -108,11 +108,6 @@ impl NfsClusterSpec {
     pub fn utility_per_dollar(&self) -> f64 {
         self.utility / self.price_per_gb.dollars_per_hour
     }
-
-    /// Price of storing `bytes` for `seconds`.
-    pub fn storage_charge(&self, bytes: u64, seconds: f64) -> crate::pricing::Money {
-        self.price_per_gb.charge(bytes as f64 / GIB, seconds)
-    }
 }
 
 /// Bytes per gigabyte (decimal, as cloud providers bill).
@@ -239,15 +234,6 @@ mod tests {
     #[test]
     fn vm_bandwidth_is_10_mbps() {
         assert!((PAPER_VM_BANDWIDTH - 1.25e6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn storage_charge_scales_with_bytes_and_time() {
-        let nfs = &paper_nfs_clusters()[0];
-        let one_gb_hour = nfs.storage_charge(1_000_000_000, 3600.0);
-        assert!((one_gb_hour.as_dollars() - 1.11e-4).abs() < 1e-12);
-        let double = nfs.storage_charge(2_000_000_000, 3600.0);
-        assert!((double.as_dollars() - 2.22e-4).abs() < 1e-12);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! - [`scheduler`]: the VM scheduler (fleet convergence, parallel boot) and
 //!   NFS scheduler (capacity-checked chunk placement),
 //! - [`billing`]: usage-time metering (per VM-hour, per GB-hour),
-//! - [`monitor`]: the VM Monitor (fleet activity and utilization),
 //! - [`broker`]: the consumer-facing facade — SLA terms, resource change
 //!   requests, time advancement,
 //! - [`pricing`]: money and rates.
@@ -36,7 +35,6 @@ pub mod billing;
 pub mod broker;
 pub mod cluster;
 mod error;
-pub mod monitor;
 pub mod pricing;
 pub mod scheduler;
 pub mod vm;

@@ -43,11 +43,6 @@ impl Money {
         self.0
     }
 
-    /// True if the amount is negative beyond rounding noise.
-    pub fn is_negative(&self) -> bool {
-        self.0 < -1e-9
-    }
-
     /// Saturating subtraction: never goes below zero.
     pub fn saturating_sub(self, other: Money) -> Money {
         Money((self.0 - other.0).max(0.0))
@@ -125,52 +120,6 @@ impl Rate {
             dollars_per_hour: dollars,
         }
     }
-
-    /// The charge for using `units` units over `seconds` seconds.
-    pub fn charge(&self, units: f64, seconds: f64) -> Money {
-        Money::dollars(self.dollars_per_hour * units * seconds / 3600.0)
-    }
-}
-
-/// A per-volume price: dollars per gigabyte moved, the charging model
-/// cloud providers apply to inter-region (egress) traffic. Used by the
-/// federation layer to bill redirected streaming bytes.
-///
-/// ```
-/// use cloudmedia_cloud::pricing::VolumeRate;
-///
-/// // $0.01/GB egress: a 15 MB chunk costs $0.00015 to redirect.
-/// let egress = VolumeRate::per_gb(0.01);
-/// assert!((egress.charge_bytes(15e6).as_dollars() - 1.5e-4).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct VolumeRate {
-    /// Dollars charged per decimal gigabyte (1e9 bytes) transferred.
-    pub dollars_per_gb: f64,
-}
-
-impl VolumeRate {
-    /// Creates a volume rate from dollars per gigabyte.
-    pub fn per_gb(dollars: f64) -> Self {
-        Self {
-            dollars_per_gb: dollars,
-        }
-    }
-
-    /// The charge for moving `bytes` bytes.
-    pub fn charge_bytes(&self, bytes: f64) -> Money {
-        Money::dollars(self.dollars_per_gb * bytes / 1e9)
-    }
-
-    /// This price expressed per *sustained bandwidth-hour*: the dollars
-    /// charged for moving one byte/s continuously for one hour
-    /// (`3600 bytes = 3.6e-6 GB`). This puts transfer prices in the same
-    /// unit as VM rental per unit bandwidth, which is how the federation
-    /// optimizer compares "serve locally" against "serve remotely and
-    /// haul the bytes over".
-    pub fn dollars_per_bps_hour(&self) -> f64 {
-        self.dollars_per_gb * 3600.0 / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -201,44 +150,5 @@ mod tests {
         assert_eq!(Money::dollars(48.0).to_string(), "$48.00");
         assert_eq!(Money::dollars(0.000111).to_string(), "$0.000111");
         assert_eq!(Money::ZERO.to_string(), "$0.00");
-    }
-
-    #[test]
-    fn rate_charges_prorated_time() {
-        // Paper Table II: Standard VM at $0.45/hour.
-        let r = Rate::per_hour(0.45);
-        assert_eq!(r.charge(1.0, 3600.0).as_dollars(), 0.45);
-        assert!((r.charge(2.0, 1800.0).as_dollars() - 0.45).abs() < 1e-12);
-        assert_eq!(r.charge(0.0, 3600.0), Money::ZERO);
-    }
-
-    #[test]
-    fn storage_rate_daily_cost_matches_paper_scale() {
-        // Paper Sec. VI-C: NFS rental ~ $0.018 per day for the deployed
-        // videos. 20 channels x 100 min x 50 KB/s = 6 GB; mixing the two
-        // cluster prices lands near that order of magnitude.
-        let gb = 6.0;
-        let standard = Rate::per_hour(1.11e-4);
-        let daily = standard.charge(gb, 86_400.0);
-        assert!(
-            daily.as_dollars() > 0.01 && daily.as_dollars() < 0.03,
-            "daily {daily}"
-        );
-    }
-
-    #[test]
-    fn volume_rate_charges_per_gb_and_converts_to_bandwidth_hours() {
-        let r = VolumeRate::per_gb(0.02);
-        assert!((r.charge_bytes(5e9).as_dollars() - 0.10).abs() < 1e-12);
-        assert_eq!(r.charge_bytes(0.0), Money::ZERO);
-        // 1 byte/s for an hour is 3600 bytes = 3.6e-6 GB.
-        assert!((r.dollars_per_bps_hour() - 0.02 * 3.6e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn negative_detection() {
-        assert!(Money::dollars(-0.5).is_negative());
-        assert!(!Money::ZERO.is_negative());
-        assert!(!Money::dollars(1e-12).is_negative());
     }
 }

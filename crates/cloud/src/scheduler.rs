@@ -331,31 +331,16 @@ impl NfsScheduler {
         Ok(())
     }
 
-    /// The cluster currently storing `key`, if placed.
-    pub fn location(&self, key: ChunkKey) -> Option<usize> {
-        self.placement.get(&key).copied()
-    }
-
     /// Bytes used on each cluster.
     pub fn used_bytes(&self) -> &[u64] {
         &self.used_bytes
     }
 
-    /// Number of placed chunks.
+    /// Number of placed chunks. `rejected_cloud_request_changes_nothing`
+    /// (`tests/tests/failure_injection.rs`) checks through it that a
+    /// rejected request leaves the placement alone.
     pub fn placed_chunks(&self) -> usize {
         self.placement.len()
-    }
-
-    /// Aggregate storage utility of the current placement weighted by the
-    /// per-chunk demand map (the paper's objective
-    /// `Σ u_f Δ_i x_if`). Chunks missing from `demand` count as zero.
-    pub fn aggregate_utility(&self, demand: &BTreeMap<ChunkKey, f64>) -> f64 {
-        self.placement
-            .iter()
-            .map(|(key, &cluster)| {
-                self.specs[cluster].utility * demand.get(key).copied().unwrap_or(0.0)
-            })
-            .sum()
     }
 }
 
@@ -504,13 +489,7 @@ mod tests {
             CloudError::InsufficientStorage { cluster: 0, .. }
         ));
         // Old placement survives the failed apply.
-        assert_eq!(
-            nfs.location(ChunkKey {
-                channel: 0,
-                chunk: 0
-            }),
-            Some(1)
-        );
+        assert_eq!(nfs.used_bytes(), &[0, 15_000_000]);
         assert_eq!(nfs.placed_chunks(), 1);
     }
 
@@ -529,27 +508,5 @@ mod tests {
             nfs.apply_placement(plan),
             Err(CloudError::UnknownCluster { cluster: 7 })
         ));
-    }
-
-    #[test]
-    fn aggregate_utility_weights_demand_by_cluster_utility() {
-        let mut nfs = NfsScheduler::new(paper_nfs_clusters(), 15_000_000).unwrap();
-        let k0 = ChunkKey {
-            channel: 0,
-            chunk: 0,
-        };
-        let k1 = ChunkKey {
-            channel: 0,
-            chunk: 1,
-        };
-        let mut plan = PlacementPlan::new();
-        plan.insert(k0, 1); // High, utility 1.0
-        plan.insert(k1, 0); // Standard, utility 0.8
-        nfs.apply_placement(plan).unwrap();
-        let mut demand = BTreeMap::new();
-        demand.insert(k0, 10.0);
-        demand.insert(k1, 5.0);
-        let u = nfs.aggregate_utility(&demand);
-        assert!((u - (1.0 * 10.0 + 0.8 * 5.0)).abs() < 1e-12);
     }
 }

@@ -88,22 +88,6 @@ impl VmInstance {
             VmState::Off | VmState::ShuttingDown { .. } => {}
         }
     }
-
-    /// True while the instance serves traffic.
-    pub fn is_running(&self) -> bool {
-        matches!(self.state, VmState::Running { .. })
-    }
-
-    /// True while the instance incurs rental charges (from launch until
-    /// fully off, matching usage-time billing).
-    pub fn is_billable(&self) -> bool {
-        !matches!(self.state, VmState::Off)
-    }
-
-    /// True if the instance is available for a new launch.
-    pub fn is_off(&self) -> bool {
-        matches!(self.state, VmState::Off)
-    }
 }
 
 #[cfg(test)]
@@ -115,11 +99,18 @@ mod tests {
         let mut vm = VmInstance::new(0);
         vm.launch(100.0, DEFAULT_BOOT_SECONDS);
         vm.tick(100.0);
-        assert!(!vm.is_running(), "not running immediately");
+        assert_eq!(
+            vm.state,
+            VmState::Booting { ready_at: 125.0 },
+            "not running immediately"
+        );
         vm.tick(124.9);
-        assert!(!vm.is_running(), "not running before 25 s elapse");
+        assert_eq!(
+            vm.state,
+            VmState::Booting { ready_at: 125.0 },
+            "not running before 25 s elapse"
+        );
         vm.tick(125.0);
-        assert!(vm.is_running(), "running exactly at ready time");
         assert_eq!(vm.state, VmState::Running { since: 125.0 });
     }
 
@@ -129,11 +120,9 @@ mod tests {
         vm.launch(0.0, 25.0);
         vm.tick(25.0);
         vm.shutdown(30.0, DEFAULT_SHUTDOWN_SECONDS);
-        assert!(!vm.is_running(), "serves no traffic once shutting down");
-        assert!(vm.is_billable(), "still billed while shutting down");
+        assert_eq!(vm.state, VmState::ShuttingDown { off_at: 40.0 });
         vm.tick(40.0);
-        assert!(vm.is_off());
-        assert!(!vm.is_billable());
+        assert_eq!(vm.state, VmState::Off);
     }
 
     #[test]
@@ -152,21 +141,26 @@ mod tests {
         vm.shutdown(10.0, 10.0);
         assert_eq!(vm.state, VmState::ShuttingDown { off_at: 20.0 });
         vm.tick(20.0);
-        assert!(vm.is_off());
+        assert_eq!(vm.state, VmState::Off);
     }
 
     #[test]
     fn shutdown_when_off_is_noop() {
         let mut vm = VmInstance::new(4);
         vm.shutdown(0.0, 10.0);
-        assert!(vm.is_off());
+        assert_eq!(vm.state, VmState::Off);
     }
 
+    /// The scheduler bills every instance that is not `Off`.
     #[test]
     fn billable_from_launch() {
         let mut vm = VmInstance::new(5);
-        assert!(!vm.is_billable());
+        assert_eq!(vm.state, VmState::Off);
         vm.launch(0.0, 25.0);
-        assert!(vm.is_billable(), "billing starts at launch, not at ready");
+        assert_eq!(
+            vm.state,
+            VmState::Booting { ready_at: 25.0 },
+            "billing starts at launch, not at ready"
+        );
     }
 }

@@ -70,11 +70,6 @@ impl CapacityDemand {
         self.upload_demand.iter().sum()
     }
 
-    /// Total expected concurrent users in the channel.
-    pub fn expected_users(&self) -> f64 {
-        self.expected_in_queue.iter().sum()
-    }
-
     /// Total server count across chunks.
     pub fn total_servers(&self) -> usize {
         self.servers.iter().sum()
@@ -247,7 +242,9 @@ mod tests {
         let lo = capacity_demand(&ChannelModel::paper_default(0, 0.1)).unwrap();
         let hi = capacity_demand(&ChannelModel::paper_default(0, 1.0)).unwrap();
         assert!(hi.total_upload_demand() > lo.total_upload_demand());
-        assert!(hi.expected_users() > lo.expected_users());
+        assert!(
+            hi.expected_in_queue.iter().sum::<f64>() > lo.expected_in_queue.iter().sum::<f64>()
+        );
     }
 
     #[test]

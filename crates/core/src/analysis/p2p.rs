@@ -15,7 +15,7 @@ use cloudmedia_telemetry::GlobalCounter;
 use serde::{Deserialize, Serialize};
 
 /// Replica-matrix rows recovered through the Sherman–Morrison rank-one
-/// fast path ([`replica_matrix`]), process lifetime. Read as
+/// fast path, process lifetime. Read as
 /// before/after deltas by the telemetry plane, alongside the
 /// direct-elimination counters in [`cloudmedia_queueing::linalg`], to
 /// show how often the `O(J²)` path carries the provisioning load.
@@ -93,12 +93,14 @@ impl P2pCapacity {
 /// observed for substochastic routing) falls back to the direct
 /// per-chunk elimination, and so does a singular `M`.
 ///
-/// Returns the full matrix (row `i`, column `j`).
+/// Returns the full matrix (row `i`, column `j`). The Proposition 1
+/// tests reach the production row solvers through it.
 ///
 /// # Errors
 ///
 /// Propagates routing validation and solver failures.
-pub fn replica_matrix(
+#[cfg(test)]
+fn replica_matrix(
     routing: &[Vec<f64>],
     expected_in_queue: &[f64],
 ) -> Result<Vec<Vec<f64>>, CoreError> {
@@ -218,7 +220,7 @@ fn replicas_from_inverse(
     outcome
 }
 
-/// Direct elimination fallback for one row of [`replica_matrix`]: the
+/// Direct elimination fallback for one row of the replica matrix: the
 /// original per-chunk deleted-system solve, on the row-major routing
 /// `p` of `out.len()` chunks.
 #[allow(clippy::needless_range_loop)] // index math mirrors the paper's equations

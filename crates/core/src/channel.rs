@@ -5,9 +5,7 @@
 //! `R`, measured arrival rate `Λ(c)`, first-chunk fraction `α`, and the
 //! chunk transfer probability matrix `P(c)`.
 
-use cloudmedia_queueing::jackson::{
-    routing_rows_into, JacksonNetwork, RoutingMatrix, TrafficSolution,
-};
+use cloudmedia_queueing::jackson::{routing_rows_into, RoutingMatrix, TrafficSolution};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{invalid_param, CoreError};
@@ -127,19 +125,6 @@ impl ChannelModel {
         }
     }
 
-    /// Builds the open Jackson network of the channel: external arrivals
-    /// split `α` to chunk 0 and uniform over the rest (paper Sec. IV-A).
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation failures.
-    pub fn jackson_network(&self) -> Result<JacksonNetwork, CoreError> {
-        let routing = self.validated_routing()?;
-        let mut gamma = Vec::new();
-        self.external_arrivals_into(&mut gamma);
-        Ok(JacksonNetwork::new(routing, gamma)?)
-    }
-
     /// Validates the channel once and solves its traffic equations with
     /// one factorization of `M = I − Pᵀ` into `traffic`; with
     /// `inverse_columns`, the columns of `M⁻¹` come out of the same sweep
@@ -161,7 +146,10 @@ impl ChannelModel {
     }
 
     /// Per-chunk aggregate arrival rates `λ_i` from the traffic equations
-    /// (paper Eqn. 1).
+    /// (paper Eqn. 1), solved as the analysis pass solves them. The
+    /// tests read the production solve through it:
+    /// `arrival_rates_solve_and_conserve_flow` here, and
+    /// `tests/tests/workspace_properties.rs`.
     ///
     /// # Errors
     ///
@@ -208,6 +196,7 @@ impl ChannelModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudmedia_queueing::absorbing::AbsorbingChain;
 
     #[test]
     fn paper_default_validates() {
@@ -221,6 +210,33 @@ mod tests {
         );
     }
 
+    /// The revisit factor of the paper's viewing chain. With the
+    /// fundamental matrix `N = (I − P)⁻¹` and the start split `s` (α to
+    /// chunk 0, (1 − α)/19 to each other chunk), a session makes
+    /// `Σᵢ Σⱼ sᵢNᵢⱼ` chunk visits, of which `Σⱼ Σᵢ sᵢNᵢⱼ / Nⱼⱼ` are to
+    /// distinct chunks. The capacity analysis sizes every visit as a cloud
+    /// request, while the engines never download a chunk a viewer already
+    /// holds.
+    #[test]
+    fn paper_viewing_revisit_factor() {
+        let c = ChannelModel::paper_default(0, 1.0);
+        let chain = AbsorbingChain::new(RoutingMatrix::from_rows(&c.routing).unwrap()).unwrap();
+        let mut start = Vec::new();
+        c.external_arrivals_into(&mut start);
+        let n = c.chunks();
+        let reach =
+            |j: usize| -> f64 { (0..n).map(|i| start[i] * chain.expected_visits(i, j)).sum() };
+        let visits: f64 = (0..n).map(reach).sum();
+        let distinct: f64 = (0..n).map(|j| reach(j) / chain.expected_visits(j, j)).sum();
+        assert!((visits - 9.2619).abs() < 1e-4, "visits {visits}");
+        assert!((distinct - 7.2220).abs() < 1e-4, "distinct {distinct}");
+        assert!(
+            (distinct / visits - 0.7798).abs() < 1e-4,
+            "ratio {}",
+            distinct / visits
+        );
+    }
+
     #[test]
     fn arrival_rates_solve_and_conserve_flow() {
         let c = ChannelModel::paper_default(0, 1.0);
@@ -228,8 +244,14 @@ mod tests {
         assert_eq!(lambdas.len(), 20);
         // Every chunk sees some traffic; the first chunk the most external.
         assert!(lambdas.iter().all(|&l| l > 0.0));
-        let net = c.jackson_network().unwrap();
-        assert!(net.flow_imbalance().unwrap() < 1e-9);
+        // In equilibrium the viewers leaving every chunk add up to the
+        // channel's arrival rate.
+        let departures: f64 = lambdas
+            .iter()
+            .zip(&c.routing)
+            .map(|(l, row)| l * (1.0 - row.iter().sum::<f64>()))
+            .sum();
+        assert!((departures - c.arrival_rate).abs() < 1e-9 * c.arrival_rate);
     }
 
     #[test]

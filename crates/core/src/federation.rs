@@ -199,11 +199,6 @@ impl GlobalPlacement {
         }
         self.redirected_bps / total
     }
-
-    /// Total demand assigned to site `j` (its serving load), bytes/s.
-    pub fn site_load(&self, j: usize) -> f64 {
-        self.assignment.iter().map(|row| row[j]).sum()
-    }
 }
 
 /// Plans one interval's global placement: assigns each region's predicted
@@ -519,14 +514,5 @@ mod tests {
         let mut bad_policy = FederationPolicy::federated();
         bad_policy.redirect_margin = 1.5;
         assert!(plan_global_placement(&[1.0, 1.0, 1.0], &s, &pr, &bad_policy).is_err());
-    }
-
-    #[test]
-    fn site_load_sums_columns() {
-        let s = sites(&[1.0, 1.3], &[2e6, 2e6]);
-        let p = plan_global_placement(&[1e6, 1e6], &s, &prices(&s), &FederationPolicy::federated())
-            .unwrap();
-        let total: f64 = (0..2).map(|j| p.site_load(j)).sum();
-        assert!((total - 2e6).abs() < 1e-6);
     }
 }

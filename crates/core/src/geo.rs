@@ -16,7 +16,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::controller::{Controller, ControllerConfig, ProvisioningPlan};
 use crate::error::{invalid_param, CoreError};
-use crate::federation::{plan_global_placement, FederationPolicy, GlobalPlacement, SiteSpec};
 use crate::predictor::{ChannelObservation, PredictorKind};
 
 /// A geographic region: its share of the viewer base and its clock.
@@ -121,30 +120,19 @@ pub struct GeoPlan {
     pub total_hourly_cost: f64,
     /// Total cloud demand across regions, bytes per second.
     pub total_cloud_demand: f64,
-    /// The global placement, when the controller runs a federation (see
-    /// [`GeoController::with_federation`]): how much of each region's
-    /// demand is served locally vs redirected.
-    pub federation: Option<GlobalPlacement>,
 }
 
 /// One provisioning controller per region, fed region-local statistics.
-///
-/// Optionally carries a [`FederationPolicy`] plus per-region
-/// [`SiteSpec`]s; [`GeoController::plan_interval`] then also runs the
-/// global placement optimizer over the per-region demands and reports
-/// the redirection decision in [`GeoPlan::federation`].
 #[derive(Debug)]
 pub struct GeoController {
     regions: Vec<RegionSpec>,
     controllers: Vec<Controller>,
-    federation: Option<(Vec<SiteSpec>, FederationPolicy)>,
 }
 
 impl GeoController {
     /// Creates a controller per region from a shared configuration. Each
     /// region receives the full VM/storage budget (sites are independent
-    /// accounts); use [`GeoController::with_budget_split`] to divide a
-    /// global budget by population share instead.
+    /// accounts).
     ///
     /// # Errors
     ///
@@ -164,66 +152,7 @@ impl GeoController {
         Ok(Self {
             regions,
             controllers,
-            federation: None,
         })
-    }
-
-    /// Creates per-region controllers with the global budgets divided by
-    /// population share.
-    ///
-    /// # Errors
-    ///
-    /// Propagates region and configuration validation failures.
-    pub fn with_budget_split(
-        config: ControllerConfig,
-        predictor: PredictorKind,
-        regions: Vec<RegionSpec>,
-    ) -> Result<Self, CoreError> {
-        validate_regions(&regions)?;
-        let controllers = regions
-            .iter()
-            .map(|r| {
-                let mut c = config.clone();
-                c.vm_budget_per_hour *= r.population_share;
-                c.storage_budget_per_hour *= r.population_share;
-                Controller::new(c, predictor)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            regions,
-            controllers,
-            federation: None,
-        })
-    }
-
-    /// Creates a *federated* geo controller: per-region controllers plus
-    /// the global placement optimizer over the given site economics.
-    ///
-    /// # Errors
-    ///
-    /// Propagates region/site/policy validation failures and requires one
-    /// site per region.
-    pub fn with_federation(
-        config: ControllerConfig,
-        predictor: PredictorKind,
-        regions: Vec<RegionSpec>,
-        sites: Vec<SiteSpec>,
-        policy: FederationPolicy,
-    ) -> Result<Self, CoreError> {
-        if sites.len() != regions.len() {
-            return Err(invalid_param(
-                "sites",
-                format!(
-                    "expected one site per region, got {} sites / {} regions",
-                    sites.len(),
-                    regions.len()
-                ),
-            ));
-        }
-        policy.validate()?;
-        let mut this = Self::new(config, predictor, regions)?;
-        this.federation = Some((sites, policy));
-        Ok(this)
     }
 
     /// The regions, in plan order.
@@ -263,25 +192,10 @@ impl GeoController {
             .map(|p| p.vm_plan.integer_hourly_cost)
             .sum();
         let total_cloud_demand = per_region.iter().map(|p| p.total_cloud_demand).sum();
-        let federation = match &self.federation {
-            Some((sites, policy)) => {
-                let demands: Vec<f64> = per_region.iter().map(|p| p.total_cloud_demand).collect();
-                // Each site's marginal bandwidth price comes from its own
-                // published SLA, so no region ordering or reference-market
-                // assumption is baked in.
-                let prices: Vec<f64> = slas
-                    .iter()
-                    .map(SlaTerms::bandwidth_price_per_bps_hour)
-                    .collect();
-                Some(plan_global_placement(&demands, sites, &prices, policy)?)
-            }
-            None => None,
-        };
         Ok(GeoPlan {
             per_region,
             total_hourly_cost,
             total_cloud_demand,
-            federation,
         })
     }
 }
@@ -380,33 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_split_scales_with_population_share() {
-        let mut g = GeoController::with_budget_split(
-            ControllerConfig::paper_default(StreamingMode::ClientServer),
-            PredictorKind::LastInterval,
-            three_sites(),
-        )
-        .unwrap();
-        let slas = vec![sla(), sla(), sla()];
-        // Load that fits the 40% americas budget must also be rejected by
-        // the 25% apac budget if apac sees the same absolute load scaled
-        // beyond its share. Drive apac over its split budget:
-        let stats = vec![
-            vec![(0, observation(0.2))],
-            vec![(0, observation(0.2))],
-            vec![(0, observation(1.1))], // far above apac's 25% of $100/h
-        ];
-        let err = g.plan_interval(&stats, &slas).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CoreError::Infeasible { .. } | CoreError::CapacityExceeded { .. }
-            ),
-            "expected budget/capacity failure, got {err:?}"
-        );
-    }
-
-    #[test]
     fn dimension_mismatch_rejected() {
         let mut g = geo();
         let slas = vec![sla()];
@@ -432,19 +319,13 @@ mod tests {
         let err = GeoController::new(
             ControllerConfig::paper_default(StreamingMode::ClientServer),
             PredictorKind::LastInterval,
-            partial.clone(),
+            partial,
         )
         .unwrap_err();
         assert!(
             err.to_string().contains("sum to ~1.0"),
             "expected share-sum error, got: {err}"
         );
-        assert!(GeoController::with_budget_split(
-            ControllerConfig::paper_default(StreamingMode::ClientServer),
-            PredictorKind::LastInterval,
-            partial,
-        )
-        .is_err());
         // Over-covered deployments fail too.
         let over = vec![
             RegionSpec {
@@ -466,46 +347,6 @@ mod tests {
             timezone_offset_hours: 0.0,
         }])
         .is_ok());
-    }
-
-    #[test]
-    fn federated_controller_reports_a_placement() {
-        use crate::federation::{paper_sites, FederationPolicy};
-        let mut g = GeoController::with_federation(
-            ControllerConfig::paper_default(StreamingMode::ClientServer),
-            PredictorKind::LastInterval,
-            three_sites(),
-            paper_sites(),
-            FederationPolicy::federated(),
-        )
-        .unwrap();
-        // Each region publishes its own price book: the premium factors
-        // of `paper_sites` are reflected in the SLAs the caller passes,
-        // which is where the optimizer reads marginal prices from.
-        let slas: Vec<SlaTerms> = crate::federation::paper_sites()
-            .iter()
-            .map(|s| sla().with_vm_price_factor(s.vm_price_factor))
-            .collect();
-        // Apac at its evening peak while the others idle: its premium
-        // site redirects into the cheap reference region.
-        let stats = vec![
-            vec![(0, observation(0.02))],
-            vec![(0, observation(0.02))],
-            vec![(0, observation(0.5))],
-        ];
-        let plan = g.plan_interval(&stats, &slas).unwrap();
-        let placement = plan.federation.expect("federated controller places");
-        assert_eq!(placement.assignment.len(), 3);
-        assert!(
-            placement.redirect_fraction(2) > 0.5,
-            "apac redirects its peak: {:?}",
-            placement.assignment
-        );
-        // Conservation: every region's demand is fully assigned.
-        for (i, p) in plan.per_region.iter().enumerate() {
-            let served: f64 = placement.assignment[i].iter().sum();
-            assert!((served - p.total_cloud_demand).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -146,11 +146,6 @@ pub struct VmPlan {
 }
 
 impl VmPlan {
-    /// Total VMs (fractional) across clusters.
-    pub fn total_vms(&self) -> f64 {
-        self.vm_fractions.iter().sum()
-    }
-
     /// Total bandwidth reserved by the integer targets, bytes/s, given the
     /// per-cluster VM bandwidth.
     pub fn reserved_bandwidth(&self, clusters: &[VirtualClusterSpec]) -> f64 {
@@ -611,7 +606,7 @@ mod tests {
         let clusters = paper_virtual_clusters();
         let d = demands(&[5e6, 2.5e6, 1.25e6]); // 4 + 2 + 1 VMs
         let plan = problem(&d, &clusters, 100.0).greedy().unwrap();
-        assert!((plan.total_vms() - 7.0).abs() < 1e-9);
+        assert!((plan.vm_fractions.iter().sum::<f64>() - 7.0).abs() < 1e-9);
         for dd in &d {
             let got: f64 = plan
                 .allocations
@@ -706,7 +701,7 @@ mod tests {
         // 75*0.45 + 5*0.8 = $37.75 — also feasible. Greedy: Std then Adv.
         let d = demands(&[80.0 * PAPER_VM_BANDWIDTH]);
         let plan = problem(&d, &clusters, 40.0).greedy().unwrap();
-        assert!((plan.total_vms() - 80.0).abs() < 1e-9);
+        assert!((plan.vm_fractions.iter().sum::<f64>() - 80.0).abs() < 1e-9);
         assert!(plan.fractional_hourly_cost <= 40.0 + 1e-9);
     }
 
@@ -765,7 +760,7 @@ mod tests {
         let clusters = paper_virtual_clusters();
         let d = demands(&[60.0 * PAPER_VM_BANDWIDTH]);
         let e = problem(&d, &clusters, 30.0).exact().unwrap();
-        assert!((e.total_vms() - 60.0).abs() < 1e-6);
+        assert!((e.vm_fractions.iter().sum::<f64>() - 60.0).abs() < 1e-6);
         assert!(e.fractional_hourly_cost <= 30.0 + 1e-6);
     }
 
@@ -782,7 +777,7 @@ mod tests {
         let clusters = paper_virtual_clusters();
         let d = demands(&[0.0, 0.0]);
         let plan = problem(&d, &clusters, 100.0).greedy().unwrap();
-        assert_eq!(plan.total_vms(), 0.0);
+        assert_eq!(plan.vm_fractions.iter().sum::<f64>(), 0.0);
         assert_eq!(plan.vm_targets, vec![0, 0, 0]);
         assert_eq!(plan.integer_hourly_cost, 0.0);
     }

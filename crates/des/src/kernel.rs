@@ -346,11 +346,6 @@ impl<E> Kernel<E> {
         self.pending() == 0
     }
 
-    /// Total events scheduled so far (delivered, pending, or cancelled).
-    pub fn scheduled_count(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Total events delivered so far.
     pub fn delivered_count(&self) -> u64 {
         self.delivered
@@ -507,7 +502,6 @@ mod tests {
         for mut k in kernels::<()>() {
             let a = k.schedule_at(1.0, A, ());
             k.schedule_at(2.0, A, ());
-            assert_eq!(k.scheduled_count(), 2);
             assert_eq!(k.pending(), 2);
             k.cancel(a);
             assert_eq!(k.pending(), 1);

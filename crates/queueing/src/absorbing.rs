@@ -54,30 +54,15 @@ impl AbsorbingChain {
         self.len() == 0
     }
 
-    /// The routing matrix this chain was built from.
-    pub fn routing(&self) -> &RoutingMatrix {
-        &self.routing
-    }
-
     /// Expected number of visits to state `j` for a trajectory started at
-    /// state `i` (counting the initial state if `i == j`).
+    /// state `i` (counting the initial state if `i == j`): entry `(i, j)`
+    /// of the fundamental matrix that [`AbsorbingChain::visits_both`]
+    /// runs on. `single_state_geometric_visits` and
+    /// `tandem_visits_and_hitting` check that matrix through it, and
+    /// `paper_viewing_revisit_factor` (`crates/core/src/channel.rs`) reads
+    /// the paper channel's revisit factor from it.
     pub fn expected_visits(&self, from: usize, to: usize) -> f64 {
         self.fundamental[(from, to)]
-    }
-
-    /// Expected visits to each state for a trajectory drawn from the given
-    /// start distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start.len() != self.len()`.
-    pub fn expected_visits_from(&self, start: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            start.len(),
-            self.len(),
-            "start distribution length mismatch"
-        );
-        self.fundamental.transpose().mul_vec(start)
     }
 
     /// Probability that a trajectory starting at `from` ever visits
@@ -93,33 +78,6 @@ impl AbsorbingChain {
             return 0.0;
         }
         (self.fundamental[(from, target)] / denom).clamp(0.0, 1.0)
-    }
-
-    /// Probability that a trajectory starting at `from`, after *leaving*
-    /// `from` once, ever returns to visit `target`. For `from != target`
-    /// this first steps according to the routing and then hits as usual.
-    pub fn hitting_probability_after_leaving(&self, from: usize, target: usize) -> f64 {
-        let n = self.len();
-        let mut p = 0.0;
-        for j in 0..n {
-            p += self.routing.prob(from, j) * self.hitting_probability(j, target);
-        }
-        p.clamp(0.0, 1.0)
-    }
-
-    /// Probability, per start state, of reaching `first` strictly before
-    /// `second` (both treated as absorbing for this question). Entry
-    /// `first` is 1 and entry `second` is 0 by definition.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-range states or `first == second`.
-    pub fn hit_before(&self, first: usize, second: usize) -> Result<Vec<f64>, QueueingError> {
-        let lu = self.hit_before_lu(first, second)?;
-        let mut b = vec![0.0; self.len()];
-        b[first] = 1.0;
-        lu.solve_into(&mut b, &mut Vec::new());
-        Ok(b.into_iter().map(|v| v.clamp(0.0, 1.0)).collect())
     }
 
     /// Factors `I − P'`, where `P'` zeroes the rows of `a` and `b`: the
@@ -229,20 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_before_in_three_state_chain() {
-        // 0 -> 1 w.p. 0.6, 0 -> 2 w.p. 0.3, absorb w.p. 0.1.
-        let c = chain(&[
-            vec![0.0, 0.6, 0.3],
-            vec![0.0, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0],
-        ]);
-        let a = c.hit_before(1, 2).unwrap();
-        assert_close(a[1], 1.0, 1e-12);
-        assert_close(a[2], 0.0, 1e-12);
-        assert_close(a[0], 0.6, 1e-12);
-    }
-
-    #[test]
     fn visits_both_sequential_chain() {
         // Deterministic sequence 0 -> 1 -> 2 with continue prob p each.
         let p = 0.8;
@@ -294,15 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn expected_visits_from_distribution() {
-        let c = chain(&[vec![0.0, 0.5], vec![0.0, 0.0]]);
-        let v = c.expected_visits_from(&[0.5, 0.5]);
-        // From 0: visits (1, 0.5); from 1: visits (0, 1). Mixture: (0.5, 0.75).
-        assert_close(v[0], 0.5, 1e-12);
-        assert_close(v[1], 0.75, 1e-12);
-    }
-
-    #[test]
     fn recurrent_chain_is_rejected() {
         // Period-2 deterministic cycle never absorbs.
         let r = RoutingMatrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
@@ -310,19 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn hitting_probability_after_leaving_differs_from_plain() {
-        // Self state: plain hitting prob is 1, after leaving it needs a
-        // return path.
-        let c = chain(&[vec![0.0, 0.5], vec![0.3, 0.0]]);
-        assert_close(c.hitting_probability(0, 0), 1.0, 1e-12);
-        // After leaving 0: go to 1 w.p. 0.5, then return w.p. 0.3 -> 0.15.
-        assert_close(c.hitting_probability_after_leaving(0, 0), 0.15, 1e-12);
-    }
-
-    #[test]
     fn hit_before_rejects_bad_states() {
         let c = chain(&[vec![0.0, 0.5], vec![0.0, 0.0]]);
-        assert!(c.hit_before(0, 0).is_err());
-        assert!(c.hit_before(0, 5).is_err());
+        assert!(c.visits_both(&[1.0, 0.0], 0, 5).is_err());
+        assert!(c.visits_both(&[1.0, 0.0], 5, 0).is_err());
     }
 }

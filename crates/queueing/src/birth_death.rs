@@ -1,9 +1,12 @@
 //! Generic birth–death chains on a truncated state space.
 //!
-//! Used to cross-validate the closed-form M/M/m metrics: an M/M/m queue is
-//! the birth–death chain with constant birth rate `lambda` and death rate
-//! `min(k, m) * mu`, and its truncated equilibrium converges to the
-//! infinite-buffer metrics as the truncation grows.
+//! The test oracle for the closed-form M/M/m metrics that the capacity
+//! analysis runs: an M/M/m queue is the birth–death chain with constant
+//! birth rate `lambda` and death rate `min(k, m) * mu`, and its truncated
+//! equilibrium converges to the infinite-buffer metrics as the truncation
+//! grows. The tests `truncated_mmm_matches_closed_form_expected_n` and
+//! `truncated_mmm_matches_state_probabilities` pin
+//! [`MmmQueue`](crate::mmm::MmmQueue) against it.
 
 use crate::error::{invalid_param, QueueingError};
 
@@ -98,7 +101,9 @@ impl BirthDeathChain {
         pi
     }
 
-    /// Expected state value under the equilibrium distribution.
+    /// Expected state value under the equilibrium distribution; the
+    /// reference for [`MmmQueue::expected_in_system`](crate::mmm::MmmQueue::expected_in_system)
+    /// in `truncated_mmm_matches_closed_form_expected_n`.
     pub fn expected_state(&self) -> f64 {
         self.equilibrium()
             .iter()
@@ -109,6 +114,8 @@ impl BirthDeathChain {
 
     /// Probability mass at the truncation boundary; a proxy for truncation
     /// error when approximating an infinite chain.
+    /// `truncated_mmm_matches_closed_form_expected_n` checks it before it
+    /// trusts [`BirthDeathChain::expected_state`].
     pub fn boundary_mass(&self) -> f64 {
         *self
             .equilibrium()

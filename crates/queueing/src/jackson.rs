@@ -13,7 +13,6 @@
 
 use crate::error::{invalid_param, QueueingError};
 use crate::linalg::{LuFactors, Matrix};
-use crate::mmm::MmmQueue;
 
 /// Maximum tolerated violation when validating that routing rows sum to at
 /// most one.
@@ -284,6 +283,11 @@ fn equilibrium_rates(lambda: &mut [f64]) -> Result<(), QueueingError> {
 
 /// An open Jackson network specification: routing plus external arrival
 /// rates per queue.
+///
+/// The test oracle for [`solve_traffic`], which the capacity analysis
+/// runs: `lu_traffic_equations_equal_direct_elimination_bitwise`
+/// (`crates/queueing/tests/properties.rs`) pins the factorized rates
+/// against [`JacksonNetwork::arrival_rates`], bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JacksonNetwork {
     routing: RoutingMatrix,
@@ -323,31 +327,6 @@ impl JacksonNetwork {
         })
     }
 
-    /// Number of queues.
-    pub fn len(&self) -> usize {
-        self.routing.len()
-    }
-
-    /// True if the network has no queues.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The routing matrix.
-    pub fn routing(&self) -> &RoutingMatrix {
-        &self.routing
-    }
-
-    /// External arrival rate into queue `i`.
-    pub fn external_arrival(&self, i: usize) -> f64 {
-        self.external_arrivals[i]
-    }
-
-    /// Total external arrival rate into the network.
-    pub fn total_external_arrival(&self) -> f64 {
-        self.external_arrivals.iter().sum()
-    }
-
     /// Solves the traffic equations `lambda = gamma + P^T lambda`,
     /// returning the aggregate arrival rate `lambda_i` at each queue
     /// (paper Eqn. 1). This is the direct-elimination reference;
@@ -368,77 +347,11 @@ impl JacksonNetwork {
         Ok(lambda)
     }
 
-    /// Builds the per-queue M/M/m queues for the given service rate and
-    /// server counts, verifying stability of every queue.
-    ///
-    /// # Errors
-    ///
-    /// Propagates traffic-equation failures and per-queue instability.
-    pub fn queues(
-        &self,
-        service_rate: f64,
-        servers: &[usize],
-    ) -> Result<Vec<MmmQueue>, QueueingError> {
-        if servers.len() != self.len() {
-            return Err(invalid_param(
-                "servers",
-                format!("expected {} counts, got {}", self.len(), servers.len()),
-            ));
-        }
-        let lambdas = self.arrival_rates()?;
-        lambdas
-            .iter()
-            .zip(servers)
-            .map(|(&l, &m)| MmmQueue::new(l, service_rate, m))
-            .collect()
-    }
-
-    /// Expected total number of jobs in the network given per-queue server
-    /// counts (sum of per-queue `E(n_i)`; valid by Jackson's product-form
-    /// theorem).
-    pub fn expected_total_in_system(
-        &self,
-        service_rate: f64,
-        servers: &[usize],
-    ) -> Result<f64, QueueingError> {
-        Ok(self
-            .queues(service_rate, servers)?
-            .iter()
-            .map(MmmQueue::expected_in_system)
-            .sum())
-    }
-
-    /// Joint equilibrium probability of the state `(k_1, ..., k_J)` —
-    /// Jackson's product-form theorem: the network state factorizes into
-    /// the per-queue M/M/m marginals.
-    ///
-    /// # Errors
-    ///
-    /// Propagates traffic-equation and stability failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state.len()` or `servers.len()` mismatch the network.
-    pub fn state_probability(
-        &self,
-        service_rate: f64,
-        servers: &[usize],
-        state: &[usize],
-    ) -> Result<f64, QueueingError> {
-        assert_eq!(state.len(), self.len(), "state length mismatch");
-        let queues = self.queues(service_rate, servers)?;
-        Ok(queues
-            .iter()
-            .zip(state)
-            .map(|(q, &k)| q.state_probability(k))
-            .product())
-    }
-
     /// Throughput conservation check: in equilibrium the total external
     /// arrival rate equals the total departure rate
     /// `sum_i lambda_i * exit_prob(i)`. Returns the relative imbalance
-    /// (zero for a well-posed open network); exposed for diagnostics and
-    /// tests.
+    /// (zero for a well-posed open network). `traffic_equations_conserve_flow`
+    /// checks the reference with it.
     pub fn flow_imbalance(&self) -> Result<f64, QueueingError> {
         let lambdas = self.arrival_rates()?;
         let out: f64 = lambdas
@@ -446,7 +359,7 @@ impl JacksonNetwork {
             .enumerate()
             .map(|(i, l)| l * self.routing.exit_prob(i))
             .sum();
-        let input = self.total_external_arrival();
+        let input: f64 = self.external_arrivals.iter().sum();
         if input == 0.0 {
             return Ok(0.0);
         }
@@ -626,45 +539,6 @@ mod tests {
     fn arrival_len_mismatch_rejected() {
         let routing = RoutingMatrix::from_rows(&[vec![0.0]]).unwrap();
         assert!(JacksonNetwork::new(routing, vec![1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn queues_propagate_instability() {
-        let routing = RoutingMatrix::from_rows(&[vec![0.0]]).unwrap();
-        let net = JacksonNetwork::new(routing, vec![5.0]).unwrap();
-        // 5 jobs/s at service rate 1 with 3 servers is unstable.
-        assert!(net.queues(1.0, &[3]).is_err());
-        assert!(net.queues(1.0, &[6]).is_ok());
-    }
-
-    #[test]
-    fn expected_total_matches_sum_of_queue_metrics() {
-        let routing = RoutingMatrix::from_rows(&[vec![0.0, 0.6], vec![0.0, 0.0]]).unwrap();
-        let net = JacksonNetwork::new(routing, vec![2.0, 0.3]).unwrap();
-        let total = net.expected_total_in_system(1.0, &[4, 3]).unwrap();
-        let queues = net.queues(1.0, &[4, 3]).unwrap();
-        let sum: f64 = queues.iter().map(MmmQueue::expected_in_system).sum();
-        assert_close(total, sum, 1e-12);
-    }
-
-    #[test]
-    fn product_form_state_probabilities() {
-        let routing = RoutingMatrix::from_rows(&[vec![0.0, 0.6], vec![0.0, 0.0]]).unwrap();
-        let net = JacksonNetwork::new(routing, vec![2.0, 0.3]).unwrap();
-        let servers = [4usize, 3];
-        let queues = net.queues(1.0, &servers).unwrap();
-        // Factorization against the marginals.
-        let p = net.state_probability(1.0, &servers, &[2, 1]).unwrap();
-        let expect = queues[0].state_probability(2) * queues[1].state_probability(1);
-        assert_close(p, expect, 1e-15);
-        // Sums to ~1 over a generous grid.
-        let mut total = 0.0;
-        for k0 in 0..60 {
-            for k1 in 0..60 {
-                total += net.state_probability(1.0, &servers, &[k0, k1]).unwrap();
-            }
-        }
-        assert_close(total, 1.0, 1e-6);
     }
 
     #[test]

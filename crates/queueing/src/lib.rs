@@ -13,9 +13,10 @@
 //! - [`absorbing`]: absorbing Markov chain analysis (visit counts, hitting
 //!   and hit-before probabilities) used by the P2P joint-ownership
 //!   estimator,
-//! - [`mmmk`]: finite-capacity `M/M/m/K` queues (blocking analysis for
-//!   the admission-control extension),
-//! - [`birth_death`]: truncated birth–death chains for cross-validation,
+//! - [`birth_death`]: truncated birth–death chains, the test oracle for
+//!   [`mmm::MmmQueue::expected_in_system`] (its tests
+//!   `truncated_mmm_matches_closed_form_expected_n` and
+//!   `truncated_mmm_matches_state_probabilities`),
 //! - [`linalg`]: the small dense linear-algebra kernel behind the solvers.
 //!
 //! # Example
@@ -45,7 +46,6 @@ mod error;
 pub mod jackson;
 pub mod linalg;
 pub mod mmm;
-pub mod mmmk;
 
 pub use erlang::erlang_c_wait_probability;
 pub use error::QueueingError;

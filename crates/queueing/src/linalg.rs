@@ -123,17 +123,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Returns the transpose of this matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
     /// Matrix–vector product `A x`.
     ///
     /// # Panics
@@ -274,11 +263,6 @@ impl Matrix {
         factors.refactor(self.rows, |a| a.copy_from_slice(&self.data))?;
         Ok(factors)
     }
-
-    /// Maximum absolute entry; useful for residual checks in tests.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
-    }
 }
 
 /// An LU factorization with partial pivoting (`P A = L U`), produced by
@@ -297,11 +281,6 @@ pub struct LuFactors {
 }
 
 impl LuFactors {
-    /// System dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Factorizes the `n × n` matrix that `fill` writes, row-major, into
     /// the zeroed slice it is given, as `P A = L U` with partial
     /// pivoting. The buffers of the previous factorization are reused,
@@ -580,16 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_round_trips() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        let t = a.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.cols(), 2);
-        assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), a);
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mul_vec_dimension_mismatch_panics() {
         let a = Matrix::identity(2);
@@ -604,7 +573,6 @@ mod tests {
             vec![0.0, 1.0, 2.0],
         ]);
         let lu = a.lu().unwrap();
-        assert_eq!(lu.dim(), 3);
         let mut scratch = Vec::new();
         for b in [[1.0, 2.0, 3.0], [0.0, -5.0, 0.25], [1e3, -1e3, 0.0]] {
             let direct = a.solve(&b).unwrap();

@@ -7,7 +7,7 @@
 //! servers so that the mean sojourn time does not exceed a target (the
 //! chunk playback time `T0`).
 
-use crate::erlang::{erlang_c, expected_in_system, expected_queue_length};
+use crate::erlang::{erlang_c, expected_in_system};
 use crate::error::{invalid_param, QueueingError};
 
 /// An M/M/m queue in equilibrium.
@@ -76,14 +76,6 @@ impl MmmQueue {
         self.arrival_rate / self.service_rate
     }
 
-    /// Per-server utilization `a / m` in `[0, 1)`.
-    pub fn utilization(&self) -> f64 {
-        if self.servers == 0 {
-            return 0.0;
-        }
-        self.offered_load() / self.servers as f64
-    }
-
     /// Probability an arriving job has to wait (Erlang C).
     pub fn wait_probability(&self) -> f64 {
         if self.arrival_rate == 0.0 {
@@ -101,15 +93,6 @@ impl MmmQueue {
             .expect("constructor guarantees stability")
     }
 
-    /// Expected number of waiting (not-in-service) jobs.
-    pub fn expected_waiting(&self) -> f64 {
-        if self.arrival_rate == 0.0 {
-            return 0.0;
-        }
-        expected_queue_length(self.servers, self.offered_load())
-            .expect("constructor guarantees stability")
-    }
-
     /// Mean sojourn time `W = L / lambda` (Little's law) — queueing plus
     /// service; the quantity the paper pins to `T0`.
     pub fn mean_sojourn_time(&self) -> f64 {
@@ -118,11 +101,6 @@ impl MmmQueue {
             return 1.0 / self.service_rate;
         }
         self.expected_in_system() / self.arrival_rate
-    }
-
-    /// Mean waiting time `Wq = W - 1/mu`.
-    pub fn mean_waiting_time(&self) -> f64 {
-        (self.mean_sojourn_time() - 1.0 / self.service_rate).max(0.0)
     }
 
     /// Tail of the sojourn-time distribution: `P(S > t)` where `S` is
@@ -161,40 +139,9 @@ impl MmmQueue {
         tail.clamp(0.0, 1.0)
     }
 
-    /// The `p`-th quantile of the sojourn-time distribution: the smallest
-    /// `t` with `P(S <= t) >= p`, found by bisection on
-    /// [`MmmQueue::sojourn_tail`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` is in `(0, 1)`.
-    pub fn sojourn_quantile(&self, p: f64) -> f64 {
-        assert!(p > 0.0 && p < 1.0, "p must be in (0, 1)");
-        let target_tail = 1.0 - p;
-        // Bracket: the tail decays at least as fast as the slowest of the
-        // two exponential phases.
-        let mut hi = 1.0 / self.service_rate;
-        while self.sojourn_tail(hi) > target_tail {
-            hi *= 2.0;
-            assert!(hi.is_finite());
-        }
-        let mut lo = 0.0;
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if self.sojourn_tail(mid) > target_tail {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi - lo < 1e-12 * (1.0 + hi) {
-                break;
-            }
-        }
-        hi
-    }
-
     /// Equilibrium probability of exactly `k` jobs in the system
-    /// (paper Eqn. 2).
+    /// (paper Eqn. 2). `state_probabilities_give_expected_n` checks
+    /// [`MmmQueue::expected_in_system`] against it.
     pub fn state_probability(&self, k: usize) -> f64 {
         let a = self.offered_load();
         if a == 0.0 {
@@ -403,7 +350,6 @@ mod tests {
         assert_close(q.expected_in_system(), 0.8 / 0.2, 1e-9);
         assert_close(q.mean_sojourn_time(), 1.0 / 0.2, 1e-9);
         assert_close(q.wait_probability(), 0.8, 1e-12);
-        assert_close(q.utilization(), 0.8, 1e-12);
     }
 
     #[test]
@@ -449,11 +395,6 @@ mod tests {
         assert_close(
             q.expected_in_system(),
             q.arrival_rate() * q.mean_sojourn_time(),
-            1e-9,
-        );
-        assert_close(
-            q.expected_waiting(),
-            q.arrival_rate() * q.mean_waiting_time(),
             1e-9,
         );
     }
@@ -559,29 +500,6 @@ mod tests {
     fn sojourn_tail_empty_system_is_service_tail() {
         let q = MmmQueue::new(0.0, 2.0, 3).unwrap();
         assert_close(q.sojourn_tail(1.0), (-2.0_f64).exp(), 1e-12);
-    }
-
-    #[test]
-    fn sojourn_quantile_inverts_the_tail() {
-        let q = MmmQueue::new(6.0, 1.0, 8).unwrap();
-        for &p in &[0.1, 0.5, 0.9, 0.99] {
-            let t = q.sojourn_quantile(p);
-            assert_close(q.sojourn_tail(t), 1.0 - p, 1e-9);
-        }
-        // Median below mean for this right-skewed distribution.
-        assert!(q.sojourn_quantile(0.5) < q.mean_sojourn_time());
-        // Quantiles increase with p.
-        assert!(q.sojourn_quantile(0.9) > q.sojourn_quantile(0.5));
-    }
-
-    #[test]
-    fn mm1_quantile_closed_form() {
-        // M/M/1: S ~ exp(mu - lambda); quantile = -ln(1-p)/(mu-lambda).
-        let q = MmmQueue::new(0.5, 1.0, 1).unwrap();
-        for &p in &[0.25, 0.5, 0.95] {
-            let expect = -(1.0_f64 - p).ln() / 0.5;
-            assert_close(q.sojourn_quantile(p), expect, 1e-6);
-        }
     }
 
     #[test]

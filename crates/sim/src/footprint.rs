@@ -48,6 +48,8 @@ pub struct PeerFootprint {
 
 impl PeerFootprint {
     /// Mean resident bytes per connected viewer (0 for an empty run).
+    /// `measured_flash_crowd_footprint_stays_under_budget`
+    /// (`crates/sim/tests/peer_footprint.rs`) checks the budget with it.
     pub fn bytes_per_peer(&self) -> f64 {
         if self.peers == 0 {
             0.0
@@ -61,7 +63,8 @@ impl PeerFootprint {
 /// and waiting peers cost the same: each holds one slot, linked into
 /// its cohort or its wake bucket (cohort records are shared; see the
 /// module docs). Computed from the real type layouts so any field
-/// growth moves it.
+/// growth moves it; `worst_case_peer_fits_the_budget`
+/// (`crates/sim/tests/peer_footprint.rs`) checks the budget with it.
 pub fn worst_case_bytes_per_peer() -> usize {
     std::mem::size_of::<crate::peer::Peer>()
         + 2 * std::mem::size_of::<u32>()

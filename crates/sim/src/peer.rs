@@ -234,11 +234,6 @@ impl Peer {
         self.f_a
     }
 
-    /// The chunk the peer is currently fetching, if downloading.
-    pub fn downloading_chunk(&self) -> Option<usize> {
-        (self.tag == TAG_DOWNLOADING).then_some(self.chunk as usize)
-    }
-
     /// True if the peer has `chunk` buffered.
     pub fn owns(&self, chunk: usize) -> bool {
         debug_assert!(chunk < MAX_CHUNKS);
@@ -249,11 +244,6 @@ impl Peer {
     pub fn add_to_buffer(&mut self, chunk: usize) {
         debug_assert!(chunk < MAX_CHUNKS);
         self.buffer |= 1u64 << chunk;
-    }
-
-    /// Number of buffered chunks.
-    pub fn buffered_chunks(&self) -> u32 {
-        self.buffer.count_ones()
     }
 
     /// Time of the most recent stall event, if any.
@@ -308,8 +298,8 @@ mod tests {
     #[test]
     fn new_peer_downloads_start_chunk_without_deadline() {
         let p = peer();
-        assert_eq!(p.downloading_chunk(), Some(0));
-        assert_eq!(p.buffered_chunks(), 0);
+        assert!(matches!(p.state(), PeerState::Downloading { chunk: 0, .. }));
+        assert!((0..MAX_CHUNKS).all(|c| !p.owns(c)));
         // No deadline: start-up buffering never counts as a stall.
         assert!(p.smooth_in_window(1e9, 300.0));
     }
@@ -354,9 +344,10 @@ mod tests {
         assert!(p.owns(5));
         assert!(p.owns(0));
         assert!(!p.owns(1));
-        assert_eq!(p.buffered_chunks(), 2);
+        let buffered = |p: &Peer| (0..MAX_CHUNKS).filter(|&c| p.owns(c)).count();
+        assert_eq!(buffered(&p), 2);
         p.add_to_buffer(5);
-        assert_eq!(p.buffered_chunks(), 2, "idempotent");
+        assert_eq!(buffered(&p), 2, "idempotent");
     }
 
     #[test]
@@ -400,12 +391,11 @@ mod tests {
         let mut p = peer();
         p.add_to_buffer(0);
         p.start_chunk(3, 15e6, 777.0);
-        assert_eq!(p.downloading_chunk(), Some(3));
         match p.state() {
             PeerState::Downloading {
+                chunk: 3,
                 bytes_left,
                 deadline,
-                ..
             } => {
                 assert_eq!(bytes_left, 15e6);
                 assert_eq!(deadline, 777.0);

@@ -249,7 +249,9 @@ impl Simulator {
     /// population every round; it runs the round model through the same
     /// one-site deployment as [`Simulator::run`], whatever
     /// [`SimConfig::kernel`] names, and its results are bit-identical
-    /// to an `Indexed` run of the same configuration.
+    /// to an `Indexed` run of the same configuration. The
+    /// `engines_agree_*` tests of `crates/sim/tests/engine_regression.rs`
+    /// pin that.
     ///
     /// # Errors
     ///

@@ -171,12 +171,17 @@ impl Catalog {
         &self.channels[id]
     }
 
-    /// Total base arrival rate across channels (users per second).
+    /// Total base arrival rate across channels (users per second): the
+    /// rate integral `arrival_volume_matches_rate_integral` (in
+    /// [`crate::trace`]) checks the arrival streams' volume against.
     pub fn total_arrival_rate(&self) -> f64 {
         self.channels.iter().map(|c| c.base_arrival_rate).sum()
     }
 
     /// Expected steady-state population under a unit diurnal multiplier.
+    /// `scale_out_builds_a_sharded_mega_config` (in the sim crate's
+    /// `config` module) checks the catalog `SimConfig::scale_out` builds
+    /// against it.
     pub fn expected_population(&self, chunk_seconds: f64) -> f64 {
         self.channels
             .iter()

@@ -1,69 +1,14 @@
 //! Random-variate generators used by the synthetic VoD workload.
 //!
-//! Implemented from `rand` primitives via inverse-transform and standard
-//! algorithms rather than pulling in `rand_distr`: the paper needs exactly
-//! four families — exponential (VCR jump intervals, session dynamics),
-//! bounded Pareto (peer upload capacities, `[180 kbps, 10 Mbps]`, shape
-//! `k = 3`), Zipf (channel popularity), and Poisson (batched arrivals).
+//! Implemented from `rand` primitives via inverse transform rather than
+//! pulling in `rand_distr`: bounded Pareto (peer upload capacities,
+//! `[180 kbps, 10 Mbps]`, shape `k = 3`) and Zipf (channel popularity).
+//! The exponential inter-arrival gaps of the thinned arrival process are
+//! drawn inline by [`crate::trace`].
 
 use rand::RngExt;
 
 use crate::error::{invalid_param, WorkloadError};
-
-/// Exponential distribution with rate `lambda` (mean `1 / lambda`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exponential {
-    rate: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with the given rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `rate` is finite and positive.
-    pub fn new(rate: f64) -> Result<Self, WorkloadError> {
-        if !(rate.is_finite() && rate > 0.0) {
-            return Err(invalid_param(
-                "rate",
-                format!("must be finite and positive, got {rate}"),
-            ));
-        }
-        Ok(Self { rate })
-    }
-
-    /// Creates an exponential distribution with the given mean.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `mean` is finite and positive.
-    pub fn with_mean(mean: f64) -> Result<Self, WorkloadError> {
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(invalid_param(
-                "mean",
-                format!("must be finite and positive, got {mean}"),
-            ));
-        }
-        Self::new(1.0 / mean)
-    }
-
-    /// The rate parameter.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// The mean `1 / rate`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.rate
-    }
-
-    /// Draws one sample by inverse transform.
-    pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.random();
-        // 1 - u is in (0, 1]; ln of it is finite.
-        -(1.0 - u).ln() / self.rate
-    }
-}
 
 /// Pareto distribution truncated to `[min, max]`, sampled by inverse
 /// transform of the truncated CDF.
@@ -230,11 +175,6 @@ impl Zipf {
         self.probs[rank]
     }
 
-    /// All rank probabilities, most popular first.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probs
-    }
-
     /// Draws one rank by binary search on the CDF.
     pub fn sample<R: RngExt + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.random();
@@ -245,39 +185,6 @@ impl Zipf {
             Ok(i) => (i + 1).min(self.len() - 1),
             Err(i) => i.min(self.len() - 1),
         }
-    }
-}
-
-/// Draws a Poisson-distributed count with the given mean.
-///
-/// Uses Knuth's product method for small means and a normal approximation
-/// (continuity-corrected, clamped at zero) for `mean > 30`, which is
-/// accurate to well under a percent in that regime.
-pub fn sample_poisson<R: RngExt + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(
-        mean.is_finite() && mean >= 0.0,
-        "mean must be finite and non-negative"
-    );
-    if mean == 0.0 {
-        return 0;
-    }
-    if mean > 30.0 {
-        // Box-Muller normal approximation.
-        let u1: f64 = rng.random::<f64>().max(1e-300);
-        let u2: f64 = rng.random();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        let x = mean + z * mean.sqrt();
-        return x.round().max(0.0) as u64;
-    }
-    let l = (-mean).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.random::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
     }
 }
 
@@ -294,37 +201,6 @@ mod tests {
     fn sample_mean(mut f: impl FnMut(&mut StdRng) -> f64, n: usize) -> f64 {
         let mut r = rng();
         (0..n).map(|_| f(&mut r)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn exponential_sample_mean_matches() {
-        let d = Exponential::with_mean(4.0).unwrap();
-        let m = sample_mean(|r| d.sample(r), 100_000);
-        assert!((m - 4.0).abs() < 0.1, "mean {m}");
-    }
-
-    #[test]
-    fn exponential_rate_mean_inverse() {
-        let d = Exponential::new(0.25).unwrap();
-        assert_eq!(d.mean(), 4.0);
-        assert_eq!(Exponential::with_mean(4.0).unwrap(), d);
-    }
-
-    #[test]
-    fn exponential_rejects_bad_rate() {
-        assert!(Exponential::new(0.0).is_err());
-        assert!(Exponential::new(-1.0).is_err());
-        assert!(Exponential::new(f64::INFINITY).is_err());
-        assert!(Exponential::with_mean(0.0).is_err());
-    }
-
-    #[test]
-    fn exponential_samples_are_positive() {
-        let d = Exponential::new(2.0).unwrap();
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(d.sample(&mut r) >= 0.0);
-        }
     }
 
     #[test]
@@ -369,7 +245,7 @@ mod tests {
     #[test]
     fn zipf_probabilities_sum_to_one_and_decrease() {
         let z = Zipf::new(20, 0.8).unwrap();
-        let total: f64 = z.probabilities().iter().sum();
+        let total: f64 = (0..20).map(|i| z.prob(i)).sum();
         assert!((total - 1.0).abs() < 1e-12);
         for i in 1..20 {
             assert!(z.prob(i) <= z.prob(i - 1));
@@ -407,35 +283,5 @@ mod tests {
     fn zipf_rejects_bad_parameters() {
         assert!(Zipf::new(0, 1.0).is_err());
         assert!(Zipf::new(5, -1.0).is_err());
-    }
-
-    #[test]
-    fn poisson_small_mean_matches() {
-        let mut r = rng();
-        let n = 100_000;
-        let total: u64 = (0..n).map(|_| sample_poisson(&mut r, 3.0)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_large_mean_uses_normal_approx() {
-        let mut r = rng();
-        let n = 50_000;
-        let samples: Vec<u64> = (0..n).map(|_| sample_poisson(&mut r, 200.0)).collect();
-        let mean = samples.iter().sum::<u64>() as f64 / n as f64;
-        assert!((mean - 200.0).abs() < 1.0, "mean {mean}");
-        let var = samples
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n as f64;
-        assert!((var - 200.0).abs() < 10.0, "variance {var}");
-    }
-
-    #[test]
-    fn poisson_zero_mean_is_zero() {
-        let mut r = rng();
-        assert_eq!(sample_poisson(&mut r, 0.0), 0);
     }
 }

@@ -4,17 +4,16 @@
 //! PPLive VoD measurements; the trace itself was never released, so this
 //! crate regenerates it from the *stated* statistics:
 //!
-//! - [`distributions`]: the four random-variate families the paper uses —
-//!   exponential (VCR jump intervals), bounded Pareto (peer upload
-//!   capacities, `[180 kbps, 10 Mbps]`, shape 3), Zipf (channel
-//!   popularity), and Poisson,
+//! - [`distributions`]: bounded Pareto (peer upload capacities,
+//!   `[180 kbps, 10 Mbps]`, shape 3) and Zipf (channel popularity),
 //! - [`diurnal`]: daily arrival-rate profiles with two flash crowds (noon
 //!   and evening),
 //! - [`viewing`]: the parametric viewer behaviour model and its exact
 //!   translation into the chunk transfer probability matrix `P(c)`,
 //! - [`catalog`]: Zipf-popular channel catalogs calibrated to a target
 //!   concurrent population via Little's law,
-//! - [`trace`]: deterministic, seeded arrival/session trace generation,
+//! - [`trace`]: deterministic, seeded arrival streams, merged across the
+//!   catalog or one channel at a time,
 //! - [`stats`]: the tracker-side estimators that measure `Λ(c)`, `P(c)`
 //!   and `α` per provisioning interval (paper Sec. V-B).
 //!
@@ -22,13 +21,14 @@
 //!
 //! ```
 //! use cloudmedia_workload::catalog::Catalog;
-//! use cloudmedia_workload::trace::{generate_arrivals, TraceConfig};
+//! use cloudmedia_workload::trace::{ArrivalStream, TraceConfig};
 //!
 //! let catalog = Catalog::paper_default();        // 20 channels, ~2500 users
 //! let mut config = TraceConfig::paper_default(); // one week, flash crowds
 //! config.horizon_seconds = 3600.0;               // trim for the example
-//! let trace = generate_arrivals(&catalog, &config).unwrap();
-//! assert!(!trace.is_empty());
+//! let arrivals: Vec<_> = ArrivalStream::new(&catalog, &config).unwrap().collect();
+//! assert!(!arrivals.is_empty());
+//! assert!(arrivals.windows(2).all(|w| w[0].time <= w[1].time));
 //! ```
 
 #![warn(missing_docs)]

@@ -4,15 +4,17 @@
 //! user dynamics and other characteristics in PPLive VoD": diurnal arrivals
 //! with two daily flash crowds, Zipf channel popularity, exponential VCR
 //! jump intervals, and bounded-Pareto peer upload capacities. This module
-//! generates two artifact kinds:
+//! samples the timestamped user arrivals (channel, start chunk, upload
+//! capacity) from a non-homogeneous Poisson process by thinning, lazily
+//! and in time order:
 //!
-//! - [`ArrivalTrace`]: timestamped user arrivals (channel, start chunk,
-//!   upload capacity) sampled from a non-homogeneous Poisson process by
-//!   thinning. The simulator replays these and lets its behavioural model
-//!   drive the rest of each session.
-//! - [`SessionTrace`]: fully materialized open-loop sessions (every chunk
-//!   transition and the departure), used to exercise the tracker-side
-//!   statistics estimators.
+//! - [`ChannelArrivals`]: one channel's arrivals. Each shard of the round
+//!   engines pulls its own.
+//! - [`ArrivalStream`]: every channel's arrivals merged by time. The
+//!   event-driven engine pulls it per arrival event.
+//!
+//! The simulators replay the arrivals and let their behavioural model
+//! drive the rest of each session.
 
 use cloudmedia_telemetry::GlobalCounter;
 use rand::rngs::StdRng;
@@ -20,10 +22,9 @@ use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::catalog::Catalog;
-use crate::distributions::{BoundedPareto, Exponential};
+use crate::distributions::BoundedPareto;
 use crate::diurnal::DiurnalPattern;
 use crate::error::{invalid_param, WorkloadError};
-use crate::viewing::NextAction;
 
 /// Process-wide count of user arrivals generated by any arrival stream
 /// (telemetry only — read as before/after deltas by the simulators; never
@@ -31,7 +32,7 @@ use crate::viewing::NextAction;
 pub static ARRIVALS_GENERATED: GlobalCounter = GlobalCounter::new();
 
 /// One user arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UserArrival {
     /// Arrival time in seconds from trace start.
     pub time: f64,
@@ -43,42 +44,6 @@ pub struct UserArrival {
     pub start_chunk: usize,
     /// The user's upload capacity in bytes per second (P2P mode).
     pub upload_bytes_per_sec: f64,
-}
-
-/// A replayable arrival trace, sorted by time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ArrivalTrace {
-    arrivals: Vec<UserArrival>,
-    horizon: f64,
-}
-
-impl ArrivalTrace {
-    /// The arrivals, sorted by time.
-    pub fn arrivals(&self) -> &[UserArrival] {
-        &self.arrivals
-    }
-
-    /// Trace horizon in seconds.
-    pub fn horizon(&self) -> f64 {
-        self.horizon
-    }
-
-    /// Number of arrivals.
-    pub fn len(&self) -> usize {
-        self.arrivals.len()
-    }
-
-    /// True if the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
-    }
-
-    /// Arrivals within `[from, to)`.
-    pub fn window(&self, from: f64, to: f64) -> &[UserArrival] {
-        let lo = self.arrivals.partition_point(|a| a.time < from);
-        let hi = self.arrivals.partition_point(|a| a.time < to);
-        &self.arrivals[lo..hi]
-    }
 }
 
 /// Configuration for trace generation.
@@ -130,76 +95,15 @@ impl TraceConfig {
     }
 }
 
-/// Generates an arrival trace for the catalog by thinning a
-/// non-homogeneous Poisson process per channel.
-///
-/// # Errors
-///
-/// Propagates configuration validation failures.
-pub fn generate_arrivals(
-    catalog: &Catalog,
-    config: &TraceConfig,
-) -> Result<ArrivalTrace, WorkloadError> {
-    config.validate()?;
-    let upload = BoundedPareto::new(
-        config.upload_min_bps,
-        config.upload_max_bps,
-        config.upload_shape,
-    )?;
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut arrivals = Vec::new();
-    let mut user_id = 0u64;
-    let max_mult = config.diurnal.max_multiplier();
-
-    for spec in catalog.channels() {
-        let cap_rate = spec.base_arrival_rate * max_mult;
-        if cap_rate <= 0.0 {
-            continue;
-        }
-        let inter = Exponential::new(cap_rate)?;
-        let mut t = 0.0;
-        loop {
-            t += inter.sample(&mut rng);
-            if t >= config.horizon_seconds {
-                break;
-            }
-            // Thinning: accept with probability rate(t) / cap.
-            let accept = config.diurnal.multiplier(t) / max_mult;
-            if rng.random::<f64>() < accept {
-                arrivals.push(UserArrival {
-                    time: t,
-                    user_id,
-                    channel: spec.id,
-                    start_chunk: spec.viewing.sample_start_chunk(&mut rng),
-                    upload_bytes_per_sec: upload.sample(&mut rng),
-                });
-                user_id += 1;
-            }
-        }
-    }
-    arrivals.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("times are finite"));
-    // Re-number so user ids are ascending in time (ids double as arrival
-    // order in the simulator).
-    for (i, a) in arrivals.iter_mut().enumerate() {
-        a.user_id = i as u64;
-    }
-    Ok(ArrivalTrace {
-        arrivals,
-        horizon: config.horizon_seconds,
-    })
-}
-
-/// A lazily generated arrival stream: the same non-homogeneous Poisson
-/// model as [`generate_arrivals`], but producing arrivals one at a time
-/// in global time order instead of materializing the whole horizon.
+/// A lazily generated arrival stream: every channel's thinned
+/// non-homogeneous Poisson process, producing arrivals one at a time in
+/// global time order instead of materializing the whole horizon.
 ///
 /// Memory is `O(channels)` — one pending arrival and one RNG per channel
 /// in a binary heap — so a full simulated week (or year) never holds the
-/// trace in memory. All engines consume this (the round engines pull it
-/// from their run loops; the event-driven sessions component pulls it
-/// per arrival event); the eager [`generate_arrivals`] path is kept as
-/// the simple reference implementation for estimator tests and session
-/// materialization.
+/// trace in memory. The event-driven sessions component pulls it per
+/// arrival event; the round engines pull each channel's sub-stream on
+/// its own, as [`ChannelArrivals`].
 ///
 /// # Thinning with piecewise-window majorants
 ///
@@ -211,19 +115,12 @@ pub fn generate_arrivals(
 /// ratio from ~1/3.5 to ~0.9 on the paper profile, i.e. roughly 3×
 /// fewer candidate draws per accepted arrival.
 ///
-/// # Determinism and relation to the eager path
+/// # Determinism
 ///
 /// The stream is fully deterministic in `TraceConfig::seed`: channel `c`
 /// draws from its own `StdRng` seeded with [`child_seed`]`(seed, c)`,
 /// and the per-channel streams are merged by `(time, channel)`. Because
-/// the eager path interleaves all channels through a *single* RNG before
-/// sorting, the streaming trace is a *different sample of the same
-/// process* — identical rate profile, channel mix, and upload
-/// distribution, but not arrival-for-arrival equal. Engines compared
-/// across the two paths therefore agree in distribution (and, over a
-/// steady-state horizon, in their means), not bit-for-bit.
-///
-/// Because seeding is per channel, a channel's sub-stream does not
+/// seeding is per channel, a channel's sub-stream does not
 /// depend on what else is in the catalog — the property the round
 /// engines' per-channel shard ingestion builds on (see
 /// [`ChannelArrivals`]):
@@ -599,82 +496,6 @@ impl Iterator for ChannelArrivals {
     }
 }
 
-/// One event inside a materialized session.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SessionEvent {
-    /// The user started downloading the given chunk at the given time.
-    StartChunk {
-        /// Event time in seconds.
-        time: f64,
-        /// Chunk index.
-        chunk: usize,
-    },
-    /// The user left the channel.
-    Leave {
-        /// Event time in seconds.
-        time: f64,
-    },
-}
-
-/// A fully materialized open-loop session (chunk dwell time fixed at the
-/// playback time, ignoring download contention).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Session {
-    /// The user this session belongs to.
-    pub user_id: u64,
-    /// The channel watched.
-    pub channel: usize,
-    /// The ordered session events.
-    pub events: Vec<SessionEvent>,
-}
-
-/// A set of materialized sessions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionTrace {
-    /// All sessions, ordered by session start time.
-    pub sessions: Vec<Session>,
-}
-
-/// Materializes open-loop sessions from an arrival trace: each chunk is
-/// watched for exactly `chunk_seconds`, then the viewing model picks the
-/// next action. Used to feed the statistics estimators with ground-truth
-/// behaviour.
-pub fn materialize_sessions(
-    catalog: &Catalog,
-    arrivals: &ArrivalTrace,
-    chunk_seconds: f64,
-    seed: u64,
-) -> SessionTrace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sessions = Vec::with_capacity(arrivals.len());
-    for a in arrivals.arrivals() {
-        let viewing = &catalog.channel(a.channel).viewing;
-        let mut events = Vec::new();
-        let mut t = a.time;
-        let mut chunk = a.start_chunk;
-        events.push(SessionEvent::StartChunk { time: t, chunk });
-        loop {
-            t += chunk_seconds;
-            match viewing.sample_next(&mut rng, chunk) {
-                NextAction::Watch(next) => {
-                    chunk = next;
-                    events.push(SessionEvent::StartChunk { time: t, chunk });
-                }
-                NextAction::Leave => {
-                    events.push(SessionEvent::Leave { time: t });
-                    break;
-                }
-            }
-        }
-        sessions.push(Session {
-            user_id: a.user_id,
-            channel: a.channel,
-            events,
-        });
-    }
-    SessionTrace { sessions }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,48 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_are_sorted_and_within_horizon() {
-        let trace = generate_arrivals(&small_catalog(), &short_config()).unwrap();
-        assert!(!trace.is_empty());
-        for w in trace.arrivals().windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
-        for a in trace.arrivals() {
-            assert!(a.time >= 0.0 && a.time < trace.horizon());
-            assert!(a.channel < 3);
-            assert!(a.start_chunk < 20);
-            assert!(a.upload_bytes_per_sec >= 180e3 / 8.0);
-            assert!(a.upload_bytes_per_sec <= 10e6 / 8.0);
-        }
-    }
-
-    #[test]
-    fn generation_is_deterministic_in_seed() {
-        let a = generate_arrivals(&small_catalog(), &short_config()).unwrap();
-        let b = generate_arrivals(&small_catalog(), &short_config()).unwrap();
-        assert_eq!(a, b);
-        let mut cfg = short_config();
-        cfg.seed += 1;
-        let c = generate_arrivals(&small_catalog(), &cfg).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn user_ids_are_ascending_in_time() {
-        let trace = generate_arrivals(&small_catalog(), &short_config()).unwrap();
-        for (i, a) in trace.arrivals().iter().enumerate() {
-            assert_eq!(a.user_id, i as u64);
-        }
-    }
-
-    #[test]
     fn popular_channels_receive_more_arrivals() {
         let catalog = small_catalog();
         let mut cfg = short_config();
         cfg.horizon_seconds = 48.0 * 3600.0;
-        let trace = generate_arrivals(&catalog, &cfg).unwrap();
         let mut counts = [0usize; 3];
-        for a in trace.arrivals() {
+        for a in ArrivalStream::new(&catalog, &cfg).unwrap() {
             counts[a.channel] += 1;
         }
         assert!(counts[0] > counts[1]);
@@ -754,10 +539,9 @@ mod tests {
             horizon_seconds: 5.0 * 24.0 * 3600.0,
             ..short_config()
         };
-        let trace = generate_arrivals(&catalog, &cfg).unwrap();
         let expected =
             catalog.total_arrival_rate() * cfg.diurnal.mean_multiplier() * cfg.horizon_seconds;
-        let got = trace.len() as f64;
+        let got = ArrivalStream::new(&catalog, &cfg).unwrap().count() as f64;
         assert!(
             (got - expected).abs() / expected < 0.05,
             "arrivals {got} vs expected {expected}"
@@ -771,57 +555,21 @@ mod tests {
             horizon_seconds: 3.0 * 24.0 * 3600.0,
             ..short_config()
         };
-        let trace = generate_arrivals(&catalog, &cfg).unwrap();
         // Compare noon hour vs 4am hour across days.
         let mut noon = 0usize;
         let mut night = 0usize;
-        for d in 0..3 {
-            let base = d as f64 * 86_400.0;
-            noon += trace
-                .window(base + 11.5 * 3600.0, base + 12.5 * 3600.0)
-                .len();
-            night += trace.window(base + 3.5 * 3600.0, base + 4.5 * 3600.0).len();
+        for a in ArrivalStream::new(&catalog, &cfg).unwrap() {
+            let hour = (a.time % 86_400.0) / 3600.0;
+            if (11.5..12.5).contains(&hour) {
+                noon += 1;
+            } else if (3.5..4.5).contains(&hour) {
+                night += 1;
+            }
         }
         assert!(
             noon as f64 > 1.8 * night as f64,
             "noon {noon} should far exceed night {night}"
         );
-    }
-
-    #[test]
-    fn window_respects_bounds() {
-        let trace = generate_arrivals(&small_catalog(), &short_config()).unwrap();
-        let w = trace.window(1000.0, 2000.0);
-        for a in w {
-            assert!(a.time >= 1000.0 && a.time < 2000.0);
-        }
-        let total: usize = [
-            trace.window(0.0, 1000.0).len(),
-            w.len(),
-            trace.window(2000.0, trace.horizon()).len(),
-        ]
-        .iter()
-        .sum();
-        assert_eq!(total, trace.len());
-    }
-
-    #[test]
-    fn sessions_start_at_arrival_and_end_with_leave() {
-        let catalog = small_catalog();
-        let trace = generate_arrivals(&catalog, &short_config()).unwrap();
-        let sessions = materialize_sessions(&catalog, &trace, 300.0, 1);
-        assert_eq!(sessions.sessions.len(), trace.len());
-        for (s, a) in sessions.sessions.iter().zip(trace.arrivals()) {
-            assert_eq!(s.user_id, a.user_id);
-            match s.events.first() {
-                Some(SessionEvent::StartChunk { time, chunk }) => {
-                    assert_eq!(*time, a.time);
-                    assert_eq!(*chunk, a.start_chunk);
-                }
-                other => panic!("first event must be StartChunk, got {other:?}"),
-            }
-            assert!(matches!(s.events.last(), Some(SessionEvent::Leave { .. })));
-        }
     }
 
     #[test]
@@ -846,33 +594,6 @@ mod tests {
         cfg2.seed += 1;
         let c: Vec<UserArrival> = ArrivalStream::new(&catalog, &cfg2).unwrap().collect();
         assert_ne!(a, c, "different seed, different stream");
-    }
-
-    #[test]
-    fn stream_volume_matches_eager_path() {
-        // Different samples of the same process: arrival counts (total
-        // and per channel) agree within sampling noise.
-        let catalog = small_catalog();
-        let cfg = TraceConfig {
-            horizon_seconds: 4.0 * 24.0 * 3600.0,
-            ..short_config()
-        };
-        let eager = generate_arrivals(&catalog, &cfg).unwrap();
-        let streamed: Vec<UserArrival> = ArrivalStream::new(&catalog, &cfg).unwrap().collect();
-        let e = eager.len() as f64;
-        let s = streamed.len() as f64;
-        assert!((s - e).abs() / e < 0.05, "stream {s} vs eager {e} arrivals");
-        let mut counts = [[0usize; 3]; 2];
-        for a in eager.arrivals() {
-            counts[0][a.channel] += 1;
-        }
-        for a in &streamed {
-            counts[1][a.channel] += 1;
-        }
-        for (c, (e, s)) in counts[0].iter().zip(&counts[1]).enumerate() {
-            let (e, s) = (*e as f64, *s as f64);
-            assert!((s - e).abs() / e < 0.1, "channel {c}: {s} vs {e}");
-        }
     }
 
     #[test]
@@ -920,11 +641,14 @@ mod tests {
 
     #[test]
     fn invalid_config_rejected() {
-        let mut cfg = short_config();
-        cfg.horizon_seconds = 0.0;
-        assert!(generate_arrivals(&small_catalog(), &cfg).is_err());
-        let mut cfg = short_config();
-        cfg.upload_min_bps = 0.0;
-        assert!(generate_arrivals(&small_catalog(), &cfg).is_err());
+        let catalog = small_catalog();
+        let mut zero_horizon = short_config();
+        zero_horizon.horizon_seconds = 0.0;
+        let mut zero_upload = short_config();
+        zero_upload.upload_min_bps = 0.0;
+        for cfg in [&zero_horizon, &zero_upload] {
+            assert!(ArrivalStream::new(&catalog, cfg).is_err());
+            assert!(ChannelArrivals::new(catalog.channel(0), cfg).is_err());
+        }
     }
 }

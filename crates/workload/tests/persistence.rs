@@ -1,24 +1,12 @@
-//! JSON persistence round trips for workload artifacts (traces are meant
-//! to be archived and replayed bit-exactly).
+//! JSON persistence round trips for the workload inputs: a catalog and a
+//! trace config, archived, regenerate the same arrivals bit-exactly.
 
 use cloudmedia_workload::catalog::Catalog;
-use cloudmedia_workload::trace::{generate_arrivals, materialize_sessions, TraceConfig};
+use cloudmedia_workload::trace::TraceConfig;
 use cloudmedia_workload::viewing::ViewingModel;
 
 fn catalog() -> Catalog {
     Catalog::zipf(3, 0.9, ViewingModel::paper_default(), 120.0, 300.0).unwrap()
-}
-
-#[test]
-fn arrival_trace_round_trips_exactly() {
-    let cfg = TraceConfig {
-        horizon_seconds: 4.0 * 3600.0,
-        ..TraceConfig::paper_default()
-    };
-    let trace = generate_arrivals(&catalog(), &cfg).unwrap();
-    let json = serde_json::to_string(&trace).unwrap();
-    let back: cloudmedia_workload::trace::ArrivalTrace = serde_json::from_str(&json).unwrap();
-    assert_eq!(trace, back);
 }
 
 #[test]
@@ -29,17 +17,4 @@ fn catalog_and_config_round_trip_exactly() {
     let cfg = TraceConfig::paper_default();
     let back: TraceConfig = serde_json::from_str(&serde_json::to_string(&cfg).unwrap()).unwrap();
     assert_eq!(cfg, back);
-}
-
-#[test]
-fn session_trace_round_trips() {
-    let cfg = TraceConfig {
-        horizon_seconds: 3600.0,
-        ..TraceConfig::paper_default()
-    };
-    let arrivals = generate_arrivals(&catalog(), &cfg).unwrap();
-    let sessions = materialize_sessions(&catalog(), &arrivals, 300.0, 7);
-    let json = serde_json::to_string(&sessions).unwrap();
-    let back: cloudmedia_workload::trace::SessionTrace = serde_json::from_str(&json).unwrap();
-    assert_eq!(sessions, back);
 }

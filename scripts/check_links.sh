@@ -5,6 +5,11 @@
 # markdown file that references it. External URLs are skipped — this
 # build environment has no network — so the check is deterministic.
 #
+# The same files, plus the verify skill, must name only binaries the
+# workspace builds: every `--bin NAME` and `target/release/NAME` must be
+# a `crates/*/src/bin/NAME.rs` file or a `[[bin]]` of a
+# `crates/*/Cargo.toml`.
+#
 # Usage: scripts/check_links.sh [FILE.md ...]
 # (defaults to README.md, PAPER.md, PAPERS.md, ROADMAP.md, docs/*.md)
 
@@ -38,8 +43,28 @@ for file in "${files[@]}"; do
     done <<< "$targets"
 done
 
+bins=$(
+    for f in crates/*/src/bin/*.rs; do basename "$f" .rs; done
+    awk '/^\[\[bin\]\]/ { inbin = 1; next }
+         /^\[/ { inbin = 0 }
+         inbin && /^name *=/ { gsub(/^name *= *"|".*$/, ""); print }' crates/*/Cargo.toml
+)
+skill=.claude/skills/verify/SKILL.md
+[ -f "$skill" ] && files+=("$skill")
+for file in "${files[@]}"; do
+    [ -f "$file" ] || continue
+    names=$(grep -oE -- '--bin [A-Za-z0-9_-]+|target/release/[A-Za-z0-9_-]+' "$file" |
+        sed -E 's/^--bin //; s#^target/release/##' | sort -u)
+    for name in $names; do
+        if ! grep -qxF -- "$name" <<< "$bins"; then
+            echo "UNKNOWN BINARY: $file -> $name"
+            fail=1
+        fi
+    done
+done
+
 if [ "$fail" -ne 0 ]; then
-    echo "relative-link check failed"
+    echo "link and binary-name check failed"
     exit 1
 fi
-echo "relative-link check passed (${#files[@]} files)"
+echo "link and binary-name check passed (${#files[@]} files)"
