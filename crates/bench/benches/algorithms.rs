@@ -9,9 +9,8 @@ use std::hint::black_box;
 use cloudmedia_cloud::broker::SlaTerms;
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters, PAPER_VM_BANDWIDTH};
 use cloudmedia_cloud::scheduler::ChunkKey;
-use cloudmedia_core::analysis::p2p::{p2p_capacity_hetero, UploadClass};
 use cloudmedia_core::analysis::{
-    capacity_demand, p2p_capacity_with, pooled_capacity_demand, DemandPooling, PsiEstimator,
+    capacity_demand, p2p_capacity, pooled_capacity_demand, PsiEstimator,
 };
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::controller::{Controller, ControllerConfig};
@@ -46,50 +45,10 @@ fn bench_capacity_analysis(c: &mut Criterion) {
         b.iter(|| pooled_capacity_demand(black_box(&channel)).unwrap())
     });
     c.bench_function("p2p_capacity_independent", |b| {
-        b.iter(|| {
-            p2p_capacity_with(
-                black_box(&channel),
-                34_000.0,
-                PsiEstimator::Independent,
-                DemandPooling::ChannelPooled,
-            )
-            .unwrap()
-        })
-    });
-    c.bench_function("p2p_capacity_hetero_3_classes", |b| {
-        let classes = [
-            UploadClass {
-                share: 0.5,
-                upload: 20_000.0,
-            },
-            UploadClass {
-                share: 0.3,
-                upload: 40_000.0,
-            },
-            UploadClass {
-                share: 0.2,
-                upload: 80_000.0,
-            },
-        ];
-        b.iter(|| {
-            p2p_capacity_hetero(
-                black_box(&channel),
-                &classes,
-                cloudmedia_core::analysis::P2pAnalysisOptions::default(),
-            )
-            .unwrap()
-        })
+        b.iter(|| p2p_capacity(black_box(&channel), 34_000.0, PsiEstimator::Independent).unwrap())
     });
     c.bench_function("p2p_capacity_path_based", |b| {
-        b.iter(|| {
-            p2p_capacity_with(
-                black_box(&channel),
-                34_000.0,
-                PsiEstimator::PathBased,
-                DemandPooling::ChannelPooled,
-            )
-            .unwrap()
-        })
+        b.iter(|| p2p_capacity(black_box(&channel), 34_000.0, PsiEstimator::PathBased).unwrap())
     });
 }
 

@@ -5,7 +5,7 @@
 //! this ablation quantifies how much the estimator choice moves the
 //! derived peer contribution and cloud demand.
 
-use cloudmedia_core::analysis::{p2p_capacity_with, DemandPooling, PsiEstimator};
+use cloudmedia_core::analysis::{p2p_capacity, PsiEstimator};
 use cloudmedia_core::channel::ChannelModel;
 
 fn main() {
@@ -16,8 +16,7 @@ fn main() {
             ("independent", PsiEstimator::Independent),
             ("path_based", PsiEstimator::PathBased),
         ] {
-            let p = p2p_capacity_with(&channel, 34_000.0, psi, DemandPooling::ChannelPooled)
-                .expect("paper channel analyzes");
+            let p = p2p_capacity(&channel, 34_000.0, psi).expect("paper channel analyzes");
             println!(
                 "{rate},{name},{:.2},{:.2}",
                 p.total_peer_contribution() * 8.0 / 1e6,

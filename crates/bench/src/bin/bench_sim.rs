@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use cloudmedia_bench::geo_sim::merge_record;
+use cloudmedia_bench::harness::parse_hours;
 use cloudmedia_bench::SIM_SCHEMA;
 use cloudmedia_sim::allocation::allocate_pool_sparse;
 use cloudmedia_sim::config::{SimConfig, SimMode};
@@ -96,7 +97,7 @@ fn main() {
             "--hours" => {
                 hours = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| parse_hours(&v))
                     .unwrap_or_else(|| usage());
             }
             "--out" => {

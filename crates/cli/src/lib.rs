@@ -46,9 +46,7 @@ use std::fmt::Write as _;
 
 use cloudmedia_cloud::broker::SlaTerms;
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_core::analysis::{
-    p2p_capacity_with, pooled_capacity_demand, DemandPooling, PsiEstimator,
-};
+use cloudmedia_core::analysis::{p2p_capacity, pooled_capacity_demand, PsiEstimator};
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::controller::{Controller, ControllerConfig, StreamingMode};
 use cloudmedia_core::predictor::{ChannelObservation, PredictorKind};
@@ -733,13 +731,8 @@ fn analyze(arrival_rate: f64, mean_upload: f64) -> Result<String, CliError> {
     let channel = ChannelModel::paper_default(0, arrival_rate);
     let cs = pooled_capacity_demand(&channel)
         .map_err(|e| CliError::Run(format!("analysis failed: {e}")))?;
-    let p2p = p2p_capacity_with(
-        &channel,
-        mean_upload,
-        PsiEstimator::Independent,
-        DemandPooling::ChannelPooled,
-    )
-    .map_err(|e| CliError::Run(format!("P2P analysis failed: {e}")))?;
+    let p2p = p2p_capacity(&channel, mean_upload, PsiEstimator::Independent)
+        .map_err(|e| CliError::Run(format!("P2P analysis failed: {e}")))?;
     let mut out = String::new();
     let mbps = |b: f64| b * 8.0 / 1e6;
     let population: f64 = cs
@@ -1662,8 +1655,13 @@ mod tests {
             mean_upload: 34_000.0,
         })
         .unwrap();
-        assert!(out.contains("client-server cloud demand"));
-        assert!(out.contains("P2P cloud demand"));
+        assert_eq!(
+            out,
+            "channel: arrival rate 0.2/s, ~556 concurrent viewers\n\
+             client-server cloud demand: 230.0 Mbps\n\
+             P2P peer contribution:      150.6 Mbps\n\
+             P2P cloud demand:           79.4 Mbps\n"
+        );
     }
 
     #[test]
@@ -1676,6 +1674,21 @@ mod tests {
         .unwrap();
         assert!(out.contains("VM targets"));
         assert!(out.contains("storage placement"));
+
+        let out = run(Command::Plan {
+            arrival_rates: vec![0.1, 0.05],
+            mode: SimMode::P2p,
+            budget: 100.0,
+        })
+        .unwrap();
+        assert_eq!(
+            out,
+            "channels: 2, mode: P2p, budget $100/h\n\
+             VM targets [Standard, Medium, Advanced]: [8, 0, 0] ($3.60/h)\n\
+             cloud demand: 74.3 Mbps\n\
+             expected peer contribution: 113.0 Mbps\n\
+             storage placement: 40 chunks\n"
+        );
     }
 
     #[test]

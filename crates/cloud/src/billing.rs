@@ -19,11 +19,9 @@ pub struct BillingMeter {
     vm_cost: Money,
     storage_cost: Money,
     vm_cost_per_cluster: Vec<Money>,
-    /// (time, incremental vm cost, incremental storage cost) per accrual.
-    ledger: Vec<LedgerEntry>,
 }
 
-/// One accrual record.
+/// The charge of one accrual period.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LedgerEntry {
     /// End time of the accrual period.
@@ -63,7 +61,6 @@ impl BillingMeter {
             vm_cost: Money::ZERO,
             storage_cost: Money::ZERO,
             vm_cost_per_cluster: vec![Money::ZERO; virtual_clusters.len()],
-            ledger: Vec::new(),
         })
     }
 
@@ -121,13 +118,11 @@ impl BillingMeter {
         self.vm_cost += vm_inc;
         self.storage_cost += storage_inc;
         self.last_accrual = now;
-        let entry = LedgerEntry {
+        Ok(LedgerEntry {
             time: now,
             vm_cost: vm_inc,
             storage_cost: storage_inc,
-        };
-        self.ledger.push(entry);
-        Ok(entry)
+        })
     }
 
     /// Total VM rental cost to date.
@@ -148,11 +143,6 @@ impl BillingMeter {
     /// VM cost per virtual cluster.
     pub fn vm_cost_per_cluster(&self) -> &[Money] {
         &self.vm_cost_per_cluster
-    }
-
-    /// The accrual ledger.
-    pub fn ledger(&self) -> &[LedgerEntry] {
-        &self.ledger
     }
 
     /// Time of the last accrual.
@@ -211,24 +201,6 @@ mod tests {
         );
         m.accrue(3600.0, &[4, 0, 0], &[0, 0]).unwrap();
         assert!((m.vm_cost().as_dollars() - (0.45 + 0.9)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ledger_records_every_accrual() {
-        let mut m = meter();
-        m.accrue(3600.0, &[1, 0, 0], &[0, 0]).unwrap();
-        m.accrue(7200.0, &[2, 0, 0], &[0, 0]).unwrap();
-        m.accrue(10800.0, &[1, 0, 0], &[0, 0]).unwrap();
-        let ledger = m.ledger();
-        assert_eq!(ledger.len(), 3);
-        for (entry, (time, cost)) in
-            ledger
-                .iter()
-                .zip([(3600.0, 0.45), (7200.0, 0.9), (10800.0, 0.45)])
-        {
-            assert_eq!(entry.time, time);
-            assert!((entry.vm_cost.as_dollars() - cost).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! cloud (`Δ_i = R·m_i − Γ_i`). This module derives the equilibrium chunk
 //! replica counts (Proposition 1), the joint-ownership probability
 //! `Ψ(π_j, π_k)` (two estimators — the paper's closed form lives in an
-//! unavailable technical report, see DESIGN.md), and the rarest-first
-//! waterfilling of peer upload bandwidth (paper Eqn. 5).
+//! unavailable technical report; `ablation_psi` compares them), and the
+//! rarest-first waterfilling of one mean peer upload `u` (paper Eqn. 5).
 
 use cloudmedia_queueing::absorbing::AbsorbingChain;
 use cloudmedia_queueing::jackson::RoutingMatrix;
@@ -30,7 +30,6 @@ pub static SHERMAN_MORRISON_FALLBACKS: GlobalCounter = GlobalCounter::new();
 use crate::analysis::client_server::{capacity_demand, pooled_capacity_demand};
 use crate::analysis::client_server::{CapacityDemand, ProvisioningTarget};
 use crate::analysis::pass::{ChannelPass, PassScratch};
-use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 
@@ -51,7 +50,8 @@ pub enum PsiEstimator {
 /// Result of the P2P capacity analysis for one channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct P2pCapacity {
-    /// The underlying client–server demand (arrival rates, `m_i`, `s_i`).
+    /// The channel-pooled baseline capacity the peers offset (arrival
+    /// rates, `m_i`, `s_i`), as the controller sizes it.
     pub demand: CapacityDemand,
     /// Expected replica count `E(ν_i)` per chunk — peers elsewhere in the
     /// channel who buffer chunk `i` (paper Eqn. 4).
@@ -60,7 +60,7 @@ pub struct P2pCapacity {
     /// (paper Eqn. 5).
     pub peer_contribution: Vec<f64>,
     /// Expected capacity the cloud must supply per chunk,
-    /// `E(Δ_i) = R·m_i − E(Γ_i)`, bytes/s.
+    /// `E(Δ_i) = (s_i − E(Γ_i))⁺`, bytes/s.
     pub cloud_demand: Vec<f64>,
 }
 
@@ -309,7 +309,8 @@ fn path_based_ownership(
     Ok(())
 }
 
-/// Full P2P capacity analysis of one channel: client–server demand, the
+/// Full P2P capacity analysis of one channel, as the controller runs it:
+/// the channel-pooled baseline capacity (mean-sojourn target), the
 /// Proposition 1 replica counts, the Eqn. 5 rarest-first waterfilling of
 /// peer bandwidth, and the resulting cloud demand `Δ_i`.
 ///
@@ -319,63 +320,12 @@ fn path_based_ownership(
 ///
 /// # Errors
 ///
-/// Propagates validation, queueing, and solver failures; rejects
-/// non-positive `mean_upload`.
+/// Propagates validation, queueing, and solver failures; rejects a
+/// negative or non-finite `mean_upload`.
 pub fn p2p_capacity(
     channel: &ChannelModel,
     mean_upload: f64,
     estimator: PsiEstimator,
-) -> Result<P2pCapacity, CoreError> {
-    p2p_capacity_with(channel, mean_upload, estimator, DemandPooling::PerChunk)
-}
-
-/// Options bundle for [`p2p_capacity_opts`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct P2pAnalysisOptions {
-    /// Joint-ownership estimator for the waterfilling deduction.
-    pub psi: PsiEstimator,
-    /// Demand pooling of the baseline capacity.
-    pub pooling: DemandPooling,
-    /// Retrieval-time guarantee of the baseline capacity.
-    pub target: ProvisioningTarget,
-}
-
-/// Like [`p2p_capacity`], with an explicit demand-pooling model: the
-/// waterfilling (Eqn. 5) always uses the per-chunk queueing quantities,
-/// while the baseline capacity the peers offset can be per-chunk
-/// (paper-literal) or channel-pooled (fractional VM sharing; see
-/// [`pooled_capacity_demand`](crate::analysis::client_server::pooled_capacity_demand)).
-///
-/// # Errors
-///
-/// Propagates validation, queueing, and solver failures.
-pub fn p2p_capacity_with(
-    channel: &ChannelModel,
-    mean_upload: f64,
-    estimator: PsiEstimator,
-    pooling: DemandPooling,
-) -> Result<P2pCapacity, CoreError> {
-    p2p_capacity_opts(
-        channel,
-        mean_upload,
-        P2pAnalysisOptions {
-            psi: estimator,
-            pooling,
-            target: ProvisioningTarget::MeanSojourn,
-        },
-    )
-}
-
-/// Full-control variant of [`p2p_capacity`]: estimator, pooling, and the
-/// retrieval-time guarantee of the baseline capacity.
-///
-/// # Errors
-///
-/// Propagates validation, queueing, and solver failures.
-pub fn p2p_capacity_opts(
-    channel: &ChannelModel,
-    mean_upload: f64,
-    opts: P2pAnalysisOptions,
 ) -> Result<P2pCapacity, CoreError> {
     if !(mean_upload.is_finite() && mean_upload >= 0.0) {
         return Err(invalid_param(
@@ -383,55 +333,14 @@ pub fn p2p_capacity_opts(
             format!("must be finite and non-negative, got {mean_upload}"),
         ));
     }
-    p2p_capacity_hetero(
-        channel,
-        &[UploadClass {
-            share: 1.0,
-            upload: mean_upload,
-        }],
-        opts,
-    )
-}
-
-/// One peer upload class for the heterogeneous-bandwidth analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UploadClass {
-    /// Fraction of the peer population in this class, in `(0, 1]`.
-    pub share: f64,
-    /// Per-peer upload capacity of the class, bytes per second.
-    pub upload: f64,
-}
-
-/// Heterogeneous-bandwidth P2P capacity analysis — the extension the
-/// paper sketches ("the analysis can be readily extended to cases with
-/// heterogeneous bandwidths"). Peer classes are assumed independent of
-/// viewing position, so each chunk's replica pool splits across classes
-/// by population share; the rarest-first waterfilling then draws from
-/// richer classes first, deducting dual-ownership commitments per class.
-///
-/// With a single class this reduces exactly to [`p2p_capacity_opts`].
-///
-/// # Errors
-///
-/// Propagates validation, queueing, and solver failures; rejects empty or
-/// malformed class lists (shares must be positive and sum to 1).
-pub fn p2p_capacity_hetero(
-    channel: &ChannelModel,
-    classes: &[UploadClass],
-    opts: P2pAnalysisOptions,
-) -> Result<P2pCapacity, CoreError> {
-    validate_classes(classes)?;
     let mut scratch = PassScratch::default();
     let mut pass = ChannelPass::new(channel, true, &mut scratch)?;
-    let demand = pass.per_chunk(ProvisioningTarget::MeanSojourn)?.clone();
-    pass.peer_supply(classes, opts.psi)?;
-    let baseline = match (opts.pooling, opts.target) {
-        (DemandPooling::PerChunk, ProvisioningTarget::MeanSojourn) => demand.upload_demand.clone(),
-        (pooling, target) => pass.baseline(pooling, target)?.upload_demand.clone(),
-    };
-    let supply = std::mem::take(&mut scratch.supply);
+    pass.peer_supply(mean_upload, estimator)?;
+    pass.pooled(ProvisioningTarget::MeanSojourn)?;
+    let PassScratch { demand, supply, .. } = scratch;
     Ok(P2pCapacity {
-        cloud_demand: baseline
+        cloud_demand: demand
+            .upload_demand
             .iter()
             .zip(&supply.contribution)
             .map(|(&b, &g)| cloud_share(b, g))
@@ -440,40 +349,6 @@ pub fn p2p_capacity_hetero(
         replicas: supply.replicas,
         peer_contribution: supply.contribution,
     })
-}
-
-/// Checks a peer upload class list: non-empty, shares in `(0, 1]`
-/// summing to 1, finite non-negative uploads.
-pub(crate) fn validate_classes(classes: &[UploadClass]) -> Result<(), CoreError> {
-    if classes.is_empty() {
-        return Err(invalid_param(
-            "classes",
-            "at least one upload class required",
-        ));
-    }
-    let mut share_sum = 0.0;
-    for c in classes {
-        if !(c.share > 0.0 && c.share <= 1.0) {
-            return Err(invalid_param(
-                "classes",
-                format!("share must be in (0, 1], got {}", c.share),
-            ));
-        }
-        if !(c.upload.is_finite() && c.upload >= 0.0) {
-            return Err(invalid_param(
-                "classes",
-                format!("upload must be finite and non-negative, got {}", c.upload),
-            ));
-        }
-        share_sum += c.share;
-    }
-    if (share_sum - 1.0).abs() > 1e-9 {
-        return Err(invalid_param(
-            "classes",
-            format!("shares must sum to 1, got {share_sum}"),
-        ));
-    }
-    Ok(())
 }
 
 /// What the peers of one channel supply: the Proposition 1 replica
@@ -495,8 +370,8 @@ pub(crate) fn cloud_share(baseline: f64, peers: f64) -> f64 {
 impl ChannelPass<'_> {
     /// The P2P half of the analysis: replica counts from the inverse
     /// columns this pass solved (Proposition 1), joint ownership, and
-    /// the rarest-first waterfilling of the classes' upload (Eqn. 5).
-    /// `classes` must have passed [`validate_classes`].
+    /// the rarest-first waterfilling of the mean peer upload `u`, in
+    /// bytes per second (Eqn. 5).
     ///
     /// # Errors
     ///
@@ -507,7 +382,7 @@ impl ChannelPass<'_> {
     /// Panics if the pass was built without the inverse columns.
     pub(crate) fn peer_supply(
         &mut self,
-        classes: &[UploadClass],
+        mean_upload: f64,
         estimator: PsiEstimator,
     ) -> Result<&PeerSupply, CoreError> {
         let channel = self.channel;
@@ -565,22 +440,6 @@ impl ChannelPass<'_> {
         });
 
         let r = channel.streaming_rate;
-        // Richer classes are drawn from first at each chunk.
-        let class_order = &mut s.class_order;
-        class_order.clear();
-        class_order.extend(0..classes.len());
-        class_order.sort_by(|&a, &b| {
-            classes[b]
-                .upload
-                .partial_cmp(&classes[a].upload)
-                .expect("uploads are finite")
-        });
-        // Per-class peer contribution to each chunk: chunk k's share from
-        // class ci at `k·n_classes + ci`.
-        let n_classes = classes.len();
-        let gamma_class = &mut s.gamma_class;
-        gamma_class.clear();
-        gamma_class.resize(j_count * n_classes, 0.0);
         let gamma = &mut s.supply.contribution;
         gamma.clear();
         gamma.resize(j_count, 0.0);
@@ -591,29 +450,24 @@ impl ChannelPass<'_> {
             // λ_k·T0·r`. Peer service never exceeds the chunk's streaming
             // throughput; the cloud keeps the remaining capacity as the
             // quality margin.
-            let mut room = occupancy[k] * r;
-            for &ci in class_order.iter() {
-                if room <= 0.0 {
-                    break;
-                }
-                let class = &classes[ci];
-                // Supply from this class's owners of chunk k, minus
-                // bandwidth those owners already promised to rarer chunks.
-                let mut supply = replicas[k] * class.share * class.upload;
-                for &j in &order[..pos] {
-                    let promised = gamma_class[j * n_classes + ci];
-                    if replicas[j] <= 0.0 || promised <= 0.0 {
-                        continue;
-                    }
-                    // joint(j, k)·share peers of this class own both; each
-                    // gives promised / (nu_j · share) to chunk j.
-                    supply -= joint(j, k) * promised / replicas[j];
-                }
-                let take = supply.max(0.0).min(room);
-                gamma_class[k * n_classes + ci] = take;
-                gamma[k] += take;
-                room -= take;
+            let room = occupancy[k] * r;
+            if room <= 0.0 {
+                continue;
             }
+            // Supply from chunk k's owners, minus bandwidth those owners
+            // already promised to rarer chunks.
+            let mut supply = replicas[k] * mean_upload;
+            for &j in &order[..pos] {
+                let promised = gamma[j];
+                if replicas[j] <= 0.0 || promised <= 0.0 {
+                    continue;
+                }
+                // joint(j, k) peers own both; each gives promised / nu_j
+                // to chunk j.
+                supply -= joint(j, k) * promised / replicas[j];
+            }
+            let take = supply.max(0.0).min(room);
+            gamma[k] += take;
         }
         Ok(&s.supply)
     }
@@ -696,7 +550,7 @@ mod tests {
 
     #[test]
     fn cloud_demand_at_most_client_server_demand() {
-        let cs = capacity_demand(&channel(0.8)).unwrap();
+        let cs = pooled_capacity_demand(&channel(0.8)).unwrap();
         let p2p = p2p_capacity(&channel(0.8), 50_000.0, PsiEstimator::Independent).unwrap();
         for i in 0..cs.upload_demand.len() {
             assert!(p2p.cloud_demand[i] <= cs.upload_demand[i] + 1e-9);
@@ -738,11 +592,10 @@ mod tests {
         // the bulk of the streaming throughput (the paper's ~10x cloud
         // cost reduction), leaving the cloud mostly the queueing margin.
         let c = channel(0.8);
-        let p = p2p_capacity_with(
+        let p = p2p_capacity(
             &c,
             60_000.0, // 1.2x streaming rate
             PsiEstimator::Independent,
-            DemandPooling::ChannelPooled,
         )
         .unwrap();
         let pooled = pooled_capacity_demand(&c).unwrap();
@@ -799,120 +652,59 @@ mod tests {
     }
 
     #[test]
-    fn single_class_hetero_equals_homogeneous() {
-        let c = channel(0.8);
-        let opts = P2pAnalysisOptions::default();
-        let homo = p2p_capacity_opts(&c, 40_000.0, opts).unwrap();
-        let hetero = p2p_capacity_hetero(
-            &c,
-            &[UploadClass {
-                share: 1.0,
-                upload: 40_000.0,
-            }],
-            opts,
-        )
-        .unwrap();
-        assert_eq!(homo, hetero);
-    }
-
-    #[test]
-    fn mean_preserving_spread_changes_little_but_stays_valid() {
-        // Two classes with the same mean as the homogeneous case.
-        let c = channel(0.8);
-        let opts = P2pAnalysisOptions::default();
-        let homo = p2p_capacity_opts(&c, 40_000.0, opts).unwrap();
-        let hetero = p2p_capacity_hetero(
-            &c,
-            &[
-                UploadClass {
-                    share: 0.5,
-                    upload: 20_000.0,
-                },
-                UploadClass {
-                    share: 0.5,
-                    upload: 60_000.0,
-                },
-            ],
-            opts,
-        )
-        .unwrap();
-        assert!(hetero.peer_contribution.iter().all(|&g| g >= 0.0));
-        assert!(hetero.cloud_demand.iter().all(|&d| d >= 0.0));
-        // Same aggregate supply: totals within 20% of the homogeneous case.
-        let ratio = hetero.total_peer_contribution() / homo.total_peer_contribution();
-        assert!((0.8..=1.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn richer_class_mix_contributes_more() {
-        let c = channel(0.8);
-        let opts = P2pAnalysisOptions::default();
-        let poor = p2p_capacity_hetero(
-            &c,
-            &[
-                UploadClass {
-                    share: 0.8,
-                    upload: 10_000.0,
-                },
-                UploadClass {
-                    share: 0.2,
-                    upload: 30_000.0,
-                },
-            ],
-            opts,
-        )
-        .unwrap();
-        let rich = p2p_capacity_hetero(
-            &c,
-            &[
-                UploadClass {
-                    share: 0.8,
-                    upload: 30_000.0,
-                },
-                UploadClass {
-                    share: 0.2,
-                    upload: 90_000.0,
-                },
-            ],
-            opts,
-        )
-        .unwrap();
-        assert!(rich.total_peer_contribution() > poor.total_peer_contribution());
-        assert!(rich.total_cloud_demand() < poor.total_cloud_demand());
-    }
-
-    #[test]
-    fn hetero_rejects_bad_classes() {
-        let c = channel(0.5);
-        let opts = P2pAnalysisOptions::default();
-        assert!(p2p_capacity_hetero(&c, &[], opts).is_err());
-        assert!(
-            p2p_capacity_hetero(
-                &c,
-                &[UploadClass {
-                    share: 0.5,
-                    upload: 1e4
-                }],
-                opts
-            )
-            .is_err(),
-            "shares must sum to 1"
-        );
-        assert!(p2p_capacity_hetero(
-            &c,
-            &[
-                UploadClass {
-                    share: 0.5,
-                    upload: 1e4
-                },
-                UploadClass {
-                    share: 0.5,
-                    upload: -1.0
-                },
-            ],
-            opts
-        )
-        .is_err());
+    fn channel_pooled_totals_are_pinned() {
+        // The IEEE-754 bits `cloudmedia analyze`, `ablation_psi` and the
+        // examples print from, at u = 34,000 B/s.
+        for (rate, psi, cloud, peer) in [
+            (
+                0.05,
+                PsiEstimator::Independent,
+                0x4145_5080_a6cf_a9b1_u64,
+                0x4151_f3f7_ac98_2b28_u64,
+            ),
+            (
+                0.05,
+                PsiEstimator::PathBased,
+                0x414f_f635_bf99_1f80,
+                0x4149_423a_4066_e07d,
+            ),
+            (
+                0.2,
+                PsiEstimator::Independent,
+                0x4162_ee26_a6cf_a9ae,
+                0x4171_f3f7_ac98_2b28,
+            ),
+            (
+                0.2,
+                PsiEstimator::PathBased,
+                0x416d_93db_bf99_1f82,
+                0x4169_423a_4066_e07d,
+            ),
+            (
+                0.5,
+                PsiEstimator::Independent,
+                0x4175_dfec_d083_941c,
+                0x4186_70f5_97be_35f2,
+            ),
+            (
+                0.5,
+                PsiEstimator::PathBased,
+                0x4181_9787_97bf_b3b0,
+                0x417f_92c8_d080_989e,
+            ),
+        ] {
+            let p = p2p_capacity(&channel(rate), 34_000.0, psi).unwrap();
+            assert_eq!(
+                p.total_cloud_demand().to_bits(),
+                cloud,
+                "cloud at {rate}, {psi:?}"
+            );
+            assert_eq!(
+                p.total_peer_contribution().to_bits(),
+                peer,
+                "peers at {rate}, {psi:?}"
+            );
+        }
     }
 
     #[test]

@@ -23,9 +23,8 @@
 
 use cloudmedia_queueing::jackson::TrafficSolution;
 
-use crate::analysis::client_server::{CapacityDemand, ProvisioningTarget};
+use crate::analysis::client_server::CapacityDemand;
 use crate::analysis::p2p::PeerSupply;
-use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::CoreError;
 
@@ -56,11 +55,6 @@ pub(crate) struct PassScratch {
     pub(crate) dual: Vec<f64>,
     /// Chunks, rarest first.
     pub(crate) order: Vec<usize>,
-    /// Upload classes, richest first.
-    pub(crate) class_order: Vec<usize>,
-    /// Per-class peer contribution to each chunk, row-major
-    /// `n × classes`.
-    pub(crate) gamma_class: Vec<f64>,
 }
 
 /// One channel's validated model and its traffic equations, solved
@@ -96,23 +90,5 @@ impl<'a> ChannelPass<'a> {
             &mut scratch.traffic,
         )?;
         Ok(Self { channel, scratch })
-    }
-
-    /// The peer-less capacity under the given pooling model and
-    /// retrieval-time guarantee — the cloud demand in client–server
-    /// mode, and what the peers offset in P2P mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates queueing failures.
-    pub(crate) fn baseline(
-        &mut self,
-        pooling: DemandPooling,
-        target: ProvisioningTarget,
-    ) -> Result<&CapacityDemand, CoreError> {
-        match pooling {
-            DemandPooling::PerChunk => self.per_chunk(target),
-            DemandPooling::ChannelPooled => self.pooled(target),
-        }
     }
 }

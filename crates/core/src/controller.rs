@@ -19,9 +19,8 @@ use cloudmedia_cloud::scheduler::ChunkKey;
 use serde::{Deserialize, Serialize};
 
 use crate::analysis::client_server::ProvisioningTarget;
-use crate::analysis::p2p::{cloud_share, validate_classes, PsiEstimator, UploadClass};
+use crate::analysis::p2p::{cloud_share, PsiEstimator};
 use crate::analysis::pass::{ChannelPass, PassScratch};
-use crate::analysis::DemandPooling;
 use crate::channel::ChannelModel;
 use crate::error::{invalid_param, CoreError};
 use crate::predictor::{ChannelObservation, DemandPredictor, PredictorKind};
@@ -44,6 +43,14 @@ pub enum StreamingMode {
     },
 }
 
+/// Minimum cloud reserve in P2P mode, as a fraction of each chunk's
+/// baseline (peer-less) capacity demand. Guards against the analytic
+/// peer contribution being optimistic right at supply/demand parity,
+/// where `Δ_i` would otherwise vanish and leave no fallback for
+/// replica-thin chunks or estimation error. The paper's own P2P
+/// reservations (Fig. 4) never approach zero; Eqn. 5 itself has no floor.
+const P2P_CLOUD_FLOOR: f64 = 0.15;
+
 /// Controller configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
@@ -61,31 +68,14 @@ pub struct ControllerConfig {
     pub chunk_seconds: f64,
     /// Per-VM bandwidth `R`, bytes per second.
     pub vm_bandwidth: f64,
-    /// Relative L1 demand shift above which the storage placement is
-    /// recomputed (paper: recompute "if the demand for chunks has changed
-    /// significantly").
-    pub placement_refresh_threshold: f64,
     /// Multiplier applied to every chunk demand before provisioning
     /// (1.0 = provision exactly the equilibrium demand).
     pub safety_factor: f64,
-    /// Demand pooling model (see [`DemandPooling`]).
-    pub pooling: DemandPooling,
-    /// Minimum cloud reserve in P2P mode, as a fraction of each chunk's
-    /// baseline (peer-less) capacity demand. Guards against the analytic
-    /// peer contribution being optimistic right at supply/demand parity,
-    /// where `Δ_i` would otherwise vanish and leave no fallback for
-    /// replica-thin chunks or estimation error. The paper's own P2P
-    /// reservations (Fig. 4) never approach zero.
-    pub p2p_cloud_floor: f64,
     /// Retrieval-time guarantee used when sizing capacity (the paper's
     /// mean-sojourn criterion, or the tail-aware quantile extension).
     pub target: ProvisioningTarget,
     /// What to do when the VM budget cannot cover the derived demand.
     pub budget_policy: BudgetPolicy,
-    /// Optional heterogeneous peer upload classes; when set (P2P mode),
-    /// the waterfilling uses the per-class analysis instead of the single
-    /// mean upload.
-    pub upload_classes: Option<Vec<UploadClass>>,
 }
 
 /// Behaviour when the derived demand exceeds the VM budget.
@@ -112,13 +102,9 @@ impl ControllerConfig {
             streaming_rate: 50_000.0,
             chunk_seconds: 300.0,
             vm_bandwidth: 10e6 / 8.0,
-            placement_refresh_threshold: 0.2,
             safety_factor: 1.0,
-            pooling: DemandPooling::ChannelPooled,
-            p2p_cloud_floor: 0.15,
             target: ProvisioningTarget::MeanSojourn,
             budget_policy: BudgetPolicy::Strict,
-            upload_classes: None,
         }
     }
 
@@ -129,21 +115,10 @@ impl ControllerConfig {
         if !(self.safety_factor.is_finite() && self.safety_factor > 0.0) {
             return Err(invalid_param("safety_factor", "must be positive"));
         }
-        if !(self.placement_refresh_threshold.is_finite()
-            && self.placement_refresh_threshold >= 0.0)
-        {
-            return Err(invalid_param(
-                "placement_refresh_threshold",
-                "must be non-negative",
-            ));
-        }
         if let StreamingMode::P2p { mean_upload, .. } = self.mode {
             if !(mean_upload.is_finite() && mean_upload >= 0.0) {
                 return Err(invalid_param("mean_upload", "must be non-negative"));
             }
-        }
-        if !(self.p2p_cloud_floor.is_finite() && (0.0..=1.0).contains(&self.p2p_cloud_floor)) {
-            return Err(invalid_param("p2p_cloud_floor", "must be in [0, 1]"));
         }
         Ok(())
     }
@@ -282,7 +257,7 @@ impl Controller {
             // One analysis pass per channel: the peer supply and the
             // baseline it offsets both read one solve of the traffic
             // equations.
-            let (pooling, target) = (self.config.pooling, self.config.target);
+            let target = self.config.target;
             let safety = self.config.safety_factor;
             let mut push = |chunk, demand: f64| {
                 let scaled = demand * safety;
@@ -294,28 +269,21 @@ impl Controller {
             };
             match self.config.mode {
                 StreamingMode::ClientServer => {
-                    ChannelPass::new(model, false, &mut self.pass)?.baseline(pooling, target)?;
+                    ChannelPass::new(model, false, &mut self.pass)?.pooled(target)?;
                     for (chunk, &demand) in self.pass.demand.upload_demand.iter().enumerate() {
                         push(chunk, demand);
                     }
                 }
                 StreamingMode::P2p { mean_upload, psi } => {
-                    let mean = [UploadClass {
-                        share: 1.0,
-                        upload: mean_upload,
-                    }];
-                    let classes = self.config.upload_classes.as_deref().unwrap_or(&mean);
-                    validate_classes(classes)?;
                     let mut pass = ChannelPass::new(model, true, &mut self.pass)?;
                     total_peer += pass
-                        .peer_supply(classes, psi)?
+                        .peer_supply(mean_upload, psi)?
                         .contribution
                         .iter()
                         .sum::<f64>();
-                    pass.baseline(pooling, target)?;
+                    pass.pooled(target)?;
                     let scratch = &self.pass;
                     // Enforce the minimum fallback reserve per chunk.
-                    let floor = self.config.p2p_cloud_floor;
                     for (chunk, (&b, &g)) in scratch
                         .demand
                         .upload_demand
@@ -323,7 +291,7 @@ impl Controller {
                         .zip(&scratch.supply.contribution)
                         .enumerate()
                     {
-                        push(chunk, cloud_share(b, g).max(floor * b));
+                        push(chunk, cloud_share(b, g).max(P2P_CLOUD_FLOOR * b));
                     }
                 }
             }
@@ -364,14 +332,14 @@ impl Controller {
         };
 
         // Storage rental (Sec. V-A.1): recompute on first run or when the
-        // demand profile shifted beyond the threshold.
+        // demand profile shifted significantly.
         let needs_refresh = match &self.placement {
             None => true,
             Some(placement) => {
                 // New chunks (new videos) force a re-placement.
                 left_join(&chunk_demands, placement).any(|(_, placed)| placed.is_none())
                     || demand_shift(&self.placement_demands, &chunk_demands)
-                        > self.config.placement_refresh_threshold
+                        > PLACEMENT_REFRESH_THRESHOLD
             }
         };
         let chunk_bytes = (self.config.streaming_rate * self.config.chunk_seconds) as u64;
@@ -409,6 +377,12 @@ impl Controller {
         })
     }
 }
+
+/// The paper's rule for re-solving the storage placement: only "if the
+/// demand for chunks has changed significantly" (Sec. V-B), read here as
+/// a [`demand_shift`] above this value since the placement in force was
+/// solved. The paper names no value; 0.2 is this repository's choice.
+const PLACEMENT_REFRESH_THRESHOLD: f64 = 0.2;
 
 /// Relative L1 shift between two key-ordered demand lists: the old
 /// entries in key order, then the new chunks the old list lacks.
@@ -601,52 +575,6 @@ mod tests {
             .plan_interval(&[(0, observation(1.0))], &sla())
             .unwrap_err();
         assert!(matches!(err, CoreError::Infeasible { .. }));
-    }
-
-    #[test]
-    fn upload_classes_override_mean_upload() {
-        // Single class identical to the mean: same plan.
-        let mut cfg = ControllerConfig::paper_default(StreamingMode::P2p {
-            mean_upload: 34_000.0,
-            psi: PsiEstimator::Independent,
-        });
-        cfg.upload_classes = Some(vec![UploadClass {
-            share: 1.0,
-            upload: 34_000.0,
-        }]);
-        let mut hetero = Controller::new(cfg, PredictorKind::LastInterval).unwrap();
-        let mut homo = controller(StreamingMode::P2p {
-            mean_upload: 34_000.0,
-            psi: PsiEstimator::Independent,
-        });
-        let a = hetero
-            .plan_interval(&[(0, observation(0.3))], &sla())
-            .unwrap();
-        let b = homo
-            .plan_interval(&[(0, observation(0.3))], &sla())
-            .unwrap();
-        assert!((a.total_cloud_demand - b.total_cloud_demand).abs() < 1e-6);
-
-        // A poorer class mix needs more cloud.
-        let mut poor_cfg = ControllerConfig::paper_default(StreamingMode::P2p {
-            mean_upload: 34_000.0,
-            psi: PsiEstimator::Independent,
-        });
-        poor_cfg.upload_classes = Some(vec![
-            UploadClass {
-                share: 0.9,
-                upload: 10_000.0,
-            },
-            UploadClass {
-                share: 0.1,
-                upload: 34_000.0,
-            },
-        ]);
-        let mut poor = Controller::new(poor_cfg, PredictorKind::LastInterval).unwrap();
-        let c = poor
-            .plan_interval(&[(0, observation(0.3))], &sla())
-            .unwrap();
-        assert!(c.total_cloud_demand > b.total_cloud_demand);
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Federated multi-region placement — the overflow-redirection middle
-//! ground between fully independent regional sites and one centralized
-//! site.
+//! Multi-region deployments — the paper's future work ("expanding to
+//! cloud systems spanning different geographic locations").
 //!
-//! The paper's future work ("expanding to cloud systems spanning
-//! different geographic locations") is modeled in two deployment
-//! extremes by [`crate::geo`]: independent per-region sites (every byte
-//! served locally) and a single central site (time-zone multiplexing,
-//! every remote viewer pays latency). This module adds the federation in
-//! between: regions keep their own cloud sites, but every provisioning
-//! interval a **global placement optimizer** decides how much of each
-//! region's predicted demand is served locally and how much is
-//! *redirected* to remote sites — because the local site's capacity cap
+//! Each region ([`RegionSpec`]) hosts its own viewer base, whose diurnal
+//! pattern follows *local* time, and its own cloud site ([`SiteSpec`]).
+//! The federated simulator in `cloudmedia-sim` runs the two deployment
+//! extremes — independent per-region sites (every byte served locally)
+//! and a single central site (time-zone multiplexing, every remote
+//! viewer pays latency) — and the federation in between, which this
+//! module's optimizer drives: regions keep their own cloud sites, but
+//! every provisioning interval a **global placement optimizer** decides
+//! how much of each region's predicted demand is served locally and how
+//! much is *redirected* to remote sites — because the local site's capacity cap
 //! overflowed, or simply because an off-peak remote site sells the same
 //! VM-hour cheaper than the local peak-priced one, even after paying for
 //! the inter-region transfer and the SLA latency penalty.
@@ -36,6 +36,98 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{invalid_param, CoreError};
+
+/// A geographic region: its share of the viewer base and its clock.
+///
+/// ```
+/// use cloudmedia_core::federation::{three_sites, RegionSpec};
+///
+/// let apac = RegionSpec {
+///     name: "apac".into(),
+///     population_share: 0.25,
+///     timezone_offset_hours: 14.0,
+/// };
+/// assert_eq!(three_sites()[2], apac);
+/// // Shares across a deployment must sum to ~1.
+/// let total: f64 = three_sites().iter().map(|r| r.population_share).sum();
+/// assert!((total - 1.0).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RegionSpec {
+    /// Display name (e.g. "us-east").
+    pub name: String,
+    /// Share of the global viewer population in `(0, 1]`; shares across a
+    /// deployment should sum to 1.
+    pub population_share: f64,
+    /// Time-zone offset in hours relative to the reference region. Flash
+    /// crowds happen in *local* evening time, so offsets de-correlate the
+    /// regions' demand peaks.
+    pub timezone_offset_hours: f64,
+}
+
+impl RegionSpec {
+    fn validate(&self) -> Result<(), CoreError> {
+        if !(self.population_share > 0.0 && self.population_share <= 1.0) {
+            return Err(invalid_param(
+                "population_share",
+                format!("must be in (0, 1], got {}", self.population_share),
+            ));
+        }
+        if !self.timezone_offset_hours.is_finite() {
+            return Err(invalid_param("timezone_offset_hours", "must be finite"));
+        }
+        Ok(())
+    }
+}
+
+/// Tolerance on the deployment-wide population-share sum.
+const SHARE_SUM_TOLERANCE: f64 = 1e-3;
+
+/// Validates a deployment's region list: at least one region, each
+/// region individually valid, and the population shares summing to ~1
+/// (a deployment that covers 80 % of its viewers — or 120 % — is a
+/// configuration bug, not a smaller system).
+///
+/// # Errors
+///
+/// Names the offending region or the off-by share sum.
+pub fn validate_regions(regions: &[RegionSpec]) -> Result<(), CoreError> {
+    if regions.is_empty() {
+        return Err(invalid_param("regions", "at least one region required"));
+    }
+    for r in regions {
+        r.validate()?;
+    }
+    let total: f64 = regions.iter().map(|r| r.population_share).sum();
+    if (total - 1.0).abs() > SHARE_SUM_TOLERANCE {
+        return Err(invalid_param(
+            "population_share",
+            format!("shares across the deployment must sum to ~1.0, got {total}"),
+        ));
+    }
+    Ok(())
+}
+
+/// The classic three-site deployment: Americas, Europe, Asia-Pacific.
+pub fn three_sites() -> Vec<RegionSpec> {
+    vec![
+        RegionSpec {
+            name: "americas".into(),
+            population_share: 0.40,
+            timezone_offset_hours: 0.0,
+        },
+        RegionSpec {
+            name: "europe".into(),
+            population_share: 0.35,
+            timezone_offset_hours: 7.0,
+        },
+        RegionSpec {
+            name: "apac".into(),
+            population_share: 0.25,
+            timezone_offset_hours: 14.0,
+        },
+    ]
+}
 
 /// Economic description of one region's cloud site, the per-region terms
 /// the federation optimizer prices placements with.
@@ -78,7 +170,7 @@ impl SiteSpec {
     }
 }
 
-/// The three-site economics matching [`crate::geo::three_sites`]:
+/// The three-site economics matching [`three_sites`]:
 /// Americas is the reference market, Europe and Asia-Pacific rent the
 /// same VM classes at a premium, and every site charges $0.01/GB egress.
 /// Caps sit well above each region's diurnal mean so only flash-crowd
@@ -379,6 +471,67 @@ mod tests {
                 egress_price_per_gb: 0.01,
             })
             .collect()
+    }
+
+    #[test]
+    fn three_sites_cover_the_population() {
+        let total: f64 = three_sites().iter().map(|r| r.population_share).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn shares_not_summing_to_one_rejected() {
+        // Two regions covering only 60 % of the population: a deployment
+        // bug the per-region checks used to miss.
+        let partial = vec![
+            RegionSpec {
+                name: "a".into(),
+                population_share: 0.4,
+                timezone_offset_hours: 0.0,
+            },
+            RegionSpec {
+                name: "b".into(),
+                population_share: 0.2,
+                timezone_offset_hours: 7.0,
+            },
+        ];
+        let err = validate_regions(&partial).unwrap_err();
+        assert!(
+            err.to_string().contains("sum to ~1.0"),
+            "expected share-sum error, got: {err}"
+        );
+        // Over-covered deployments fail too.
+        let over = vec![
+            RegionSpec {
+                name: "a".into(),
+                population_share: 0.8,
+                timezone_offset_hours: 0.0,
+            },
+            RegionSpec {
+                name: "b".into(),
+                population_share: 0.8,
+                timezone_offset_hours: 7.0,
+            },
+        ];
+        assert!(validate_regions(&over).is_err());
+        // A single full-coverage region (the central deployment) passes.
+        assert!(validate_regions(&[RegionSpec {
+            name: "central".into(),
+            population_share: 1.0,
+            timezone_offset_hours: 0.0,
+        }])
+        .is_ok());
+    }
+
+    #[test]
+    fn invalid_regions_rejected() {
+        let bad = vec![RegionSpec {
+            name: "x".into(),
+            population_share: 0.0,
+            timezone_offset_hours: 0.0,
+        }];
+        assert!(validate_regions(&bad).is_err());
+        assert!(validate_regions(&[]).is_err());
     }
 
     #[test]

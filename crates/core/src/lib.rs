@@ -15,10 +15,10 @@
 //!   plus moving-average and EWMA extensions,
 //! - [`controller`]: the per-interval dynamic provisioning loop of
 //!   Sec. V-B tying it all together,
-//! - [`geo`]: the multi-region extension the paper lists as future work
-//!   (per-region controllers, time-zone-offset demand),
-//! - [`federation`]: the global placement optimizer that redirects
-//!   overflow and peak-priced demand between regional sites,
+//! - [`federation`]: the multi-region extension the paper lists as
+//!   future work — regions in offset time zones, and the global placement
+//!   optimizer that redirects overflow and peak-priced demand between
+//!   their sites,
 //! - [`baseline`]: the comparison strategies the paper argues against —
 //!   dedicated (fixed) servers and a model-free reactive autoscaler.
 //!
@@ -28,10 +28,10 @@
 //!
 //! ```
 //! use cloudmedia_core::channel::ChannelModel;
-//! use cloudmedia_core::analysis::{capacity_demand, p2p_capacity, PsiEstimator};
+//! use cloudmedia_core::analysis::{p2p_capacity, pooled_capacity_demand, PsiEstimator};
 //!
 //! let channel = ChannelModel::paper_default(0, 0.5); // 0.5 arrivals/s
-//! let cs = capacity_demand(&channel).unwrap();
+//! let cs = pooled_capacity_demand(&channel).unwrap();
 //! let p2p = p2p_capacity(&channel, 50_000.0, PsiEstimator::Independent).unwrap();
 //! assert!(p2p.total_cloud_demand() < cs.total_upload_demand());
 //! ```
@@ -46,7 +46,6 @@ pub mod channel;
 pub mod controller;
 mod error;
 pub mod federation;
-pub mod geo;
 pub mod predictor;
 pub mod provisioning;
 

@@ -1,9 +1,9 @@
 //! Golden pinning of the provisioning controller: every field of every
 //! `ProvisioningPlan`, bit for bit, over 24 hourly plans of the paper
 //! catalog under each controller configuration the simulators use —
-//! client–server, the P2P default, the path-based Ψ estimator, three
-//! upload classes, per-chunk pooling, the sojourn-quantile target, a
-//! best-effort budget cut, and the EWMA and moving-average predictors.
+//! client–server, the P2P default, the path-based Ψ estimator, the
+//! sojourn-quantile target, a best-effort budget cut, and the EWMA and
+//! moving-average predictors.
 //! Loads follow the paper's diurnal profile and
 //! every observed routing matrix is perturbed (some entries zeroed), so
 //! the solvers see a different system every hour.
@@ -27,7 +27,7 @@ use std::path::PathBuf;
 
 use cloudmedia_cloud::broker::SlaTerms;
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
-use cloudmedia_core::analysis::{DemandPooling, ProvisioningTarget, PsiEstimator, UploadClass};
+use cloudmedia_core::analysis::{ProvisioningTarget, PsiEstimator};
 use cloudmedia_core::controller::{
     BudgetPolicy, Controller, ControllerConfig, ProvisioningPlan, StreamingMode,
 };
@@ -65,14 +65,12 @@ fn p2p(psi: PsiEstimator) -> ControllerConfig {
     })
 }
 
-/// A named controller configuration, its predictor, the number of (most
-/// popular) catalog channels it plans for, and the hour (if any) at
-/// which its VM budget is cut to a quarter.
+/// A named controller configuration, its predictor, and the hour (if
+/// any) at which its VM budget is cut to a quarter.
 struct Case {
     name: &'static str,
     config: ControllerConfig,
     predictor: PredictorKind,
-    channels: usize,
     budget_cut_hour: Option<usize>,
 }
 
@@ -81,26 +79,8 @@ fn cases() -> Vec<Case> {
         name,
         config,
         predictor: PredictorKind::LastInterval,
-        channels: 20,
         budget_cut_hour: None,
     };
-    let mut classes = p2p(PsiEstimator::Independent);
-    classes.upload_classes = Some(vec![
-        UploadClass {
-            share: 0.5,
-            upload: 25_000.0,
-        },
-        UploadClass {
-            share: 0.3,
-            upload: 45_000.0,
-        },
-        UploadClass {
-            share: 0.2,
-            upload: 90_000.0,
-        },
-    ]);
-    let mut per_chunk = p2p(PsiEstimator::Independent);
-    per_chunk.pooling = DemandPooling::PerChunk;
     let mut quantile = p2p(PsiEstimator::Independent);
     quantile.target = ProvisioningTarget::SojournQuantile { epsilon: 0.05 };
     let mut best_effort = ControllerConfig::paper_default(StreamingMode::ClientServer);
@@ -112,13 +92,6 @@ fn cases() -> Vec<Case> {
         ),
         case("p2p", p2p(PsiEstimator::Independent)),
         case("p2p_path_based", p2p(PsiEstimator::PathBased)),
-        case("p2p_upload_classes", classes),
-        // Per-chunk pooling rents at least a fraction of a VM for every
-        // active chunk, so the paper's 150-VM fleet fits five channels.
-        Case {
-            channels: 5,
-            ..case("p2p_per_chunk", per_chunk)
-        },
         case("p2p_quantile", quantile),
         Case {
             budget_cut_hour: Some(8),
@@ -153,22 +126,20 @@ fn unit(a: usize, b: usize, c: usize, d: usize) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// What a tracker would report at hour `hour` for the first `channels`
-/// channels: 70 % of the diurnal arrival rate (the paper's fleet covers
-/// the evening peak in client–server mode), a slightly noisy start
-/// split, and the viewing model's routing with every entry shrunk by up
-/// to 20 % (about one in twenty zeroed), which keeps every row
-/// substochastic. Each channel skips one hour in seven, so the
+/// What a tracker would report at hour `hour` for every catalog channel:
+/// 70 % of the diurnal arrival rate (the paper's fleet covers the evening
+/// peak in client–server mode), a slightly noisy start split, and the
+/// viewing model's routing with every entry shrunk by up to 20 % (about
+/// one in twenty zeroed), which keeps every row substochastic. Each channel skips one hour in seven, so the
 /// controller also plans from carried-over predictions.
 fn observations(
     catalog: &Catalog,
     diurnal: &DiurnalPattern,
-    channels: usize,
     hour: usize,
 ) -> Vec<(usize, ChannelObservation)> {
     let multiplier = 0.7 * diurnal.multiplier((hour as f64 + 0.5) * 3600.0);
     let mut stats = Vec::new();
-    for spec in &catalog.channels()[..channels] {
+    for spec in catalog.channels() {
         if hour > 0 && (hour + spec.id).is_multiple_of(7) {
             continue;
         }
@@ -292,7 +263,7 @@ fn plans() -> Vec<(&'static str, usize, Result<ProvisioningPlan, String>)> {
             if case.budget_cut_hour == Some(hour) {
                 controller.scale_vm_budget(0.25).unwrap();
             }
-            let stats = observations(&catalog, &diurnal, case.channels, hour);
+            let stats = observations(&catalog, &diurnal, hour);
             let plan = controller
                 .plan_interval(&stats, &sla)
                 .map_err(|e| e.to_string());

@@ -302,8 +302,8 @@ enum Planner {
     Baseline(BaselinePlanner),
 }
 
-/// Builds the configured provisioning planner for a run (the controller
-/// configuration mirrors the paper's defaults with the run's overrides).
+/// Builds the configured provisioning planner for a run (every controller
+/// setting comes from the run's configuration).
 fn make_planner(cfg: &SimConfig, vm_bandwidth: f64) -> Result<Planner, SimError> {
     let controller_config = ControllerConfig {
         interval_seconds: cfg.provisioning_interval,
@@ -324,7 +324,6 @@ fn make_planner(cfg: &SimConfig, vm_bandwidth: f64) -> Result<Planner, SimError>
         } else {
             BudgetPolicy::BestEffort
         },
-        ..ControllerConfig::paper_default(cfg.streaming_mode())
     };
     Ok(match cfg.provisioner {
         ProvisionerKind::Model => {

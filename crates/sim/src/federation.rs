@@ -69,8 +69,10 @@
 //!   sites in the first place).
 
 use cloudmedia_cloud::broker::Cloud;
-use cloudmedia_core::federation::{paper_sites, plan_global_placement, FederationPolicy, SiteSpec};
-use cloudmedia_core::geo::{three_sites, validate_regions, RegionSpec};
+use cloudmedia_core::federation::{
+    paper_sites, plan_global_placement, three_sites, validate_regions, FederationPolicy,
+    RegionSpec, SiteSpec,
+};
 use cloudmedia_core::provisioning::Placement;
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::diurnal::DiurnalPattern;

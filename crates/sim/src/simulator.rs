@@ -83,8 +83,7 @@
 //!   the order the reference scan encounters them — regardless of which
 //!   cohort or wheel bucket discovered them.
 
-use cloudmedia_core::federation::{FederationPolicy, SiteSpec};
-use cloudmedia_core::geo::RegionSpec;
+use cloudmedia_core::federation::{FederationPolicy, RegionSpec, SiteSpec};
 use cloudmedia_telemetry::Telemetry;
 use cloudmedia_workload::catalog::Catalog;
 use cloudmedia_workload::viewing::NextAction;

@@ -7,8 +7,7 @@
 
 use cloudmedia_cloud::cluster::paper_virtual_clusters;
 use cloudmedia_cloud::scheduler::ChunkKey;
-use cloudmedia_core::analysis::p2p_capacity_with;
-use cloudmedia_core::analysis::{pooled_capacity_demand, DemandPooling, PsiEstimator};
+use cloudmedia_core::analysis::{p2p_capacity, pooled_capacity_demand, PsiEstimator};
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::provisioning::storage::ChunkDemand;
 use cloudmedia_core::provisioning::vm::VmProblem;
@@ -17,14 +16,9 @@ use cloudmedia_core::CoreError;
 fn demands_for(rate: f64, p2p: bool) -> Vec<ChunkDemand> {
     let channel = ChannelModel::paper_default(0, rate);
     let per_chunk = if p2p {
-        p2p_capacity_with(
-            &channel,
-            34_000.0,
-            PsiEstimator::Independent,
-            DemandPooling::ChannelPooled,
-        )
-        .expect("valid channel")
-        .cloud_demand
+        p2p_capacity(&channel, 34_000.0, PsiEstimator::Independent)
+            .expect("valid channel")
+            .cloud_demand
     } else {
         pooled_capacity_demand(&channel)
             .expect("valid channel")

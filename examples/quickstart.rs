@@ -6,7 +6,7 @@
 
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
 use cloudmedia_core::analysis::{
-    capacity_demand, p2p_capacity_with, pooled_capacity_demand, DemandPooling, PsiEstimator,
+    capacity_demand, p2p_capacity, pooled_capacity_demand, PsiEstimator,
 };
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::provisioning::storage::{ChunkDemand, StorageProblem};
@@ -45,13 +45,8 @@ fn main() {
     );
 
     // Sec. IV-C: subtract the equilibrium peer contribution.
-    let p2p = p2p_capacity_with(
-        &channel,
-        34_000.0,
-        PsiEstimator::Independent,
-        DemandPooling::ChannelPooled,
-    )
-    .expect("channel is valid");
+    let p2p =
+        p2p_capacity(&channel, 34_000.0, PsiEstimator::Independent).expect("channel is valid");
     println!("\nP2P with mean peer upload 272 kbps:");
     println!(
         "  peers contribute: {:.1} Mbps",

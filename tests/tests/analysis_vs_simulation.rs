@@ -2,9 +2,7 @@
 //! system: the equilibrium the queueing network predicts should be what
 //! the discrete-event simulator actually produces.
 
-use cloudmedia_core::analysis::{
-    p2p_capacity_with, pooled_capacity_demand, DemandPooling, PsiEstimator,
-};
+use cloudmedia_core::analysis::{p2p_capacity, pooled_capacity_demand, PsiEstimator};
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::simulator::Simulator;
@@ -87,14 +85,9 @@ fn p2p_cloud_demand_below_client_server_demand_analytically_and_in_sim() {
     let cs = pooled_capacity_demand(&model)
         .unwrap()
         .total_upload_demand();
-    let p2p = p2p_capacity_with(
-        &model,
-        34_000.0,
-        PsiEstimator::Independent,
-        DemandPooling::ChannelPooled,
-    )
-    .unwrap()
-    .total_cloud_demand();
+    let p2p = p2p_capacity(&model, 34_000.0, PsiEstimator::Independent)
+        .unwrap()
+        .total_cloud_demand();
     assert!(p2p < cs, "analytic: P2P {p2p} < C/S {cs}");
 
     let m_cs = Simulator::new(single_channel_config(SimMode::ClientServer, 300.0))

@@ -1,6 +1,8 @@
 //! Billing invariants across the cloud model and the simulator.
 
+use cloudmedia_cloud::billing::BillingMeter;
 use cloudmedia_cloud::broker::{Cloud, ResourceRequest};
+use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters};
 use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::simulator::Simulator;
 use cloudmedia_workload::catalog::Catalog;
@@ -8,6 +10,18 @@ use cloudmedia_workload::viewing::ViewingModel;
 
 #[test]
 fn ledger_sums_to_totals() {
+    // The increments `accrue` returns sum to the meter's totals.
+    let mut meter = BillingMeter::new(&paper_virtual_clusters(), &paper_nfs_clusters()).unwrap();
+    let mut from_ledger = 0.0;
+    for h in 1..=12 {
+        let e = meter
+            .accrue(h as f64 * 3600.0, &[10, 5, 3], &[2_000_000_000, 0])
+            .unwrap();
+        from_ledger += e.vm_cost.as_dollars() + e.storage_cost.as_dollars();
+    }
+    assert!((from_ledger - meter.total_cost().as_dollars()).abs() < 1e-9);
+    assert!(meter.storage_cost().as_dollars() > 0.0);
+
     let mut cloud = Cloud::paper_default().unwrap();
     cloud
         .submit_request(&ResourceRequest {
@@ -18,15 +32,8 @@ fn ledger_sums_to_totals() {
     for h in 1..=12 {
         cloud.tick(h as f64 * 3600.0).unwrap();
     }
-    let billing = cloud.billing();
-    let from_ledger: f64 = billing
-        .ledger()
-        .iter()
-        .map(|e| e.vm_cost.as_dollars() + e.storage_cost.as_dollars())
-        .sum();
-    assert!((from_ledger - billing.total_cost().as_dollars()).abs() < 1e-9);
     // 10 Std + 5 Med + 3 Adv = 4.5 + 3.5 + 2.4 = $10.4/h for 12 h.
-    assert!((billing.total_cost().as_dollars() - 124.8).abs() < 1e-6);
+    assert!((cloud.billing().total_cost().as_dollars() - 124.8).abs() < 1e-6);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use cloudmedia_cloud::cluster::{paper_nfs_clusters, paper_virtual_clusters, PAPER_VM_BANDWIDTH};
 use cloudmedia_cloud::scheduler::ChunkKey;
 use cloudmedia_core::analysis::{
-    capacity_demand, p2p_capacity_with, pooled_capacity_demand, DemandPooling, PsiEstimator,
+    capacity_demand, p2p_capacity, pooled_capacity_demand, PsiEstimator,
 };
 use cloudmedia_core::channel::ChannelModel;
 use cloudmedia_core::provisioning::storage::{ChunkDemand, StorageProblem};
@@ -63,7 +63,7 @@ proptest! {
 
     #[test]
     fn p2p_outputs_stay_in_range(channel in channel_strategy(), upload in 0.0..200_000.0f64) {
-        let p = p2p_capacity_with(&channel, upload, PsiEstimator::Independent, DemandPooling::ChannelPooled).unwrap();
+        let p = p2p_capacity(&channel, upload, PsiEstimator::Independent).unwrap();
         let population: f64 = channel.chunk_arrival_rates().unwrap().iter()
             .map(|l| l * channel.chunk_seconds).sum();
         for (i, &g) in p.peer_contribution.iter().enumerate() {
