@@ -1,207 +1,162 @@
-//! Simulator performance benchmark: measures the production round
-//! engine (`Indexed`) end-to-end in both streaming modes, plus the
-//! mask-sparse allocation kernel it runs, and merges the results into
-//! the machine-readable `BENCH_sim.json` so the perf trajectory is
-//! tracked from PR to PR. Only its own top-level keys are rewritten;
-//! the sections other bench binaries own are kept.
+//! Writes the whole perf record, `BENCH_sim.json`, in one process: it
+//! computes every section and writes the file once, at the end, with the
+//! keys in `cloudmedia_bench::record::KEYS` order. A key the code no
+//! longer writes leaves the file at the next regeneration.
 //!
 //! Usage: `bench_sim [--hours N] [--out PATH]`
-//!   - `--hours` simulated horizon per run (default 24; use 168 for the
-//!     paper's full week),
+//!   - `--hours` horizon of the paper runs behind `e2e`, `des_comparison`
+//!     (and `engine_throughput.engine_runs`), `geo_federation` and
+//!     `stage_profile` (default 168, the paper's week and the committed
+//!     record's horizon),
 //!   - `--out` output path (default `BENCH_sim.json` in the working
 //!     directory).
+//!
+//! The other sizes are fixed: `scale_sweep` runs its points (see
+//! `scale::sweep`), `resilience` runs 12 h and `stage_profile` runs
+//! `profile::REPS` repetitions per telemetry setting.
+//!
+//! A pool wider than the host's `available_parallelism` (through
+//! `RAYON_NUM_THREADS`) is refused before anything runs, since its
+//! timings would measure oversubscription rather than the engine.
 
-use std::time::Instant;
-
-use cloudmedia_bench::geo_sim::merge_record;
-use cloudmedia_bench::harness::parse_hours;
-use cloudmedia_bench::SIM_SCHEMA;
-use cloudmedia_sim::allocation::allocate_pool_sparse;
-use cloudmedia_sim::config::{SimConfig, SimMode};
-use cloudmedia_sim::simulator::Simulator;
-use cloudmedia_sim::telem;
-use cloudmedia_telemetry::Telemetry;
-use serde::Serialize;
-
-/// Wall time of each round-loop stage of one run, seconds, read from
-/// the run's `stage/*` telemetry counters.
-#[derive(Debug, Clone, Copy, Serialize)]
-struct PhaseProfile {
-    /// Hourly provisioning (controller + broker submission).
-    provisioning: f64,
-    /// Arrival ingestion.
-    arrivals: f64,
-    /// The engine's per-round allocation stage.
-    allocation: f64,
-    /// Download advancement and event handling.
-    progress: f64,
-    /// Cloud lifecycle + billing ticks.
-    cloud: f64,
-    /// Metric sampling.
-    sampling: f64,
-}
-
-impl PhaseProfile {
-    fn from_registry(tel: &Telemetry) -> Self {
-        let snap = tel.snapshot();
-        let secs = |id| snap.value(id) as f64 * 1e-9;
-        Self {
-            provisioning: secs(telem::STAGE_PROVISIONING),
-            arrivals: secs(telem::STAGE_ARRIVALS),
-            allocation: secs(telem::STAGE_ALLOCATION),
-            progress: secs(telem::STAGE_ADVANCE) + secs(telem::STAGE_EVENTS),
-            cloud: secs(telem::STAGE_CLOUD),
-            sampling: secs(telem::STAGE_SAMPLING),
-        }
-    }
-}
-
-/// One end-to-end measurement.
-#[derive(Debug, Serialize)]
-struct E2eResult {
-    mode: String,
-    sim_hours: f64,
-    wall_seconds: f64,
-    sim_hours_per_wall_second: f64,
-    rounds: u64,
-    ns_per_round: f64,
-    mean_quality: f64,
-    peak_peers: usize,
-    phases: PhaseProfile,
-}
-
-/// One microbenchmark measurement.
-#[derive(Debug, Serialize)]
-struct KernelResult {
-    name: String,
-    ns_per_call: f64,
-}
-
-/// `bench_sim`'s top-level keys of `BENCH_sim.json`.
-#[derive(Debug, Serialize)]
-struct Report {
-    schema: String,
-    sim_hours: f64,
-    host_threads: usize,
-    e2e: Vec<E2eResult>,
-    kernels: Vec<KernelResult>,
-    notes: Vec<String>,
-}
+use cloudmedia_bench::profile::StageProfileSection;
+use cloudmedia_bench::record::{self, Record};
+use cloudmedia_bench::resilience::ResilienceRow;
+use cloudmedia_bench::{des, geo_sim, profile, resilience, scale, HarnessArgs};
+use cloudmedia_sim::config::SimMode;
 
 fn main() {
-    let mut hours = 24.0_f64;
-    let mut out_path = "BENCH_sim.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--hours" => {
-                hours = args
-                    .next()
-                    .and_then(|v| parse_hours(&v))
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| usage());
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                usage();
-            }
-        }
-    }
-
-    let mut e2e = Vec::new();
-    for mode in [SimMode::ClientServer, SimMode::P2p] {
-        let mut cfg = SimConfig::paper_default(mode);
-        cfg.trace.horizon_seconds = hours * 3600.0;
-        let rounds = (cfg.trace.horizon_seconds / cfg.round_seconds).ceil() as u64;
-        // A fresh registry per run: its stage counters are the run's
-        // phase breakdown.
-        let tel = telem::new_registry(false);
-        let start = Instant::now();
-        let metrics = Simulator::new(cfg)
-            .expect("paper config is valid")
-            .run_with_telemetry(&tel)
-            .expect("benchmark run succeeds")
-            .metrics;
-        let secs = start.elapsed().as_secs_f64();
+    let args = HarnessArgs::parse("bench_sim [--hours N] [--out PATH]", true);
+    let hours = args.hours;
+    let out = args.out.unwrap_or_else(|| "BENCH_sim.json".into());
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pool = rayon::current_num_threads();
+    if pool > host_threads {
         eprintln!(
-            "{mode:?} {hours}h: {secs:.3}s wall ({:.0} sim-hours/s)",
-            hours / secs
+            "bench_sim: a {pool}-thread pool on a {host_threads}-thread host measures \
+             oversubscription; set RAYON_NUM_THREADS to at most {host_threads}"
         );
-        e2e.push(E2eResult {
-            mode: format!("{mode:?}"),
-            sim_hours: hours,
-            wall_seconds: secs,
-            sim_hours_per_wall_second: hours / secs,
-            rounds,
-            ns_per_round: secs * 1e9 / rounds as f64,
-            mean_quality: metrics.mean_quality(),
-            peak_peers: metrics.peak_peers(),
-            phases: PhaseProfile::from_registry(&tel),
-        });
+        std::process::exit(2);
     }
 
-    let report = Report {
-        schema: SIM_SCHEMA.into(),
-        sim_hours: hours,
-        host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        e2e,
-        kernels: vec![KernelResult {
-            name: "allocate_pool/sparse_mask".into(),
-            ns_per_call: sparse_kernel_ns(),
-        }],
-        notes: vec![
-            "Each e2e row is one paper-default run on the Indexed engine, the \
-             production round engine; its phases are the run's stage/* telemetry \
-             counters (sampled stage clocks). The kernels row times the \
-             mask-sparse cloud allocation the engine runs, on a 64-chunk demand \
-             vector with four requested chunks and a scarce pool."
-                .into(),
-        ],
-    };
-    let json = serde_json::to_string(&report).expect("report serializes");
-    merge_record(&out_path, &json).expect("write benchmark file");
+    // First, because its peak_rss_bytes readings are the process's VmHWM.
+    let scale_sweep = scale::sweep();
+    let headline = scale_sweep
+        .sweep
+        .iter()
+        .filter(|r| r.scenario == "steady" && r.parallel)
+        .max_by_key(|r| r.peak_peers)
+        .expect("the sweep has parallel steady rows");
     println!(
-        "wrote {out_path}: C/S {:.0}, P2P {:.0} sim-hours/s",
-        report.e2e[0].sim_hours_per_wall_second, report.e2e[1].sim_hours_per_wall_second
+        "headline: {} concurrent viewers peak across {} channels, {:.1} sim-h/s, \
+         serial==parallel: {}",
+        headline.peak_peers,
+        headline.channels,
+        headline.sim_hours_per_wall_second,
+        scale_sweep.equality.serial_equals_parallel
+    );
+
+    let e2e = record::e2e(hours);
+    println!(
+        "e2e: C/S {:.0}, P2P {:.0} sim-hours/s",
+        e2e[0].sim_hours_per_wall_second, e2e[1].sim_hours_per_wall_second
+    );
+    let kernels = record::kernels();
+
+    let (des_comparison, engine_throughput) = des::run(hours);
+    for row in &des_comparison.modes {
+        println!(
+            "{}: kernel=EventDriven vs kernel=Indexed — used-bw ratio {:.3}, \
+             cost ratio {:.3}, p99 admission wait {:.1}s",
+            row.mode, row.used_bandwidth_ratio, row.vm_cost_ratio, row.des_admission_latency.p99
+        );
+    }
+    println!(
+        "wheel vs heap: {:.2}x hold, {:.2}x cancel",
+        engine_throughput.wheel_speedup_hold, engine_throughput.wheel_speedup_cancel
+    );
+
+    let mut geo_modes = Vec::new();
+    for mode in [SimMode::ClientServer, SimMode::P2p] {
+        println!("# mode: {mode:?}");
+        let result = geo_sim::run_three_way(mode, hours);
+        print!("{}", geo_sim::csv(&result));
+        let row = geo_sim::mode_comparison(&result);
+        println!(
+            "# federated saves {:.1}% vs independent (central bound: {:.1}%), \
+             redirected share {:.1}%",
+            row.federated_saving_vs_independent * 100.0,
+            row.central_saving_vs_independent * 100.0,
+            result.federated.redirected_share() * 100.0,
+        );
+        geo_modes.push(row);
+    }
+    let geo_federation = geo_sim::section(geo_modes);
+
+    let resilience = resilience::run().expect("chaos scenarios run");
+    resilience.rows.iter().for_each(print_resilience_row);
+
+    let stage_profile =
+        profile::run(SimMode::ClientServer, hours, profile::REPS).expect("profiled run succeeds");
+    print_profile(&stage_profile);
+    assert!(
+        stage_profile.metrics_identical,
+        "telemetry-on and telemetry-off runs diverged"
+    );
+    if stage_profile.overhead_pct > 2.0 {
+        eprintln!(
+            "WARNING: telemetry overhead {:.2}% exceeds the 2% budget",
+            stage_profile.overhead_pct
+        );
+    }
+
+    let record = Record {
+        schema: record::SCHEMA.into(),
+        sim_hours: hours,
+        host_threads,
+        e2e,
+        kernels,
+        notes: vec![record::NOTE.into()],
+        des_comparison,
+        engine_throughput,
+        geo_federation,
+        scale_sweep,
+        resilience,
+        stage_profile,
+    };
+    record.write(&out).expect("write the perf record");
+    println!("wrote {out}");
+}
+
+fn print_resilience_row(row: &ResilienceRow) {
+    let r = &row.report;
+    println!(
+        "{:<15} {:<9} dip {:.4} for {:>6.0}s, recover {:>6.0}s, cost {:+8.2}$",
+        row.scenario,
+        row.engine,
+        r.dip_depth,
+        r.dip_duration_seconds,
+        r.time_to_recover_seconds,
+        r.cost_overshoot_dollars,
     );
 }
 
-/// Times the mask-sparse allocation kernel on the sparse demand shape
-/// the simulator produces; returns nanoseconds per call.
-fn sparse_kernel_ns() -> f64 {
-    let mut demands = vec![0.0_f64; 64];
-    let mut mask = 0u64;
-    for &(k, d) in &[(0usize, 2.5e6), (7, 1.25e6), (13, 4.0e5), (40, 9.0e5)] {
-        demands[k] = d;
-        mask |= 1 << k;
-    }
-    let pool = 2.0e6;
-    let iters = 2_000_000u64;
-    let mut out = vec![0.0; 64];
-    let mut order = Vec::new();
-    let start = Instant::now();
-    for _ in 0..iters {
-        allocate_pool_sparse(
-            std::hint::black_box(&demands),
-            pool,
-            &mut out,
-            &mut order,
-            mask,
+fn print_profile(p: &StageProfileSection) {
+    println!(
+        "indexed {} rounds, wall off {:.3}s / on {:.3}s, overhead {:+.2}%, \
+         identical: {}",
+        p.rounds,
+        p.wall_seconds_telemetry_off,
+        p.wall_seconds_telemetry_on,
+        p.overhead_pct,
+        p.metrics_identical,
+    );
+    for s in &p.stages {
+        println!(
+            "  {:<24} {:>10.3} ms {:>6.1}%",
+            s.stage,
+            s.nanos as f64 / 1e6,
+            s.share * 100.0
         );
-        let mut m = mask;
-        while m != 0 {
-            let k = m.trailing_zeros() as usize;
-            m &= m - 1;
-            out[k] = 0.0;
-        }
     }
-    start.elapsed().as_secs_f64() * 1e9 / iters as f64
-}
-
-fn usage() -> ! {
-    eprintln!("usage: bench_sim [--hours N] [--out PATH]");
-    std::process::exit(2)
 }

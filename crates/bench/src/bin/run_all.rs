@@ -1,19 +1,20 @@
-//! Regenerates every table and figure of the paper in one process and
-//! writes the CSVs to `results/` (PAPER.md maps each file to its figure
-//! and module).
+//! Regenerates every table and figure of the paper, and the ablations,
+//! in one process and writes the CSVs to `results/` (PAPER.md maps each
+//! file to its figure and module).
 //!
 //! Usage: `run_all [--hours N]` (default 168, the paper's week).
 //!
-//! The four independent experiment groups — the paper-scale week runs,
-//! the 4-channel utility experiment, the upload-sufficiency sweep, and
-//! the latency/chunk-size ablations — execute in parallel; each group
-//! also parallelizes internally where its runs are independent.
+//! The five independent experiment groups — the paper-scale week runs,
+//! the 4-channel utility experiment, the upload-sufficiency sweep, the
+//! latency/chunk-size ablations and the simulated ablations — execute in
+//! parallel; each group also parallelizes internally where its runs are
+//! independent.
 
 use std::fs;
 use std::path::Path;
 
 use cloudmedia_bench::{
-    chunk_size, fig11, four_channel, latency, paper_runs, report, tables, HarnessArgs,
+    ablation, chunk_size, fig11, four_channel, latency, paper_runs, report, tables, HarnessArgs,
 };
 
 fn write(dir: &Path, name: &str, content: &str) {
@@ -23,36 +24,46 @@ fn write(dir: &Path, name: &str, content: &str) {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(
+        "run_all [--hours N]   (default: 168 = the paper's week)",
+        false,
+    );
     let dir = Path::new("results");
     fs::create_dir_all(dir).expect("can create results dir");
 
     write(dir, "table2.csv", &tables::table_ii());
     write(dir, "table3.csv", &tables::table_iii());
+    write(dir, "ablation_optimizer.csv", &ablation::optimizer_csv());
+    write(dir, "ablation_psi.csv", &ablation::psi_csv());
 
     eprintln!(
         "running the experiment suite ({} h paper-scale horizon, {:?} kernel)...",
         args.hours,
         cloudmedia_sim::config::SimKernel::default()
     );
-    let ((runs, four), (f11, (latency_rows, chunk_rows))) = rayon::join(
+    let (((runs, four), (f11, (latency_rows, chunk_rows))), ablations) = rayon::join(
         || {
             rayon::join(
-                || paper_runs(args.hours),
-                || four_channel::run(args.hours.min(24.0)),
-            )
-        },
-        || {
-            rayon::join(
-                || fig11::run(args.hours),
                 || {
-                    (
-                        latency::measure(&[1, 5, 10, 25, 50, 75, 100, 150], 1.0),
-                        chunk_size::sweep(&[60.0, 150.0, 300.0, 600.0, 900.0], 0.15),
+                    rayon::join(
+                        || paper_runs(args.hours),
+                        || four_channel::run(args.hours.min(24.0)),
+                    )
+                },
+                || {
+                    rayon::join(
+                        || fig11::run(args.hours),
+                        || {
+                            (
+                                latency::measure(&[1, 5, 10, 25, 50, 75, 100, 150], 1.0),
+                                chunk_size::sweep(&[60.0, 150.0, 300.0, 600.0, 900.0], 0.15),
+                            )
+                        },
                     )
                 },
             )
         },
+        || ablation::sim_tables(args.hours),
     );
 
     let day = if args.hours >= 48.0 { 1 } else { 0 };
@@ -94,6 +105,9 @@ fn main() {
         "ablation_chunk_size.csv",
         &chunk_size::csv(&chunk_rows),
     );
+    for (file, csv) in &ablations {
+        write(dir, file, csv);
+    }
 
     println!("done");
 }

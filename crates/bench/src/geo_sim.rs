@@ -166,7 +166,7 @@ pub struct ModeComparison {
 /// Schema tag of the `geo_federation` section.
 pub const SCHEMA: &str = "cloudmedia-bench-geo-federation/v1";
 
-/// The `geo_federation` section appended to `BENCH_sim.json`.
+/// The `geo_federation` section of `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
 pub struct GeoFederationSection {
     /// Schema tag.
@@ -215,65 +215,6 @@ pub fn section(modes: Vec<ModeComparison>) -> GeoFederationSection {
     }
 }
 
-/// Writes `section_json` as the section `key` of the benchmark file.
-/// An existing `key` is replaced in place, so every other section keeps
-/// its content and position; a new key goes at the end. A missing file
-/// starts a fresh record.
-///
-/// # Errors
-///
-/// Fails if the file cannot be read or written, or if it or
-/// `section_json` is not JSON (the file must hold a JSON object).
-pub fn append_section(out_path: &str, key: &str, section_json: &str) -> std::io::Result<()> {
-    let section = parse(section_json)?;
-    merge_fields(out_path, vec![(key.to_owned(), section)])
-}
-
-/// Writes every top-level key of the JSON object `record_json` into the
-/// benchmark file as [`append_section`] writes one: keys the file holds
-/// are replaced in place, and every other section is kept.
-///
-/// # Errors
-///
-/// As [`append_section`]; `record_json` must be a JSON object.
-pub fn merge_record(out_path: &str, record_json: &str) -> std::io::Result<()> {
-    match parse(record_json)? {
-        serde::Value::Object(fields) => merge_fields(out_path, fields),
-        _ => Err(invalid("the record is not a JSON object".into())),
-    }
-}
-
-fn invalid(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-fn parse(json: &str) -> std::io::Result<serde::Value> {
-    serde_json::from_str(json).map_err(|e| invalid(e.to_string()))
-}
-
-fn merge_fields(out_path: &str, new: Vec<(String, serde::Value)>) -> std::io::Result<()> {
-    let mut fields = match std::fs::read_to_string(out_path) {
-        Ok(text) => match parse(&text)? {
-            serde::Value::Object(fields) => fields,
-            _ => return Err(invalid(format!("{out_path} does not hold a JSON object"))),
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => vec![(
-            "schema".to_owned(),
-            serde::Value::String(crate::SIM_SCHEMA.into()),
-        )],
-        Err(e) => return Err(e),
-    };
-    for (key, section) in new {
-        match fields.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, value)) => *value = section,
-            None => fields.push((key, section)),
-        }
-    }
-    let json = serde_json::to_string_pretty(&serde::Value::Object(fields))
-        .map_err(|e| invalid(e.to_string()))?;
-    std::fs::write(out_path, json + "\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,62 +254,5 @@ mod tests {
             .max()
             .unwrap();
         assert!(r.central.peak_peers() > max_region);
-    }
-
-    #[test]
-    fn append_section_is_idempotent_per_key() {
-        let dir = std::env::temp_dir().join("cloudmedia-geo-fed-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
-        append_section(path, "geo_federation", "{\"a\": 1}").unwrap();
-        append_section(path, "geo_federation", "{\"a\": 2}").unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        let parsed: serde::Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(text.matches("geo_federation").count(), 1, "{text}");
-        assert_eq!(
-            parsed.get("geo_federation").unwrap().get("a"),
-            Some(&serde::Value::UInt(2))
-        );
-
-        // Regenerating a middle section keeps the sections after it,
-        // in their original order.
-        std::fs::remove_file(path).unwrap();
-        for key in ["a", "b", "c"] {
-            append_section(path, key, "{\"v\": 1}").unwrap();
-        }
-        append_section(path, "b", "{\"v\": 2}").unwrap();
-        let parsed: serde::Value =
-            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let serde::Value::Object(fields) = &parsed else {
-            panic!("the record is a JSON object");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["schema", "a", "b", "c"]);
-        let v = |key: &str| parsed.get(key).unwrap().get("v").cloned();
-        assert_eq!(v("a"), Some(serde::Value::UInt(1)));
-        assert_eq!(v("b"), Some(serde::Value::UInt(2)));
-        assert_eq!(v("c"), Some(serde::Value::UInt(1)));
-
-        // A whole record (what `bench_sim` writes) merges key by key:
-        // its keys are replaced in place or appended, and every other
-        // writer's section survives.
-        merge_record(
-            path,
-            "{\"schema\": \"cloudmedia-bench-sim/v1\", \"b\": {\"v\": 3}, \"e2e\": []}",
-        )
-        .unwrap();
-        let parsed: serde::Value =
-            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-        let serde::Value::Object(fields) = &parsed else {
-            panic!("the record is a JSON object");
-        };
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["schema", "a", "b", "c", "e2e"]);
-        let v = |key: &str| parsed.get(key).unwrap().get("v").cloned();
-        assert_eq!(v("a"), Some(serde::Value::UInt(1)));
-        assert_eq!(v("b"), Some(serde::Value::UInt(3)));
-        assert_eq!(v("c"), Some(serde::Value::UInt(1)));
     }
 }

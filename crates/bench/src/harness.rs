@@ -5,49 +5,57 @@ use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::metrics::Metrics;
 use cloudmedia_sim::simulator::Simulator;
 
-/// Command-line arguments shared by all experiment binaries.
+/// Command-line arguments of the two bench drivers, `run_all` and
+/// `bench_sim`.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Simulated horizon in hours (default: the paper's full week, 168).
     pub hours: f64,
+    /// `--out PATH`, if given (only a driver that takes it accepts it).
+    pub out: Option<String>,
 }
 
 impl HarnessArgs {
-    /// Parses `--hours N` from the process arguments; defaults to 168.
-    /// Malformed arguments, including a horizon [`parse_hours`] rejects,
-    /// print the usage message and exit with status 2.
-    pub fn parse() -> Self {
-        let mut hours = 168.0;
+    /// Parses `--hours N` (default 168) and, when `takes_out`, `--out
+    /// PATH` from the process arguments. Malformed arguments, including
+    /// a horizon [`parse_hours`] rejects or a flag the driver does not
+    /// take, print `usage: {usage}` and exit with status 2.
+    pub fn parse(usage: &str, takes_out: bool) -> Self {
+        let mut parsed = Self {
+            hours: 168.0,
+            out: None,
+        };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--hours" => {
-                    hours = args
+                    parsed.hours = args
                         .next()
                         .and_then(|v| parse_hours(&v))
-                        .unwrap_or_else(|| usage());
+                        .unwrap_or_else(|| exit_usage(usage));
                 }
-                "--help" | "-h" => {
-                    usage();
+                "--out" if takes_out => {
+                    parsed.out = Some(args.next().unwrap_or_else(|| exit_usage(usage)));
                 }
+                "--help" | "-h" => exit_usage(usage),
                 other => {
                     eprintln!("unknown argument: {other}");
-                    usage();
+                    exit_usage(usage);
                 }
             }
         }
-        Self { hours }
+        parsed
     }
 }
 
-fn usage() -> ! {
-    eprintln!("usage: <experiment> [--hours N]   (default: 168 = the paper's week)");
+fn exit_usage(usage: &str) -> ! {
+    eprintln!("usage: {usage}");
     std::process::exit(2)
 }
 
 /// Parses a `--hours` value: a finite, positive number of simulated
-/// hours. Anything else is `None`, which the bench binaries report as a
-/// usage error before they run or write anything.
+/// hours. Anything else is `None`, which [`HarnessArgs::parse`] reports
+/// as a usage error before a driver runs or writes anything.
 pub fn parse_hours(value: &str) -> Option<f64> {
     value
         .parse::<f64>()
@@ -69,7 +77,7 @@ pub struct PaperRuns {
 ///
 /// # Panics
 ///
-/// Panics if a simulation fails — experiment binaries treat that as fatal.
+/// Panics if a simulation fails — the drivers treat that as fatal.
 pub fn paper_runs(hours: f64) -> PaperRuns {
     let run = |mode: SimMode| -> Metrics {
         let mut cfg = SimConfig::paper_default(mode);

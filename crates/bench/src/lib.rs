@@ -1,9 +1,10 @@
-//! Experiment harness for the CloudMedia reproduction.
+//! Experiment harness for the CloudMedia reproduction, behind two
+//! drivers, one per output.
 //!
 //! The `run_all` binary regenerates every table and figure of the
-//! paper's evaluation (Sec. VI) in one process, reusing the expensive
-//! week-long simulations across figures, and writes each as a CSV in
-//! `results/`. The logic lives in these modules:
+//! paper's evaluation (Sec. VI) and the ablations in one process,
+//! reusing the expensive week-long simulations across figures, and
+//! writes each as a CSV in `results/`. The logic lives in these modules:
 //!
 //! | Paper artifact | Module | `run_all` output |
 //! |---|---|---|
@@ -18,27 +19,37 @@
 //! | Fig. 11 upload sufficiency | [`fig11`] | `fig11.csv` |
 //! | Sec. VI-C VM latency | [`latency`] | `provisioning_latency.csv` |
 //! | Footnote 3 chunk size | [`chunk_size`] | `ablation_chunk_size.csv` |
+//! | Greedy vs exact optimizers | [`ablation`] | `ablation_optimizer.csv` |
+//! | Ψ estimators | [`ablation`] | `ablation_psi.csv` |
+//! | Demand predictors | [`ablation`] | `ablation_predictor.csv` |
+//! | Provisioning strategies | [`ablation`] | `ablation_provisioner.csv` |
+//! | Retrieval-time targets | [`ablation`] | `ablation_provisioning_target.csv` |
+//!
+//! The `bench_sim` binary writes the whole perf record `BENCH_sim.json`
+//! ([`record`]) in one process:
+//!
+//! | Section | Module |
+//! |---|---|
+//! | `e2e`, `kernels` | [`record`] |
+//! | `des_comparison`, `engine_throughput` | [`des`] |
+//! | `geo_federation` | [`geo_sim`] |
+//! | `scale_sweep` | [`scale`] |
+//! | `resilience` | [`resilience`] |
+//! | `stage_profile` | [`profile`] |
 
+pub mod ablation;
 pub mod chunk_size;
+pub mod des;
 pub mod fig11;
 pub mod four_channel;
 pub mod geo_sim;
 pub mod harness;
 pub mod latency;
 pub mod profile;
+pub mod record;
 pub mod report;
 pub mod resilience;
 pub mod scale;
 pub mod tables;
 
 pub use harness::{paper_runs, HarnessArgs, PaperRuns};
-
-/// Schema tag of `bench_sim`'s top-level keys of `BENCH_sim.json` (the
-/// record's own `schema`, `e2e` and `kernels`).
-pub const SIM_SCHEMA: &str = "cloudmedia-bench-sim/v2";
-
-/// Schema tag of `bench_des`'s `des_comparison` section.
-pub const DES_SCHEMA: &str = "cloudmedia-bench-des/v1";
-
-/// Schema tag of `bench_des`'s `engine_throughput` section.
-pub const DES_THROUGHPUT_SCHEMA: &str = "cloudmedia-bench-des-throughput/v1";

@@ -1,6 +1,6 @@
 //! Stage-profile benchmark: telemetry-instrumented paper-week runs
-//! producing the `stage_profile` section of `BENCH_sim.json` (binary:
-//! `bench_profile`).
+//! producing the `stage_profile` section of `BENCH_sim.json` (written by
+//! `bench_sim`).
 //!
 //! The Indexed engine is run twice per repetition — once with the no-op
 //! telemetry sink, once with a live metrics registry — and the minimum
@@ -32,6 +32,9 @@ pub struct StageRow {
 
 /// Schema tag of the `stage_profile` section.
 pub const SCHEMA: &str = "cloudmedia-bench-stage-profile/v2";
+
+/// Repetitions per telemetry setting in the record.
+pub const REPS: usize = 5;
 
 /// The `stage_profile` benchmark section: the stage profile of the
 /// Indexed engine over the paper week.

@@ -1,11 +1,15 @@
 //! Chaos benchmark rows: fault-injection scenarios run against
 //! fault-free baselines on multiple engines, producing the `resilience`
-//! section of `BENCH_sim.json` (binary: `bench_chaos`).
+//! section of `BENCH_sim.json` (written by `bench_sim`).
 //!
-//! Every row re-runs the faulted configuration serially *and* in
-//! parallel and records whether the two were bit-identical — the fault
-//! plane is seeded config data, so they must be. A `false` in the
-//! checked-in benchmark file is a regression, not noise.
+//! The fault plane is seeded config data, so a faulted run is
+//! bit-identical serial and parallel. `crates/sim/tests/chaos.rs` pins
+//! that on runs that fan out
+//! (`faulted_sharded_run_is_bit_identical_serial_vs_parallel`,
+//! `faulted_federated_run_is_bit_identical_serial_vs_parallel`); the
+//! single-site rows here peak near 2,000–2,600 viewers, under the
+//! 5,000-viewer fan-out threshold, so a serial re-run of them would
+//! step the same code.
 
 use cloudmedia_sim::config::{SimConfig, SimMode};
 use cloudmedia_sim::faults::{ChaosPreset, ResilienceReport};
@@ -22,15 +26,16 @@ pub struct ResilienceRow {
     pub scenario: String,
     /// Engine the scenario ran on (`indexed`, `federated`, ...).
     pub engine: String,
-    /// Whether the serial and parallel executions of the faulted run
-    /// produced bit-identical metrics and fault counters.
-    pub serial_parallel_identical: bool,
-    /// The resilience report of the (parallel) faulted run.
+    /// The resilience report of the faulted run.
     pub report: ResilienceReport,
 }
 
 /// Schema tag of the `resilience` section.
-pub const SCHEMA: &str = "cloudmedia-bench-resilience/v1";
+pub const SCHEMA: &str = "cloudmedia-bench-resilience/v2";
+
+/// Horizon of every row, hours: long enough for the mid-run faults to
+/// land and the recovery tail to be visible.
+const HOURS: f64 = 12.0;
 
 /// The `resilience` benchmark section.
 #[derive(Debug, Clone, Serialize)]
@@ -45,14 +50,36 @@ pub struct ResilienceSection {
     pub rows: Vec<ResilienceRow>,
 }
 
-/// Runs one single-site scenario on the Indexed engine: a fault-free
-/// baseline, the faulted run in parallel, and the faulted run again
-/// serially for the bit-equality check.
+/// Runs the section's rows over 12 h: the three single-site presets on
+/// the Indexed engine, then the federated site outage.
 ///
 /// # Errors
 ///
 /// Propagates configuration and simulation failures.
-pub fn run_single_site(
+pub fn run() -> Result<ResilienceSection, SimError> {
+    let mut rows = Vec::new();
+    for scenario in [
+        ChaosPreset::VmOutage,
+        ChaosPreset::BudgetCut,
+        ChaosPreset::TrackerDropout,
+    ] {
+        rows.push(run_single_site(scenario, SimMode::ClientServer, HOURS)?);
+    }
+    rows.push(run_federated(
+        ChaosPreset::SiteOutage,
+        SimMode::ClientServer,
+        HOURS,
+    )?);
+    Ok(section(HOURS, rows))
+}
+
+/// Runs one single-site scenario on the Indexed engine: a fault-free
+/// baseline and the faulted run.
+///
+/// # Errors
+///
+/// Propagates configuration and simulation failures.
+fn run_single_site(
     scenario: ChaosPreset,
     mode: SimMode,
     hours: f64,
@@ -66,34 +93,28 @@ pub fn run_single_site(
     let baseline = Simulator::new(cfg.clone())?.run()?;
 
     cfg.faults = schedule;
-    cfg.parallel_channels = true;
-    let parallel = Simulator::new(cfg.clone())?.run_with_faults()?;
-    cfg.parallel_channels = false;
-    let serial = Simulator::new(cfg)?.run_with_faults()?;
-    let identical =
-        parallel.metrics == serial.metrics && parallel.fault_stats == serial.fault_stats;
+    let faulted = Simulator::new(cfg)?.run_with_faults()?;
 
     let report = ResilienceReport::from_runs(
         &baseline,
-        &parallel.metrics,
+        &faulted.metrics,
         fault_start,
-        parallel.fault_stats,
+        faulted.fault_stats,
     );
     Ok(ResilienceRow {
         scenario: scenario.name().to_owned(),
         engine: "indexed".to_owned(),
-        serial_parallel_identical: identical,
         report,
     })
 }
 
 /// Runs the federated site-outage scenario: baseline vs faulted
-/// deployment, parallel and serial region stepping.
+/// deployment.
 ///
 /// # Errors
 ///
 /// Propagates configuration and simulation failures.
-pub fn run_federated(
+fn run_federated(
     scenario: ChaosPreset,
     mode: SimMode,
     hours: f64,
@@ -111,37 +132,27 @@ pub fn run_federated(
     let baseline = FederatedSimulator::new(fc.clone())?.run()?;
 
     fc.base.faults = schedule;
-    fc.base.parallel_channels = true;
-    let parallel = FederatedSimulator::new(fc.clone())?.run()?;
-    fc.base.parallel_channels = false;
-    let serial = FederatedSimulator::new(fc)?.run()?;
-    let identical = parallel.fault_stats == serial.fault_stats
-        && parallel
-            .per_region
-            .iter()
-            .zip(&serial.per_region)
-            .all(|(a, b)| a.metrics == b.metrics);
+    let faulted = FederatedSimulator::new(fc)?.run()?;
 
     // Quality observables come from the outaged site's own region; the
     // cost overshoot is deployment-wide (the surviving sites absorb the
     // demand and bill for it).
     let mut report = ResilienceReport::from_runs(
         &baseline.per_region[observed_site].metrics,
-        &parallel.per_region[observed_site].metrics,
+        &faulted.per_region[observed_site].metrics,
         fault_start,
-        parallel.fault_stats.clone(),
+        faulted.fault_stats.clone(),
     );
-    report.cost_overshoot_dollars = parallel.total_cost() - baseline.total_cost();
+    report.cost_overshoot_dollars = faulted.total_cost() - baseline.total_cost();
     Ok(ResilienceRow {
         scenario: scenario.name().to_owned(),
         engine: "federated".to_owned(),
-        serial_parallel_identical: identical,
         report,
     })
 }
 
 /// Wraps the rows into the full section.
-pub fn section(hours: f64, rows: Vec<ResilienceRow>) -> ResilienceSection {
+fn section(hours: f64, rows: Vec<ResilienceRow>) -> ResilienceSection {
     ResilienceSection {
         schema: SCHEMA.into(),
         horizon_hours: hours,
@@ -152,8 +163,10 @@ pub fn section(hours: f64, rows: Vec<ResilienceRow>) -> ResilienceSection {
              the planner dilutes best-effort), tracker measurements dark from 35% to \
              65%, and federated site 1 dark from 40% for a quarter horizon. Each \
              row compares the faulted run against a fault-free baseline of the \
-             same seed; serial_parallel_identical pins that the faulted run is \
-             bit-identical under serial and parallel execution."
+             same seed. Faulted runs are bit-identical serial and parallel: \
+             crates/sim/tests/chaos.rs pins it on runs that fan out \
+             (faulted_sharded_run_is_bit_identical_serial_vs_parallel, \
+             faulted_federated_run_is_bit_identical_serial_vs_parallel)."
                 .into(),
         ],
         rows,

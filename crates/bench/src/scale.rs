@@ -1,7 +1,7 @@
 //! Scale sweep: throughput and memory of the channel-parallel round
 //! engine versus population, plus the serial ≡ parallel
 //! bit-equality check, recorded as the `scale_sweep` section of
-//! `BENCH_sim.json` (binary: `bench_scale`).
+//! `BENCH_sim.json` (written by `bench_sim`).
 //!
 //! Each sweep point runs `cloudmedia_sim` with a
 //! [`SimConfig::scale_out`] mega-catalog configuration — thousands of
@@ -46,8 +46,9 @@ pub struct ScaleRow {
     /// Mean streaming quality.
     pub mean_quality: f64,
     /// Process peak RSS after the run, bytes (`VmHWM`; monotone across
-    /// the sweep, so ascending-population order makes each reading an
-    /// honest per-run upper bound). `None` off Linux.
+    /// the process, so [`sweep`] runs first and in ascending population
+    /// order, which makes each reading an honest per-run upper bound).
+    /// `None` off Linux.
     pub peak_rss_bytes: Option<u64>,
 }
 
@@ -65,9 +66,9 @@ pub struct EqualityCheck {
 }
 
 /// Schema tag of the `scale_sweep` section.
-pub const SCHEMA: &str = "cloudmedia-scale-sweep/v5";
+pub const SCHEMA: &str = "cloudmedia-scale-sweep/v6";
 
-/// The `scale_sweep` section appended to `BENCH_sim.json`.
+/// The `scale_sweep` section of `BENCH_sim.json`.
 #[derive(Debug, Serialize)]
 pub struct ScaleSweepSection {
     /// Schema tag.
@@ -81,9 +82,69 @@ pub struct ScaleSweepSection {
     pub sweep: Vec<ScaleRow>,
     /// The serial ≡ parallel bit-equality re-check (steady sweep).
     pub equality: EqualityCheck,
-    /// The serial ≡ parallel bit-equality re-check on the one-channel
-    /// flash-crowd scenario (`None` when the flash crowd was skipped).
-    pub flash_equality: Option<EqualityCheck>,
+}
+
+/// The steady sweep points `(population, hours, mode)`, ascending
+/// population. The last is the headline row: 1 M viewers over 2 h, long
+/// enough for the diurnal ramp to cross 1 M concurrent viewers.
+const STEADY_POINTS: [(f64, f64, SimMode); 4] = [
+    (10_000.0, 1.0, SimMode::ClientServer),
+    (100_000.0, 1.0, SimMode::ClientServer),
+    (100_000.0, 1.0, SimMode::P2p),
+    (1_000_000.0, 2.0, SimMode::ClientServer),
+];
+
+/// Target population and horizon (hours) of the one-channel flash crowd;
+/// the burst peaks past 3 M concurrent viewers.
+const FLASH_POINT: (f64, f64) = (500_000.0, 1.0);
+
+/// Runs the whole sweep and returns the section: each steady point once
+/// serial and once channel-parallel, then the flash crowd once, then
+/// the steady serial ≡ parallel re-check. Each row's `peak_rss_bytes`
+/// reads the process's `VmHWM`, so call this before anything else runs
+/// in the process, or earlier runs set the readings.
+///
+/// # Panics
+///
+/// Panics if a run fails, or if the serial and parallel runs of the
+/// re-check diverge.
+pub fn sweep() -> ScaleSweepSection {
+    let mut rows = Vec::new();
+    for (population, hours, mode) in STEADY_POINTS {
+        // ≥ 20 channels, ~500 viewers per channel, ≤ 4096.
+        let channels = ((population / 500.0) as usize).clamp(20, 4096);
+        for parallel in [false, true] {
+            let row = run_point(population, channels, mode, hours, parallel);
+            eprintln!(
+                "{mode:?} {population:.0} viewers / {channels} channels ({}): \
+                 {:.2}s wall, {:.1} sim-h/s, peak {} viewers, RSS {} MB",
+                if parallel { "parallel" } else { "serial" },
+                row.wall_seconds,
+                row.sim_hours_per_wall_second,
+                row.peak_peers,
+                row.peak_rss_bytes.map_or(0, |b| b / 1_000_000),
+            );
+            rows.push(row);
+        }
+    }
+    let (population, hours) = FLASH_POINT;
+    let row = run_flash_point(population, hours);
+    eprintln!(
+        "flash-crowd 1ch {population:.0} viewers: {:.2}s wall, {:.1} sim-h/s, \
+         peak {} viewers, RSS {} MB",
+        row.wall_seconds,
+        row.sim_hours_per_wall_second,
+        row.peak_peers,
+        row.peak_rss_bytes.map_or(0, |b| b / 1_000_000),
+    );
+    rows.push(row);
+
+    let equality = equality_check(50_000.0, 100, SimMode::P2p, 1.0);
+    assert!(
+        equality.serial_equals_parallel,
+        "serial and parallel scale runs diverged — determinism contract broken"
+    );
+    section(rows, equality)
 }
 
 /// Runs one sweep point and measures it.
@@ -92,7 +153,7 @@ pub struct ScaleSweepSection {
 ///
 /// Panics if the configuration is invalid or the run fails (this is a
 /// benchmark binary's hot path; failures should abort loudly).
-pub fn run_point(
+fn run_point(
     population: f64,
     channels: usize,
     mode: SimMode,
@@ -111,7 +172,7 @@ pub fn run_point(
 /// downloading at once and the deficit stretches downloads across
 /// rounds, so the one shard holds hundreds of thousands of in-flight
 /// downloads for a sustained stretch — grouped into download cohorts
-/// of hundreds each. `docs/SCALING.md` explains how to read its rows.
+/// of hundreds each. `docs/SCALING.md` explains how to read its row.
 pub fn flash_crowd_config(population: f64, hours: f64) -> SimConfig {
     let mut cfg =
         SimConfig::scale_out(SimMode::ClientServer, 1, population).expect("valid flash config");
@@ -137,10 +198,12 @@ pub fn flash_crowd_config(population: f64, hours: f64) -> SimConfig {
     cfg
 }
 
-/// Runs one flash-crowd point, serial or with the pool available.
-pub fn run_flash_point(population: f64, hours: f64, parallel: bool) -> ScaleRow {
-    let mut cfg = flash_crowd_config(population, hours);
-    cfg.parallel_channels = parallel;
+/// Runs one flash-crowd point with the pool offered. A one-channel site
+/// is one pool task, so it steps inline whatever `parallel_channels`
+/// says, and a serial run would repeat this one.
+fn run_flash_point(population: f64, hours: f64) -> ScaleRow {
+    let cfg = flash_crowd_config(population, hours);
+    let parallel = cfg.parallel_channels;
     measure(
         "flash_crowd_1ch",
         cfg,
@@ -183,41 +246,13 @@ fn measure(
     }
 }
 
-/// Runs the serial and parallel executions of the flash-crowd scenario
-/// and verifies bit equality of the full metrics.
-///
-/// # Panics
-///
-/// Panics if either run fails to configure or execute.
-pub fn flash_equality_check(population: f64, hours: f64) -> EqualityCheck {
-    let run = |parallel: bool| {
-        let mut cfg = flash_crowd_config(population, hours);
-        cfg.parallel_channels = parallel;
-        Simulator::new(cfg)
-            .expect("valid configuration")
-            .run()
-            .expect("flash run succeeds")
-    };
-    EqualityCheck {
-        population,
-        channels: 1,
-        sim_hours: hours,
-        serial_equals_parallel: run(false) == run(true),
-    }
-}
-
 /// Runs the serial and parallel executions of one configuration and
 /// verifies bit equality of the full metrics.
 ///
 /// # Panics
 ///
 /// Panics if either run fails to configure or execute.
-pub fn equality_check(
-    population: f64,
-    channels: usize,
-    mode: SimMode,
-    hours: f64,
-) -> EqualityCheck {
+fn equality_check(population: f64, channels: usize, mode: SimMode, hours: f64) -> EqualityCheck {
     let run = |parallel: bool| {
         let mut cfg = SimConfig::scale_out(mode, channels, population).expect("valid scale config");
         cfg.trace.horizon_seconds = hours * 3600.0;
@@ -236,11 +271,7 @@ pub fn equality_check(
 }
 
 /// Wraps the measurements into the full section.
-pub fn section(
-    sweep: Vec<ScaleRow>,
-    equality: EqualityCheck,
-    flash_equality: Option<EqualityCheck>,
-) -> ScaleSweepSection {
+fn section(sweep: Vec<ScaleRow>, equality: EqualityCheck) -> ScaleSweepSection {
     ScaleSweepSection {
         schema: SCHEMA.into(),
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -251,28 +282,28 @@ pub fn section(
              re-checked in `equality`). Set RAYON_NUM_THREADS to sweep thread \
              counts."
                 .into(),
-            "peak_rss_bytes reads /proc VmHWM, the process high-water mark: rows \
-             run in ascending population order so each reading upper-bounds its \
-             own run."
+            "peak_rss_bytes reads /proc VmHWM, the process high-water mark: the \
+             sweep runs first in bench_sim's process, in ascending population \
+             order, so each reading upper-bounds its own run."
                 .into(),
             "Populations are steady-state targets; peak_peers shows what the \
              diurnal ramp actually reached within the horizon."
                 .into(),
-            "`flash_crowd_1ch` rows are the one-channel burst: a single shard \
+            "The `flash_crowd_1ch` row is the one-channel burst: a single shard \
              whose in-flight downloads balloon past provisioned capacity, \
              grouped into download cohorts that the demand and advance passes \
-             visit once each. A one-shard run steps on one thread whatever \
-             the pool, so its serial and parallel rows run the same code and \
-             are bit-identical (re-checked in `flash_equality`)."
+             visit once each. A one-channel site is one pool task, so it steps \
+             inline whatever parallel_channels says; it runs once, with the \
+             pool offered. crates/sim/tests/hot_shard_invariance.rs pins \
+             one-channel runs bit-identical serial and parallel."
                 .into(),
             "Each steady point runs once serial and once parallel; `threads` is \
-             the pool width, which bench_scale refuses to set above \
+             the pool width, which bench_sim refuses to set above \
              `host_threads`."
                 .into(),
         ],
         sweep,
         equality,
-        flash_equality,
     }
 }
 
@@ -294,19 +325,17 @@ mod tests {
         assert_eq!(row.mean_quality, serial.mean_quality);
         let eq = equality_check(2000.0, 10, SimMode::ClientServer, 0.5);
         assert!(eq.serial_equals_parallel, "serial and parallel diverged");
-        let section = section(vec![row, serial], eq, None);
+        let section = section(vec![row, serial], eq);
         let json = serde_json::to_string(&section).unwrap();
-        assert!(json.contains("\"schema\":\"cloudmedia-scale-sweep/v5\""));
+        assert!(json.contains("\"schema\":\"cloudmedia-scale-sweep/v6\""));
     }
 
     #[test]
-    fn tiny_flash_lane_measures_and_stays_bit_identical() {
-        let row = run_flash_point(3000.0, 0.5, true);
+    fn tiny_flash_lane_measures_one_channel() {
+        let row = run_flash_point(3000.0, 0.5);
         assert_eq!(row.scenario, "flash_crowd_1ch");
         assert_eq!(row.channels, 1);
         assert!(row.peak_peers > 0);
-        let eq = flash_equality_check(3000.0, 0.5);
-        assert!(eq.serial_equals_parallel, "parallel flash run diverged");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cloud (`Δ_i = R·m_i − Γ_i`). This module derives the equilibrium chunk
 //! replica counts (Proposition 1), the joint-ownership probability
 //! `Ψ(π_j, π_k)` (two estimators — the paper's closed form lives in an
-//! unavailable technical report; `ablation_psi` compares them), and the
+//! unavailable technical report; `ablation_psi.csv` compares them), and the
 //! rarest-first waterfilling of one mean peer upload `u` (paper Eqn. 5).
 
 use cloudmedia_queueing::absorbing::AbsorbingChain;
@@ -653,8 +653,8 @@ mod tests {
 
     #[test]
     fn channel_pooled_totals_are_pinned() {
-        // The IEEE-754 bits `cloudmedia analyze`, `ablation_psi` and the
-        // examples print from, at u = 34,000 B/s.
+        // The IEEE-754 bits `cloudmedia analyze`, `ablation_psi.csv` and
+        // the examples print from, at u = 34,000 B/s.
         for (rate, psi, cloud, peer) in [
             (
                 0.05,

@@ -63,7 +63,7 @@
 //! within 0.2 %, and P2P cloud usage reads 10.5 % higher; the
 //! regression test (`crates/sim/tests/des_vs_indexed.rs`) pins **mean
 //! used cloud bandwidth, mean per-channel provisioned demand, and total
-//! VM cost to within 15 % of the Indexed engine**, and `bench_des`
+//! VM cost to within 15 % of the Indexed engine**, and `bench_sim`
 //! records the actual deltas in `BENCH_sim.json` so the gap is tracked
 //! PR to PR.
 

@@ -69,7 +69,7 @@ pub use simulator::Simulator;
 
 /// The process's peak resident set size (`VmHWM` from
 /// `/proc/self/status`), if the platform exposes it. Scale-out
-/// reporting (the `cloudmedia scale` CLI, `bench_scale`'s
+/// reporting (the `cloudmedia scale` CLI, `bench_sim`'s
 /// `scale_sweep` rows) uses this to record the memory footprint of
 /// very large runs; it is a high-water mark, monotone over the
 /// process lifetime.

@@ -10,7 +10,7 @@
 //! flash crowds) end to end.
 //!
 //! The tolerance run here uses a 48-hour horizon to keep debug-build
-//! test time sane; `bench_des` performs the same comparison over the
+//! test time sane; `bench_sim` performs the same comparison over the
 //! full paper week in release mode and records the measured deltas in
 //! `BENCH_sim.json` (used bandwidth 0.2 % below Indexed in C/S and
 //! 10.5 % above it in P2P; VM cost within 0.2 % in both).

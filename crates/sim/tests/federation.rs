@@ -18,7 +18,7 @@
 //!   the cost floor (its price is the latency of serving almost everyone
 //!   remotely, which the cost metric does not see).
 //!
-//! The full-week numbers are recorded by `ext_multi_region_sim` in the
+//! The full-week numbers are recorded by `bench_sim` in the
 //! `geo_federation` section of `BENCH_sim.json`; this suite pins the
 //! ordering (and the presence of redirected traffic) on the default
 //! three-site week so `cargo test` keeps it honest PR to PR.

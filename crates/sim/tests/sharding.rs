@@ -85,7 +85,7 @@ fn sharded_runs_are_deterministic() {
 
 /// A mega-catalog scale smoke at a population no single paper-default
 /// run approaches, in both execution modes — the small-footprint
-/// sibling of the CI scale smoke and `bench_scale`'s sweep. The ramp
+/// sibling of the CI scale smoke and `bench_sim`'s scale sweep. The ramp
 /// passes `FAN_OUT_MIN_PEERS`, so the parallel run fans its shards out
 /// over the pool, and it must match the serial run bit for bit.
 #[test]
